@@ -81,8 +81,11 @@ class Gauge:
             else:
                 out = self.fn(arr)
         out = np.asarray(out, dtype=float)
+        if out.ndim == 0:
+            # a gauge that ignores t, such as the expression "0.5"
+            return np.full(arr.shape, float(out))
         if out.shape != arr.shape:
-            out = np.vectorize(lambda t: float(self.fn(t)))(arr)
+            out = np.vectorize(self, otypes=[float])(arr)
         return out
 
 

@@ -162,6 +162,19 @@ class TestGaugeFamilyCheckers:
         assert c8.verdict is Verdict.FAIL
         assert c8.witnesses[0] == {"n": 1, "i": 0, "lhs": 1.0, "rhs": 0.5}
 
+    def test_short_explicit_family_is_inconclusive(self):
+        # members t/2 and t/4 dominate the halving orbit exactly, but two
+        # members cover only shifts 1..2 of the eight the budget asks for
+        fam = explicit_family([builtin_gauge("half"), expression_gauge("0.25 * t")],
+                              zero_fixed=True)
+        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+        for variant in ("asmk1", "asmk2"):
+            dom = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
+                             fam, SMALL, variant=variant)[2]
+            assert dom.verdict is Verdict.INCONCLUSIVE
+            assert dom.witnesses == [{"checked_shifts": 2, "checked_indices": 8}]
+            assert "shifts 3..8 were not checked" in dom.resolution_note
+
     def test_unknown_variant(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(ConfigurationError, match="asmk1 or asmk2"):

@@ -66,6 +66,14 @@ class TestGaugeBasics:
         for t, v in zip(ts, out):
             assert v == g(float(t))
 
+    def test_apply_array_constant_expression(self):
+        # the expression ignores t and evaluates to a scalar
+        g = expression_gauge("0.5")
+        ts = np.array([[0.0, 1.0], [2.0, 3.0]])
+        out = g.apply_array(ts)
+        assert out.shape == ts.shape
+        assert (out == 0.5).all()
+
     def test_apply_array_range_guard(self):
         g = builtin_gauge("half", t_max=1.0)
         with pytest.raises(InputError):

@@ -336,6 +336,26 @@ class TestCliRun:
         assert code == 1
         assert "error: budget scale factor must be positive" in capsys.readouterr().err
 
+    def test_constant_expression_gauge_reaches_a_verdict(self, tmp_path, capsys):
+        # psi = 0.5 ignores t; applying it to a gap array used to raise a
+        # raw TypeError instead of producing the stepwise-domination verdict
+        doc = {
+            "name": "const-psi",
+            "space": {"dimension": 1},
+            "maps": {"T": "half", "S": "half"},
+            "gauges": {"F": "id",
+                       "psi": {"expression": "0.5",
+                               "profile": ["nondecreasing", "right_upper_semicontinuous"]}},
+            "run": ["alternate"],
+            "alternate": {"seed": [1.0], "psi_variant": "zhang", "fpsi_pairs": 20},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        # F(gap) <= 0.5 holds along the orbit but not on every sampled pair
+        assert "  alternate.INEQFP: pass" in lines
+        assert "  alternate.FPSI: fail" in lines
+
     def test_escaping_orbit_cannot_fill_the_budget(self, tmp_path, capsys):
         # x -> x*x from 10 blows past the escape bound after three points,
         # far short of the aligned gaps the band checkers need
