@@ -76,7 +76,6 @@ from .spaces import (
     composed_premetric,
     custom_premetric,
     default_region,
-    estimate_set_gap,
     metric_premetric,
     sample_pairs,
     sample_points,

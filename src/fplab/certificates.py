@@ -503,7 +503,7 @@ def _orbit_block(
     seeds: np.ndarray,
     n_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the map on every seed row; returns (orbits, alive_steps).
+    """Iterate the map on every seed row at once; returns (orbits, alive_steps).
 
     orbits has shape (k, n_steps, dim); an orbit that escapes (non-finite or
     beyond ESCAPE_NORM) is frozen at its last good point and its alive count
@@ -513,36 +513,16 @@ def _orbit_block(
     orbits = np.empty((k, n_steps, dim))
     orbits[:, 0, :] = seeds
     alive = np.full(k, n_steps, dtype=int)
-    current = [tuple(row) for row in seeds]
-    for step in range(1, n_steps):
-        for idx in range(k):
-            if alive[idx] < n_steps:
-                orbits[idx, step] = orbits[idx, step - 1]
-                continue
-            nxt = tuple(float(c) for c in map_t.fn(current[idx]))
-            if not all(np.isfinite(nxt)) or max(abs(c) for c in nxt) > ESCAPE_NORM:
-                alive[idx] = step
-                orbits[idx, step] = orbits[idx, step - 1]
-                continue
-            current[idx] = nxt
-            orbits[idx, step] = nxt
+    going = np.ones(k, dtype=bool)
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps):
+            prev = orbits[:, step - 1]
+            nxt = map_t.fn(prev)
+            ok = np.isfinite(nxt).all(axis=-1) & (np.abs(nxt).max(axis=-1) <= ESCAPE_NORM)
+            alive[going & ~ok] = step
+            going &= ok
+            orbits[:, step] = np.where(going[:, None], nxt, prev)
     return orbits, alive
-
-
-def _pair_distance_curves(space: Space, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """d(x_step, y_step) per pair row; xs, ys shaped (k, n_steps, dim)."""
-    if space.norm == "custom":
-        k, n, _ = xs.shape
-        out = np.empty((k, n))
-        for i in range(k):
-            for s in range(n):
-                out[i, s] = space.distance(space.point(*xs[i, s]), space.point(*ys[i, s]))
-        return out
-    diff = xs - ys
-    if space.norm == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    q = float(space.norm)
-    return np.sum(np.abs(diff) ** q, axis=-1) ** (1.0 / q)
 
 
 def _sample_orbit_data(
@@ -563,7 +543,7 @@ def _sample_orbit_data(
     orbits, alive = _orbit_block(map_t, np.concatenate([seeds_x, seeds_y]), n_steps)
     ox, oy = orbits[:k], orbits[k:]
     valid = (alive[:k] == n_steps) & (alive[k:] == n_steps)
-    dists = _pair_distance_curves(space, ox, oy)
+    dists = space.distances(ox, oy)
     return {
         "region": region,
         "seed": seed,
@@ -579,7 +559,9 @@ def _sample_orbit_data(
 def _d4_matrices(space: Space, data: dict, budget: SearchBudget) -> tuple[np.ndarray, int]:
     cap = max(4, budget.pair_samples // 16)
     chosen = data["orbits_x"][data["valid"]][:cap]
-    mats = np.stack([space.distance_matrix(orbit, orbit) for orbit in chosen])
+    # one orbit at a time: a single 4-D broadcast would hold every orbit's
+    # difference block in memory at once
+    mats = np.stack([space.distances(orbit[:, None], orbit[None]) for orbit in chosen])
     return mats, chosen.shape[0]
 
 
@@ -876,23 +858,9 @@ def check_banach_rate(
     budget = budget or SearchBudget()
     region = region or default_region(space)
     rng = np.random.default_rng(seed)
-    sup_ratio = -np.inf
-    sup_at: dict = {}
-
-    def consider(a: Point, b: Point) -> None:
-        nonlocal sup_ratio, sup_at
-        d0 = space.distance(a, b)
-        if d0 <= 1e-12:
-            return
-        r = space.distance(map_t(a), map_t(b)) / d0
-        if r > sup_ratio:
-            sup_ratio = r
-            sup_at = {"x": list(a.coords), "y": list(b.coords), "ratio": r}
-
     coords_a = region.sample_coords(rng, budget.pair_samples)
     coords_b = region.sample_coords(rng, budget.pair_samples)
-    for ca, cb in zip(coords_a, coords_b):
-        consider(space.point(*ca), space.point(*cb))
+    ladder_a, ladder_b = [], []
     lows, highs = np.asarray(region.lows), np.asarray(region.highs)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         base = lows + frac * (highs - lows)
@@ -904,7 +872,26 @@ def check_banach_rate(
                 shifted[0] -= h
                 if not region.contains_coords(shifted):
                     continue
-            consider(space.point(*base), space.point(*shifted))
+            ladder_a.append(base)
+            ladder_b.append(shifted)
+    a = np.concatenate([coords_a, np.reshape(ladder_a, (-1, space.dimension))])
+    b = np.concatenate([coords_b, np.reshape(ladder_b, (-1, space.dimension))])
+    d0 = space.distances(a, b)
+    keep = d0 > 1e-12
+    a, b, d0 = a[keep], b[keep], d0[keep]
+    with np.errstate(all="ignore"):
+        moved = space.distances(map_t.fn(a), map_t.fn(b))
+    if not np.isfinite(moved).all():
+        bad = int(np.argmin(np.isfinite(moved)))
+        raise InputError(f"map {map_t.name!r} sends the pair {a[bad].tolist()}, "
+                         f"{b[bad].tolist()} to a non-finite image or distance")
+    ratios = moved / d0
+    sup_ratio, sup_at = -np.inf, {}
+    if ratios.size:
+        # argmax keeps the first of tied maxima, in sampling order
+        i = int(np.argmax(ratios))
+        sup_ratio = float(ratios[i])
+        sup_at = {"x": a[i].tolist(), "y": b[i].tolist(), "ratio": sup_ratio}
     note = (
         f"{budget.pair_samples} sampled pairs plus a deterministic short-separation "
         f"ladder; pass needs sup ratio <= {1 - margin}"

@@ -34,7 +34,41 @@ def _reduce_max(*args: Any) -> Any:
     return out
 
 
+def _divide(a: Any, b: Any) -> Any:
+    """a / b with NaN wherever b is zero, element by element for arrays, so
+    scalars and arrays agree on division by zero."""
+    if np.ndim(b) == 0:
+        return a / b if b != 0 else a * np.nan
+    return np.where(b == 0, np.nan, np.divide(a, b))
+
+
 _FUNCTIONS: dict[str, Any] = {"abs": abs, "min": _reduce_min, "max": _reduce_max}
+_DIVIDE = "__divide"
+
+
+class _DivisionToCall(ast.NodeTransformer):
+    """Rewrites every a / b into a call of _divide."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Div):
+            return node
+        call = ast.Call(func=ast.Name(id=_DIVIDE, ctx=ast.Load()),
+                        args=[node.left, node.right], keywords=[])
+        return ast.copy_location(call, node)
+
+
+class CoordView:
+    """Binds a coordinate array so x[i] reads arr[..., i]: an expression over
+    coordinates then evaluates on a whole (..., d) block at once."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray) -> None:
+        self.arr = arr
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.arr[..., i]
 
 
 def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
@@ -81,9 +115,10 @@ class Expression:
     """A compiled expression over the declared variable names.
 
     Calling the expression with keyword arguments bound to floats gives a
-    float; binding numpy arrays broadcasts, which the batch evaluation
-    paths rely on.  Division by zero yields NaN rather than raising so the
-    checkers can record it as a witness.
+    float; binding numpy arrays (or CoordViews of them) broadcasts, which
+    the batch evaluation paths rely on.  Division by zero yields NaN, for
+    floats and element by element for arrays alike, so the checkers can
+    record it as a witness.
     """
 
     source: str
@@ -92,12 +127,10 @@ class Expression:
 
     def __call__(self, **env: Any) -> Any:
         scope = dict(_FUNCTIONS)
+        scope[_DIVIDE] = _divide
         scope.update(env)
-        try:
-            with np.errstate(all="ignore"):
-                return eval(self._code, {"__builtins__": {}}, scope)  # noqa: S307 - AST whitelisted
-        except ZeroDivisionError:
-            return float("nan")
+        with np.errstate(all="ignore"):
+            return eval(self._code, {"__builtins__": {}}, scope)  # noqa: S307 - AST whitelisted
 
 
 def compile_expression(source: str, variables: tuple[str, ...]) -> Expression:
@@ -114,5 +147,6 @@ def compile_expression(source: str, variables: tuple[str, ...]) -> Expression:
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from exc
     _validate(tree, variables, source)
+    tree = ast.fix_missing_locations(_DivisionToCall().visit(tree))
     code = compile(tree, f"<expr {source!r}>", "eval")
     return Expression(source=source, variables=variables, _code=code)

@@ -81,11 +81,9 @@ class Gauge:
             else:
                 out = self.fn(arr)
         out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            # a gauge that ignores t, such as the expression "0.5"
-            return np.full(arr.shape, float(out))
         if out.shape != arr.shape:
-            out = np.vectorize(self, otypes=[float])(arr)
+            # a gauge that ignores t, such as the expression "0.5"
+            out = np.full(arr.shape, out)
         return out
 
 
@@ -392,14 +390,18 @@ def check_family_C6(
     The limsup is estimated as the max over the last quarter of the horizon.
     A pass needs that estimate below eps - eta together with a stabilized
     (variation <= eta) or nonincreasing-within-eta tail; a stabilized tail at
-    or above eps - eta fails; anything else is inconclusive.
+    or above eps - eta fails; anything else is inconclusive.  An explicit
+    family shorter than the horizon never reaches it, so it can fail but
+    never pass.
     """
     if n_horizon < 4:
         raise InputError("C6 horizon must be at least 4")
     per_eps: list[Verdict] = []
     wits: list[dict] = []
+    checked = n_horizon
     for eps in eps_grid:
         values = _family_values(family, eps, n_horizon)
+        checked = len(values)
         q = max(1, len(values) // 4)
         tail = values[-q:]
         est = max(tail)
@@ -415,15 +417,15 @@ def check_family_C6(
         else:
             per_eps.append(Verdict.INCONCLUSIVE)
             wits.append(witness(eps=eps, limsup_estimate=est, tail="unstable"))
-    return CertificateReport(
-        "C6",
-        worst_verdict(per_eps),
-        wits,
-        resolution_note=(
-            f"tail over last quarter of horizon {n_horizon}; unstabilized, "
-            f"non-monotone tails are never a pass"
-        ),
-    )
+    verdict = worst_verdict(per_eps)
+    note = (f"tail over last quarter of horizon {n_horizon}; unstabilized, "
+            f"non-monotone tails are never a pass")
+    if checked < n_horizon:
+        note += (f"; the family has only {checked} members, so the tail was read "
+                 f"from those and no pass is claimed")
+        if verdict is Verdict.PASS:
+            verdict = Verdict.INCONCLUSIVE
+    return CertificateReport("C6", verdict, wits, resolution_note=note)
 
 
 def check_family_C7(

@@ -8,18 +8,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .expressions import compile_expression
+from .expressions import CoordView, compile_expression
 from .spaces import Point, Space
 
 
 @dataclass(frozen=True)
 class NamedMap:
-    """A map on a space.  Every application validates the output point, so
-    escaping or non-finite images surface immediately at the call site."""
+    """A map on a space.  fn sends a (..., d) coordinate array to a (..., d)
+    array, so one call moves a whole block of points.  Applying the map to a
+    Point validates the image, so escaping or non-finite images surface
+    immediately at the call site."""
 
     name: str
     space: Space
-    fn: Callable[[tuple[float, ...]], tuple[float, ...]]
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: Point) -> Point:
         if x.space_id != self.space.id:
@@ -27,52 +29,51 @@ class NamedMap:
                 f"map {self.name!r} on space {self.space.id!r} applied to a point "
                 f"from {x.space_id!r}"
             )
-        out = self.fn(x.coords)
-        return self.space.point(out)
+        with np.errstate(all="ignore"):
+            image = self.fn(np.asarray(x.coords))
+        return self.space.point(image.tolist())
 
     def describe(self) -> str:
         return f"{self.name} on {self.space.id}"
 
 
-def _scalar(fn: Callable[[float], float]) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
-    def apply(coords: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(fn(c) for c in coords)
-
-    return apply
-
-
-_BUILTINS: dict[str, Callable[[float], float]] = {
-    "half": lambda c: 0.5 * c,
-    "mk": lambda c: c / (1.0 + c),
-    "translation": lambda c: c + 1.0,
-    "flip": lambda c: 1.0 - c,
-    "quarter": lambda c: 0.25 * c,
-    "fifth": lambda c: 0.2 * c,
-    "neg": lambda c: -c,
-    "cyclic_reflect": lambda c: -0.5 * (abs(c) + 1.0) * float(np.sign(c) if c != 0 else 1.0),
+_BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "half": lambda x: 0.5 * x,
+    "mk": lambda x: x / (1.0 + x),
+    "translation": lambda x: x + 1.0,
+    "flip": lambda x: 1.0 - x,
+    "quarter": lambda x: 0.25 * x,
+    "fifth": lambda x: 0.2 * x,
+    "neg": lambda x: -x,
+    "cyclic_reflect": lambda x: -0.5 * (np.abs(x) + 1.0) * np.where(x != 0, np.sign(x), 1.0),
 }
 
 
 def builtin_map(name: str, space: Space) -> NamedMap:
     if name not in _BUILTINS:
         raise ConfigurationError(f"unknown builtin map {name!r}; have {sorted(_BUILTINS)}")
-    return NamedMap(name=name, space=space, fn=_scalar(_BUILTINS[name]))
+    return NamedMap(name=name, space=space, fn=_BUILTINS[name])
 
 
 def expression_map(space: Space, sources: list[str] | str, name: str | None = None) -> NamedMap:
     """Coordinate-wise expressions in x (the input coordinate vector).
 
-    A single source is broadcast across all coordinates with x bound to the
-    scalar coordinate; a list gives one expression per output coordinate with
-    x subscriptable.
+    A single source is applied to every coordinate with x bound to that
+    coordinate; a list gives one expression per output coordinate with x
+    subscriptable.
     """
     if isinstance(sources, str):
+        if "[" in sources:
+            raise ConfigurationError(
+                f"map {sources!r}: a single expression reads each coordinate as x; "
+                "give one expression per coordinate to use x[i]"
+            )
         expr = compile_expression(sources, variables=("x",))
 
-        def apply_scalar(coords: tuple[float, ...]) -> tuple[float, ...]:
-            return tuple(float(expr(x=c)) for c in coords)
+        def apply_each(x: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(expr(x=x), x.shape)
 
-        return NamedMap(name=name or sources, space=space, fn=apply_scalar)
+        return NamedMap(name=name or sources, space=space, fn=apply_each)
 
     if len(sources) != space.dimension:
         raise ConfigurationError(
@@ -80,8 +81,8 @@ def expression_map(space: Space, sources: list[str] | str, name: str | None = No
         )
     exprs = [compile_expression(src, variables=("x",)) for src in sources]
 
-    def apply_vector(coords: tuple[float, ...]) -> tuple[float, ...]:
-        arr = np.asarray(coords, dtype=float)
-        return tuple(float(e(x=arr)) for e in exprs)
+    def apply_list(x: np.ndarray) -> np.ndarray:
+        view = CoordView(x)
+        return np.stack([np.broadcast_to(e(x=view), x.shape[:-1]) for e in exprs], axis=-1)
 
-    return NamedMap(name=name or "; ".join(sources), space=space, fn=apply_vector)
+    return NamedMap(name=name or "; ".join(sources), space=space, fn=apply_list)

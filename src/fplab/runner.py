@@ -15,6 +15,7 @@ ConfigurationError / InputError for the CLI to translate.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -35,7 +36,7 @@ from .certificates import (
 from .errors import ConfigurationError
 from .gallery import Expectation, gallery_names, get_entry
 from .reports import CertificateReport, Verdict
-from .scenario import Scenario, build_scenario, load_scenario_file
+from .scenario import RUN_NAMES, Scenario, build_scenario, load_scenario_file
 from .solvers import (
     certify_cauchy,
     even_collapse_diagnostic,
@@ -53,9 +54,6 @@ from .traces import (
     picard_trace,
     sequence_trace,
 )
-
-_RUN_ORDER = ("iterate", "certify", "cyclic", "alternate", "falsify")
-
 
 @dataclass
 class RunResult:
@@ -136,9 +134,20 @@ class _Sink:
         self.verdicts[key] = value
 
     def write(self, name: str, text: str) -> None:
+        # listed before writing, so discard() also removes a half-written file
+        self.artifacts.append(name)
         with open(os.path.join(self.out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
-        self.artifacts.append(name)
+
+    def discard(self, created_dir: bool) -> None:
+        """Delete every artifact written so far, and the directory too when
+        this run created it."""
+        for name in self.artifacts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(self.out_dir, name))
+        if created_dir:
+            with contextlib.suppress(OSError):
+                os.rmdir(self.out_dir)
 
     def write_json(self, name: str, obj) -> None:
         self.write(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -321,45 +330,50 @@ def run_scenario_doc(
     strict: bool = False,
 ) -> RunResult:
     """Execute one scenario document.  Configuration problems raise
-    ConfigurationError; everything else lands in the artifacts."""
+    ConfigurationError; everything else lands in the artifacts.  A run that
+    raises leaves no artifact behind, nor the directory if it made it."""
     scn = build_scenario(doc)
     if seed is not None:
         scn = dataclasses.replace(scn, seed=int(seed))
     if budget_scale is not None:
         scn = dataclasses.replace(scn, budget=scn.budget.scaled(budget_scale))
 
+    created_dir = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     sink = _Sink(out_dir)
-    cache: dict[str, IterationTrace] = {}
+    try:
+        cache: dict[str, IterationTrace] = {}
+        for run in RUN_NAMES:
+            if run in scn.runs:
+                _RUNNERS[run](scn, cache, sink)
 
-    for run in _RUN_ORDER:
-        if run in scn.runs:
-            _RUNNERS[run](scn, cache, sink)
+        for source in sorted(cache):
+            sink.write(f"trace_{source}.csv", cache[source].to_csv())
 
-    for source in sorted(cache):
-        sink.write(f"trace_{source}.csv", cache[source].to_csv())
+        violations = []
+        for exp in expectations:
+            actual = sink.verdicts.get(exp.path)
+            if actual != exp.expected:
+                violations.append({
+                    "path": exp.path,
+                    "expected": exp.expected,
+                    "actual": actual,
+                    "basis": exp.basis,
+                })
 
-    violations = []
-    for exp in expectations:
-        actual = sink.verdicts.get(exp.path)
-        if actual != exp.expected:
-            violations.append({
-                "path": exp.path,
-                "expected": exp.expected,
-                "actual": actual,
-                "basis": exp.basis,
-            })
-
-    exit_code = _exit_code(sink.verdicts, violations, strict)
-    sink.write_json("reports.json", {
-        "scenario": scn.name,
-        "seed": scn.seed,
-        "budget": scn.budget.to_json(),
-        "runs": sink.runs,
-        "verdicts": sink.verdicts,
-        "violations": violations,
-        "exit_code": exit_code,
-    })
+        exit_code = _exit_code(sink.verdicts, violations, strict)
+        sink.write_json("reports.json", {
+            "scenario": scn.name,
+            "seed": scn.seed,
+            "budget": scn.budget.to_json(),
+            "runs": sink.runs,
+            "verdicts": sink.verdicts,
+            "violations": violations,
+            "exit_code": exit_code,
+        })
+    except BaseException:
+        sink.discard(created_dir)
+        raise
     return RunResult(
         name=scn.name,
         exit_code=exit_code,

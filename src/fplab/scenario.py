@@ -18,11 +18,14 @@ from .gauges import Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, builtin_ga
     expression_gauge, explicit_family, iterated_family
 from .maps import NamedMap, _BUILTINS as _MAP_BUILTINS, builtin_map, expression_map
 from .reports import SearchBudget
-from .spaces import Box, CyclicSetting, DiskSet, IntervalSet, Premetric, Space, \
-    composed_premetric, default_region, metric_premetric, shifted_premetric
+from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, \
+    IntervalSet, Premetric, Space, composed_premetric, default_region, metric_premetric, \
+    shifted_premetric
 
+#: The runs a document may request, in the order the runner executes them.
 RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")
-PREMETRIC_KINDS = ("metric", "shifted_cyclic", "composed")
+#: Custom premetrics are expressions built through the API, not documents.
+PREMETRIC_KINDS = tuple(k for k in _ALL_PREMETRIC_KINDS if k != "custom")
 CERTIFY_SOURCES = ("picard", "alternating", "sequence")
 SEQUENCE_NAMES = ("harmonic",)
 
@@ -82,8 +85,7 @@ def validate_scenario(doc: dict) -> list[str]:
         return ["scenario document must be a mapping"]
     known = {
         "name", "seed", "space", "region", "maps", "sequence", "premetric",
-        "gauges", "cyclic_setting", "budget", "run",
-        "iterate", "certify", "cyclic", "alternate", "falsify",
+        "gauges", "cyclic_setting", "budget", "run", *RUN_NAMES,
     }
     for key in doc:
         if key not in known:
@@ -250,7 +252,7 @@ def validate_scenario(doc: dict) -> list[str]:
     if "falsify" in runs and not (has_t or seq):
         diags.append("maps.T: run falsify needs a trace source (map T or sequence)")
 
-    for section in ("iterate", "certify", "cyclic", "alternate", "falsify"):
+    for section in RUN_NAMES:
         if section in doc and not isinstance(doc[section], dict):
             diags.append(f"{section}: expected a table of run parameters")
     return diags

@@ -469,17 +469,15 @@ def even_collapse_diagnostic(
     cached full orbit) or a plain full orbit.
 
     Raises:
-        InputError: space distance is not euclidean, or the orbit is shorter
-            than 5 points.
+        InputError: the orbit is shorter than 5 points.
     """
-    if setting.space.norm != "euclidean":
-        raise InputError("this diagnostic is limited to euclidean distances")
     pts = full_orbit.aux_points if full_orbit.aux_points is not None else full_orbit.points
     if len(pts) < 5:
         raise InputError("need a full orbit of at least 5 points")
     coords = np.asarray([pt.coords for pt in pts], dtype=float)
-    step = np.sqrt(np.sum(np.diff(coords, axis=0) ** 2, axis=-1))
-    even = np.sqrt(np.sum(np.diff(coords[::2], axis=0) ** 2, axis=-1))
+    evens = coords[::2]
+    step = setting.space.distances(coords[:-1], coords[1:])
+    even = setting.space.distances(evens[:-1], evens[1:])
     q_s, q_e = max(1, step.shape[0] // 4), max(1, even.shape[0] // 4)
     step_tail = float(step[-q_s:].max())
     even_tail = float(even[-q_e:].max())

@@ -2,20 +2,23 @@
 
 Everything downstream (traces, certificates, solvers) measures gaps through
 a Premetric: a plain metric, a clamped cyclic shift of one, a gauge
-composed with an inner premetric, or a custom expression.
+composed with an inner premetric, or a custom expression.  Distances and
+premetrics each have one array kernel (Space.distances, premetric_values)
+over coordinate arrays with the coordinates on the last axis; the Point
+and block functions are thin edges over it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, RefusalError
-from .expressions import Expression
+from .errors import ConfigurationError, InputError
+from .expressions import CoordView, Expression
 from .gauges import Gauge
 from .reports import CertificateReport, Verdict, witness
 
@@ -46,29 +49,22 @@ class Point:
 class Space:
     """A finite-dimensional space with a selected distance.
 
-    norm is "euclidean", a float exponent >= 1 for a p-norm, or "custom"
-    together with a two-argument evaluable.
+    norm is "euclidean" or a float exponent >= 1 for a p-norm.  Coordinate
+    arrays carry the coordinates on their last axis.
     """
 
     id: str
     dimension: int
     norm: Any = "euclidean"
-    custom: Expression | Callable[[Point, Point], float] | None = None
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ConfigurationError("space dimension must be >= 1")
         if isinstance(self.norm, str):
-            if self.norm == "euclidean":
-                pass
-            elif self.norm == "custom":
-                if self.custom is None:
-                    raise ConfigurationError("custom distance selected but no evaluable given")
-            else:
+            if self.norm != "euclidean":
                 raise ConfigurationError(f"unknown distance selector {self.norm!r}")
-        else:
-            if float(self.norm) < 1.0:
-                raise ConfigurationError("p-norm exponent must be >= 1")
+        elif float(self.norm) < 1.0:
+            raise ConfigurationError("p-norm exponent must be >= 1")
 
     def point(self, *coords: float) -> Point:
         if len(coords) == 1 and isinstance(coords[0], (tuple, list, np.ndarray)):
@@ -84,64 +80,31 @@ class Space:
                 f"{self.id!r} (dimension {self.dimension})"
             )
 
-    def distance(self, x: Point, y: Point) -> float:
-        self.check_member(x)
-        self.check_member(y)
-        if self.norm == "custom":
-            if isinstance(self.custom, Expression):
-                value = float(self.custom(x=np.asarray(x.coords), y=np.asarray(y.coords)))
-            else:
-                value = float(self.custom(x, y))
-        else:
-            diff = np.asarray(x.coords) - np.asarray(y.coords)
-            if self.norm == "euclidean":
-                value = float(np.sqrt(np.sum(diff * diff)))
-            else:
-                p = float(self.norm)
-                value = float(np.sum(np.abs(diff) ** p) ** (1.0 / p))
-        if not math.isfinite(value) or value < 0.0:
-            raise InputError(f"distance evaluated to {value!r} on {x.coords}, {y.coords}")
-        return value
-
-    def distance_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pairwise distances between coordinate arrays (n,d) and (m,d)."""
+    def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The distance kernel: d(a, b) over the last axis of two coordinate
+        arrays broadcast against each other.  Equal shapes give aligned
+        distances; a[:, None] against b[None] gives the pairwise matrix."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.norm == "custom":
-            if isinstance(self.custom, Expression):
-                out = self.custom(x=_XView(a), y=_YView(b))
-                return np.asarray(out, dtype=float)
-            n, m = a.shape[0], b.shape[0]
-            out = np.empty((n, m))
-            for i in range(n):
-                for j in range(m):
-                    out[i, j] = self.custom(self.point(*a[i]), self.point(*b[j]))
-            return out
-        diff = a[:, None, :] - b[None, :, :]
+        if a.shape[-1] != self.dimension or b.shape[-1] != self.dimension:
+            raise InputError(
+                f"space {self.id!r} is {self.dimension}-dimensional, got coordinate "
+                f"arrays of width {a.shape[-1]} and {b.shape[-1]}"
+            )
+        diff = a - b
         if self.norm == "euclidean":
             return np.sqrt(np.sum(diff * diff, axis=-1))
         p = float(self.norm)
-        return np.sum(np.abs(diff) ** p, axis=-1) ** (1.0 / p)
+        # np.power, not **, so one pair rounds exactly like a whole block
+        return np.power(np.sum(np.abs(diff) ** p, axis=-1), 1.0 / p)
 
-
-class _XView:
-    """Binds a (n,d) coordinate block so x[i] broadcasts down the rows."""
-
-    def __init__(self, arr: np.ndarray) -> None:
-        self._arr = arr
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._arr[:, i][:, None]
-
-
-class _YView:
-    """Binds a (m,d) coordinate block so y[i] broadcasts along the columns."""
-
-    def __init__(self, arr: np.ndarray) -> None:
-        self._arr = arr
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._arr[:, i][None, :]
+    def distance(self, x: Point, y: Point) -> float:
+        self.check_member(x)
+        self.check_member(y)
+        value = float(self.distances(x.coords, y.coords))
+        if not math.isfinite(value):
+            raise InputError(f"distance evaluated to {value!r} on {x.coords}, {y.coords}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -251,28 +214,6 @@ class DiskSet:
         return f"disk(center={self.center}, r={self.radius})"
 
 
-@dataclass(frozen=True)
-class CustomSet:
-    """Membership predicate plus sampler supplied by the caller."""
-
-    space: Space
-    predicate: Callable[[Point], bool]
-    sampler: Callable[[np.random.Generator], Point]
-    convex: bool = False
-
-    def contains(self, x: Point) -> bool:
-        return bool(self.predicate(x))
-
-    def sample(self, rng: np.random.Generator) -> Point:
-        p = self.sampler(rng)
-        if p is None:
-            raise ConfigurationError("custom sampler returned nothing")
-        return p
-
-    def describe(self) -> str:
-        return "custom-set"
-
-
 def _one_sided(lo: float, hi: float) -> float:
     # Separation candidate lo - hi, treating unbounded sides as no separation.
     if math.isinf(lo) and lo < 0:
@@ -295,7 +236,7 @@ def _exact_gap(space: Space, a: Any, b: Any) -> float | None:
     ia, ib = as_interval(a), as_interval(b)
     if ia is not None and ib is not None:
         return max(0.0, _one_sided(ia[0], ib[1]), _one_sided(ib[0], ia[1]))
-    if isinstance(a, DiskSet) and isinstance(b, DiskSet) and space.norm != "custom":
+    if isinstance(a, DiskSet) and isinstance(b, DiskSet):
         centers = space.distance(space.point(*a.center), space.point(*b.center))
         return max(0.0, centers - a.radius - b.radius)
     return None
@@ -332,27 +273,10 @@ class CyclicSetting:
             return cls(space, set_a, set_b, exact, "exact")
         rng = np.random.default_rng(seed)
         k = max(2, int(math.isqrt(sample_budget)))
-        pts_a = [set_a.sample(rng) for _ in range(k)]
-        pts_b = [set_b.sample(rng) for _ in range(k)]
-        gap = min(space.distance(x, y) for x in pts_a for y in pts_b)
+        a = np.asarray([set_a.sample(rng).coords for _ in range(k)])
+        b = np.asarray([set_b.sample(rng).coords for _ in range(k)])
+        gap = float(space.distances(a[:, None], b[None]).min())
         return cls(space, set_a, set_b, gap, "estimated")
-
-
-def estimate_set_gap(
-    setting: CyclicSetting, sample_budget: int = 4096, seed: int = 0
-) -> tuple[float, str]:
-    """Return (gap, provenance); exact for built-in pairs, sampled otherwise."""
-    exact = _exact_gap(setting.space, setting.set_a, setting.set_b)
-    if exact is not None:
-        return exact, "exact"
-    rng = np.random.default_rng(seed)
-    k = max(2, int(math.isqrt(sample_budget)))
-    pts_a = [setting.set_a.sample(rng) for _ in range(k)]
-    pts_b = [setting.set_b.sample(rng) for _ in range(k)]
-    if not pts_a or not pts_b:
-        raise ConfigurationError("set sampler produced no points")
-    gap = min(setting.space.distance(x, y) for x in pts_a for y in pts_b)
-    return gap, "estimated"
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +294,7 @@ class Premetric:
       metric          -- the space distance itself
       shifted_cyclic  -- max(0, d(x, y) - gap) for a cyclic setting
       composed        -- gauge(inner(x, y))
-      custom          -- a two-argument evaluable
+      custom          -- an expression in the coordinates x[i], y[i]
     claims is the set of properties the caller asserts; they are verified
     (never trusted) by verify_premetric_axioms.
     """
@@ -382,7 +306,7 @@ class Premetric:
     gauge: Gauge | None = None
     inner: "Premetric | None" = None
     companion: "Premetric | None" = None
-    fn: Expression | Callable[[Point, Point], float] | None = None
+    fn: Expression | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PREMETRIC_KINDS:
@@ -394,8 +318,8 @@ class Premetric:
             raise ConfigurationError("shifted_cyclic premetric needs a cyclic setting")
         if self.kind == "composed" and (self.gauge is None or self.inner is None):
             raise ConfigurationError("composed premetric needs both a gauge and an inner premetric")
-        if self.kind == "custom" and self.fn is None:
-            raise ConfigurationError("custom premetric needs an evaluable")
+        if self.kind == "custom" and not isinstance(self.fn, Expression):
+            raise ConfigurationError("custom premetric needs an expression in x and y")
         object.__setattr__(self, "claims", frozenset(self.claims))
 
     def __call__(self, x: Point, y: Point) -> float:
@@ -407,8 +331,7 @@ class Premetric:
         if self.kind == "shifted_cyclic":
             return f"shifted(d - {self.setting.gap})"
         if self.kind == "custom":
-            src = self.fn.source if isinstance(self.fn, Expression) else "callable"
-            return f"custom({src})"
+            return f"custom({self.fn.source})"
         return "metric"
 
 
@@ -445,64 +368,46 @@ def composed_premetric(gauge: Gauge, inner: Premetric, claims: frozenset = froze
 
 def custom_premetric(
     space: Space,
-    fn: Expression | Callable[[Point, Point], float],
+    fn: Expression,
     claims: frozenset = frozenset(),
     companion: Premetric | None = None,
 ) -> Premetric:
     return Premetric(kind="custom", space=space, claims=frozenset(claims), fn=fn, companion=companion)
 
 
-def eval_distance(space: Space, x: Point, y: Point) -> float:
-    """The space's own distance (dimension / membership checked)."""
-    return space.distance(x, y)
+def _premetric_rule(p: Premetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if p.kind == "metric":
+        return p.space.distances(a, b)
+    if p.kind == "shifted_cyclic":
+        return np.maximum(0.0, p.space.distances(a, b) - p.setting.gap)
+    if p.kind == "composed":
+        return p.gauge.apply_array(_premetric_rule(p.inner, a, b))
+    out = np.asarray(p.fn(x=CoordView(a), y=CoordView(b)), dtype=float)
+    return np.broadcast_to(out, np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
 
 
-def eval_premetric(p: Premetric, x: Point, y: Point, strict: bool = False) -> float:
-    """Evaluate the premetric; in strict mode an estimated cyclic gap is refused."""
+def premetric_values(p: Premetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The premetric kernel: p(a, b) over the last axis of two coordinate
+    arrays broadcast against each other, checked finite and nonnegative."""
+    out = _premetric_rule(p, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.isfinite(out).all() or (out < 0).any():
+        raise InputError(f"premetric {p.describe()} evaluated to a negative or non-finite "
+                         "value; premetrics must be nonnegative and finite")
+    return out
+
+
+def eval_premetric(p: Premetric, x: Point, y: Point) -> float:
+    """p(x, y) for two points of the premetric's space."""
     p.space.check_member(x)
     p.space.check_member(y)
-    if p.kind == "metric":
-        return p.space.distance(x, y)
-    if p.kind == "shifted_cyclic":
-        if strict and p.setting.gap_provenance == "estimated":
-            raise RefusalError(
-                "strict mode refuses a shifted premetric whose set gap is estimated, "
-                "not exact"
-            )
-        return max(0.0, p.space.distance(x, y) - p.setting.gap)
-    if p.kind == "composed":
-        return float(p.gauge(eval_premetric(p.inner, x, y, strict=strict)))
-    if isinstance(p.fn, Expression):
-        value = float(p.fn(x=np.asarray(x.coords), y=np.asarray(y.coords)))
-    else:
-        value = float(p.fn(x, y))
-    if not math.isfinite(value) or value < 0.0:
-        raise InputError(f"custom premetric evaluated to {value!r}; premetrics must be "
-                         "nonnegative and finite")
-    return value
+    return float(premetric_values(p, x.coords, y.coords))
 
 
 def premetric_matrix(p: Premetric, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise gap matrix between two coordinate blocks (vectorized where
-    the kind allows, with the same arithmetic as scalar evaluation)."""
+    """Pairwise gap matrix between coordinate blocks (n, d) and (m, d)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if p.kind == "metric":
-        out = p.space.distance_matrix(xs, ys)
-    elif p.kind == "shifted_cyclic":
-        out = np.maximum(0.0, p.space.distance_matrix(xs, ys) - p.setting.gap)
-    elif p.kind == "composed":
-        out = p.gauge.apply_array(premetric_matrix(p.inner, xs, ys))
-    elif isinstance(p.fn, Expression):
-        out = np.asarray(p.fn(x=_XView(xs), y=_YView(ys)), dtype=float)
-    else:
-        out = np.empty((xs.shape[0], ys.shape[0]))
-        for i in range(xs.shape[0]):
-            for j in range(ys.shape[0]):
-                out[i, j] = p.fn(p.space.point(*xs[i]), p.space.point(*ys[j]))
-    if not np.isfinite(out).all() or (out < 0).any():
-        raise InputError("premetric matrix contains negative or non-finite entries")
-    return out
+    return premetric_values(p, xs[:, None, :], ys[None, :, :])
 
 
 def premetric_diagonal(p: Premetric, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -511,8 +416,7 @@ def premetric_diagonal(p: Premetric, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise InputError("aligned blocks must have equal shapes")
-    vals = [eval_premetric(p, p.space.point(*a), p.space.point(*b)) for a, b in zip(xs, ys)]
-    return np.asarray(vals, dtype=float)
+    return premetric_values(p, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +513,3 @@ def verify_premetric_axioms(
                               bad_l[:8], resolution_note=note)
         )
     return reports
-
-
-def sample_triples(
-    space: Space, region: Box, n: int, rng: np.random.Generator
-) -> list[tuple[Point, Point, Point]]:
-    a = region.sample_coords(rng, n)
-    b = region.sample_coords(rng, n)
-    c = region.sample_coords(rng, n)
-    return [
-        (space.point(*x), space.point(*y), space.point(*z)) for x, y, z in zip(a, b, c)
-    ]

@@ -19,8 +19,8 @@ from .spaces import (
     Point,
     Premetric,
     Space,
-    eval_premetric,
     metric_premetric,
+    premetric_diagonal,
     shifted_premetric,
 )
 
@@ -88,9 +88,8 @@ class IterationTrace:
 
 
 def _gaps(premetric: Premetric, points: list[Point]) -> tuple[float, ...]:
-    return tuple(
-        eval_premetric(premetric, a, b) for a, b in zip(points, points[1:])
-    )
+    coords = np.asarray([p.coords for p in points], dtype=float)
+    return tuple(premetric_diagonal(premetric, coords[:-1], coords[1:]).tolist())
 
 
 def _extend_orbit(step, seed: Point, length: int) -> tuple[list[Point], str]:

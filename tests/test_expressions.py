@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fplab.errors import ExpressionError
+from fplab.errors import ConfigurationError, ExpressionError, InputError
 from fplab.expressions import compile_expression
+from fplab.gauges import expression_gauge
+from fplab.maps import expression_map
+from fplab.spaces import Space
 
 
 def test_arithmetic_and_precedence():
@@ -38,6 +41,38 @@ def test_array_broadcast():
 def test_division_by_zero_yields_nan():
     e = compile_expression("1.0 / t", variables=("t",))
     assert math.isnan(float(e(t=0.0)))
+
+
+def test_division_by_zero_is_nan_element_by_element():
+    # the NaN survives min(), so a float and an array evaluation agree
+    e = compile_expression("min(1 / t, 5)", variables=("t",))
+    assert math.isnan(float(e(t=0.0)))
+    out = e(t=np.array([0.0, -0.0, 0.5, 4.0]))
+    assert np.isnan(out[:2]).all()
+    assert out[2:].tolist() == [2.0, 0.25]
+    assert math.isnan(float(compile_expression("1 / 0", variables=())()))
+
+
+def test_gauge_call_agrees_with_apply_array_on_division():
+    g = expression_gauge("min(1/t, 5)")
+    ts = np.array([0.0, 0.1, 0.2, 1.0, 3.0])
+    out = g.apply_array(ts)
+    assert math.isnan(g(0.0)) and math.isnan(out[0])
+    assert out[1:].tolist() == [g(float(t)) for t in ts[1:]]
+
+
+@pytest.mark.parametrize("sources", ["min(1/x, 5)", ["min(1/x[0], 5)"]])
+def test_both_map_forms_escape_on_division_by_zero(sources):
+    line = Space(id="line", dimension=1)
+    m = expression_map(line, sources)
+    assert m(line.point(0.5)).coords == (2.0,)
+    with pytest.raises(InputError, match="finite"):
+        m(line.point(0.0))
+
+
+def test_single_map_expression_refuses_subscripts():
+    with pytest.raises(ConfigurationError, match="one expression per coordinate"):
+        expression_map(Space(id="plane", dimension=2), "x[0] + 1")
 
 
 @pytest.mark.parametrize(

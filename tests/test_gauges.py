@@ -257,6 +257,18 @@ class TestFamilyC6:
         with pytest.raises(InputError, match="at least 4"):
             check_family_C6(fam, (1.0,), n_horizon=3)
 
+    def test_short_explicit_family_claims_no_pass(self):
+        # one member never reaches horizon 64, so its stabilized tail is no pass
+        fam = explicit_family([builtin_gauge("half")], zero_fixed=True)
+        rep = check_family_C6(fam, (0.5,))
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.witnesses == [
+            {"eps": 0.5, "limsup_estimate": 0.25, "tail": "stabilized"}
+        ]
+        assert "only 1 members" in rep.resolution_note
+        full = explicit_family([builtin_gauge("half")] * 4, zero_fixed=True)
+        assert check_family_C6(full, (0.5,), n_horizon=4).verdict is Verdict.PASS
+
 
 class TestFamilyC7:
     def test_halving_family_band_pull(self):

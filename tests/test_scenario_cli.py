@@ -462,3 +462,26 @@ class TestRunnerOverrides:
         assert "reports.json" in result.artifacts
         assert "trace_picard.csv" in result.artifacts
         assert result.verdicts["certify.overall"] == "pass"
+
+    def test_a_raising_run_leaves_nothing_behind(self, tmp_path):
+        # the composed gap from x_0 outgrows mk's working range [0, 1000]
+        # after the fixed-point solve has already written its artifact
+        doc = {
+            "name": "beyond-t-max",
+            "space": {"dimension": 1},
+            "maps": {"T": "translation"},
+            "premetric": {"kind": "composed", "G": "mk"},
+            "run": ["iterate", "certify"],
+            "iterate": {"steps": 1100},
+            "certify": {"route": "composed"},
+        }
+        fresh = tmp_path / "fresh"
+        with pytest.raises(InputError):
+            run_scenario_doc(doc, str(fresh))
+        assert not fresh.exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("not ours")
+        with pytest.raises(InputError):
+            run_scenario_doc(doc, str(kept))
+        assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]

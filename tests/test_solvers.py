@@ -22,6 +22,7 @@ from fplab.solvers import (
 )
 from fplab.spaces import (
     CyclicSetting,
+    DiskSet,
     IntervalSet,
     Space,
     composed_premetric,
@@ -329,16 +330,18 @@ class TestEvenCollapse:
                              LINE.point(3.0), 3)
         with pytest.raises(InputError, match="at least 5 points"):
             even_collapse_diagnostic(orbit, line_setting())
-        taxi = Space(id="taxi", dimension=1, norm=1)
+        # p-norms are measured, not refused.  In the taxi plane the disks
+        # around (2, 2) and (-2, -2) of radius 1 are 8 - 1 - 1 = 6 apart, and
+        # neg bounces (3, 4) <-> (-3, -4): each step is 6 + 8 = 14 long (the
+        # euclidean length would be 10) and every even displacement is 0.
+        taxi = Space(id="taxi", dimension=2, norm=1)
         taxi_setting = CyclicSetting.derive(
-            taxi,
-            IntervalSet(space=taxi, lo=1.0, hi=math.inf),
-            IntervalSet(space=taxi, lo=-math.inf, hi=-1.0),
-        )
-        orbit2 = picard_trace(builtin_map("cyclic_reflect", taxi),
-                              taxi.point(3.0), 12)
-        with pytest.raises(InputError, match="euclidean"):
-            even_collapse_diagnostic(orbit2, taxi_setting)
+            taxi, DiskSet(taxi, (2.0, 2.0), 1.0), DiskSet(taxi, (-2.0, -2.0), 1.0))
+        orbit2 = picard_trace(builtin_map("neg", taxi), taxi.point(3.0, 4.0), 12)
+        rep = even_collapse_diagnostic(orbit2, taxi_setting)
+        assert rep.verdict is Verdict.FAIL
+        assert rep.witnesses == [{"step_gap_tail": 14.0, "target_gap": 6.0,
+                                  "even_displacement_tail": 0.0}]
 
 
 class TestLimitCollapse:

@@ -17,7 +17,6 @@ from fplab.spaces import (
     composed_premetric,
     custom_premetric,
     default_region,
-    estimate_set_gap,
     eval_premetric,
     metric_premetric,
     premetric_diagonal,
@@ -53,7 +52,7 @@ class TestSpaceBasics:
     def test_distance_matrix_matches_scalar(self):
         a = np.array([[0.0, 0.0], [1.0, 2.0]])
         b = np.array([[3.0, 4.0], [1.0, 2.0], [-1.0, 0.5]])
-        mat = PLANE.distance_matrix(a, b)
+        mat = PLANE.distances(a[:, None], b[None])
         assert mat.shape == (2, 3)
         for i in range(2):
             for j in range(3):
@@ -128,11 +127,7 @@ class TestCyclicSetting:
             def describe(self):
                 return "custom-half-line"
 
-        setting = CyclicSetting(LINE, Half(), IntervalSet(LINE, -math.inf, -1.0),
-                                *estimate_set_gap(
-                                    CyclicSetting(LINE, Half(),
-                                                  IntervalSet(LINE, -math.inf, -1.0),
-                                                  0.0, "estimated")))
+        setting = CyclicSetting.derive(LINE, Half(), IntervalSet(LINE, -math.inf, -1.0))
         assert setting.gap >= 2.0
         assert setting.gap_provenance == "estimated"
 
