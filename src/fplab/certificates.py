@@ -25,7 +25,7 @@ from .gauges import Gauge, GaugeFamily, check_family_C6, check_family_C7_multi, 
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Point, Premetric, Space, default_region, \
-    eval_premetric, metric_premetric, premetric_diagonal, premetric_matrix
+    metric_premetric, premetric_diagonal, premetric_matrix, premetric_values
 from .traces import ESCAPE_NORM, IterationTrace
 
 F_PROFILE = frozenset({"right_continuous", "nondecreasing", "positive_on_positive"})
@@ -58,13 +58,13 @@ def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarr
 
 def _aligned_gaps(trace_x: IterationTrace, trace_y: IterationTrace, p: Premetric) -> np.ndarray:
     for t in (trace_x, trace_y):
-        if t.points[0].space_id != p.space.id:
+        if t.space_id != p.space.id:
             raise InputError(
-                f"trace on space {t.points[0].space_id!r} does not match the premetric's "
+                f"trace on space {t.space_id!r} does not match the premetric's "
                 f"space {p.space.id!r}"
             )
     n = min(len(trace_x), len(trace_y))
-    return premetric_diagonal(p, trace_x.coords_array()[:n], trace_y.coords_array()[:n])
+    return premetric_diagonal(p, trace_x.coords[:n], trace_y.coords[:n])
 
 
 _BAND_NOTE = (
@@ -363,16 +363,16 @@ def check_asf1(
 
 
 def _pair_matrix(trace: IterationTrace, p: Premetric, budget: SearchBudget) -> np.ndarray:
-    if trace.points[0].space_id != p.space.id:
+    if trace.space_id != p.space.id:
         raise InputError(
-            f"trace on space {trace.points[0].space_id!r} does not match the premetric's "
+            f"trace on space {trace.space_id!r} does not match the premetric's "
             f"space {p.space.id!r}"
         )
     need = budget.index_horizon + budget.nu_horizon
     if len(trace) < need:
         raise InputError(f"need a trace of at least {need} points for this budget, "
                          f"got {len(trace)}")
-    coords = trace.coords_array()[:need]
+    coords = trace.coords[:need]
     return premetric_matrix(p, coords, coords)
 
 
@@ -454,7 +454,7 @@ def check_asmk(
             if len(t) < ih + nh:
                 raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
         cross = premetric_matrix(
-            p, trace_x.coords_array()[:ih + nh], trace_y.coords_array()[:ih + nh]
+            p, trace_x.coords[:ih + nh], trace_y.coords[:ih + nh]
         )
         fg = f_gauge.apply_array(cross)
         lhs_source, base_block = fg, fg[:ih, :ih]
@@ -704,6 +704,30 @@ def acf_asf_agreement(
 # Two-map machinery
 
 
+def _images(map_t: NamedMap, coords: np.ndarray) -> np.ndarray:
+    """map_t on a (n, d) block; a non-finite or wrong-shaped image is an
+    InputError, as it is when the map is applied to a Point."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(map_t.fn(coords), dtype=float)
+    if out.shape != coords.shape or not np.isfinite(out).all():
+        raise InputError(f"map {map_t.name!r} sends a sampled point to a non-finite "
+                         "or misshapen image")
+    return out
+
+
+def _m_values(p: Premetric, x: np.ndarray, y: np.ndarray, tx: np.ndarray,
+              sy: np.ndarray) -> np.ndarray:
+    """The M rule on aligned blocks: the max of p(x,y), p(Tx,x), p(Sy,y) and
+    the average of the two crossed gaps.  A later value replaces the running
+    max only when strictly larger, as Python's max does, so ties between 0.0
+    and -0.0 keep the earlier one's sign."""
+    out = premetric_values(p, x, y)
+    crossed = 0.5 * (premetric_values(p, tx, y) + premetric_values(p, sy, x))
+    for later in (premetric_values(p, tx, x), premetric_values(p, sy, y), crossed):
+        out = np.where(later > out, later, out)
+    return out
+
+
 def compute_M(
     map_t: NamedMap,
     map_s: NamedMap,
@@ -714,12 +738,19 @@ def compute_M(
     """max of the four comparison gaps: p(x,y), p(Tx,x), p(Sy,y), and the
     average of the two crossed gaps."""
     tx, sy = map_t(x), map_s(y)
-    return max(
-        eval_premetric(p, x, y),
-        eval_premetric(p, tx, x),
-        eval_premetric(p, sy, y),
-        0.5 * (eval_premetric(p, tx, y) + eval_premetric(p, sy, x)),
-    )
+    for q in (x, y, tx, sy):
+        p.space.check_member(q)
+    return float(_m_values(p, *(np.asarray(q.coords) for q in (x, y, tx, sy))))
+
+
+def _fpsi_sides(map_t: NamedMap, map_s: NamedMap, p: Premetric, f_gauge: Gauge,
+                psi: Gauge, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(p(Tx, Sy)) and psi(F(M(x, y))) on aligned (n, d) blocks.  Raises
+    InputError exactly when some pair of the block leaves a working range."""
+    tx, sy = _images(map_t, xs), _images(map_s, ys)
+    lhs = f_gauge.apply_array(premetric_values(p, tx, sy))
+    rhs = psi.apply_array(f_gauge.apply_array(_m_values(p, xs, ys, tx, sy)))
+    return lhs, rhs
 
 
 def check_f_psi_contraction(
@@ -738,9 +769,15 @@ def check_f_psi_contraction(
     nondecreasing upper-semicontinuous gauge strictly below the identity and
     fixing zero, "zhang" only nondecreasing right-upper-semicontinuity.
 
+    Pairs are taken in sample order and the check stops at the 8th defeat:
+    the witnesses are the first 8 defeats, the worst margin (NaN margins
+    skipped) runs up to the last pair checked, and a pair past the 8th
+    defeat is never evaluated, so it cannot raise.
+
     Raises:
         RefusalError: a gauge misses or fails its required profile.
-        InputError: empty sample.
+        InputError: empty sample, a sampled point or map off the
+            premetric's space, or a checked pair outside a working range.
     """
     if not sample:
         raise InputError("need at least one sampled pair")
@@ -752,16 +789,34 @@ def check_f_psi_contraction(
         raise ConfigurationError(f"unknown psi variant {psi_variant!r}")
     require_profile(f_gauge, F_PROFILE, eta=eta)
     require_profile(psi, psi_profile, eta=eta)
-    defeats: list[dict] = []
-    worst_margin = -np.inf
-    for x, y in sample:
-        lhs = float(f_gauge(eval_premetric(p, map_t(x), map_s(y))))
-        rhs = float(psi(f_gauge(compute_M(map_t, map_s, p, x, y))))
-        worst_margin = max(worst_margin, lhs - rhs)
-        if lhs > rhs + eta:
-            defeats.append(witness(x=list(x.coords), y=list(y.coords), lhs=lhs, rhs=rhs))
-            if len(defeats) >= 8:
+    space = p.space
+    if {map_t.space.id, map_s.space.id} != {space.id} or \
+            {q.space_id for pair in sample for q in pair} != {space.id} or \
+            {len(q.coords) for pair in sample for q in pair} != {space.dimension}:
+        raise InputError(f"sampled points and maps must all live on the premetric's "
+                         f"space {space.id!r}")
+    xs = np.array([x.coords for x, _ in sample])
+    ys = np.array([y.coords for _, y in sample])
+    try:
+        lhs, rhs = _fpsi_sides(map_t, map_s, p, f_gauge, psi, xs, ys)
+    except InputError:
+        # some pair is out of range, yet only one before the 8th defeat may
+        # raise: check the pairs one at a time until then
+        sides, defeated = [], 0
+        for i in range(len(sample)):
+            sides.append(_fpsi_sides(map_t, map_s, p, f_gauge, psi, xs[i:i + 1], ys[i:i + 1]))
+            defeated += bool(sides[-1][0][0] > sides[-1][1][0] + eta)
+            if defeated >= 8:
                 break
+        lhs, rhs = (np.concatenate(side) for side in zip(*sides))
+    defeat_at = np.nonzero(lhs > rhs + eta)[0][:8].tolist()
+    checked = defeat_at[-1] + 1 if len(defeat_at) == 8 else len(sample)
+    margins = (lhs - rhs)[:checked]
+    margins = margins[~np.isnan(margins)]
+    # argmax keeps the first of tied maxima, as a running max(worst, m) does
+    worst_margin = float(margins[np.argmax(margins)]) if margins.size else -np.inf
+    defeats = [witness(x=list(sample[i][0].coords), y=list(sample[i][1].coords),
+                       lhs=float(lhs[i]), rhs=float(rhs[i])) for i in defeat_at]
     note = (
         f"{len(sample)} sampled pairs, slack {eta}, psi profile {psi_variant}; "
         f"worst lhs-rhs margin {worst_margin:.3e}"
@@ -824,7 +879,7 @@ def check_p_controls_d(
     activated = 0
     for idx, (tx, ty) in enumerate(trace_pairs):
         n = min(len(tx), len(ty))
-        cx, cy = tx.coords_array()[:n], ty.coords_array()[:n]
+        cx, cy = tx.coords[:n], ty.coords[:n]
         p_tail = _tail_max(premetric_diagonal(p, cx, cy))
         if p_tail >= eta:
             continue
@@ -908,7 +963,7 @@ def consecutive_contraction_report(
     eta: float = 1e-12,
 ) -> CertificateReport:
     """Stepwise domination F(gap_n) <= psi(F(gap_{n-1})) + eta (id INEQFP)."""
-    gaps = trace.gap_array()
+    gaps = trace.gaps
     if gaps.shape[0] < 2:
         raise InputError("need at least two consecutive gaps")
     fg = f_gauge.apply_array(gaps)

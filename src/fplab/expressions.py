@@ -124,6 +124,8 @@ class Expression:
     source: str
     variables: tuple[str, ...]
     _code: Any = field(repr=False, compare=False, default=None)
+    # every literal index i of a subscript v[i]
+    subscripts: frozenset = frozenset()
 
     def __call__(self, **env: Any) -> Any:
         scope = dict(_FUNCTIONS)
@@ -147,6 +149,8 @@ def compile_expression(source: str, variables: tuple[str, ...]) -> Expression:
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from exc
     _validate(tree, variables, source)
+    subscripts = frozenset(node.slice.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Subscript))
     tree = ast.fix_missing_locations(_DivisionToCall().visit(tree))
     code = compile(tree, f"<expr {source!r}>", "eval")
-    return Expression(source=source, variables=variables, _code=code)
+    return Expression(source=source, variables=variables, _code=code, subscripts=subscripts)

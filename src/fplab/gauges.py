@@ -56,7 +56,8 @@ class Gauge:
         object.__setattr__(self, "profile", frozenset(self.profile))
 
     def _check_range(self, t: float) -> None:
-        if t < 0 or t > self.t_max:
+        # written so that NaN, which compares false with everything, is refused
+        if not 0 <= t <= self.t_max:
             raise InputError(
                 f"gauge {self.name!r} evaluated at t={t} outside its working range "
                 f"[0, {self.t_max}]"

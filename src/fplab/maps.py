@@ -17,7 +17,12 @@ class NamedMap:
     """A map on a space.  fn sends a (..., d) coordinate array to a (..., d)
     array, so one call moves a whole block of points.  Applying the map to a
     Point validates the image, so escaping or non-finite images surface
-    immediately at the call site."""
+    immediately at the call site.
+
+    fn must be a pure function of its input coordinates: no state, no
+    randomness, and no writes to its argument.  Orbits rely on this to stop
+    iterating once a row repeats the row two steps earlier and to tile the
+    rest.  The builtins and compiled expressions are pure."""
 
     name: str
     space: Space
@@ -80,6 +85,12 @@ def expression_map(space: Space, sources: list[str] | str, name: str | None = No
             f"need {space.dimension} coordinate expressions, got {len(sources)}"
         )
     exprs = [compile_expression(src, variables=("x",)) for src in sources]
+    for e in exprs:
+        if max(e.subscripts, default=-1) >= space.dimension:
+            raise ConfigurationError(
+                f"map {e.source!r}: subscript x[{max(e.subscripts)}] is out of range on "
+                f"the {space.dimension}-dimensional space {space.id!r}"
+            )
 
     def apply_list(x: np.ndarray) -> np.ndarray:
         view = CoordView(x)

@@ -124,6 +124,17 @@ def validate_scenario(doc: dict) -> list[str]:
     for key in maps:
         if key not in ("T", "S"):
             diags.append(f"maps.{key}: unknown map slot (use 'T' or 'S')")
+    dim = space.get("dimension") if isinstance(space, dict) else None
+    if isinstance(dim, int) and dim >= 1:
+        # compile expression maps now, so that a bad one (out-of-range x[i]
+        # included) is a diagnostic here and not an error mid-run
+        for slot in ("T", "S"):
+            spec = maps.get(slot)
+            if isinstance(spec, list) or (isinstance(spec, str) and spec not in _MAP_BUILTINS):
+                try:
+                    expression_map(Space(id="validate", dimension=dim), spec)
+                except ConfigurationError as exc:
+                    diags.append(f"maps.{slot}: {exc}")
     seq = doc.get("sequence")
     if seq is not None and seq not in SEQUENCE_NAMES:
         diags.append(f"sequence: unknown named sequence {seq!r} (have {list(SEQUENCE_NAMES)})")

@@ -78,7 +78,7 @@ def cauchy_diagnostic(
     if len(trace) < 4:
         raise InputError("the settling diagnostic needs at least 4 points")
     p = p if p is not None else trace.premetric
-    coords = trace.coords_array()
+    coords = trace.coords
     last = len(trace) - 2
     entries = []
     for n in _index_ladder(last):
@@ -127,7 +127,7 @@ class CauchyCertificate:
 
 def _trace_triples(trace: IterationTrace) -> list[tuple[Point, Point, Point]]:
     idx = sorted(set(np.linspace(0, len(trace) - 1, 10, dtype=int).tolist()))
-    pts = [trace.points[i] for i in idx]
+    pts = [Point(tuple(row), trace.space_id) for row in trace.coords[idx].tolist()]
     return list(itertools.combinations(pts, 3))[:200]
 
 
@@ -198,7 +198,7 @@ def certify_cauchy(
                 "inequality with a companion"
             )
         hyps.extend(verify_premetric_axioms(p, _trace_triples(trace), eta=budget.slack))
-        coords = trace.coords_array()
+        coords = trace.coords
         hyps.append(_decay_report(
             "GAP-DECAY", premetric_diagonal(p, coords[:-1], coords[1:]), budget, "declared"
         ))
@@ -382,9 +382,9 @@ def extract_noncauchy_witness(
     with no separated pairs reports none.
     """
     p = p if p is not None else trace.premetric
-    coords = trace.coords_array()
+    coords = trace.coords
     if p is trace.premetric:
-        gaps = trace.gap_array()
+        gaps = trace.gaps
     else:
         gaps = premetric_diagonal(p, coords[:-1], coords[1:])
     if gaps.shape[0] < 4:
@@ -471,10 +471,9 @@ def even_collapse_diagnostic(
     Raises:
         InputError: the orbit is shorter than 5 points.
     """
-    pts = full_orbit.aux_points if full_orbit.aux_points is not None else full_orbit.points
-    if len(pts) < 5:
+    coords = full_orbit.aux_coords if full_orbit.aux_coords is not None else full_orbit.coords
+    if coords.shape[0] < 5:
         raise InputError("need a full orbit of at least 5 points")
-    coords = np.asarray([pt.coords for pt in pts], dtype=float)
     evens = coords[::2]
     step = setting.space.distances(coords[:-1], coords[1:])
     even = setting.space.distances(evens[:-1], evens[1:])

@@ -320,6 +320,11 @@ class Premetric:
             raise ConfigurationError("composed premetric needs both a gauge and an inner premetric")
         if self.kind == "custom" and not isinstance(self.fn, Expression):
             raise ConfigurationError("custom premetric needs an expression in x and y")
+        if self.kind == "custom" and max(self.fn.subscripts, default=-1) >= self.space.dimension:
+            raise ConfigurationError(
+                f"custom premetric {self.fn.source!r} subscripts past the "
+                f"{self.space.dimension}-dimensional space {self.space.id!r}"
+            )
         object.__setattr__(self, "claims", frozenset(self.claims))
 
     def __call__(self, x: Point, y: Point) -> float:

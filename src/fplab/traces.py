@@ -7,8 +7,8 @@ so downstream certificates never have to guess the pairing convention.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,85 +29,138 @@ ESCAPE_NORM = 1e9
 TRACE_STATUSES = ("completed", "escaped", "budget_exhausted")
 
 
-@dataclass(frozen=True)
+def _frozen(values, ndim: int, what: str) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise ConfigurationError(f"trace {what} must be a {ndim}-d array, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+def _as_points(coords: np.ndarray, space_id: str) -> tuple[Point, ...]:
+    return tuple(Point(tuple(row), space_id) for row in coords.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
-    points: tuple[Point, ...]
+    """A stored orbit or sequence.  coords is the (n, d) array of its points,
+    gaps the n - 1 consecutive gaps under premetric, and aux_coords the full
+    orbit behind an even-subsequence trace; all three are read-only copies.
+    points, consecutive_gaps and aux_points build Python objects on demand
+    for callers that want them."""
+
+    coords: np.ndarray
     generator: str
     premetric: Premetric
-    consecutive_gaps: tuple[float, ...]
+    gaps: np.ndarray
     status: str
-    aux_points: tuple[Point, ...] | None = None
+    space_id: str
+    aux_coords: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.status not in TRACE_STATUSES:
             raise ConfigurationError(f"unknown trace status {self.status!r}")
-        if len(self.consecutive_gaps) != max(0, len(self.points) - 1):
+        coords = _frozen(self.coords, 2, "coords")
+        gaps = _frozen(self.gaps, 1, "gaps")
+        if gaps.shape[0] != max(0, coords.shape[0] - 1):
             raise ConfigurationError("gap count must be point count minus one")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "gaps", gaps)
+        if self.aux_coords is not None:
+            object.__setattr__(self, "aux_coords", _frozen(self.aux_coords, 2, "aux_coords"))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return _as_points(self.coords, self.space_id)
+
+    @property
+    def consecutive_gaps(self) -> tuple[float, ...]:
+        return tuple(self.gaps.tolist())
+
+    @property
+    def aux_points(self) -> tuple[Point, ...] | None:
+        if self.aux_coords is None:
+            return None
+        return _as_points(self.aux_coords, self.space_id)
 
     def coords_array(self) -> np.ndarray:
-        return np.asarray([p.coords for p in self.points], dtype=float)
+        return self.coords
 
     def gap_array(self) -> np.ndarray:
-        return np.asarray(self.consecutive_gaps, dtype=float)
+        return self.gaps
 
     def companion_shift(self) -> "IterationTrace":
         """The forward-shifted trace y_n = x_{n+1}."""
-        if len(self.points) < 3:
+        if len(self) < 3:
             raise InputError("need at least 3 points to form a shifted companion")
         return IterationTrace(
-            points=self.points[1:],
+            coords=self.coords[1:],
             generator=f"shift({self.generator})",
             premetric=self.premetric,
-            consecutive_gaps=self.consecutive_gaps[1:],
+            gaps=self.gaps[1:],
             status=self.status,
+            space_id=self.space_id,
         )
 
     def to_csv(self) -> str:
-        dim = len(self.points[0].coords)
-        buf = io.StringIO()
-        cols = ",".join(f"x{i}" for i in range(dim))
-        buf.write(f"n,{cols},p_gap\n")
-        for i, p in enumerate(self.points):
-            coords = ",".join(repr(c) for c in p.coords)
-            gap = repr(self.consecutive_gaps[i]) if i < len(self.consecutive_gaps) else ""
-            buf.write(f"{i},{coords},{gap}\n")
-        return buf.getvalue()
+        cols = ",".join(f"x{i}" for i in range(self.coords.shape[1]))
+        gaps = [repr(g) for g in self.gaps.tolist()] + [""]
+        rows = [
+            f"{i},{','.join(map(repr, row))},{gap}\n"
+            for i, (row, gap) in enumerate(zip(self.coords.tolist(), gaps))
+        ]
+        return f"n,{cols},p_gap\n" + "".join(rows)
 
     def to_json_obj(self) -> dict:
         return {
             "generator": self.generator,
             "premetric": self.premetric.describe(),
             "status": self.status,
-            "length": len(self.points),
-            "points": [list(p.coords) for p in self.points],
-            "consecutive_gaps": list(self.consecutive_gaps),
+            "length": len(self),
+            "points": self.coords.tolist(),
+            "consecutive_gaps": self.gaps.tolist(),
         }
 
 
-def _gaps(premetric: Premetric, points: list[Point]) -> tuple[float, ...]:
-    coords = np.asarray([p.coords for p in points], dtype=float)
-    return tuple(premetric_diagonal(premetric, coords[:-1], coords[1:]).tolist())
+def _gaps(premetric: Premetric, coords: np.ndarray) -> np.ndarray:
+    return premetric_diagonal(premetric, coords[:-1], coords[1:])
 
 
-def _extend_orbit(step, seed: Point, length: int) -> tuple[list[Point], str]:
-    """Apply step(n, x) repeatedly, truncating on escape (non-finite image
-    or norm beyond ESCAPE_NORM)."""
-    points = [seed]
-    status = "completed"
-    for n in range(length - 1):
-        try:
-            nxt = step(n, points[-1])
-        except InputError:
-            status = "escaped"
-            break
-        if nxt.norm() > ESCAPE_NORM:
-            status = "escaped"
-            break
-        points.append(nxt)
-    return points, status
+def _extend_orbit(
+    fns: tuple[Callable[[np.ndarray], np.ndarray], ...], seed: np.ndarray, length: int
+) -> tuple[np.ndarray, str]:
+    """Rows x_0 = seed and x_{n+1} = fns[n % len(fns)](x_n) of a (length, d)
+    orbit.  A non-finite or wrong-shaped image, or one whose largest
+    coordinate exceeds ESCAPE_NORM in absolute value, ends the orbit as
+    escaped and is not stored.
+
+    The step rule has period 1 or 2 and every fn is a pure function of its
+    coordinates, so once a row is bit-identical to the row two steps earlier
+    the orbit repeats those two rows forever: the rest is filled by tiling
+    them and the orbit is completed.  Bits, not ==, decide, so -0.0 and 0.0
+    differ."""
+    out = np.empty((length, seed.shape[0]))
+    out[0] = seed
+    # the bits of rows n - 1 and n
+    older, newer = None, out[0].tobytes()
+    with np.errstate(all="ignore"):
+        for n in range(length - 1):
+            image = np.asarray(fns[n % len(fns)](out[n]), dtype=float)
+            # NaN fails the comparison too, so a non-finite image escapes
+            if image.shape != seed.shape or \
+                    not all(abs(v) <= ESCAPE_NORM for v in image.tolist()):
+                return out[:n + 1], "escaped"
+            out[n + 1] = image
+            bits = out[n + 1].tobytes()
+            if bits == older:
+                out[n + 2::2] = out[n]
+                out[n + 3::2] = out[n + 1]
+                break
+            older, newer = newer, bits
+    return out, "completed"
 
 
 def picard_trace(
@@ -124,13 +177,14 @@ def picard_trace(
     if x0.space_id != map_t.space.id:
         raise InputError("seed does not live on the map's space")
     p = premetric if premetric is not None else metric_premetric(map_t.space)
-    points, status = _extend_orbit(lambda n, x: map_t(x), x0, steps + 1)
+    coords, status = _extend_orbit((map_t.fn,), np.asarray(x0.coords), steps + 1)
     return IterationTrace(
-        points=tuple(points),
+        coords=coords,
         generator=f"picard({map_t.name})",
         premetric=p,
-        consecutive_gaps=_gaps(p, points),
+        gaps=_gaps(p, coords),
         status=status,
+        space_id=x0.space_id,
     )
 
 
@@ -170,15 +224,16 @@ def alternating_trace(
         raise InputError("seed does not live on the maps' space")
     p = premetric if premetric is not None else metric_premetric(schedule.space)
     x0 = schedule.map_s(seed)
-    points, status = _extend_orbit(
-        lambda n, x: schedule.member(n)(x), x0, steps + 1
+    coords, status = _extend_orbit(
+        (schedule.map_t.fn, schedule.map_s.fn), np.asarray(x0.coords), steps + 1
     )
     return IterationTrace(
-        points=tuple(points),
+        coords=coords,
         generator=f"alternating({schedule.map_t.name},{schedule.map_s.name})",
         premetric=p,
-        consecutive_gaps=_gaps(p, points),
+        gaps=_gaps(p, coords),
         status=status,
+        space_id=x0.space_id,
     )
 
 
@@ -191,7 +246,7 @@ def cyclic_even_trace(
 ) -> IterationTrace:
     """Even-indexed subsequence points[n] = T^{2n} x0 for n = 0..pairs, gaps
     measured under the gap-shifted premetric.  The full orbit (odd points
-    included) rides along in aux_points for diagnostics."""
+    included) rides along in aux_coords for diagnostics."""
     if pairs < 1:
         raise InputError("need at least one double step")
     if x0.space_id != map_t.space.id:
@@ -199,15 +254,16 @@ def cyclic_even_trace(
     if not setting.set_a.contains(x0):
         raise InputError("cyclic seed must start in the first set")
     p = premetric if premetric is not None else shifted_premetric(setting)
-    orbit, status = _extend_orbit(lambda n, x: map_t(x), x0, 2 * pairs + 1)
+    orbit, status = _extend_orbit((map_t.fn,), np.asarray(x0.coords), 2 * pairs + 1)
     evens = orbit[::2]
     return IterationTrace(
-        points=tuple(evens),
+        coords=evens,
         generator=f"cyclic_even({map_t.name})",
         premetric=p,
-        consecutive_gaps=_gaps(p, evens),
+        gaps=_gaps(p, evens),
         status=status,
-        aux_points=tuple(orbit),
+        space_id=x0.space_id,
+        aux_coords=orbit,
     )
 
 
@@ -228,15 +284,15 @@ def sequence_trace(
         raise InputError(f"sequence {name!r} is one-dimensional")
     if name != "harmonic":
         raise ConfigurationError(f"unknown sequence {name!r}; have ['harmonic']")
-    partial = np.cumsum(1.0 / np.arange(1, length + 1))
-    points = [space.point((float(v),)) for v in partial]
+    coords = np.cumsum(1.0 / np.arange(1, length + 1))[:, None]
     p = premetric if premetric is not None else metric_premetric(space)
     return IterationTrace(
-        points=tuple(points),
+        coords=coords,
         generator="harmonic",
         premetric=p,
-        consecutive_gaps=_gaps(p, points),
+        gaps=_gaps(p, coords),
         status="completed",
+        space_id=space.id,
     )
 
 
@@ -248,10 +304,12 @@ def trace_from_points(
 ) -> IterationTrace:
     if len(points) < 2:
         raise InputError("trace length must be at least 2")
+    coords = np.asarray([p.coords for p in points], dtype=float)
     return IterationTrace(
-        points=tuple(points),
+        coords=coords,
         generator=generator,
         premetric=premetric,
-        consecutive_gaps=_gaps(premetric, points),
+        gaps=_gaps(premetric, coords),
         status=status,
+        space_id=points[0].space_id,
     )

@@ -9,7 +9,7 @@ from fplab.errors import ConfigurationError, ExpressionError, InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import expression_gauge
 from fplab.maps import expression_map
-from fplab.spaces import Space
+from fplab.spaces import Space, custom_premetric
 
 
 def test_arithmetic_and_precedence():
@@ -73,6 +73,30 @@ def test_both_map_forms_escape_on_division_by_zero(sources):
 def test_single_map_expression_refuses_subscripts():
     with pytest.raises(ConfigurationError, match="one expression per coordinate"):
         expression_map(Space(id="plane", dimension=2), "x[0] + 1")
+
+
+def test_subscripts_are_recorded():
+    assert compile_expression("x[0] - 2.0 * x[3] + y[1]", ("x", "y")).subscripts == {0, 1, 3}
+    assert compile_expression("t * t", ("t",)).subscripts == frozenset()
+
+
+@pytest.mark.parametrize("sources", [["x[1]"], ["x[0] + min(x[2], 1)", "x[0]"]])
+def test_map_subscript_past_the_dimension_is_refused(sources):
+    space = Space(id="s", dimension=len(sources))
+    with pytest.raises(ConfigurationError, match=r"subscript x\[\d\] is out of range"):
+        expression_map(space, sources)
+
+
+def test_custom_premetric_subscript_past_the_dimension_is_refused():
+    line = Space(id="line", dimension=1)
+    with pytest.raises(ConfigurationError, match="subscripts past the 1-dimensional"):
+        custom_premetric(line, compile_expression("abs(x[0] - y[1])", ("x", "y")))
+
+
+def test_map_subscripts_inside_the_dimension_apply():
+    plane = Space(id="plane", dimension=2)
+    m = expression_map(plane, ["x[1]", "x[0] - x[1]"])
+    assert m(plane.point(1.0, 3.0)).coords == (3.0, -2.0)
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,18 @@ class TestGaugeBasics:
         with pytest.raises(InputError):
             g.apply_array(np.array([0.5, 2.0]))
 
+    def test_nan_is_outside_the_working_range(self):
+        # NaN compares false with both ends of [0, t_max], so a check written
+        # as t < 0 or t > t_max lets it through
+        g = builtin_gauge("half")
+        with pytest.raises(InputError, match="outside its working range"):
+            g(math.nan)
+        with pytest.raises(InputError, match="outside its working range"):
+            g.apply_array(np.array([1.0, math.nan]))
+        with pytest.raises(InputError, match="outside its working range"):
+            expression_gauge("t / 2.0").apply_array(np.array([math.nan, 0.5]))
+        assert g.apply_array(np.array([0.0, 1e3])).tolist() == [0.0, 500.0]
+
 
 class TestRegularity:
     """verify_gauge_regularity emits one REG-<entry> report per claim."""

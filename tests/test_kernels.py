@@ -8,8 +8,11 @@ for exact equality: the reports are pinned byte for byte, so one ulp counts.
 
 import importlib.util
 import inspect
+import json
 import math
+import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +20,12 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fplab
-from fplab.certificates import _orbit_block, check_banach_rate
+from fplab.certificates import _orbit_block, check_banach_rate, check_f_psi_contraction, \
+    compute_M
 from fplab.errors import InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import builtin_gauge, expression_gauge
-from fplab.maps import builtin_map, expression_map
+from fplab.maps import _BUILTINS as MAP_BUILTINS, builtin_map, expression_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict, witness
 from fplab.spaces import (
     Box,
@@ -37,7 +41,7 @@ from fplab.spaces import (
     premetric_matrix,
     shifted_premetric,
 )
-from fplab.traces import ESCAPE_NORM, picard_trace
+from fplab.traces import ESCAPE_NORM, _extend_orbit, picard_trace
 
 # ---------------------------------------------------------------------------
 # References: the per-point loops the kernels replaced
@@ -361,6 +365,266 @@ class TestBanachRate:
         with pytest.raises(InputError, match="non-finite"):
             check_banach_rate(expression_map(line, "1 / x"), line, SearchBudget(pair_samples=8),
                               Box((-1.0,), (1.0,)))
+
+
+# ---------------------------------------------------------------------------
+# Orbit stepping: the array orbit against the per-Point loop it replaced
+
+
+def extend_orbit_reference(maps, seed, length: int):
+    """x_{n+1} = maps[n % len(maps)](x_n) one Point at a time; an InputError
+    (non-finite image) or a norm beyond ESCAPE_NORM ends the orbit."""
+    points, status = [seed], "completed"
+    for n in range(length - 1):
+        try:
+            nxt = maps[n % len(maps)](points[-1])
+        except InputError:
+            status = "escaped"
+            break
+        if nxt.norm() > ESCAPE_NORM:
+            status = "escaped"
+            break
+        points.append(nxt)
+    return points, status
+
+
+LINE = Space(id="line", dimension=1)
+PLANE2 = Space(id="plane2", dimension=2)
+
+
+def _line_map(spec):
+    return builtin_map(spec, LINE) if spec in MAP_BUILTINS else expression_map(LINE, spec)
+
+
+# schedules of one map (picard) or two (alternating T != S) on the line
+LINE_SCHEDULES = {
+    "half": ("half",),
+    "mk": ("mk",),
+    "translation": ("translation",),
+    "flip": ("flip",),
+    "neg": ("neg",),
+    "cyclic_reflect": ("cyclic_reflect",),
+    "affine": ("0.5 * x + 1.0",),
+    "square-plus": ("x * x + 1e3",),
+    "reciprocal": ("min(1/x, 5)",),
+    "quarter-fifth": ("quarter", "fifth"),
+    # T fixes 0 but S moves it: a period-1 test on this schedule is wrong
+    "half-then-shift": ("half", "x - 1.0"),
+    "neg-flip": ("neg", "flip"),
+}
+# list-form maps on the plane; the rotation visits (0, 0), (0, -0), (-0, -0),
+# (-0, 0): equal under == every step, yet bit-periodic only with period 4
+PLANE_SCHEDULES = {
+    "rotation": (["x[1]", "-x[0]"],),
+    "swap-halve": (["x[1]", "0.5 * x[0]"],),
+    "rotation-neg": (["x[1]", "-x[0]"], ["-x[0]", "x[1]"]),
+}
+LINE_STARTS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 1e-300, 5e-324, ESCAPE_NORM - 2.5)
+
+
+def _schedule(key: str):
+    if key in LINE_SCHEDULES:
+        return LINE, [_line_map(s) for s in LINE_SCHEDULES[key]]
+    return PLANE2, [expression_map(PLANE2, s) for s in PLANE_SCHEDULES[key]]
+
+
+def _both_orbits(key: str, start, length: int):
+    space, maps = _schedule(key)
+    seed = space.point(*start)
+    want, want_status = extend_orbit_reference(maps, seed, length)
+    got, status = _extend_orbit(tuple(m.fn for m in maps), np.asarray(seed.coords), length)
+    return np.array([p.coords for p in want]), want_status, got, status
+
+
+def _repeat_row(coords: np.ndarray) -> int | None:
+    """The first row bit-identical to the row two steps before it."""
+    for k in range(2, coords.shape[0]):
+        if coords[k].tobytes() == coords[k - 2].tobytes():
+            return k
+    return None
+
+
+class TestExtendOrbit:
+    @given(key=st.sampled_from(sorted(LINE_SCHEDULES)),
+           start=st.one_of(st.sampled_from(LINE_STARTS),
+                           st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)),
+           length=st.integers(1, 80))
+    def test_line_orbits_equal_the_point_loop(self, key, start, length):
+        want, want_status, got, status = _both_orbits(key, (start,), length)
+        assert (status, got.shape) == (want_status, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @given(key=st.sampled_from(sorted(PLANE_SCHEDULES)),
+           start=st.tuples(st.sampled_from((0.0, -0.0, 1.0, -2.0)),
+                           st.sampled_from((0.0, -0.0, 0.5, 3.0))),
+           length=st.integers(1, 24))
+    def test_plane_orbits_equal_the_point_loop(self, key, start, length):
+        want, want_status, got, status = _both_orbits(key, start, length)
+        assert (status, got.shape) == (want_status, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("key, start", [
+        ("half", (0.0,)), ("half", (-0.0,)), ("neg", (3.0,)), ("neg", (-0.0,)),
+        ("cyclic_reflect", (1.0,)), ("cyclic_reflect", (5.0,)), ("affine", (7.0,)),
+        ("flip", (0.5,)), ("quarter-fifth", (1.0,)), ("half-then-shift", (1.0,)),
+        ("half-then-shift", (0.0,)),
+        ("neg-flip", (0.25,)), ("rotation", (0.0, 0.0)), ("rotation", (1.0, -0.0)),
+        ("swap-halve", (0.0, -0.0)), ("rotation-neg", (-0.0, 0.0)),
+    ])
+    def test_lengths_around_the_repeat(self, key, start):
+        """Orbits that end just before, at and just after the row where the
+        repeat is detected, and well past it."""
+        probe = _both_orbits(key, start, 400)[0]
+        k = _repeat_row(probe)
+        lengths = range(1, 12) if k is None else range(max(1, k - 2), k + 6)
+        for length in [*lengths, 399]:
+            want, want_status, got, status = _both_orbits(key, start, length)
+            assert (status, got.shape) == (want_status, want.shape), length
+            assert got.tobytes() == want.tobytes(), length
+
+    def test_cases_cover_repeats_and_escapes(self):
+        assert _repeat_row(_both_orbits("neg", (3.0,), 10)[0]) == 2
+        assert _repeat_row(_both_orbits("swap-halve", (0.0, -0.0), 30)[0]) == 2
+        rotation = _both_orbits("rotation", (0.0, 0.0), 30)[0]
+        assert _repeat_row(rotation) is None and (rotation == 0.0).all()
+        assert _repeat_row(_both_orbits("half-then-shift", (1.0,), 30)[0]) is None
+        # T fixes x_0 = 0, so x_1 = x_0, yet S sends it on to -1
+        assert _both_orbits("half-then-shift", (0.0,), 3)[0].tolist() == [[0.0], [0.0], [-1.0]]
+        for key, start in (("translation", ESCAPE_NORM - 2.5), ("mk", -1.0),
+                           ("square-plus", 3.0), ("reciprocal", 0.0)):
+            assert _both_orbits(key, (start,), 40)[1] == "escaped"
+
+
+# ---------------------------------------------------------------------------
+# FPSI: the batched pass against the per-pair loop it replaced
+
+
+def fpsi_reference(map_t, map_s, p, f_gauge, psi, sample, eta=1e-9, psi_variant="standard"):
+    """The pair loop of check_f_psi_contraction, one Point pair at a time,
+    with M as a Python max over the four comparison gaps."""
+    defeats, worst_margin = [], -np.inf
+    for x, y in sample:
+        tx, sy = map_t(x), map_s(y)
+        lhs = float(f_gauge(eval_premetric(p, tx, sy)))
+        m = max(eval_premetric(p, x, y), eval_premetric(p, tx, x), eval_premetric(p, sy, y),
+                0.5 * (eval_premetric(p, tx, y) + eval_premetric(p, sy, x)))
+        rhs = float(psi(f_gauge(m)))
+        worst_margin = max(worst_margin, lhs - rhs)
+        if lhs > rhs + eta:
+            defeats.append(witness(x=list(x.coords), y=list(y.coords), lhs=lhs, rhs=rhs))
+            if len(defeats) >= 8:
+                break
+    note = (
+        f"{len(sample)} sampled pairs, slack {eta}, psi profile {psi_variant}; "
+        f"worst lhs-rhs margin {worst_margin:.3e}"
+    )
+    if defeats:
+        return CertificateReport("FPSI", Verdict.FAIL, defeats, None, note)
+    return CertificateReport("FPSI", Verdict.PASS,
+                             [witness(pairs=len(sample), worst_margin=worst_margin)], None, note)
+
+
+def _outcome(check, *args):
+    """Report JSON bytes, or the class of the error raised."""
+    try:
+        return json.dumps(check(*args).to_json(), sort_keys=True)
+    except InputError as exc:
+        return type(exc).__name__
+
+
+FPSI_MAPS = ("half", "translation", "neg", "flip", "0.5 * x + 1.0")
+FPSI_PREMETRICS = {
+    "metric": metric_premetric(LINE),
+    # +-0.0 by the sign of x - y: every M is a tie between signed zeros
+    "signed-zero": custom_premetric(LINE, compile_expression("0 * (x[0] - y[0])", ("x", "y"))),
+    "abs": custom_premetric(LINE, compile_expression("abs(x[0] - y[0])", ("x", "y"))),
+}
+FPSI_GAUGES = {
+    "id": builtin_gauge("id"),
+    "half": builtin_gauge("half"),
+    "mk": builtin_gauge("mk"),
+    "seven-twelfths": expression_gauge("7.0 * t / 12.0"),
+    # NaN at t = 1, which M reaches exactly under translation
+    "pole": expression_gauge("t / (t - 1)"),
+    # any t above 5 is out of range
+    "half-short": builtin_gauge("half", t_max=5.0),
+}
+FPSI_COORDS = st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 3.0, 12.0)),
+                        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
+
+
+def _fpsi_both(t_name, s_name, p_name, f_name, psi_name, pairs):
+    args = (_line_map(t_name), _line_map(s_name), FPSI_PREMETRICS[p_name],
+            FPSI_GAUGES[f_name], FPSI_GAUGES[psi_name],
+            [(LINE.point(a), LINE.point(b)) for a, b in pairs])
+    # the profile checks run before the pair loop and are not under test here
+    with mock.patch("fplab.certificates.require_profile"):
+        got = _outcome(check_f_psi_contraction, *args)
+    return got, _outcome(fpsi_reference, *args)
+
+
+class TestFPsiContraction:
+    @given(t_name=st.sampled_from(FPSI_MAPS), s_name=st.sampled_from(FPSI_MAPS),
+           p_name=st.sampled_from(sorted(FPSI_PREMETRICS)),
+           f_name=st.sampled_from(("id", "mk", "half-short")),
+           psi_name=st.sampled_from(sorted(FPSI_GAUGES)),
+           pairs=st.lists(st.tuples(FPSI_COORDS, FPSI_COORDS), min_size=1, max_size=30))
+    def test_report_equals_the_pair_loop(self, t_name, s_name, p_name, f_name, psi_name,
+                                         pairs):
+        got, want = _fpsi_both(t_name, s_name, p_name, f_name, psi_name, pairs)
+        assert got == want
+
+    # (maps, premetric, F, psi, pairs, expected verdict or error)
+    CASES = {
+        # |x - y| >= 1 under translation is a defeat: 10 of them, 8 reported
+        "more-than-8": ("translation", "metric", "id", "half",
+                        [(0.0, float(k)) for k in range(1, 11)], "fail"),
+        "fewer-than-8": ("translation", "metric", "id", "half",
+                         [(0.0, 0.25), (0.0, 2.0), (1.0, 1.0), (0.0, 3.0)], "fail"),
+        "signed-zero-ties": ("neg", "signed-zero", "id", "half",
+                             [(2.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (2.0, 3.0)], "pass"),
+        # M = 1 exactly, so psi(F(M)) is NaN: no defeat and no margin
+        "nan-psi": ("translation", "metric", "id", "pole",
+                    [(0.0, 0.5), (0.0, 0.25), (2.0, 2.0)], "pass"),
+        "nan-psi-then-defeat": ("translation", "metric", "id", "pole",
+                                [(0.0, 0.5), (0.0, 3.0)], "fail"),
+        # M = 100 leaves psi's range only after the 8th defeat: never checked
+        "out-of-range-after-8": ("translation", "metric", "id", "half-short",
+                                 [(0.0, 1.0 + 0.5 * k) for k in range(8)] + [(0.0, 100.0)],
+                                 "fail"),
+        "out-of-range-before-8": ("translation", "metric", "id", "half-short",
+                                  [(0.0, 1.0 + 0.5 * k) for k in range(7)] + [(0.0, 100.0)],
+                                  "InputError"),
+        "out-of-range-first": ("translation", "metric", "id", "half-short",
+                               [(0.0, 100.0), (0.0, 1.0)], "InputError"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case):
+        t_name, p_name, f_name, psi_name, pairs, expected = self.CASES[case]
+        got, want = _fpsi_both(t_name, t_name, p_name, f_name, psi_name, pairs)
+        assert got == want
+        assert (got if got == "InputError" else json.loads(got)["verdict"]) == expected
+        if case == "more-than-8":
+            assert len(json.loads(got)["witnesses"]) == 8
+        if case == "signed-zero-ties":
+            # the first pair's margin is -0.0 - 0.0; a tie-break that kept a
+            # later signed zero in M would make it 0.0
+            assert math.copysign(1.0, json.loads(got)["witnesses"][0]["worst_margin"]) == -1.0
+            assert "-0.000e+00" in json.loads(got)["resolution_note"]
+
+    @given(pairs=st.lists(st.tuples(FPSI_COORDS, FPSI_COORDS), min_size=1, max_size=6),
+           t_name=st.sampled_from(FPSI_MAPS), p_name=st.sampled_from(sorted(FPSI_PREMETRICS)))
+    def test_compute_m_is_the_python_max(self, pairs, t_name, p_name):
+        m, p = _line_map(t_name), FPSI_PREMETRICS[p_name]
+        for a, b in pairs:
+            x, y = LINE.point(a), LINE.point(b)
+            tx, sy = m(x), m(y)
+            want = max(eval_premetric(p, x, y), eval_premetric(p, tx, x),
+                       eval_premetric(p, sy, y),
+                       0.5 * (eval_premetric(p, tx, y) + eval_premetric(p, sy, x)))
+            got = compute_M(m, m, p, x, y)
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,16 @@ class TestCliRun:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
         assert "error: run: unknown run name 'bogus'" in capsys.readouterr().err
 
+    def test_out_of_range_subscript_exits_one(self, tmp_path, capsys):
+        # it used to pass validation and end the run in a raw IndexError
+        doc = dict(SMOKE, maps={"T": ["x[3]"]})
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert "error: maps.T: map 'x[3]': subscript x[3] is out of range" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_budget_scale(self, tmp_path, capsys):
         path = write_doc(tmp_path, SMOKE)
         code = main(["run", path, "--out", str(tmp_path / "out"),
@@ -378,6 +388,13 @@ class TestCliValidate:
         path = write_doc(tmp_path, doc)
         assert main(["validate", path]) == 0
         assert "run: unknown run name 'bogus'" in capsys.readouterr().out
+
+    def test_out_of_range_subscript_is_a_diagnostic(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["maps"] = {"T": ["x[3]"]}
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", path]) == 0
+        assert "maps.T: map 'x[3]': subscript x[3] is out of range" in capsys.readouterr().out
 
     def test_unreadable_file_still_exits_zero(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.yaml")]) == 0

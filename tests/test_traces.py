@@ -179,16 +179,35 @@ class TestTraceMechanics:
             short.companion_shift()
 
     def test_validation(self):
-        pts = (LINE.point(0.0), LINE.point(1.0))
+        pts = np.array([[0.0], [1.0]])
         p = metric_premetric(LINE)
         with pytest.raises(ConfigurationError, match="unknown trace status"):
-            IterationTrace(points=pts, generator="g", premetric=p,
-                           consecutive_gaps=(1.0,), status="running")
+            IterationTrace(coords=pts, generator="g", premetric=p,
+                           gaps=np.array([1.0]), status="running", space_id=LINE.id)
         with pytest.raises(ConfigurationError, match="point count minus one"):
-            IterationTrace(points=pts, generator="g", premetric=p,
-                           consecutive_gaps=(1.0, 2.0), status="completed")
+            IterationTrace(coords=pts, generator="g", premetric=p,
+                           gaps=np.array([1.0, 2.0]), status="completed",
+                           space_id=LINE.id)
         with pytest.raises(InputError, match="at least 2"):
             trace_from_points([LINE.point(0.0)], "solo", p)
+
+    def test_stored_arrays_are_read_only(self):
+        src = np.array([[0.0], [1.0], [3.0]])
+        tr = IterationTrace(coords=src, generator="g", premetric=metric_premetric(LINE),
+                            gaps=np.array([1.0, 2.0]), status="completed",
+                            space_id=LINE.id)
+        src[0, 0] = 9.0  # the trace keeps its own copy
+        assert coords(tr) == [0.0, 1.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            tr.coords[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            tr.gaps[0] = 5.0
+        cyc = cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
+                                TestCyclicEven().setting(), LINE.point(3.0), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            cyc.aux_coords[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tr.companion_shift().coords[0, 0] = 5.0
 
     def test_arrays(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 3)
