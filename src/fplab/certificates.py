@@ -154,23 +154,30 @@ def _band_uniform(
     """Band condition with one shift index shared by every in-band pair
     (C4 and D4).  mats has shape (k, n, n), one gap matrix per orbit.
 
-    The bands of one eps are nested in delta, so a single sweep over nu
-    decides every delta candidate.  Each pair of the widest band gets a
-    depth, the number of bands (eps, eps+delta) it lies in, and a stable
-    sort by depth, deepest first, makes band m a prefix of the sorted
-    pairs.  Each shift nu then costs one gather over the widest band:
-    np.maximum.reduceat takes the worst value of every depth group and a
-    running max turns those into every band's worst value.  The sweep
-    stops as soon as the widest band passes, because that band wins before
-    any narrower one is looked at, so an easy input stops after a few
-    gathers.  No (nu x in-band) array is built.
+    One classification of the pairs and one sweep over nu decide every
+    (eps, delta) band of the call.  Every eps and every eps + delta is a
+    cut; a gap strictly between two cuts gets an even segment id and a gap
+    equal to a cut an odd one (2 * cuts below it, plus 1 if on a cut).  The
+    open band (eps, eps + delta) is then exactly a range of ids, from just
+    above eps's id to just below eps + delta's.  Pairs outside every band
+    are dropped and the rest are stable-sorted by id, so each segment is a
+    contiguous run of pairs kept in memory order, and bincount gives every
+    band's size.
+
+    Each shift nu costs one gather over the kept pairs, read from the view
+    of the flat matrices that starts nu * (n + 1) later: np.maximum.reduceat
+    takes every segment's worst value, and a running max from each eps's
+    first segment turns those into every band's worst value.  An eps
+    retires once its widest band passes, because that band wins before any
+    narrower one is looked at, and the sweep stops when no eps is live.  No
+    (nu x in-band) array is built.
 
     Deltas are then decided in decreasing order: the first band that is
     vacuous or passes at some nu is the witness, with its first passing nu.
     When every band is defeated, the report carries only the last delta's
     defeat, so that witness alone is rebuilt: at the first nu minimising
     the band's worst value, the first worst pair in np.nonzero order.  This
-    breaks ties exactly as a separate search per delta would.
+    breaks ties exactly as a separate search per (eps, delta) would.
     """
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     n = mats.shape[1]
@@ -181,57 +188,72 @@ def _band_uniform(
         )
     iu = np.triu_indices(ih, k=1)
     base = mats[:, iu[0], iu[1]]  # (k, n_pairs)
+    eps_grid, deltas = budget.eps_grid, budget.delta_candidates
+    uppers = [[eps + d for d in deltas] for eps in eps_grid]
+    cuts = np.unique(np.concatenate([eps_grid, np.ravel(uppers)]))
+    # each temporary below is as long as the kept pairs; it is freed once
+    # used, so the index never holds more than a few of them at a time
+    kept = np.flatnonzero((base > cuts[0]) & (base < cuts[-1]))
+    gaps = base.reshape(-1)[kept]
+    at = np.searchsorted(cuts, gaps)
+    n_seg = 2 * cuts.size
+    # the narrowest dtype that holds an id lets the stable sort run as a
+    # radix sort
+    seg = (2 * at + (gaps == cuts[at])).astype(np.min_scalar_type(n_seg))
+    del gaps, at
+    orbit, pair = np.divmod(kept[np.argsort(seg, kind="stable")], iu[0].size)
+    del kept
+    # flat position of each kept pair in id order; shift nu moves it by nu * (n + 1)
+    pos = (iu[0] * n + iu[1])[pair] + orbit * (n * n)
+    del orbit, pair
+    offsets = np.zeros(n_seg + 1, dtype=np.intp)  # pairs with a smaller id
+    np.cumsum(np.bincount(seg, minlength=n_seg), out=offsets[1:])
+    del seg
+    # band (eps, eps + delta) holds the ids lo <= id < hi; hi never falls
+    # below lo, so a band with eps + delta == eps is empty
+    lo = 2 * np.searchsorted(cuts, eps_grid) + 2  # (n_eps,)
+    hi = np.maximum(2 * np.searchsorted(cuts, uppers) + 1, lo[:, None])  # (n_eps, n_deltas)
+    sizes = offsets[hi] - offsets[lo][:, None]
+
     flat = mats.reshape(-1)
-    # flat position of each base pair; shift nu moves it by nu * (n + 1)
-    base_flat = np.arange(mats.shape[0])[:, None] * (n * n) + (iu[0] * n + iu[1])
-    deltas = budget.delta_candidates
-    n_bands = len(deltas)
+    filled = np.flatnonzero(np.diff(offsets))
+    starts = offsets[filled]
+    seg_ids = np.arange(n_seg)
+    eps_rows = np.arange(len(eps_grid))[:, None]
+    limits = np.array(eps_grid)[:, None] + eta
+    seg_max = np.full(n_seg, -np.inf)
+    first_pass = np.zeros(hi.shape, dtype=int)
+    narrowest = np.empty((len(eps_grid), nh))  # narrowest band's worst value at each nu
+    live = sizes[:, 0] > 0
+    for nu in range(1, nh + 1):
+        if not live.any():
+            break
+        seg_max[filled] = np.maximum.reduceat(np.take(flat[nu * (n + 1):], pos), starts)
+        # each eps's running max starts at its own first band id
+        run = np.maximum.accumulate(np.where(seg_ids >= lo[:, None], seg_max, -np.inf), axis=1)
+        worst = run[eps_rows, hi - 1]
+        first_pass[(first_pass == 0) & (worst <= limits)] = nu
+        narrowest[:, nu - 1] = worst[:, -1]
+        live &= first_pass[:, 0] == 0
+
     wits: list[dict] = []
     verdicts: list[Verdict] = []
-    for eps in budget.eps_grid:
-        limit = eps + eta
-        widest = (base > eps) & (base < eps + deltas[0])
-        if not widest.any():
-            wits.append(witness(eps=eps, delta=deltas[0], in_band=0, vacuous=True))
-            verdicts.append(Verdict.PASS)
-            continue
-        # rank = n_bands - depth, so sorting by rank lists the deepest pairs
-        # first; the narrowest dtype that holds a rank lets the stable sort
-        # run as a radix sort
-        ascending = np.array([eps + d for d in reversed(deltas)])
-        rank = np.searchsorted(ascending, base[widest], side="right").astype(
-            np.min_scalar_type(n_bands))
-        idx = base_flat[widest][np.argsort(rank, kind="stable")]
-        sizes = np.bincount(rank, minlength=n_bands)
-        bounds = np.cumsum(sizes)
-        ends = bounds[::-1]  # ends[m]: members of band m, a prefix of idx
-        filled = sizes > 0
-        starts = (bounds - sizes)[filled]
-        group = np.full(n_bands, -np.inf)
-        worst = np.empty((nh, n_bands))
-        first_pass = np.zeros(n_bands, dtype=int)
-        for nu in range(1, nh + 1):
-            vals = np.take(flat, idx + nu * (n + 1))
-            group[filled] = np.maximum.reduceat(vals, starts)
-            worst[nu - 1] = np.maximum.accumulate(group)[::-1]
-            first_pass[(first_pass == 0) & (worst[nu - 1] <= limit)] = nu
-            if first_pass[0]:
-                break
+    for t, eps in enumerate(eps_grid):
         outcome = None
         for m, delta in enumerate(deltas):
-            if ends[m] == 0:
+            if sizes[t, m] == 0:
                 outcome = witness(eps=eps, delta=delta, in_band=0, vacuous=True)
                 break
-            if first_pass[m]:
-                outcome = witness(eps=eps, delta=delta, nu=int(first_pass[m]),
-                                  in_band=int(ends[m]))
+            if first_pass[t, m]:
+                outcome = witness(eps=eps, delta=delta, nu=int(first_pass[t, m]),
+                                  in_band=int(sizes[t, m]))
                 break
         if outcome is not None:
             wits.append(outcome)
             verdicts.append(Verdict.PASS)
             continue
         best_val, best_nu = np.inf, 0
-        for nu, value in enumerate(worst[:, -1].tolist(), start=1):
+        for nu, value in enumerate(narrowest[t].tolist(), start=1):
             if value < best_val:
                 best_val, best_nu = value, nu
         delta = deltas[-1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -56,6 +57,13 @@ class SearchBudget:
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         object.__setattr__(self, "delta_candidates", tuple(float(d) for d in self.delta_candidates))
+        # NaN slips through every comparison below, and an infinite level
+        # gives vacuous bands and non-JSON reports
+        for name, values in (("eps_grid", self.eps_grid),
+                             ("delta_candidates", self.delta_candidates),
+                             ("slack", (self.slack,))):
+            if not all(map(math.isfinite, values)):
+                raise InputError(f"{name} must be finite")
         if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
             raise InputError("eps_grid must be non-empty and positive")
         if not self.delta_candidates or any(d <= 0 for d in self.delta_candidates):

@@ -8,6 +8,7 @@ suites own the per-function edge cases.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -288,3 +289,19 @@ def test_gallery_runs_are_reproducible(tmp_path):
         a = (tmp_path / "a" / entry.name / "reports.json").read_bytes()
         b = (tmp_path / "b" / entry.name / "reports.json").read_bytes()
         assert a == b, entry.name
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_gallery_artifacts_are_strict_json(tmp_path):
+    """Every JSON artifact of every gallery run is strict JSON: no bare
+    NaN or Infinity, which json.dumps writes by default but JSON forbids."""
+    for entry in GALLERY:
+        out = tmp_path / entry.name
+        run_scenario(entry.name, str(out))
+        artifacts = sorted(out.glob("*.json"))
+        assert artifacts, entry.name
+        for path in artifacts:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)

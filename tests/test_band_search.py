@@ -1,12 +1,17 @@
-"""The shared-shift band search (C4, D4) against a plain reference.
+"""The shared-shift band search (C4, D4) against two references.
 
-_band_uniform decides every delta candidate of one eps in a single sorted
-sweep over nu.  The reference below is the direct search it replaced: for
-each (eps, delta) it gathers the in-band pairs at every shift and stops at
-the first shift that pulls them all to eps.  Both must give the same
+_band_uniform decides every (eps, delta) band of a call in a single sweep
+over nu.  The plain reference is the direct search: for each (eps, delta)
+it gathers the in-band pairs at every shift and stops at the first shift
+that pulls them all to eps.  The per-eps reference is the earlier sweep,
+one depth-sorted index and one nu-sweep per eps.  All must give the same
 verdict, the same witnesses (tie-breaking included) and the same note, on
-small tie-heavy gap matrices whose eps/delta grids reach every outcome:
-a vacuous band, a pass at some shift, and every candidate defeated.
+small tie-heavy gap matrices whose eps/delta grids reach every outcome
+(a vacuous band, a pass at some shift, and every candidate defeated), on
+gap matrices of real orbits at the default grids, and on hand cases at
+the edges of the segment ids: a band that collapses to nothing, no pairs
+at all, a gap on a cut shared by two eps, and an unsorted grid with
+repeated eps.
 """
 
 import numpy as np
@@ -14,9 +19,11 @@ import pytest
 from hypothesis import find, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fplab.certificates import _BAND_NOTE, _band_uniform
+from fplab.certificates import _BAND_NOTE, _band_uniform, _orbit_block
+from fplab.maps import builtin_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict, reports_to_json_text, \
     witness, worst_verdict
+from fplab.spaces import Space
 
 
 def band_uniform_reference(mats, budget, cid, item):
@@ -140,3 +147,144 @@ def test_hand_cases(case, expected):
     fast, ref = _both(case)
     _assert_same(fast, ref)
     assert fast.witnesses == [expected]
+
+
+def band_uniform_per_eps(mats, budget, cid, item):
+    """One depth-sorted index and one nu-sweep per eps: band m of the
+    widest band's pairs, sorted deepest first, is a prefix."""
+    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
+    n = mats.shape[1]
+    iu = np.triu_indices(ih, k=1)
+    base = mats[:, iu[0], iu[1]]
+    flat = mats.reshape(-1)
+    base_flat = np.arange(mats.shape[0])[:, None] * (n * n) + (iu[0] * n + iu[1])
+    deltas = budget.delta_candidates
+    n_bands = len(deltas)
+    wits, verdicts = [], []
+    for eps in budget.eps_grid:
+        limit = eps + eta
+        widest = (base > eps) & (base < eps + deltas[0])
+        if not widest.any():
+            wits.append(witness(eps=eps, delta=deltas[0], in_band=0, vacuous=True))
+            verdicts.append(Verdict.PASS)
+            continue
+        ascending = np.array([eps + d for d in reversed(deltas)])
+        rank = np.searchsorted(ascending, base[widest], side="right")
+        idx = base_flat[widest][np.argsort(rank, kind="stable")]
+        sizes = np.bincount(rank, minlength=n_bands)
+        bounds = np.cumsum(sizes)
+        ends = bounds[::-1]
+        filled = sizes > 0
+        starts = (bounds - sizes)[filled]
+        group = np.full(n_bands, -np.inf)
+        worst = np.empty((nh, n_bands))
+        first_pass = np.zeros(n_bands, dtype=int)
+        for nu in range(1, nh + 1):
+            vals = np.take(flat, idx + nu * (n + 1))
+            group[filled] = np.maximum.reduceat(vals, starts)
+            worst[nu - 1] = np.maximum.accumulate(group)[::-1]
+            first_pass[(first_pass == 0) & (worst[nu - 1] <= limit)] = nu
+            if first_pass[0]:
+                break
+        outcome = None
+        for m, delta in enumerate(deltas):
+            if ends[m] == 0:
+                outcome = witness(eps=eps, delta=delta, in_band=0, vacuous=True)
+                break
+            if first_pass[m]:
+                outcome = witness(eps=eps, delta=delta, nu=int(first_pass[m]),
+                                  in_band=int(ends[m]))
+                break
+        if outcome is not None:
+            wits.append(outcome)
+            verdicts.append(Verdict.PASS)
+            continue
+        best_val, best_nu = np.inf, 0
+        for nu, value in enumerate(worst[:, -1].tolist(), start=1):
+            if value < best_val:
+                best_val, best_nu = value, nu
+        delta = deltas[-1]
+        k_idx, p_idx = np.nonzero((base > eps) & (base < eps + delta))
+        rows, cols = iu[0][p_idx], iu[1][p_idx]
+        shifted = mats[k_idx, rows + best_nu, cols + best_nu]
+        w = int(np.argmax(shifted))
+        wits.append(witness(eps=eps, delta=delta, **{item: int(k_idx[w])},
+                            i=int(rows[w]), j=int(cols[w]),
+                            gap=float(base[k_idx[w], p_idx[w]]),
+                            best_uniform_nu=best_nu, value_at_best_nu=float(shifted[w])))
+        verdicts.append(Verdict.FAIL)
+    return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
+
+
+def _all_three(mats, budget):
+    fast = _band_uniform(mats, budget, "D4", "orbit")
+    for reference in (band_uniform_reference, band_uniform_per_eps):
+        _assert_same(fast, reference(mats, budget, "D4", "orbit"))
+    return fast
+
+
+LINE = Space(id="line", dimension=1)
+ORBIT_BUDGET = SearchBudget(index_horizon=64, nu_horizon=16)
+
+
+@given(st.sampled_from(("mk", "half", "neg", "translation")), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_real_orbits_match_both_references(name, k, seed):
+    # the gap matrices D4 builds: all pairs of points of k sampled orbits,
+    # searched with the default 7 x 21 eps/delta grids
+    seeds = np.random.default_rng(seed).uniform(0.0, 10.0, size=(k, 1))
+    n = ORBIT_BUDGET.index_horizon + ORBIT_BUDGET.nu_horizon
+    orbits, _ = _orbit_block(builtin_map(name, LINE), seeds, n)
+    mats = LINE.distances(orbits[:, :, None], orbits[:, None])
+    _all_three(mats, ORBIT_BUDGET)
+
+
+def _collapsed_band_case():
+    # 1.0 + 1e-17 == 1.0: the band (1.0, 1.0) is empty even though a gap
+    # sits exactly on eps, and the wider bands, which hold gaps that never
+    # drop, are defeated
+    mats = np.full((2, 3, 3), 1.5)
+    mats[1, 0, 1] = 1.0
+    budget = SearchBudget(eps_grid=(0.5, 1.0), delta_candidates=(1.0, 1e-17),
+                          index_horizon=2, nu_horizon=1)
+    return mats, budget, [{"eps": 0.5, "delta": 1e-17, "in_band": 0, "vacuous": True},
+                          {"eps": 1.0, "delta": 1e-17, "in_band": 0, "vacuous": True}]
+
+
+def _no_pairs_case():
+    budget = SearchBudget(index_horizon=1, nu_horizon=2)
+    expected = [{"eps": eps, "delta": 1.0, "in_band": 0, "vacuous": True}
+                for eps in budget.eps_grid]
+    return np.ones((2, 3, 3)), budget, expected
+
+
+def _shared_cut_case():
+    # 0.5 is eps = 0.5 and also 0.25 + 0.25: a gap of exactly 0.5 lies in
+    # neither band (0.25, 0.5) nor (0.5, 0.75)
+    mats = np.full((2, 3, 3), 0.5)
+    mats[1, 0, 1] = 0.6
+    budget = SearchBudget(eps_grid=(0.25, 0.5), delta_candidates=(0.25,),
+                          index_horizon=2, nu_horizon=1)
+    return mats, budget, [{"eps": 0.25, "delta": 0.25, "in_band": 0, "vacuous": True},
+                          {"eps": 0.5, "delta": 0.25, "nu": 1, "in_band": 1}]
+
+
+def _unsorted_grid_case():
+    # gap v[min(i, j)] between points i and j of a settling orbit; eps 0.5
+    # passes at nu = 1, while 0.1 and 0.25 need the sweep to reach nu = 3
+    v = np.array([0.8, 0.4, 0.3, 0.12, 0.05, 0.0])
+    mats = v[np.minimum.outer(np.arange(6), np.arange(6))][None]
+    budget = SearchBudget(eps_grid=(0.5, 0.1, 0.5, 0.25), delta_candidates=(1.0, 0.5),
+                          index_horizon=3, nu_horizon=3)
+    return mats, budget, [{"eps": 0.5, "delta": 1.0, "nu": 1, "in_band": 2},
+                          {"eps": 0.1, "delta": 0.5, "nu": 3, "in_band": 1},
+                          {"eps": 0.5, "delta": 1.0, "nu": 1, "in_band": 2},
+                          {"eps": 0.25, "delta": 1.0, "nu": 3, "in_band": 3}]
+
+
+@pytest.mark.parametrize("case", [_collapsed_band_case(), _no_pairs_case(),
+                                  _shared_cut_case(), _unsorted_grid_case()],
+                         ids=["collapsed-band", "no-pairs", "shared-cut", "unsorted-grid"])
+def test_segment_edge_cases(case):
+    mats, budget, expected = case
+    assert _all_three(mats, budget).witnesses == expected

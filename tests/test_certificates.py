@@ -384,3 +384,14 @@ class TestConsecutiveContraction:
         tr = trace_from_points(line_points([0.0, 1.0]), "pair", D)
         with pytest.raises(InputError, match="two consecutive gaps"):
             consecutive_contraction_report(tr, builtin_gauge("id"), psi)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("field", ["eps_grid", "delta_candidates", "slack"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, field, bad):
+        # NaN passed the positivity checks and made every band vacuous,
+        # so the band checkers reported pass and reports.json held NaN
+        value = bad if field == "slack" else (bad,)
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            SearchBudget(**{field: value})

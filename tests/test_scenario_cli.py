@@ -339,6 +339,18 @@ class TestCliRun:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", [{"eps_grid": [float("nan")]},
+                                        {"delta_candidates": [float("inf"), 0.5]},
+                                        {"slack": float("nan")}])
+    def test_non_finite_budget_exits_one(self, tmp_path, capsys, budget):
+        # a NaN eps used to give vacuous passes and a reports.json with NaN
+        doc = dict(SMOKE, budget=dict(SMOKE["budget"], **budget))
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert f"error: budget: {next(iter(budget))} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_budget_scale(self, tmp_path, capsys):
         path = write_doc(tmp_path, SMOKE)
         code = main(["run", path, "--out", str(tmp_path / "out"),
@@ -395,6 +407,12 @@ class TestCliValidate:
         path = write_doc(tmp_path, doc)
         assert main(["validate", path]) == 0
         assert "maps.T: map 'x[3]': subscript x[3] is out of range" in capsys.readouterr().out
+
+    def test_non_finite_budget_is_a_diagnostic(self, tmp_path, capsys):
+        doc = dict(base_doc(), budget={"eps_grid": [0.1, float("nan")]})
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", path]) == 0
+        assert "budget: eps_grid must be finite" in capsys.readouterr().out
 
     def test_unreadable_file_still_exits_zero(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.yaml")]) == 0
