@@ -781,11 +781,13 @@ def check_f_psi_contraction(
     p: Premetric,
     f_gauge: Gauge,
     psi: Gauge,
-    sample: list[tuple[Point, Point]],
+    xs: np.ndarray,
+    ys: np.ndarray,
     eta: float = 1e-9,
     psi_variant: str = "standard",
 ) -> CertificateReport:
     """F(p(Tx, Sy)) <= psi(F(M(x, y))) + eta on every sampled pair (id FPSI).
+    The sample is two (n, d) coordinate arrays: pair i is (xs[i], ys[i]).
 
     psi_variant picks the regularity demanded of psi: "standard" wants a
     nondecreasing upper-semicontinuous gauge strictly below the identity and
@@ -798,10 +800,12 @@ def check_f_psi_contraction(
 
     Raises:
         RefusalError: a gauge misses or fails its required profile.
-        InputError: empty sample, a sampled point or map off the
-            premetric's space, or a checked pair outside a working range.
+        InputError: empty sample, a map off the premetric's space, sample
+            arrays that are not two finite (n, d) blocks of the same shape,
+            or a checked pair outside a working range.
     """
-    if not sample:
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape[:1] == (0,) or ys.shape[:1] == (0,):
         raise InputError("need at least one sampled pair")
     if psi_variant == "standard":
         psi_profile = PSI_PROFILE_STANDARD
@@ -812,41 +816,42 @@ def check_f_psi_contraction(
     require_profile(f_gauge, F_PROFILE, eta=eta)
     require_profile(psi, psi_profile, eta=eta)
     space = p.space
-    if {map_t.space.id, map_s.space.id} != {space.id} or \
-            {q.space_id for pair in sample for q in pair} != {space.id} or \
-            {len(q.coords) for pair in sample for q in pair} != {space.dimension}:
-        raise InputError(f"sampled points and maps must all live on the premetric's "
-                         f"space {space.id!r}")
-    xs = np.array([x.coords for x, _ in sample])
-    ys = np.array([y.coords for _, y in sample])
+    if {map_t.space.id, map_s.space.id} != {space.id}:
+        raise InputError(f"maps must live on the premetric's space {space.id!r}")
+    if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] != space.dimension:
+        raise InputError(f"sampled pairs must be two (n, {space.dimension}) arrays of one "
+                         f"shape, got {xs.shape} and {ys.shape}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InputError("sampled coordinates must be finite")
+    n = xs.shape[0]
     try:
         lhs, rhs = _fpsi_sides(map_t, map_s, p, f_gauge, psi, xs, ys)
     except InputError:
         # some pair is out of range, yet only one before the 8th defeat may
         # raise: check the pairs one at a time until then
         sides, defeated = [], 0
-        for i in range(len(sample)):
+        for i in range(n):
             sides.append(_fpsi_sides(map_t, map_s, p, f_gauge, psi, xs[i:i + 1], ys[i:i + 1]))
             defeated += bool(sides[-1][0][0] > sides[-1][1][0] + eta)
             if defeated >= 8:
                 break
         lhs, rhs = (np.concatenate(side) for side in zip(*sides))
     defeat_at = np.nonzero(lhs > rhs + eta)[0][:8].tolist()
-    checked = defeat_at[-1] + 1 if len(defeat_at) == 8 else len(sample)
+    checked = defeat_at[-1] + 1 if len(defeat_at) == 8 else n
     margins = (lhs - rhs)[:checked]
     margins = margins[~np.isnan(margins)]
     # argmax keeps the first of tied maxima, as a running max(worst, m) does
     worst_margin = float(margins[np.argmax(margins)]) if margins.size else -np.inf
-    defeats = [witness(x=list(sample[i][0].coords), y=list(sample[i][1].coords),
+    defeats = [witness(x=xs[i].tolist(), y=ys[i].tolist(),
                        lhs=float(lhs[i]), rhs=float(rhs[i])) for i in defeat_at]
     note = (
-        f"{len(sample)} sampled pairs, slack {eta}, psi profile {psi_variant}; "
+        f"{n} sampled pairs, slack {eta}, psi profile {psi_variant}; "
         f"worst lhs-rhs margin {worst_margin:.3e}"
     )
     if defeats:
         return CertificateReport("FPSI", Verdict.FAIL, defeats, None, note)
     return CertificateReport("FPSI", Verdict.PASS,
-                             [witness(pairs=len(sample), worst_margin=worst_margin)],
+                             [witness(pairs=n, worst_margin=worst_margin)],
                              None, note)
 
 

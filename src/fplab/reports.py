@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -35,6 +37,19 @@ def _default_delta_candidates() -> tuple[float, ...]:
     return tuple(2.0 ** -k for k in range(21))
 
 
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real_tuple(name: str, values: Any) -> tuple[float, ...]:
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise InputError(f"{name} must be a list of real numbers, got {values!r}")
+    values = tuple(values)
+    if not all(map(_is_real, values)):
+        raise InputError(f"{name} must be a list of real numbers, got {list(values)!r}")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Finite search budget shared by every checker.
@@ -55,8 +70,15 @@ class SearchBudget:
     slack: float = 1e-9
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
-        object.__setattr__(self, "delta_candidates", tuple(float(d) for d in self.delta_candidates))
+        # bool is an int subclass, yet true is no horizon and no level
+        for name in ("nu_horizon", "index_horizon", "pair_samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name in ("eps_grid", "delta_candidates"):
+            object.__setattr__(self, name, _real_tuple(name, getattr(self, name)))
+        if not _is_real(self.slack):
+            raise InputError(f"slack must be a real number, got {self.slack!r}")
         # NaN slips through every comparison below, and an infinite level
         # gives vacuous bands and non-JSON reports
         for name, values in (("eps_grid", self.eps_grid),

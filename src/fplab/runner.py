@@ -274,10 +274,9 @@ def _run_alternate(scn: Scenario, cache: dict, sink: _Sink) -> None:
 
     if scn.f_gauge is not None and scn.psi is not None:
         rng = np.random.default_rng(scn.seed)
-        sample = sample_pairs(scn.space, scn.region,
-                              int(params.get("fpsi_pairs", 200)), rng)
+        xs, ys = sample_pairs(scn.space, scn.region, int(params.get("fpsi_pairs", 200)), rng)
         fpsi = check_f_psi_contraction(
-            scn.map_t, scn.map_s, scn.premetric, scn.f_gauge, scn.psi, sample,
+            scn.map_t, scn.map_s, scn.premetric, scn.f_gauge, scn.psi, xs, ys,
             psi_variant=params.get("psi_variant", "standard"),
         )
         sink.verdict("alternate", fpsi)

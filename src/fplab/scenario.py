@@ -212,7 +212,7 @@ def validate_scenario(doc: dict) -> list[str]:
                     diags.append(f"budget.{key}: unknown budget field")
             try:
                 SearchBudget(**{k: v for k, v in budget.items() if k in allowed})
-            except (InputError, TypeError) as exc:
+            except InputError as exc:
                 diags.append(f"budget: {exc}")
 
     runs = doc.get("run")

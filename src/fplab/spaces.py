@@ -142,10 +142,13 @@ def sample_points(space: Space, region: Box, n: int, rng: np.random.Generator) -
 
 def sample_pairs(
     space: Space, region: Box, n: int, rng: np.random.Generator
-) -> list[tuple[Point, Point]]:
-    a = region.sample_coords(rng, n)
-    b = region.sample_coords(rng, n)
-    return [(space.point(*x), space.point(*y)) for x, y in zip(a, b)]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two (n, d) coordinate draws from region, xs first: pair i is
+    (xs[i], ys[i])."""
+    if region.dimension != space.dimension:
+        raise InputError(f"region is {region.dimension}-dimensional, space {space.id!r} "
+                         f"is {space.dimension}-dimensional")
+    return region.sample_coords(rng, n), region.sample_coords(rng, n)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +431,12 @@ def premetric_diagonal(p: Premetric, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 # Axiom verification
 
 
+# the ordered position pairs (i, j) of a triple, and the permutations (a, b, c)
+# of its positions in itertools order
+_PAIRS = tuple(itertools.permutations(range(3), 2))
+_PERMS = tuple(itertools.permutations(range(3)))
+
+
 def verify_premetric_axioms(
     p: Premetric,
     sample: list[tuple[Point, Point, Point]],
@@ -436,85 +445,115 @@ def verify_premetric_axioms(
     """Check every claimed property on the sampled triples.
 
     Returns one report per claim (mixed_triangle yields two, one per
-    inequality).  A fail report carries the violating triple and the
-    violation magnitude.
+    inequality).  A fail report carries the first 8 violations in (triple,
+    permutation) order, each with its triple and the violation magnitude.
+
+    Each premetric is evaluated once on the whole (triple, ordered pair)
+    block.  A per-triple loop evaluates every ordered pair too, so the block
+    raises exactly when such a loop does; the message then comes from the
+    pairs evaluated one at a time in that loop's order.
 
     Raises:
-        InputError: empty sample.
+        InputError: empty sample, a point off the premetric's space, or a
+            premetric value that is negative or non-finite.
         ConfigurationError: mixed_triangle claimed without a companion.
     """
     if not sample:
         raise InputError("axiom verification needs a non-empty triple sample")
-    note = f"checked {len(sample)} sampled triples with slack eta={eta}"
-    reports: list[CertificateReport] = []
+    try:
+        return _axiom_reports(p, sample, eta)
+    except InputError:
+        for q, a, b in _axiom_evaluations(p, sample):
+            eval_premetric(q, a, b)
+        raise
 
-    def gap(a: Point, b: Point) -> float:
-        return eval_premetric(p, a, b)
 
+def _axiom_evaluations(p: Premetric, sample: list[tuple[Point, Point, Point]]):
+    """(premetric, a, b) in the order a per-triple loop over the claims
+    evaluates them."""
     if "symmetric" in p.claims:
-        bad = []
-        for x, y, z in sample:
-            for a, b in ((x, y), (y, z), (x, z)):
-                diff = abs(gap(a, b) - gap(b, a))
-                if diff > eta:
-                    bad.append(witness(x=a.coords, y=b.coords, asymmetry=diff))
-        reports.append(
-            CertificateReport(
-                "AX-SYM",
-                Verdict.FAIL if bad else Verdict.PASS,
-                bad[:8],
-                resolution_note=note,
-            )
-        )
-
-    def triangle_report(cid: str) -> CertificateReport:
-        bad = []
-        for x, y, z in sample:
-            for a, b, c in itertools.permutations((x, y, z)):
-                lhs = gap(a, c)
-                rhs = gap(a, b) + gap(b, c)
-                if lhs > rhs + eta:
-                    bad.append(
-                        witness(x=a.coords, via=b.coords, y=c.coords, lhs=lhs, rhs=rhs,
-                                violation=lhs - rhs)
-                    )
-        return CertificateReport(
-            cid, Verdict.FAIL if bad else Verdict.PASS, bad[:8], resolution_note=note
-        )
-
-    if "triangle" in p.claims:
-        reports.append(triangle_report("AX-TRI"))
-
-    if "tau_distance" in p.claims:
-        rep = triangle_report("AX-TAU")
-        rep.resolution_note = (
-            note + "; only the triangle facet is sampled here, the sup-tail "
-            "criterion facet is exercised by the Cauchy diagnostic"
-        )
-        reports.append(rep)
-
+        for t in sample:
+            for i, j in ((0, 1), (1, 2), (0, 2)):
+                yield p, t[i], t[j]
+                yield p, t[j], t[i]
+    for claim in ("triangle", "tau_distance"):
+        if claim in p.claims:
+            for t in sample:
+                for a, b, c in itertools.permutations(t):
+                    yield from ((p, a, c), (p, a, b), (p, b, c))
     if "mixed_triangle" in p.claims:
         r = p.companion
         if r is None:
             raise ConfigurationError("mixed_triangle claimed but no companion premetric given")
-        bad_r, bad_l = [], []
-        for x, y, z in sample:
-            for a, c, b in itertools.permutations((x, y, z)):
-                lhs = gap(a, c)
-                right = gap(a, b) + eval_premetric(r, b, c)
-                left = eval_premetric(r, a, b) + gap(b, c)
-                if lhs > right + eta:
-                    bad_r.append(witness(x=a.coords, via=b.coords, y=c.coords,
-                                         lhs=lhs, rhs=right, violation=lhs - right))
-                if lhs > left + eta:
-                    bad_l.append(witness(x=a.coords, via=b.coords, y=c.coords,
-                                         lhs=lhs, rhs=left, violation=lhs - left))
-        reports.append(
-            CertificateReport("AX-MIX-R", Verdict.FAIL if bad_r else Verdict.PASS,
-                              bad_r[:8], resolution_note=note)
-        )
-        reports.append(
-            CertificateReport("AX-MIX-L", Verdict.FAIL if bad_l else Verdict.PASS,
-                              bad_l[:8], resolution_note=note)
-        )
+        for t in sample:
+            for a, c, b in itertools.permutations(t):
+                yield from ((p, a, c), (p, a, b), (r, b, c), (r, a, b), (p, b, c))
+
+
+def _pair_values(q: Premetric, sample: list[tuple[Point, Point, Point]]) -> dict:
+    """{(i, j): q(t[i], t[j]) over the triples t} for every ordered pair."""
+    for t in sample:
+        for x in t:
+            q.space.check_member(x)
+    coords = np.array([[x.coords for x in t] for t in sample])
+    first, second = zip(*_PAIRS)
+    values = premetric_values(q, coords[:, first], coords[:, second])
+    return {pair: values[:, k] for k, pair in enumerate(_PAIRS)}
+
+
+def _axiom_reports(
+    p: Premetric, sample: list[tuple[Point, Point, Point]], eta: float
+) -> list[CertificateReport]:
+    note = f"checked {len(sample)} sampled triples with slack eta={eta}"
+    reports: list[CertificateReport] = []
+    gap = _pair_values(p, sample) if p.claims else {}
+
+    def report(cid: str, bad: list[dict]) -> CertificateReport:
+        return CertificateReport(cid, Verdict.FAIL if bad else Verdict.PASS, bad,
+                                 resolution_note=note)
+
+    def triangle_witnesses(lhs: np.ndarray, rhs: np.ndarray, perms) -> list[dict]:
+        # argwhere is row-major: the first 8 in (triple, permutation) order
+        bad = []
+        for t, k in np.argwhere(lhs > rhs + eta)[:8].tolist():
+            a, b, c = perms[k]
+            value, bound = lhs[t, k], rhs[t, k]
+            bad.append(witness(x=sample[t][a].coords, via=sample[t][b].coords,
+                               y=sample[t][c].coords, lhs=value, rhs=bound,
+                               violation=value - bound))
+        return bad
+
+    if "symmetric" in p.claims:
+        sym = ((0, 1), (1, 2), (0, 2))
+        diff = np.abs(np.stack([gap[i, j] - gap[j, i] for i, j in sym], axis=1))
+        reports.append(report("AX-SYM", [
+            witness(x=sample[t][sym[k][0]].coords, y=sample[t][sym[k][1]].coords,
+                    asymmetry=diff[t, k])
+            for t, k in np.argwhere(diff > eta)[:8].tolist()]))
+
+    if "triangle" in p.claims or "tau_distance" in p.claims:
+        lhs = np.stack([gap[a, c] for a, b, c in _PERMS], axis=1)
+        rhs = np.stack([gap[a, b] + gap[b, c] for a, b, c in _PERMS], axis=1)
+        bad = triangle_witnesses(lhs, rhs, _PERMS)
+        if "triangle" in p.claims:
+            reports.append(report("AX-TRI", bad))
+        if "tau_distance" in p.claims:
+            rep = report("AX-TAU", list(bad))
+            rep.resolution_note = (
+                note + "; only the triangle facet is sampled here, the sup-tail "
+                "criterion facet is exercised by the Cauchy diagnostic"
+            )
+            reports.append(rep)
+
+    if "mixed_triangle" in p.claims:
+        if p.companion is None:
+            raise ConfigurationError("mixed_triangle claimed but no companion premetric given")
+        r = _pair_values(p.companion, sample)
+        # the permutations name their positions (a, c, b)
+        perms = [(a, b, c) for a, c, b in _PERMS]
+        lhs = np.stack([gap[a, c] for a, b, c in perms], axis=1)
+        right = np.stack([gap[a, b] + r[b, c] for a, b, c in perms], axis=1)
+        left = np.stack([r[a, b] + gap[b, c] for a, b, c in perms], axis=1)
+        reports.append(report("AX-MIX-R", triangle_witnesses(lhs, right, perms)))
+        reports.append(report("AX-MIX-L", triangle_witnesses(lhs, left, perms)))
     return reports

@@ -8,6 +8,7 @@ so downstream certificates never have to guess the pairing convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -106,13 +107,35 @@ class IterationTrace:
         )
 
     def to_csv(self) -> str:
-        cols = ",".join(f"x{i}" for i in range(self.coords.shape[1]))
-        gaps = [repr(g) for g in self.gaps.tolist()] + [""]
-        rows = [
-            f"{i},{','.join(map(repr, row))},{gap}\n"
-            for i, (row, gap) in enumerate(zip(self.coords.tolist(), gaps))
-        ]
-        return f"n,{cols},p_gap\n" + "".join(rows)
+        """Rows "n,x0,..,x{d-1},p_gap" under a header; the last row's gap is
+        empty.  Every number is written with repr.
+
+        repr depends only on a float's bits, so once each row's coordinates
+        and gap have the bits of the row two earlier, every later row up to
+        the last gap ends in one of two fixed suffixes: that tail is
+        formatted once, and only its row indices are written per row.  The
+        rest goes through map and join, with no Python frame per row.  Bits,
+        not ==, decide, so -0.0 and 0.0 stay distinct, and a row whose
+        coordinates repeat but whose gap does not is written in full."""
+        coords, n = self.coords, len(self)
+        lines = ["n," + ",".join(f"x{i}" for i in range(coords.shape[1])) + ",p_gap"]
+        if n == 0:
+            return lines[0] + "\n"
+        k = _bit_period_start(coords, self.gaps)
+        if k:
+            cols = map(map, repeat(repr), coords[:k].T.tolist())
+            gaps = map(repr, self.gaps[:k].tolist())
+            lines.append("\n".join(map(",".join, zip(map(str, range(k)), *cols, gaps))))
+        if k < n - 1:
+            # rows k, k + 1, ... end like rows k - 2, k - 1; a float's repr
+            # holds no %, so the pair of rows is one printf template
+            pair = ["%d," + ",".join(map(repr, [*coords[j].tolist(), float(self.gaps[j])]))
+                    for j in (k - 2, k - 1)]
+            m = n - 1 - k
+            template = "\n".join(pair * (m // 2) + pair[:m % 2])
+            lines.append(template % tuple(range(k, n - 1)))
+        lines.append(",".join([str(n - 1), *map(repr, coords[-1].tolist()), ""]))
+        return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
@@ -123,6 +146,19 @@ class IterationTrace:
             "points": self.coords.tolist(),
             "consecutive_gaps": self.gaps.tolist(),
         }
+
+
+def _bit_period_start(coords: np.ndarray, gaps: np.ndarray) -> int:
+    """The first row k >= 2 such that every row k..n-2 has the coordinate
+    and gap bits of the row two before it, or n - 1 when there is none."""
+    n = coords.shape[0]
+    if n < 4:
+        return max(0, n - 1)
+    rows = np.ascontiguousarray(coords).view(np.uint64)
+    bits = np.ascontiguousarray(gaps).view(np.uint64)
+    same = (rows[2:n - 1] == rows[:n - 3]).all(axis=1) & (bits[2:] == bits[:-2])
+    differ = np.flatnonzero(~same)
+    return 2 + (int(differ[-1]) + 1 if differ.size else 0)
 
 
 def _gaps(premetric: Premetric, coords: np.ndarray) -> np.ndarray:

@@ -135,9 +135,8 @@ def test_alternating_pair_under_comparison_gauge():
                            profile=PSI_PROFILE_STANDARD)
     rng = np.random.default_rng(0)
     draws = rng.uniform(-10.0, 10.0, size=(1000, 2))
-    pairs = [(LINE.point(a), LINE.point(b)) for a, b in draws]
     rep = check_f_psi_contraction(t_map, s_map, D, builtin_gauge("id"),
-                                  psi, pairs)
+                                  psi, draws[:, :1], draws[:, 1:])
     assert rep.verdict is PASS
     assert rep.witnesses[0]["pairs"] == 1000
     assert rep.witnesses[0]["worst_margin"] < 0

@@ -263,11 +263,9 @@ class TestTwoMapCheckers:
     def test_dominated_pair_passes(self):
         psi = expression_gauge("7.0 * t / 12.0", name="seven-twelfths",
                                profile=PSI_PROFILE_STANDARD)
-        pairs = [(LINE.point(1.0), LINE.point(1.0)),
-                 (LINE.point(1.0), LINE.point(-1.0)),
-                 (LINE.point(4.0), LINE.point(10.0))]
+        xs, ys = np.array([[1.0], [1.0], [4.0]]), np.array([[1.0], [-1.0], [10.0]])
         rep = check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
-                                      psi, pairs)
+                                      psi, xs, ys)
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses[0]["pairs"] == 3
         # worst pair is x=y=1: |1/4 - 1/5| - (7/12) * 0.8
@@ -278,9 +276,9 @@ class TestTwoMapCheckers:
     def test_underpowered_gauge_fails_with_pair_witness(self):
         tiny = expression_gauge("t / 100.0", name="centi",
                                 profile=PSI_PROFILE_STANDARD)
-        pairs = [(LINE.point(1.0), LINE.point(1.0))]
+        xs, ys = np.array([[1.0]]), np.array([[1.0]])
         rep = check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
-                                      tiny, pairs)
+                                      tiny, xs, ys)
         assert rep.verdict is Verdict.FAIL
         w = rep.witnesses[0]
         assert w["x"] == [1.0] and w["y"] == [1.0]
@@ -290,22 +288,34 @@ class TestTwoMapCheckers:
     def test_profile_variants(self):
         zh = expression_gauge("7.0 * t / 12.0", name="zh",
                               profile=PSI_PROFILE_ZHANG)
-        pairs = [(LINE.point(1.0), LINE.point(-1.0))]
+        xs, ys = np.array([[1.0]]), np.array([[-1.0]])
         with pytest.raises(RefusalError, match="does not declare"):
             check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
-                                    zh, pairs)
+                                    zh, xs, ys)
         rep = check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
-                                      zh, pairs, psi_variant="zhang")
+                                      zh, xs, ys, psi_variant="zhang")
         assert rep.verdict is Verdict.PASS
         with pytest.raises(ConfigurationError, match="unknown psi variant"):
             check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
-                                    zh, pairs, psi_variant="loose")
+                                    zh, xs, ys, psi_variant="loose")
 
     def test_empty_sample(self):
         psi = expression_gauge("t / 2.0", profile=PSI_PROFILE_STANDARD)
         with pytest.raises(InputError, match="at least one sampled pair"):
             check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
-                                    psi, [])
+                                    psi, np.empty((0, 1)), np.empty((0, 1)))
+
+    @pytest.mark.parametrize("xs, ys, match", [
+        (np.zeros((2, 2)), np.zeros((2, 2)), r"two \(n, 1\) arrays"),
+        (np.zeros(2), np.zeros(2), r"two \(n, 1\) arrays"),
+        (np.zeros((2, 1)), np.zeros((3, 1)), r"two \(n, 1\) arrays"),
+        (np.array([[0.0], [np.nan]]), np.zeros((2, 1)), "must be finite"),
+        (np.zeros((2, 1)), np.array([[np.inf], [0.0]]), "must be finite"),
+    ])
+    def test_malformed_sample_is_refused(self, xs, ys, match):
+        psi = expression_gauge("t / 2.0", profile=PSI_PROFILE_STANDARD)
+        with pytest.raises(InputError, match=match):
+            check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"), psi, xs, ys)
 
 
 class TestCyclicChecker:
@@ -395,3 +405,26 @@ class TestSearchBudget:
         value = bad if field == "slack" else (bad,)
         with pytest.raises(InputError, match=f"{field} must be finite"):
             SearchBudget(**{field: value})
+
+    @pytest.mark.parametrize("field", ["nu_horizon", "index_horizon", "pair_samples"])
+    @pytest.mark.parametrize("bad", [2.5, 8.0, True, "8", None])
+    def test_integer_fields_must_be_int(self, field, bad):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            SearchBudget(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["eps_grid", "delta_candidates"])
+    @pytest.mark.parametrize("bad", [("x",), (True,), (0.5, None), "0.5", 0.5, None])
+    def test_level_grids_must_be_real_sequences(self, field, bad):
+        with pytest.raises(InputError, match=f"{field} must be a list of real numbers"):
+            SearchBudget(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [True, "1e-9", None, (1e-9,)])
+    def test_slack_must_be_real(self, bad):
+        with pytest.raises(InputError, match="slack must be a real number"):
+            SearchBudget(slack=bad)
+
+    def test_integers_and_numpy_reals_are_accepted(self):
+        b = SearchBudget(eps_grid=[np.float64(0.5), 1], delta_candidates=(1, 0.5),
+                         nu_horizon=4, slack=1)
+        assert b.eps_grid == (0.5, 1.0) and b.delta_candidates == (1.0, 0.5)
+        assert type(b.eps_grid[1]) is float

@@ -8,6 +8,7 @@ for exact equality: the reports are pinned byte for byte, so one ulp counts.
 
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import struct
@@ -22,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 import fplab
 from fplab.certificates import _orbit_block, check_banach_rate, check_f_psi_contraction, \
     compute_M
-from fplab.errors import InputError
+from fplab.errors import ConfigurationError, InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import builtin_gauge, expression_gauge
 from fplab.maps import _BUILTINS as MAP_BUILTINS, builtin_map, expression_map
@@ -31,6 +32,7 @@ from fplab.spaces import (
     Box,
     CyclicSetting,
     DiskSet,
+    IntervalSet,
     Space,
     composed_premetric,
     custom_premetric,
@@ -40,8 +42,10 @@ from fplab.spaces import (
     premetric_diagonal,
     premetric_matrix,
     shifted_premetric,
+    verify_premetric_axioms,
 )
-from fplab.traces import ESCAPE_NORM, _extend_orbit, picard_trace
+from fplab.traces import ESCAPE_NORM, IterationTrace, _bit_period_start, _extend_orbit, \
+    cyclic_even_trace, picard_trace, sequence_trace
 
 # ---------------------------------------------------------------------------
 # References: the per-point loops the kernels replaced
@@ -555,12 +559,13 @@ FPSI_COORDS = st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 3.0, 12
 
 def _fpsi_both(t_name, s_name, p_name, f_name, psi_name, pairs):
     args = (_line_map(t_name), _line_map(s_name), FPSI_PREMETRICS[p_name],
-            FPSI_GAUGES[f_name], FPSI_GAUGES[psi_name],
-            [(LINE.point(a), LINE.point(b)) for a, b in pairs])
+            FPSI_GAUGES[f_name], FPSI_GAUGES[psi_name])
+    xs, ys = np.array(pairs).reshape(len(pairs), 2, 1).transpose(1, 0, 2)
     # the profile checks run before the pair loop and are not under test here
     with mock.patch("fplab.certificates.require_profile"):
-        got = _outcome(check_f_psi_contraction, *args)
-    return got, _outcome(fpsi_reference, *args)
+        got = _outcome(check_f_psi_contraction, *args, xs, ys)
+    want = _outcome(fpsi_reference, *args, [(LINE.point(a), LINE.point(b)) for a, b in pairs])
+    return got, want
 
 
 class TestFPsiContraction:
@@ -625,6 +630,270 @@ class TestFPsiContraction:
                        0.5 * (eval_premetric(p, tx, y) + eval_premetric(p, sy, x)))
             got = compute_M(m, m, p, x, y)
             assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# ---------------------------------------------------------------------------
+# CSV: the bit-period writer against the per-row comprehension it replaced
+
+
+def to_csv_reference(trace) -> str:
+    """One f-string per row, every coordinate and gap through repr."""
+    cols = ",".join(f"x{i}" for i in range(trace.coords.shape[1]))
+    gaps = [repr(g) for g in trace.gaps.tolist()] + [""]
+    rows = [
+        f"{i},{','.join(map(repr, row))},{gap}\n"
+        for i, (row, gap) in enumerate(zip(trace.coords.tolist(), gaps))
+    ]
+    return f"n,{cols},p_gap\n" + "".join(rows)
+
+
+SPACE3 = Space(id="space3", dimension=3)
+INTERVALS = CyclicSetting.derive(LINE, IntervalSet(LINE, 0.0, 10.0), IntervalSet(LINE, -10.0, 0.0))
+
+
+def _orbit_trace(space, maps, start, length: int) -> IterationTrace:
+    coords, status = _extend_orbit(tuple(m.fn for m in maps), np.asarray(start, float), length)
+    p = metric_premetric(space)
+    return IterationTrace(coords=coords, generator="orbit", premetric=p,
+                          gaps=premetric_diagonal(p, coords[:-1], coords[1:]), status=status,
+                          space_id=space.id)
+
+
+def _csv_pinned(trace) -> None:
+    assert trace.to_csv() == to_csv_reference(trace)
+    if len(trace) >= 3:
+        shifted = trace.companion_shift()
+        assert shifted.to_csv() == to_csv_reference(shifted)
+
+
+class TestToCsv:
+    @given(key=st.sampled_from(sorted(LINE_SCHEDULES)),
+           start=st.one_of(st.sampled_from(LINE_STARTS),
+                           st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)),
+           length=st.integers(1, 60))
+    def test_line_orbits_equal_the_row_loop(self, key, start, length):
+        space, maps = _schedule(key)
+        _csv_pinned(_orbit_trace(space, maps, (start,), length))
+
+    @given(key=st.sampled_from(sorted(PLANE_SCHEDULES)),
+           start=st.tuples(st.sampled_from((0.0, -0.0, 1.0, -2.0)),
+                           st.sampled_from((0.0, -0.0, 0.5, 3.0))),
+           length=st.integers(1, 24))
+    def test_plane_orbits_equal_the_row_loop(self, key, start, length):
+        space, maps = _schedule(key)
+        _csv_pinned(_orbit_trace(space, maps, start, length))
+
+    @given(name=st.sampled_from(sorted(SCALAR_MAPS) + list(EXPRESSIONS)),
+           start=st.tuples(coord, coord, coord), length=st.integers(1, 40))
+    def test_3d_orbits_equal_the_row_loop(self, name, start, length):
+        m = builtin_map(name, SPACE3) if name in SCALAR_MAPS else expression_map(SPACE3, name)
+        _csv_pinned(_orbit_trace(SPACE3, [m], start, length))
+
+    @pytest.mark.parametrize("key, start", [
+        ("half", (0.0,)), ("half", (-0.0,)), ("half", (3.0,)), ("neg", (3.0,)),
+        ("neg", (-0.0,)), ("flip", (0.5,)), ("flip", (0.3,)), ("quarter-fifth", (1.0,)),
+        ("cyclic_reflect", (5.0,)), ("half-then-shift", (0.0,)), ("swap-halve", (0.0, -0.0)),
+        ("swap-halve", (-0.0, 0.0)),
+    ])
+    def test_lengths_around_the_tail(self, key, start):
+        """Traces that end before, on and just after the first row of their
+        periodic tail, and well past it."""
+        space, maps = _schedule(key)
+        probe = _orbit_trace(space, maps, start, 1500)
+        k = _bit_period_start(probe.coords, probe.gaps)
+        assert k < len(probe) - 1, "no periodic tail"
+        for length in [*range(1, 4), *range(max(1, k - 2), k + 5), 1500]:
+            _csv_pinned(_orbit_trace(space, maps, start, length))
+
+    def test_sequences_and_cyclic_evens(self):
+        for length in (2, 3, 4, 50):
+            _csv_pinned(sequence_trace("harmonic", LINE, length))
+        reflect = builtin_map("cyclic_reflect", LINE)
+        for pairs in (1, 2, 3, 40):
+            _csv_pinned(cyclic_even_trace(reflect, INTERVALS, LINE.point(5.0), pairs))
+
+    @pytest.mark.parametrize("coords, gaps", [
+        # coordinates repeat with period 2 but the gaps never do
+        ([[1.0], [2.0], [1.0], [2.0], [1.0], [2.0]], [0.1, 0.2, 0.3, 0.4, 0.5]),
+        # the gaps repeat but the coordinates do not
+        ([[1.0], [2.0], [3.0], [4.0], [5.0]], [1.0, 1.0, 1.0, 1.0]),
+        # equal under == two rows apart, never bit-identical
+        ([[0.0], [1.0], [-0.0], [1.0], [0.0], [1.0], [-0.0]], [1.0] * 6),
+        # bit-periodic from row 2, with signed zeros
+        ([[5.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0]], [5.0, 0.0, -0.0, 0.0, -0.0]),
+        # the gap changes on the last gap row only
+        ([[1.0, -0.0]] * 6, [0.0, 0.0, 0.0, 0.0, 2.0]),
+        ([[7.0]], []),
+        (np.empty((0, 2)), []),
+    ])
+    def test_directly_built_traces(self, coords, gaps):
+        tr = IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(LINE),
+                            gaps=gaps, status="completed", space_id="line")
+        assert tr.to_csv() == to_csv_reference(tr)
+
+
+# ---------------------------------------------------------------------------
+# Axioms: the batched block against the per-triple loop it replaced
+
+
+def axioms_reference(p, sample, eta=1e-9):
+    """verify_premetric_axioms one triple and one ordered pair at a time."""
+    if not sample:
+        raise InputError("axiom verification needs a non-empty triple sample")
+    note = f"checked {len(sample)} sampled triples with slack eta={eta}"
+    reports = []
+
+    def gap(a, b):
+        return eval_premetric(p, a, b)
+
+    if "symmetric" in p.claims:
+        bad = []
+        for x, y, z in sample:
+            for a, b in ((x, y), (y, z), (x, z)):
+                diff = abs(gap(a, b) - gap(b, a))
+                if diff > eta:
+                    bad.append(witness(x=a.coords, y=b.coords, asymmetry=diff))
+        reports.append(CertificateReport("AX-SYM", Verdict.FAIL if bad else Verdict.PASS,
+                                         bad[:8], resolution_note=note))
+
+    def triangle_report(cid):
+        bad = []
+        for x, y, z in sample:
+            for a, b, c in itertools.permutations((x, y, z)):
+                lhs = gap(a, c)
+                rhs = gap(a, b) + gap(b, c)
+                if lhs > rhs + eta:
+                    bad.append(witness(x=a.coords, via=b.coords, y=c.coords, lhs=lhs, rhs=rhs,
+                                       violation=lhs - rhs))
+        return CertificateReport(cid, Verdict.FAIL if bad else Verdict.PASS, bad[:8],
+                                 resolution_note=note)
+
+    if "triangle" in p.claims:
+        reports.append(triangle_report("AX-TRI"))
+    if "tau_distance" in p.claims:
+        rep = triangle_report("AX-TAU")
+        rep.resolution_note = (
+            note + "; only the triangle facet is sampled here, the sup-tail "
+            "criterion facet is exercised by the Cauchy diagnostic"
+        )
+        reports.append(rep)
+    if "mixed_triangle" in p.claims:
+        r = p.companion
+        if r is None:
+            raise ConfigurationError("mixed_triangle claimed but no companion premetric given")
+        bad_r, bad_l = [], []
+        for x, y, z in sample:
+            for a, c, b in itertools.permutations((x, y, z)):
+                lhs = gap(a, c)
+                right = gap(a, b) + eval_premetric(r, b, c)
+                left = eval_premetric(r, a, b) + gap(b, c)
+                if lhs > right + eta:
+                    bad_r.append(witness(x=a.coords, via=b.coords, y=c.coords,
+                                         lhs=lhs, rhs=right, violation=lhs - right))
+                if lhs > left + eta:
+                    bad_l.append(witness(x=a.coords, via=b.coords, y=c.coords,
+                                         lhs=lhs, rhs=left, violation=lhs - left))
+        reports.append(CertificateReport("AX-MIX-R", Verdict.FAIL if bad_r else Verdict.PASS,
+                                         bad_r[:8], resolution_note=note))
+        reports.append(CertificateReport("AX-MIX-L", Verdict.FAIL if bad_l else Verdict.PASS,
+                                         bad_l[:8], resolution_note=note))
+    return reports
+
+
+def _axiom_outcome(check, p, triples, eta):
+    """Report JSON text, or the class and message of the error raised."""
+    try:
+        return json.dumps([r.to_json() for r in check(p, triples, eta=eta)])
+    except (InputError, ConfigurationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _plane_expression(source):
+    return compile_expression(source, ("x", "y"))
+
+
+SQUARED = "(x[0] - y[0]) * (x[0] - y[0]) + (x[1] - y[1]) * (x[1] - y[1])"
+AXIOM_PREMETRICS = {
+    "metric": metric_premetric(PLANE),
+    "shifted_cyclic": shifted_premetric(SETTING),
+    "composed": composed_premetric(builtin_gauge("mk"), metric_premetric(PLANE),
+                                   claims=frozenset({"triangle", "tau_distance"})),
+    # any distance above 5 leaves the gauge's working range
+    "composed-short": composed_premetric(builtin_gauge("half", t_max=5.0),
+                                         metric_premetric(PLANE),
+                                         claims=frozenset({"triangle"})),
+    # the squared distance breaks the triangle inequality on most triples
+    "squared": custom_premetric(PLANE, _plane_expression(SQUARED),
+                                claims=frozenset({"symmetric", "triangle", "tau_distance",
+                                                  "mixed_triangle"}),
+                                companion=metric_premetric(PLANE)),
+    "asymmetric": custom_premetric(PLANE, _plane_expression(
+        "abs(x[0] - y[0]) + max(x[1] - y[1], 0)"), claims=frozenset({"symmetric", "triangle"})),
+    # nonnegative itself, but its companion goes negative
+    "negative-companion": custom_premetric(
+        PLANE, _plane_expression("abs(x[0] - y[0])"),
+        claims=frozenset({"symmetric", "mixed_triangle"}),
+        companion=custom_premetric(PLANE, _plane_expression("x[0] - y[0] + 3"))),
+    "no-companion": custom_premetric(PLANE, _plane_expression("abs(x[0] - y[0])"),
+                                     claims=frozenset({"mixed_triangle"})),
+}
+ETAS = (1e-9, 1e-3, 0.5, 4.0)
+AXIOM_COORDS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5, 20.0, -20.0)), small)
+
+
+def _triples(rows):
+    return [tuple(PLANE.point(*xy) for xy in triple) for triple in rows]
+
+
+class TestAxiomVerification:
+    @given(name=st.sampled_from(sorted(AXIOM_PREMETRICS)), eta=st.sampled_from(ETAS),
+           rows=st.lists(st.tuples(*[st.tuples(AXIOM_COORDS, AXIOM_COORDS)] * 3),
+                         min_size=1, max_size=12))
+    def test_reports_equal_the_triple_loop(self, name, eta, rows):
+        p, triples = AXIOM_PREMETRICS[name], _triples(rows)
+        assert _axiom_outcome(verify_premetric_axioms, p, triples, eta) == \
+            _axiom_outcome(axioms_reference, p, triples, eta)
+
+    # (premetric, triples, the start of the outcome)
+    CASES = {
+        "more-than-8": ("squared", [((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                                    ((0.0, 0.0), (0.0, 3.0), (0.0, 5.0)),
+                                    ((1.0, 1.0), (2.0, 2.0), (4.0, 4.0)),
+                                    ((-1.0, 0.0), (0.5, 0.5), (3.0, -1.0)),
+                                    ((0.0, 2.0), (1.0, 2.0), (5.0, 2.0)),
+                                    ((2.0, 0.0), (0.0, 2.0), (1.0, 1.0))], "["),
+        "asymmetric": ("asymmetric", [((0.0, 0.0), (0.0, 1.0), (0.0, 2.0))] * 5, "["),
+        "out-of-range": ("composed-short", [((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                                            ((0.0, 0.0), (0.0, 4.0), (0.0, 9.0))],
+                         "InputError: gauge 'half' evaluated at t=9.0"),
+        "companion-negative": ("negative-companion",
+                               [((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                                ((0.0, 0.0), (9.0, 0.0), (2.0, 0.0))],
+                               "InputError: premetric custom(x[0] - y[0] + 3)"),
+        "no-companion": ("no-companion", [((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))],
+                         "ConfigurationError: mixed_triangle claimed"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case):
+        name, rows, start = self.CASES[case]
+        p, triples = AXIOM_PREMETRICS[name], _triples(rows)
+        got = _axiom_outcome(verify_premetric_axioms, p, triples, 1e-9)
+        assert got == _axiom_outcome(axioms_reference, p, triples, 1e-9)
+        assert got.startswith(start)
+        if case == "more-than-8":
+            reports = json.loads(got)
+            assert [len(r["witnesses"]) for r in reports] == [0, 8, 8, 8, 8]
+        if case == "asymmetric":
+            assert len(json.loads(got)[0]["witnesses"]) == 8
+
+    def test_a_point_off_the_space_is_refused_like_the_loop(self):
+        p = metric_premetric(PLANE)
+        triples = _triples([((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))]) + \
+            [(PLANE.point(0.0, 0.0), LINE.point(1.0), PLANE.point(2.0, 0.0))]
+        got = _axiom_outcome(verify_premetric_axioms, p, triples, 1e-9)
+        assert got == _axiom_outcome(axioms_reference, p, triples, 1e-9)
+        assert got.startswith("InputError: point (1.0,) tagged 'line'")
 
 
 # ---------------------------------------------------------------------------

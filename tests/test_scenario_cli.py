@@ -351,6 +351,24 @@ class TestCliRun:
         assert f"error: budget: {next(iter(budget))} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget, message", [
+        ({"nu_horizon": 2.5}, "nu_horizon must be an integer"),
+        ({"pair_samples": 2.5}, "pair_samples must be an integer"),
+        ({"index_horizon": True}, "index_horizon must be an integer"),
+        ({"eps_grid": ["x"]}, "eps_grid must be a list of real numbers"),
+        ({"delta_candidates": [True]}, "delta_candidates must be a list of real numbers"),
+        ({"slack": "1e-9"}, "slack must be a real number"),
+    ])
+    def test_mistyped_budget_exits_one(self, tmp_path, capsys, budget, message):
+        # these used to end in a raw TypeError or ValueError, or (a bool
+        # horizon) to run as if 1 had been written
+        doc = dict(SMOKE, budget=dict(SMOKE["budget"], **budget))
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert f"error: budget: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_budget_scale(self, tmp_path, capsys):
         path = write_doc(tmp_path, SMOKE)
         code = main(["run", path, "--out", str(tmp_path / "out"),
@@ -413,6 +431,17 @@ class TestCliValidate:
         path = write_doc(tmp_path, doc)
         assert main(["validate", path]) == 0
         assert "budget: eps_grid must be finite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget, message", [
+        ({"nu_horizon": 2.5}, "nu_horizon must be an integer"),
+        ({"index_horizon": True}, "index_horizon must be an integer"),
+        ({"eps_grid": ["x"]}, "eps_grid must be a list of real numbers"),
+    ])
+    def test_mistyped_budget_is_a_diagnostic(self, tmp_path, capsys, budget, message):
+        doc = dict(base_doc(), budget=budget)
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", path]) == 0
+        assert f"budget: {message}" in capsys.readouterr().out
 
     def test_unreadable_file_still_exits_zero(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.yaml")]) == 0

@@ -92,8 +92,13 @@ class TestRegionsAndSets:
         box = default_region(LINE)
         pts = sample_points(LINE, box, 5, rng)
         assert len(pts) == 5 and all(p.space_id == "line" for p in pts)
-        pairs = sample_pairs(LINE, box, 4, rng)
-        assert len(pairs) == 4
+        xs, ys = sample_pairs(LINE, box, 4, np.random.default_rng(3))
+        ref = np.random.default_rng(3)
+        assert xs.shape == ys.shape == (4, 1)
+        assert xs.tobytes() == box.sample_coords(ref, 4).tobytes()
+        assert ys.tobytes() == box.sample_coords(ref, 4).tobytes()
+        with pytest.raises(InputError, match="1-dimensional"):
+            sample_pairs(PLANE, box, 4, rng)
 
 
 class TestCyclicSetting:
