@@ -33,6 +33,11 @@ PSI_PROFILE_STANDARD = frozenset(
     {"nondecreasing", "upper_semicontinuous", "strictly_below_identity", "zero_at_zero"}
 )
 PSI_PROFILE_ZHANG = frozenset({"nondecreasing", "right_upper_semicontinuous"})
+_PSI_PROFILES = {"standard": PSI_PROFILE_STANDARD, "zhang": PSI_PROFILE_ZHANG}
+#: The psi regularity variants check_f_psi_contraction accepts.
+PSI_VARIANTS = tuple(_PSI_PROFILES)
+#: The gauge-family domination variants check_asmk accepts.
+ASMK_VARIANTS = ("asmk1", "asmk2")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +450,7 @@ def check_asmk(
             F(0) <= 0 while the family does not declare members fixing zero.
     """
     budget = budget or SearchBudget()
-    if variant not in ("asmk1", "asmk2"):
+    if variant not in ASMK_VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}; use asmk1 or asmk2")
     require_profile(f_gauge, F_PROFILE, eta=budget.slack)
     f_zero = f_gauge(0.0)
@@ -807,12 +812,9 @@ def check_f_psi_contraction(
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape[:1] == (0,) or ys.shape[:1] == (0,):
         raise InputError("need at least one sampled pair")
-    if psi_variant == "standard":
-        psi_profile = PSI_PROFILE_STANDARD
-    elif psi_variant == "zhang":
-        psi_profile = PSI_PROFILE_ZHANG
-    else:
+    if psi_variant not in PSI_VARIANTS:
         raise ConfigurationError(f"unknown psi variant {psi_variant!r}")
+    psi_profile = _PSI_PROFILES[psi_variant]
     require_profile(f_gauge, F_PROFILE, eta=eta)
     require_profile(psi, psi_profile, eta=eta)
     space = p.space

@@ -120,12 +120,7 @@ def _cmd_validate(args) -> int:
     except FplabError as exc:
         print(str(exc))
         return 0
-    diags = validate_scenario(doc)
-    if not diags:
-        print("ok")
-    else:
-        for diag in diags:
-            print(diag)
+    print("\n".join(validate_scenario(doc)) or "ok")
     return 0
 
 

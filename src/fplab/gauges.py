@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, witness, worst_verdict
+from .reports import CertificateReport, Verdict, _as_float, _is_real, witness, worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -51,8 +51,8 @@ class Gauge:
         unknown = set(self.profile) - PROFILE_NAMES
         if unknown:
             raise ConfigurationError(f"unknown gauge profile entries {sorted(unknown)}")
-        if self.t_max <= 0:
-            raise ConfigurationError("gauge t_max must be positive")
+        if not (_is_real(self.t_max) and 0 < _as_float(self.t_max) < math.inf):
+            raise ConfigurationError("gauge t_max must be positive and finite")
         object.__setattr__(self, "profile", frozenset(self.profile))
 
     def _check_range(self, t: float) -> None:

@@ -41,13 +41,21 @@ def _is_real(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_float(value: Any) -> float:
+    """float(value), or NaN for an int too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
 def _real_tuple(name: str, values: Any) -> tuple[float, ...]:
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         raise InputError(f"{name} must be a list of real numbers, got {values!r}")
     values = tuple(values)
     if not all(map(_is_real, values)):
         raise InputError(f"{name} must be a list of real numbers, got {list(values)!r}")
-    return tuple(map(float, values))
+    return tuple(map(_as_float, values))
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class SearchBudget:
         # gives vacuous bands and non-JSON reports
         for name, values in (("eps_grid", self.eps_grid),
                              ("delta_candidates", self.delta_candidates),
-                             ("slack", (self.slack,))):
+                             ("slack", (_as_float(self.slack),))):
             if not all(map(math.isfinite, values)):
                 raise InputError(f"{name} must be finite")
         if not self.eps_grid or any(e <= 0 for e in self.eps_grid):

@@ -70,45 +70,20 @@ def _default_steps(scn: Scenario) -> int:
     return scn.budget.index_horizon + scn.budget.nu_horizon + 32
 
 
-def _default_source(scn: Scenario) -> str:
-    return "sequence" if (scn.sequence and scn.map_t is None) else "picard"
-
-
-def _point_param(scn: Scenario, params: dict, key: str):
-    coords = params.get(key, [1.0] * scn.space.dimension)
-    if not isinstance(coords, (list, tuple)) or len(coords) != scn.space.dimension:
-        raise ConfigurationError(
-            f"{key}: expected {scn.space.dimension} coordinate(s), got {coords!r}")
-    return scn.space.point(*(float(c) for c in coords))
-
-
 def _trace_for(scn: Scenario, source: str, cache: dict[str, IterationTrace]) -> IterationTrace:
+    """The trace of one of scenario.TRACE_SOURCES, built once per run; the walk
+    has checked that the maps or sequence it needs are there."""
     if source in cache:
         return cache[source]
+    params = scn.run_params("alternate" if source == "alternating" else "iterate")
+    steps = params["steps"] or _default_steps(scn)
     if source == "picard":
-        if scn.map_t is None:
-            raise ConfigurationError("maps.T: a picard trace needs a map T")
-        params = scn.run_params("iterate")
-        steps = int(params.get("steps", _default_steps(scn)))
-        tr = picard_trace(scn.map_t, _point_param(scn, params, "x0"), steps,
-                          premetric=scn.premetric)
+        tr = picard_trace(scn.map_t, params["x0"], steps, premetric=scn.premetric)
     elif source == "sequence":
-        if scn.sequence is None:
-            raise ConfigurationError("sequence: a sequence trace needs a named sequence")
-        params = scn.run_params("iterate")
-        steps = int(params.get("steps", _default_steps(scn)))
-        tr = sequence_trace(scn.sequence, scn.space, steps + 1,
-                            premetric=scn.premetric)
-    elif source == "alternating":
-        if scn.map_t is None or scn.map_s is None:
-            raise ConfigurationError("maps.S: an alternating trace needs both maps")
-        params = scn.run_params("alternate")
-        steps = int(params.get("steps", _default_steps(scn)))
-        schedule = AlternatingSchedule(scn.map_t, scn.map_s)
-        tr = alternating_trace(schedule, _point_param(scn, params, "seed"), steps,
-                               premetric=scn.premetric)
+        tr = sequence_trace(scn.sequence, scn.space, steps + 1, premetric=scn.premetric)
     else:
-        raise ConfigurationError(f"unknown trace source {source!r}")
+        schedule = AlternatingSchedule(scn.map_t, scn.map_s)
+        tr = alternating_trace(schedule, params["seed"], steps, premetric=scn.premetric)
     cache[source] = tr
     return tr
 
@@ -155,17 +130,12 @@ class _Sink:
 
 def _run_iterate(scn: Scenario, cache: dict, sink: _Sink) -> None:
     params = scn.run_params("iterate")
-    source = _default_source(scn)
+    source = "sequence" if scn.map_t is None else "picard"
     tr = _trace_for(scn, source, cache)
     payload: dict = {"source": source, "points": len(tr), "status": tr.status}
     if scn.map_t is not None:
-        res = solve_fixed_point(
-            scn.map_t,
-            _point_param(scn, params, "x0"),
-            tol=float(params.get("tol", 1e-9)),
-            max_steps=int(params.get("max_steps", 10_000)),
-            premetric=scn.premetric,
-        )
+        res = solve_fixed_point(scn.map_t, params["x0"], tol=params["tol"],
+                                max_steps=params["max_steps"], premetric=scn.premetric)
         sink.value("iterate.solve", "converged" if res.converged else "not_converged")
         sink.write_json("solve_fixed_point.json", res.to_json_obj())
         payload["solve"] = res.to_json_obj()
@@ -174,12 +144,10 @@ def _run_iterate(scn: Scenario, cache: dict, sink: _Sink) -> None:
 
 def _run_certify(scn: Scenario, cache: dict, sink: _Sink) -> None:
     params = scn.run_params("certify")
-    source = params.get("source", _default_source(scn))
-    route = params.get("route", "tau")
-    tol = float(params.get("tol", 1e-6))
+    source, route = params["source"], params["route"]
     tr = _trace_for(scn, source, cache)
 
-    cert = certify_cauchy(tr, route, scn.budget, tol)
+    cert = certify_cauchy(tr, route, scn.budget, params["tol"])
     for rep in cert.hypotheses:
         sink.verdict("certify", rep)
     sink.verdict("certify", cert.diagnostic)
@@ -215,34 +183,27 @@ def _run_certify(scn: Scenario, cache: dict, sink: _Sink) -> None:
 
 def _run_cyclic(scn: Scenario, cache: dict, sink: _Sink) -> None:
     params = scn.run_params("cyclic")
-    if "x0" not in params:
-        raise ConfigurationError("cyclic.x0: starting point required")
-    x0 = _point_param(scn, params, "x0")
-    setting = scn.setting
+    x0, setting = params["x0"], scn.setting
 
-    membership = check_cyclic(scn.map_t, setting,
-                              sample_count=int(params.get("samples", 64)),
+    membership = check_cyclic(scn.map_t, setting, sample_count=params["samples"],
                               seed=scn.seed)
     sink.verdict("cyclic", membership)
 
     tr = cyclic_even_trace(
-        scn.map_t, setting, x0, int(params.get("pairs", 40)),
+        scn.map_t, setting, x0, params["pairs"],
         premetric=scn.premetric if scn.premetric.kind == "shifted_cyclic" else None,
     )
     cache["cyclic_even"] = tr
 
-    res = solve_best_proximity(scn.map_t, setting, x0,
-                               tol=float(params.get("tol", 1e-8)),
-                               max_pairs=int(params.get("max_pairs", 10_000)))
+    res = solve_best_proximity(scn.map_t, setting, x0, tol=params["tol"],
+                               max_pairs=params["max_pairs"])
     sink.value("cyclic.solve", "converged" if res.converged else "not_converged")
     sink.write_json("solve_best_proximity.json", res.to_json_obj())
 
-    collapse = even_collapse_diagnostic(tr, setting,
-                                        tol=float(params.get("collapse_tol", 1e-6)))
+    collapse = even_collapse_diagnostic(tr, setting, tol=params["collapse_tol"])
     sink.verdict("cyclic", collapse)
 
-    cert = certify_cauchy(tr, "mixed", scn.budget,
-                          float(params.get("cert_tol", 1e-6)))
+    cert = certify_cauchy(tr, "mixed", scn.budget, params["cert_tol"])
     for rep in cert.hypotheses:
         sink.verdict("cyclic", rep)
     sink.verdict("cyclic", cert.diagnostic)
@@ -261,23 +222,18 @@ def _run_alternate(scn: Scenario, cache: dict, sink: _Sink) -> None:
     schedule = AlternatingSchedule(scn.map_t, scn.map_s)
     tr = _trace_for(scn, "alternating", cache)
 
-    res = solve_common_fixed_point(
-        schedule,
-        _point_param(scn, params, "seed"),
-        tol=float(params.get("tol", 1e-9)),
-        max_steps=int(params.get("max_steps", 10_000)),
-        premetric=scn.premetric,
-    )
+    res = solve_common_fixed_point(schedule, params["seed"], tol=params["tol"],
+                                   max_steps=params["max_steps"], premetric=scn.premetric)
     sink.value("alternate.solve", "converged" if res.converged else "not_converged")
     sink.write_json("solve_common_fixed_point.json", res.to_json_obj())
     payload: dict = {"solve": res.to_json_obj()}
 
     if scn.f_gauge is not None and scn.psi is not None:
         rng = np.random.default_rng(scn.seed)
-        xs, ys = sample_pairs(scn.space, scn.region, int(params.get("fpsi_pairs", 200)), rng)
+        xs, ys = sample_pairs(scn.space, scn.region, params["fpsi_pairs"], rng)
         fpsi = check_f_psi_contraction(
             scn.map_t, scn.map_s, scn.premetric, scn.f_gauge, scn.psi, xs, ys,
-            psi_variant=params.get("psi_variant", "standard"),
+            psi_variant=params["psi_variant"],
         )
         sink.verdict("alternate", fpsi)
         payload["fpsi"] = fpsi.to_json()
@@ -289,17 +245,11 @@ def _run_alternate(scn: Scenario, cache: dict, sink: _Sink) -> None:
 
 def _run_falsify(scn: Scenario, cache: dict, sink: _Sink) -> None:
     params = scn.run_params("falsify")
-    source = params.get("source", scn.run_params("certify").get(
-        "source", _default_source(scn)))
-    tr = _trace_for(scn, source, cache)
-    scan = extract_noncauchy_witness(
-        tr,
-        eps=float(params.get("eps", 0.5)),
-        gap_tol=float(params.get("gap_tol", 1e-2)),
-    )
+    tr = _trace_for(scn, params["source"], cache)
+    scan = extract_noncauchy_witness(tr, eps=params["eps"], gap_tol=params["gap_tol"])
     sink.value("falsify.scan", scan.status)
     sink.write_json("witness_scan.json", scan.to_json_obj())
-    sink.runs["falsify"] = {"source": source, "scan": scan.to_json_obj()}
+    sink.runs["falsify"] = {"source": params["source"], "scan": scan.to_json_obj()}
 
 
 _RUNNERS = {

@@ -1,23 +1,27 @@
-"""Declarative scenario documents: schema validation and ingredient builders.
+"""Declarative scenario documents, checked and built by one schema walk.
 
-A scenario is one YAML (or JSON) document describing a space, maps, a gap
-measure, optional gauges and cyclic sets, a search budget, per-run parameter
-sections, and the ordered run list.  validate_scenario reports every problem
-it can find without executing anything; build_scenario turns a clean document
-into live objects.
+A scenario is one YAML (or JSON) document: a space, maps, a gap measure,
+optional gauges and cyclic sets, a search budget, per-run parameter sections
+(declared in RUN_PARAMS) and the ordered run list.  The walk reads each field
+once to type-check, default, convert and build it, noting every problem.
+validate_scenario returns those diagnostics and build_scenario raises the
+first, so a document validates clean exactly when it builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .errors import ConfigurationError, InputError
-from .gauges import Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, builtin_gauge, \
-    expression_gauge, explicit_family, iterated_family
+from .certificates import ASMK_VARIANTS, PSI_VARIANTS
+from .errors import ConfigurationError, FplabError
+from .gauges import DEFAULT_T_MAX, Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, \
+    builtin_gauge, expression_gauge, explicit_family, iterated_family
 from .maps import NamedMap, _BUILTINS as _MAP_BUILTINS, builtin_map, expression_map
-from .reports import SearchBudget
+from .reports import SearchBudget, _as_float, _is_real
+from .solvers import CAUCHY_ROUTES
 from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, \
     IntervalSet, Premetric, Space, composed_premetric, default_region, metric_premetric, \
     shifted_premetric
@@ -26,8 +30,35 @@ from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting,
 RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")
 #: Custom premetrics are expressions built through the API, not documents.
 PREMETRIC_KINDS = tuple(k for k in _ALL_PREMETRIC_KINDS if k != "custom")
-CERTIFY_SOURCES = ("picard", "alternating", "sequence")
+#: The traces a certify or falsify run can read.
+TRACE_SOURCES = ("picard", "alternating", "sequence")
 SEQUENCE_NAMES = ("harmonic",)
+#: Bounds what the walk allocates for default regions and start points.
+MAX_DIMENSION = 10_000
+
+#: run -> parameter -> (kind, default).  Kinds: "count" a positive int, "real"
+#: a finite real stored as a float, "point" space.dimension finite reals stored
+#: as a Point, or a tuple of choices; bool is never a number.  A None default
+#: means: a point of all ones, steps from the runner's (scaled) budget, and a
+#: source that is the document's default trace, which falsify takes from certify.
+RUN_PARAMS: dict[str, dict[str, tuple]] = {
+    "iterate": {"x0": ("point", None), "steps": ("count", None), "tol": ("real", 1e-9),
+                "max_steps": ("count", 10_000)},
+    "certify": {"source": (TRACE_SOURCES, None), "route": (CAUCHY_ROUTES, "tau"),
+                "tol": ("real", 1e-6)},
+    "cyclic": {"x0": ("point", None), "samples": ("count", 64), "pairs": ("count", 40),
+               "tol": ("real", 1e-8), "max_pairs": ("count", 10_000),
+               "collapse_tol": ("real", 1e-6), "cert_tol": ("real", 1e-6)},
+    "alternate": {"seed": ("point", None), "steps": ("count", None), "tol": ("real", 1e-9),
+                  "max_steps": ("count", 10_000), "fpsi_pairs": ("count", 200),
+                  "psi_variant": (PSI_VARIANTS, "standard")},
+    "falsify": {"source": (TRACE_SOURCES, None), "eps": ("real", 0.5),
+                "gap_tol": ("real", 1e-2)},
+}
+
+_TOP_LEVEL = frozenset({"name", "seed", "space", "region", "maps", "sequence", "premetric",
+                        "gauges", "cyclic_setting", "budget", "run", *RUN_NAMES})
+_BUDGET_FIELDS = frozenset(f.name for f in fields(SearchBudget))
 
 
 def load_scenario_file(path: str) -> dict:
@@ -44,229 +75,6 @@ def load_scenario_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario document must be a mapping at the top level")
     return doc
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_gauge_spec(spec, where: str, diags: list[str]) -> None:
-    if isinstance(spec, str):
-        return  # builtin name or expression source; builders disambiguate
-    if isinstance(spec, dict):
-        if "expression" not in spec:
-            diags.append(f"{where}: gauge table needs an 'expression' field")
-        if "profile" in spec and not isinstance(spec["profile"], list):
-            diags.append(f"{where}.profile: must be a list of profile entry names")
-        return
-    diags.append(f"{where}: expected a gauge name, expression, or table")
-
-
-def _check_set_spec(spec, where: str, diags: list[str]) -> None:
-    if not isinstance(spec, dict):
-        diags.append(f"{where}: expected a table describing a set")
-        return
-    kind = spec.get("kind", "interval")
-    if kind == "interval":
-        if not ("lo" in spec and "hi" in spec):
-            diags.append(f"{where}: interval set needs 'lo' and 'hi'")
-    elif kind == "disk":
-        if not ("center" in spec and "radius" in spec):
-            diags.append(f"{where}: disk set needs 'center' and 'radius'")
-    else:
-        diags.append(f"{where}.kind: unknown set kind {kind!r}")
-
-
-def validate_scenario(doc: dict) -> list[str]:
-    """Schema check only; returns one diagnostic per missing or inconsistent
-    field, empty when the document is well formed."""
-    diags: list[str] = []
-    if not isinstance(doc, dict):
-        return ["scenario document must be a mapping"]
-    known = {
-        "name", "seed", "space", "region", "maps", "sequence", "premetric",
-        "gauges", "cyclic_setting", "budget", "run", *RUN_NAMES,
-    }
-    for key in doc:
-        if key not in known:
-            diags.append(f"{key}: unknown top-level field")
-
-    if not isinstance(doc.get("name"), str) or not doc.get("name"):
-        diags.append("name: required non-empty string")
-    if "seed" in doc and not isinstance(doc["seed"], int):
-        diags.append("seed: must be an integer")
-
-    space = doc.get("space")
-    if not isinstance(space, dict):
-        diags.append("space: required table with 'dimension'")
-    else:
-        dim = space.get("dimension")
-        if not isinstance(dim, int) or dim < 1:
-            diags.append("space.dimension: required positive integer")
-        norm = space.get("norm", "euclidean")
-        if norm != "euclidean" and not (_is_num(norm) and norm >= 1):
-            diags.append("space.norm: 'euclidean' or a number >= 1")
-
-    region = doc.get("region")
-    if region is not None:
-        if not (isinstance(region, dict) and isinstance(region.get("lows"), list)
-                and isinstance(region.get("highs"), list)):
-            diags.append("region: needs 'lows' and 'highs' lists")
-        elif isinstance(space, dict) and isinstance(space.get("dimension"), int):
-            if len(region["lows"]) != space["dimension"] or \
-                    len(region["highs"]) != space["dimension"]:
-                diags.append("region: lows/highs length must equal space.dimension")
-
-    maps = doc.get("maps", {})
-    if maps and not isinstance(maps, dict):
-        diags.append("maps: expected a table with 'T' and optional 'S'")
-        maps = {}
-    for key in maps:
-        if key not in ("T", "S"):
-            diags.append(f"maps.{key}: unknown map slot (use 'T' or 'S')")
-    dim = space.get("dimension") if isinstance(space, dict) else None
-    if isinstance(dim, int) and dim >= 1:
-        # compile expression maps now, so that a bad one (out-of-range x[i]
-        # included) is a diagnostic here and not an error mid-run
-        for slot in ("T", "S"):
-            spec = maps.get(slot)
-            if isinstance(spec, list) or (isinstance(spec, str) and spec not in _MAP_BUILTINS):
-                try:
-                    expression_map(Space(id="validate", dimension=dim), spec)
-                except ConfigurationError as exc:
-                    diags.append(f"maps.{slot}: {exc}")
-    seq = doc.get("sequence")
-    if seq is not None and seq not in SEQUENCE_NAMES:
-        diags.append(f"sequence: unknown named sequence {seq!r} (have {list(SEQUENCE_NAMES)})")
-
-    pm = doc.get("premetric", {"kind": "metric"})
-    if not isinstance(pm, dict):
-        diags.append("premetric: expected a table with 'kind'")
-        pm = {}
-    kind = pm.get("kind", "metric")
-    if kind not in PREMETRIC_KINDS:
-        diags.append(f"premetric.kind: unknown kind {kind!r} (have {list(PREMETRIC_KINDS)})")
-    if kind == "composed" and "G" not in pm:
-        diags.append("premetric.G: composed premetric needs the outer gauge G")
-    if "G" in pm:
-        _check_gauge_spec(pm["G"], "premetric.G", diags)
-    if kind == "shifted_cyclic" and "cyclic_setting" not in doc:
-        diags.append("cyclic_setting: required by premetric.kind shifted_cyclic")
-
-    gauges = doc.get("gauges", {})
-    if gauges and not isinstance(gauges, dict):
-        diags.append("gauges: expected a table")
-        gauges = {}
-    for slot in ("F", "psi"):
-        if slot in gauges:
-            _check_gauge_spec(gauges[slot], f"gauges.{slot}", diags)
-    fam = gauges.get("family")
-    if fam is not None:
-        if not isinstance(fam, dict):
-            diags.append("gauges.family: expected a table")
-        else:
-            fkind = fam.get("kind", "iterated")
-            if fkind == "iterated":
-                base = fam.get("base")
-                if base is None:
-                    diags.append("gauges.family.base: iterated family needs a base gauge")
-                elif base != "psi":
-                    _check_gauge_spec(base, "gauges.family.base", diags)
-                if base == "psi" and "psi" not in gauges:
-                    diags.append("gauges.psi: family.base refers to it but it is missing")
-            elif fkind == "explicit":
-                if not isinstance(fam.get("members"), list) or not fam.get("members"):
-                    diags.append("gauges.family.members: explicit family needs a member list")
-                if "zero_fixed" not in fam:
-                    diags.append("gauges.family.zero_fixed: explicit family must declare it")
-            else:
-                diags.append(f"gauges.family.kind: unknown kind {fkind!r}")
-    variants = gauges.get("asmk_variants")
-    if variants is not None:
-        if not isinstance(variants, list) or \
-                any(v not in ("asmk1", "asmk2") for v in variants):
-            diags.append("gauges.asmk_variants: list drawn from ['asmk1', 'asmk2']")
-        elif variants and (fam is None or "F" not in gauges):
-            diags.append("gauges: asmk_variants need both F and family")
-
-    cyc = doc.get("cyclic_setting")
-    if cyc is not None:
-        if not isinstance(cyc, dict):
-            diags.append("cyclic_setting: expected a table with set_a and set_b")
-        else:
-            for side in ("set_a", "set_b"):
-                if side not in cyc:
-                    diags.append(f"cyclic_setting.{side}: required")
-                else:
-                    _check_set_spec(cyc[side], f"cyclic_setting.{side}", diags)
-
-    budget = doc.get("budget")
-    if budget is not None:
-        if not isinstance(budget, dict):
-            diags.append("budget: expected a table of SearchBudget fields")
-        else:
-            allowed = {"eps_grid", "delta_candidates", "nu_horizon", "index_horizon",
-                       "pair_samples", "slack"}
-            for key in budget:
-                if key not in allowed:
-                    diags.append(f"budget.{key}: unknown budget field")
-            try:
-                SearchBudget(**{k: v for k, v in budget.items() if k in allowed})
-            except InputError as exc:
-                diags.append(f"budget: {exc}")
-
-    runs = doc.get("run")
-    if not isinstance(runs, list) or not runs:
-        diags.append("run: required non-empty list")
-        runs = []
-    for r in runs:
-        if r not in RUN_NAMES:
-            diags.append(f"run: unknown run name {r!r} (have {list(RUN_NAMES)})")
-    if len(set(runs)) != len(runs):
-        diags.append("run: duplicate run names")
-
-    has_t = isinstance(maps, dict) and "T" in maps
-    has_s = isinstance(maps, dict) and "S" in maps
-    if "iterate" in runs and not (has_t or seq):
-        diags.append("maps.T: run iterate needs a map T or a named sequence")
-    if "certify" in runs:
-        cert = doc.get("certify", {})
-        if isinstance(cert, dict):
-            source = cert.get("source", "sequence" if seq and not has_t else "picard")
-            if source not in CERTIFY_SOURCES:
-                diags.append(f"certify.source: unknown source {source!r}")
-            if source == "picard" and not has_t:
-                diags.append("maps.T: run certify on a picard trace needs a map T")
-            if source == "alternating" and not has_s:
-                diags.append("maps.S: run certify on an alternating trace needs S")
-            if source == "sequence" and not seq:
-                diags.append("sequence: run certify on a sequence trace needs one")
-            route = cert.get("route", "tau")
-            if route not in ("tau", "composed", "mixed"):
-                diags.append(f"certify.route: unknown route {route!r}")
-            if route == "composed" and kind != "composed":
-                diags.append("premetric.kind: certify route composed needs a composed premetric")
-            if route == "mixed" and kind not in ("shifted_cyclic",):
-                diags.append("premetric.kind: certify route mixed needs a premetric "
-                             "with a mixed-triangle companion (shifted_cyclic)")
-        else:
-            diags.append("certify: expected a table")
-    if "cyclic" in runs:
-        if cyc is None:
-            diags.append("cyclic_setting: required by run cyclic")
-        if not has_t:
-            diags.append("maps.T: run cyclic needs a map T")
-    if "alternate" in runs and not has_s:
-        diags.append("maps.S: run alternate needs a second map")
-    if "alternate" in runs and not has_t:
-        diags.append("maps.T: run alternate needs a map T")
-    if "falsify" in runs and not (has_t or seq):
-        diags.append("maps.T: run falsify needs a trace source (map T or sequence)")
-
-    for section in RUN_NAMES:
-        if section in doc and not isinstance(doc[section], dict):
-            diags.append(f"{section}: expected a table of run parameters")
-    return diags
 
 
 @dataclass(frozen=True)
@@ -292,117 +100,351 @@ class Scenario:
         return self.params.get(run, {})
 
 
-def _build_space(doc: dict) -> Space:
-    spec = doc["space"]
-    norm = spec.get("norm", "euclidean")
-    return Space(
-        id=spec.get("id", f"{doc['name']}-space"),
-        dimension=spec["dimension"],
-        norm=norm if norm == "euclidean" else float(norm),
-    )
+def _real(value, finite: bool = True) -> float | None:
+    """value as a float if it is a real number (not NaN, and ±inf only when
+    finite is false), else None."""
+    value = _as_float(value) if _is_real(value) else math.nan
+    return None if math.isnan(value) or (finite and math.isinf(value)) else value
 
 
-def _build_map(spec, space: Space, slot: str) -> NamedMap:
-    if isinstance(spec, str) and spec in _MAP_BUILTINS:
-        return builtin_map(spec, space)
-    if isinstance(spec, (str, list)):
-        return expression_map(space, spec, name=slot)
-    raise ConfigurationError(f"maps.{slot}: expected a builtin name or expression")
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _build_gauge(spec, where: str) -> Gauge:
-    if isinstance(spec, str) and spec in _GAUGE_BUILTINS:
-        return builtin_gauge(spec)
+def _make(where: str, diags: list[str], build, *args, **kwargs):
+    """build(*args, **kwargs), or None after noting the FplabError it raised."""
+    try:
+        return build(*args, **kwargs)
+    except FplabError as exc:
+        diags.append(f"{where}: {exc}")
+        return None
+
+
+def _gauge(spec, where: str, diags: list[str]) -> Gauge | None:
+    """A builtin name, an expression in t, or a table with an expression and
+    optional name, profile and t_max.  where also names an unnamed gauge."""
     if isinstance(spec, str):
-        return expression_gauge(spec, name=where)
-    if isinstance(spec, dict):
-        profile = frozenset(spec.get("profile", ()))
-        return expression_gauge(spec["expression"], name=spec.get("name", where),
-                                profile=profile, t_max=spec.get("t_max", 1e3))
-    raise ConfigurationError(f"{where}: cannot build a gauge from {spec!r}")
+        if spec in _GAUGE_BUILTINS:
+            return builtin_gauge(spec)
+        return _make(where, diags, expression_gauge, spec, name=where)
+    if not isinstance(spec, dict):
+        diags.append(f"{where}: expected a gauge name, expression, or table")
+        return None
+    if "expression" not in spec:
+        diags.append(f"{where}: gauge table needs an 'expression' field")
+    profile = spec.get("profile", [])
+    if not isinstance(profile, list) or not all(isinstance(e, str) for e in profile):
+        diags.append(f"{where}.profile: must be a list of profile entry names")
+    elif "expression" in spec:
+        return _make(where, diags, expression_gauge, spec["expression"],
+                     name=spec.get("name", where), profile=frozenset(profile),
+                     t_max=spec.get("t_max", DEFAULT_T_MAX))
+    return None
 
 
-def _build_set(spec: dict, space: Space, label: str):
+def _family(fam, gauges: dict, psi: Gauge | None, diags: list[str]) -> GaugeFamily | None:
+    if not isinstance(fam, dict):
+        diags.append("gauges.family: expected a table")
+        return None
+    kind = fam.get("kind", "iterated")
+    if kind == "iterated":
+        base = fam.get("base")
+        if base is None:
+            diags.append("gauges.family.base: iterated family needs a base gauge")
+            return None
+        if base == "psi" and "psi" not in gauges:
+            diags.append("gauges.psi: family.base refers to it but it is missing")
+        base = psi if base == "psi" else _gauge(base, "gauges.family.base", diags)
+        return base and _make("gauges.family", diags, iterated_family, base)
+    if kind == "explicit":
+        members, zero_fixed = fam.get("members"), fam.get("zero_fixed")
+        if not isinstance(members, list) or not members:
+            diags.append("gauges.family.members: explicit family needs a member list")
+            members = []
+        if "zero_fixed" not in fam:
+            diags.append("gauges.family.zero_fixed: explicit family must declare it")
+        elif not isinstance(zero_fixed, bool):
+            diags.append("gauges.family.zero_fixed: must be true or false")
+        members = [_gauge(m, "gauges.family.members", diags) for m in members]
+        ok = members and None not in members and isinstance(zero_fixed, bool)
+        return explicit_family(members, zero_fixed) if ok else None
+    diags.append(f"gauges.family.kind: unknown kind {kind!r}")
+    return None
+
+
+def _set(spec, where: str, space: Space | None, diags: list[str]):
+    """An interval (lo, hi; an end may be infinite) or a disk (center, radius)."""
+    if not isinstance(spec, dict):
+        diags.append(f"{where}: required" if spec is None else
+                     f"{where}: expected a table describing a set")
+        return None
     kind = spec.get("kind", "interval")
-    if kind == "interval":
-        return IntervalSet(space, float(spec["lo"]), float(spec["hi"]))
-    if kind == "disk":
-        center = tuple(float(c) for c in spec["center"])
-        return DiskSet(space, center, float(spec["radius"]))
-    raise ConfigurationError(f"{label}: unknown set kind {kind!r}")
+    if kind == "interval" and "lo" in spec and "hi" in spec:
+        build, args = IntervalSet, [_real(spec[key], finite=False) for key in ("lo", "hi")]
+    elif kind == "disk" and "center" in spec and "radius" in spec:
+        center = spec["center"]
+        center = tuple(map(_real, center)) if isinstance(center, list) else (None,)
+        build, args = DiskSet, [None if None in center else center, _real(spec["radius"])]
+    else:
+        diags.append(f"{where}: interval set needs 'lo' and 'hi'" if kind == "interval" else
+                     f"{where}: disk set needs 'center' and 'radius'" if kind == "disk" else
+                     f"{where}.kind: unknown set kind {kind!r}")
+        return None
+    if None in args:
+        diags.append(f"{where}: bounds, center and radius must be real numbers")
+        return None
+    return space and _make(where, diags, build, space, *args)
 
 
-def build_scenario(doc: dict) -> Scenario:
-    """Turn a validated document into live objects.
+def _map(spec, slot: str, space: Space | None, diags: list[str]) -> NamedMap | None:
+    if isinstance(spec, str) and spec in _MAP_BUILTINS:
+        return space and builtin_map(spec, space)
+    if not isinstance(spec, (str, list)):
+        diags.append(f"maps.{slot}: expected a builtin name or expression")
+        return None
+    return space and _make(f"maps.{slot}", diags, expression_map, space, spec, name=slot)
 
-    Raises:
-        ConfigurationError: the document has schema problems (the message
-            points at the first offending field).
-    """
-    diags = validate_scenario(doc)
-    if diags:
-        raise ConfigurationError(diags[0] + (
-            f" (+{len(diags) - 1} more problem(s))" if len(diags) > 1 else ""))
 
-    space = _build_space(doc)
-    region = doc.get("region")
-    box = Box(tuple(float(v) for v in region["lows"]),
-              tuple(float(v) for v in region["highs"])) if region else default_region(space)
+def _param(kind, value, where: str, space: Space | None, diags: list[str]):
+    """One run parameter checked against its RUN_PARAMS kind and converted."""
+    if kind == "point":
+        coords = [_real(c) for c in value] if isinstance(value, list) else [None]
+        if space is None or (len(coords) == space.dimension and None not in coords):
+            return space and space.point(*coords)
+        diags.append(f"{where}: expected {space.dimension} finite coordinate(s), got {value!r}")
+    elif kind == "count":
+        if _is_count(value):
+            return value
+        diags.append(f"{where}: must be a positive integer")
+    elif kind == "real":
+        if _real(value) is not None:
+            return float(value)
+        diags.append(f"{where}: must be a finite real number")
+    elif value in kind:
+        return value
+    else:
+        diags.append(f"{where}: unknown {where.rpartition('.')[2]} {value!r}")
+    return None
+
+
+def _needs_trace(run: str, source, has_t: bool, has_s: bool, seq, diags: list[str]) -> None:
+    if source == "picard" and not has_t:
+        diags.append(f"maps.T: run {run} on a picard trace needs a map T")
+    if source == "alternating" and not has_s:
+        diags.append(f"maps.S: run {run} on an alternating trace needs S")
+    if source == "alternating" and not has_t:
+        diags.append(f"maps.T: run {run} on an alternating trace needs T")
+    if source == "sequence" and not seq:
+        diags.append(f"sequence: run {run} on a sequence trace needs one")
+
+
+def _walk(doc) -> tuple[list[str], Scenario | None]:
+    """Read every field of doc once, to check, default, convert and build it.
+    Returns the diagnostics and, when there are none, the Scenario."""
+    if not isinstance(doc, dict):
+        return ["scenario document must be a mapping"], None
+    diags = [f"{key}: unknown top-level field" for key in doc if key not in _TOP_LEVEL]
+
+    name = doc.get("name")
+    if not isinstance(name, str) or not name:
+        diags.append("name: required non-empty string")
+    seed = doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        diags.append("seed: must be an integer")
+        seed = None
+    elif seed < 0:
+        diags.append("seed: must not be negative")
+        seed = None
+
+    space = None
+    spec = doc.get("space")
+    dim = spec.get("dimension") if isinstance(spec, dict) else None
+    if not isinstance(spec, dict):
+        diags.append("space: required table with 'dimension'")
+    else:
+        mark = len(diags)
+        if not _is_count(dim):
+            diags.append("space.dimension: required positive integer")
+        elif dim > MAX_DIMENSION:
+            diags.append(f"space.dimension: at most {MAX_DIMENSION}")
+        norm = spec.get("norm", "euclidean")
+        if norm != "euclidean":
+            norm = _real(norm)
+            if norm is None or norm < 1:
+                diags.append("space.norm: 'euclidean' or a number >= 1")
+        space_id = spec.get("id", f"{name}-space")
+        if not isinstance(space_id, str) or not space_id:
+            diags.append("space.id: must be a non-empty string")
+        space = Space(id=space_id, dimension=dim, norm=norm) if len(diags) == mark else None
+
+    region, box = doc.get("region"), None
+    if region is None:
+        box = space and default_region(space)
+    elif not (isinstance(region, dict) and isinstance(region.get("lows"), list)
+              and isinstance(region.get("highs"), list)):
+        diags.append("region: needs 'lows' and 'highs' lists")
+    elif isinstance(dim, int) and (len(region["lows"]) != dim or len(region["highs"]) != dim):
+        diags.append("region: lows/highs length must equal space.dimension")
+    elif None in (bounds := [_real(v) for v in region["lows"] + region["highs"]]):
+        diags.append("region: lows and highs must be finite real numbers")
+    else:
+        cut = len(region["lows"])
+        box = _make("region", diags, Box, tuple(bounds[:cut]), tuple(bounds[cut:]))
 
     maps = doc.get("maps", {})
-    map_t = _build_map(maps["T"], space, "T") if "T" in maps else None
-    map_s = _build_map(maps["S"], space, "S") if "S" in maps else None
+    if not isinstance(maps, dict):
+        diags.append("maps: expected a table with 'T' and optional 'S'")
+        maps = {}
+    diags.extend(f"maps.{key}: unknown map slot (use 'T' or 'S')"
+                 for key in maps if key not in ("T", "S"))
+    map_t, map_s = (_map(maps[slot], slot, space, diags) if slot in maps else None
+                    for slot in ("T", "S"))
+    seq = doc.get("sequence")
+    if seq is not None and seq not in SEQUENCE_NAMES:
+        diags.append(f"sequence: unknown named sequence {seq!r} (have {list(SEQUENCE_NAMES)})")
 
+    pm = doc.get("premetric", {"kind": "metric"})
+    if not isinstance(pm, dict):
+        diags.append("premetric: expected a table with 'kind'")
+        pm = {}
+    kind = pm.get("kind", "metric")
+    if kind not in PREMETRIC_KINDS:
+        diags.append(f"premetric.kind: unknown kind {kind!r} (have {list(PREMETRIC_KINDS)})")
+    if kind == "composed" and "G" not in pm:
+        diags.append("premetric.G: composed premetric needs the outer gauge G")
+    outer = _gauge(pm["G"], "premetric.G", diags) if "G" in pm else None
+    if kind == "shifted_cyclic" and doc.get("cyclic_setting") is None:
+        diags.append("cyclic_setting: required by premetric.kind shifted_cyclic")
+
+    gauges = doc.get("gauges", {})
+    if not isinstance(gauges, dict):
+        diags.append("gauges: expected a table")
+        gauges = {}
+    f_gauge, psi = (_gauge(gauges[slot], f"gauges.{slot}", diags) if slot in gauges else None
+                    for slot in ("F", "psi"))
+    fam = gauges.get("family")
+    family = None if fam is None else _family(fam, gauges, psi, diags)
+    variants = gauges.get("asmk_variants", [])
+    if not isinstance(variants, list) or any(v not in ASMK_VARIANTS for v in variants):
+        diags.append(f"gauges.asmk_variants: list drawn from {list(ASMK_VARIANTS)}")
+    elif variants and (fam is None or "F" not in gauges):
+        diags.append("gauges: asmk_variants need both F and family")
+
+    cyc = doc.get("cyclic_setting")
     setting = None
-    if "cyclic_setting" in doc:
-        cyc = doc["cyclic_setting"]
-        setting = CyclicSetting.derive(
-            space,
-            _build_set(cyc["set_a"], space, "cyclic_setting.set_a"),
-            _build_set(cyc["set_b"], space, "cyclic_setting.set_b"),
-            seed=doc.get("seed", 0),
-        )
+    if cyc is not None and not isinstance(cyc, dict):
+        diags.append("cyclic_setting: expected a table with set_a and set_b")
+    elif cyc is not None:
+        sets = [_set(cyc.get(side), f"cyclic_setting.{side}", space, diags)
+                for side in ("set_a", "set_b")]
+        if None not in sets and seed is not None:
+            # seeded from the document: a --seed override does not re-derive it
+            setting = _make("cyclic_setting", diags, CyclicSetting.derive, space, *sets,
+                            seed=seed)
 
-    pm_spec = doc.get("premetric", {"kind": "metric"})
-    kind = pm_spec.get("kind", "metric")
+    budget = {} if doc.get("budget") is None else doc["budget"]
+    if not isinstance(budget, dict):
+        diags.append("budget: expected a table of SearchBudget fields")
+        budget = None
+    else:
+        diags.extend(f"budget.{key}: unknown budget field"
+                     for key in budget if key not in _BUDGET_FIELDS)
+        budget = _make("budget", diags, SearchBudget,
+                       **{k: v for k, v in budget.items() if k in _BUDGET_FIELDS})
+
+    runs = doc.get("run")
+    if not isinstance(runs, list) or not runs:
+        diags.append("run: required non-empty list")
+        runs = []
+    diags.extend(f"run: unknown run name {r!r} (have {list(RUN_NAMES)})"
+                 for r in runs if r not in RUN_NAMES)
+    if any(runs.count(r) > 1 for r in runs):
+        diags.append("run: duplicate run names")
+
+    # every trace reads iterate's or alternate's section, so those two are
+    # always filled; the others when the document runs or configures them
+    sections = {run: doc[run] if isinstance(doc.get(run), dict) else {} for run in RUN_NAMES
+                if run in runs or run in doc or run in ("iterate", "alternate")}
+    params: dict[str, dict] = {run: {} for run in sections}
+    has_t, has_s = "T" in maps, "S" in maps
+
+    def read(run: str, keys) -> dict:
+        section, filled = sections[run], params[run]
+        for key in (key for key in keys if key not in filled):
+            param_kind, value = RUN_PARAMS[run][key]
+            if key in section:
+                value = _param(param_kind, section[key], f"{run}.{key}", space, diags)
+            elif param_kind == "point":
+                value = space and space.point(*[1.0] * space.dimension)
+            elif key == "source":  # certify's default, which falsify inherits
+                value = params.get("certify", {}).get(
+                    "source", "sequence" if seq and not has_t else "picard")
+            filled[key] = value
+        return filled
+
+    if "iterate" in runs and not (has_t or seq):
+        diags.append("maps.T: run iterate needs a map T or a named sequence")
+    if "certify" in runs and not isinstance(doc.get("certify", {}), dict):
+        diags.append("certify: expected a table")
+    elif "certify" in runs:
+        cert = read("certify", ("source", "route"))
+        _needs_trace("certify", cert["source"], has_t, has_s, seq, diags)
+        if cert["route"] == "composed" and kind != "composed":
+            diags.append("premetric.kind: certify route composed needs a composed premetric")
+        if cert["route"] == "mixed" and kind != "shifted_cyclic":
+            diags.append("premetric.kind: certify route mixed needs a premetric "
+                         "with a mixed-triangle companion (shifted_cyclic)")
+    if "cyclic" in runs:
+        if cyc is None:
+            diags.append("cyclic_setting: required by run cyclic")
+        if not has_t:
+            diags.append("maps.T: run cyclic needs a map T")
+    if "alternate" in runs and not has_s:
+        diags.append("maps.S: run alternate needs a second map")
+    if "alternate" in runs and not has_t:
+        diags.append("maps.T: run alternate needs a map T")
+    if "falsify" in runs and not (has_t or seq):
+        diags.append("maps.T: run falsify needs a trace source (map T or sequence)")
+    diags.extend(f"{run}: expected a table of run parameters"
+                 for run in RUN_NAMES if run in doc and not isinstance(doc[run], dict))
+
+    for run, section in sections.items():
+        diags.extend(f"{run}.{key}: unknown run parameter"
+                     for key in section if key not in RUN_PARAMS[run])
+        read(run, RUN_PARAMS[run])
+    if "falsify" in runs:
+        _needs_trace("falsify", params["falsify"]["source"], has_t, has_s, seq, diags)
+    if "cyclic" in runs and "x0" not in sections["cyclic"]:
+        diags.append("cyclic.x0: starting point required")
+
+    if diags:
+        return diags, None
     if kind == "metric":
         premetric = metric_premetric(space)
     elif kind == "shifted_cyclic":
         premetric = shifted_premetric(setting)
     else:
-        outer = _build_gauge(pm_spec["G"], "premetric.G")
         premetric = composed_premetric(outer, metric_premetric(space))
+    return diags, Scenario(
+        name=name, seed=seed, space=space, region=box, budget=budget, premetric=premetric,
+        map_t=map_t, map_s=map_s, sequence=seq, f_gauge=f_gauge, psi=psi, family=family,
+        asmk_variants=tuple(variants), setting=setting, runs=tuple(runs), params=params)
 
-    gauges = doc.get("gauges", {})
-    f_gauge = _build_gauge(gauges["F"], "gauges.F") if "F" in gauges else None
-    psi = _build_gauge(gauges["psi"], "gauges.psi") if "psi" in gauges else None
-    family = None
-    if "family" in gauges:
-        fam = gauges["family"]
-        if fam.get("kind", "iterated") == "iterated":
-            base = psi if fam["base"] == "psi" else _build_gauge(fam["base"],
-                                                                 "gauges.family.base")
-            family = iterated_family(base)
-        else:
-            members = [_build_gauge(m, "gauges.family.members") for m in fam["members"]]
-            family = explicit_family(members, bool(fam["zero_fixed"]))
 
-    budget = SearchBudget(**doc.get("budget", {}))
-    return Scenario(
-        name=doc["name"],
-        seed=doc.get("seed", 0),
-        space=space,
-        region=box,
-        budget=budget,
-        premetric=premetric,
-        map_t=map_t,
-        map_s=map_s,
-        sequence=doc.get("sequence"),
-        f_gauge=f_gauge,
-        psi=psi,
-        family=family,
-        asmk_variants=tuple(gauges.get("asmk_variants", ())),
-        setting=setting,
-        runs=tuple(doc["run"]),
-        params={k: doc.get(k, {}) for k in RUN_NAMES},
-    )
+def validate_scenario(doc: dict) -> list[str]:
+    """The schema walk's diagnostics; empty exactly when build_scenario succeeds."""
+    return _walk(doc)[0]
+
+
+def build_scenario(doc: dict) -> Scenario:
+    """Turn a document into live objects.
+
+    Raises:
+        ConfigurationError: the document has schema problems (the message
+            points at the first offending field).
+    """
+    diags, scenario = _walk(doc)
+    if diags:
+        raise ConfigurationError(diags[0] + (
+            f" (+{len(diags) - 1} more problem(s))" if len(diags) > 1 else ""))
+    return scenario

@@ -398,7 +398,8 @@ class TestConsecutiveContraction:
 
 class TestSearchBudget:
     @pytest.mark.parametrize("field", ["eps_grid", "delta_candidates", "slack"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="int-beyond-float")])
     def test_non_finite_values_are_refused(self, field, bad):
         # NaN passed the positivity checks and made every band vacuous,
         # so the band checkers reported pass and reports.json held NaN

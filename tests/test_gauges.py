@@ -57,6 +57,9 @@ class TestGaugeBasics:
             Gauge(name="bad", fn=lambda t: t, profile=frozenset({"smooth"}))
         with pytest.raises(ConfigurationError, match="t_max must be positive"):
             Gauge(name="bad", fn=lambda t: t, t_max=0.0)
+        for t_max in ("1", True, math.nan, math.inf, 10 ** 400):
+            with pytest.raises(ConfigurationError, match="t_max must be positive and finite"):
+                Gauge(name="bad", fn=lambda t: t, t_max=t_max)
 
     def test_apply_array_matches_scalar(self):
         g = builtin_gauge("mk")

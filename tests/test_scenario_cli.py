@@ -6,16 +6,24 @@ strings are frozen here.  CLI tests go through main() with real files in
 tmp_path so the exit codes are exercised end to end.
 """
 
+import ast
+import copy
 import json
+import math
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from fplab.cli import main
-from fplab.errors import ConfigurationError, InputError
+from fplab.errors import ConfigurationError, FplabError, InputError
 from fplab.gallery import GALLERY, gallery_names, get_entry, list_gallery
 from fplab.runner import _exit_code, run_scenario_doc
-from fplab.scenario import build_scenario, load_scenario_file, validate_scenario
+from fplab.scenario import RUN_NAMES, RUN_PARAMS, build_scenario, load_scenario_file, validate_scenario
 
 
 def base_doc() -> dict:
@@ -66,7 +74,7 @@ class TestValidateScenario:
             "budget": {"nu_horizon": 16, "index_horizon": 32, "pair_samples": 40},
             "run": ["iterate", "alternate"],
             "iterate": {"x0": [1.0], "steps": 30},
-            "alternate": {"seed_point": [1.0], "steps": 12},
+            "alternate": {"seed": [1.0], "steps": 12},
         }
         assert validate_scenario(doc) == []
 
@@ -162,6 +170,14 @@ class TestValidateScenario:
              "maps.T: run falsify needs a trace source"),
             (lambda d: d.update(iterate=[1, 2]),
              "iterate: expected a table of run parameters"),
+            (lambda d: d.update(seed=-1), "seed: must not be negative"),
+            (lambda d: d["space"].update(dimension=10 ** 6), "space.dimension: at most 10000"),
+            (lambda d: d.update(maps=None), "maps: expected a table with 'T'"),
+            (lambda d: d.update(gauges=None), "gauges: expected a table"),
+            (lambda d: d.update(cyclic_setting={"set_a": None, "set_b": {"lo": 0.0, "hi": 1.0}}),
+             "cyclic_setting.set_a: required"),
+            (lambda d: d.update(iterate={"steps": 3, "stride": 2}),
+             "iterate.stride: unknown run parameter"),
         ],
     )
     def test_diagnostic(self, mutate, needle):
@@ -188,7 +204,7 @@ class TestBuildScenario:
             "budget": {"nu_horizon": 16, "index_horizon": 32, "pair_samples": 40},
             "run": ["iterate", "alternate"],
             "iterate": {"x0": [1.0], "steps": 30},
-            "alternate": {"seed_point": [1.0], "steps": 12},
+            "alternate": {"seed": [1.0], "steps": 12},
         }
         scn = build_scenario(doc)
         assert scn.name == "full"
@@ -207,7 +223,8 @@ class TestBuildScenario:
         assert scn.premetric.kind == "metric"
         assert (scn.budget.nu_horizon, scn.budget.index_horizon,
                 scn.budget.pair_samples) == (16, 32, 40)
-        assert scn.run_params("iterate") == {"x0": [1.0], "steps": 30}
+        assert scn.run_params("iterate") == {"x0": scn.space.point(1.0), "steps": 30,
+                                             "tol": 1e-9, "max_steps": 10_000}
         assert scn.run_params("falsify") == {}
 
     def test_defaults(self):
@@ -446,6 +463,221 @@ class TestCliValidate:
     def test_unreadable_file_still_exits_zero(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.yaml")]) == 0
         assert "cannot read scenario file" in capsys.readouterr().out
+
+
+def _with(base: dict, *path_value, drop=()) -> dict:
+    """A deep copy of base with each (path, value) set and each path in drop
+    removed; a path is a dotted string of table keys."""
+    doc = copy.deepcopy(base)
+    for path, value in zip(path_value[::2], path_value[1::2]):
+        *parents, last = path.split(".")
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = value
+    for path in drop:
+        *parents, last = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        del node[last]
+    return doc
+
+
+CYCLIC = {
+    "name": "cyclic-smoke",
+    "space": {"dimension": 1},
+    "maps": {"T": "cyclic_reflect"},
+    "premetric": {"kind": "shifted_cyclic"},
+    "cyclic_setting": {"set_a": {"lo": 1.0, "hi": float("inf")},
+                       "set_b": {"lo": -float("inf"), "hi": -1.0}},
+    "budget": {"index_horizon": 8, "nu_horizon": 8, "pair_samples": 20},
+    "run": ["cyclic"],
+    "cyclic": {"x0": [3.0], "pairs": 30},
+}
+
+_PSI = {"expression": "0.5 * t",
+        "profile": ["nondecreasing", "right_upper_semicontinuous"]}
+
+ALTERNATE = {
+    "name": "alternate-smoke",
+    "space": {"dimension": 1},
+    "maps": {"T": "quarter", "S": "fifth"},
+    "gauges": {"F": "id", "psi": _PSI},
+    "budget": {"index_horizon": 8, "nu_horizon": 8, "pair_samples": 20},
+    "run": ["alternate"],
+    "alternate": {"seed": [1.0], "psi_variant": "zhang", "fpsi_pairs": 20},
+}
+
+FALSIFY = _with(SMOKE, "name", "falsify-smoke", "run", ["iterate", "certify", "falsify"])
+
+# Malformed documents, each with the field path its finding must start
+# with: text or bools where numbers belong, fractional or non-positive
+# counts, a misspelled key, unknown choices, missing or ill-sized points,
+# and expressions or gauge profiles that do not build.
+MALFORMED = [
+    ("steps-text", _with(SMOKE, "iterate.steps", "x"), "iterate.steps:"),
+    ("tol-text", _with(SMOKE, "iterate.tol", "x"), "iterate.tol:"),
+    ("x0-text", _with(SMOKE, "iterate.x0", ["a"]), "iterate.x0:"),
+    ("eps-text", _with(FALSIFY, "falsify", {"eps": "x"}), "falsify.eps:"),
+    ("certify-tol-text", _with(SMOKE, "certify.tol", "x"), "certify.tol:"),
+    ("pairs-text", _with(CYCLIC, "cyclic.pairs", "x"), "cyclic.pairs:"),
+    ("set-lo-text", _with(CYCLIC, "cyclic_setting.set_a.lo", "x"),
+     "cyclic_setting.set_a:"),
+    ("region-text", _with(SMOKE, "region", {"lows": ["x"], "highs": [1.0]}), "region:"),
+    ("t-max-text", _with(ALTERNATE, "gauges.psi.t_max", "x"), "gauges.psi"),
+    ("profile-nested", _with(ALTERNATE, "gauges.psi.profile", [[1]]),
+     "gauges.psi.profile:"),
+    ("run-nested-list", _with(SMOKE, "run", [["iterate"]]), "run:"),
+    ("run-table", _with(SMOKE, "run", [{}]), "run:"),
+    ("steps-fraction", _with(SMOKE, "iterate.steps", 2.7), "iterate.steps:"),
+    ("steps-bool", _with(SMOKE, "iterate.steps", True), "iterate.steps:"),
+    ("dimension-bool", _with(SMOKE, "space.dimension", True), "space.dimension:"),
+    ("seed-bool", _with(SMOKE, "seed", True), "seed:"),
+    ("seed-point-typo", _with(ALTERNATE, "alternate.seed_point", [7.0]),
+     "alternate.seed_point:"),
+    ("zero-fixed-text", _with(ALTERNATE, "gauges.family",
+                              {"kind": "explicit", "members": ["half"], "zero_fixed": "no"}),
+     "gauges.family.zero_fixed:"),
+    ("space-id-number", _with(SMOKE, "space.id", 5), "space.id:"),
+    ("cyclic-x0-missing", _with(CYCLIC, drop=["cyclic.x0"]), "cyclic.x0:"),
+    ("falsify-source-unknown", _with(FALSIFY, "falsify", {"source": "weird"}),
+     "falsify.source:"),
+    ("falsify-alternating-without-s", _with(FALSIFY, "falsify", {"source": "alternating"}),
+     "maps.S:"),
+    ("psi-variant-unknown", _with(ALTERNATE, "alternate.psi_variant", "bogus"),
+     "alternate.psi_variant:"),
+    ("x0-wrong-length", _with(SMOKE, "iterate.x0", [1.0, 2.0]), "iterate.x0:"),
+    ("steps-negative", _with(SMOKE, "iterate.steps", -3), "iterate.steps:"),
+    ("max-steps-zero", _with(SMOKE, "iterate.max_steps", 0), "iterate.max_steps:"),
+    ("map-number", _with(SMOKE, "maps.T", 3), "maps.T:"),
+    ("outer-gauge-unparsable", _with(SMOKE, "premetric", {"kind": "composed", "G": "t +"},
+                                     "certify.route", "composed"), "premetric.G:"),
+    ("profile-entry-unknown", _with(ALTERNATE, "gauges.psi.profile", ["smooth"]),
+     "gauges.psi:"),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(("doc", "path"), [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_run_exits_one_and_validate_names_the_field(self, tmp_path, capsys, doc, path):
+        scenario = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", scenario, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert main(["validate", scenario]) == 0
+        findings = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(path) for line in findings), findings
+
+    def test_the_clean_bases_run(self, tmp_path):
+        for doc in (SMOKE, CYCLIC, ALTERNATE, FALSIFY):
+            assert validate_scenario(doc) == []
+            run_scenario_doc(doc, str(tmp_path / doc["name"]))
+            assert (tmp_path / doc["name"] / "reports.json").is_file()
+
+
+def _paths(node, prefix=()):
+    """The path of every table entry and list item below node."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _wrong_values(huge: bool):
+    values = [st.booleans(), st.just(math.nan), st.just(math.inf), st.just(-math.inf),
+              st.just([[1.0]]), st.just({"a": {"b": 1}}), st.just("x"), st.just(None),
+              st.integers(-10_000, 10_000), st.floats(-1e4, 1e4)]
+    if huge:
+        values.append(st.sampled_from([10 ** 30, -(10 ** 30), 10 ** 400, 1e308, 2 ** 63]))
+    return st.one_of(values)
+
+
+@st.composite
+def mutated_documents(draw, huge: bool):
+    """A gallery document with one drawn mutation: a field dropped or given
+    a wrong value, a run parameter given a wrong value, an unknown key added
+    to a table, or a run name added."""
+    doc = copy.deepcopy(get_entry(draw(st.sampled_from(gallery_names()))).doc)
+    mutation = draw(st.sampled_from(("drop", "replace", "param", "unknown-key", "add-run")))
+    if mutation == "param":
+        run = draw(st.sampled_from(doc["run"]))
+        key = draw(st.sampled_from(sorted(RUN_PARAMS[run])))
+        doc.setdefault(run, {})[key] = draw(_wrong_values(huge))
+        return doc
+    if mutation == "add-run":
+        doc["run"].append(draw(st.sampled_from(
+            [r for r in RUN_NAMES if r not in doc["run"]] + ["bogus"])))
+        return doc
+    if mutation == "unknown-key":
+        tables = [()] + [p for p in _paths(doc) if isinstance(_at(doc, p), dict)]
+        _at(doc, draw(st.sampled_from(tables)))["zz_unknown"] = 1
+        return doc
+    *parents, last = draw(st.sampled_from(list(_paths(doc))))
+    if mutation == "drop":
+        del _at(doc, parents)[last]
+    else:
+        _at(doc, parents)[last] = draw(_wrong_values(huge))
+    return doc
+
+
+class TestSchemaFuzz:
+    """Mutated gallery documents: the walk never raises, agrees with the
+    build, and a run either completes or ends in an FplabError with nothing
+    left behind."""
+
+    @given(mutated_documents(huge=True))
+    def test_validate_agrees_with_build(self, doc):
+        diags = validate_scenario(doc)
+        if not diags:
+            build_scenario(doc)
+            return
+        with pytest.raises(ConfigurationError) as err:
+            build_scenario(doc)
+        assert str(err.value).startswith(diags[0])
+
+    @settings(max_examples=40)
+    @given(mutated_documents(huge=False))
+    def test_run_completes_or_leaves_nothing(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            try:
+                run_scenario_doc(doc, out, budget_scale=0.05)
+            except FplabError:
+                assert not os.path.exists(out)
+            else:
+                assert os.path.isfile(os.path.join(out, "reports.json"))
+
+
+def _readme_run_params() -> list[tuple]:
+    """(run, key, kind, default) per row of README's run-parameter table.  A
+    kind is a word or a list of `choices`; a default is a Python literal when
+    the cell is one code span, else None (prose: the walk or runner fills it)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| Run | Key | Kind | Default |\n| --- | --- | --- | --- |\n")[1]
+    table = []
+    for row in rows[:rows.index("\n\n")].splitlines():
+        run, key, kind, default = (cell.strip() for cell in row.strip("|").split("|"))
+        choices = tuple(re.findall(r"`([^`]*)`", kind))
+        literal = re.fullmatch(r"`([^`]*)`", default)
+        table.append((run, key, choices or kind,
+                      ast.literal_eval(literal.group(1)) if literal else None))
+    return table
+
+
+def test_readme_documents_the_run_parameters():
+    walk = [(run, key, kind, default) for run, spec in RUN_PARAMS.items()
+            for key, (kind, default) in spec.items()]
+    assert _readme_run_params() == walk
 
 
 class TestCliGallery:
