@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
-from .gauges import Gauge, GaugeFamily, check_family_C6, check_family_C7_multi, \
-    family_member_array, require_profile
+from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, check_family_C6, \
+    check_family_C7_multi, family_member_array, require_profile
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Point, Premetric, Space, default_region, \
@@ -463,8 +463,13 @@ def check_asmk(
         f"F(0)={f_zero} measured, family {family.describe()}; domination tested with "
         f"slack {budget.slack} for shifts 1..{budget.nu_horizon}"
     )
-    c6 = check_family_C6(family, budget.eps_grid, n_horizon=budget.nu_horizon,
-                         eta=budget.slack)
+    if budget.nu_horizon < C6_MIN_HORIZON:
+        c6 = CertificateReport("C6", Verdict.INCONCLUSIVE, resolution_note=(
+            f"nu horizon {budget.nu_horizon} is below the {C6_MIN_HORIZON} members C6 reads "
+            f"a tail from; C6 was not checked"))
+    else:
+        c6 = check_family_C6(family, budget.eps_grid, n_horizon=budget.nu_horizon,
+                             eta=budget.slack)
     c7 = check_family_C7_multi(family, budget.eps_grid, budget.delta_candidates,
                                nu_horizon=budget.nu_horizon, eta=budget.slack)
 

@@ -217,31 +217,26 @@ def regularity_grid(t_max: float = DEFAULT_T_MAX) -> tuple[float, ...]:
     return tuple(float(t) for t in grid if 0.0 <= t <= t_max)
 
 
-def _limit_deviation(
-    g: Gauge, t: float, h: float, sign: int, refine: int, eta: float
-) -> tuple[bool, float]:
-    """Probe g(t + sign*h*2^-k) for k=1..refine.
-
-    Returns (converges_to_g(t), final_signed_deviation).  Convergence holds
-    when the deviation either falls below the tolerance or keeps shrinking
-    geometrically, which distinguishes a genuine one-sided limit from a jump.
-    """
-    base_val = g(t)
-    devs = []
-    for k in range(1, refine + 1):
-        s = t + sign * h * 2.0 ** -k
-        if s < 0 or s > g.t_max:
-            devs.append(0.0)
-            continue
-        devs.append(g(s) - base_val)
-    final = devs[-1]
-    tol = max(eta, eta * abs(base_val))
-    if abs(final) <= tol:
-        return True, final
-    mid = devs[len(devs) // 2]
-    if abs(final) <= 0.25 * abs(mid):
-        return True, final
-    return False, final
+def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int, refine: int,
+               eta: float) -> tuple[list[bool], list[float], np.ndarray]:
+    """Probe g(t + sign*h*2^-k), k = 1..refine, at every grid point in one
+    apply_array call; h is the spacing to that side's neighbour (the other
+    side's at the ends), and a probe outside [0, t_max] deviates 0.0.  Per
+    point: whether the side is probed and its final deviation misses both the
+    tolerance and a quarter of the middle one (a jump), that deviation, h."""
+    gaps = np.diff(grid)
+    h = np.append(gaps, gaps[-1]) if sign > 0 else np.insert(gaps, 0, gaps[0])
+    probes = grid[:, None] + (sign * h)[:, None] * 2.0 ** -np.arange(1, refine + 1)
+    inside = (probes >= 0) & (probes <= g.t_max)
+    # an out-of-range probe reads t itself: g(t) - g(t) is exactly 0.0, as
+    # vals are finite whenever a side is probed
+    devs = g.apply_array(np.where(inside, probes, grid[:, None])) - vals[:, None]
+    final, mid = devs[:, -1], devs[:, refine // 2]
+    scaled = eta * np.abs(vals)
+    tol = np.where(scaled > eta, scaled, eta)  # max(eta, eta * |g(t)|)
+    ok = (np.abs(final) <= tol) | (np.abs(final) <= 0.25 * np.abs(mid))
+    probed = grid + h * 0.5 <= g.t_max if sign > 0 else grid > 0
+    return (probed & ~ok).tolist(), final.tolist(), h
 
 
 def verify_gauge_regularity(
@@ -250,7 +245,8 @@ def verify_gauge_regularity(
     eta: float = 1e-9,
     refine: int = 20,
 ) -> list[CertificateReport]:
-    """One report per profile entry (ids REG-<entry>).
+    """One report per profile entry (ids REG-<entry>).  The grid values and
+    each side's one-sided probes are one apply_array call each.
 
     Raises:
         InputError: empty or non-increasing grid.
@@ -263,7 +259,9 @@ def verify_gauge_regularity(
     if grid[0] < 0 or grid[-1] > g.t_max:
         raise InputError("verification grid must lie inside the gauge working range")
 
-    vals = [g(t) for t in grid]
+    ts = np.array(grid)
+    values = g.apply_array(ts)
+    vals = values.tolist()
     note = (
         f"grid of {len(grid)} points in [{grid[0]}, {grid[-1]}], one-sided sampling "
         f"resolution h*2^-{refine}, slack eta={eta}"
@@ -272,11 +270,13 @@ def verify_gauge_regularity(
         witness(t=t, value=v) for t, v in zip(grid, vals) if not math.isfinite(v) or v < 0
     ]
     reports: list[CertificateReport] = []
+    sides: dict[str, tuple] = {}
 
-    def spacing(i: int, side: str) -> float:
-        if side == "right":
-            return grid[i + 1] - grid[i] if i + 1 < len(grid) else grid[i] - grid[i - 1]
-        return grid[i] - grid[i - 1] if i > 0 else grid[i + 1] - grid[i]
+    def side(name: str) -> tuple:
+        # each side is probed once, for the first entry that reads it
+        if name not in sides:
+            sides[name] = _one_sided(g, ts, values, 1 if name == "right" else -1, refine, eta)
+        return sides[name]
 
     for entry in sorted(g.profile):
         cid = f"REG-{entry}"
@@ -293,24 +293,17 @@ def verify_gauge_regularity(
                     bad.append(witness(t_lo=grid[i], t_hi=grid[i + 1],
                                        drop=vals[i] - vals[i + 1]))
         elif entry == "right_continuous":
-            for i, t in enumerate(grid):
-                if t + spacing(i, "right") * 0.5 > g.t_max:
-                    continue
-                ok, dev = _limit_deviation(g, t, spacing(i, "right"), +1, refine, eta)
-                if not ok:
-                    bad.append(witness(t=t, right_deviation=dev,
-                                       resolution=spacing(i, "right") * 2.0 ** -refine))
+            fails, final, h = side("right")
+            bad = [witness(t=t, right_deviation=final[i], resolution=h[i] * 2.0 ** -refine)
+                   for i, t in enumerate(grid) if fails[i]]
         elif entry == "continuous":
+            (right_fails, right_dev, _), (left_fails, left_dev, _) = side("right"), side("left")
             for i, t in enumerate(grid):
-                if t + spacing(i, "right") * 0.5 <= g.t_max:
-                    ok, dev = _limit_deviation(g, t, spacing(i, "right"), +1, refine, eta)
-                    if not ok:
-                        bad.append(witness(t=t, side="right", deviation=dev))
-                        continue
-                if t > 0:
-                    ok, dev = _limit_deviation(g, t, spacing(i, "left"), -1, refine, eta)
-                    if not ok:
-                        bad.append(witness(t=t, side="left", deviation=dev))
+                # a point that fails on the right is not probed on the left
+                if right_fails[i]:
+                    bad.append(witness(t=t, side="right", deviation=right_dev[i]))
+                elif left_fails[i]:
+                    bad.append(witness(t=t, side="left", deviation=left_dev[i]))
         elif entry == "positive_on_positive":
             for t, v in zip(grid, vals):
                 if t > 0 and v <= 0.0:
@@ -326,18 +319,10 @@ def verify_gauge_regularity(
                 if t > 0.0 and v >= t:
                     bad.append(witness(t=t, value=v, margin=t - v))
         elif entry in ("upper_semicontinuous", "right_upper_semicontinuous"):
-            sides = [+1] if entry == "right_upper_semicontinuous" else [+1, -1]
-            for i, t in enumerate(grid):
-                for sign in sides:
-                    if sign > 0 and t + spacing(i, "right") * 0.5 > g.t_max:
-                        continue
-                    if sign < 0 and t <= 0:
-                        continue
-                    h = spacing(i, "right" if sign > 0 else "left")
-                    ok, dev = _limit_deviation(g, t, h, sign, refine, eta)
-                    if not ok and dev > eta:
-                        bad.append(witness(t=t, side="right" if sign > 0 else "left",
-                                           approach_excess=dev))
+            names = ("right",) if entry == "right_upper_semicontinuous" else ("right", "left")
+            bad = [witness(t=t, side=name, approach_excess=side(name)[1][i])
+                   for i, t in enumerate(grid) for name in names
+                   if side(name)[0][i] and side(name)[1][i] > eta]
         reports.append(
             CertificateReport(cid, Verdict.FAIL if bad else Verdict.PASS, bad[:8],
                               resolution_note=note)
@@ -368,16 +353,21 @@ def require_profile(g: Gauge, entries: frozenset, eta: float = 1e-9) -> None:
 # Family tail conditions
 
 
-def _family_values(family: GaugeFamily, t: float, horizon: int) -> list[float]:
+def _members(family: GaugeFamily, ts, horizon: int):
+    """Yield members 1, 2, ... up to the horizon (and at most the explicit
+    members), each evaluated on the whole block ts with one apply_array."""
+    v = np.asarray(ts, dtype=float)
     if family.kind == "iterated":
-        out = []
-        v = float(t)
         for _ in range(horizon):
-            v = family.base(v)
-            out.append(v)
-        return out
-    horizon = min(horizon, len(family.members))
-    return [iterate_gauge(family, n, t) for n in range(1, horizon + 1)]
+            v = family.base.apply_array(v)
+            yield v
+    else:
+        for n in range(min(horizon, len(family.members))):
+            yield family.members[n].apply_array(v)
+
+
+#: The fewest members whose last quarter C6 reads as a tail.
+C6_MIN_HORIZON = 4
 
 
 def check_family_C6(
@@ -393,15 +383,21 @@ def check_family_C6(
     (variation <= eta) or nonincreasing-within-eta tail; a stabilized tail at
     or above eps - eta fails; anything else is inconclusive.  An explicit
     family shorter than the horizon never reaches it, so it can fail but
-    never pass.
+    never pass.  Each member is evaluated at every eps at once.
     """
-    if n_horizon < 4:
-        raise InputError("C6 horizon must be at least 4")
+    if n_horizon < C6_MIN_HORIZON:
+        raise InputError(f"C6 horizon must be at least {C6_MIN_HORIZON}")
+    try:
+        block = np.array(list(_members(family, eps_grid, n_horizon)))
+    except InputError:
+        # one level at a time meets the error the eps-by-eps walk meets first
+        for eps in eps_grid:
+            list(_members(family, [eps], n_horizon))
+        raise
     per_eps: list[Verdict] = []
     wits: list[dict] = []
     checked = n_horizon
-    for eps in eps_grid:
-        values = _family_values(family, eps, n_horizon)
+    for eps, values in zip(eps_grid, block.T.tolist()):
         checked = len(values)
         q = max(1, len(values) // 4)
         tail = values[-q:]
@@ -429,6 +425,70 @@ def check_family_C6(
     return CertificateReport("C6", verdict, wits, resolution_note=note)
 
 
+def _first_hits(family: GaugeFamily, ts, below, horizon: int) -> np.ndarray:
+    """Per t, the least nu <= horizon with member_nu(t) < below, or 0.  Every
+    member is evaluated at every t, so one out of range raises past a hit."""
+    hits = np.zeros(np.shape(ts), dtype=int)
+    for nu, v in enumerate(_members(family, ts, horizon), start=1):
+        hits[(hits == 0) & (v < below)] = nu
+    return hits
+
+
+def _walk_bands(family, eps, deltas, t_samples, nu_horizon, eta):
+    """Per delta band, its ts and first hits t by t up to the first t that
+    no member pulls below eps: the walk's own order and evaluations."""
+    for delta in deltas:
+        ts = np.linspace(eps, eps + delta, t_samples)
+        hits = []
+        for t in ts:
+            hits.append(int(_first_hits(family, t, eps - eta, nu_horizon)))
+            if not hits[-1]:
+                break
+        yield ts, np.array(hits, dtype=int)
+
+
+def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[CertificateReport]:
+    """One C7 report per eps.  Every (eps, delta, t) cell is searched in one
+    block, nu_horizon apply_array calls in all.  The walk (eps, delta, t)
+    takes over when some eps <= 0, when a zero step sends linspace down
+    another branch for the whole block, or when the block raises, so that
+    an error is the one the walk meets first."""
+    if deltas is None:
+        deltas = tuple(2.0 ** -k for k in range(21))
+    eps_col = np.asarray(eps_grid, dtype=float)[:, None]
+    stops = eps_col + np.asarray(deltas, dtype=float)
+    hits = None
+    if (eps_col > 0).all() and not ((stops - eps_col) / max(t_samples - 1, 1) == 0).any():
+        try:
+            ts = np.linspace(eps_col, stops, t_samples, axis=-1)
+            hits = _first_hits(family, ts, eps_col[..., None] - eta, nu_horizon)
+        except InputError:
+            pass
+    reports = []
+    for i, eps in enumerate(eps_grid):
+        if eps <= 0:
+            raise InputError("C7 needs eps > 0")
+        bands = (zip(ts[i], hits[i]) if hits is not None
+                 else _walk_bands(family, eps, deltas, t_samples, nu_horizon, eta))
+        defeats: list[dict] = []
+        for delta, (band_ts, band_hits) in zip(deltas, bands):
+            miss = np.flatnonzero(band_hits == 0)
+            if not miss.size:
+                reports.append(CertificateReport(
+                    "C7", Verdict.PASS,
+                    [witness(eps=eps, delta=delta, max_nu=int(band_hits.max(initial=0)))],
+                    resolution_note=f"{t_samples} samples per band, nu horizon {nu_horizon}"))
+                break
+            defeats.append(witness(eps=eps, delta=delta, defeating_t=float(band_ts[miss[0]])))
+        else:
+            reports.append(CertificateReport(
+                "C7", Verdict.INCONCLUSIVE, defeats[:8],
+                resolution_note=("fail-evidence at this budget: every candidate delta has a "
+                                 "sampled t no member pulls below eps; a finite search cannot "
+                                 "refute the existential delta")))
+    return reports
+
+
 def check_family_C7(
     family: GaugeFamily,
     eps: float,
@@ -443,44 +503,7 @@ def check_family_C7(
     A defeat for every candidate delta is reported as inconclusive with the
     defeating t recorded: a finite search cannot refute the existential.
     """
-    if eps <= 0:
-        raise InputError("C7 needs eps > 0")
-    if delta_candidates is None:
-        delta_candidates = tuple(2.0 ** -k for k in range(21))
-    defeats: list[dict] = []
-    for delta in delta_candidates:
-        ts = np.linspace(eps, eps + delta, t_samples)
-        max_nu = 0
-        defeated_t = None
-        for t in ts:
-            values = _family_values(family, float(t), nu_horizon)
-            found = None
-            for nu, v in enumerate(values, start=1):
-                if v < eps - eta:
-                    found = nu
-                    break
-            if found is None:
-                defeated_t = float(t)
-                break
-            max_nu = max(max_nu, found)
-        if defeated_t is None:
-            return CertificateReport(
-                "C7",
-                Verdict.PASS,
-                [witness(eps=eps, delta=delta, max_nu=max_nu)],
-                resolution_note=f"{t_samples} samples per band, nu horizon {nu_horizon}",
-            )
-        defeats.append(witness(eps=eps, delta=delta, defeating_t=defeated_t))
-    return CertificateReport(
-        "C7",
-        Verdict.INCONCLUSIVE,
-        defeats[:8],
-        resolution_note=(
-            "fail-evidence at this budget: every candidate delta has a sampled t "
-            "no member pulls below eps; a finite search cannot refute the "
-            "existential delta"
-        ),
-    )
+    return _c7_reports(family, (eps,), delta_candidates, t_samples, nu_horizon, eta)[0]
 
 
 def check_family_C7_multi(
@@ -492,10 +515,7 @@ def check_family_C7_multi(
     eta: float = 1e-9,
 ) -> CertificateReport:
     """check_family_C7 across a grid of eps levels, merged into one report."""
-    reports = [
-        check_family_C7(family, eps, delta_candidates, t_samples, nu_horizon, eta)
-        for eps in eps_grid
-    ]
+    reports = _c7_reports(family, eps_grid, delta_candidates, t_samples, nu_horizon, eta)
     wits: list[dict] = []
     for rep in reports:
         wits.extend(rep.witnesses[:2])

@@ -107,8 +107,8 @@ class SearchBudget:
 
     def scaled(self, factor: float) -> "SearchBudget":
         """Scale the discrete budget knobs by ``factor`` (grids unchanged)."""
-        if factor <= 0:
-            raise InputError("budget scale factor must be positive")
+        if not (_is_real(factor) and 0 < _as_float(factor) < math.inf):
+            raise InputError(f"budget scale factor must be positive and finite, got {factor!r}")
         return replace(
             self,
             nu_horizon=max(1, round(self.nu_horizon * factor)),

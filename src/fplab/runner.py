@@ -33,10 +33,10 @@ from .certificates import (
     check_p_controls_d,
     consecutive_contraction_report,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .gallery import Expectation, gallery_names, get_entry
 from .reports import CertificateReport, Verdict
-from .scenario import RUN_NAMES, Scenario, build_scenario, load_scenario_file
+from .scenario import RUN_NAMES, Scenario, build_scenario, load_scenario_file, seed_problem
 from .solvers import (
     certify_cauchy,
     even_collapse_diagnostic,
@@ -279,11 +279,14 @@ def run_scenario_doc(
     strict: bool = False,
 ) -> RunResult:
     """Execute one scenario document.  Configuration problems raise
-    ConfigurationError; everything else lands in the artifacts.  A run that
-    raises leaves no artifact behind, nor the directory if it made it."""
+    ConfigurationError, a bad seed or budget scale InputError; everything
+    else lands in the artifacts.  A run that raises leaves no artifact
+    behind, nor the directory if it made it."""
     scn = build_scenario(doc)
     if seed is not None:
-        scn = dataclasses.replace(scn, seed=int(seed))
+        if problem := seed_problem(seed):
+            raise InputError(f"seed: {problem}, got {seed!r}")
+        scn = dataclasses.replace(scn, seed=seed)
     if budget_scale is not None:
         scn = dataclasses.replace(scn, budget=scn.budget.scaled(budget_scale))
 

@@ -238,6 +238,13 @@ def _needs_trace(run: str, source, has_t: bool, has_s: bool, seq, diags: list[st
         diags.append(f"sequence: run {run} on a sequence trace needs one")
 
 
+def seed_problem(seed) -> str | None:
+    """Why seed is no scenario seed (a non-negative int, not a bool), or None."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        return "must be an integer"
+    return "must not be negative" if seed < 0 else None
+
+
 def _walk(doc) -> tuple[list[str], Scenario | None]:
     """Read every field of doc once, to check, default, convert and build it.
     Returns the diagnostics and, when there are none, the Scenario."""
@@ -249,11 +256,8 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
     if not isinstance(name, str) or not name:
         diags.append("name: required non-empty string")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        diags.append("seed: must be an integer")
-        seed = None
-    elif seed < 0:
-        diags.append("seed: must not be negative")
+    if problem := seed_problem(seed):
+        diags.append(f"seed: {problem}")
         seed = None
 
     space = None

@@ -1,6 +1,7 @@
 """Condition checkers: sequence-level, gauge-family, mapping-level, two-map."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestGaugeFamilyCheckers:
             assert dom.verdict is Verdict.INCONCLUSIVE
             assert dom.witnesses == [{"checked_shifts": 2, "checked_indices": 8}]
             assert "shifts 3..8 were not checked" in dom.resolution_note
+
+    def test_horizon_below_c6_minimum_is_inconclusive(self):
+        # a budget scale of 0.05 takes nu_horizon 64 to 3; C6 reads its tail
+        # from at least 4 members, so it is not run and claims nothing
+        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+        budget = SearchBudget(index_horizon=8, nu_horizon=3)
+        with mock.patch("fplab.certificates.check_family_C6",
+                        side_effect=AssertionError("C6 must not run")):
+            c6, c7, c8 = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
+                                    self.fam(), budget)
+        assert c6.condition_id == "C6" and c6.verdict is Verdict.INCONCLUSIVE
+        assert c6.witnesses == []
+        assert "nu horizon 3 is below the 4 members" in c6.resolution_note
+        assert c7.verdict is Verdict.PASS and c8.verdict is Verdict.PASS
 
     def test_unknown_variant(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
@@ -423,6 +438,14 @@ class TestSearchBudget:
     def test_slack_must_be_real(self, bad):
         with pytest.raises(InputError, match="slack must be a real number"):
             SearchBudget(slack=bad)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, True, "2", None,
+                                        pytest.param(10 ** 400, id="int-beyond-float"),
+                                        0, -0.5])
+    def test_scale_factor_must_be_positive_and_finite(self, factor):
+        # NaN was a raw ValueError and inf a raw OverflowError from round
+        with pytest.raises(InputError, match="budget scale factor must be positive and finite"):
+            SearchBudget().scaled(factor)
 
     def test_integers_and_numpy_reals_are_accepted(self):
         b = SearchBudget(eps_grid=[np.float64(0.5), 1], delta_candidates=(1, 0.5),

@@ -1,12 +1,15 @@
 """Gauges, regularity profiles and family tail conditions."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.gauges import (
+    _BUILTINS,
     Gauge,
     GaugeFamily,
     builtin_gauge,
@@ -93,6 +96,63 @@ class TestGaugeBasics:
         with pytest.raises(InputError, match="outside its working range"):
             expression_gauge("t / 2.0").apply_array(np.array([math.nan, 0.5]))
         assert g.apply_array(np.array([0.0, 1e3])).tolist() == [0.0, 500.0]
+
+
+# ---------------------------------------------------------------------------
+# Scalar and array evaluation agree bit for bit.  The regularity probes and
+# the family checks evaluate whole blocks with apply_array, and their reports
+# are pinned to the scalar walks they replaced, so one ulp would count.
+
+T_MAX = 1e3
+T_VALUES = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, T_MAX)),
+                     st.floats(min_value=0.0, max_value=T_MAX))
+_LEAVES = st.one_of(st.just("t"), st.integers(-4, 4).map(str),
+                    st.floats(min_value=-4.0, max_value=4.0).map(repr))
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds("({} {} {})".format, children, st.sampled_from("+-*/"), children),
+        children.map("abs({})".format),
+        st.builds(lambda fn, args: f"{fn}({', '.join(args)})", st.sampled_from(("min", "max")),
+                  st.lists(children, min_size=1, max_size=3)),
+    )
+
+
+# random grammar expressions in t: + - * /, abs, min, max, int and float constants
+GAUGE_SOURCES = st.recursive(_LEAVES, _grow, max_leaves=8)
+
+
+def _assert_same_bits(scalars, array):
+    assert array.shape == (len(scalars),)
+    for a, b in zip(scalars, array.tolist()):
+        # NaN from a division by zero is NaN on both paths
+        assert (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestScalarArrayAgreement:
+    @given(name=st.sampled_from(sorted(_BUILTINS)), ts=st.lists(T_VALUES, min_size=1, max_size=8))
+    def test_builtins(self, name, ts):
+        g = builtin_gauge(name, t_max=T_MAX)
+        for t in ts:
+            _assert_same_bits([g(t)], g.apply_array([t]))
+        _assert_same_bits([g(t) for t in ts], g.apply_array(ts))
+
+    @given(source=GAUGE_SOURCES, ts=st.lists(T_VALUES, min_size=1, max_size=8))
+    def test_grammar_expressions(self, source, ts):
+        g = expression_gauge(source, t_max=T_MAX)
+        for t in ts:
+            _assert_same_bits([g(t)], g.apply_array([t]))
+        _assert_same_bits([g(t) for t in ts], g.apply_array(ts))
+
+    @pytest.mark.parametrize("source, t", [("t / (t - 1)", 1.0), ("1 / t", 0.0),
+                                           ("t / (t * 0)", 2.0), ("(1 - 1) / 0", 0.5),
+                                           ("max(t, 1 / (t - 3))", 3.0)])
+    def test_division_by_zero_is_nan_on_both_paths(self, source, t):
+        g = expression_gauge(source, t_max=T_MAX)
+        assert math.isnan(g(t))
+        assert math.isnan(g.apply_array([t])[0])
+        _assert_same_bits([g(t)], g.apply_array([t]))
 
 
 class TestRegularity:

@@ -25,9 +25,11 @@ from fplab.certificates import _orbit_block, check_banach_rate, check_f_psi_cont
     compute_M
 from fplab.errors import ConfigurationError, InputError
 from fplab.expressions import compile_expression
-from fplab.gauges import builtin_gauge, expression_gauge
+from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, builtin_gauge, \
+    check_family_C6, check_family_C7, check_family_C7_multi, explicit_family, expression_gauge, \
+    iterated_family, regularity_grid, verify_gauge_regularity
 from fplab.maps import _BUILTINS as MAP_BUILTINS, builtin_map, expression_map
-from fplab.reports import CertificateReport, SearchBudget, Verdict, witness
+from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from fplab.spaces import (
     Box,
     CyclicSetting,
@@ -894,6 +896,353 @@ class TestAxiomVerification:
         got = _axiom_outcome(verify_premetric_axioms, p, triples, 1e-9)
         assert got == _axiom_outcome(axioms_reference, p, triples, 1e-9)
         assert got.startswith("InputError: point (1.0,) tagged 'line'")
+
+
+# ---------------------------------------------------------------------------
+# Gauge probes: the batched regularity, C6 and C7 passes against the scalar
+# walks they replaced
+
+
+def limit_deviation_reference(g, t, h, sign, refine, eta):
+    """One grid point's one-sided probes g(t + sign*h*2^-k), k = 1..refine,
+    one scalar call each; a probe outside [0, t_max] counts as 0.0."""
+    base_val = g(t)
+    devs = []
+    for k in range(1, refine + 1):
+        s = t + sign * h * 2.0 ** -k
+        if s < 0 or s > g.t_max:
+            devs.append(0.0)
+            continue
+        devs.append(g(s) - base_val)
+    final = devs[-1]
+    tol = max(eta, eta * abs(base_val))
+    if abs(final) <= tol:
+        return True, final
+    mid = devs[len(devs) // 2]
+    if abs(final) <= 0.25 * abs(mid):
+        return True, final
+    return False, final
+
+
+def regularity_reference(g, grid=None, eta=1e-9, refine=20):
+    """verify_gauge_regularity as a loop over the grid, entry by entry."""
+    if grid is None:
+        grid = regularity_grid(g.t_max)
+    grid = tuple(float(t) for t in grid)
+    if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError("verification grid must be strictly increasing with >= 3 points")
+    if grid[0] < 0 or grid[-1] > g.t_max:
+        raise InputError("verification grid must lie inside the gauge working range")
+    vals = [g(t) for t in grid]
+    note = (
+        f"grid of {len(grid)} points in [{grid[0]}, {grid[-1]}], one-sided sampling "
+        f"resolution h*2^-{refine}, slack eta={eta}"
+    )
+    bad_values = [
+        witness(t=t, value=v) for t, v in zip(grid, vals) if not math.isfinite(v) or v < 0
+    ]
+    reports = []
+
+    def spacing(i, side):
+        if side == "right":
+            return grid[i + 1] - grid[i] if i + 1 < len(grid) else grid[i] - grid[i - 1]
+        return grid[i] - grid[i - 1] if i > 0 else grid[i + 1] - grid[i]
+
+    for entry in sorted(g.profile):
+        cid = f"REG-{entry}"
+        if bad_values:
+            reports.append(CertificateReport(
+                cid, Verdict.FAIL, bad_values[:4],
+                resolution_note=note + "; gauge produced invalid values"))
+            continue
+        bad = []
+        if entry == "nondecreasing":
+            for i in range(len(grid) - 1):
+                if vals[i + 1] < vals[i] - eta:
+                    bad.append(witness(t_lo=grid[i], t_hi=grid[i + 1], drop=vals[i] - vals[i + 1]))
+        elif entry == "right_continuous":
+            for i, t in enumerate(grid):
+                if t + spacing(i, "right") * 0.5 > g.t_max:
+                    continue
+                ok, dev = limit_deviation_reference(g, t, spacing(i, "right"), +1, refine, eta)
+                if not ok:
+                    bad.append(witness(t=t, right_deviation=dev,
+                                       resolution=spacing(i, "right") * 2.0 ** -refine))
+        elif entry == "continuous":
+            for i, t in enumerate(grid):
+                if t + spacing(i, "right") * 0.5 <= g.t_max:
+                    ok, dev = limit_deviation_reference(g, t, spacing(i, "right"), +1, refine, eta)
+                    if not ok:
+                        bad.append(witness(t=t, side="right", deviation=dev))
+                        continue
+                if t > 0:
+                    ok, dev = limit_deviation_reference(g, t, spacing(i, "left"), -1, refine, eta)
+                    if not ok:
+                        bad.append(witness(t=t, side="left", deviation=dev))
+        elif entry == "positive_on_positive":
+            for t, v in zip(grid, vals):
+                if t > 0 and v <= 0.0:
+                    bad.append(witness(t=t, value=v))
+        elif entry == "zero_at_zero":
+            v0 = g(0.0)
+            if abs(v0) > eta:
+                bad.append(witness(t=0.0, value=v0))
+        elif entry == "strictly_below_identity":
+            for t, v in zip(grid, vals):
+                if t > 0.0 and v >= t:
+                    bad.append(witness(t=t, value=v, margin=t - v))
+        elif entry in ("upper_semicontinuous", "right_upper_semicontinuous"):
+            sides = [+1] if entry == "right_upper_semicontinuous" else [+1, -1]
+            for i, t in enumerate(grid):
+                for sign in sides:
+                    if sign > 0 and t + spacing(i, "right") * 0.5 > g.t_max:
+                        continue
+                    if sign < 0 and t <= 0:
+                        continue
+                    h = spacing(i, "right" if sign > 0 else "left")
+                    ok, dev = limit_deviation_reference(g, t, h, sign, refine, eta)
+                    if not ok and dev > eta:
+                        bad.append(witness(t=t, side="right" if sign > 0 else "left",
+                                           approach_excess=dev))
+        reports.append(CertificateReport(cid, Verdict.FAIL if bad else Verdict.PASS, bad[:8],
+                                         resolution_note=note))
+    return reports
+
+
+def family_values_reference(family, t, horizon):
+    """Members 1..horizon (at most the explicit members) at t, one scalar
+    call each."""
+    if family.kind == "iterated":
+        out, v = [], float(t)
+        for _ in range(horizon):
+            v = family.base(v)
+            out.append(v)
+        return out
+    return [family.members[n](float(t)) for n in range(min(horizon, len(family.members)))]
+
+
+def c6_reference(family, eps_grid, n_horizon=64, eta=1e-9):
+    """check_family_C6 as a loop over the eps levels."""
+    if n_horizon < 4:
+        raise InputError("C6 horizon must be at least 4")
+    per_eps, wits, checked = [], [], n_horizon
+    for eps in eps_grid:
+        values = family_values_reference(family, eps, n_horizon)
+        checked = len(values)
+        q = max(1, len(values) // 4)
+        tail = values[-q:]
+        est = max(tail)
+        stabilized = (max(tail) - min(tail)) <= eta
+        monotone = all(b <= a + eta for a, b in zip(tail, tail[1:]))
+        if est < eps - eta and (stabilized or monotone):
+            per_eps.append(Verdict.PASS)
+            wits.append(witness(eps=eps, limsup_estimate=est,
+                                tail="stabilized" if stabilized else "nonincreasing"))
+        elif est >= eps - eta and stabilized:
+            per_eps.append(Verdict.FAIL)
+            wits.append(witness(eps=eps, limsup_estimate=est, tail="stabilized"))
+        else:
+            per_eps.append(Verdict.INCONCLUSIVE)
+            wits.append(witness(eps=eps, limsup_estimate=est, tail="unstable"))
+    verdict = worst_verdict(per_eps)
+    note = (f"tail over last quarter of horizon {n_horizon}; unstabilized, "
+            f"non-monotone tails are never a pass")
+    if checked < n_horizon:
+        note += (f"; the family has only {checked} members, so the tail was read "
+                 f"from those and no pass is claimed")
+        if verdict is Verdict.PASS:
+            verdict = Verdict.INCONCLUSIVE
+    return CertificateReport("C6", verdict, wits, resolution_note=note)
+
+
+def c7_reference(family, eps, delta_candidates=None, t_samples=17, nu_horizon=64, eta=1e-9):
+    """check_family_C7 as the walk over deltas, then sampled t, then nu."""
+    if eps <= 0:
+        raise InputError("C7 needs eps > 0")
+    if delta_candidates is None:
+        delta_candidates = tuple(2.0 ** -k for k in range(21))
+    defeats = []
+    for delta in delta_candidates:
+        max_nu, defeated_t = 0, None
+        for t in np.linspace(eps, eps + delta, t_samples):
+            values = family_values_reference(family, float(t), nu_horizon)
+            found = None
+            for nu, v in enumerate(values, start=1):
+                if v < eps - eta:
+                    found = nu
+                    break
+            if found is None:
+                defeated_t = float(t)
+                break
+            max_nu = max(max_nu, found)
+        if defeated_t is None:
+            return CertificateReport(
+                "C7", Verdict.PASS, [witness(eps=eps, delta=delta, max_nu=max_nu)],
+                resolution_note=f"{t_samples} samples per band, nu horizon {nu_horizon}")
+        defeats.append(witness(eps=eps, delta=delta, defeating_t=defeated_t))
+    return CertificateReport(
+        "C7", Verdict.INCONCLUSIVE, defeats[:8],
+        resolution_note=(
+            "fail-evidence at this budget: every candidate delta has a sampled t "
+            "no member pulls below eps; a finite search cannot refute the "
+            "existential delta"
+        ),
+    )
+
+
+def c7_multi_reference(family, eps_grid, delta_candidates=None, t_samples=17, nu_horizon=64,
+                       eta=1e-9):
+    reports = [c7_reference(family, eps, delta_candidates, t_samples, nu_horizon, eta)
+               for eps in eps_grid]
+    wits = []
+    for rep in reports:
+        wits.extend(rep.witnesses[:2])
+    return CertificateReport("C7", worst_verdict(r.verdict for r in reports), wits,
+                             resolution_note=f"merged over eps grid {list(eps_grid)}")
+
+
+def _probe_outcome(check, *args, **kwargs):
+    """Report JSON text, or the class and message of the error raised."""
+    try:
+        out = check(*args, **kwargs)
+    except (InputError, ConfigurationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps([r.to_json() for r in (out if isinstance(out, list) else [out])])
+
+
+# the jump step01; t + 1 and 2 * t, which leave a small t_max; a pole at 1;
+# a constant; a spike at 1 that no one-sided limit reaches
+PROBE_GAUGES = ("half", "mk", "id", "step01", "t + 1", "2 * t", "t / (t - 1)", "0.5",
+                "max(0, 1 - 1e12 * abs(t - 1))")
+PROBE_T_MAX = st.sampled_from((1e3, 2.5))
+
+
+def _probe_gauge(name, t_max, profile=None):
+    if name in GAUGE_BUILTINS:
+        return builtin_gauge(name, t_max=t_max, profile=profile)
+    return expression_gauge(name, t_max=t_max, profile=profile or frozenset())
+
+
+@st.composite
+def probe_families(draw):
+    t_max = draw(PROBE_T_MAX)
+    if draw(st.booleans()):
+        return iterated_family(_probe_gauge(draw(st.sampled_from(PROBE_GAUGES)), t_max),
+                               zero_fixed=True)
+    # at most 5 members: shorter than most horizons drawn below
+    names = draw(st.lists(st.sampled_from(PROBE_GAUGES), min_size=1, max_size=5))
+    return explicit_family([_probe_gauge(n, t_max) for n in names], zero_fixed=True)
+
+
+PROBE_EPS = st.lists(st.one_of(st.sampled_from((0.0, -0.5, 0.125, 0.5, 1.0, 2.0, 2.5)),
+                               st.floats(min_value=0.01, max_value=3.0)),
+                     min_size=1, max_size=3).map(tuple)
+# None is the default 21 halvings; drawn lists may be unsorted, so a band
+# visited late can leave the working range while an early one passes
+PROBE_DELTAS = st.one_of(st.none(), st.lists(st.sampled_from((1.0, 0.5, 0.25, 2.0 ** -10, 3.0,
+                                                              1e4)),
+                                             max_size=4).map(tuple))
+PROBE_ETA = st.sampled_from((1e-9, 1e-12, 1e-3, 0.1))
+
+
+@st.composite
+def probe_grids(draw, t_max):
+    if draw(st.booleans()):
+        return None
+    points = draw(st.lists(st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0, t_max)),
+                                     st.floats(min_value=0.0, max_value=t_max)),
+                           min_size=2, max_size=12, unique=True))
+    return tuple(sorted(points))
+
+
+class TestGaugeProbes:
+    @given(name=st.sampled_from(PROBE_GAUGES), t_max=PROBE_T_MAX, data=st.data(),
+           profile=st.frozensets(st.sampled_from(sorted(PROFILE_NAMES)), min_size=1),
+           refine=st.integers(1, 24), eta=PROBE_ETA)
+    def test_regularity_equals_the_grid_loop(self, name, t_max, data, profile, refine, eta):
+        g = _probe_gauge(name, t_max, profile)
+        grid = data.draw(probe_grids(t_max))
+        got = _probe_outcome(verify_gauge_regularity, g, grid, eta=eta, refine=refine)
+        assert got == _probe_outcome(regularity_reference, g, grid, eta=eta, refine=refine)
+
+    @given(family=probe_families(), eps_grid=PROBE_EPS, n_horizon=st.integers(1, 24),
+           eta=PROBE_ETA)
+    def test_c6_equals_the_eps_loop(self, family, eps_grid, n_horizon, eta):
+        got = _probe_outcome(check_family_C6, family, eps_grid, n_horizon, eta)
+        assert got == _probe_outcome(c6_reference, family, eps_grid, n_horizon, eta)
+
+    def test_c6_meets_the_walks_first_error(self):
+        # the block leaves the range at eps 1.5 (member 2 reads 3.0) before
+        # eps 0.5 does (member 3 reads 4.0), yet the walk finishes eps 0.5 first
+        family = iterated_family(_probe_gauge("2 * t", 2.5), zero_fixed=True)
+        got = _probe_outcome(check_family_C6, family, (0.5, 1.5), 8)
+        assert got == _probe_outcome(c6_reference, family, (0.5, 1.5), 8)
+        assert got.startswith("InputError: gauge '2 * t' evaluated at t=4.0 ")
+
+    @given(family=probe_families(), eps_grid=PROBE_EPS, deltas=PROBE_DELTAS,
+           t_samples=st.integers(0, 9), nu_horizon=st.integers(0, 20), eta=PROBE_ETA)
+    def test_c7_equals_the_band_walk(self, family, eps_grid, deltas, t_samples, nu_horizon,
+                                     eta):
+        args = (family, eps_grid, deltas, t_samples, nu_horizon, eta)
+        got = _probe_outcome(check_family_C7_multi, *args)
+        assert got == _probe_outcome(c7_multi_reference, *args)
+        got = _probe_outcome(check_family_C7, family, eps_grid[0], *args[2:])
+        assert got == _probe_outcome(c7_reference, family, eps_grid[0], *args[2:])
+
+    # (family base or members, eps grid, deltas, nu horizon, expected outcome start)
+    C7_CASES = {
+        # member 10 at t = 2 reads 2 * 2^9 = 1024 > 1000, which the walk, defeated
+        # at t = 1 in every band, never reaches; member 11 at t = 1 reads it too
+        "unvisited-out-of-range": ("2 * t", (1.0,), None, 10, "INCONCLUSIVE"),
+        "visited-out-of-range": ("2 * t", (1.0,), None, 11, "InputError: gauge '2 * t'"),
+        # a band after the passing one leaves the working range
+        "late-band-out-of-range": ("mk", (1.0,), (1.0, 1e4), 64, "PASS"),
+        "non-positive-eps": ("mk", (1.0, 0.0), None, 64, "InputError: C7 needs eps > 0"),
+        # the pole: 0.5 / (0.5 - 1) = -1 hits at nu 1, and member 2 is out of range
+        "out-of-range-past-the-hit": ("t / (t - 1)", (0.5,), None, 4, "InputError"),
+        "explicit-short": (["id", "half"], (1.0, 0.5), None, 64, "PASS"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(C7_CASES))
+    def test_c7_cases(self, case):
+        spec, eps_grid, deltas, nu_horizon, expected = self.C7_CASES[case]
+        family = (iterated_family(_probe_gauge(spec, 1e3), zero_fixed=True)
+                  if isinstance(spec, str) else
+                  explicit_family([_probe_gauge(n, 1e3) for n in spec], zero_fixed=True))
+        args = (family, eps_grid, deltas, 17, nu_horizon, 1e-9)
+        got = _probe_outcome(check_family_C7_multi, *args)
+        assert got == _probe_outcome(c7_multi_reference, *args)
+        if not got.startswith("InputError"):
+            got = json.loads(got)[0]["verdict"].upper()
+        assert got.startswith(expected)
+
+    def test_default_bands_are_the_per_delta_linspace(self):
+        budget = SearchBudget()
+        eps = np.array(budget.eps_grid)[:, None]
+        stops = eps + np.array(budget.delta_candidates)
+        block = np.linspace(eps, stops, 17, axis=-1)
+        for i, e in enumerate(budget.eps_grid):
+            for j, delta in enumerate(budget.delta_candidates):
+                row = np.linspace(e, e + delta, 17)
+                assert block[i, j].tobytes() == row.tobytes()
+
+    def test_the_batched_probes_make_no_scalar_calls(self):
+        calls = []
+        real = Gauge.__call__
+
+        def counted(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        mk = builtin_gauge("mk")
+        with mock.patch.object(Gauge, "__call__", counted):
+            verify_gauge_regularity(mk)
+            budget = SearchBudget()
+            fam = iterated_family(mk, zero_fixed=True)
+            check_family_C6(fam, budget.eps_grid)
+            check_family_C7_multi(fam, budget.eps_grid, budget.delta_candidates)
+        # zero_at_zero reads g(0.0) itself
+        assert calls == [0.0]
 
 
 # ---------------------------------------------------------------------------

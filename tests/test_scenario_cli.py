@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from fplab.cli import main
 from fplab.errors import ConfigurationError, FplabError, InputError
 from fplab.gallery import GALLERY, gallery_names, get_entry, list_gallery
-from fplab.runner import _exit_code, run_scenario_doc
+from fplab.runner import _exit_code, run_scenario, run_scenario_doc
 from fplab.scenario import RUN_NAMES, RUN_PARAMS, build_scenario, load_scenario_file, validate_scenario
 
 
@@ -393,6 +393,19 @@ class TestCliRun:
         assert code == 1
         assert "error: budget scale factor must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed: must not be negative, got -1"),
+        ("--budget-scale", "nan", "budget scale factor must be positive and finite, got nan"),
+        ("--budget-scale", "inf", "budget scale factor must be positive and finite, got inf"),
+    ])
+    def test_bad_override_exits_one(self, tmp_path, capsys, flag, value, message):
+        # these ended in a raw ValueError from numpy's seed check or from
+        # round(nan), and a raw OverflowError from round(inf)
+        out = tmp_path / "out"
+        assert main(["run", "banach-half", "--out", str(out), flag, value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_expression_gauge_reaches_a_verdict(self, tmp_path, capsys):
         # psi = 0.5 ignores t; applying it to a gap array used to raise a
         # raw TypeError instead of producing the stepwise-domination verdict
@@ -749,6 +762,25 @@ class TestRunnerOverrides:
         assert report["budget"]["index_horizon"] == 4
         assert report["budget"]["nu_horizon"] == 4
         assert report["budget"]["pair_samples"] == 10
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "3"])
+    def test_seed_follows_the_documents_rule(self, tmp_path, seed):
+        # -1 was a raw ValueError from numpy; the others ran as int(seed)
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="seed: must"):
+            run_scenario_doc(SMOKE, str(out), seed=seed)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", gallery_names())
+    def test_small_budget_scales_end_with_verdicts(self, tmp_path, name):
+        # 0.05 takes nu_horizon 64 to 3, below the 4 members C6 needs: C6 is
+        # inconclusive, where the run used to end in an InputError
+        result = run_scenario(name, str(tmp_path / name), budget_scale=0.05)
+        assert result.exit_code in (0, 2)
+        if name == "banach-half":
+            assert result.exit_code == 2
+            assert result.verdicts["certify.asmk1.C6"] == "inconclusive"
+            assert result.verdicts["certify.asmk2.C6"] == "inconclusive"
 
     def test_run_result_mirrors_the_report(self, tmp_path):
         result = run_scenario_doc(SMOKE, str(tmp_path / "out"))
