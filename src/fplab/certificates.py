@@ -80,6 +80,16 @@ _BAND_NOTE = (
 )
 
 
+def _no_pairs(cid: str, budget: SearchBudget) -> CertificateReport:
+    """The report of a pair condition (C4, C5, D4) whose index horizon holds
+    no pair i < j: nothing was examined, so nothing is claimed."""
+    return CertificateReport(
+        cid, Verdict.INCONCLUSIVE, [], budget,
+        f"index horizon {budget.index_horizon} is below the 2 indices a pair i < j "
+        f"needs; {cid} was not checked",
+    )
+
+
 def _check_c1(gaps: np.ndarray, budget: SearchBudget) -> CertificateReport:
     """Small-gap hypothesis: some delta for which any front index with a gap
     below delta forces the tail-limsup estimate down to eps."""
@@ -274,6 +284,14 @@ def _band_uniform(
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 
+def _shared_shift_band(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
+    """C4 or D4 on one gap matrix per orbit; inconclusive when the index
+    horizon holds no pair."""
+    if budget.index_horizon < 2:
+        return _no_pairs(cid, budget)
+    return _band_uniform(mats, budget, cid, "orbit")
+
+
 _STRICT_NOTE = (
     "strict decrease tested as new < old - slack; items with value at or below the "
     "slack are not triggered; fail means no shift within the nu horizon decreases "
@@ -314,51 +332,44 @@ def _strict_per_index(
 
 
 def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
-    """Pairwise strict decrease under a shared shift, one matrix per orbit."""
+    """Pairwise strict decrease under a shared shift, one matrix per orbit.
+
+    One sweep over nu clears the triggered pairs that shift nu decreases and
+    passes at the first nu that leaves none; the pairs still left after the
+    horizon are the stuck ones, and only the first 8 of them (np.nonzero
+    order) get their best follow-up, the minimum over every shift."""
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     if mats.shape[1] < ih + nh:
         raise InputError(
             f"need gap matrices of side at least {ih + nh} for this budget, "
             f"got {mats.shape[1]}"
         )
-    base = mats[:, :ih, :ih]
-    best = np.full_like(base, np.inf)
-    for nu in range(1, nh + 1):
-        np.minimum(best, mats[:, nu:nu + ih, nu:nu + ih], out=best)
-    iu = np.triu_indices(ih, k=1)
-    b = base[:, iu[0], iu[1]]
-    m = best[:, iu[0], iu[1]]
-    triggered = b > eta
-    stuck = triggered & (m >= b - eta)
-    if stuck.any():
-        k_idx, p_idx = np.nonzero(stuck)
-        wits = [
-            witness(orbit=int(k), i=int(iu[0][q]), j=int(iu[1][q]),
-                    gap=float(b[k, q]), best_follow_up=float(m[k, q]))
-            for k, q in list(zip(k_idx, p_idx))[:8]
-        ]
-        return CertificateReport(cid, Verdict.FAIL, wits, budget, _STRICT_NOTE)
-    count = int(triggered.sum())
+    rows, cols = np.triu_indices(ih, k=1)
+    b = mats[:, rows, cols]
+    remaining = b > eta
+    count = int(remaining.sum())
     if count == 0:
         return CertificateReport(
             cid, Verdict.PASS,
             [witness(triggered=0, note="every pair gap is already within the slack of zero")],
             budget, _STRICT_NOTE,
         )
-    # Smallest shift that already decreases every triggered pair, for the record.
-    nu_witness = None
-    remaining = triggered.copy()
+    limit = b - eta
     for nu in range(1, nh + 1):
-        shifted = mats[:, nu:nu + ih, nu:nu + ih][:, iu[0], iu[1]]
-        remaining &= ~(shifted < b - eta)
+        remaining &= ~(mats[:, rows + nu, cols + nu] < limit)
         if not remaining.any():
-            nu_witness = nu
-            break
-    return CertificateReport(
-        cid, Verdict.PASS,
-        [witness(triggered=count, nu=nu_witness)],
-        budget, _STRICT_NOTE,
-    )
+            return CertificateReport(
+                cid, Verdict.PASS, [witness(triggered=count, nu=nu)], budget, _STRICT_NOTE)
+    k_idx, p_idx = (idx[:8] for idx in np.nonzero(remaining))
+    best = np.full(k_idx.size, np.inf)
+    for nu in range(1, nh + 1):
+        best = np.minimum(best, mats[k_idx, rows[p_idx] + nu, cols[p_idx] + nu])
+    wits = [
+        witness(orbit=int(k), i=int(rows[q]), j=int(cols[q]),
+                gap=float(b[k, q]), best_follow_up=float(m))
+        for k, q, m in zip(k_idx, p_idx, best)
+    ]
+    return CertificateReport(cid, Verdict.FAIL, wits, budget, _STRICT_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +422,7 @@ def check_asf2(
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
     mats = _pair_matrix(trace, p, budget)[None, ...]
-    return _band_uniform(mats, budget, "C4", "orbit")
+    return _shared_shift_band(mats, budget, "C4")
 
 
 def check_c5(
@@ -422,6 +433,8 @@ def check_c5(
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
     mats = _pair_matrix(trace, p, budget)[None, ...]
+    if budget.index_horizon < 2:
+        return _no_pairs("C5", budget)
     return _strict_pairs(mats, budget, "C5")
 
 
@@ -539,18 +552,36 @@ def _orbit_block(
 
     orbits has shape (k, n_steps, dim); an orbit that escapes (non-finite or
     beyond ESCAPE_NORM) is frozen at its last good point and its alive count
-    records how many valid steps it has.
+    records how many valid steps it has.  The freeze bookkeeping starts at
+    the first step where some row fails.
+
+    Until then, once every row is bit-identical to its row two steps
+    earlier, the block repeats its last two steps forever (map_t.fn is pure,
+    see NamedMap), so the rest is filled by tiling them, as
+    traces._extend_orbit does.  Bits, not ==, decide, so -0.0 and 0.0 differ.
     """
     k, dim = seeds.shape
     orbits = np.empty((k, n_steps, dim))
     orbits[:, 0, :] = seeds
     alive = np.full(k, n_steps, dtype=int)
-    going = np.ones(k, dtype=bool)
+    going = None  # no row has failed yet
     with np.errstate(all="ignore"):
         for step in range(1, n_steps):
             prev = orbits[:, step - 1]
             nxt = map_t.fn(prev)
-            ok = np.isfinite(nxt).all(axis=-1) & (np.abs(nxt).max(axis=-1) <= ESCAPE_NORM)
+            # NaN and +-inf fail the comparison too
+            if going is None and np.abs(nxt).max() <= ESCAPE_NORM:
+                orbits[:, step] = nxt
+                # the first row alone turns most steps away cheaply
+                if step >= 2 and orbits[0, step].tobytes() == orbits[0, step - 2].tobytes() \
+                        and orbits[:, step].tobytes() == orbits[:, step - 2].tobytes():
+                    orbits[:, step + 1::2] = orbits[:, step - 1, None]
+                    orbits[:, step + 2::2] = orbits[:, step, None]
+                    break
+                continue
+            ok = np.abs(nxt).max(axis=-1) <= ESCAPE_NORM
+            if going is None:
+                going = np.ones(k, dtype=bool)
             alive[going & ~ok] = step
             going &= ok
             orbits[:, step] = np.where(going[:, None], nxt, prev)
@@ -591,9 +622,13 @@ def _sample_orbit_data(
 def _d4_matrices(space: Space, data: dict, budget: SearchBudget) -> tuple[np.ndarray, int]:
     cap = max(4, budget.pair_samples // 16)
     chosen = data["orbits_x"][data["valid"]][:cap]
-    # one orbit at a time: a single 4-D broadcast would hold every orbit's
-    # difference block in memory at once
-    mats = np.stack([space.distances(orbit[:, None], orbit[None]) for orbit in chosen])
+    # one orbit matrix at a time, written straight into the block, for peak
+    # memory: a (k, n, n) call would hold every orbit's temporaries at once,
+    # and stacking a list would hold every matrix twice
+    n = chosen.shape[1]
+    mats = np.empty((chosen.shape[0], n, n))
+    for mat, orbit in zip(mats, chosen):
+        mat[...] = space.distances(orbit[:, None], orbit[None])
     return mats, chosen.shape[0]
 
 
@@ -679,7 +714,7 @@ def check_acf_mapping(
         _check_d1(dists, budget),
         _band_per_index(trigger, windows, budget, "D2", "pair"),
         _strict_per_index(trigger, windows, budget, "D3", "pair"),
-        _band_uniform(mats, budget, "D4", "orbit"),
+        _shared_shift_band(mats, budget, "D4"),
     ]
     annotated = []
     for rep in reports:
@@ -714,7 +749,7 @@ def acf_asf_agreement(
     out["D1"] = _check_d1(dists, budget).verdict
     out["D2"] = _band_per_index(dists[:, 0], dists[:, 1:nh + 1], budget, "D2", "pair").verdict
     out["D3"] = _strict_per_index(dists[:, 0], dists[:, 1:nh + 1], budget, "D3", "pair").verdict
-    out["D4"] = _band_uniform(mats, budget, "D4", "orbit").verdict
+    out["D4"] = _shared_shift_band(mats, budget, "D4").verdict
 
     c1, c2, c3 = [], [], []
     for row in dists:
@@ -726,7 +761,7 @@ def acf_asf_agreement(
     out["C2"] = worst_verdict(c2)
     out["C3"] = worst_verdict(c3)
     out["C4"] = worst_verdict(
-        _band_uniform(mats[k:k + 1], budget, "C4", "orbit").verdict
+        _shared_shift_band(mats[k:k + 1], budget, "C4").verdict
         for k in range(mats.shape[0])
     )
     return out

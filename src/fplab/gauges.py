@@ -217,6 +217,12 @@ def regularity_grid(t_max: float = DEFAULT_T_MAX) -> tuple[float, ...]:
     return tuple(float(t) for t in grid if 0.0 <= t <= t_max)
 
 
+def _require_count(name: str, value: Any) -> None:
+    """A probe count (refine, t_samples) is an int of at least 1, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int, refine: int,
                eta: float) -> tuple[list[bool], list[float], np.ndarray]:
     """Probe g(t + sign*h*2^-k), k = 1..refine, at every grid point in one
@@ -249,8 +255,9 @@ def verify_gauge_regularity(
     each side's one-sided probes are one apply_array call each.
 
     Raises:
-        InputError: empty or non-increasing grid.
+        InputError: refine below 1, or an empty or non-increasing grid.
     """
+    _require_count("refine", refine)
     if grid is None:
         grid = regularity_grid(g.t_max)
     grid = tuple(float(t) for t in grid)
@@ -453,6 +460,7 @@ def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[Ce
     takes over when some eps <= 0, when a zero step sends linspace down
     another branch for the whole block, or when the block raises, so that
     an error is the one the walk meets first."""
+    _require_count("t_samples", t_samples)
     if deltas is None:
         deltas = tuple(2.0 ** -k for k in range(21))
     eps_col = np.asarray(eps_grid, dtype=float)[:, None]
@@ -502,6 +510,10 @@ def check_family_C7(
 
     A defeat for every candidate delta is reported as inconclusive with the
     defeating t recorded: a finite search cannot refute the existential.
+
+    Raises:
+        InputError: t_samples below 1, eps <= 0, or a member probed outside
+            its gauge's working range.
     """
     return _c7_reports(family, (eps,), delta_candidates, t_samples, nu_horizon, eta)[0]
 

@@ -5,7 +5,9 @@ a Premetric: a plain metric, a clamped cyclic shift of one, a gauge
 composed with an inner premetric, or a custom expression.  Distances and
 premetrics each have one array kernel (Space.distances, premetric_values)
 over coordinate arrays with the coordinates on the last axis; the Point
-and block functions are thin edges over it.
+and block functions are thin edges over it.  Below 8 coordinates the
+distance kernel works column by column and builds no (..., d) difference
+block, with the bits of the np.sum reduction it replaces.
 """
 
 from __future__ import annotations
@@ -83,20 +85,39 @@ class Space:
     def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The distance kernel: d(a, b) over the last axis of two coordinate
         arrays broadcast against each other.  Equal shapes give aligned
-        distances; a[:, None] against b[None] gives the pairwise matrix."""
+        distances; a[:, None] against b[None] gives the pairwise matrix.
+
+        Below 8 coordinates no (..., d) difference block is built: each
+        coordinate column becomes its term and the terms are added left to
+        right, the order np.sum takes over a last axis shorter than 8, so
+        the bits are the reduction's.  From 8 coordinates on np.sum adds
+        pairwise, so there the kernel keeps the np.sum reduction.  Terms go
+        through array ufuncs (np.power, not **, which rounds differently on
+        a 0-d value), so a Point pair rounds like a block.
+
+        Raises:
+            InputError: an argument without a last axis of the space's width.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if a.shape[-1] != self.dimension or b.shape[-1] != self.dimension:
+        widths = [x.shape[-1] if x.ndim else 0 for x in (a, b)]
+        if widths != [self.dimension] * 2:
             raise InputError(
                 f"space {self.id!r} is {self.dimension}-dimensional, got coordinate "
-                f"arrays of width {a.shape[-1]} and {b.shape[-1]}"
+                f"arrays of width {widths[0]} and {widths[1]}"
             )
-        diff = a - b
-        if self.norm == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=-1))
-        p = float(self.norm)
-        # np.power, not **, so one pair rounds exactly like a whole block
-        return np.power(np.sum(np.abs(diff) ** p, axis=-1), 1.0 / p)
+        p = None if self.norm == "euclidean" else float(self.norm)
+
+        def term(c):
+            return np.multiply(c, c) if p is None else np.power(np.abs(c), p)
+
+        if self.dimension < 8:
+            total = term(a[..., 0] - b[..., 0])
+            for i in range(1, self.dimension):
+                total = total + term(a[..., i] - b[..., i])
+        else:
+            total = np.sum(term(a - b), axis=-1)
+        return np.sqrt(total) if p is None else np.power(total, 1.0 / p)
 
     def distance(self, x: Point, y: Point) -> float:
         self.check_member(x)

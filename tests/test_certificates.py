@@ -211,6 +211,42 @@ class TestGaugeFamilyCheckers:
                        fam, SMALL)
 
 
+class TestNoPairs:
+    """An index horizon of 1 holds no pair i < j.  C4, C5 and D4 used to
+    pass on the translation, an isometry, with nothing examined; C5 even
+    noted that every pair gap was within the slack of zero."""
+
+    BUDGET = SearchBudget(index_horizon=1, nu_horizon=8, pair_samples=20)
+    NOTE = "index horizon 1 is below the 2 indices a pair i < j needs; {} was not checked"
+
+    def test_pair_conditions_are_inconclusive(self):
+        translation = builtin_map("translation", LINE)
+        tr = picard_trace(translation, LINE.point(0.0), 20)
+        reports = [check_asf2(tr, D, self.BUDGET), check_c5(tr, D, self.BUDGET)]
+        reports += [r for r in check_acf_mapping(translation, LINE, self.BUDGET)
+                    if r.condition_id == "D4"]
+        assert [r.condition_id for r in reports] == ["C4", "C5", "D4"]
+        for rep in reports:
+            assert rep.verdict is Verdict.INCONCLUSIVE
+            assert rep.witnesses == []
+            assert rep.budget == self.BUDGET
+            assert rep.resolution_note.startswith(self.NOTE.format(rep.condition_id))
+        agree = acf_asf_agreement(translation, LINE, self.BUDGET)
+        assert agree["C4"] is agree["D4"] is Verdict.INCONCLUSIVE
+
+    def test_the_length_guard_still_comes_first(self):
+        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 4)
+        for check in (check_asf2, check_c5):
+            with pytest.raises(InputError, match="at least 9 points"):
+                check(tr, D, self.BUDGET)
+
+    def test_two_indices_make_one_pair(self):
+        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+        budget = SearchBudget(index_horizon=2, nu_horizon=8)
+        assert check_c5(tr, D, budget).witnesses == [{"triggered": 1, "nu": 1}]
+        assert check_asf2(tr, D, budget).verdict is Verdict.PASS
+
+
 class TestMappingCheckers:
     def budget(self):
         return SearchBudget(index_horizon=8, nu_horizon=8, pair_samples=60)

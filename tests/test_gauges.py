@@ -391,3 +391,33 @@ class TestFamilyC7:
         assert [w["max_nu"] for w in rep.witnesses] == [1, 2]
         ident = iterated_family(builtin_gauge("id"))
         assert check_family_C7_multi(ident, (1.0,)).verdict is Verdict.INCONCLUSIVE
+
+
+class TestProbeArguments:
+    """refine and t_samples count probes: an int of at least 1, never a bool.
+    refine=0 was a raw IndexError, t_samples=-1 numpy's ValueError, and
+    t_samples=0 a pass that had sampled no t."""
+
+    BAD = (-1, 0, True, False, 2.0)
+
+    @pytest.mark.parametrize("refine", BAD)
+    def test_refine(self, refine):
+        with pytest.raises(InputError, match=f"refine must be a positive integer, got {refine!r}"):
+            verify_gauge_regularity(builtin_gauge("mk"), refine=refine)
+
+    @pytest.mark.parametrize("t_samples", BAD)
+    def test_t_samples(self, t_samples):
+        fam = iterated_family(builtin_gauge("half"))
+        message = f"t_samples must be a positive integer, got {t_samples!r}"
+        with pytest.raises(InputError, match=message):
+            check_family_C7(fam, 1.0, t_samples=t_samples)
+        with pytest.raises(InputError, match=message):
+            check_family_C7_multi(fam, (1.0, 0.5), t_samples=t_samples)
+
+    def test_one_is_enough(self):
+        fam = iterated_family(builtin_gauge("half"))
+        assert check_family_C7(fam, 1.0, t_samples=1).witnesses == [
+            {"eps": 1.0, "delta": 1.0, "max_nu": 1}]
+        g = builtin_gauge("mk")
+        reports = verify_gauge_regularity(g, refine=1)
+        assert [r.condition_id for r in reports] == [f"REG-{e}" for e in sorted(g.profile)]

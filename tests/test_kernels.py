@@ -2,8 +2,10 @@
 
 fplab evaluates maps, distances and premetrics on coordinate arrays with the
 coordinates on the last axis.  Each reference below is the per-point loop
-those kernels replaced, written with Python floats, and every property asks
-for exact equality: the reports are pinned byte for byte, so one ulp counts.
+those kernels replaced, written with Python floats, or, for a kernel made
+cheaper again (distances, the C5 sweep, orbit blocks), the array version it
+replaced.  Every property asks for exact equality: the reports are pinned
+byte for byte, so one ulp counts.
 """
 
 import importlib.util
@@ -21,14 +23,14 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fplab
-from fplab.certificates import _orbit_block, check_banach_rate, check_f_psi_contraction, \
-    compute_M
+from fplab.certificates import _STRICT_NOTE, _orbit_block, _strict_pairs, check_banach_rate, \
+    check_f_psi_contraction, compute_M
 from fplab.errors import ConfigurationError, InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, builtin_gauge, \
     check_family_C6, check_family_C7, check_family_C7_multi, explicit_family, expression_gauge, \
     iterated_family, regularity_grid, verify_gauge_regularity
-from fplab.maps import _BUILTINS as MAP_BUILTINS, builtin_map, expression_map
+from fplab.maps import _BUILTINS as MAP_BUILTINS, NamedMap, builtin_map, expression_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from fplab.spaces import (
     Box,
@@ -108,6 +110,81 @@ def orbit_block_reference(step, seeds: np.ndarray, n_steps: int):
             current[idx] = nxt
             orbits[idx, s] = nxt
     return orbits, alive
+
+
+def orbit_block_step_reference(map_t, seeds: np.ndarray, n_steps: int):
+    """_orbit_block as one masked step per row block: both escape tests and
+    the freeze bookkeeping on every step, and no tiling."""
+    k, dim = seeds.shape
+    orbits = np.empty((k, n_steps, dim))
+    orbits[:, 0, :] = seeds
+    alive = np.full(k, n_steps, dtype=int)
+    going = np.ones(k, dtype=bool)
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps):
+            prev = orbits[:, step - 1]
+            nxt = map_t.fn(prev)
+            ok = np.isfinite(nxt).all(axis=-1) & (np.abs(nxt).max(axis=-1) <= ESCAPE_NORM)
+            alive[going & ~ok] = step
+            going &= ok
+            orbits[:, step] = np.where(going[:, None], nxt, prev)
+    return orbits, alive
+
+
+def distances_reference(space: Space, a, b):
+    """Space.distances as the (..., d) difference block reduced by np.sum."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = a - b
+    if space.norm == "euclidean":
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    p = float(space.norm)
+    return np.power(np.sum(np.abs(diff) ** p, axis=-1), 1.0 / p)
+
+
+def strict_pairs_reference(mats: np.ndarray, budget: SearchBudget, cid: str):
+    """C5 as the minimum over every shift of the whole front block, then a
+    second walk over nu for the witnessing shift."""
+    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
+    if mats.shape[1] < ih + nh:
+        raise InputError(
+            f"need gap matrices of side at least {ih + nh} for this budget, "
+            f"got {mats.shape[1]}"
+        )
+    base = mats[:, :ih, :ih]
+    best = np.full_like(base, np.inf)
+    for nu in range(1, nh + 1):
+        np.minimum(best, mats[:, nu:nu + ih, nu:nu + ih], out=best)
+    iu = np.triu_indices(ih, k=1)
+    b = base[:, iu[0], iu[1]]
+    m = best[:, iu[0], iu[1]]
+    triggered = b > eta
+    stuck = triggered & (m >= b - eta)
+    if stuck.any():
+        k_idx, p_idx = np.nonzero(stuck)
+        wits = [
+            witness(orbit=int(k), i=int(iu[0][q]), j=int(iu[1][q]),
+                    gap=float(b[k, q]), best_follow_up=float(m[k, q]))
+            for k, q in list(zip(k_idx, p_idx))[:8]
+        ]
+        return CertificateReport(cid, Verdict.FAIL, wits, budget, _STRICT_NOTE)
+    count = int(triggered.sum())
+    if count == 0:
+        return CertificateReport(
+            cid, Verdict.PASS,
+            [witness(triggered=0, note="every pair gap is already within the slack of zero")],
+            budget, _STRICT_NOTE,
+        )
+    nu_witness = None
+    remaining = triggered.copy()
+    for nu in range(1, nh + 1):
+        shifted = mats[:, nu:nu + ih, nu:nu + ih][:, iu[0], iu[1]]
+        remaining &= ~(shifted < b - eta)
+        if not remaining.any():
+            nu_witness = nu
+            break
+    return CertificateReport(cid, Verdict.PASS, [witness(triggered=count, nu=nu_witness)],
+                             budget, _STRICT_NOTE)
 
 
 def euclidean_reference(a, b) -> float:
@@ -195,10 +272,24 @@ def blocks(elements):
 
 
 NORMS = ("euclidean", 1.0, 1.5, 3.0)
+# any finite float, subnormals included, and values whose squares or p-th
+# powers underflow to zero or overflow to inf; inf - inf makes a NaN
+wide = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-170, 1e150, -1e200,
+                                  1.7e308, math.inf, -math.inf]),
+                 st.floats(allow_nan=False, allow_infinity=False))
 
 
 # ---------------------------------------------------------------------------
 # Maps and orbits
+
+
+# the maps above, and two that overflow to +inf and -inf
+ORBIT_MAPS = sorted(SCALAR_MAPS) + list(EXPRESSIONS) + ["x * 1e300", "-(x * x)"]
+
+
+def _line_or_plane_map(name: str, dim: int):
+    space = Space(id="s", dimension=dim)
+    return builtin_map(name, space) if name in MAP_BUILTINS else expression_map(space, name)
 
 
 class TestOrbitBlock:
@@ -220,6 +311,66 @@ class TestOrbitBlock:
         orbits, alive = _orbit_block(expression_map(line, "min(1/x, 5)"), seeds, 6)
         assert alive.tolist() == [6, 1, 6]
         assert (orbits[1] == 0.0).all()
+
+    @given(name=st.sampled_from(ORBIT_MAPS), seeds=blocks(coord), n_steps=st.integers(1, 12))
+    def test_block_equals_the_per_step_loop(self, name, seeds, n_steps):
+        m = _line_or_plane_map(name, seeds.shape[1])
+        orbits, alive = _orbit_block(m, seeds, n_steps)
+        want_orbits, want_alive = orbit_block_step_reference(m, seeds, n_steps)
+        assert alive.tolist() == want_alive.tolist()
+        assert orbits.tobytes() == want_orbits.tobytes()
+
+    # map, seed rows, and the alive counts over 80 steps
+    ORBIT_CASES = {
+        "nan-at-step-1": ("min(1/x, 5)", [[0.0], [2.0]], [1, 80]),
+        "inf-at-step-1": ("x * x", [[1e200], [0.5]], [1, 80]),
+        "minus-inf-at-step-1": ("-(x * x)", [[1e200], [0.5]], [1, 80]),
+        "beyond-escape-norm-at-step-1": ("translation", [[ESCAPE_NORM - 0.5], [0.0]], [1, 80]),
+        "period-1": ("0.5 * x + 1.0", [[2.0], [4.0], [-6.0]], [80, 80, 80]),
+        "period-2": ("flip", [[0.0], [3.0], [-0.0]], [80, 80, 80]),
+        "one-row-escapes-the-rest-repeat": ("0.5 * x + 1.0", [[2.0], [3e9]], [80, 1]),
+        "late-escape": ("x * x", [[0.0], [1.0], [1.5]], [80, 80, 6]),
+    }
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 80])
+    @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+    def test_cases(self, case, n_steps):
+        name, seeds, alive_at_80 = self.ORBIT_CASES[case]
+        seeds = np.array(seeds)
+        m = _line_or_plane_map(name, 1)
+        orbits, alive = _orbit_block(m, seeds, n_steps)
+        want_orbits, want_alive = orbit_block_step_reference(m, seeds, n_steps)
+        assert alive.tolist() == want_alive.tolist() == [min(a, n_steps) for a in alive_at_80]
+        assert orbits.tobytes() == want_orbits.tobytes()
+        if name in SCALAR_MAPS or name in EXPRESSIONS:
+            row_orbits, row_alive = orbit_block_reference(scalar_step(name), seeds, n_steps)
+            assert alive.tolist() == row_alive.tolist()
+            assert orbits.tobytes() == row_orbits.tobytes()
+
+    def test_a_repeating_block_is_tiled_and_an_escaped_one_is_not(self):
+        line = Space(id="line", dimension=1)
+        calls = []
+
+        def flip(x):
+            calls.append(x.shape)
+            return 1.0 - x
+
+        m = NamedMap("flip", line, flip)
+        for seeds, want_calls in (
+            # step 2 repeats step 0 bit for bit
+            ([[0.25], [2.0]], 2),
+            # flip(flip(-0.0)) is 0.0, which is not -0.0: one step more
+            ([[0.25], [-0.0]], 3),
+            # 1 - (-ESCAPE_NORM) escapes at step 1, so the block never tiles
+            ([[0.25], [-ESCAPE_NORM]], 319),
+        ):
+            calls.clear()
+            seeds = np.array(seeds)
+            orbits, alive = _orbit_block(m, seeds, 320)
+            assert len(calls) == want_calls
+            want_orbits, want_alive = orbit_block_step_reference(m, seeds, 320)
+            assert alive.tolist() == want_alive.tolist()
+            assert orbits.tobytes() == want_orbits.tobytes()
 
     @given(name=st.sampled_from(sorted(SCALAR_MAPS)), coords=blocks(small))
     def test_point_edge_is_one_row_of_the_kernel(self, name, coords):
@@ -250,7 +401,9 @@ class TestDistanceKernel:
         got = space.distances(xs, ys)
         assert got.tobytes() == pair_distance_curves_reference(space, xs, ys).tobytes()
 
-    @given(norm=st.sampled_from(NORMS), dim=st.integers(1, 3),
+    # dim 1..10 reaches both sides of the 8 coordinates where the kernel
+    # switches from column sums to np.sum
+    @given(norm=st.sampled_from(NORMS), dim=st.integers(1, 10),
            n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
     def test_pairwise_equals_the_point_loop(self, norm, dim, n, m, data):
         a = data.draw(hnp.arrays(float, (n, dim), elements=small))
@@ -277,6 +430,33 @@ class TestDistanceKernel:
     def test_width_guard(self):
         with pytest.raises(InputError, match="2-dimensional"):
             Space("p", 2).distances(np.zeros((3, 1)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (np.zeros(1), 2.0), (1.0, np.zeros(1))])
+    def test_a_scalar_has_no_coordinate_axis(self, a, b):
+        # a 0-d array was a raw IndexError from its missing last axis
+        widths = [np.ndim(x) and 1 for x in (a, b)]
+        with pytest.raises(InputError, match=f"1-dimensional, got coordinate arrays of width "
+                                             f"{widths[0]} and {widths[1]}"):
+            Space("l", 1).distances(a, b)
+
+    @given(norm=st.sampled_from(NORMS + (2.0, 7.5)), dim=st.integers(1, 10),
+           layout=st.sampled_from(["point", "aligned", "pairwise", "stacked"]),
+           sizes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+           data=st.data())
+    def test_kernel_equals_the_summed_difference_block(self, norm, dim, layout, sizes, data):
+        n, m, k = sizes
+        shape_a, shape_b = {"point": ((dim,), (dim,)),
+                            "aligned": ((n, dim), (n, dim)),
+                            "pairwise": ((n, 1, dim), (1, m, dim)),
+                            "stacked": ((k, n, dim), (k, n, dim))}[layout]
+        a = data.draw(hnp.arrays(float, shape_a, elements=wide))
+        b = data.draw(hnp.arrays(float, shape_b, elements=wide))
+        space = Space(id="s", dimension=dim, norm=norm)
+        with np.errstate(all="ignore"):
+            got, want = space.distances(a, b), distances_reference(space, a, b)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +516,81 @@ class TestPremetricKernel:
     def test_constant_custom_premetric_broadcasts(self):
         one = custom_premetric(PLANE, compile_expression("1.0", ("x", "y")))
         assert premetric_matrix(one, np.zeros((3, 2)), np.zeros((4, 2))).shape == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# The strict pair search (C5)
+
+
+@st.composite
+def strict_cases(draw):
+    """(mats, budget): k gap matrices of side index_horizon + nu_horizon
+    (one short of it now and then), tie-heavy and shrinking along the
+    diagonal at a rate per orbit, so that pairs pass at every shift or stick."""
+    k = draw(st.integers(1, 3))
+    ih, nh = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n = ih + nh - draw(st.sampled_from((0, 0, 0, 1)))
+    values = st.sampled_from((0.0, -0.0, 1e-9, 2e-9, 0.25, 0.5, 1.0))
+    mats = draw(hnp.arrays(float, (k, n, n), elements=values))
+    rates = np.array(draw(st.lists(st.sampled_from((1.0, 0.75, 0.5)), min_size=k, max_size=k)))
+    idx = np.arange(n)
+    mats = mats * rates[:, None, None] ** np.minimum.outer(idx, idx)
+    slack = draw(st.sampled_from((1e-9, 1e-12, 0.3)))
+    return mats, SearchBudget(index_horizon=ih, nu_horizon=nh, slack=slack)
+
+
+def _pass_at_the_horizon():
+    # only the block nu_horizon = 4 shifts ahead lies below the base block;
+    # the block 3 ahead overlaps it in rows and columns 4..5 only, so pair
+    # (0, 1) waits for nu = 4
+    mats = np.ones((1, 7, 7))
+    mats[0, 4:, 4:] = 0.5
+    return mats, SearchBudget(index_horizon=3, nu_horizon=4)
+
+
+def _many_stuck():
+    # orbit 0 contracts; every one of orbit 1's 15 pairs sticks at 1.0 or
+    # creeps up, so the witnesses are its first 8 in np.nonzero order
+    idx = np.arange(10)
+    mats = np.stack([0.5 ** np.minimum.outer(idx, idx), 1.0 + 0.01 * np.add.outer(idx, idx)])
+    return mats, SearchBudget(index_horizon=6, nu_horizon=4)
+
+
+class TestStrictPairs:
+    @given(case=strict_cases())
+    def test_sweep_equals_the_two_loops(self, case):
+        mats, budget = case
+        got = _probe_outcome(_strict_pairs, mats, budget, "C5")
+        assert got == _probe_outcome(strict_pairs_reference, mats, budget, "C5")
+
+    # (mats, budget), the verdict, and the witnesses' first entry
+    CASES = {
+        "pass-at-the-horizon": (_pass_at_the_horizon(), "pass", {"triggered": 3, "nu": 4}),
+        "more-than-8-stuck": (_many_stuck(), "fail",
+                              {"orbit": 1, "i": 0, "j": 1, "gap": 1.01,
+                               "best_follow_up": 1.01 + 0.01 * 2}),
+        "nothing-triggered": ((np.zeros((2, 6, 6)), SearchBudget(index_horizon=4, nu_horizon=2)),
+                              "pass", {"triggered": 0,
+                                       "note": "every pair gap is already within the slack "
+                                               "of zero"}),
+        "too-small": ((np.ones((1, 5, 5)), SearchBudget(index_horizon=4, nu_horizon=2)),
+                      None, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case):
+        (mats, budget), verdict, first = self.CASES[case]
+        got = _probe_outcome(_strict_pairs, mats, budget, "C5")
+        assert got == _probe_outcome(strict_pairs_reference, mats, budget, "C5")
+        if verdict is None:
+            assert got == "InputError: need gap matrices of side at least 6 for this budget, got 5"
+            return
+        report = json.loads(got)[0]
+        assert report["verdict"] == verdict
+        assert report["witnesses"][0] == first
+        if case == "more-than-8-stuck":
+            assert len(report["witnesses"]) == 8
+            assert {w["orbit"] for w in report["witnesses"]} == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -1057,6 +1312,8 @@ def c6_reference(family, eps_grid, n_horizon=64, eta=1e-9):
 
 def c7_reference(family, eps, delta_candidates=None, t_samples=17, nu_horizon=64, eta=1e-9):
     """check_family_C7 as the walk over deltas, then sampled t, then nu."""
+    if not isinstance(t_samples, int) or isinstance(t_samples, bool) or t_samples < 1:
+        raise InputError(f"t_samples must be a positive integer, got {t_samples!r}")
     if eps <= 0:
         raise InputError("C7 needs eps > 0")
     if delta_candidates is None:

@@ -426,6 +426,20 @@ class TestCliRun:
         assert "  alternate.INEQFP: pass" in lines
         assert "  alternate.FPSI: fail" in lines
 
+    def test_no_pair_budget_claims_no_pair_condition(self, tmp_path, capsys):
+        # an index horizon of 1 holds no pair i < j: the translation used to
+        # pass C4, C5 and D4 with nothing examined
+        doc = dict(SMOKE, name="no-pairs", maps={"T": "translation"},
+                   budget={"index_horizon": 1, "nu_horizon": 8, "pair_samples": 20})
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        for cid in ("C4", "C5", "D4"):
+            assert f"  certify.{cid}: inconclusive" in lines
+        reports = json.loads((tmp_path / "out" / "reports.json").read_text())
+        notes = [r["resolution_note"] for r in reports["runs"]["certify"]["additional"]]
+        assert any(n.startswith("index horizon 1 is below the 2 indices") for n in notes)
+
     def test_escaping_orbit_cannot_fill_the_budget(self, tmp_path, capsys):
         # x -> x*x from 10 blows past the escape bound after three points,
         # far short of the aligned gaps the band checkers need
