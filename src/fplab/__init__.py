@@ -22,7 +22,6 @@ from .certificates import (
     check_cyclic,
     check_f_psi_contraction,
     check_p_controls_d,
-    compute_M,
     consecutive_contraction_report,
 )
 from .errors import (
@@ -78,7 +77,6 @@ from .spaces import (
     default_region,
     metric_premetric,
     sample_pairs,
-    sample_points,
     shifted_premetric,
     verify_premetric_axioms,
 )

@@ -24,7 +24,7 @@ from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, check_family_C6, \
     check_family_C7_multi, family_member_array, require_profile
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
-from .spaces import Box, CyclicSetting, Point, Premetric, Space, default_region, \
+from .spaces import Box, CyclicSetting, Premetric, Space, default_region, \
     metric_premetric, premetric_diagonal, premetric_matrix, premetric_values
 from .traces import ESCAPE_NORM, IterationTrace
 
@@ -793,21 +793,6 @@ def _m_values(p: Premetric, x: np.ndarray, y: np.ndarray, tx: np.ndarray,
     for later in (premetric_values(p, tx, x), premetric_values(p, sy, y), crossed):
         out = np.where(later > out, later, out)
     return out
-
-
-def compute_M(
-    map_t: NamedMap,
-    map_s: NamedMap,
-    p: Premetric,
-    x: Point,
-    y: Point,
-) -> float:
-    """max of the four comparison gaps: p(x,y), p(Tx,x), p(Sy,y), and the
-    average of the two crossed gaps."""
-    tx, sy = map_t(x), map_s(y)
-    for q in (x, y, tx, sy):
-        p.space.check_member(q)
-    return float(_m_values(p, *(np.asarray(q.coords) for q in (x, y, tx, sy))))
 
 
 def _fpsi_sides(map_t: NamedMap, map_s: NamedMap, p: Premetric, f_gauge: Gauge,

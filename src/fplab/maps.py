@@ -15,9 +15,9 @@ from .spaces import Point, Space
 @dataclass(frozen=True)
 class NamedMap:
     """A map on a space.  fn sends a (..., d) coordinate array to a (..., d)
-    array, so one call moves a whole block of points.  Applying the map to a
-    Point validates the image, so escaping or non-finite images surface
-    immediately at the call site.
+    array, so one call moves a whole block of points, as orbits and solvers
+    do.  Applying the map to a Point is the edge for callers holding one; a
+    non-finite or misshapen image is an InputError there.
 
     fn must be a pure function of its input coordinates: no state, no
     randomness, and no writes to its argument.  Orbits rely on this to stop

@@ -24,8 +24,8 @@ from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, sanitize, witness, \
     worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
-    premetric_diagonal, premetric_matrix, verify_premetric_axioms
-from .traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace
+    premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
+from .traces import AlternatingSchedule, IterationTrace, _extend_orbit
 
 CAUCHY_ROUTES = ("tau", "composed", "mixed")
 
@@ -215,6 +215,56 @@ def certify_cauchy(
 # Solvers
 
 
+# Steps in a walk's first block; each later block is twice as long.
+_FIRST_BLOCK = 64
+
+
+def _stops(values: np.ndarray, tol: float) -> np.ndarray:
+    # NaN marks a point whose image left the space: it stops the walk too
+    return np.flatnonzero((values <= tol) | np.isnan(values))
+
+
+def _walk(fns, seed: np.ndarray, units: int, stride: int, values, tol: float):
+    """Walks x_{n+1} = fns[n % len(fns)](x_n) from seed in units of stride
+    steps, in blocks built by _extend_orbit under its escape rule; values(rows)
+    scores the units of a block, whose rows start at the last unit's end.
+    If scoring a block raises InputError, the walk redoes it from one-unit
+    blocks, so only a unit before the first stop raises, as step by step.
+    Returns (row, u, value, stopped): unit u, ending at row, is the first to
+    score at most tol or NaN (stopped), else the last reached; value is its
+    score, or inf if the orbit escaped."""
+    done, size, row = 0, _FIRST_BLOCK, seed
+    while True:
+        k = done * stride % len(fns)
+        count = min(size, units - done)
+        rows, status = _extend_orbit(fns[k:] + fns[:k], row, count * stride + 1)
+        rows = rows[:(rows.shape[0] - 1) // stride * stride + 1]
+        try:
+            scores = values(rows)
+        except InputError:
+            if count == 1:
+                raise
+            size = 1
+            continue
+        hits = _stops(scores, tol)
+        if hits.size:
+            i = int(hits[0])
+            return rows[(i + 1) * stride], done + i + 1, float(scores[i]), True
+        done += scores.shape[0]
+        if status == "escaped" or done == units:
+            value = float(scores[-1]) if status == "completed" else float("inf")
+            return rows[-1], done, value, False
+        row, size = rows[-1], 2 * size
+
+
+def _edge_residual(measure) -> float:
+    """A residual through the Point edge; inf if it leaves the space."""
+    try:
+        return measure()
+    except InputError:
+        return float("inf")
+
+
 def solve_fixed_point(
     map_t: NamedMap,
     x0: Point,
@@ -222,30 +272,22 @@ def solve_fixed_point(
     max_steps: int = 10_000,
     premetric: Premetric | None = None,
 ) -> SolveResult:
-    """Iterate until the step gap p(x_n, T x_n) reaches tol, then accept the
-    image z = T(x_n).  The reported residual is p(z, Tz), recomputed, and
-    converged only claims what that residual shows."""
+    """Iterate until the step gap p(x_{n-1}, x_n) reaches tol, then accept
+    z = x_n.  The reported residual is p(z, Tz), recomputed, and converged
+    only claims what that residual shows.  An escaping orbit ends at its
+    last point with residual inf; x0 off the map's or premetric's space is
+    an InputError."""
     if max_steps < 1:
         raise InputError("need at least one step")
     p = premetric if premetric is not None else metric_premetric(map_t.space)
-    x = x0
-    gap = np.inf
-    for n in range(1, max_steps + 1):
-        try:
-            nxt = map_t(x)
-        except InputError:
-            return SolveResult(x, float("inf"), n - 1, False)
-        if nxt.norm() > ESCAPE_NORM:
-            return SolveResult(x, float("inf"), n - 1, False)
-        gap = eval_premetric(p, x, nxt)
-        if gap <= tol:
-            try:
-                residual = eval_premetric(p, nxt, map_t(nxt))
-            except InputError:
-                residual = float("inf")
-            return SolveResult(nxt, residual, n, residual <= tol)
-        x = nxt
-    return SolveResult(x, float(gap), max_steps, False)
+    map_t.space.check_member(x0)
+    p.space.check_member(x0)
+    row, n, gap, stopped = _walk((map_t.fn,), np.asarray(x0.coords), max_steps, 1,
+                                 lambda rows: premetric_values(p, rows[:-1], rows[1:]), tol)
+    x = map_t.space.point(row)
+    if stopped:
+        gap = _edge_residual(lambda: eval_premetric(p, x, map_t(x)))
+    return SolveResult(x, gap, n, stopped and gap <= tol)
 
 
 def solve_best_proximity(
@@ -256,36 +298,32 @@ def solve_best_proximity(
     max_pairs: int = 10_000,
 ) -> SolveResult:
     """Double-step iteration inside the starting set until the even-index
-    displacement d(x_{2n}, x_{2n+2}) reaches tol; the residual is then
+    displacement d(x_{2n-2}, x_{2n}) reaches tol; the residual is then
     |d(z, Tz) - gap| for the accepted even point z, verified independently
-    of the stopping rule.
-
-    Raises:
-        InputError: x0 outside the starting set.
-    """
+    of the stopping rule.  An orbit that escapes at an even or odd point
+    ends at its last even point with residual inf.  x0 outside the first
+    set, or off the map's or setting's space, is an InputError."""
     if not setting.set_a.contains(x0):
         raise InputError("starting point must lie in the first set")
     if max_pairs < 1:
         raise InputError("need at least one double step")
     space = setting.space
-    prev = x0
-    for n in range(1, max_pairs + 1):
-        try:
-            mid = map_t(prev)
-            even = map_t(mid)
-        except InputError:
-            return SolveResult(prev, float("inf"), n - 1, False)
-        if even.norm() > ESCAPE_NORM:
-            return SolveResult(prev, float("inf"), n - 1, False)
-        if space.distance(prev, even) <= tol:
-            try:
-                residual = abs(space.distance(even, map_t(even)) - setting.gap)
-            except InputError:
-                residual = float("inf")
-            return SolveResult(even, residual, n, residual <= tol)
-        prev = even
-    residual = abs(space.distance(prev, map_t(prev)) - setting.gap)
-    return SolveResult(prev, residual, max_pairs, False)
+    map_t.space.check_member(x0)
+    space.check_member(x0)
+
+    def displacements(rows: np.ndarray) -> np.ndarray:
+        out = space.distances(rows[:-2:2], rows[2::2])
+        for i in 2 * np.flatnonzero(~np.isfinite(out))[:1]:  # the edge refuses inf
+            space.distance(space.point(rows[i]), space.point(rows[i + 2]))
+        return out
+
+    row, n, _, stopped = _walk((map_t.fn,), np.asarray(x0.coords), max_pairs, 2,
+                               displacements, tol)
+    z = map_t.space.point(row)
+    residual = float("inf")
+    if stopped or n == max_pairs:
+        residual = _edge_residual(lambda: abs(space.distance(z, map_t(z)) - setting.gap))
+    return SolveResult(z, residual, n, stopped and residual <= tol)
 
 
 def solve_common_fixed_point(
@@ -295,28 +333,38 @@ def solve_common_fixed_point(
     max_steps: int = 10_000,
     premetric: Premetric | None = None,
 ) -> SolveResult:
-    """Alternate the two maps from x_0 = S(seed) until the current point
-    nearly fixes both, measured by max(p(x, Tx), p(x, Sx))."""
+    """Alternate the two maps from x_0 = S(seed), as alternating_trace does,
+    until the current point nearly fixes both, measured by max(p(x, Tx),
+    p(x, Sx)).  A point with a non-finite image, or the last one before the
+    orbit escapes, ends the walk with residual inf."""
     if max_steps < 1:
         raise InputError("need at least one step")
     p = premetric if premetric is not None else metric_premetric(schedule.space)
-    x = schedule.map_s(seed)
-    residual = np.inf
-    for n in range(max_steps + 1):
-        try:
-            tx = schedule.map_t(x)
-            sx = schedule.map_s(x)
-        except InputError:
-            return SolveResult(x, float("inf"), n, False)
-        residual = max(eval_premetric(p, x, tx), eval_premetric(p, x, sx))
-        if residual <= tol:
-            return SolveResult(x, float(residual), n, True)
-        if n == max_steps:
-            break
-        x = tx if n % 2 == 0 else sx
-        if x.norm() > ESCAPE_NORM:
-            return SolveResult(x, float("inf"), n + 1, False)
-    return SolveResult(x, float(residual), max_steps, False)
+    x0 = schedule.map_s(seed)
+    p.space.check_member(x0)
+    fns = (schedule.map_t.fn, schedule.map_s.fn)
+
+    def residuals(rows: np.ndarray) -> np.ndarray:
+        """max(p(x, Tx), p(x, Sx)) per row, the first on a tie as Python's max
+        keeps it; NaN from the first row with a non-finite or misshapen image."""
+        with np.errstate(all="ignore"):
+            images = [np.asarray(fn(rows), dtype=float) for fn in fns]
+        images = [im if im.shape == rows.shape else np.full(rows.shape, np.nan) for im in images]
+        # m: the first row with a non-finite image, or the row count
+        m = int(np.append(np.isfinite(images).all(axis=(0, 2)), False).argmin())
+        by_t, by_s = (premetric_values(p, rows[:m], im[:m]) for im in images)
+        return np.append(np.where(by_s > by_t, by_s, by_t), np.full(rows.shape[0] - m, np.nan))
+
+    start = np.asarray(x0.coords)
+    first = residuals(start[None])
+    if _stops(first, tol).size:
+        row, n, residual, stopped = start, 0, float(first[0]), True
+    else:
+        row, n, residual, stopped = _walk(fns, start, max_steps, 1,
+                                          lambda rows: residuals(rows[1:]), tol)
+    if np.isnan(residual):
+        residual, stopped = float("inf"), False
+    return SolveResult(schedule.space.point(row), residual, n, stopped)
 
 
 # ---------------------------------------------------------------------------

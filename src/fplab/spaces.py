@@ -4,10 +4,12 @@ Everything downstream (traces, certificates, solvers) measures gaps through
 a Premetric: a plain metric, a clamped cyclic shift of one, a gauge
 composed with an inner premetric, or a custom expression.  Distances and
 premetrics each have one array kernel (Space.distances, premetric_values)
-over coordinate arrays with the coordinates on the last axis; the Point
-and block functions are thin edges over it.  Below 8 coordinates the
-distance kernel works column by column and builds no (..., d) difference
-block, with the bits of the np.sum reduction it replaces.
+over coordinate arrays with the coordinates on the last axis; the block
+functions, and the Point edges Space.distance and eval_premetric, are thin
+layers over it.  Samples are coordinate arrays too (sample_pairs).  Below 8
+coordinates the distance kernel works column by column and builds no
+(..., d) difference block, with the bits of the np.sum reduction it
+replaces.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ class Point:
         if not all(math.isfinite(c) for c in coords):
             raise InputError(f"coordinates must be finite, got {coords}")
         object.__setattr__(self, "coords", coords)
-
-    def norm(self) -> float:
-        return max(abs(c) for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -154,11 +153,6 @@ class Box:
 
 def default_region(space: Space, half_width: float = 10.0) -> Box:
     return Box((-half_width,) * space.dimension, (half_width,) * space.dimension)
-
-
-def sample_points(space: Space, region: Box, n: int, rng: np.random.Generator) -> list[Point]:
-    coords = region.sample_coords(rng, n)
-    return [space.point(*row) for row in coords]
 
 
 def sample_pairs(

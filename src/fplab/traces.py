@@ -38,17 +38,13 @@ def _frozen(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _as_points(coords: np.ndarray, space_id: str) -> tuple[Point, ...]:
-    return tuple(Point(tuple(row), space_id) for row in coords.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """A stored orbit or sequence.  coords is the (n, d) array of its points,
     gaps the n - 1 consecutive gaps under premetric, and aux_coords the full
     orbit behind an even-subsequence trace; all three are read-only copies.
-    points, consecutive_gaps and aux_points build Python objects on demand
-    for callers that want them."""
+    A point of the orbit is a row of coords; Space.point makes a Point of
+    one where a caller needs it."""
 
     coords: np.ndarray
     generator: str
@@ -72,26 +68,6 @@ class IterationTrace:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return _as_points(self.coords, self.space_id)
-
-    @property
-    def consecutive_gaps(self) -> tuple[float, ...]:
-        return tuple(self.gaps.tolist())
-
-    @property
-    def aux_points(self) -> tuple[Point, ...] | None:
-        if self.aux_coords is None:
-            return None
-        return _as_points(self.aux_coords, self.space_id)
-
-    def coords_array(self) -> np.ndarray:
-        return self.coords
-
-    def gap_array(self) -> np.ndarray:
-        return self.gaps
 
     def companion_shift(self) -> "IterationTrace":
         """The forward-shifted trace y_n = x_{n+1}."""
@@ -205,7 +181,7 @@ def picard_trace(
     steps: int,
     premetric: Premetric | None = None,
 ) -> IterationTrace:
-    """Plain iteration: points[n] is the map applied n times to x0, so steps
+    """Plain iteration: coords[n] is the map applied n times to x0, so steps
     applications yield steps+1 points.  Escape truncates with status escaped;
     it is a status, never an error."""
     if steps < 1:
@@ -226,7 +202,7 @@ def picard_trace(
 
 @dataclass(frozen=True)
 class AlternatingSchedule:
-    """Two maps applied in turn: member n is map_t for even n, map_s for odd."""
+    """Two maps applied in turn: map_t at even steps, map_s at odd ones."""
 
     map_t: NamedMap
     map_s: NamedMap
@@ -234,11 +210,6 @@ class AlternatingSchedule:
     def __post_init__(self) -> None:
         if self.map_t.space.id != self.map_s.space.id:
             raise ConfigurationError("alternating maps must share a space")
-
-    def member(self, n: int) -> NamedMap:
-        if n < 0:
-            raise InputError("schedule index must be nonnegative")
-        return self.map_t if n % 2 == 0 else self.map_s
 
     @property
     def space(self) -> Space:
@@ -251,9 +222,10 @@ def alternating_trace(
     steps: int,
     premetric: Premetric | None = None,
 ) -> IterationTrace:
-    """Alternating orbit: x_0 = S(seed), then x_{n+1} = member(n)(x_n), so T
-    produces the odd-indexed points.  The companion sequence pairing each
-    point with its predecessor is recovered by an index shift, not stored."""
+    """Alternating orbit: x_0 = S(seed), then x_{n+1} = T(x_n) for even n and
+    S(x_n) for odd n, so T produces the odd-indexed points.  The companion
+    sequence pairing each point with its predecessor is recovered by an
+    index shift, not stored."""
     if steps < 1:
         raise InputError("need at least one iteration step")
     if seed.space_id != schedule.space.id:
@@ -280,7 +252,7 @@ def cyclic_even_trace(
     pairs: int,
     premetric: Premetric | None = None,
 ) -> IterationTrace:
-    """Even-indexed subsequence points[n] = T^{2n} x0 for n = 0..pairs, gaps
+    """Even-indexed subsequence coords[n] = T^{2n} x0 for n = 0..pairs, gaps
     measured under the gap-shifted premetric.  The full orbit (odd points
     included) rides along in aux_coords for diagnostics."""
     if pairs < 1:

@@ -8,8 +8,10 @@ suites own the per-function edge cases.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from fplab.certificates import (
 from fplab.gauges import builtin_gauge, expression_gauge, iterated_family
 from fplab.maps import builtin_map
 from fplab.reports import SearchBudget, Verdict
-from fplab.runner import run_scenario
+from fplab.runner import run_scenario, run_scenario_doc
 from fplab.solvers import (
     cauchy_diagnostic,
     certify_cauchy,
@@ -90,8 +92,7 @@ def test_settling_map_without_uniform_rate():
     uniform contraction factor does not exist."""
     mk = builtin_map("mk", LINE)
     tr = picard_trace(mk, LINE.point(1.0), 1000)
-    worst = max(abs(p.coords[0] - 1.0 / (1.0 + n))
-                for n, p in enumerate(tr.points))
+    worst = max(abs(x - 1.0 / (1.0 + n)) for n, x in enumerate(tr.coords[:, 0].tolist()))
     assert worst <= 1e-12
 
     domain = Box((0.0,), (10.0,))
@@ -191,7 +192,7 @@ def test_falsification_produces_concrete_witnesses():
     assert w.sigma == (98, 271)
     assert w.k == (164, 449)
     assert w.rho == (270, 741)
-    xs = [p.coords[0] for p in sequence_trace("harmonic", LINE, 1000).points]
+    xs = sequence_trace("harmonic", LINE, 1000).coords[:, 0].tolist()
     for sigma, k, rho, sep, straddle in zip(w.sigma, w.k, w.rho,
                                             w.separation_gaps,
                                             w.straddle_gaps):
@@ -304,3 +305,22 @@ def test_gallery_artifacts_are_strict_json(tmp_path):
         assert artifacts, entry.name
         for path in artifacts:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+
+def test_gallery_artifacts_match_the_recorded_digests(tmp_path):
+    """Every gallery entry, run at seed 0 with its expectations, writes
+    artifacts whose SHA-256 digests are those recorded for the benchmark's
+    meir-keeler and gallery-quick workloads, and no other artifact."""
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    recorded = json.loads(expected.read_text(encoding="utf-8"))["digests"]
+    want = {**recorded["meir-keeler"], **recorded["gallery-quick"]}
+    got = {}
+    for entry in GALLERY:
+        out = tmp_path / entry.name
+        run_scenario_doc(entry.doc, str(out), seed=0, expectations=entry.expectations)
+        got[f"{entry.name}@0"] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                                  for path in sorted(out.iterdir())}
+    assert sorted(got) == sorted(want)
+    for label, digests in sorted(got.items()):
+        assert sorted(digests) == sorted(want[label]), label
+        assert digests == want[label], label

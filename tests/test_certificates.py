@@ -9,6 +9,7 @@ import pytest
 from fplab.certificates import (
     PSI_PROFILE_STANDARD,
     PSI_PROFILE_ZHANG,
+    _m_values,
     acf_asf_agreement,
     check_acf_mapping,
     check_asf1,
@@ -19,7 +20,6 @@ from fplab.certificates import (
     check_cyclic,
     check_f_psi_contraction,
     check_p_controls_d,
-    compute_M,
     consecutive_contraction_report,
 )
 from fplab.errors import ConfigurationError, InputError, RefusalError
@@ -307,9 +307,13 @@ class TestTwoMapCheckers:
 
     def test_comparison_gap_hand_values(self):
         # x=4, y=10: max of 6, |1-4|=3, |2-10|=8, (|1-10|+|2-4|)/2 = 5.5
-        assert compute_M(self.T, self.S, D, LINE.point(4.0), LINE.point(10.0)) == 8.0
+        def m_value(x, y):
+            x, y = np.array([x]), np.array([y])
+            return float(_m_values(D, x, y, self.T.fn(x), self.S.fn(y)))
+
+        assert m_value(4.0, 10.0) == 8.0
         # x=y=1: max of 0, 0.75, 0.8, (0.75+0.8)/2
-        assert compute_M(self.T, self.S, D, LINE.point(1.0), LINE.point(1.0)) == 0.8
+        assert m_value(1.0, 1.0) == 0.8
 
     def test_dominated_pair_passes(self):
         psi = expression_gauge("7.0 * t / 12.0", name="seven-twelfths",

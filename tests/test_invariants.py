@@ -185,8 +185,8 @@ class TestTraceCaches:
     @settings(max_examples=40)
     def test_picard_gap_cache_matches_recomputation(self, c, x0, steps):
         tr = picard_trace(expression_map(LINE, f"{c!r} * x"), LINE.point(x0), steps)
-        for gap, a, b in zip(tr.consecutive_gaps, tr.points, tr.points[1:]):
-            assert gap == D1(a, b)
+        for gap, a, b in zip(tr.gaps.tolist(), tr.coords, tr.coords[1:]):
+            assert gap == D1(LINE.point(a), LINE.point(b))
 
     @given(seed=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
            steps=st.integers(min_value=1, max_value=9))
@@ -197,10 +197,10 @@ class TestTraceCaches:
         # the seed is consumed by S; after that the maps take turns with
         # T acting on the even-indexed points
         x = s(LINE.point(seed))
-        assert tr.points[0].coords == x.coords
-        for n in range(len(tr.points) - 1):
+        assert tuple(tr.coords[0].tolist()) == x.coords
+        for n in range(len(tr) - 1):
             x = t(x) if n % 2 == 0 else s(x)
-            assert tr.points[n + 1].coords == x.coords
+            assert tuple(tr.coords[n + 1].tolist()) == x.coords
 
     @given(c=st.floats(min_value=0.1, max_value=0.9, allow_nan=False),
            x0=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -213,9 +213,9 @@ class TestTraceCaches:
         for n, line in enumerate(lines[1:]):
             cells = line.split(",")
             assert int(cells[0]) == n
-            assert float(cells[1]) == tr.points[n].coords[0]
-            if n < len(tr.points) - 1:
-                assert float(cells[2]) == tr.consecutive_gaps[n]
+            assert float(cells[1]) == tr.coords[n, 0]
+            if n < len(tr) - 1:
+                assert float(cells[2]) == tr.gaps[n]
             else:
                 assert cells[2] == ""
 

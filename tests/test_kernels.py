@@ -23,8 +23,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fplab
-from fplab.certificates import _STRICT_NOTE, _orbit_block, _strict_pairs, check_banach_rate, \
-    check_f_psi_contraction, compute_M
+from fplab.certificates import _STRICT_NOTE, _m_values, _orbit_block, _strict_pairs, \
+    check_banach_rate, check_f_psi_contraction
 from fplab.errors import ConfigurationError, InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, builtin_gauge, \
@@ -48,8 +48,10 @@ from fplab.spaces import (
     shifted_premetric,
     verify_premetric_axioms,
 )
-from fplab.traces import ESCAPE_NORM, IterationTrace, _bit_period_start, _extend_orbit, \
-    cyclic_even_trace, picard_trace, sequence_trace
+from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, SolveResult, \
+    solve_best_proximity, solve_common_fixed_point, solve_fixed_point
+from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_period_start, \
+    _extend_orbit, cyclic_even_trace, picard_trace, sequence_trace
 
 # ---------------------------------------------------------------------------
 # References: the per-point loops the kernels replaced
@@ -501,9 +503,8 @@ class TestPremetricKernel:
         inner = metric_premetric(line)
         p = inner if name == "metric" else composed_premetric(builtin_gauge("mk"), inner)
         tr = picard_trace(builtin_map("mk", line), line.point(x0), 20, premetric=p)
-        want = [premetric_reference(p, a.coords, b.coords)
-                for a, b in zip(tr.points, tr.points[1:])]
-        assert list(tr.consecutive_gaps) == want
+        want = [premetric_reference(p, a, b) for a, b in zip(tr.coords[:-1], tr.coords[1:])]
+        assert tr.gaps.tolist() == want
 
     def test_nonfinite_or_negative_values_are_refused(self):
         neg = custom_premetric(PLANE, compile_expression("x[0] - y[0]", ("x", "y")))
@@ -632,6 +633,11 @@ class TestBanachRate:
 # Orbit stepping: the array orbit against the per-Point loop it replaced
 
 
+def point_norm(x) -> float:
+    """The largest coordinate of a Point in absolute value."""
+    return max(abs(c) for c in x.coords)
+
+
 def extend_orbit_reference(maps, seed, length: int):
     """x_{n+1} = maps[n % len(maps)](x_n) one Point at a time; an InputError
     (non-finite image) or a norm beyond ESCAPE_NORM ends the orbit."""
@@ -642,7 +648,7 @@ def extend_orbit_reference(maps, seed, length: int):
         except InputError:
             status = "escaped"
             break
-        if nxt.norm() > ESCAPE_NORM:
+        if point_norm(nxt) > ESCAPE_NORM:
             status = "escaped"
             break
         points.append(nxt)
@@ -754,6 +760,318 @@ class TestExtendOrbit:
         for key, start in (("translation", ESCAPE_NORM - 2.5), ("mk", -1.0),
                            ("square-plus", 3.0), ("reciprocal", 0.0)):
             assert _both_orbits(key, (start,), 40)[1] == "escaped"
+
+
+# ---------------------------------------------------------------------------
+# Solvers: the block walk against the per-Point loops it replaced
+
+
+def solve_fixed_point_reference(map_t, x0, tol=1e-9, max_steps=10_000, premetric=None):
+    """The per-Point loop of solve_fixed_point."""
+    if max_steps < 1:
+        raise InputError("need at least one step")
+    p = premetric if premetric is not None else metric_premetric(map_t.space)
+    x = x0
+    gap = np.inf
+    for n in range(1, max_steps + 1):
+        try:
+            nxt = map_t(x)
+        except InputError:
+            return SolveResult(x, float("inf"), n - 1, False)
+        if point_norm(nxt) > ESCAPE_NORM:
+            return SolveResult(x, float("inf"), n - 1, False)
+        gap = eval_premetric(p, x, nxt)
+        if gap <= tol:
+            try:
+                residual = eval_premetric(p, nxt, map_t(nxt))
+            except InputError:
+                residual = float("inf")
+            return SolveResult(nxt, residual, n, residual <= tol)
+        x = nxt
+    return SolveResult(x, float(gap), max_steps, False)
+
+
+def solve_best_proximity_reference(map_t, setting, x0, tol=1e-8, max_pairs=10_000,
+                                   odd_escapes=True):
+    """The per-Point loop of solve_best_proximity.  odd_escapes=False is the
+    loop as it was, which checked only the even points against ESCAPE_NORM.
+    Its last residual sits inside the try, which the loop once lacked."""
+    if not setting.set_a.contains(x0):
+        raise InputError("starting point must lie in the first set")
+    if max_pairs < 1:
+        raise InputError("need at least one double step")
+    space = setting.space
+    prev = x0
+    for n in range(1, max_pairs + 1):
+        try:
+            mid = map_t(prev)
+            even = map_t(mid)
+        except InputError:
+            return SolveResult(prev, float("inf"), n - 1, False)
+        if point_norm(even) > ESCAPE_NORM or (odd_escapes and point_norm(mid) > ESCAPE_NORM):
+            return SolveResult(prev, float("inf"), n - 1, False)
+        if space.distance(prev, even) <= tol:
+            try:
+                residual = abs(space.distance(even, map_t(even)) - setting.gap)
+            except InputError:
+                residual = float("inf")
+            return SolveResult(even, residual, n, residual <= tol)
+        prev = even
+    try:
+        residual = abs(space.distance(prev, map_t(prev)) - setting.gap)
+    except InputError:
+        residual = float("inf")
+    return SolveResult(prev, residual, max_pairs, False)
+
+
+def solve_common_fixed_point_reference(schedule, seed, tol=1e-9, max_steps=10_000,
+                                       premetric=None, keep_last=True):
+    """The per-Point loop of solve_common_fixed_point.  keep_last=False is
+    the loop as it was, which returned the escaped point itself."""
+    if max_steps < 1:
+        raise InputError("need at least one step")
+    p = premetric if premetric is not None else metric_premetric(schedule.space)
+    x = schedule.map_s(seed)
+    residual = np.inf
+    for n in range(max_steps + 1):
+        try:
+            tx = schedule.map_t(x)
+            sx = schedule.map_s(x)
+        except InputError:
+            return SolveResult(x, float("inf"), n, False)
+        residual = max(eval_premetric(p, x, tx), eval_premetric(p, x, sx))
+        if residual <= tol:
+            return SolveResult(x, float(residual), n, True)
+        if n == max_steps:
+            break
+        nxt = tx if n % 2 == 0 else sx
+        if point_norm(nxt) > ESCAPE_NORM:
+            if keep_last:
+                return SolveResult(x, float("inf"), n, False)
+            return SolveResult(nxt, float("inf"), n + 1, False)
+        x = nxt
+    return SolveResult(x, float(residual), max_steps, False)
+
+
+def _solve_outcome(solve, *args, **kwargs):
+    """Result JSON bytes, or the class and message of the error raised."""
+    try:
+        return json.dumps(solve(*args, **kwargs).to_json_obj(), sort_keys=True)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _composed(space, t_max):
+    return composed_premetric(builtin_gauge("mk", t_max=t_max), metric_premetric(space))
+
+
+SOLVE_PREMETRICS = {
+    LINE: {
+        "metric": metric_premetric(LINE),
+        # any gap above 1.5 leaves the gauge's range
+        "composed-mk": _composed(LINE, 1.5),
+        "half-abs": custom_premetric(LINE, compile_expression("0.5 * abs(x[0] - y[0])",
+                                                              ("x", "y"))),
+        # +-0.0 by the sign of x - y: the common residual ties between signed zeros
+        "signed-zero": custom_premetric(LINE, compile_expression("0 * (x[0] - y[0])",
+                                                                 ("x", "y"))),
+        "sum-abs": custom_premetric(LINE, compile_expression("abs(x[0]) + abs(y[0])",
+                                                             ("x", "y"))),
+    },
+    PLANE2: {
+        "metric": metric_premetric(PLANE2),
+        "composed-mk": _composed(PLANE2, 1.5),
+        "taxi": custom_premetric(PLANE2, compile_expression(
+            "abs(x[0] - y[0]) + abs(x[1] - y[1])", ("x", "y"))),
+    },
+}
+# a name missing on one space draws its metric
+SOLVE_PREMETRIC_NAMES = sorted(set(SOLVE_PREMETRICS[LINE]) | set(SOLVE_PREMETRICS[PLANE2]))
+# 1, 2 and each side of the first three block boundaries
+_BOUNDARIES = [SOLVER_FIRST_BLOCK * (2 ** k - 1) for k in (1, 2, 3)]
+SOLVE_BUDGETS = sorted({1, 2} | {b + o for b in _BOUNDARIES for o in (-1, 0, 1)})
+SOLVE_TOLS = st.one_of(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 0.5, 1.0, 2.0)),
+                       st.floats(min_value=0.0, max_value=2.0))
+SOLVE_STEPS = st.one_of(st.sampled_from(SOLVE_BUDGETS), st.integers(1, 80))
+LINE_SOLVE_STARTS = st.one_of(st.sampled_from(LINE_STARTS),
+                              st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+PLANE_SOLVE_STARTS = st.tuples(st.sampled_from((0.0, -0.0, 1.0, -2.0)),
+                               st.sampled_from((0.0, -0.0, 0.5, 3.0)))
+CYCLIC_LINE = CyclicSetting.derive(LINE, IntervalSet(LINE, 1.0, math.inf),
+                                   IntervalSet(LINE, -math.inf, -1.0))
+
+
+def _both_solves(solve, reference, *args, **kwargs):
+    got = _solve_outcome(solve, *args, **kwargs)
+    assert got == _solve_outcome(reference, *args, **kwargs)
+    return got
+
+
+class TestSolvers:
+    @given(key=st.sampled_from(sorted(LINE_SCHEDULES) + sorted(PLANE_SCHEDULES)),
+           p_name=st.sampled_from(SOLVE_PREMETRIC_NAMES),
+           line_start=LINE_SOLVE_STARTS, plane_start=PLANE_SOLVE_STARTS,
+           tol=SOLVE_TOLS, steps=SOLVE_STEPS)
+    def test_fixed_point_equals_the_point_loop(self, key, p_name, line_start, plane_start,
+                                               tol, steps):
+        space, maps = _schedule(key)
+        start = (line_start,) if space is LINE else plane_start
+        p = SOLVE_PREMETRICS[space].get(p_name, metric_premetric(space))
+        _both_solves(solve_fixed_point, solve_fixed_point_reference, maps[0],
+                     space.point(*start), tol=tol, max_steps=steps, premetric=p)
+
+    @given(key=st.sampled_from(sorted(LINE_SCHEDULES) + sorted(PLANE_SCHEDULES)),
+           p_name=st.sampled_from(SOLVE_PREMETRIC_NAMES),
+           line_start=LINE_SOLVE_STARTS, plane_start=PLANE_SOLVE_STARTS,
+           tol=SOLVE_TOLS, steps=SOLVE_STEPS)
+    def test_common_fixed_point_equals_the_point_loop(self, key, p_name, line_start,
+                                                      plane_start, tol, steps):
+        space, maps = _schedule(key)
+        start = (line_start,) if space is LINE else plane_start
+        p = SOLVE_PREMETRICS[space].get(p_name, metric_premetric(space))
+        _both_solves(solve_common_fixed_point, solve_common_fixed_point_reference,
+                     AlternatingSchedule(maps[0], maps[-1]), space.point(*start),
+                     tol=tol, max_steps=steps, premetric=p)
+
+    @given(key=st.sampled_from(sorted(LINE_SCHEDULES)),
+           start=st.one_of(st.sampled_from([s for s in LINE_STARTS if s >= 1.0]),
+                           st.floats(min_value=1.0, max_value=20.0)),
+           tol=SOLVE_TOLS, pairs=SOLVE_STEPS)
+    def test_best_proximity_equals_the_point_loop(self, key, start, tol, pairs):
+        _both_solves(solve_best_proximity, solve_best_proximity_reference,
+                     _line_map(LINE_SCHEDULES[key][0]), CYCLIC_LINE, LINE.point(start),
+                     tol=tol, max_pairs=pairs)
+
+    # (map, start, premetric, tol, max_steps); each is checked for the fixed
+    # point and, with T = S, the common fixed point
+    CASES = {
+        "escape-at-step-1": ("translation", ESCAPE_NORM - 0.5, "metric", 1e-9, 500),
+        "nan-at-step-1": ("min(1/x, 5)", 0.0, "metric", 1e-9, 500),
+        "overflow-at-step-1": ("x * 1e300", 1e9, "metric", 1e-9, 500),
+        "escape-closing-block-1": ("translation", ESCAPE_NORM + 0.5 - SOLVER_FIRST_BLOCK,
+                                   "metric", 1e-9, 500),
+        "escape-opening-block-2": ("translation", ESCAPE_NORM - 0.5 - SOLVER_FIRST_BLOCK,
+                                   "metric", 1e-9, 500),
+        "period-2-flip": ("flip", 0.25, "metric", 1e-9, 10_000),
+        "period-2-neg": ("neg", 3.0, "metric", 1e-9, 10_000),
+        "period-2-neg-zero": ("neg", -0.0, "signed-zero", -1.0, 300),
+        "tol-on-step-1": ("half", 1.0, "metric", 2.0, 1),
+        "signed-zero-ties": ("neg", 2.0, "signed-zero", 0.0, 5),
+        # gaps 1.5 * 2^-n: the first step leaves the gauge's range
+        "error-before-the-hit": ("half", 3.0001, "composed-mk", 1e-3, 500),
+        # the first gap is under tol; later gaps of the same block leave the range
+        "error-after-the-hit": ("x * x", 1.1, "composed-mk", 0.15, 500),
+        # step 334 leaves the range: the steps of its block before it are checked first
+        "error-in-block-3": ("1.02 * x", 0.1, "composed-mk", 1e-9, 500),
+        "budget-runs-out": ("translation", 0.0, "metric", 1e-9, SOLVER_FIRST_BLOCK * 3 + 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case):
+        name, start, p_name, tol, steps = self.CASES[case]
+        m, x, p = _line_map(name), LINE.point(start), SOLVE_PREMETRICS[LINE][p_name]
+        fixed = _both_solves(solve_fixed_point, solve_fixed_point_reference, m, x,
+                             tol=tol, max_steps=steps, premetric=p)
+        _both_solves(solve_common_fixed_point, solve_common_fixed_point_reference,
+                     AlternatingSchedule(m, m), x, tol=tol, max_steps=steps, premetric=p)
+        outcome = fixed if isinstance(fixed, tuple) else json.loads(fixed)
+        if case.startswith(("escape", "nan", "overflow")):
+            assert outcome["residual"] == math.inf
+            assert outcome["iterations"] == {"escape-closing-block-1": SOLVER_FIRST_BLOCK - 1,
+                                             "escape-opening-block-2": SOLVER_FIRST_BLOCK
+                                             }.get(case, 0)
+        elif case.startswith("period-2") or case == "budget-runs-out":
+            assert (outcome["iterations"], outcome["converged"]) == (steps, False)
+        elif case in ("tol-on-step-1", "signed-zero-ties", "error-after-the-hit"):
+            assert outcome["iterations"] == 1
+            if case == "error-after-the-hit":
+                # the first block's gaps leave the range, so it is scored again step by step
+                orbit, _ = _extend_orbit((m.fn,), np.array([start]), SOLVER_FIRST_BLOCK + 1)
+                with pytest.raises(InputError, match="outside its working range"):
+                    premetric_diagonal(p, orbit[:-1], orbit[1:])
+        else:
+            assert outcome[0] == "InputError" and "outside its working range" in outcome[1]
+
+    @pytest.mark.parametrize("name, start, pairs", [
+        ("cyclic_reflect", 3.0, 12), ("cyclic_reflect", 10.0, 500),
+        # NaN on the third double step, with and without budget left
+        ("x - 2.0 + 0.0 / (x - 8.0)", 20.0, 3),
+        ("x - 2.0 + 0.0 / (x - 8.0)", 20.0, 4),
+        ("translation", ESCAPE_NORM - 2 * SOLVER_FIRST_BLOCK + 0.5, 500),
+        ("translation", ESCAPE_NORM - 2 * SOLVER_FIRST_BLOCK - 0.5, 500),
+        ("neg", 3.0, 500), ("flip", 1.0, 10_000),
+    ])
+    def test_best_proximity_cases(self, name, start, pairs):
+        _both_solves(solve_best_proximity, solve_best_proximity_reference,
+                     _line_map(name), CYCLIC_LINE, LINE.point(start), tol=1e-8,
+                     max_pairs=pairs)
+
+    @pytest.mark.parametrize("seed", [1.0, -3.0, 0.5])
+    def test_common_residual_ties_keep_the_first(self, seed):
+        """Under 0 * (x - y), p(x, -x) is +0.0 for x > 0 while p(x, x + 1)
+        is -0.0: Python's max keeps p(x, Tx), the first."""
+        sched = AlternatingSchedule(_line_map("neg"), _line_map("translation"))
+        got = _both_solves(solve_common_fixed_point, solve_common_fixed_point_reference,
+                           sched, LINE.point(seed), tol=0.0, max_steps=300,
+                           premetric=SOLVE_PREMETRICS[LINE]["signed-zero"])
+        residual = json.loads(got)["residual"]
+        assert residual == 0.0
+        assert math.copysign(1.0, residual) == (1.0 if seed + 1.0 > 0 else -1.0)
+
+    def test_best_proximity_p_norm_overflow_raises_like_the_loop(self):
+        """Under a 400-norm, even points 10 apart overflow to an infinite
+        distance, which Space.distance refuses."""
+        space = Space(id="p400", dimension=1, norm=400.0)
+        setting = CyclicSetting.derive(space, IntervalSet(space, 1.0, math.inf),
+                                       IntervalSet(space, -math.inf, -1.0))
+        m = expression_map(space, "x + 5.0")
+        with np.errstate(over="ignore"):
+            got = _both_solves(solve_best_proximity, solve_best_proximity_reference, m,
+                               setting, space.point(1.0), tol=1e-8, max_pairs=20)
+        assert got[0] == "InputError" and "distance evaluated to inf" in got[1]
+
+
+class TestOneEscapeRule:
+    """The three places where the solvers left the per-Point loops for the
+    orbit's rule (traces._extend_orbit)."""
+
+    def test_common_escape_returns_the_last_stored_point(self):
+        sched = AlternatingSchedule(builtin_map("translation", LINE),
+                                    builtin_map("translation", LINE))
+        seed = LINE.point(ESCAPE_NORM - 1.5)
+        sol = solve_common_fixed_point(sched, seed)
+        assert (sol.point.coords, sol.residual, sol.iterations, sol.converged) == \
+            ((ESCAPE_NORM - 0.5,), math.inf, 0, False)
+        old = solve_common_fixed_point_reference(sched, seed, keep_last=False)
+        assert (old.point.coords, old.iterations) == ((ESCAPE_NORM + 0.5,), 1)
+
+    def test_an_odd_point_beyond_the_escape_norm_ends_the_proximity_walk(self):
+        # 1 -> 2e9 -> 1: the even points repeat, but the odd one escaped
+        m = expression_map(LINE, "2e9 / x")
+        sol = solve_best_proximity(m, CYCLIC_LINE, LINE.point(1.0))
+        assert (sol.point.coords, sol.residual, sol.iterations, sol.converged) == \
+            ((1.0,), math.inf, 0, False)
+        old = solve_best_proximity_reference(m, CYCLIC_LINE, LINE.point(1.0),
+                                             odd_escapes=False)
+        assert (old.point.coords, old.iterations, old.residual) == ((1.0,), 1, 2e9 - 3.0)
+        tr = cyclic_even_trace(m, CYCLIC_LINE, LINE.point(1.0), 5)
+        assert (tr.status, len(tr)) == ("escaped", 1)
+
+    def test_a_seed_off_the_space_raises(self):
+        plane_point = PLANE2.point(1.0, 1.0)
+        half = builtin_map("half", LINE)
+        old = solve_fixed_point_reference(half, plane_point)
+        assert (old.residual, old.iterations) == (math.inf, 0)
+        with pytest.raises(InputError, match="does not belong to space 'line'"):
+            solve_fixed_point(half, plane_point)
+        with pytest.raises(InputError, match="does not belong to space 'line'"):
+            solve_best_proximity(half, CYCLIC_LINE, Space(id="other", dimension=1).point(2.0))
+        # a premetric off the seed's space is refused before the first step too
+        with pytest.raises(InputError, match="does not belong to space 'plane2'"):
+            solve_fixed_point(half, LINE.point(1.0), premetric=metric_premetric(PLANE2))
+        with pytest.raises(InputError, match="does not belong to space 'plane2'"):
+            solve_common_fixed_point(AlternatingSchedule(half, half), LINE.point(1.0),
+                                     premetric=metric_premetric(PLANE2))
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +1203,7 @@ class TestFPsiContraction:
             want = max(eval_premetric(p, x, y), eval_premetric(p, tx, x),
                        eval_premetric(p, sy, y),
                        0.5 * (eval_premetric(p, tx, y) + eval_premetric(p, sy, x)))
-            got = compute_M(m, m, p, x, y)
+            got = float(_m_values(p, *(np.asarray(q.coords) for q in (x, y, tx, sy))))
             assert struct.pack("<d", got) == struct.pack("<d", want)
 
 

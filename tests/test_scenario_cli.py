@@ -440,6 +440,19 @@ class TestCliRun:
         notes = [r["resolution_note"] for r in reports["runs"]["certify"]["additional"]]
         assert any(n.startswith("index horizon 1 is below the 2 indices") for n in notes)
 
+    def test_proximity_budget_ending_on_a_non_finite_image(self, tmp_path, capsys):
+        # x - 2 + 0/(x - 8) walks 20, 18, ..., 8 and then to NaN: the solver's
+        # budget of 3 double steps ends at 8, whose image is not finite.  The
+        # run reports the solve instead of exiting 1 with no run directory.
+        doc = dict(CYCLIC, name="nan-image", maps={"T": "x - 2.0 + 0.0 / (x - 8.0)"},
+                   cyclic={"x0": [20.0], "pairs": 3, "max_pairs": 3})
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "  cyclic.solve: not_converged" in capsys.readouterr().out.splitlines()
+        solve = json.loads((tmp_path / "out" / "solve_best_proximity.json").read_text())
+        assert solve == {"point": [8.0], "residual": math.inf, "iterations": 3,
+                         "converged": False}
+
     def test_escaping_orbit_cannot_fill_the_budget(self, tmp_path, capsys):
         # x -> x*x from 10 blows past the escape bound after three points,
         # far short of the aligned gaps the band checkers need

@@ -219,6 +219,16 @@ class TestSolveBestProximity:
         assert sol.residual == 4.0
         assert not sol.converged
 
+    def test_budget_ending_on_a_non_finite_image(self):
+        """3 + 0/(x - 3) + (x - 5) sends 7 -> 5 -> 3 -> NaN.  Whether the
+        budget ends at the even point 3 or the next double step fails, the
+        residual of 3 is inf: its image is not finite."""
+        m = expression_map(LINE, "3.0 + 0.0 / (x - 3.0) + (x - 5.0)")
+        for pairs in (1, 2):
+            sol = solve_best_proximity(m, line_setting(), LINE.point(7.0), max_pairs=pairs)
+            assert (sol.point.coords, sol.residual, sol.iterations, sol.converged) == \
+                ((3.0,), math.inf, 1, False)
+
     def test_seed_guard(self):
         with pytest.raises(InputError, match="must lie in the first set"):
             solve_best_proximity(builtin_map("cyclic_reflect", LINE),
@@ -264,7 +274,7 @@ class TestNonCauchyWitness:
 
     def test_witness_invariants_recompute(self):
         h = sequence_trace("harmonic", LINE, 1000)
-        xs = [p.coords[0] for p in h.points]
+        xs = h.coords[:, 0].tolist()
         w = extract_noncauchy_witness(h).witness
         for sigma, rho, k, sep, straddle in zip(w.sigma, w.rho, w.k,
                                                 w.separation_gaps,

@@ -22,7 +22,6 @@ from fplab.spaces import (
     premetric_diagonal,
     premetric_matrix,
     sample_pairs,
-    sample_points,
     shifted_premetric,
     verify_premetric_axioms,
 )
@@ -90,8 +89,6 @@ class TestRegionsAndSets:
     def test_sampling_helpers(self):
         rng = np.random.default_rng(0)
         box = default_region(LINE)
-        pts = sample_points(LINE, box, 5, rng)
-        assert len(pts) == 5 and all(p.space_id == "line" for p in pts)
         xs, ys = sample_pairs(LINE, box, 4, np.random.default_rng(3))
         ref = np.random.default_rng(3)
         assert xs.shape == ys.shape == (4, 1)
@@ -179,7 +176,7 @@ class TestAxiomVerification:
     def test_metric_axioms_pass(self):
         p = metric_premetric(PLANE)
         rng = np.random.default_rng(2)
-        triples = [tuple(sample_points(PLANE, default_region(PLANE), 3, rng))
+        triples = [tuple(map(PLANE.point, default_region(PLANE).sample_coords(rng, 3)))
                    for _ in range(40)]
         reports = verify_premetric_axioms(p, triples)
         ids = {r.condition_id for r in reports}

@@ -30,14 +30,14 @@ LINE = Space(id="line", dimension=1)
 
 
 def coords(trace) -> list[float]:
-    return [p.coords[0] for p in trace.points]
+    return trace.coords[:, 0].tolist()
 
 
 class TestPicard:
     def test_halving_orbit(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 3)
         assert coords(tr) == [1.0, 0.5, 0.25, 0.125]
-        assert tr.consecutive_gaps == (0.5, 0.25, 0.125)
+        assert tr.gaps.tolist() == [0.5, 0.25, 0.125]
         assert tr.status == "completed"
         assert tr.generator == "picard(half)"
         assert len(tr) == 4
@@ -51,7 +51,7 @@ class TestPicard:
     def test_translation_orbit(self):
         tr = picard_trace(builtin_map("translation", LINE), LINE.point(0.0), 3)
         assert coords(tr) == [0.0, 1.0, 2.0, 3.0]
-        assert tr.consecutive_gaps == (1.0, 1.0, 1.0)
+        assert tr.gaps.tolist() == [1.0, 1.0, 1.0]
 
     def test_escape_truncates_with_status(self):
         """A blowing-up orbit is reported, not raised: points stop before the
@@ -60,7 +60,7 @@ class TestPicard:
         tr = picard_trace(square, LINE.point(10.0), 10)
         assert tr.status == "escaped"
         assert coords(tr) == [10.0, 100.0, 1e4, 1e8]
-        assert all(p.norm() <= ESCAPE_NORM for p in tr.points)
+        assert np.abs(tr.coords).max() <= ESCAPE_NORM
 
     def test_guards(self):
         half = builtin_map("half", LINE)
@@ -72,15 +72,6 @@ class TestPicard:
 
 
 class TestAlternating:
-    def test_schedule_membership(self):
-        sched = AlternatingSchedule(builtin_map("quarter", LINE),
-                                    builtin_map("fifth", LINE))
-        assert sched.member(0).name == "quarter"
-        assert sched.member(1).name == "fifth"
-        assert sched.member(2).name == "quarter"
-        with pytest.raises(InputError, match="nonnegative"):
-            sched.member(-1)
-
     def test_schedule_space_mismatch(self):
         plane = Space(id="plane", dimension=2)
         with pytest.raises(ConfigurationError, match="share a space"):
@@ -115,7 +106,7 @@ class TestCyclicEven:
     def test_full_orbit_rides_along(self):
         tr = cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
                                self.setting(), LINE.point(3.0), 4)
-        aux = [p.coords[0] for p in tr.aux_points]
+        aux = tr.aux_coords[:, 0].tolist()
         assert len(aux) == 9
         assert aux[:4] == [3.0, -2.0, 1.5, -1.25]
         assert aux[::2] == coords(tr)
@@ -126,7 +117,7 @@ class TestCyclicEven:
         tr = cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
                                self.setting(), LINE.point(3.0), 4)
         assert tr.premetric.kind == "shifted_cyclic"
-        assert tr.consecutive_gaps == (0.0,) * 4
+        assert tr.gaps.tolist() == [0.0] * 4
 
     def test_seed_outside_first_set(self):
         with pytest.raises(InputError, match="start in the first set"):
@@ -144,7 +135,7 @@ class TestSequence:
         tr = sequence_trace("harmonic", LINE, 5)
         want = np.cumsum([1.0, 0.5, 1.0 / 3.0, 0.25, 0.2])
         assert coords(tr) == pytest.approx(list(want), rel=1e-15)
-        assert tr.consecutive_gaps == pytest.approx(
+        assert tr.gaps.tolist() == pytest.approx(
             [0.5, 1.0 / 3.0, 0.25, 0.2], rel=1e-12
         )
         assert tr.status == "completed"
@@ -163,15 +154,15 @@ class TestTraceMechanics:
     def test_gap_cache_matches_recomputation(self):
         tr = picard_trace(builtin_map("mk", LINE), LINE.point(1.0), 12)
         for i in range(len(tr) - 1):
-            assert tr.consecutive_gaps[i] == eval_premetric(
-                tr.premetric, tr.points[i], tr.points[i + 1]
+            assert tr.gaps[i] == eval_premetric(
+                tr.premetric, LINE.point(tr.coords[i]), LINE.point(tr.coords[i + 1])
             )
 
     def test_companion_shift_alignment(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 5)
         sh = tr.companion_shift()
         assert coords(sh) == coords(tr)[1:]
-        assert sh.consecutive_gaps == tr.consecutive_gaps[1:]
+        assert sh.gaps.tolist() == tr.gaps[1:].tolist()
         assert sh.generator == "shift(picard(half))"
         short = trace_from_points([LINE.point(0.0), LINE.point(1.0)],
                                   "pair", metric_premetric(LINE))
@@ -211,9 +202,8 @@ class TestTraceMechanics:
 
     def test_arrays(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 3)
-        assert np.array_equal(tr.coords_array(),
-                              np.array([[1.0], [0.5], [0.25], [0.125]]))
-        assert np.array_equal(tr.gap_array(), np.array([0.5, 0.25, 0.125]))
+        assert np.array_equal(tr.coords, np.array([[1.0], [0.5], [0.25], [0.125]]))
+        assert np.array_equal(tr.gaps, np.array([0.5, 0.25, 0.125]))
 
     def test_csv_layout(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 3)
