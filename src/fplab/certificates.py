@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
-from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, check_family_C6, \
-    check_family_C7_multi, family_member_array, require_profile
+from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C6, \
+    check_family_C7_multi, require_profile
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, Space, default_region, \
@@ -78,16 +78,6 @@ _BAND_NOTE = (
     "unoccupied band counts as a witness at this budget and is flagged vacuous; fail "
     "means every candidate was defeated, a refutation bounded by the nu horizon"
 )
-
-
-def _no_pairs(cid: str, budget: SearchBudget) -> CertificateReport:
-    """The report of a pair condition (C4, C5, D4) whose index horizon holds
-    no pair i < j: nothing was examined, so nothing is claimed."""
-    return CertificateReport(
-        cid, Verdict.INCONCLUSIVE, [], budget,
-        f"index horizon {budget.index_horizon} is below the 2 indices a pair i < j "
-        f"needs; {cid} was not checked",
-    )
 
 
 def _check_c1(gaps: np.ndarray, budget: SearchBudget) -> CertificateReport:
@@ -160,12 +150,24 @@ def _band_per_index(
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 
-def _band_uniform(
-    mats: np.ndarray,
-    budget: SearchBudget,
-    cid: str,
-    item: str,
-) -> CertificateReport:
+def _pair_positions(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
+    """Where each pair i < j of the index horizon sits in mats.reshape(-1):
+    orbit k's pair (i, j) at k * n * n + i * n + j, orbit by orbit and in
+    np.triu_indices order, which is ascending.  Shift nu moves every
+    position by nu * (n + 1), so C4, C5 and D4 read a shift as one flat
+    gather, and np.unravel_index(position, mats.shape) gives (orbit, i, j)."""
+    ih, nh = budget.index_horizon, budget.nu_horizon
+    k, n = mats.shape[:2]
+    if n < ih + nh:
+        raise InputError(
+            f"need gap matrices of side at least {ih + nh} for this budget, "
+            f"got {n}"
+        )
+    rows, cols = np.triu_indices(ih, k=1)
+    return ((rows * n + cols) + (np.arange(k) * (n * n))[:, None]).reshape(-1)
+
+
+def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
     """Band condition with one shift index shared by every in-band pair
     (C4 and D4).  mats has shape (k, n, n), one gap matrix per orbit.
 
@@ -179,13 +181,13 @@ def _band_uniform(
     contiguous run of pairs kept in memory order, and bincount gives every
     band's size.
 
-    Each shift nu costs one gather over the kept pairs, read from the view
-    of the flat matrices that starts nu * (n + 1) later: np.maximum.reduceat
-    takes every segment's worst value, and a running max from each eps's
-    first segment turns those into every band's worst value.  An eps
-    retires once its widest band passes, because that band wins before any
-    narrower one is looked at, and the sweep stops when no eps is live.  No
-    (nu x in-band) array is built.
+    Each shift nu costs one gather over the kept pairs' positions (see
+    _pair_positions): np.maximum.reduceat takes every segment's worst
+    value, and a running max from each eps's first segment turns those
+    into every band's worst value.  An eps retires once its widest band
+    passes, because that band wins before any narrower one is looked at,
+    and the sweep stops when no eps is live.  No (nu x in-band) array is
+    built.
 
     Deltas are then decided in decreasing order: the first band that is
     vacuous or passes at some nu is the witness, with its first passing nu.
@@ -194,33 +196,27 @@ def _band_uniform(
     the band's worst value, the first worst pair in np.nonzero order.  This
     breaks ties exactly as a separate search per (eps, delta) would.
     """
-    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
+    nh, eta = budget.nu_horizon, budget.slack
     n = mats.shape[1]
-    if n < ih + nh:
-        raise InputError(
-            f"need gap matrices of side at least {ih + nh} for this budget, "
-            f"got {n}"
-        )
-    iu = np.triu_indices(ih, k=1)
-    base = mats[:, iu[0], iu[1]]  # (k, n_pairs)
+    flat = mats.reshape(-1)
     eps_grid, deltas = budget.eps_grid, budget.delta_candidates
     uppers = [[eps + d for d in deltas] for eps in eps_grid]
     cuts = np.unique(np.concatenate([eps_grid, np.ravel(uppers)]))
-    # each temporary below is as long as the kept pairs; it is freed once
-    # used, so the index never holds more than a few of them at a time
-    kept = np.flatnonzero((base > cuts[0]) & (base < cuts[-1]))
-    gaps = base.reshape(-1)[kept]
+    # each temporary below is as long as the pairs; it is freed once used,
+    # so the index never holds more than a few of them at a time
+    kept = _pair_positions(mats, budget)
+    gaps = flat[kept]
+    inside = (gaps > cuts[0]) & (gaps < cuts[-1])
+    kept, gaps = kept[inside], gaps[inside]
+    del inside
     at = np.searchsorted(cuts, gaps)
     n_seg = 2 * cuts.size
     # the narrowest dtype that holds an id lets the stable sort run as a
     # radix sort
     seg = (2 * at + (gaps == cuts[at])).astype(np.min_scalar_type(n_seg))
     del gaps, at
-    orbit, pair = np.divmod(kept[np.argsort(seg, kind="stable")], iu[0].size)
+    pos = kept[np.argsort(seg, kind="stable")]  # kept pairs in id order
     del kept
-    # flat position of each kept pair in id order; shift nu moves it by nu * (n + 1)
-    pos = (iu[0] * n + iu[1])[pair] + orbit * (n * n)
-    del orbit, pair
     offsets = np.zeros(n_seg + 1, dtype=np.intp)  # pairs with a smaller id
     np.cumsum(np.bincount(seg, minlength=n_seg), out=offsets[1:])
     del seg
@@ -230,7 +226,6 @@ def _band_uniform(
     hi = np.maximum(2 * np.searchsorted(cuts, uppers) + 1, lo[:, None])  # (n_eps, n_deltas)
     sizes = offsets[hi] - offsets[lo][:, None]
 
-    flat = mats.reshape(-1)
     filled = np.flatnonzero(np.diff(offsets))
     starts = offsets[filled]
     seg_ids = np.arange(n_seg)
@@ -272,24 +267,17 @@ def _band_uniform(
             if value < best_val:
                 best_val, best_nu = value, nu
         delta = deltas[-1]
-        k_idx, p_idx = np.nonzero((base > eps) & (base < eps + delta))
-        rows, cols = iu[0][p_idx], iu[1][p_idx]
-        shifted = mats[k_idx, rows + best_nu, cols + best_nu]
+        # the band's pairs are one run of ids; ascending positions are
+        # np.nonzero order
+        band = np.sort(pos[offsets[lo[t]]:offsets[hi[t, -1]]])
+        shifted = np.take(flat, band + best_nu * (n + 1))
         w = int(np.argmax(shifted))
-        wits.append(witness(eps=eps, delta=delta, **{item: int(k_idx[w])},
-                            i=int(rows[w]), j=int(cols[w]),
-                            gap=float(base[k_idx[w], p_idx[w]]),
-                            best_uniform_nu=best_nu, value_at_best_nu=float(shifted[w])))
+        orbit, i, j = np.unravel_index(band[w], mats.shape)
+        wits.append(witness(eps=eps, delta=delta, orbit=int(orbit), i=int(i), j=int(j),
+                            gap=float(flat[band[w]]), best_uniform_nu=best_nu,
+                            value_at_best_nu=float(shifted[w])))
         verdicts.append(Verdict.FAIL)
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
-
-
-def _shared_shift_band(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
-    """C4 or D4 on one gap matrix per orbit; inconclusive when the index
-    horizon holds no pair."""
-    if budget.index_horizon < 2:
-        return _no_pairs(cid, budget)
-    return _band_uniform(mats, budget, cid, "orbit")
 
 
 _STRICT_NOTE = (
@@ -334,42 +322,57 @@ def _strict_per_index(
 def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
     """Pairwise strict decrease under a shared shift, one matrix per orbit.
 
-    One sweep over nu clears the triggered pairs that shift nu decreases and
-    passes at the first nu that leaves none; the pairs still left after the
-    horizon are the stuck ones, and only the first 8 of them (np.nonzero
-    order) get their best follow-up, the minimum over every shift."""
-    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
-    if mats.shape[1] < ih + nh:
-        raise InputError(
-            f"need gap matrices of side at least {ih + nh} for this budget, "
-            f"got {mats.shape[1]}"
-        )
-    rows, cols = np.triu_indices(ih, k=1)
-    b = mats[:, rows, cols]
-    remaining = b > eta
-    count = int(remaining.sum())
+    One sweep over nu reads each shift through the triggered pairs'
+    positions (see _pair_positions), drops the pairs that shift decreases
+    and passes at the first nu that leaves none; the pairs still left after
+    the horizon are the stuck ones, and only the first 8 of them
+    (np.nonzero order) get their best follow-up, the minimum over every
+    shift."""
+    nh, eta = budget.nu_horizon, budget.slack
+    n = mats.shape[1]
+    pos = _pair_positions(mats, budget)
+    flat = mats.reshape(-1)
+    gaps = flat[pos]
+    triggered = gaps > eta
+    count = int(np.count_nonzero(triggered))
     if count == 0:
         return CertificateReport(
             cid, Verdict.PASS,
             [witness(triggered=0, note="every pair gap is already within the slack of zero")],
             budget, _STRICT_NOTE,
         )
-    limit = b - eta
+    pos, limit = pos[triggered], gaps[triggered] - eta
     for nu in range(1, nh + 1):
-        remaining &= ~(mats[:, rows + nu, cols + nu] < limit)
-        if not remaining.any():
+        cleared = np.take(flat[nu * (n + 1):], pos) < limit
+        if not cleared.any():
+            continue
+        pos, limit = pos[~cleared], limit[~cleared]
+        if not pos.size:
             return CertificateReport(
                 cid, Verdict.PASS, [witness(triggered=count, nu=nu)], budget, _STRICT_NOTE)
-    k_idx, p_idx = (idx[:8] for idx in np.nonzero(remaining))
-    best = np.full(k_idx.size, np.inf)
+    stuck = pos[:8]
+    best = np.full(stuck.size, np.inf)
     for nu in range(1, nh + 1):
-        best = np.minimum(best, mats[k_idx, rows[p_idx] + nu, cols[p_idx] + nu])
+        best = np.minimum(best, np.take(flat, stuck + nu * (n + 1)))
     wits = [
-        witness(orbit=int(k), i=int(rows[q]), j=int(cols[q]),
-                gap=float(b[k, q]), best_follow_up=float(m))
-        for k, q, m in zip(k_idx, p_idx, best)
+        witness(orbit=int(k), i=int(i), j=int(j), gap=float(flat[q]), best_follow_up=float(m))
+        for q, k, i, j, m in zip(stuck, *np.unravel_index(stuck, mats.shape), best)
     ]
     return CertificateReport(cid, Verdict.FAIL, wits, budget, _STRICT_NOTE)
+
+
+def _pair_condition(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
+    """C4 or D4 (the shared-shift band) or C5 (strict decrease) on one gap
+    matrix per orbit.  An index horizon below 2 holds no pair i < j:
+    nothing is examined, so the report is inconclusive and claims nothing."""
+    if budget.index_horizon < 2:
+        return CertificateReport(
+            cid, Verdict.INCONCLUSIVE, [], budget,
+            f"index horizon {budget.index_horizon} is below the 2 indices a pair i < j "
+            f"needs; {cid} was not checked",
+        )
+    search = _strict_pairs if cid == "C5" else _band_uniform
+    return search(mats, budget, cid)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +424,7 @@ def check_asf2(
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
-    mats = _pair_matrix(trace, p, budget)[None, ...]
-    return _shared_shift_band(mats, budget, "C4")
+    return _pair_condition(_pair_matrix(trace, p, budget)[None, ...], budget, "C4")
 
 
 def check_c5(
@@ -432,10 +434,7 @@ def check_c5(
 ) -> CertificateReport:
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
-    mats = _pair_matrix(trace, p, budget)[None, ...]
-    if budget.index_horizon < 2:
-        return _no_pairs("C5", budget)
-    return _strict_pairs(mats, budget, "C5")
+    return _pair_condition(_pair_matrix(trace, p, budget)[None, ...], budget, "C5")
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +491,6 @@ def check_asmk(
         if gaps.shape[0] < ih + nh:
             raise InputError(f"need at least {ih + nh} aligned gaps, got {gaps.shape[0]}")
         fg = f_gauge.apply_array(gaps)
-        lhs_source, base_block = fg, fg[:ih]
         cid = "C8"
     else:
         for t in (trace_x, trace_y):
@@ -502,30 +500,22 @@ def check_asmk(
             p, trace_x.coords[:ih + nh], trace_y.coords[:ih + nh]
         )
         fg = f_gauge.apply_array(cross)
-        lhs_source, base_block = fg, fg[:ih, :ih]
         cid = "C9"
 
+    def block(n: int) -> np.ndarray:
+        # F of the gaps n steps ahead: C8's diagonal run, C9's cross square
+        return fg[(slice(n, n + ih),) * fg.ndim]
+
     defeats: list[dict] = []
-    dominated = base_block.copy()
     checked = 0
-    for n in range(1, nh + 1):
-        if family.kind == "iterated":
-            dominated = family.base.apply_array(dominated)
-        else:
-            if n > len(family.members):
-                break
-            dominated = family_member_array(family, n, base_block)
-        checked = n
-        lhs = lhs_source[n:n + ih] if variant == "asmk1" else lhs_source[n:n + ih, n:n + ih]
-        bad = np.nonzero(lhs > dominated + eta)
-        if variant == "asmk1":
-            for i in bad[0][:2]:
-                defeats.append(witness(n=n, i=int(i), lhs=float(lhs[i]),
-                                       rhs=float(dominated[i])))
-        else:
-            for i, j in list(zip(bad[0], bad[1]))[:2]:
-                defeats.append(witness(n=n, i=int(i), j=int(j), lhs=float(lhs[i, j]),
-                                       rhs=float(dominated[i, j])))
+    for checked, dominated in enumerate(_members(family, block(0), nh), start=1):
+        lhs = block(checked)
+        over = lhs > dominated + eta
+        if over.any():
+            # a C8 defeat names its index i, a C9 defeat its cross pair (i, j)
+            for at in map(tuple, np.argwhere(over)[:2]):
+                defeats.append(witness(n=checked, **dict(zip(("i", "j"), map(int, at))),
+                                       lhs=float(lhs[at]), rhs=float(dominated[at])))
         if len(defeats) >= 8:
             break
     if defeats:
@@ -714,7 +704,7 @@ def check_acf_mapping(
         _check_d1(dists, budget),
         _band_per_index(trigger, windows, budget, "D2", "pair"),
         _strict_per_index(trigger, windows, budget, "D3", "pair"),
-        _shared_shift_band(mats, budget, "D4"),
+        _pair_condition(mats, budget, "D4"),
     ]
     annotated = []
     for rep in reports:
@@ -749,7 +739,7 @@ def acf_asf_agreement(
     out["D1"] = _check_d1(dists, budget).verdict
     out["D2"] = _band_per_index(dists[:, 0], dists[:, 1:nh + 1], budget, "D2", "pair").verdict
     out["D3"] = _strict_per_index(dists[:, 0], dists[:, 1:nh + 1], budget, "D3", "pair").verdict
-    out["D4"] = _shared_shift_band(mats, budget, "D4").verdict
+    out["D4"] = _pair_condition(mats, budget, "D4").verdict
 
     c1, c2, c3 = [], [], []
     for row in dists:
@@ -761,7 +751,7 @@ def acf_asf_agreement(
     out["C2"] = worst_verdict(c2)
     out["C3"] = worst_verdict(c3)
     out["C4"] = worst_verdict(
-        _shared_shift_band(mats[k:k + 1], budget, "C4").verdict
+        _pair_condition(mats[k:k + 1], budget, "C4").verdict
         for k in range(mats.shape[0])
     )
     return out

@@ -177,31 +177,16 @@ def explicit_family(members: list[Gauge], zero_fixed: bool) -> GaugeFamily:
 
 def iterate_gauge(family: GaugeFamily, n: int, t: float) -> float:
     """Member n evaluated at t.  Members are 1-indexed; member 1 of an
-    iterated family is the base itself and member n costs exactly n base
-    evaluations."""
+    iterated family is the base itself and member n is the n-th step of
+    _members' walk from t, n base evaluations."""
     if n < 1:
         raise InputError("family members are indexed from 1")
     if family.kind == "iterated":
-        v = float(t)
-        for _ in range(n):
-            v = family.base(v)
-        return v
+        *_, v = _members(family, float(t), n)
+        return float(v)
     if n > len(family.members):
         raise InputError(f"explicit family has {len(family.members)} members, asked for {n}")
     return family.members[n - 1](t)
-
-
-def family_member_array(family: GaugeFamily, n: int, arr: np.ndarray) -> np.ndarray:
-    if n < 1:
-        raise InputError("family members are indexed from 1")
-    if family.kind == "iterated":
-        out = np.asarray(arr, dtype=float)
-        for _ in range(n):
-            out = family.base.apply_array(out)
-        return out
-    if n > len(family.members):
-        raise InputError(f"explicit family has {len(family.members)} members, asked for {n}")
-    return family.members[n - 1].apply_array(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +347,9 @@ def require_profile(g: Gauge, entries: frozenset, eta: float = 1e-9) -> None:
 
 def _members(family: GaugeFamily, ts, horizon: int):
     """Yield members 1, 2, ... up to the horizon (and at most the explicit
-    members), each evaluated on the whole block ts with one apply_array."""
+    members), each evaluated on the whole block ts with one apply_array.
+    Every family search walks this generator, lazily, so a caller that stops
+    early evaluates no member past the one it stopped at."""
     v = np.asarray(ts, dtype=float)
     if family.kind == "iterated":
         for _ in range(horizon):

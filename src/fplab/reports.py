@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from collections.abc import Iterable
@@ -178,7 +177,3 @@ class CertificateReport:
             "resolution_note": self.resolution_note,
         }
 
-
-def reports_to_json_text(reports: list[CertificateReport]) -> str:
-    """Deterministic serialization used by the file writers and tests."""
-    return json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2)

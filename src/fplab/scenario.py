@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from .certificates import ASMK_VARIANTS, PSI_VARIANTS
 from .errors import ConfigurationError, FplabError
 from .gauges import DEFAULT_T_MAX, Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, \
@@ -64,7 +62,10 @@ _BUDGET_FIELDS = frozenset(f.name for f in fields(SearchBudget))
 def load_scenario_file(path: str) -> dict:
     """Parse a scenario document.  Parse failures and non-mapping documents
     raise ConfigurationError; field-level problems are left to
-    validate_scenario."""
+    validate_scenario.  yaml is imported here, the one place that reads
+    YAML, so that building from a dict never loads it."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

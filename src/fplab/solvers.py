@@ -18,8 +18,7 @@ import numpy as np
 
 from .certificates import check_asf1, check_asf2, check_c5
 from .errors import ConfigurationError, InputError
-from .gauges import Gauge, GaugeFamily, iterate_gauge, require_profile, \
-    verify_gauge_regularity
+from .gauges import Gauge, GaugeFamily, _members, require_profile, verify_gauge_regularity
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, sanitize, witness, \
     worst_verdict
@@ -559,7 +558,8 @@ def check_E_conditions(
 
     Hypotheses are verified numerically: both sequences settle toward gamma,
     beta stays at or above gamma, psi sits strictly below the identity on the
-    relevant values (for a family: some member does, per step), and the
+    relevant values (for a family: some member up to nu_horizon, or up to
+    the last of an explicit family's members, does, per step), and the
     domination holds in the limit.  With a single gauge the domination is
     checked at the limit value rather than stepwise, because a fixed-slack
     stepwise check rejects valid slowly-converging data.  A violated
@@ -610,14 +610,13 @@ def check_E_conditions(
                                         alpha=float(alpha[n])))
                 break
             rhs_base = f_gauge(min(max(beta[n], 0.0), f_gauge.t_max))
-            if not any(lhs <= iterate_gauge(psi, nu, rhs_base) + eta
-                       for nu in range(1, nu_horizon + 1)):
+            if not any(lhs <= v[0] + eta for v in _members(psi, [rhs_base], nu_horizon)):
                 problems.append(witness(
                     hypothesis="some family member dominates the step", n=n,
                     lhs=lhs, base=rhs_base))
                 break
         for t in probe[:12]:
-            if not any(iterate_gauge(psi, nu, t) < t for nu in range(1, nu_horizon + 1)):
+            if not any(v[0] < t for v in _members(psi, [t], nu_horizon)):
                 problems.append(witness(
                     hypothesis="some family member drops below the identity", t=t))
                 break

@@ -10,9 +10,11 @@ small tie-heavy gap matrices whose eps/delta grids reach every outcome
 (a vacuous band, a pass at some shift, and every candidate defeated), on
 gap matrices of real orbits at the default grids, and on hand cases at
 the edges of the segment ids: a band that collapses to nothing, no pairs
-at all, a gap on a cut shared by two eps, and an unsorted grid with
-repeated eps.
+at all, a gap on a cut shared by two eps, an unsorted grid with repeated
+eps, and a defeat tie between pairs in two segments of one band.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -21,8 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from fplab.certificates import _BAND_NOTE, _band_uniform, _orbit_block
 from fplab.maps import builtin_map
-from fplab.reports import CertificateReport, SearchBudget, Verdict, reports_to_json_text, \
-    witness, worst_verdict
+from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from fplab.spaces import Space
 
 
@@ -92,7 +93,7 @@ def band_cases(draw):
 
 def _both(case):
     mats, budget = case
-    return (_band_uniform(mats, budget, "D4", "orbit"),
+    return (_band_uniform(mats, budget, "D4"),
             band_uniform_reference(mats, budget, "D4", "orbit"))
 
 
@@ -100,7 +101,8 @@ def _assert_same(fast, ref):
     assert fast.verdict is ref.verdict
     assert fast.witnesses == ref.witnesses
     assert fast.resolution_note == ref.resolution_note
-    assert reports_to_json_text([fast]) == reports_to_json_text([ref])
+    assert json.dumps(fast.to_json(), sort_keys=True, indent=2) == \
+        json.dumps(ref.to_json(), sort_keys=True, indent=2)
 
 
 @given(band_cases())
@@ -217,7 +219,7 @@ def band_uniform_per_eps(mats, budget, cid, item):
 
 
 def _all_three(mats, budget):
-    fast = _band_uniform(mats, budget, "D4", "orbit")
+    fast = _band_uniform(mats, budget, "D4")
     for reference in (band_uniform_reference, band_uniform_per_eps):
         _assert_same(fast, reference(mats, budget, "D4", "orbit"))
     return fast
@@ -282,9 +284,25 @@ def _unsorted_grid_case():
                           {"eps": 0.25, "delta": 1.0, "nu": 3, "in_band": 3}]
 
 
+def _tie_across_segments_case():
+    # eps 0.6 cuts eps 0.5's narrow band (0.5, 0.75) in two: the gap 0.55 of
+    # pair (0, 2) has a smaller segment id than the gap 0.7 of pair (0, 1),
+    # both shift to 1.0, and the defeat names the first in np.nonzero order
+    mats = np.zeros((1, 4, 4))
+    mats[0, 0, 1], mats[0, 0, 2] = 0.7, 0.55
+    mats[0, 1, 2] = mats[0, 1, 3] = mats[0, 2, 3] = 1.0
+    budget = SearchBudget(eps_grid=(0.5, 0.6), delta_candidates=(1.0, 0.25),
+                          index_horizon=3, nu_horizon=1)
+    return mats, budget, [{"eps": eps, "delta": 0.25, "orbit": 0, "i": 0, "j": 1, "gap": 0.7,
+                           "best_uniform_nu": 1, "value_at_best_nu": 1.0}
+                          for eps in (0.5, 0.6)]
+
+
 @pytest.mark.parametrize("case", [_collapsed_band_case(), _no_pairs_case(),
-                                  _shared_cut_case(), _unsorted_grid_case()],
-                         ids=["collapsed-band", "no-pairs", "shared-cut", "unsorted-grid"])
+                                  _shared_cut_case(), _unsorted_grid_case(),
+                                  _tie_across_segments_case()],
+                         ids=["collapsed-band", "no-pairs", "shared-cut", "unsorted-grid",
+                              "tie-across-segments"])
 def test_segment_edge_cases(case):
     mats, budget, expected = case
     assert _all_three(mats, budget).witnesses == expected

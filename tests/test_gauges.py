@@ -18,7 +18,6 @@ from fplab.gauges import (
     check_family_C7_multi,
     explicit_family,
     expression_gauge,
-    family_member_array,
     iterate_gauge,
     iterated_family,
     regularity_grid,
@@ -272,14 +271,6 @@ class TestFamilies:
         assert iterate_gauge(two, 2, 1.0) == 0.5
         with pytest.raises(InputError, match="has 2 members"):
             iterate_gauge(two, 3, 1.0)
-
-    def test_family_member_array(self):
-        fam = iterated_family(builtin_gauge("half"))
-        ts = np.array([1.0, 2.0, 4.0])
-        out = family_member_array(fam, 2, ts)
-        assert np.array_equal(out, np.array([0.25, 0.5, 1.0]))
-        with pytest.raises(InputError):
-            family_member_array(fam, 0, ts)
 
     def test_family_validation(self):
         with pytest.raises(ConfigurationError, match="needs a base gauge"):

@@ -3,9 +3,9 @@
 fplab evaluates maps, distances and premetrics on coordinate arrays with the
 coordinates on the last axis.  Each reference below is the per-point loop
 those kernels replaced, written with Python floats, or, for a kernel made
-cheaper again (distances, the C5 sweep, orbit blocks), the array version it
-replaced.  Every property asks for exact equality: the reports are pinned
-byte for byte, so one ulp counts.
+cheaper again (distances, the C5 sweep, orbit blocks, the C8/C9 and E1/E2
+family walks), the version it replaced.  Every property asks for exact
+equality: the reports are pinned byte for byte, so one ulp counts.
 """
 
 import importlib.util
@@ -23,13 +23,14 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fplab
-from fplab.certificates import _STRICT_NOTE, _m_values, _orbit_block, _strict_pairs, \
-    check_banach_rate, check_f_psi_contraction
-from fplab.errors import ConfigurationError, InputError
+from fplab.certificates import _STRICT_NOTE, ASMK_VARIANTS, F_PROFILE, _aligned_gaps, _m_values, \
+    _orbit_block, _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction
+from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import compile_expression
-from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, builtin_gauge, \
-    check_family_C6, check_family_C7, check_family_C7_multi, explicit_family, expression_gauge, \
-    iterated_family, regularity_grid, verify_gauge_regularity
+from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, GaugeFamily, \
+    builtin_gauge, check_family_C6, check_family_C7, check_family_C7_multi, explicit_family, \
+    expression_gauge, iterate_gauge, iterated_family, regularity_grid, require_profile, \
+    verify_gauge_regularity
 from fplab.maps import _BUILTINS as MAP_BUILTINS, NamedMap, builtin_map, expression_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from fplab.spaces import (
@@ -48,7 +49,7 @@ from fplab.spaces import (
     shifted_premetric,
     verify_premetric_axioms,
 )
-from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, SolveResult, \
+from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, SolveResult, check_E_conditions, \
     solve_best_proximity, solve_common_fixed_point, solve_fixed_point
 from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_period_start, \
     _extend_orbit, cyclic_even_trace, picard_trace, sequence_trace
@@ -1818,6 +1819,323 @@ class TestGaugeProbes:
             check_family_C7_multi(fam, budget.eps_grid, budget.delta_candidates)
         # zero_at_zero reads g(0.0) itself
         assert calls == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# The family walk: C8/C9 and E1/E2 against the per-kind branch loops
+
+
+def check_asmk_reference(trace_x, trace_y, p, f_gauge, family, budget, variant="asmk1"):
+    """check_asmk as it was: one branch per family kind, an explicit member
+    re-applied to the front block at each shift, and np.nonzero on every
+    shift."""
+    if variant not in ASMK_VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}; use asmk1 or asmk2")
+    require_profile(f_gauge, F_PROFILE, eta=budget.slack)
+    f_zero = f_gauge(0.0)
+    if f_zero <= 0.0 and not family.zero_fixed:
+        raise RefusalError(
+            "the gauge family must declare members fixing zero because F(0) <= 0 "
+            f"(measured F(0)={f_zero})"
+        )
+    note = (
+        f"F(0)={f_zero} measured, family {family.describe()}; domination tested with "
+        f"slack {budget.slack} for shifts 1..{budget.nu_horizon}"
+    )
+    if budget.nu_horizon < 4:
+        c6 = CertificateReport("C6", Verdict.INCONCLUSIVE, resolution_note=(
+            f"nu horizon {budget.nu_horizon} is below the 4 members C6 reads "
+            f"a tail from; C6 was not checked"))
+    else:
+        c6 = check_family_C6(family, budget.eps_grid, n_horizon=budget.nu_horizon,
+                             eta=budget.slack)
+    c7 = check_family_C7_multi(family, budget.eps_grid, budget.delta_candidates,
+                               nu_horizon=budget.nu_horizon, eta=budget.slack)
+    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
+    if variant == "asmk1":
+        gaps = _aligned_gaps(trace_x, trace_y, p)
+        if gaps.shape[0] < ih + nh:
+            raise InputError(f"need at least {ih + nh} aligned gaps, got {gaps.shape[0]}")
+        fg = f_gauge.apply_array(gaps)
+        base_block = fg[:ih]
+        cid = "C8"
+    else:
+        for t in (trace_x, trace_y):
+            if len(t) < ih + nh:
+                raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
+        fg = f_gauge.apply_array(premetric_matrix(p, trace_x.coords[:ih + nh],
+                                                  trace_y.coords[:ih + nh]))
+        base_block = fg[:ih, :ih]
+        cid = "C9"
+    defeats = []
+    dominated = base_block.copy()
+    checked = 0
+    for n in range(1, nh + 1):
+        if family.kind == "iterated":
+            dominated = family.base.apply_array(dominated)
+        else:
+            if n > len(family.members):
+                break
+            dominated = family.members[n - 1].apply_array(base_block)
+        checked = n
+        lhs = fg[n:n + ih] if variant == "asmk1" else fg[n:n + ih, n:n + ih]
+        bad = np.nonzero(lhs > dominated + eta)
+        if variant == "asmk1":
+            for i in bad[0][:2]:
+                defeats.append(witness(n=n, i=int(i), lhs=float(lhs[i]),
+                                       rhs=float(dominated[i])))
+        else:
+            for i, j in list(zip(bad[0], bad[1]))[:2]:
+                defeats.append(witness(n=n, i=int(i), j=int(j), lhs=float(lhs[i, j]),
+                                       rhs=float(dominated[i, j])))
+        if len(defeats) >= 8:
+            break
+    if defeats:
+        verdict, wits = Verdict.FAIL, defeats
+    else:
+        wits = [witness(checked_shifts=checked, checked_indices=ih)]
+        verdict = Verdict.PASS if checked == nh else Verdict.INCONCLUSIVE
+        if checked < nh:
+            note += (f"; the family has only {checked} members, so shifts "
+                     f"{checked + 1}..{nh} were not checked and no pass is claimed")
+    return [c6, c7, CertificateReport(cid, verdict, wits, budget, note)]
+
+
+def iterate_gauge_reference(family, n, t):
+    """iterate_gauge as it was: member n rebuilt from t with n scalar calls."""
+    if n < 1:
+        raise InputError("family members are indexed from 1")
+    if family.kind == "iterated":
+        v = float(t)
+        for _ in range(n):
+            v = family.base(v)
+        return v
+    if n > len(family.members):
+        raise InputError(f"explicit family has {len(family.members)} members, asked for {n}")
+    return family.members[n - 1](t)
+
+
+def check_e_reference(f_gauge, psi, alpha_seq, beta_seq, gamma, eta=1e-9, conv_tol=1e-3,
+                      nu_horizon=64):
+    """check_E_conditions as it was: every member rebuilt from the step's
+    value by iterate_gauge_reference, one nu at a time.  An explicit family
+    offers only its members, which the old loops asked past (an InputError)."""
+    alpha = np.asarray(alpha_seq, dtype=float)
+    beta = np.asarray(beta_seq, dtype=float)
+    if alpha.ndim != 1 or beta.ndim != 1 or alpha.shape != beta.shape or alpha.shape[0] < 2:
+        raise InputError("need two equal-length sequences of at least 2 terms")
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(gamma)):
+        raise InputError("sequences and gamma must be finite")
+    if gamma < 0 or gamma > f_gauge.t_max:
+        raise InputError(f"gamma must lie in [0, {f_gauge.t_max}]")
+    require_profile(f_gauge, frozenset({"continuous", "nondecreasing"}), eta=eta)
+    family = isinstance(psi, GaugeFamily)
+    cid = "E2" if family else "E1"
+
+    def settles(seq):
+        mid = abs(float(seq[seq.shape[0] // 2]) - gamma)
+        end = abs(float(seq[-1]) - gamma)
+        return end <= max(conv_tol, 0.75 * mid)
+
+    problems = []
+    if not settles(alpha):
+        problems.append(witness(hypothesis="alpha settles toward gamma",
+                                last=float(alpha[-1]), gamma=gamma))
+    if not settles(beta):
+        problems.append(witness(hypothesis="beta settles toward gamma",
+                                last=float(beta[-1]), gamma=gamma))
+    low = np.nonzero(beta < gamma - eta)[0]
+    if low.size:
+        i = int(low[0])
+        problems.append(witness(hypothesis="beta stays at or above gamma",
+                                n=i, beta=float(beta[i]), gamma=gamma))
+    probe = sorted({float(v) for v in np.append(f_gauge.apply_array(
+        np.clip(beta, 0.0, f_gauge.t_max)), [0.5, 1.0]) if eta < v <= 1e3})
+    if family:
+        members = range(1, (nu_horizon if psi.kind == "iterated"
+                            else min(nu_horizon, len(psi.members))) + 1)
+        for n in range(alpha.shape[0]):
+            lhs = f_gauge(min(alpha[n], f_gauge.t_max)) if alpha[n] >= 0 else None
+            if lhs is None:
+                problems.append(witness(hypothesis="alpha nonnegative", n=n,
+                                        alpha=float(alpha[n])))
+                break
+            rhs_base = f_gauge(min(max(beta[n], 0.0), f_gauge.t_max))
+            if not any(lhs <= iterate_gauge_reference(psi, nu, rhs_base) + eta
+                       for nu in members):
+                problems.append(witness(
+                    hypothesis="some family member dominates the step", n=n,
+                    lhs=lhs, base=rhs_base))
+                break
+        for t in probe[:12]:
+            if not any(iterate_gauge_reference(psi, nu, t) < t for nu in members):
+                problems.append(witness(
+                    hypothesis="some family member drops below the identity", t=t))
+                break
+    else:
+        fg = f_gauge(gamma)
+        lhs, rhs = fg, float(psi(min(fg, psi.t_max)))
+        if lhs > rhs + max(eta, conv_tol * abs(lhs)):
+            problems.append(witness(hypothesis="domination holds in the limit",
+                                    lhs=lhs, rhs=rhs))
+        for t in probe[:12]:
+            if t <= psi.t_max and not psi(t) < t:
+                problems.append(witness(hypothesis="psi sits below the identity", t=t))
+                break
+    if problems:
+        return CertificateReport(
+            cid, Verdict.INCONCLUSIVE, problems, None,
+            f"not applicable: {problems[0]['hypothesis']} fails on the supplied data",
+        )
+    if gamma <= eta:
+        return CertificateReport(
+            cid, Verdict.PASS, [witness(gamma=gamma)], None,
+            f"hypotheses corroborated and the shared limit is within {eta} of zero",
+        )
+    return CertificateReport(
+        cid, Verdict.FAIL, [witness(gamma=gamma)], None,
+        "hypotheses corroborated yet the shared limit stays away from zero; this "
+        "contradicts the expected collapse and flags the inputs or declared gauges",
+    )
+
+
+def _line_trace(values) -> IterationTrace:
+    coords = np.asarray(values, dtype=float)[:, None]
+    return IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(LINE),
+                          gaps=np.zeros(coords.shape[0] - 1), status="completed",
+                          space_id="line")
+
+
+# small grids, so that C6 and C7 stay in a 2.5 working range for a few
+# members and the C8/C9 walk is reached by families that leave it later
+FAMILY_BUDGET = {"eps_grid": (0.05,), "delta_candidates": (0.05,)}
+
+
+@st.composite
+def asmk_cases(draw):
+    """check_asmk's arguments: two line orbits whose values shrink at a
+    drawn rate (rate 1 never does), so members dominate some shifts and not
+    others; families as in probe_families, some shorter than the horizon
+    and some leaving a 2.5 working range (a gap of 3.0 starts outside it);
+    F one of the regular builtins."""
+    ih, nh = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n = ih + nh + draw(st.integers(0, 2))
+    values = st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.0))
+    decay = draw(st.sampled_from((1.0, 0.75, 0.5))) ** np.arange(n)
+    xs = np.array(draw(st.lists(values, min_size=n, max_size=n))) * decay
+    ys = (np.array(draw(st.lists(values, min_size=n, max_size=n))) * decay
+          if draw(st.booleans()) else np.zeros(n))
+    budget = SearchBudget(index_horizon=ih, nu_horizon=nh, slack=draw(PROBE_ETA),
+                          **FAMILY_BUDGET)
+    return (_line_trace(xs), _line_trace(ys), metric_premetric(LINE),
+            builtin_gauge(draw(st.sampled_from(("id", "mk", "half")))),
+            draw(probe_families()), budget, draw(st.sampled_from(ASMK_VARIANTS)))
+
+
+def _asmk_case(family, xs, ys, ih, nh):
+    budget = SearchBudget(index_horizon=ih, nu_horizon=nh, **FAMILY_BUDGET)
+    return (_line_trace(xs), _line_trace(ys), metric_premetric(LINE), builtin_gauge("id"),
+            family, budget)
+
+
+def _iterated(name, t_max=1e3):
+    return iterated_family(_probe_gauge(name, t_max), zero_fixed=True)
+
+
+def _explicit(*members):
+    """Members given as (name, t_max)."""
+    return explicit_family([_probe_gauge(*m) for m in members], zero_fixed=True)
+
+
+@st.composite
+def e_cases(draw):
+    """check_E_conditions' arguments: alpha and beta settling (or not) on a
+    drawn gamma, a single gauge (E1) or a family (E2) as in probe_families."""
+    m = draw(st.integers(2, 30))
+    n = np.arange(1, m + 1, dtype=float)
+    gamma = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    scale = st.sampled_from((-0.5, 0.0, 0.25, 1.0, 2.0))
+    alpha = gamma + draw(scale) / n ** draw(st.sampled_from((0.0, 1.0, 2.0)))
+    beta = gamma + draw(scale) / n
+    if draw(st.booleans()):
+        psi = draw(probe_families())
+    else:
+        psi = _probe_gauge(draw(st.sampled_from(PROBE_GAUGES)), draw(PROBE_T_MAX))
+    return (builtin_gauge(draw(st.sampled_from(("id", "mk")))), psi, alpha, beta, gamma,
+            draw(PROBE_ETA), 1e-3, draw(st.integers(1, 12)))
+
+
+class TestFamilyWalk:
+    @given(case=asmk_cases())
+    def test_check_asmk_equals_the_branch_loop(self, case):
+        got = _probe_outcome(check_asmk, *case)
+        assert got == _probe_outcome(check_asmk_reference, *case)
+
+    # (check_asmk's arguments, the C8/C9 verdict, and its witnesses' last
+    # entry or the start of the error)
+    ASMK_CASES = {
+        # two members cover shifts 1..2 of the horizon's 6
+        "explicit-short": (_asmk_case(_explicit(("half", 1e3), ("0.25 * t", 1e3)),
+                                      0.5 ** np.arange(10), np.zeros(10), 4, 6),
+                           "inconclusive", {"checked_shifts": 2, "checked_indices": 4}),
+        # constant gaps defeat each halving member at every index: 2 witnesses
+        # per shift, and the walk stops at 8, after shift 4 of 6
+        "eight-defeats": (_asmk_case(_iterated("half"), np.arange(12.0), np.arange(12.0) + 1,
+                                     5, 6),
+                          "fail", {"n": 4, "i": 1, "lhs": 1.0, "rhs": 0.0625}),
+        # member 3 of 2t reads member 2's 4.0, past the 2.5 range; C6 (below 4
+        # members) is not run and C7 (near eps 0.05) stays inside the range
+        "iterated-out-of-range": (_asmk_case(_iterated("2 * t", 2.5), np.ones(8), np.zeros(8),
+                                             3, 3),
+                                  None, "InputError: gauge '2 * t' evaluated at t=4.0 "),
+        # member 2 reads the gap 2.0 past its 1.5 range, after member 1's defeats
+        "explicit-out-of-range": (_asmk_case(_explicit(("half", 1e3), ("t + 1", 1.5)),
+                                             2.0 * np.ones(8), np.zeros(8), 3, 3),
+                                  None, "InputError: gauge 't + 1' evaluated at t=2.0 "),
+    }
+
+    @pytest.mark.parametrize("variant", ASMK_VARIANTS)
+    @pytest.mark.parametrize("case", sorted(ASMK_CASES))
+    def test_check_asmk_cases(self, case, variant):
+        args, verdict, last = self.ASMK_CASES[case]
+        got = _probe_outcome(check_asmk, *args, variant=variant)
+        assert got == _probe_outcome(check_asmk_reference, *args, variant=variant)
+        if verdict is None:
+            assert got.startswith(last)
+            return
+        report = json.loads(got)[2]
+        assert report["verdict"] == verdict
+        assert len(report["witnesses"]) == (8 if verdict == "fail" else 1)
+        if variant == "asmk1" or verdict == "inconclusive":
+            assert report["witnesses"][-1] == last
+
+    @given(case=e_cases())
+    def test_check_e_equals_the_member_loops(self, case):
+        got = _probe_outcome(check_E_conditions, *case)
+        assert got == _probe_outcome(check_e_reference, *case)
+
+    def test_check_e_ties_at_the_slack(self):
+        # alpha is member 1 of the halving family at beta plus the slack, to
+        # the bit: every step is dominated, and no later member is asked
+        k = np.arange(8)
+        for psi in (_iterated("half"), _explicit(("half", 1e3))):
+            args = (builtin_gauge("id"), psi, 0.5 * 0.5 ** k + 0.25, 0.5 ** k, 0.0, 0.25,
+                    1e-3, 8)
+            got = _probe_outcome(check_E_conditions, *args)
+            assert got == _probe_outcome(check_e_reference, *args)
+            hypotheses = [w["hypothesis"] for w in json.loads(got)[0]["witnesses"]]
+            assert hypotheses == ["alpha settles toward gamma"]
+
+    @given(family=probe_families(), n=st.integers(0, 12),
+           t=st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.5)), st.floats(0.0, 3.0)))
+    def test_iterate_gauge_equals_the_scalar_loop(self, family, n, t):
+        def bits(iterate):
+            try:
+                return np.float64(iterate(family, n, t)).tobytes()
+            except InputError as exc:
+                return str(exc)
+
+        assert bits(iterate_gauge) == bits(iterate_gauge_reference)
 
 
 # ---------------------------------------------------------------------------

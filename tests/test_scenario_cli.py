@@ -12,6 +12,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import fplab
 from fplab.cli import main
 from fplab.errors import ConfigurationError, FplabError, InputError
 from fplab.gallery import GALLERY, gallery_names, get_entry, list_gallery
@@ -273,6 +276,20 @@ class TestLoadScenarioFile:
         with pytest.raises(ConfigurationError,
                            match="must be a mapping at the top level"):
             load_scenario_file(str(path))
+
+    def test_building_from_a_dict_never_imports_yaml(self):
+        # only load_scenario_file reads YAML; a fresh process that imports
+        # fplab and builds a gallery document must not pay for the import
+        code = ("import sys, fplab\n"
+                "from fplab.gallery import get_entry\n"
+                "from fplab.scenario import build_scenario\n"
+                "build_scenario(get_entry('meir-keeler').doc)\n"
+                "print('yaml' in sys.modules)\n")
+        src = str(Path(fplab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestExitCode:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fplab.errors import ConfigurationError, InputError, RefusalError
-from fplab.gauges import builtin_gauge, expression_gauge, iterated_family
+from fplab.gauges import builtin_gauge, explicit_family, expression_gauge, iterated_family
 from fplab.maps import builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict
 from fplab.solvers import (
@@ -392,6 +392,27 @@ class TestLimitCollapse:
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses == [{"gamma": 1.0}]
         assert "contradicts" in rep.resolution_note
+
+    @pytest.mark.parametrize("members, alpha_scale, hypothesis, expected", [
+        # no member dominates the first step: 2 > 0.5 * 1 and 2 > 0.25 * 1
+        ((builtin_gauge("half"), expression_gauge("0.25 * t")), 2.0, "some family member dominates the step",
+         {"hypothesis": "some family member dominates the step", "n": 0, "lhs": 2.0,
+          "base": 1.0}),
+        # the identity dominates every step yet never drops below itself
+        ((builtin_gauge("id"),), 1.0, "some family member drops below the identity",
+         {"hypothesis": "some family member drops below the identity", "t": 0.005}),
+    ])
+    def test_short_explicit_family_is_inconclusive(self, members, alpha_scale, hypothesis,
+                                                   expected):
+        # the family has fewer members than nu_horizon (64); the search asks
+        # only the members there are, as C8 and C9 do, instead of raising
+        n = np.arange(1, 201, dtype=float)
+        psi = explicit_family(list(members), zero_fixed=True)
+        rep = check_E_conditions(builtin_gauge("id"), psi, alpha_scale / n, 1.0 / n, 0.0)
+        assert rep.condition_id == "E2"
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.resolution_note == f"not applicable: {hypothesis} fails on the supplied data"
+        assert rep.witnesses == [expected]
 
     def test_guards(self):
         n = np.arange(1, 51, dtype=float)
