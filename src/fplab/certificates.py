@@ -2,7 +2,9 @@
 
 Sequence-level conditions (ids C1..C5) look at the gap sequence of a pair of
 traces; family conditions (C6..C9) add a comparison gauge and a gauge family;
-mapping-level conditions (D1..D4) sample point pairs and iterate the map.
+mapping-level conditions (D1..D4) sample point pairs and iterate the map
+on all of them in one traces._extend_orbit block, the engine and escape
+rule the traces and solvers walk too.
 Each checker returns three-valued CertificateReports with explicit witnesses
 and a resolution note spelling out what the verdict means at the budget used.
 
@@ -26,7 +28,7 @@ from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, Space, default_region, \
     metric_premetric, premetric_diagonal, premetric_matrix, premetric_values
-from .traces import ESCAPE_NORM, IterationTrace
+from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
 
 F_PROFILE = frozenset({"right_continuous", "nondecreasing", "positive_on_positive"})
 PSI_PROFILE_STANDARD = frozenset(
@@ -533,93 +535,46 @@ def check_asmk(
 # Mapping-level checkers (D1-D4)
 
 
-def _orbit_block(
-    map_t: NamedMap,
-    seeds: np.ndarray,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the map on every seed row at once; returns (orbits, alive_steps).
-
-    orbits has shape (k, n_steps, dim); an orbit that escapes (non-finite or
-    beyond ESCAPE_NORM) is frozen at its last good point and its alive count
-    records how many valid steps it has.  The freeze bookkeeping starts at
-    the first step where some row fails.
-
-    Until then, once every row is bit-identical to its row two steps
-    earlier, the block repeats its last two steps forever (map_t.fn is pure,
-    see NamedMap), so the rest is filled by tiling them, as
-    traces._extend_orbit does.  Bits, not ==, decide, so -0.0 and 0.0 differ.
-    """
-    k, dim = seeds.shape
-    orbits = np.empty((k, n_steps, dim))
-    orbits[:, 0, :] = seeds
-    alive = np.full(k, n_steps, dtype=int)
-    going = None  # no row has failed yet
-    with np.errstate(all="ignore"):
-        for step in range(1, n_steps):
-            prev = orbits[:, step - 1]
-            nxt = map_t.fn(prev)
-            # NaN and +-inf fail the comparison too
-            if going is None and np.abs(nxt).max() <= ESCAPE_NORM:
-                orbits[:, step] = nxt
-                # the first row alone turns most steps away cheaply
-                if step >= 2 and orbits[0, step].tobytes() == orbits[0, step - 2].tobytes() \
-                        and orbits[:, step].tobytes() == orbits[:, step - 2].tobytes():
-                    orbits[:, step + 1::2] = orbits[:, step - 1, None]
-                    orbits[:, step + 2::2] = orbits[:, step, None]
-                    break
-                continue
-            ok = np.abs(nxt).max(axis=-1) <= ESCAPE_NORM
-            if going is None:
-                going = np.ones(k, dtype=bool)
-            alive[going & ~ok] = step
-            going &= ok
-            orbits[:, step] = np.where(going[:, None], nxt, prev)
-    return orbits, alive
-
-
-def _sample_orbit_data(
+def _mapping_reports(
     map_t: NamedMap,
     space: Space,
     budget: SearchBudget,
-    region: Box | None,
+    region: Box,
     seed: int,
-) -> dict:
+    purpose: str,
+) -> tuple[list[CertificateReport], np.ndarray, np.ndarray, int]:
+    """D1-D4 on budget.pair_samples seed pairs drawn from region and walked
+    index_horizon + nu_horizon steps in one _extend_orbit block.  A pair
+    with an escaped orbit is left out.  Returns the reports, the kept
+    pairs' distance curves, D4's orbit matrices (of at most
+    max(4, pair_samples // 16) kept x orbits) and the escaped pair count."""
     if map_t.space.id != space.id:
         raise InputError("map and space disagree")
-    region = region or default_region(space)
     rng = np.random.default_rng(seed)
     k = budget.pair_samples
     n_steps = budget.index_horizon + budget.nu_horizon
-    seeds_x = region.sample_coords(rng, k)
-    seeds_y = region.sample_coords(rng, k)
-    orbits, alive = _orbit_block(map_t, np.concatenate([seeds_x, seeds_y]), n_steps)
-    ox, oy = orbits[:k], orbits[k:]
+    seeds = np.concatenate([region.sample_coords(rng, k), region.sample_coords(rng, k)])
+    block, alive = _extend_orbit((map_t.fn,), seeds, n_steps)
+    orbits = block.swapaxes(0, 1)
     valid = (alive[:k] == n_steps) & (alive[k:] == n_steps)
-    dists = space.distances(ox, oy)
-    return {
-        "region": region,
-        "seed": seed,
-        "orbits_x": ox,
-        "orbits_y": oy,
-        "valid": valid,
-        "dists": dists[valid],
-        "escaped_pairs": int(k - valid.sum()),
-        "n_steps": n_steps,
-    }
-
-
-def _d4_matrices(space: Space, data: dict, budget: SearchBudget) -> tuple[np.ndarray, int]:
-    cap = max(4, budget.pair_samples // 16)
-    chosen = data["orbits_x"][data["valid"]][:cap]
+    dists = space.distances(orbits[:k], orbits[k:])[valid]
+    if dists.shape[0] == 0:
+        raise InputError(f"every sampled pair escaped; nothing to {purpose}")
+    chosen = orbits[np.flatnonzero(valid)[:max(4, k // 16)]]
     # one orbit matrix at a time, written straight into the block, for peak
     # memory: a (k, n, n) call would hold every orbit's temporaries at once,
     # and stacking a list would hold every matrix twice
-    n = chosen.shape[1]
-    mats = np.empty((chosen.shape[0], n, n))
+    mats = np.empty((chosen.shape[0], n_steps, n_steps))
     for mat, orbit in zip(mats, chosen):
         mat[...] = space.distances(orbit[:, None], orbit[None])
-    return mats, chosen.shape[0]
+    trigger, windows = dists[:, 0], dists[:, 1:budget.nu_horizon + 1]
+    reports = [
+        _check_d1(dists, budget),
+        _band_per_index(trigger, windows, budget, "D2", "pair"),
+        _strict_per_index(trigger, windows, budget, "D3", "pair"),
+        _pair_condition(mats, budget, "D4"),
+    ]
+    return reports, dists, mats, int(k - valid.sum())
 
 
 def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
@@ -687,31 +642,19 @@ def check_acf_mapping(
     of sampled orbits (the cap is recorded in the note).
     """
     budget = budget or SearchBudget()
-    data = _sample_orbit_data(map_t, space, budget, region, seed)
-    dists = data["dists"]
-    if dists.shape[0] == 0:
-        raise InputError("every sampled pair escaped; nothing to certify")
-    nh = budget.nu_horizon
-    trigger = dists[:, 0]
-    windows = dists[:, 1:nh + 1]
-    mats, cap = _d4_matrices(space, data, budget)
+    region = region or default_region(space)
+    reports, dists, mats, escaped = _mapping_reports(map_t, space, budget, region, seed,
+                                                     "certify")
     suffix = (
-        f"; {dists.shape[0]} sampled pairs in region {data['region'].lows}.."
-        f"{data['region'].highs}, seed {data['seed']}"
+        f"; {dists.shape[0]} sampled pairs in region {region.lows}..{region.highs}, seed {seed}"
     )
-    d4_suffix = f"; D4 evaluated on the first {cap} sampled orbits"
-    reports = [
-        _check_d1(dists, budget),
-        _band_per_index(trigger, windows, budget, "D2", "pair"),
-        _strict_per_index(trigger, windows, budget, "D3", "pair"),
-        _pair_condition(mats, budget, "D4"),
-    ]
+    d4_suffix = f"; D4 evaluated on the first {mats.shape[0]} sampled orbits"
     annotated = []
     for rep in reports:
         extra = suffix + (d4_suffix if rep.condition_id == "D4" else "")
         annotated.append(CertificateReport(rep.condition_id, rep.verdict, rep.witnesses,
                                            rep.budget, rep.resolution_note + extra))
-    return _downgrade_for_escapes(annotated, data["escaped_pairs"])
+    return _downgrade_for_escapes(annotated, escaped)
 
 
 def acf_asf_agreement(
@@ -729,17 +672,10 @@ def acf_asf_agreement(
     can be compared like for like.
     """
     budget = budget or SearchBudget()
-    data = _sample_orbit_data(map_t, space, budget, region, seed)
-    dists = data["dists"]
-    if dists.shape[0] == 0:
-        raise InputError("every sampled pair escaped; nothing to compare")
-    nh = budget.nu_horizon
-    mats, _ = _d4_matrices(space, data, budget)
-    out: dict[str, Verdict] = {}
-    out["D1"] = _check_d1(dists, budget).verdict
-    out["D2"] = _band_per_index(dists[:, 0], dists[:, 1:nh + 1], budget, "D2", "pair").verdict
-    out["D3"] = _strict_per_index(dists[:, 0], dists[:, 1:nh + 1], budget, "D3", "pair").verdict
-    out["D4"] = _pair_condition(mats, budget, "D4").verdict
+    reports, dists, mats, _ = _mapping_reports(
+        map_t, space, budget, region or default_region(space), seed, "compare"
+    )
+    out = {rep.condition_id: rep.verdict for rep in reports}
 
     c1, c2, c3 = [], [], []
     for row in dists:

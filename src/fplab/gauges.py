@@ -1,8 +1,8 @@
 """Comparison gauges on [0, inf) and families of them.
 
-A Gauge wraps a scalar function together with the regularity profile its
-author claims for it; verify_gauge_regularity tests each claimed entry
-numerically.  Families (explicit lists or the iterates of a base gauge)
+A Gauge wraps an element-wise function on arrays of t together with the
+regularity profile its author claims for it; verify_gauge_regularity tests
+each claimed entry numerically.  Families (explicit lists or the iterates of a base gauge)
 feed the tail conditions used by the sequence certificates.
 """
 
@@ -36,14 +36,17 @@ DEFAULT_T_MAX = 1e3
 
 @dataclass(frozen=True)
 class Gauge:
-    """A scalar gauge with a declared regularity profile.
+    """A gauge on [0, t_max] with a declared regularity profile.
 
-    Evaluation outside [0, t_max] is an input error: gauges are only ever
-    probed inside their declared working range.
+    fn maps a float array of t values to the array of their images, element
+    by element, as an Expression in t does; a call on one t evaluates it on
+    a 0-d array, so scalar and array calls round alike.  Evaluation outside
+    [0, t_max] is an input error: gauges are only ever probed inside their
+    declared working range.
     """
 
     name: str
-    fn: Expression | Callable[[float], float]
+    fn: Expression | Callable[[np.ndarray], np.ndarray]
     profile: frozenset = frozenset()
     t_max: float = DEFAULT_T_MAX
 
@@ -64,11 +67,7 @@ class Gauge:
             )
 
     def __call__(self, t: float) -> float:
-        t = float(t)
-        self._check_range(t)
-        if isinstance(self.fn, Expression):
-            return float(self.fn(t=t))
-        return float(self.fn(t))
+        return float(self.apply_array(np.array(float(t))))
 
     def apply_array(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr, dtype=float)
@@ -77,10 +76,13 @@ class Gauge:
             self._check_range(lo)
             self._check_range(hi)
         with np.errstate(all="ignore"):
-            if isinstance(self.fn, Expression):
-                out = self.fn(t=arr)
-            else:
-                out = self.fn(arr)
+            try:
+                out = self.fn(t=arr) if isinstance(self.fn, Expression) else self.fn(arr)
+            except (TypeError, ValueError) as exc:
+                raise InputError(
+                    f"gauge {self.name!r} failed on an array of shape {arr.shape}: its fn "
+                    f"must map a float array to a float array of the same shape ({exc})"
+                ) from exc
         out = np.asarray(out, dtype=float)
         if out.shape != arr.shape:
             # a gauge that ignores t, such as the expression "0.5"

@@ -24,7 +24,7 @@ from .reports import CertificateReport, SearchBudget, Verdict, sanitize, witness
     worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
-from .traces import AlternatingSchedule, IterationTrace, _extend_orbit
+from .traces import AlternatingSchedule, IterationTrace, _orbit
 
 CAUCHY_ROUTES = ("tau", "composed", "mixed")
 
@@ -236,7 +236,7 @@ def _walk(fns, seed: np.ndarray, units: int, stride: int, values, tol: float):
     while True:
         k = done * stride % len(fns)
         count = min(size, units - done)
-        rows, status = _extend_orbit(fns[k:] + fns[:k], row, count * stride + 1)
+        rows, status = _orbit(fns[k:] + fns[:k], row, count * stride + 1)
         rows = rows[:(rows.shape[0] - 1) // stride * stride + 1]
         try:
             scores = values(rows)

@@ -177,7 +177,6 @@ class IntervalSet:
     space: Space
     lo: float
     hi: float
-    convex: bool = True
 
     def __post_init__(self) -> None:
         if self.space.dimension != 1:
@@ -206,7 +205,6 @@ class DiskSet:
     space: Space
     center: tuple[float, ...]
     radius: float
-    convex: bool = True
 
     def __post_init__(self) -> None:
         if len(self.center) != self.space.dimension:

@@ -1,6 +1,10 @@
 """Orbit generation: plain iteration, alternating two maps, and the even
 subsequence of a cyclic orbit, plus named diagnostic sequences.
 
+_extend_orbit is the one orbit engine: the traces, the solvers and the
+D1-D4 samples all walk it, one seed or a block of seeds at a time, under
+its one escape rule (ESCAPE_NORM).
+
 Every trace carries the premetric its consecutive gaps were measured under,
 so downstream certificates never have to guess the pairing convention.
 """
@@ -27,7 +31,7 @@ from .spaces import (
 
 ESCAPE_NORM = 1e9
 
-TRACE_STATUSES = ("completed", "escaped", "budget_exhausted")
+TRACE_STATUSES = ("completed", "escaped")
 
 
 def _frozen(values, ndim: int, what: str) -> np.ndarray:
@@ -142,37 +146,59 @@ def _gaps(premetric: Premetric, coords: np.ndarray) -> np.ndarray:
 
 
 def _extend_orbit(
-    fns: tuple[Callable[[np.ndarray], np.ndarray], ...], seed: np.ndarray, length: int
-) -> tuple[np.ndarray, str]:
-    """Rows x_0 = seed and x_{n+1} = fns[n % len(fns)](x_n) of a (length, d)
-    orbit.  A non-finite or wrong-shaped image, or one whose largest
-    coordinate exceeds ESCAPE_NORM in absolute value, ends the orbit as
-    escaped and is not stored.
+    fns: tuple[Callable[[np.ndarray], np.ndarray], ...], seeds: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits x_0 = seed and x_{n+1} = fns[n % len(fns)](x_n) of one
+    seed (d,) or a block of seeds (k, d), walked together; returns the
+    time-major (length, *seeds.shape) block and each orbit's alive count of
+    valid points.  An image escapes if it is non-finite or lies beyond
+    ESCAPE_NORM in some coordinate; a wrong-shaped image escapes every
+    orbit.  An escaped orbit is frozen at its last valid point, and the
+    walk stops once every orbit has escaped.
 
     The step rule has period 1 or 2 and every fn is a pure function of its
-    coordinates, so once a row is bit-identical to the row two steps earlier
-    the orbit repeats those two rows forever: the rest is filled by tiling
-    them and the orbit is completed.  Bits, not ==, decide, so -0.0 and 0.0
+    coordinates, so once the block is bit-identical to the block two steps
+    earlier, before any escape, it repeats those two steps forever: the rest
+    is filled by tiling them.  Bits, not ==, decide, so -0.0 and 0.0
     differ."""
-    out = np.empty((length, seed.shape[0]))
-    out[0] = seed
-    # the bits of rows n - 1 and n
+    out = np.empty((length, *seeds.shape))
+    out[0] = seeds
+    alive = np.full(seeds.shape[:-1], length)
+    going = None  # no orbit has escaped yet
+    # the bits of steps n - 1 and n
     older, newer = None, out[0].tobytes()
     with np.errstate(all="ignore"):
         for n in range(length - 1):
             image = np.asarray(fns[n % len(fns)](out[n]), dtype=float)
+            shaped = image.shape == seeds.shape
             # NaN fails the comparison too, so a non-finite image escapes
-            if image.shape != seed.shape or \
-                    not all(abs(v) <= ESCAPE_NORM for v in image.tolist()):
-                return out[:n + 1], "escaped"
-            out[n + 1] = image
-            bits = out[n + 1].tobytes()
-            if bits == older:
-                out[n + 2::2] = out[n]
-                out[n + 3::2] = out[n + 1]
+            if going is None and shaped and np.abs(image).max() <= ESCAPE_NORM:
+                out[n + 1] = image
+                bits = out[n + 1].tobytes()
+                if bits == older:
+                    out[n + 2::2] = out[n]
+                    out[n + 3::2] = out[n + 1]
+                    break
+                older, newer = newer, bits
+                continue
+            ok = np.abs(image).max(axis=-1) <= ESCAPE_NORM if shaped else np.False_
+            if going is None:
+                going = np.ones(alive.shape, dtype=bool)
+            alive[going & ~ok] = n + 1
+            going &= ok
+            if not going.any():
+                out[n + 1:] = out[n]
                 break
-            older, newer = newer, bits
-    return out, "completed"
+            out[n + 1] = np.where(going[..., None], image, out[n])
+    return out, alive
+
+
+def _orbit(
+    fns: tuple[Callable[[np.ndarray], np.ndarray], ...], seed: np.ndarray, length: int
+) -> tuple[np.ndarray, str]:
+    """One seed's valid rows of _extend_orbit, and completed or escaped."""
+    rows, alive = _extend_orbit(fns, seed, length)
+    return rows[:alive], "completed" if alive == length else "escaped"
 
 
 def picard_trace(
@@ -189,7 +215,7 @@ def picard_trace(
     if x0.space_id != map_t.space.id:
         raise InputError("seed does not live on the map's space")
     p = premetric if premetric is not None else metric_premetric(map_t.space)
-    coords, status = _extend_orbit((map_t.fn,), np.asarray(x0.coords), steps + 1)
+    coords, status = _orbit((map_t.fn,), np.asarray(x0.coords), steps + 1)
     return IterationTrace(
         coords=coords,
         generator=f"picard({map_t.name})",
@@ -232,7 +258,7 @@ def alternating_trace(
         raise InputError("seed does not live on the maps' space")
     p = premetric if premetric is not None else metric_premetric(schedule.space)
     x0 = schedule.map_s(seed)
-    coords, status = _extend_orbit(
+    coords, status = _orbit(
         (schedule.map_t.fn, schedule.map_s.fn), np.asarray(x0.coords), steps + 1
     )
     return IterationTrace(
@@ -262,7 +288,7 @@ def cyclic_even_trace(
     if not setting.set_a.contains(x0):
         raise InputError("cyclic seed must start in the first set")
     p = premetric if premetric is not None else shifted_premetric(setting)
-    orbit, status = _extend_orbit((map_t.fn,), np.asarray(x0.coords), 2 * pairs + 1)
+    orbit, status = _orbit((map_t.fn,), np.asarray(x0.coords), 2 * pairs + 1)
     evens = orbit[::2]
     return IterationTrace(
         coords=evens,

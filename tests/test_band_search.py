@@ -21,10 +21,11 @@ import pytest
 from hypothesis import find, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fplab.certificates import _BAND_NOTE, _band_uniform, _orbit_block
+from fplab.certificates import _BAND_NOTE, _band_uniform
 from fplab.maps import builtin_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from fplab.spaces import Space
+from fplab.traces import _extend_orbit
 
 
 def band_uniform_reference(mats, budget, cid, item):
@@ -236,7 +237,8 @@ def test_real_orbits_match_both_references(name, k, seed):
     # searched with the default 7 x 21 eps/delta grids
     seeds = np.random.default_rng(seed).uniform(0.0, 10.0, size=(k, 1))
     n = ORBIT_BUDGET.index_horizon + ORBIT_BUDGET.nu_horizon
-    orbits, _ = _orbit_block(builtin_map(name, LINE), seeds, n)
+    block, _ = _extend_orbit((builtin_map(name, LINE).fn,), seeds, n)
+    orbits = np.ascontiguousarray(block.swapaxes(0, 1))
     mats = LINE.distances(orbits[:, :, None], orbits[:, None])
     _all_three(mats, ORBIT_BUDGET)
 

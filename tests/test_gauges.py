@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fplab.errors import ConfigurationError, InputError, RefusalError
+from fplab.expressions import Expression
 from fplab.gauges import (
     _BUILTINS,
     Gauge,
@@ -122,6 +123,13 @@ def _grow(children):
 GAUGE_SOURCES = st.recursive(_LEAVES, _grow, max_leaves=8)
 
 
+def gauge_call_reference(g, t):
+    """Gauge.__call__ as it was: the range check, then fn on a Python float."""
+    t = float(t)
+    g._check_range(t)
+    return float(g.fn(t=t)) if isinstance(g.fn, Expression) else float(g.fn(t))
+
+
 def _assert_same_bits(scalars, array):
     assert array.shape == (len(scalars),)
     for a, b in zip(scalars, array.tolist()):
@@ -136,6 +144,7 @@ class TestScalarArrayAgreement:
         for t in ts:
             _assert_same_bits([g(t)], g.apply_array([t]))
         _assert_same_bits([g(t) for t in ts], g.apply_array(ts))
+        _assert_same_bits([gauge_call_reference(g, t) for t in ts], np.array([g(t) for t in ts]))
 
     @given(source=GAUGE_SOURCES, ts=st.lists(T_VALUES, min_size=1, max_size=8))
     def test_grammar_expressions(self, source, ts):
@@ -143,6 +152,7 @@ class TestScalarArrayAgreement:
         for t in ts:
             _assert_same_bits([g(t)], g.apply_array([t]))
         _assert_same_bits([g(t) for t in ts], g.apply_array(ts))
+        _assert_same_bits([gauge_call_reference(g, t) for t in ts], np.array([g(t) for t in ts]))
 
     @pytest.mark.parametrize("source, t", [("t / (t - 1)", 1.0), ("1 / t", 0.0),
                                            ("t / (t * 0)", 2.0), ("(1 - 1) / 0", 0.5),
@@ -152,6 +162,23 @@ class TestScalarArrayAgreement:
         assert math.isnan(g(t))
         assert math.isnan(g.apply_array([t])[0])
         _assert_same_bits([g(t)], g.apply_array([t]))
+
+
+class TestArrayContract:
+    """Gauge.fn maps arrays to arrays; a scalar-only fn is an InputError
+    that names the gauge, not a raw TypeError from inside numpy."""
+
+    def test_scalar_only_gauge_is_an_input_error(self):
+        g = Gauge(name="sq", fn=lambda t: math.sqrt(t) / 2)
+        assert g(1.0) == 0.5
+        with pytest.raises(InputError, match="gauge 'sq' .* must map a float array"):
+            check_family_C6(iterated_family(g, zero_fixed=True), (0.5, 1.0))
+
+    def test_branching_gauge_is_an_input_error(self):
+        g = Gauge(name="kink", fn=lambda t: t / 2 if t < 1 else t)
+        assert (g(0.5), g(2.0)) == (0.25, 2.0)
+        with pytest.raises(InputError, match="gauge 'kink' .* must map a float array"):
+            g.apply_array(np.array([0.5, 2.0]))
 
 
 class TestRegularity:

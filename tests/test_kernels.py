@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 import fplab
 from fplab.certificates import _STRICT_NOTE, ASMK_VARIANTS, F_PROFILE, _aligned_gaps, _m_values, \
-    _orbit_block, _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction
+    _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import compile_expression
 from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, GaugeFamily, \
@@ -52,7 +52,7 @@ from fplab.spaces import (
 from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, SolveResult, check_E_conditions, \
     solve_best_proximity, solve_common_fixed_point, solve_fixed_point
 from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_period_start, \
-    _extend_orbit, cyclic_even_trace, picard_trace, sequence_trace
+    _extend_orbit, _orbit, cyclic_even_trace, picard_trace, sequence_trace
 
 # ---------------------------------------------------------------------------
 # References: the per-point loops the kernels replaced
@@ -116,8 +116,8 @@ def orbit_block_reference(step, seeds: np.ndarray, n_steps: int):
 
 
 def orbit_block_step_reference(map_t, seeds: np.ndarray, n_steps: int):
-    """_orbit_block as one masked step per row block: both escape tests and
-    the freeze bookkeeping on every step, and no tiling."""
+    """The seed-block walk as one masked step per row block: both escape
+    tests and the freeze bookkeeping on every step, and no tiling."""
     k, dim = seeds.shape
     orbits = np.empty((k, n_steps, dim))
     orbits[:, 0, :] = seeds
@@ -295,13 +295,20 @@ def _line_or_plane_map(name: str, dim: int):
     return builtin_map(name, space) if name in MAP_BUILTINS else expression_map(space, name)
 
 
+def orbit_block(map_t, seeds: np.ndarray, n_steps: int):
+    """_extend_orbit on a (k, d) seed block, read as (k, n_steps, d) orbits
+    like the references."""
+    block, alive = _extend_orbit((map_t.fn,), seeds, n_steps)
+    return np.ascontiguousarray(block.swapaxes(0, 1)), alive
+
+
 class TestOrbitBlock:
     @given(name=st.sampled_from(sorted(SCALAR_MAPS) + list(EXPRESSIONS)),
            seeds=blocks(coord), n_steps=st.integers(1, 12))
     def test_batched_orbits_equal_the_row_loop(self, name, seeds, n_steps):
         space = Space(id="s", dimension=seeds.shape[1])
         m = builtin_map(name, space) if name in SCALAR_MAPS else expression_map(space, name)
-        orbits, alive = _orbit_block(m, seeds, n_steps)
+        orbits, alive = orbit_block(m, seeds, n_steps)
         want_orbits, want_alive = orbit_block_reference(scalar_step(name), seeds, n_steps)
         assert alive.tolist() == want_alive.tolist()
         assert orbits.tobytes() == want_orbits.tobytes()
@@ -309,16 +316,16 @@ class TestOrbitBlock:
     def test_escapes_are_exercised(self):
         line = Space(id="line", dimension=1)
         seeds = np.array([[ESCAPE_NORM - 2.5], [0.0], [3.0]])
-        _, alive = _orbit_block(builtin_map("translation", line), seeds, 6)
+        _, alive = orbit_block(builtin_map("translation", line), seeds, 6)
         assert alive.tolist() == [3, 6, 6]
-        orbits, alive = _orbit_block(expression_map(line, "min(1/x, 5)"), seeds, 6)
+        orbits, alive = orbit_block(expression_map(line, "min(1/x, 5)"), seeds, 6)
         assert alive.tolist() == [6, 1, 6]
         assert (orbits[1] == 0.0).all()
 
     @given(name=st.sampled_from(ORBIT_MAPS), seeds=blocks(coord), n_steps=st.integers(1, 12))
     def test_block_equals_the_per_step_loop(self, name, seeds, n_steps):
         m = _line_or_plane_map(name, seeds.shape[1])
-        orbits, alive = _orbit_block(m, seeds, n_steps)
+        orbits, alive = orbit_block(m, seeds, n_steps)
         want_orbits, want_alive = orbit_block_step_reference(m, seeds, n_steps)
         assert alive.tolist() == want_alive.tolist()
         assert orbits.tobytes() == want_orbits.tobytes()
@@ -341,7 +348,7 @@ class TestOrbitBlock:
         name, seeds, alive_at_80 = self.ORBIT_CASES[case]
         seeds = np.array(seeds)
         m = _line_or_plane_map(name, 1)
-        orbits, alive = _orbit_block(m, seeds, n_steps)
+        orbits, alive = orbit_block(m, seeds, n_steps)
         want_orbits, want_alive = orbit_block_step_reference(m, seeds, n_steps)
         assert alive.tolist() == want_alive.tolist() == [min(a, n_steps) for a in alive_at_80]
         assert orbits.tobytes() == want_orbits.tobytes()
@@ -369,11 +376,45 @@ class TestOrbitBlock:
         ):
             calls.clear()
             seeds = np.array(seeds)
-            orbits, alive = _orbit_block(m, seeds, 320)
+            orbits, alive = orbit_block(m, seeds, 320)
             assert len(calls) == want_calls
             want_orbits, want_alive = orbit_block_step_reference(m, seeds, 320)
             assert alive.tolist() == want_alive.tolist()
             assert orbits.tobytes() == want_orbits.tobytes()
+
+    def test_the_walk_stops_once_every_row_has_escaped(self):
+        line = Space(id="line", dimension=1)
+        calls = []
+
+        def shift(x):
+            calls.append(x.shape)
+            return x + 1.0
+
+        m = NamedMap("shift", line, shift)
+        for seeds, want_alive in (
+            # row 1 escapes at step 1 and row 0 at step 3: no call after step 3
+            ([[ESCAPE_NORM - 2.5], [ESCAPE_NORM - 0.5]], [3, 1]),
+            ([[ESCAPE_NORM - 0.5], [ESCAPE_NORM - 0.5]], [1, 1]),
+        ):
+            calls.clear()
+            seeds = np.array(seeds)
+            orbits, alive = orbit_block(m, seeds, 320)
+            assert len(calls) == max(want_alive)
+            assert alive.tolist() == want_alive
+            ref_orbits, ref_alive = orbit_block_step_reference(m, seeds, 320)
+            assert alive.tolist() == ref_alive.tolist()
+            assert orbits.tobytes() == ref_orbits.tobytes()
+
+    def test_a_wrong_shaped_image_escapes_every_row(self):
+        line = Space(id="line", dimension=1)
+        # (k,) images of a (k, 1) block, which would broadcast into the block
+        m = NamedMap("flat", line, lambda x: 0.5 * x[..., 0])
+        seeds = np.array([[1.0], [2.0], [-0.0]])
+        orbits, alive = orbit_block(m, seeds, 5)
+        assert alive.tolist() == [1, 1, 1]
+        assert orbits.tobytes() == np.repeat(seeds[:, None], 5, axis=1).tobytes()
+        trace = picard_trace(m, line.point(1.0), 4)
+        assert (trace.status, trace.coords.tolist()) == ("escaped", [[1.0]])
 
     @given(name=st.sampled_from(sorted(SCALAR_MAPS)), coords=blocks(small))
     def test_point_edge_is_one_row_of_the_kernel(self, name, coords):
@@ -700,7 +741,7 @@ def _both_orbits(key: str, start, length: int):
     space, maps = _schedule(key)
     seed = space.point(*start)
     want, want_status = extend_orbit_reference(maps, seed, length)
-    got, status = _extend_orbit(tuple(m.fn for m in maps), np.asarray(seed.coords), length)
+    got, status = _orbit(tuple(m.fn for m in maps), np.asarray(seed.coords), length)
     return np.array([p.coords for p in want]), want_status, got, status
 
 
@@ -749,6 +790,23 @@ class TestExtendOrbit:
             want, want_status, got, status = _both_orbits(key, start, length)
             assert (status, got.shape) == (want_status, want.shape), length
             assert got.tobytes() == want.tobytes(), length
+
+    @given(key=st.sampled_from(sorted(LINE_SCHEDULES) + sorted(PLANE_SCHEDULES)),
+           rows=st.integers(1, 5), length=st.integers(1, 40), data=st.data())
+    def test_each_row_of_a_block_is_its_single_seed_walk(self, key, rows, length, data):
+        """Row r of a seed-block walk holds the walk from seed r alone for
+        its alive[r] points, then stays frozen at the last of them."""
+        space, maps = _schedule(key)
+        seeds = data.draw(hnp.arrays(float, (rows, space.dimension), elements=coord))
+        fns = tuple(m.fn for m in maps)
+        block, alive = _extend_orbit(fns, seeds, length)
+        assert block.shape == (length, *seeds.shape) and alive.shape == (rows,)
+        for r, seed in enumerate(seeds):
+            walk, status = _orbit(fns, seed, length)
+            assert alive[r] == walk.shape[0] and (status == "completed") == (alive[r] == length)
+            assert block[:alive[r], r].tobytes() == walk.tobytes()
+            frozen = np.broadcast_to(walk[-1], block[alive[r]:, r].shape)
+            assert block[alive[r]:, r].tobytes() == frozen.tobytes()
 
     def test_cases_cover_repeats_and_escapes(self):
         assert _repeat_row(_both_orbits("neg", (3.0,), 10)[0]) == 2
@@ -987,7 +1045,7 @@ class TestSolvers:
             assert outcome["iterations"] == 1
             if case == "error-after-the-hit":
                 # the first block's gaps leave the range, so it is scored again step by step
-                orbit, _ = _extend_orbit((m.fn,), np.array([start]), SOLVER_FIRST_BLOCK + 1)
+                orbit, _ = _orbit((m.fn,), np.array([start]), SOLVER_FIRST_BLOCK + 1)
                 with pytest.raises(InputError, match="outside its working range"):
                     premetric_diagonal(p, orbit[:-1], orbit[1:])
         else:
@@ -1228,7 +1286,7 @@ INTERVALS = CyclicSetting.derive(LINE, IntervalSet(LINE, 0.0, 10.0), IntervalSet
 
 
 def _orbit_trace(space, maps, start, length: int) -> IterationTrace:
-    coords, status = _extend_orbit(tuple(m.fn for m in maps), np.asarray(start, float), length)
+    coords, status = _orbit(tuple(m.fn for m in maps), np.asarray(start, float), length)
     p = metric_premetric(space)
     return IterationTrace(coords=coords, generator="orbit", premetric=p,
                           gaps=premetric_diagonal(p, coords[:-1], coords[1:]), status=status,

@@ -118,7 +118,6 @@ class TestCyclicSetting:
         # sampled estimate can only overshoot the true infimum
         class Half:
             space = LINE
-            convex = True
 
             def contains(self, x):
                 return x.coords[0] >= 1.0
