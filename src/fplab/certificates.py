@@ -22,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
-from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C6, \
-    check_family_C7_multi, require_profile
+from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, _require_count, \
+    check_family_C6, check_family_C7_multi, require_profile
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, Space, default_region, \
     metric_premetric, premetric_diagonal, premetric_matrix, premetric_values
-from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
+from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit, _require_premetric_space
 
 F_PROFILE = frozenset({"right_continuous", "nondecreasing", "positive_on_positive"})
 PSI_PROFILE_STANDARD = frozenset(
@@ -65,11 +65,7 @@ def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarr
 
 def _aligned_gaps(trace_x: IterationTrace, trace_y: IterationTrace, p: Premetric) -> np.ndarray:
     for t in (trace_x, trace_y):
-        if t.space_id != p.space.id:
-            raise InputError(
-                f"trace on space {t.space_id!r} does not match the premetric's "
-                f"space {p.space.id!r}"
-            )
+        _require_premetric_space(t, p)
     n = min(len(trace_x), len(trace_y))
     return premetric_diagonal(p, trace_x.coords[:n], trace_y.coords[:n])
 
@@ -406,11 +402,7 @@ def check_asf1(
 
 
 def _pair_matrix(trace: IterationTrace, p: Premetric, budget: SearchBudget) -> np.ndarray:
-    if trace.space_id != p.space.id:
-        raise InputError(
-            f"trace on space {trace.space_id!r} does not match the premetric's "
-            f"space {p.space.id!r}"
-        )
+    _require_premetric_space(trace, p)
     need = budget.index_horizon + budget.nu_horizon
     if len(trace) < need:
         raise InputError(f"need a trace of at least {need} points for this budget, "
@@ -496,6 +488,7 @@ def check_asmk(
         cid = "C8"
     else:
         for t in (trace_x, trace_y):
+            _require_premetric_space(t, p)
             if len(t) < ih + nh:
                 raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
         cross = premetric_matrix(
@@ -612,21 +605,6 @@ def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
     )
 
 
-def _downgrade_for_escapes(reports: list[CertificateReport], escaped: int) -> list[CertificateReport]:
-    if escaped == 0:
-        return reports
-    out = []
-    for rep in reports:
-        note = rep.resolution_note + (
-            f"; {escaped} sampled pair(s) escaped the working bound {ESCAPE_NORM:g} "
-            "and were excluded, so a clean pass is not claimed"
-        )
-        verdict = Verdict.INCONCLUSIVE if rep.verdict is Verdict.PASS else rep.verdict
-        out.append(CertificateReport(rep.condition_id, verdict, rep.witnesses,
-                                     rep.budget, note))
-    return out
-
-
 def check_acf_mapping(
     map_t: NamedMap,
     space: Space,
@@ -649,12 +627,16 @@ def check_acf_mapping(
         f"; {dists.shape[0]} sampled pairs in region {region.lows}..{region.highs}, seed {seed}"
     )
     d4_suffix = f"; D4 evaluated on the first {mats.shape[0]} sampled orbits"
-    annotated = []
+    escape_suffix = (
+        f"; {escaped} sampled pair(s) escaped the working bound {ESCAPE_NORM:g} "
+        "and were excluded, so a clean pass is not claimed"
+    ) if escaped else ""
     for rep in reports:
-        extra = suffix + (d4_suffix if rep.condition_id == "D4" else "")
-        annotated.append(CertificateReport(rep.condition_id, rep.verdict, rep.witnesses,
-                                           rep.budget, rep.resolution_note + extra))
-    return _downgrade_for_escapes(annotated, escaped)
+        rep.resolution_note += (suffix + (d4_suffix if rep.condition_id == "D4" else "")
+                                + escape_suffix)
+        if escaped and rep.verdict is Verdict.PASS:
+            rep.verdict = Verdict.INCONCLUSIVE
+    return reports
 
 
 def acf_asf_agreement(
@@ -815,8 +797,7 @@ def check_cyclic(
     seed: int = 0,
 ) -> CertificateReport:
     """Sampled points of each set must map into the other set (id CYC)."""
-    if sample_count < 1:
-        raise InputError("need at least one sample per set")
+    _require_count("sample_count", sample_count)
     rng = np.random.default_rng(seed)
     defeats: list[dict] = []
     for source, target, label in (
@@ -855,9 +836,14 @@ def check_p_controls_d(
     cannot prove the implication, just contradict it."""
     if not trace_pairs:
         raise InputError("need at least one trace pair")
+    if space != p.space:
+        raise InputError(f"premetric on space {p.space.id!r} does not measure space "
+                         f"{space.id!r}")
     defeats: list[dict] = []
     activated = 0
     for idx, (tx, ty) in enumerate(trace_pairs):
+        for t in (tx, ty):
+            _require_premetric_space(t, p)
         n = min(len(tx), len(ty))
         cx, cy = tx.coords[:n], ty.coords[:n]
         p_tail = _tail_max(premetric_diagonal(p, cx, cy))

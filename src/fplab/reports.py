@@ -1,13 +1,17 @@
-"""Verdicts, search budgets and the serializable certificate report."""
+"""Verdicts, search budgets, the certificate report, and sanitize, the one
+JSON form of every result."""
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Any
+
+import numpy as np
 
 from .errors import InputError
 
@@ -115,33 +119,29 @@ class SearchBudget:
             pair_samples=max(1, round(self.pair_samples * factor)),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "eps_grid": list(self.eps_grid),
-            "delta_candidates": list(self.delta_candidates),
-            "nu_horizon": self.nu_horizon,
-            "index_horizon": self.index_horizon,
-            "pair_samples": self.pair_samples,
-            "slack": self.slack,
-        }
-
 
 def sanitize(value: Any) -> Any:
-    """Coerce numpy scalars / sequences into plain JSON-friendly values."""
-    import numpy as np
-
-    if isinstance(value, (bool,)):
+    """The JSON form of a value: plain bools, strings (a Verdict among
+    them), floats, ints, dicts and lists, with numpy scalars and arrays
+    coerced.  A Point is its coordinate list and any other dataclass the
+    table of its fields, so a result's fields are its artifact schema;
+    anything else is its str."""
+    if isinstance(value, (bool, str)) or value is None:
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     if isinstance(value, (float, np.floating)):
         return float(value)
-    if isinstance(value, str) or value is None:
-        return value
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [sanitize(v) for v in value]
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     if isinstance(value, dict):
         return {str(k): sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [sanitize(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        from .spaces import Point  # spaces imports this module
+
+        if isinstance(value, Point):
+            return [sanitize(c) for c in value.coords]
+        return {f.name: sanitize(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return str(value)
 
 
@@ -167,13 +167,4 @@ class CertificateReport:
     def __post_init__(self) -> None:
         if self.verdict is Verdict.FAIL and not self.witnesses:
             raise InputError(f"{self.condition_id}: fail verdict requires at least one witness")
-
-    def to_json(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "verdict": self.verdict.value,
-            "witnesses": sanitize(self.witnesses),
-            "budget": self.budget.to_json() if self.budget is not None else None,
-            "resolution_note": self.resolution_note,
-        }
 

@@ -35,7 +35,7 @@ from .certificates import (
 )
 from .errors import ConfigurationError, InputError
 from .gallery import Expectation, gallery_names, get_entry
-from .reports import CertificateReport, Verdict
+from .reports import CertificateReport, Verdict, sanitize
 from .scenario import RUN_NAMES, Scenario, build_scenario, load_scenario_file, seed_problem
 from .solvers import (
     certify_cauchy,
@@ -98,10 +98,7 @@ class _Sink:
         self.artifacts: list[str] = []
 
     def verdict(self, run: str, report: CertificateReport, prefix: str = "") -> None:
-        key = f"{run}.{prefix}{report.condition_id}"
-        if key in self.verdicts:
-            raise ConfigurationError(f"duplicate verdict key {key}")
-        self.verdicts[key] = report.verdict.value
+        self.value(f"{run}.{prefix}{report.condition_id}", report.verdict.value)
 
     def value(self, key: str, value: str) -> None:
         if key in self.verdicts:
@@ -125,7 +122,9 @@ class _Sink:
                 os.rmdir(self.out_dir)
 
     def write_json(self, name: str, obj) -> None:
-        self.write(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        """The one JSON writer: obj may hold result objects, written as
+        reports.sanitize has them."""
+        self.write(name, json.dumps(sanitize(obj), sort_keys=True, indent=2) + "\n")
 
 
 def _run_iterate(scn: Scenario, cache: dict, sink: _Sink) -> None:
@@ -137,8 +136,8 @@ def _run_iterate(scn: Scenario, cache: dict, sink: _Sink) -> None:
         res = solve_fixed_point(scn.map_t, params["x0"], tol=params["tol"],
                                 max_steps=params["max_steps"], premetric=scn.premetric)
         sink.value("iterate.solve", "converged" if res.converged else "not_converged")
-        sink.write_json("solve_fixed_point.json", res.to_json_obj())
-        payload["solve"] = res.to_json_obj()
+        sink.write_json("solve_fixed_point.json", res)
+        payload["solve"] = res
     sink.runs["iterate"] = payload
 
 
@@ -152,12 +151,11 @@ def _run_certify(scn: Scenario, cache: dict, sink: _Sink) -> None:
         sink.verdict("certify", rep)
     sink.verdict("certify", cert.diagnostic)
     sink.value("certify.overall", cert.overall.value)
-    payload: dict = {"source": source, "certificate": cert.to_json_obj(),
-                     "additional": []}
+    payload: dict = {"source": source, "certificate": cert, "additional": []}
 
     def extra(rep: CertificateReport, prefix: str = "") -> None:
         sink.verdict("certify", rep, prefix)
-        payload["additional"].append(rep.to_json())
+        payload["additional"].append(rep)
 
     if route == "tau":
         # the one-shift band check already ran; add the pairwise strict check
@@ -198,7 +196,7 @@ def _run_cyclic(scn: Scenario, cache: dict, sink: _Sink) -> None:
     res = solve_best_proximity(scn.map_t, setting, x0, tol=params["tol"],
                                max_pairs=params["max_pairs"])
     sink.value("cyclic.solve", "converged" if res.converged else "not_converged")
-    sink.write_json("solve_best_proximity.json", res.to_json_obj())
+    sink.write_json("solve_best_proximity.json", res)
 
     collapse = even_collapse_diagnostic(tr, setting, tol=params["collapse_tol"])
     sink.verdict("cyclic", collapse)
@@ -209,12 +207,8 @@ def _run_cyclic(scn: Scenario, cache: dict, sink: _Sink) -> None:
     sink.verdict("cyclic", cert.diagnostic)
     sink.value("cyclic.overall", cert.overall.value)
 
-    sink.runs["cyclic"] = {
-        "membership": membership.to_json(),
-        "solve": res.to_json_obj(),
-        "collapse": collapse.to_json(),
-        "certificate": cert.to_json_obj(),
-    }
+    sink.runs["cyclic"] = {"membership": membership, "solve": res,
+                           "collapse": collapse, "certificate": cert}
 
 
 def _run_alternate(scn: Scenario, cache: dict, sink: _Sink) -> None:
@@ -225,8 +219,8 @@ def _run_alternate(scn: Scenario, cache: dict, sink: _Sink) -> None:
     res = solve_common_fixed_point(schedule, params["seed"], tol=params["tol"],
                                    max_steps=params["max_steps"], premetric=scn.premetric)
     sink.value("alternate.solve", "converged" if res.converged else "not_converged")
-    sink.write_json("solve_common_fixed_point.json", res.to_json_obj())
-    payload: dict = {"solve": res.to_json_obj()}
+    sink.write_json("solve_common_fixed_point.json", res)
+    payload: dict = {"solve": res}
 
     if scn.f_gauge is not None and scn.psi is not None:
         rng = np.random.default_rng(scn.seed)
@@ -236,10 +230,10 @@ def _run_alternate(scn: Scenario, cache: dict, sink: _Sink) -> None:
             psi_variant=params["psi_variant"],
         )
         sink.verdict("alternate", fpsi)
-        payload["fpsi"] = fpsi.to_json()
+        payload["fpsi"] = fpsi
         ineq = consecutive_contraction_report(tr, scn.f_gauge, scn.psi)
         sink.verdict("alternate", ineq)
-        payload["ineqfp"] = ineq.to_json()
+        payload["ineqfp"] = ineq
     sink.runs["alternate"] = payload
 
 
@@ -248,8 +242,8 @@ def _run_falsify(scn: Scenario, cache: dict, sink: _Sink) -> None:
     tr = _trace_for(scn, params["source"], cache)
     scan = extract_noncauchy_witness(tr, eps=params["eps"], gap_tol=params["gap_tol"])
     sink.value("falsify.scan", scan.status)
-    sink.write_json("witness_scan.json", scan.to_json_obj())
-    sink.runs["falsify"] = {"source": params["source"], "scan": scan.to_json_obj()}
+    sink.write_json("witness_scan.json", scan)
+    sink.runs["falsify"] = {"source": params["source"], "scan": scan}
 
 
 _RUNNERS = {
@@ -317,7 +311,7 @@ def run_scenario_doc(
         sink.write_json("reports.json", {
             "scenario": scn.name,
             "seed": scn.seed,
-            "budget": scn.budget.to_json(),
+            "budget": scn.budget,
             "runs": sink.runs,
             "verdicts": sink.verdicts,
             "violations": violations,

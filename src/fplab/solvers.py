@@ -20,11 +20,10 @@ from .certificates import check_asf1, check_asf2, check_c5
 from .errors import ConfigurationError, InputError
 from .gauges import Gauge, GaugeFamily, _members, require_profile, verify_gauge_regularity
 from .maps import NamedMap
-from .reports import CertificateReport, SearchBudget, Verdict, sanitize, witness, \
-    worst_verdict
+from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
-from .traces import AlternatingSchedule, IterationTrace, _orbit
+from .traces import AlternatingSchedule, IterationTrace, _orbit, _require_premetric_space
 
 CAUCHY_ROUTES = ("tau", "composed", "mixed")
 
@@ -35,14 +34,6 @@ class SolveResult:
     residual: float
     iterations: int
     converged: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "point": [sanitize(c) for c in self.point.coords],
-            "residual": sanitize(self.residual),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +68,7 @@ def cauchy_diagnostic(
     if len(trace) < 4:
         raise InputError("the settling diagnostic needs at least 4 points")
     p = p if p is not None else trace.premetric
+    _require_premetric_space(trace, p)
     coords = trace.coords
     last = len(trace) - 2
     entries = []
@@ -114,14 +106,6 @@ class CauchyCertificate:
     hypotheses: tuple[CertificateReport, ...]
     diagnostic: CertificateReport
     overall: Verdict
-
-    def to_json_obj(self) -> dict:
-        return {
-            "route": self.route,
-            "hypotheses": [r.to_json() for r in self.hypotheses],
-            "diagnostic": self.diagnostic.to_json(),
-            "overall": self.overall.value,
-        }
 
 
 def _trace_triples(trace: IterationTrace) -> list[tuple[Point, Point, Point]]:
@@ -384,30 +368,12 @@ class NonCauchyWitness:
     eps: float
     parity_note: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "sigma": list(self.sigma),
-            "rho": list(self.rho),
-            "k": list(self.k),
-            "separation_gaps": [sanitize(g) for g in self.separation_gaps],
-            "straddle_gaps": [sanitize(g) for g in self.straddle_gaps],
-            "eps": self.eps,
-            "parity_note": self.parity_note,
-        }
-
 
 @dataclass(frozen=True)
 class WitnessScan:
     status: str  # found | none | not_applicable
     witness: NonCauchyWitness | None
     note: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness.to_json_obj() if self.witness else None,
-            "note": self.note,
-        }
 
 
 def extract_noncauchy_witness(
@@ -429,6 +395,7 @@ def extract_noncauchy_witness(
     with no separated pairs reports none.
     """
     p = p if p is not None else trace.premetric
+    _require_premetric_space(trace, p)
     coords = trace.coords
     if p is trace.premetric:
         gaps = trace.gaps

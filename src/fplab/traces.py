@@ -47,6 +47,7 @@ class IterationTrace:
     """A stored orbit or sequence.  coords is the (n, d) array of its points,
     gaps the n - 1 consecutive gaps under premetric, and aux_coords the full
     orbit behind an even-subsequence trace; all three are read-only copies.
+    premetric must live on the space space_id names.
     A point of the orbit is a row of coords; Space.point makes a Point of
     one where a caller needs it."""
 
@@ -61,6 +62,7 @@ class IterationTrace:
     def __post_init__(self) -> None:
         if self.status not in TRACE_STATUSES:
             raise ConfigurationError(f"unknown trace status {self.status!r}")
+        _require_premetric_space(self, self.premetric)
         coords = _frozen(self.coords, 2, "coords")
         gaps = _frozen(self.gaps, 1, "gaps")
         if gaps.shape[0] != max(0, coords.shape[0] - 1):
@@ -117,15 +119,15 @@ class IterationTrace:
         lines.append(",".join([str(n - 1), *map(repr, coords[-1].tolist()), ""]))
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "generator": self.generator,
-            "premetric": self.premetric.describe(),
-            "status": self.status,
-            "length": len(self),
-            "points": self.coords.tolist(),
-            "consecutive_gaps": self.gaps.tolist(),
-        }
+
+def _require_premetric_space(trace: IterationTrace, p: Premetric) -> None:
+    """A trace's gaps are measured on its own space: InputError unless p is
+    a premetric on trace's space."""
+    if trace.space_id != p.space.id:
+        raise InputError(
+            f"trace on space {trace.space_id!r} does not match the premetric's "
+            f"space {p.space.id!r}"
+        )
 
 
 def _bit_period_start(coords: np.ndarray, gaps: np.ndarray) -> int:
@@ -338,6 +340,8 @@ def trace_from_points(
 ) -> IterationTrace:
     if len(points) < 2:
         raise InputError("trace length must be at least 2")
+    for x in points:
+        premetric.space.check_member(x)
     coords = np.asarray([p.coords for p in points], dtype=float)
     return IterationTrace(
         coords=coords,

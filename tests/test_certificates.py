@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fplab.certificates import (
+    ASMK_VARIANTS,
     PSI_PROFILE_STANDARD,
     PSI_PROFILE_ZHANG,
     _m_values,
@@ -393,9 +394,11 @@ class TestCyclicChecker:
         assert rep.witnesses[0]["direction"] == "first->second"
 
     def test_sample_count_guard(self):
-        with pytest.raises(InputError, match="at least one sample"):
-            check_cyclic(builtin_map("half", LINE), self.setting(),
-                         sample_count=0)
+        # a count is an int of at least 1, and a bool is no count
+        for count in (0, 2.5, "3", True):
+            with pytest.raises(InputError, match="sample_count"):
+                check_cyclic(builtin_map("half", LINE), self.setting(),
+                             sample_count=count)
 
 
 class TestPremetricControl:
@@ -492,3 +495,34 @@ class TestSearchBudget:
                          nu_horizon=4, slack=1)
         assert b.eps_grid == (0.5, 1.0) and b.delta_candidates == (1.0, 0.5)
         assert type(b.eps_grid[1]) is float
+
+
+class TestPremetricSpace:
+    """A checker given an explicit premetric refuses traces off its space."""
+
+    SPACE_B = Space(id="b", dimension=1)
+
+    def trace(self):
+        return picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+
+    def test_check_asf2_and_c5(self):
+        on_b = metric_premetric(self.SPACE_B)
+        for check in (check_asf2, check_c5):
+            with pytest.raises(InputError, match="does not match the premetric"):
+                check(self.trace(), on_b, SMALL)
+
+    def test_check_asmk_both_variants(self):
+        tr = self.trace()
+        for variant in ASMK_VARIANTS:
+            with pytest.raises(InputError, match="does not match the premetric"):
+                check_asmk(tr, tr.companion_shift(), metric_premetric(self.SPACE_B),
+                           builtin_gauge("id"), iterated_family(builtin_gauge("half")),
+                           SMALL, variant)
+
+    def test_check_p_controls_d(self):
+        tr = self.trace()
+        on_b = metric_premetric(self.SPACE_B)
+        with pytest.raises(InputError, match="does not match the premetric"):
+            check_p_controls_d(on_b, self.SPACE_B, [(tr, tr.companion_shift())])
+        with pytest.raises(InputError, match="does not measure space 'b'"):
+            check_p_controls_d(D, self.SPACE_B, [(tr, tr.companion_shift())])

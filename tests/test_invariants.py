@@ -1,10 +1,12 @@
 """Property tests for the structural invariants the rest of the suite
 leans on: premetric axioms, gauge family composition, verdict algebra,
-JSON sanitization, and the trace gap caches.
+JSON sanitization, the one JSON writer, and the trace gap caches.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -233,3 +235,51 @@ class TestExpressionsAgainstReference:
     def test_builtin_gauges_match_their_formulas(self, t):
         assert builtin_gauge("half")(t) == 0.5 * t
         assert builtin_gauge("mk")(t) == t / (1.0 + t)
+
+
+class _JsonWriters(ast.NodeVisitor):
+    """Collects the enclosing class.function of every json.dump(s) call,
+    every `from json import`, and every class that defines a JSON method."""
+
+    def __init__(self):
+        self.scope, self.calls, self.imports, self.methods = [], [], [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_ClassDef(self, node):
+        self.methods += [f"{node.name}.{f.name}" for f in node.body
+                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and f.name in ("to_json", "to_json_obj")]
+        self._enter(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json":
+            self.imports.append(".".join(self.scope) or "<module>")
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+                and isinstance(f.value, ast.Name) and f.value.id == "json"):
+            self.calls.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_json_writer():
+    """Every artifact is reports.sanitize of the result objects, written in
+    one place: no class hand-writes a JSON form, and only
+    runner._Sink.write_json calls json.dump or json.dumps."""
+    calls, imports, methods = [], [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "fplab").glob("*.py")):
+        found = _JsonWriters()
+        found.visit(ast.parse(path.read_text(encoding="utf-8")))
+        calls += [f"{path.stem}.{c}" for c in found.calls]
+        imports += [f"{path.stem}.{i}" for i in found.imports]
+        methods += [f"{path.stem}.{m}" for m in found.methods]
+    assert methods == []
+    assert imports == []
+    assert calls == ["runner._Sink.write_json"]

@@ -23,6 +23,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fplab
+import fplab.runner as runner_mod
 from fplab.certificates import _STRICT_NOTE, ASMK_VARIANTS, F_PROFILE, _aligned_gaps, _m_values, \
     _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction
 from fplab.errors import ConfigurationError, InputError, RefusalError
@@ -32,7 +33,8 @@ from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, Gaug
     expression_gauge, iterate_gauge, iterated_family, regularity_grid, require_profile, \
     verify_gauge_regularity
 from fplab.maps import _BUILTINS as MAP_BUILTINS, NamedMap, builtin_map, expression_map
-from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
+from fplab.reports import CertificateReport, SearchBudget, Verdict, sanitize, witness, \
+    worst_verdict
 from fplab.spaces import (
     Box,
     CyclicSetting,
@@ -49,7 +51,9 @@ from fplab.spaces import (
     shifted_premetric,
     verify_premetric_axioms,
 )
-from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, SolveResult, check_E_conditions, \
+from fplab.gallery import GALLERY
+from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, CauchyCertificate, \
+    NonCauchyWitness, SolveResult, WitnessScan, check_E_conditions, extract_noncauchy_witness, \
     solve_best_proximity, solve_common_fixed_point, solve_fixed_point
 from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_period_start, \
     _extend_orbit, _orbit, cyclic_even_trace, picard_trace, sequence_trace
@@ -651,7 +655,7 @@ class TestBanachRate:
         region = Box((0.5,) * dim, (9.0,) * dim)
         got = check_banach_rate(m, space, budget, region, seed=3)
         want = banach_rate_reference(m, space, budget, region, seed=3)
-        assert got.to_json() == want.to_json()
+        assert sanitize(got) == sanitize(want)
 
     def test_ties_keep_the_first_pair(self):
         # halving scales every distance by exactly 0.5, so all ratios tie
@@ -915,7 +919,7 @@ def solve_common_fixed_point_reference(schedule, seed, tol=1e-9, max_steps=10_00
 def _solve_outcome(solve, *args, **kwargs):
     """Result JSON bytes, or the class and message of the error raised."""
     try:
-        return json.dumps(solve(*args, **kwargs).to_json_obj(), sort_keys=True)
+        return json.dumps(sanitize(solve(*args, **kwargs)), sort_keys=True)
     except InputError as exc:
         return type(exc).__name__, str(exc)
 
@@ -1165,7 +1169,7 @@ def fpsi_reference(map_t, map_s, p, f_gauge, psi, sample, eta=1e-9, psi_variant=
 def _outcome(check, *args):
     """Report JSON bytes, or the class of the error raised."""
     try:
-        return json.dumps(check(*args).to_json(), sort_keys=True)
+        return json.dumps(sanitize(check(*args)), sort_keys=True)
     except InputError as exc:
         return type(exc).__name__
 
@@ -1437,7 +1441,7 @@ def axioms_reference(p, sample, eta=1e-9):
 def _axiom_outcome(check, p, triples, eta):
     """Report JSON text, or the class and message of the error raised."""
     try:
-        return json.dumps([r.to_json() for r in check(p, triples, eta=eta)])
+        return json.dumps(sanitize(check(p, triples, eta=eta)))
     except (InputError, ConfigurationError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -1741,7 +1745,7 @@ def _probe_outcome(check, *args, **kwargs):
         out = check(*args, **kwargs)
     except (InputError, ConfigurationError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return json.dumps([r.to_json() for r in (out if isinstance(out, list) else [out])])
+    return json.dumps(sanitize(out if isinstance(out, list) else [out]))
 
 
 # the jump step01; t + 1 and 2 * t, which leave a small t_max; a pole at 1;
@@ -2194,6 +2198,139 @@ class TestFamilyWalk:
                 return str(exc)
 
         assert bits(iterate_gauge) == bits(iterate_gauge_reference)
+
+
+# ---------------------------------------------------------------------------
+# The JSON form of a result: sanitize against the hand-written methods it
+# replaced
+
+
+def budget_json_reference(b):
+    return {
+        "eps_grid": list(b.eps_grid),
+        "delta_candidates": list(b.delta_candidates),
+        "nu_horizon": b.nu_horizon,
+        "index_horizon": b.index_horizon,
+        "pair_samples": b.pair_samples,
+        "slack": b.slack,
+    }
+
+
+def report_json_reference(r):
+    return {
+        "condition_id": r.condition_id,
+        "verdict": r.verdict.value,
+        "witnesses": sanitize(r.witnesses),
+        "budget": budget_json_reference(r.budget) if r.budget is not None else None,
+        "resolution_note": r.resolution_note,
+    }
+
+
+def solve_json_reference(res):
+    return {
+        "point": [sanitize(c) for c in res.point.coords],
+        "residual": sanitize(res.residual),
+        "iterations": res.iterations,
+        "converged": res.converged,
+    }
+
+
+def certificate_json_reference(cert):
+    return {
+        "route": cert.route,
+        "hypotheses": [report_json_reference(r) for r in cert.hypotheses],
+        "diagnostic": report_json_reference(cert.diagnostic),
+        "overall": cert.overall.value,
+    }
+
+
+def noncauchy_json_reference(w):
+    return {
+        "sigma": list(w.sigma),
+        "rho": list(w.rho),
+        "k": list(w.k),
+        "separation_gaps": [sanitize(g) for g in w.separation_gaps],
+        "straddle_gaps": [sanitize(g) for g in w.straddle_gaps],
+        "eps": w.eps,
+        "parity_note": w.parity_note,
+    }
+
+
+def scan_json_reference(scan):
+    return {
+        "status": scan.status,
+        "witness": noncauchy_json_reference(scan.witness) if scan.witness else None,
+        "note": scan.note,
+    }
+
+
+JSON_REFERENCES = {
+    SearchBudget: budget_json_reference,
+    CertificateReport: report_json_reference,
+    SolveResult: solve_json_reference,
+    CauchyCertificate: certificate_json_reference,
+    NonCauchyWitness: noncauchy_json_reference,
+    WitnessScan: scan_json_reference,
+}
+
+
+def _results(value):
+    """Every result object inside a run payload, nested ones included."""
+    if type(value) in JSON_REFERENCES:
+        yield value
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _results(v)
+
+
+def _assert_json_form(obj):
+    want = JSON_REFERENCES[type(obj)](obj)
+    got = sanitize(obj)
+    assert got == want
+    # == takes 1 for 1.0 and a Verdict for its value; the text does not
+    assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(want, sort_keys=True, indent=2)
+
+
+class TestSanitize:
+    def test_every_gallery_result_equals_its_method(self, tmp_path):
+        written = []
+        real = runner_mod._Sink.write_json
+
+        def spy(sink, name, obj):
+            written.append(obj)
+            real(sink, name, obj)
+
+        with mock.patch.object(runner_mod._Sink, "write_json", spy):
+            for entry in GALLERY:
+                fplab.run_scenario_doc(entry.doc, str(tmp_path / entry.name), seed=0,
+                                       expectations=entry.expectations)
+        found = [obj for payload in written for obj in _results(payload)]
+        assert {type(obj) for obj in found} == set(JSON_REFERENCES)
+        for obj in found:
+            _assert_json_form(obj)
+
+    def test_edge_cases(self):
+        line = Space(id="line", dimension=1)
+        report = CertificateReport("X", Verdict.PASS, [witness(n=np.int64(3))], None, "note")
+        harmonic = sequence_trace("harmonic", line, 1000)
+        found = extract_noncauchy_witness(harmonic)
+        assert found.witness is not None
+        for obj in (
+            SolveResult(line.point(2.0), float("inf"), 7, False),
+            WitnessScan("none", None, "no separated pairs"),
+            found,
+            report,
+            CertificateReport("Y", Verdict.FAIL, [witness(x=[1.0])], SearchBudget(slack=1), ""),
+            CauchyCertificate("tau", (), report, Verdict.PASS),
+        ):
+            _assert_json_form(obj)
+
+    def test_a_point_is_its_coordinate_list(self):
+        plane = Space(id="plane", dimension=2)
+        assert sanitize({"x": plane.point(np.float64(1.5), 2)}) == {"x": [1.5, 2.0]}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.gauges import builtin_gauge, explicit_family, expression_gauge, iterated_family
 from fplab.maps import builtin_map, expression_map
-from fplab.reports import SearchBudget, Verdict
+from fplab.reports import SearchBudget, Verdict, sanitize
 from fplab.solvers import (
     CAUCHY_ROUTES,
     cauchy_diagnostic,
@@ -140,7 +140,7 @@ class TestCertifyCauchy:
 
     def test_json_shape(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        obj = certify_cauchy(tr, "tau", SMALL).to_json_obj()
+        obj = sanitize(certify_cauchy(tr, "tau", SMALL))
         assert obj["route"] == "tau"
         assert obj["overall"] == "pass"
         assert len(obj["hypotheses"]) == 4
@@ -308,7 +308,7 @@ class TestNonCauchyWitness:
 
     def test_json_shape(self):
         scan = extract_noncauchy_witness(sequence_trace("harmonic", LINE, 1000))
-        obj = scan.to_json_obj()
+        obj = sanitize(scan)
         assert obj["status"] == "found"
         assert obj["witness"]["sigma"] == [98, 271]
         assert obj["witness"]["eps"] == 0.5
@@ -428,3 +428,18 @@ class TestLimitCollapse:
         with pytest.raises(RefusalError, match="does not declare"):
             check_E_conditions(builtin_gauge("step01"), builtin_gauge("half"),
                                1.0 / n, 1.0 / n, 0.0)
+
+
+class TestPremetricSpace:
+    """An explicit premetric must live on the trace's space."""
+
+    ON_B = metric_premetric(Space(id="b", dimension=1))
+
+    def test_cauchy_diagnostic(self):
+        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+        with pytest.raises(InputError, match="does not match the premetric"):
+            cauchy_diagnostic(tr, self.ON_B)
+
+    def test_extract_noncauchy_witness(self):
+        with pytest.raises(InputError, match="does not match the premetric"):
+            extract_noncauchy_witness(sequence_trace("harmonic", LINE, 100), self.ON_B)

@@ -215,11 +215,38 @@ class TestTraceMechanics:
         tr2 = picard_trace(builtin_map("half", plane), plane.point(1.0, 2.0), 2)
         assert tr2.to_csv().splitlines()[0] == "n,x0,x1,p_gap"
 
-    def test_json_obj(self):
-        tr = sequence_trace("harmonic", LINE, 3)
-        obj = tr.to_json_obj()
-        assert obj["generator"] == "harmonic"
-        assert obj["status"] == "completed"
-        assert obj["length"] == 3
-        assert obj["points"][0] == [1.0]
-        assert len(obj["consecutive_gaps"]) == 2
+
+# two 1-d spaces: a premetric on one must not measure a trace on the other
+SPACE_A = Space(id="a", dimension=1)
+SPACE_B = Space(id="b", dimension=1)
+ON_B = metric_premetric(SPACE_B)
+OFF_SPACE = "does not match the premetric's space"
+
+
+class TestPremetricSpace:
+    def test_picard_trace(self):
+        with pytest.raises(InputError, match=OFF_SPACE):
+            picard_trace(builtin_map("half", SPACE_A), SPACE_A.point(1.0), 4, premetric=ON_B)
+
+    def test_alternating_trace(self):
+        schedule = AlternatingSchedule(builtin_map("half", SPACE_A),
+                                       builtin_map("mk", SPACE_A))
+        with pytest.raises(InputError, match=OFF_SPACE):
+            alternating_trace(schedule, SPACE_A.point(1.0), 4, premetric=ON_B)
+
+    def test_sequence_trace(self):
+        with pytest.raises(InputError, match=OFF_SPACE):
+            sequence_trace("harmonic", SPACE_A, 5, premetric=ON_B)
+
+    def test_iteration_trace(self):
+        with pytest.raises(InputError, match=OFF_SPACE):
+            IterationTrace(coords=[[0.0], [1.0]], generator="g", premetric=ON_B,
+                           gaps=[1.0], status="completed", space_id="a")
+
+    def test_trace_from_points(self):
+        mixed = [SPACE_A.point(1.0), SPACE_B.point(2.0), SPACE_A.point(3.0)]
+        with pytest.raises(InputError, match="tagged 'b' does not belong to space 'a'"):
+            trace_from_points(mixed, "mixed", metric_premetric(SPACE_A))
+        on_a = [SPACE_A.point(1.0), SPACE_A.point(3.0)]
+        with pytest.raises(InputError, match="tagged 'a' does not belong to space 'b'"):
+            trace_from_points(on_a, "on a", ON_B)
