@@ -25,7 +25,8 @@ from .errors import ConfigurationError, InputError, RefusalError
 from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, _require_count, \
     check_family_C6, check_family_C7_multi, require_profile
 from .maps import NamedMap
-from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
+from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
+    worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, Space, default_region, \
     metric_premetric, premetric_diagonal, premetric_matrix, premetric_values
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit, _require_premetric_space
@@ -44,11 +45,6 @@ ASMK_VARIANTS = ("asmk1", "asmk2")
 
 # ---------------------------------------------------------------------------
 # Shared search machinery
-
-
-def _tail_max(values: np.ndarray) -> float:
-    q = max(1, values.shape[-1] // 4)
-    return float(np.max(values[..., -q:]))
 
 
 def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +78,7 @@ def _check_c1(gaps: np.ndarray, budget: SearchBudget) -> CertificateReport:
     """Small-gap hypothesis: some delta for which any front index with a gap
     below delta forces the tail-limsup estimate down to eps."""
     front, _ = _trace_gap_windows(gaps, budget)
-    tail_est = _tail_max(gaps)
+    tail_est = float(last_quarter(gaps).max())
     eta = budget.slack
     wits: list[dict] = []
     verdicts: list[Verdict] = []
@@ -575,8 +571,7 @@ def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
     delta must be nonincreasing and end at or below the smallest grid eps."""
     eta = budget.slack
     d0 = dists[:, 0]
-    q = max(1, dists.shape[1] // 4)
-    tails = dists[:, -q:].max(axis=1)
+    tails = last_quarter(dists).max(axis=1)
     ladder = []
     for delta in budget.delta_candidates:
         bucket = d0 < delta
@@ -846,11 +841,11 @@ def check_p_controls_d(
             _require_premetric_space(t, p)
         n = min(len(tx), len(ty))
         cx, cy = tx.coords[:n], ty.coords[:n]
-        p_tail = _tail_max(premetric_diagonal(p, cx, cy))
+        p_tail = float(last_quarter(premetric_diagonal(p, cx, cy)).max())
         if p_tail >= eta:
             continue
         activated += 1
-        d_tail = _tail_max(premetric_diagonal(metric_premetric(space), cx, cy))
+        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(space), cx, cy)).max())
         if d_tail >= d_tol:
             defeats.append(witness(pair=idx, tail_p=p_tail, tail_d=d_tail))
     note = (

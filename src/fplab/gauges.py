@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, _as_float, _is_real, witness, worst_verdict
+from .reports import CertificateReport, Verdict, _as_float, _is_real, last_quarter, witness, \
+    worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -393,10 +394,8 @@ def check_family_C6(
     per_eps: list[Verdict] = []
     wits: list[dict] = []
     checked = n_horizon
-    for eps, values in zip(eps_grid, block.T.tolist()):
-        checked = len(values)
-        q = max(1, len(values) // 4)
-        tail = values[-q:]
+    for eps, tail in zip(eps_grid, last_quarter(block.T).tolist()):
+        checked = block.shape[0]
         est = max(tail)
         stabilized = (max(tail) - min(tail)) <= eta
         monotone = all(b <= a + eta for a, b in zip(tail, tail[1:]))

@@ -32,6 +32,11 @@ def worst_verdict(verdicts) -> Verdict:
     return Verdict.PASS
 
 
+def last_quarter(values: np.ndarray) -> np.ndarray:
+    """The last quarter of values, max(1, n // 4) of n entries, on the last axis."""
+    return values[..., -max(1, values.shape[-1] // 4):]
+
+
 def _default_eps_grid() -> tuple[float, ...]:
     return tuple(10.0 ** -k for k in range(7))
 
@@ -123,13 +128,15 @@ class SearchBudget:
 def sanitize(value: Any) -> Any:
     """The JSON form of a value: plain bools, strings (a Verdict among
     them), floats, ints, dicts and lists, with numpy scalars and arrays
-    coerced.  A Point is its coordinate list and any other dataclass the
-    table of its fields, so a result's fields are its artifact schema;
-    anything else is its str."""
+    coerced.  A non-finite float is its repr, "inf", "-inf" or "nan", so
+    the text is strict JSON.  A Point is its coordinate list and any other
+    dataclass the table of its fields, so a result's fields are its artifact
+    schema; anything else is its str."""
     if isinstance(value, (bool, str)) or value is None:
         return value
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        value = float(value)
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, dict):

@@ -124,7 +124,8 @@ class _Sink:
     def write_json(self, name: str, obj) -> None:
         """The one JSON writer: obj may hold result objects, written as
         reports.sanitize has them."""
-        self.write(name, json.dumps(sanitize(obj), sort_keys=True, indent=2) + "\n")
+        self.write(name, json.dumps(sanitize(obj), sort_keys=True, indent=2,
+                                    allow_nan=False) + "\n")
 
 
 def _run_iterate(scn: Scenario, cache: dict, sink: _Sink) -> None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .certificates import ASMK_VARIANTS, PSI_VARIANTS
 from .errors import ConfigurationError, FplabError
 from .gauges import DEFAULT_T_MAX, Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, \
@@ -23,6 +25,7 @@ from .solvers import CAUCHY_ROUTES
 from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, \
     IntervalSet, Premetric, Space, composed_premetric, default_region, metric_premetric, \
     shifted_premetric
+from .traces import SEQUENCE_NAMES
 
 #: The runs a document may request, in the order the runner executes them.
 RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")
@@ -30,7 +33,6 @@ RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")
 PREMETRIC_KINDS = tuple(k for k in _ALL_PREMETRIC_KINDS if k != "custom")
 #: The traces a certify or falsify run can read.
 TRACE_SOURCES = ("picard", "alternating", "sequence")
-SEQUENCE_NAMES = ("harmonic",)
 #: Bounds what the walk allocates for default regions and start points.
 MAX_DIMENSION = 10_000
 
@@ -421,6 +423,14 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
         _needs_trace("falsify", params["falsify"]["source"], has_t, has_s, seq, diags)
     if "cyclic" in runs and "x0" not in sections["cyclic"]:
         diags.append("cyclic.x0: starting point required")
+    if "cyclic" in runs and setting is not None:
+        # check_cyclic draws from both sets, and the orbit starts in set_a
+        rng = np.random.default_rng(seed)
+        for side in ("set_a", "set_b"):
+            _make(f"cyclic_setting.{side}", diags, getattr(setting, side).sample, rng)
+        x0 = params["cyclic"]["x0"] if "x0" in sections["cyclic"] else None
+        if x0 is not None and _make("cyclic.x0", diags, setting.set_a.contains, x0) is False:
+            diags.append("cyclic.x0: must lie in cyclic_setting.set_a")
 
     if diags:
         return diags, None

@@ -20,7 +20,8 @@ from .certificates import check_asf1, check_asf2, check_c5
 from .errors import ConfigurationError, InputError
 from .gauges import Gauge, GaugeFamily, _members, require_profile, verify_gauge_regularity
 from .maps import NamedMap
-from .reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
+from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
+    worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
 from .traces import AlternatingSchedule, IterationTrace, _orbit, _require_premetric_space
@@ -110,13 +111,12 @@ class CauchyCertificate:
 
 def _trace_triples(trace: IterationTrace) -> list[tuple[Point, Point, Point]]:
     idx = sorted(set(np.linspace(0, len(trace) - 1, 10, dtype=int).tolist()))
-    pts = [Point(tuple(row), trace.space_id) for row in trace.coords[idx].tolist()]
+    pts = [Point(tuple(row), trace.premetric.space.id) for row in trace.coords[idx].tolist()]
     return list(itertools.combinations(pts, 3))[:200]
 
 
 def _decay_report(cid: str, gaps: np.ndarray, budget: SearchBudget, label: str) -> CertificateReport:
-    q = max(1, gaps.shape[0] // 4)
-    tail = float(gaps[-q:].max())
+    tail = float(last_quarter(gaps).max())
     target = min(budget.eps_grid) + budget.slack
     note = (
         f"tail of the {label} consecutive gaps over the last quarter must reach "
@@ -182,9 +182,7 @@ def certify_cauchy(
             )
         hyps.extend(verify_premetric_axioms(p, _trace_triples(trace), eta=budget.slack))
         coords = trace.coords
-        hyps.append(_decay_report(
-            "GAP-DECAY", premetric_diagonal(p, coords[:-1], coords[1:]), budget, "declared"
-        ))
+        hyps.append(_decay_report("GAP-DECAY", trace.gaps, budget, "declared"))
         hyps.append(_decay_report(
             "GAP-DECAY-COMPANION",
             premetric_diagonal(p.companion, coords[:-1], coords[1:]), budget, "companion",
@@ -397,10 +395,7 @@ def extract_noncauchy_witness(
     p = p if p is not None else trace.premetric
     _require_premetric_space(trace, p)
     coords = trace.coords
-    if p is trace.premetric:
-        gaps = trace.gaps
-    else:
-        gaps = premetric_diagonal(p, coords[:-1], coords[1:])
+    gaps = premetric_diagonal(p, coords[:-1], coords[1:])
     if gaps.shape[0] < 4:
         raise InputError("need at least 4 consecutive gaps to scan")
     over = np.nonzero(gaps > gap_tol)[0]
@@ -410,8 +405,8 @@ def extract_noncauchy_witness(
             "not_applicable", None,
             f"consecutive gaps never settle below gap_tol={gap_tol}",
         )
-    q = max(1, gaps.shape[0] // 4)
-    head_max, tail_max = float(gaps[:q].max()), float(gaps[-q:].max())
+    tail = last_quarter(gaps)
+    head_max, tail_max = float(gaps[:tail.shape[0]].max()), float(tail.max())
     if not (tail_max < 0.5 * head_max or tail_max <= 1e-12):
         return WitnessScan(
             "not_applicable", None,
@@ -491,9 +486,8 @@ def even_collapse_diagnostic(
     evens = coords[::2]
     step = setting.space.distances(coords[:-1], coords[1:])
     even = setting.space.distances(evens[:-1], evens[1:])
-    q_s, q_e = max(1, step.shape[0] // 4), max(1, even.shape[0] // 4)
-    step_tail = float(step[-q_s:].max())
-    even_tail = float(even[-q_e:].max())
+    step_tail = float(last_quarter(step).max())
+    even_tail = float(last_quarter(even).max())
     deviation = abs(step_tail - setting.gap)
     wits = [witness(step_gap_tail=step_tail, target_gap=setting.gap,
                     even_displacement_tail=even_tail)]

@@ -5,13 +5,13 @@ _extend_orbit is the one orbit engine: the traces, the solvers and the
 D1-D4 samples all walk it, one seed or a block of seeds at a time, under
 its one escape rule (ESCAPE_NORM).
 
-Every trace carries the premetric its consecutive gaps were measured under,
-so downstream certificates never have to guess the pairing convention.
+Every trace carries its premetric, which lends it its space and measures its
+consecutive gaps, so downstream certificates never guess the pairing convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
 
@@ -32,6 +32,8 @@ from .spaces import (
 ESCAPE_NORM = 1e9
 
 TRACE_STATUSES = ("completed", "escaped")
+#: The named sequences sequence_trace builds.
+SEQUENCE_NAMES = ("harmonic",)
 
 
 def _frozen(values, ndim: int, what: str) -> np.ndarray:
@@ -44,29 +46,30 @@ def _frozen(values, ndim: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """A stored orbit or sequence.  coords is the (n, d) array of its points,
-    gaps the n - 1 consecutive gaps under premetric, and aux_coords the full
-    orbit behind an even-subsequence trace; all three are read-only copies.
-    premetric must live on the space space_id names.
+    """A stored orbit or sequence on the space of its premetric.  coords is
+    the (n, d) array of its points and aux_coords the full orbit behind an
+    even-subsequence trace; gaps, the n - 1 consecutive gaps under
+    premetric, is derived from coords.  All three are read-only.
     A point of the orbit is a row of coords; Space.point makes a Point of
     one where a caller needs it."""
 
     coords: np.ndarray
     generator: str
     premetric: Premetric
-    gaps: np.ndarray
     status: str
-    space_id: str
     aux_coords: np.ndarray | None = None
+    gaps: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.status not in TRACE_STATUSES:
             raise ConfigurationError(f"unknown trace status {self.status!r}")
-        _require_premetric_space(self, self.premetric)
         coords = _frozen(self.coords, 2, "coords")
-        gaps = _frozen(self.gaps, 1, "gaps")
-        if gaps.shape[0] != max(0, coords.shape[0] - 1):
-            raise ConfigurationError("gap count must be point count minus one")
+        space = self.premetric.space
+        if coords.shape[1] != space.dimension:
+            raise InputError(f"trace coords of shape {coords.shape} do not fit the "
+                             f"{space.dimension}-dimensional space {space.id!r}")
+        gaps = premetric_diagonal(self.premetric, coords[:-1], coords[1:])
+        gaps.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "gaps", gaps)
         if self.aux_coords is not None:
@@ -83,9 +86,7 @@ class IterationTrace:
             coords=self.coords[1:],
             generator=f"shift({self.generator})",
             premetric=self.premetric,
-            gaps=self.gaps[1:],
             status=self.status,
-            space_id=self.space_id,
         )
 
     def to_csv(self) -> str:
@@ -121,11 +122,11 @@ class IterationTrace:
 
 
 def _require_premetric_space(trace: IterationTrace, p: Premetric) -> None:
-    """A trace's gaps are measured on its own space: InputError unless p is
-    a premetric on trace's space."""
-    if trace.space_id != p.space.id:
+    """A trace lives on its premetric's space: InputError unless p is a
+    premetric on that space too."""
+    if trace.premetric.space.id != p.space.id:
         raise InputError(
-            f"trace on space {trace.space_id!r} does not match the premetric's "
+            f"trace on space {trace.premetric.space.id!r} does not match the premetric's "
             f"space {p.space.id!r}"
         )
 
@@ -141,10 +142,6 @@ def _bit_period_start(coords: np.ndarray, gaps: np.ndarray) -> int:
     same = (rows[2:n - 1] == rows[:n - 3]).all(axis=1) & (bits[2:] == bits[:-2])
     differ = np.flatnonzero(~same)
     return 2 + (int(differ[-1]) + 1 if differ.size else 0)
-
-
-def _gaps(premetric: Premetric, coords: np.ndarray) -> np.ndarray:
-    return premetric_diagonal(premetric, coords[:-1], coords[1:])
 
 
 def _extend_orbit(
@@ -217,14 +214,13 @@ def picard_trace(
     if x0.space_id != map_t.space.id:
         raise InputError("seed does not live on the map's space")
     p = premetric if premetric is not None else metric_premetric(map_t.space)
+    p.space.check_member(x0)
     coords, status = _orbit((map_t.fn,), np.asarray(x0.coords), steps + 1)
     return IterationTrace(
         coords=coords,
         generator=f"picard({map_t.name})",
         premetric=p,
-        gaps=_gaps(p, coords),
         status=status,
-        space_id=x0.space_id,
     )
 
 
@@ -259,6 +255,7 @@ def alternating_trace(
     if seed.space_id != schedule.space.id:
         raise InputError("seed does not live on the maps' space")
     p = premetric if premetric is not None else metric_premetric(schedule.space)
+    p.space.check_member(seed)
     x0 = schedule.map_s(seed)
     coords, status = _orbit(
         (schedule.map_t.fn, schedule.map_s.fn), np.asarray(x0.coords), steps + 1
@@ -267,9 +264,7 @@ def alternating_trace(
         coords=coords,
         generator=f"alternating({schedule.map_t.name},{schedule.map_s.name})",
         premetric=p,
-        gaps=_gaps(p, coords),
         status=status,
-        space_id=x0.space_id,
     )
 
 
@@ -290,15 +285,14 @@ def cyclic_even_trace(
     if not setting.set_a.contains(x0):
         raise InputError("cyclic seed must start in the first set")
     p = premetric if premetric is not None else shifted_premetric(setting)
+    p.space.check_member(x0)
     orbit, status = _orbit((map_t.fn,), np.asarray(x0.coords), 2 * pairs + 1)
     evens = orbit[::2]
     return IterationTrace(
         coords=evens,
         generator=f"cyclic_even({map_t.name})",
         premetric=p,
-        gaps=_gaps(p, evens),
         status=status,
-        space_id=x0.space_id,
         aux_coords=orbit,
     )
 
@@ -318,17 +312,16 @@ def sequence_trace(
         raise InputError("trace length must be at least 2")
     if space.dimension != 1:
         raise InputError(f"sequence {name!r} is one-dimensional")
-    if name != "harmonic":
-        raise ConfigurationError(f"unknown sequence {name!r}; have ['harmonic']")
+    if name not in SEQUENCE_NAMES:
+        raise ConfigurationError(f"unknown sequence {name!r}; have {list(SEQUENCE_NAMES)}")
     coords = np.cumsum(1.0 / np.arange(1, length + 1))[:, None]
     p = premetric if premetric is not None else metric_premetric(space)
+    p.space.check_member(space.point(coords[0]))
     return IterationTrace(
         coords=coords,
         generator="harmonic",
         premetric=p,
-        gaps=_gaps(p, coords),
         status="completed",
-        space_id=space.id,
     )
 
 
@@ -347,7 +340,5 @@ def trace_from_points(
         coords=coords,
         generator=generator,
         premetric=premetric,
-        gaps=_gaps(premetric, coords),
         status=status,
-        space_id=points[0].space_id,
     )

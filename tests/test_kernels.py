@@ -25,7 +25,8 @@ from hypothesis.extra import numpy as hnp
 import fplab
 import fplab.runner as runner_mod
 from fplab.certificates import _STRICT_NOTE, ASMK_VARIANTS, F_PROFILE, _aligned_gaps, _m_values, \
-    _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction
+    _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction, \
+    consecutive_contraction_report
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import compile_expression
 from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, GaugeFamily, \
@@ -56,7 +57,8 @@ from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, CauchyCertificate,
     NonCauchyWitness, SolveResult, WitnessScan, check_E_conditions, extract_noncauchy_witness, \
     solve_best_proximity, solve_common_fixed_point, solve_fixed_point
 from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_period_start, \
-    _extend_orbit, _orbit, cyclic_even_trace, picard_trace, sequence_trace
+    _extend_orbit, _orbit, alternating_trace, cyclic_even_trace, picard_trace, sequence_trace, \
+    trace_from_points
 
 # ---------------------------------------------------------------------------
 # References: the per-point loops the kernels replaced
@@ -1039,7 +1041,7 @@ class TestSolvers:
                      AlternatingSchedule(m, m), x, tol=tol, max_steps=steps, premetric=p)
         outcome = fixed if isinstance(fixed, tuple) else json.loads(fixed)
         if case.startswith(("escape", "nan", "overflow")):
-            assert outcome["residual"] == math.inf
+            assert outcome["residual"] == "inf"
             assert outcome["iterations"] == {"escape-closing-block-1": SOLVER_FIRST_BLOCK - 1,
                                              "escape-opening-block-2": SOLVER_FIRST_BLOCK
                                              }.get(case, 0)
@@ -1291,10 +1293,8 @@ INTERVALS = CyclicSetting.derive(LINE, IntervalSet(LINE, 0.0, 10.0), IntervalSet
 
 def _orbit_trace(space, maps, start, length: int) -> IterationTrace:
     coords, status = _orbit(tuple(m.fn for m in maps), np.asarray(start, float), length)
-    p = metric_premetric(space)
-    return IterationTrace(coords=coords, generator="orbit", premetric=p,
-                          gaps=premetric_diagonal(p, coords[:-1], coords[1:]), status=status,
-                          space_id=space.id)
+    return IterationTrace(coords=coords, generator="orbit", premetric=metric_premetric(space),
+                          status=status)
 
 
 def _csv_pinned(trace) -> None:
@@ -1350,24 +1350,99 @@ class TestToCsv:
         for pairs in (1, 2, 3, 40):
             _csv_pinned(cyclic_even_trace(reflect, INTERVALS, LINE.point(5.0), pairs))
 
+    # each trace is measured by the metric of the line or the plane, as its
+    # width says; gaps is what that metric gives
     @pytest.mark.parametrize("coords, gaps", [
-        # coordinates repeat with period 2 but the gaps never do
-        ([[1.0], [2.0], [1.0], [2.0], [1.0], [2.0]], [0.1, 0.2, 0.3, 0.4, 0.5]),
+        # coordinates and gaps repeat with period 2 from the start
+        ([[1.0], [2.0], [1.0], [2.0], [1.0], [2.0]], [1.0] * 5),
         # the gaps repeat but the coordinates do not
         ([[1.0], [2.0], [3.0], [4.0], [5.0]], [1.0, 1.0, 1.0, 1.0]),
         # equal under == two rows apart, never bit-identical
         ([[0.0], [1.0], [-0.0], [1.0], [0.0], [1.0], [-0.0]], [1.0] * 6),
-        # bit-periodic from row 2, with signed zeros
-        ([[5.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0]], [5.0, 0.0, -0.0, 0.0, -0.0]),
-        # the gap changes on the last gap row only
-        ([[1.0, -0.0]] * 6, [0.0, 0.0, 0.0, 0.0, 2.0]),
+        # bit-periodic from row 3, with signed zeros
+        ([[5.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0]], [5.0, 0.0, 0.0, 0.0, 0.0]),
+        # the last row differs, so the gap changes on the last gap row only
+        ([[1.0, -0.0]] * 5 + [[1.0, 2.0]], [0.0, 0.0, 0.0, 0.0, 2.0]),
         ([[7.0]], []),
         (np.empty((0, 2)), []),
     ])
     def test_directly_built_traces(self, coords, gaps):
-        tr = IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(LINE),
-                            gaps=gaps, status="completed", space_id="line")
+        space = PLANE if np.shape(coords)[1] == 2 else LINE
+        tr = IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(space),
+                            status="completed")
+        assert tr.gaps.tobytes() == np.array(gaps, dtype=float).tobytes()
         assert tr.to_csv() == to_csv_reference(tr)
+
+    def test_signed_zero_gaps(self):
+        # 0 * (x - y) gives -0.0 where x < y: the gaps alternate in sign bit
+        tr = IterationTrace(coords=[[5.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0]],
+                            generator="direct", premetric=FPSI_PREMETRICS["signed-zero"],
+                            status="completed")
+        assert list(map(repr, tr.gaps.tolist())) == ["0.0", "-0.0", "0.0", "-0.0", "0.0"]
+        assert tr.to_csv() == to_csv_reference(tr)
+
+
+# ---------------------------------------------------------------------------
+# A trace's gaps are its premetric's diagonal over its coordinates
+
+
+BUILDERS = ("picard", "alternating", "cyclic_even", "sequence", "points")
+GAP_MAPS = ("half", "mk", "translation", "flip", "neg", "cyclic_reflect")
+
+
+@st.composite
+def built_traces(draw):
+    """A trace from one of the builders, on a space of 1-3 coordinates under
+    the euclidean norm or a p-norm, measured by the metric, the cyclic shift
+    of two sets (intervals on the line, disks above it) or the metric
+    composed with a gauge."""
+    d = draw(st.integers(1, 3))
+    space = Space(id=f"space{d}", dimension=d, norm=draw(st.sampled_from(("euclidean", 1.0, 3.0))))
+    if d == 1:
+        sets = IntervalSet(space, 1.0, math.inf), IntervalSet(space, -math.inf, -1.0)
+    else:
+        sets = tuple(DiskSet(space, (c,) + (0.0,) * (d - 1), 1.0) for c in (2.0, -2.0))
+    setting = CyclicSetting.derive(space, *sets)
+    p = draw(st.sampled_from((metric_premetric(space), shifted_premetric(setting),
+                              composed_premetric(builtin_gauge("mk"), metric_premetric(space)))))
+    coords = st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=d, max_size=d)
+    seed = space.point(*draw(coords))
+    steps = draw(st.integers(1, 40))
+    m, s = (builtin_map(draw(st.sampled_from(GAP_MAPS)), space) for _ in range(2))
+    builder = draw(st.sampled_from(BUILDERS if d == 1 else BUILDERS[:3] + BUILDERS[4:]))
+    if builder == "picard":
+        return picard_trace(m, seed, steps, premetric=p)
+    if builder == "alternating":
+        return alternating_trace(AlternatingSchedule(m, s), seed, steps, premetric=p)
+    if builder == "cyclic_even":
+        inside = (1.0 + abs(seed.coords[0]),) if d == 1 else \
+            (2.0 + seed.coords[0] / 100.0,) + (0.0,) * (d - 1)
+        return cyclic_even_trace(m, setting, space.point(*inside), steps, premetric=p)
+    if builder == "sequence":
+        return sequence_trace("harmonic", space, steps + 1, premetric=p)
+    points = [space.point(*draw(coords)) for _ in range(steps + 1)]
+    return trace_from_points(points, "points", p)
+
+
+class TestDerivedGaps:
+    @given(tr=built_traces())
+    def test_gaps_are_the_premetric_diagonal(self, tr):
+        want = premetric_diagonal(tr.premetric, tr.coords[:-1], tr.coords[1:])
+        assert tr.gaps.tobytes() == want.tobytes()
+        assert tr.gaps.shape == (max(0, len(tr) - 1),)
+        if len(tr) >= 3:
+            shifted = tr.companion_shift()
+            assert shifted.gaps.tobytes() == tr.gaps[1:].tobytes()
+            assert shifted.premetric is tr.premetric
+
+    def test_gaps_follow_the_coordinates(self):
+        # unit steps: INEQFP with F = id and psi = half fails at every step
+        tr = trace_from_points([LINE.point(float(i)) for i in range(4)], "unit steps",
+                               metric_premetric(LINE))
+        assert tr.gaps.tolist() == [1.0, 1.0, 1.0]
+        rep = consecutive_contraction_report(tr, builtin_gauge("id"), builtin_gauge("half"))
+        assert rep.verdict is Verdict.FAIL
+        assert [w["n"] for w in rep.witnesses] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -2064,8 +2139,7 @@ def check_e_reference(f_gauge, psi, alpha_seq, beta_seq, gamma, eta=1e-9, conv_t
 def _line_trace(values) -> IterationTrace:
     coords = np.asarray(values, dtype=float)[:, None]
     return IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(LINE),
-                          gaps=np.zeros(coords.shape[0] - 1), status="completed",
-                          space_id="line")
+                          status="completed")
 
 
 # small grids, so that C6 and C7 stay in a 2.5 working range for a few

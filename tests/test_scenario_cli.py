@@ -50,6 +50,13 @@ SMOKE = {
 }
 
 
+def strict_json(text: str):
+    """json.loads that refuses the non-JSON tokens Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_doc(tmp_path, doc, name="scenario.yaml") -> str:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -466,9 +473,22 @@ class TestCliRun:
         path = write_doc(tmp_path, doc)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "  cyclic.solve: not_converged" in capsys.readouterr().out.splitlines()
-        solve = json.loads((tmp_path / "out" / "solve_best_proximity.json").read_text())
-        assert solve == {"point": [8.0], "residual": math.inf, "iterations": 3,
+        solve = strict_json((tmp_path / "out" / "solve_best_proximity.json").read_text())
+        assert solve == {"point": [8.0], "residual": "inf", "iterations": 3,
                          "converged": False}
+
+    def test_every_artifact_is_strict_json(self, tmp_path):
+        # x -> x*x from 10 escapes, so the solve's residual is infinite
+        doc = dict(SMOKE, name="escape-solve", maps={"T": "x * x"}, run=["iterate"],
+                   iterate={"x0": [10.0]})
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        artifacts = sorted(out.glob("*.json"))
+        assert [a.name for a in artifacts] == ["reports.json", "solve_fixed_point.json"]
+        for artifact in artifacts:
+            strict_json(artifact.read_text())
+        assert strict_json((out / "solve_fixed_point.json").read_text())["residual"] == "inf"
 
     def test_escaping_orbit_cannot_fill_the_budget(self, tmp_path, capsys):
         # x -> x*x from 10 blows past the escape bound after three points,
@@ -598,6 +618,9 @@ MALFORMED = [
      "gauges.family.zero_fixed:"),
     ("space-id-number", _with(SMOKE, "space.id", 5), "space.id:"),
     ("cyclic-x0-missing", _with(CYCLIC, drop=["cyclic.x0"]), "cyclic.x0:"),
+    ("cyclic-x0-outside-set-a", _with(CYCLIC, "cyclic.x0", [-3.0]), "cyclic.x0:"),
+    ("set-a-past-the-clip", _with(CYCLIC, "cyclic_setting.set_a.lo", 200.0),
+     "cyclic_setting.set_a:"),
     ("falsify-source-unknown", _with(FALSIFY, "falsify", {"source": "weird"}),
      "falsify.source:"),
     ("falsify-alternating-without-s", _with(FALSIFY, "falsify", {"source": "alternating"}),

@@ -19,6 +19,7 @@ from fplab.traces import (
     AlternatingSchedule,
     ESCAPE_NORM,
     IterationTrace,
+    _require_premetric_space,
     alternating_trace,
     cyclic_even_trace,
     picard_trace,
@@ -173,11 +174,15 @@ class TestTraceMechanics:
         pts = np.array([[0.0], [1.0]])
         p = metric_premetric(LINE)
         with pytest.raises(ConfigurationError, match="unknown trace status"):
-            IterationTrace(coords=pts, generator="g", premetric=p,
-                           gaps=np.array([1.0]), status="running", space_id=LINE.id)
-        with pytest.raises(ConfigurationError, match="point count minus one"):
-            IterationTrace(coords=pts, generator="g", premetric=p,
-                           gaps=np.array([1.0, 2.0]), status="completed",
+            IterationTrace(coords=pts, generator="g", premetric=p, status="running")
+        with pytest.raises(InputError, match="do not fit the 1-dimensional space 'line'"):
+            IterationTrace(coords=[[0.0, 1.0], [1.0, 2.0]], generator="g", premetric=p,
+                           status="completed")
+        with pytest.raises(TypeError, match="gaps"):
+            IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], gaps=[9.0, 0.5, 0.25],
+                           generator="g", premetric=p, status="completed")
+        with pytest.raises(TypeError, match="space_id"):
+            IterationTrace(coords=pts, generator="g", premetric=p, status="completed",
                            space_id=LINE.id)
         with pytest.raises(InputError, match="at least 2"):
             trace_from_points([LINE.point(0.0)], "solo", p)
@@ -185,12 +190,12 @@ class TestTraceMechanics:
     def test_stored_arrays_are_read_only(self):
         src = np.array([[0.0], [1.0], [3.0]])
         tr = IterationTrace(coords=src, generator="g", premetric=metric_premetric(LINE),
-                            gaps=np.array([1.0, 2.0]), status="completed",
-                            space_id=LINE.id)
+                            status="completed")
         src[0, 0] = 9.0  # the trace keeps its own copy
         assert coords(tr) == [0.0, 1.0, 3.0]
         with pytest.raises(ValueError, match="read-only"):
             tr.coords[0, 0] = 5.0
+        assert tr.gaps.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError, match="read-only"):
             tr.gaps[0] = 5.0
         cyc = cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
@@ -221,27 +226,40 @@ SPACE_A = Space(id="a", dimension=1)
 SPACE_B = Space(id="b", dimension=1)
 ON_B = metric_premetric(SPACE_B)
 OFF_SPACE = "does not match the premetric's space"
+# a builder checks its seed against the premetric's space
+SEED_OFF_B = "tagged 'a' does not belong to space 'b'"
 
 
 class TestPremetricSpace:
     def test_picard_trace(self):
-        with pytest.raises(InputError, match=OFF_SPACE):
+        with pytest.raises(InputError, match=SEED_OFF_B):
             picard_trace(builtin_map("half", SPACE_A), SPACE_A.point(1.0), 4, premetric=ON_B)
 
     def test_alternating_trace(self):
         schedule = AlternatingSchedule(builtin_map("half", SPACE_A),
                                        builtin_map("mk", SPACE_A))
-        with pytest.raises(InputError, match=OFF_SPACE):
+        with pytest.raises(InputError, match=SEED_OFF_B):
             alternating_trace(schedule, SPACE_A.point(1.0), 4, premetric=ON_B)
 
     def test_sequence_trace(self):
-        with pytest.raises(InputError, match=OFF_SPACE):
+        with pytest.raises(InputError, match=SEED_OFF_B):
             sequence_trace("harmonic", SPACE_A, 5, premetric=ON_B)
 
+    def test_cyclic_even_trace(self):
+        setting = CyclicSetting.derive(SPACE_A, IntervalSet(SPACE_A, 0.0, 10.0),
+                                       IntervalSet(SPACE_A, -10.0, 0.0))
+        with pytest.raises(InputError, match=SEED_OFF_B):
+            cyclic_even_trace(builtin_map("cyclic_reflect", SPACE_A), setting,
+                              SPACE_A.point(3.0), 4, premetric=ON_B)
+
     def test_iteration_trace(self):
+        # a trace lives on its premetric's space, and a checker given a
+        # premetric on another space refuses it
+        tr = IterationTrace(coords=[[0.0], [1.0]], generator="g", premetric=ON_B,
+                            status="completed")
+        assert tr.premetric.space is SPACE_B and not hasattr(tr, "space_id")
         with pytest.raises(InputError, match=OFF_SPACE):
-            IterationTrace(coords=[[0.0], [1.0]], generator="g", premetric=ON_B,
-                           gaps=[1.0], status="completed", space_id="a")
+            _require_premetric_space(tr, metric_premetric(SPACE_A))
 
     def test_trace_from_points(self):
         mixed = [SPACE_A.point(1.0), SPACE_B.point(2.0), SPACE_A.point(3.0)]
