@@ -4,7 +4,8 @@ Sequence-level conditions (ids C1..C5) look at the gap sequence of a pair of
 traces; family conditions (C6..C9) add a comparison gauge and a gauge family;
 mapping-level conditions (D1..D4) sample point pairs and iterate the map
 on all of them in one traces._extend_orbit block, the engine and escape
-rule the traces and solvers walk too.
+rule the traces and solvers walk too.  A checker measures a trace with the
+premetric the trace carries, and a map with the metric of the map's space.
 Each checker returns three-valued CertificateReports with explicit witnesses
 and a resolution note spelling out what the verdict means at the budget used.
 
@@ -27,9 +28,9 @@ from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, _require_count
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
     worst_verdict
-from .spaces import Box, CyclicSetting, Premetric, Space, default_region, \
-    metric_premetric, premetric_diagonal, premetric_matrix, premetric_values
-from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit, _require_premetric_space
+from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
+    premetric_diagonal, premetric_matrix, premetric_values
+from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
 
 F_PROFILE = frozenset({"right_continuous", "nondecreasing", "positive_on_positive"})
 PSI_PROFILE_STANDARD = frozenset(
@@ -59,11 +60,20 @@ def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarr
     return win[:ih, 0], win[:ih, 1:]
 
 
-def _aligned_gaps(trace_x: IterationTrace, trace_y: IterationTrace, p: Premetric) -> np.ndarray:
-    for t in (trace_x, trace_y):
-        _require_premetric_space(t, p)
+def _pair_premetric(trace_x: IterationTrace, trace_y: IterationTrace) -> Premetric:
+    """The one premetric a pair of traces is measured under: InputError
+    unless both traces carry it."""
+    p, q = trace_x.premetric, trace_y.premetric
+    if p != q:
+        raise InputError(f"the traces are measured under different premetrics: {p.describe()} "
+                         f"on space {p.space.id!r} and {q.describe()} on space {q.space.id!r}")
+    return p
+
+
+def _aligned_gaps(trace_x: IterationTrace, trace_y: IterationTrace) -> np.ndarray:
     n = min(len(trace_x), len(trace_y))
-    return premetric_diagonal(p, trace_x.coords[:n], trace_y.coords[:n])
+    return premetric_diagonal(_pair_premetric(trace_x, trace_y), trace_x.coords[:n],
+                              trace_y.coords[:n])
 
 
 _BAND_NOTE = (
@@ -376,19 +386,19 @@ def _pair_condition(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifi
 def check_asf1(
     trace_x: IterationTrace,
     trace_y: IterationTrace,
-    p: Premetric,
+    *,
     budget: SearchBudget | None = None,
 ) -> list[CertificateReport]:
     """C1 (small gaps force small tails), C2 (band escape, per-index shift),
     C3 (strict decrease somewhere ahead) on the aligned gap sequence
-    p(x_n, y_n).
+    p(x_n, y_n), p the premetric both traces carry.
 
     Raises:
-        InputError: traces shorter than index_horizon + nu_horizon, or on a
-            different space than the premetric.
+        InputError: traces shorter than index_horizon + nu_horizon, or
+            under different premetrics.
     """
     budget = budget or SearchBudget()
-    gaps = _aligned_gaps(trace_x, trace_y, p)
+    gaps = _aligned_gaps(trace_x, trace_y)
     front, windows = _trace_gap_windows(gaps, budget)
     return [
         _check_c1(gaps, budget),
@@ -397,34 +407,33 @@ def check_asf1(
     ]
 
 
-def _pair_matrix(trace: IterationTrace, p: Premetric, budget: SearchBudget) -> np.ndarray:
-    _require_premetric_space(trace, p)
+def _pair_matrix(trace: IterationTrace, budget: SearchBudget) -> np.ndarray:
     need = budget.index_horizon + budget.nu_horizon
     if len(trace) < need:
         raise InputError(f"need a trace of at least {need} points for this budget, "
                          f"got {len(trace)}")
     coords = trace.coords[:need]
-    return premetric_matrix(p, coords, coords)
+    return premetric_matrix(trace.premetric, coords, coords)
 
 
 def check_asf2(
     trace: IterationTrace,
-    p: Premetric,
+    *,
     budget: SearchBudget | None = None,
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, p, budget)[None, ...], budget, "C4")
+    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C4")
 
 
 def check_c5(
     trace: IterationTrace,
-    p: Premetric,
+    *,
     budget: SearchBudget | None = None,
 ) -> CertificateReport:
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, p, budget)[None, ...], budget, "C5")
+    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C5")
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +443,9 @@ def check_c5(
 def check_asmk(
     trace_x: IterationTrace,
     trace_y: IterationTrace,
-    p: Premetric,
     f_gauge: Gauge,
     family: GaugeFamily,
+    *,
     budget: SearchBudget | None = None,
     variant: str = "asmk1",
 ) -> list[CertificateReport]:
@@ -450,6 +459,7 @@ def check_asmk(
     Raises:
         RefusalError: F misses or fails its required regularity profile, or
             F(0) <= 0 while the family does not declare members fixing zero.
+        InputError: traces too short for the budget or under two premetrics.
     """
     budget = budget or SearchBudget()
     if variant not in ASMK_VARIANTS:
@@ -477,19 +487,17 @@ def check_asmk(
 
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     if variant == "asmk1":
-        gaps = _aligned_gaps(trace_x, trace_y, p)
+        gaps = _aligned_gaps(trace_x, trace_y)
         if gaps.shape[0] < ih + nh:
             raise InputError(f"need at least {ih + nh} aligned gaps, got {gaps.shape[0]}")
         fg = f_gauge.apply_array(gaps)
         cid = "C8"
     else:
         for t in (trace_x, trace_y):
-            _require_premetric_space(t, p)
             if len(t) < ih + nh:
                 raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
-        cross = premetric_matrix(
-            p, trace_x.coords[:ih + nh], trace_y.coords[:ih + nh]
-        )
+        cross = premetric_matrix(_pair_premetric(trace_x, trace_y),
+                                 trace_x.coords[:ih + nh], trace_y.coords[:ih + nh])
         fg = f_gauge.apply_array(cross)
         cid = "C9"
 
@@ -526,7 +534,6 @@ def check_asmk(
 
 def _mapping_reports(
     map_t: NamedMap,
-    space: Space,
     budget: SearchBudget,
     region: Box,
     seed: int,
@@ -537,8 +544,6 @@ def _mapping_reports(
     with an escaped orbit is left out.  Returns the reports, the kept
     pairs' distance curves, D4's orbit matrices (of at most
     max(4, pair_samples // 16) kept x orbits) and the escaped pair count."""
-    if map_t.space.id != space.id:
-        raise InputError("map and space disagree")
     rng = np.random.default_rng(seed)
     k = budget.pair_samples
     n_steps = budget.index_horizon + budget.nu_horizon
@@ -546,7 +551,7 @@ def _mapping_reports(
     block, alive = _extend_orbit((map_t.fn,), seeds, n_steps)
     orbits = block.swapaxes(0, 1)
     valid = (alive[:k] == n_steps) & (alive[k:] == n_steps)
-    dists = space.distances(orbits[:k], orbits[k:])[valid]
+    dists = map_t.space.distances(orbits[:k], orbits[k:])[valid]
     if dists.shape[0] == 0:
         raise InputError(f"every sampled pair escaped; nothing to {purpose}")
     chosen = orbits[np.flatnonzero(valid)[:max(4, k // 16)]]
@@ -555,7 +560,7 @@ def _mapping_reports(
     # and stacking a list would hold every matrix twice
     mats = np.empty((chosen.shape[0], n_steps, n_steps))
     for mat, orbit in zip(mats, chosen):
-        mat[...] = space.distances(orbit[:, None], orbit[None])
+        mat[...] = map_t.space.distances(orbit[:, None], orbit[None])
     trigger, windows = dists[:, 0], dists[:, 1:budget.nu_horizon + 1]
     reports = [
         _check_d1(dists, budget),
@@ -602,7 +607,7 @@ def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
 
 def check_acf_mapping(
     map_t: NamedMap,
-    space: Space,
+    *,
     budget: SearchBudget | None = None,
     region: Box | None = None,
     seed: int = 0,
@@ -615,9 +620,8 @@ def check_acf_mapping(
     of sampled orbits (the cap is recorded in the note).
     """
     budget = budget or SearchBudget()
-    region = region or default_region(space)
-    reports, dists, mats, escaped = _mapping_reports(map_t, space, budget, region, seed,
-                                                     "certify")
+    region = region or default_region(map_t.space)
+    reports, dists, mats, escaped = _mapping_reports(map_t, budget, region, seed, "certify")
     suffix = (
         f"; {dists.shape[0]} sampled pairs in region {region.lows}..{region.highs}, seed {seed}"
     )
@@ -636,7 +640,7 @@ def check_acf_mapping(
 
 def acf_asf_agreement(
     map_t: NamedMap,
-    space: Space,
+    *,
     budget: SearchBudget | None = None,
     region: Box | None = None,
     seed: int = 0,
@@ -650,7 +654,7 @@ def acf_asf_agreement(
     """
     budget = budget or SearchBudget()
     reports, dists, mats, _ = _mapping_reports(
-        map_t, space, budget, region or default_region(space), seed, "compare"
+        map_t, budget, region or default_region(map_t.space), seed, "compare"
     )
     out = {rep.condition_id: rep.verdict for rep in reports}
 
@@ -820,32 +824,29 @@ def check_cyclic(
 
 
 def check_p_controls_d(
-    p: Premetric,
-    space: Space,
     trace_pairs: list[tuple[IterationTrace, IterationTrace]],
+    *,
     eta: float = 1e-9,
     d_tol: float = 1e-6,
 ) -> CertificateReport:
     """Refutation check (id PCD): any supplied pair whose tail p-gap is below
-    eta must also have its tail d-gap below d_tol.  Evidence-based only; it
-    cannot prove the implication, just contradict it."""
+    eta must also have its tail d-gap below d_tol, where p is the premetric
+    both traces of the pair carry (InputError if they differ) and d the
+    metric of its space.  Evidence-based only; it cannot prove the
+    implication, just contradict it."""
     if not trace_pairs:
         raise InputError("need at least one trace pair")
-    if space != p.space:
-        raise InputError(f"premetric on space {p.space.id!r} does not measure space "
-                         f"{space.id!r}")
     defeats: list[dict] = []
     activated = 0
     for idx, (tx, ty) in enumerate(trace_pairs):
-        for t in (tx, ty):
-            _require_premetric_space(t, p)
+        p = _pair_premetric(tx, ty)
         n = min(len(tx), len(ty))
         cx, cy = tx.coords[:n], ty.coords[:n]
         p_tail = float(last_quarter(premetric_diagonal(p, cx, cy)).max())
         if p_tail >= eta:
             continue
         activated += 1
-        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(space), cx, cy)).max())
+        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(p.space), cx, cy)).max())
         if d_tail >= d_tol:
             defeats.append(witness(pair=idx, tail_p=p_tail, tail_d=d_tail))
     note = (
@@ -859,7 +860,7 @@ def check_p_controls_d(
 
 def check_banach_rate(
     map_t: NamedMap,
-    space: Space,
+    *,
     budget: SearchBudget | None = None,
     region: Box | None = None,
     seed: int = 0,
@@ -872,6 +873,7 @@ def check_banach_rate(
     factors that approach 1 only for nearby points.
     """
     budget = budget or SearchBudget()
+    space = map_t.space
     region = region or default_region(space)
     rng = np.random.default_rng(seed)
     coords_a = region.sample_coords(rng, budget.pair_samples)

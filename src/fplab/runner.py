@@ -161,21 +161,20 @@ def _run_certify(scn: Scenario, cache: dict, sink: _Sink) -> None:
     if route == "tau":
         # the one-shift band check already ran; add the pairwise strict check
         # so the sequence-level family is complete on this trace
-        extra(check_c5(tr, tr.premetric, scn.budget))
+        extra(check_c5(tr, budget=scn.budget))
     if scn.map_t is not None:
-        for rep in check_acf_mapping(scn.map_t, scn.space, scn.budget,
-                                     scn.region, scn.seed):
+        for rep in check_acf_mapping(scn.map_t, budget=scn.budget, region=scn.region,
+                                     seed=scn.seed):
             extra(rep)
-        extra(check_banach_rate(scn.map_t, scn.space, scn.budget,
-                                scn.region, scn.seed))
+        extra(check_banach_rate(scn.map_t, budget=scn.budget, region=scn.region,
+                                seed=scn.seed))
     if scn.premetric.kind != "metric":
-        extra(check_p_controls_d(scn.premetric, scn.space,
-                                 [(tr, tr.companion_shift())]))
+        extra(check_p_controls_d([(tr, tr.companion_shift())]))
     if scn.asmk_variants:
         shift = tr.companion_shift()
         for variant in scn.asmk_variants:
-            for rep in check_asmk(tr, shift, tr.premetric, scn.f_gauge,
-                                  scn.family, scn.budget, variant):
+            for rep in check_asmk(tr, shift, scn.f_gauge, scn.family,
+                                  budget=scn.budget, variant=variant):
                 extra(rep, prefix=f"{variant}.")
     sink.runs["certify"] = payload
 
@@ -188,10 +187,7 @@ def _run_cyclic(scn: Scenario, cache: dict, sink: _Sink) -> None:
                               seed=scn.seed)
     sink.verdict("cyclic", membership)
 
-    tr = cyclic_even_trace(
-        scn.map_t, setting, x0, params["pairs"],
-        premetric=scn.premetric if scn.premetric.kind == "shifted_cyclic" else None,
-    )
+    tr = cyclic_even_trace(scn.map_t, setting, x0, params["pairs"])
     cache["cyclic_even"] = tr
 
     res = solve_best_proximity(scn.map_t, setting, x0, tol=params["tol"],

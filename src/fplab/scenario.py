@@ -396,6 +396,9 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
     elif "certify" in runs:
         cert = read("certify", ("source", "route"))
         _needs_trace("certify", cert["source"], has_t, has_s, seq, diags)
+        if cert["route"] == "tau" and kind != "metric":
+            diags.append("premetric.kind: certify route tau needs a premetric claiming "
+                         "the sup-tail property (metric)")
         if cert["route"] == "composed" and kind != "composed":
             diags.append("premetric.kind: certify route composed needs a composed premetric")
         if cert["route"] == "mixed" and kind != "shifted_cyclic":
@@ -423,6 +426,9 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
         _needs_trace("falsify", params["falsify"]["source"], has_t, has_s, seq, diags)
     if "cyclic" in runs and "x0" not in sections["cyclic"]:
         diags.append("cyclic.x0: starting point required")
+    if "cyclic" in runs and params["cyclic"]["pairs"] is not None \
+            and params["cyclic"]["pairs"] < 3:
+        diags.append("cyclic.pairs: at least 3, for the 4 points the settling diagnostic needs")
     if "cyclic" in runs and setting is not None:
         # check_cyclic draws from both sets, and the orbit starts in set_a
         rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ when an orbit refuses to settle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, wit
     worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
-from .traces import AlternatingSchedule, IterationTrace, _orbit, _require_premetric_space
+from .traces import AlternatingSchedule, IterationTrace, _orbit
 
 CAUCHY_ROUTES = ("tau", "composed", "mixed")
 
@@ -52,25 +52,23 @@ def _index_ladder(last: int) -> list[int]:
 
 def cauchy_diagnostic(
     trace: IterationTrace,
-    p: Premetric | None = None,
+    *,
     tol: float = 1e-6,
     eta: float = 1e-9,
 ) -> CertificateReport:
     """Exact settling measure of a stored orbit (id CAUCHY).
 
-    s(n) = max over stored m > n of p(x_n, x_m), evaluated on a logarithmic
-    ladder of n.  Pass needs s nonincreasing within eta along the ladder and
-    the last ladder value at or below tol.  A truncated (escaped) orbit can
-    fail but never cleanly pass.
+    s(n) = max over stored m > n of p(x_n, x_m), p the trace's premetric,
+    evaluated on a logarithmic ladder of n.  Pass needs s nonincreasing
+    within eta along the ladder and the last ladder value at or below tol.
+    A truncated (escaped) orbit can fail but never cleanly pass.
 
     Raises:
         InputError: fewer than 4 points.
     """
     if len(trace) < 4:
         raise InputError("the settling diagnostic needs at least 4 points")
-    p = p if p is not None else trace.premetric
-    _require_premetric_space(trace, p)
-    coords = trace.coords
+    p, coords = trace.premetric, trace.coords
     last = len(trace) - 2
     entries = []
     for n in _index_ladder(last):
@@ -161,16 +159,16 @@ def certify_cauchy(
             raise ConfigurationError(
                 "route tau needs a premetric claiming the sup-tail property"
             )
-        hyps.extend(check_asf1(trace, trace.companion_shift(), p, budget))
-        hyps.append(check_asf2(trace, p, budget))
+        hyps.extend(check_asf1(trace, trace.companion_shift(), budget=budget))
+        hyps.append(check_asf2(trace, budget=budget))
     elif route == "composed":
         if p.kind != "composed":
             raise ConfigurationError("route composed needs a gauge-over-inner premetric")
-        hyps.extend(check_asf1(trace, trace.companion_shift(), p, budget))
-        hyps.append(check_asf2(trace, p, budget))
-        hyps.append(check_c5(trace, p, budget))
+        hyps.extend(check_asf1(trace, trace.companion_shift(), budget=budget))
+        hyps.append(check_asf2(trace, budget=budget))
+        hyps.append(check_c5(trace, budget=budget))
         hyps.extend(verify_gauge_regularity(p.gauge))
-        inner = check_asf2(trace, p.inner, budget)
+        inner = check_asf2(replace(trace, premetric=p.inner), budget=budget)
         inner.condition_id = "C4-INNER"
         inner.resolution_note += "; evaluated under the inner gap measure"
         hyps.append(inner)
@@ -187,7 +185,7 @@ def certify_cauchy(
             "GAP-DECAY-COMPANION",
             premetric_diagonal(p.companion, coords[:-1], coords[1:]), budget, "companion",
         ))
-    diag = cauchy_diagnostic(trace, p, tol=tol, eta=budget.slack)
+    diag = cauchy_diagnostic(trace, tol=tol, eta=budget.slack)
     overall = worst_verdict([r.verdict for r in hyps] + [diag.verdict])
     return CauchyCertificate(route, tuple(hyps), diag, overall)
 
@@ -376,13 +374,14 @@ class WitnessScan:
 
 def extract_noncauchy_witness(
     trace: IterationTrace,
-    p: Premetric | None = None,
+    *,
     eps: float = 0.5,
     gap_tol: float = 1e-2,
     max_occurrences: int = 8,
 ) -> WitnessScan:
     """Scan a trace whose consecutive gaps have settled below gap_tol for
-    pairs that stay separated by more than eps anyway.
+    pairs that stay separated by more than eps anyway, every gap under the
+    trace's premetric.
 
     For each occurrence: sigma is the scan start, rho the first index past it
     with gap above 2*eps (parity-corrected by one step when needed so k - sigma
@@ -392,10 +391,7 @@ def extract_noncauchy_witness(
     step sizes never shrink is reported not_applicable, and a settled trace
     with no separated pairs reports none.
     """
-    p = p if p is not None else trace.premetric
-    _require_premetric_space(trace, p)
-    coords = trace.coords
-    gaps = premetric_diagonal(p, coords[:-1], coords[1:])
+    p, coords, gaps = trace.premetric, trace.coords, trace.gaps
     if gaps.shape[0] < 4:
         raise InputError("need at least 4 consecutive gaps to scan")
     over = np.nonzero(gaps > gap_tol)[0]

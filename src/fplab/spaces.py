@@ -217,14 +217,14 @@ class DiskSet:
         return self.space.distance(x, c) <= self.radius + 1e-12
 
     def sample(self, rng: np.random.Generator) -> Point:
-        # Rejection from the bounding box; fine at desk-scale dimensions.
-        center = np.asarray(self.center)
-        for _ in range(10_000):
-            cand = rng.uniform(center - self.radius, center + self.radius)
-            p = self.space.point(*cand)
-            if self.contains(p):
-                return p
-        raise ConfigurationError("disk sampler failed to draw a point")
+        """A uniform draw from the ball, with no rejection: for the p-norm
+        (p = 2 if euclidean), Y_i = +-Gamma(1/p)^(1/p) and E ~ Exp(1) make
+        Y / (sum |Y_i|^p + E)^(1/p) uniform in the unit ball (Barthe et al. 2005)."""
+        p = 2.0 if self.space.norm == "euclidean" else float(self.space.norm)
+        d = self.space.dimension
+        y = rng.choice((-1.0, 1.0), d) * rng.gamma(1.0 / p, size=d) ** (1.0 / p)
+        u = y / (np.sum(np.abs(y) ** p) + rng.exponential()) ** (1.0 / p)
+        return self.space.point(np.asarray(self.center) + self.radius * u)
 
     def describe(self) -> str:
         return f"disk(center={self.center}, r={self.radius})"

@@ -121,16 +121,6 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _require_premetric_space(trace: IterationTrace, p: Premetric) -> None:
-    """A trace lives on its premetric's space: InputError unless p is a
-    premetric on that space too."""
-    if trace.premetric.space.id != p.space.id:
-        raise InputError(
-            f"trace on space {trace.premetric.space.id!r} does not match the premetric's "
-            f"space {p.space.id!r}"
-        )
-
-
 def _bit_period_start(coords: np.ndarray, gaps: np.ndarray) -> int:
     """The first row k >= 2 such that every row k..n-2 has the coordinate
     and gap bits of the row two before it, or n - 1 when there is none."""

@@ -76,12 +76,12 @@ def test_contracting_map_certifies_everywhere():
     assert abs(res.point.coords[0]) <= 1e-9
 
     tr = picard_trace(half, LINE.point(1.0), 352)
-    seq = list(check_asf1(tr, tr.companion_shift(), D)) + [
-        check_asf2(tr, D), check_c5(tr, D)]
+    seq = list(check_asf1(tr, tr.companion_shift())) + [
+        check_asf2(tr), check_c5(tr)]
     assert [r.condition_id for r in seq] == ["C1", "C2", "C3", "C4", "C5"]
     assert all(r.verdict is PASS for r in seq)
 
-    acf = check_acf_mapping(half, LINE)
+    acf = check_acf_mapping(half)
     assert [r.condition_id for r in acf] == ["D1", "D2", "D3", "D4"]
     assert all(r.verdict is PASS for r in acf)
 
@@ -96,10 +96,10 @@ def test_settling_map_without_uniform_rate():
     assert worst <= 1e-12
 
     domain = Box((0.0,), (10.0,))
-    d3 = check_acf_mapping(mk, LINE, region=domain)[2]
+    d3 = check_acf_mapping(mk, region=domain)[2]
     assert d3.condition_id == "D3"
     assert d3.verdict is PASS
-    rate = check_banach_rate(mk, LINE, region=domain)
+    rate = check_banach_rate(mk, region=domain)
     assert rate.verdict is FAIL
 
 
@@ -164,19 +164,19 @@ def test_falsification_produces_concrete_witnesses():
     partial sums stay separated even after their steps settle."""
     # translation: distances never decrease, at either level
     shift = builtin_map("translation", LINE)
-    d3 = check_acf_mapping(shift, LINE)[2]
+    d3 = check_acf_mapping(shift)[2]
     assert d3.verdict is FAIL
     assert d3.witnesses[0]["gap"] == pytest.approx(
         d3.witnesses[0]["best_follow_up"], rel=1e-12)
     tr = picard_trace(shift, LINE.point(0.0), 352)
-    c3 = check_asf1(tr, tr.companion_shift(), D)[2]
+    c3 = check_asf1(tr, tr.companion_shift())[2]
     assert c3.verdict is FAIL
     assert c3.witnesses[0] == {"index": 0, "gap": 1.0, "best_follow_up": 1.0}
 
     # period two: every pair gap is exactly 1 and shifts preserve parity
     flip = picard_trace(builtin_map("flip", LINE), LINE.point(0.0), 352)
     hairline = 1.0 - 2.0 ** -21
-    c4 = check_asf2(flip, D, SearchBudget(eps_grid=(1.0, hairline, 0.1)))
+    c4 = check_asf2(flip, budget=SearchBudget(eps_grid=(1.0, hairline, 0.1)))
     assert c4.verdict is FAIL
     assert c4.witnesses[1] == {"eps": hairline, "delta": 2.0 ** -20,
                                "orbit": 0, "i": 0, "j": 1, "gap": 1.0,
@@ -217,10 +217,10 @@ def test_checker_families_agree():
     hypotheses_held = 0
     for name, base in cases:
         tr = picard_trace(builtin_map(name, LINE), LINE.point(1.0), 448)
-        dom = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                         iterated_family(base), budget)
-        seq = list(check_asf1(tr, tr.companion_shift(), D, budget)) + [
-            check_asf2(tr, D, budget)]
+        dom = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                         iterated_family(base), budget=budget)
+        seq = list(check_asf1(tr, tr.companion_shift(), budget=budget)) + [
+            check_asf2(tr, budget=budget)]
         if all(r.verdict is PASS for r in dom):
             hypotheses_held += 1
             if any(r.verdict is not PASS for r in seq):
@@ -233,10 +233,10 @@ def test_checker_families_agree():
         comp = composed_premetric(outer, D)
         ctr = picard_trace(builtin_map(name, LINE), LINE.point(1.0), 352,
                            premetric=comp)
-        hyp = (check_asf2(ctr, comp).verdict is PASS
-               and check_c5(ctr, comp).verdict is PASS)
+        hyp = (check_asf2(ctr).verdict is PASS
+               and check_c5(ctr).verdict is PASS)
         inner_tr = picard_trace(builtin_map(name, LINE), LINE.point(1.0), 352)
-        if hyp and check_asf2(inner_tr, D).verdict is not PASS:
+        if hyp and check_asf2(inner_tr).verdict is not PASS:
             violations.append(("composed->inner", name))
         assert hyp  # both orbits instantiate the hypothesis
 
@@ -244,7 +244,7 @@ def test_checker_families_agree():
     for name, region in (("half", None), ("quarter", None),
                          ("mk", Box((0.0,), (10.0,))),
                          ("translation", None), ("flip", None)):
-        agree = acf_asf_agreement(builtin_map(name, LINE), LINE, budget,
+        agree = acf_asf_agreement(builtin_map(name, LINE), budget=budget,
                                   region=region)
         for k in range(1, 5):
             if agree[f"D{k}"] is not agree[f"C{k}"]:

@@ -28,8 +28,8 @@ from fplab.gauges import Gauge, builtin_gauge, expression_gauge, explicit_family
     iterated_family
 from fplab.maps import builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict
-from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, metric_premetric, \
-    shifted_premetric
+from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, composed_premetric, \
+    metric_premetric, shifted_premetric
 from fplab.traces import picard_trace, trace_from_points
 
 LINE = Space(id="line", dimension=1)
@@ -46,7 +46,7 @@ class TestSequenceCheckers:
         """Halving orbit against its shift at the default budget; the
         witnesses are exact because every gap is a power of two."""
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 352)
-        c1, c2, c3 = check_asf1(tr, tr.companion_shift(), D)
+        c1, c2, c3 = check_asf1(tr, tr.companion_shift())
         assert (c1.verdict, c2.verdict, c3.verdict) == (Verdict.PASS,) * 3
         # no gap exceeds 1.0, so the first eps level passes vacuously
         assert c2.witnesses[0] == {"eps": 1.0, "delta": 1.0, "in_band": 0,
@@ -59,13 +59,13 @@ class TestSequenceCheckers:
 
     def test_banach_pair_matrix_conditions(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 352)
-        c4 = check_asf2(tr, D)
+        c4 = check_asf2(tr)
         assert c4.verdict is Verdict.PASS
         # pair gaps 2^-i - 2^-j in (0.1, 1.1): 255 + 254 + 253 + 250 pairs
         # for i = 0..3, and four halvings pull the worst one to 0.0625
         assert c4.witnesses[1] == {"eps": 0.1, "delta": 1.0, "nu": 4,
                                    "in_band": 1012}
-        c5 = check_c5(tr, D)
+        c5 = check_c5(tr)
         assert c5.verdict is Verdict.PASS
         assert c5.witnesses == [{"triggered": 7214, "nu": 2}]
 
@@ -78,7 +78,7 @@ class TestSequenceCheckers:
         tr = trace_from_points(line_points(xs), "creep", D)
         b = SearchBudget(eps_grid=(0.5,), delta_candidates=(1.0, 0.5),
                          index_horizon=8, nu_horizon=8)
-        c1, c2, c3 = check_asf1(tr, tr.companion_shift(), D, b)
+        c1, c2, c3 = check_asf1(tr, tr.companion_shift(), budget=b)
         assert c2.verdict is Verdict.FAIL
         assert c2.witnesses == [{"eps": 0.5, "delta": 0.5, "index": 2,
                                  "gap": 0.75, "best_follow_up": 0.5 + 2.0 ** -10}]
@@ -93,7 +93,7 @@ class TestSequenceCheckers:
         pts = [0.0] * 21 + [1.0, 0.0] * 10
         tr = trace_from_points(line_points(pts), "lull-then-flip", D)
         b = SearchBudget(eps_grid=(0.5,), index_horizon=8, nu_horizon=8)
-        c1 = check_asf1(tr, tr.companion_shift(), D, b)[0]
+        c1 = check_asf1(tr, tr.companion_shift(), budget=b)[0]
         assert c1.verdict is Verdict.FAIL
         assert c1.witnesses == [{"eps": 0.5, "index": 0, "gap": 0.0,
                                  "tail_limsup_estimate": 1.0}]
@@ -101,7 +101,7 @@ class TestSequenceCheckers:
     def test_settled_orbit_passes_without_triggering(self):
         zero = picard_trace(builtin_map("half", LINE), LINE.point(0.0), 20)
         b = SearchBudget(eps_grid=(0.5,), index_horizon=8, nu_horizon=8)
-        c1, c2, c3 = check_asf1(zero, zero.companion_shift(), D, b)
+        c1, c2, c3 = check_asf1(zero, zero.companion_shift(), budget=b)
         assert c1.witnesses == [{"eps": 0.5, "delta": 1.0,
                                  "tail_limsup_estimate": 0.0}]
         assert c2.witnesses[0]["vacuous"] is True
@@ -112,12 +112,12 @@ class TestSequenceCheckers:
         flip = picard_trace(builtin_map("flip", LINE), LINE.point(0.0), 20)
         b = SearchBudget(eps_grid=(0.5,), delta_candidates=(1.0,),
                          index_horizon=8, nu_horizon=8)
-        c4 = check_asf2(flip, D, b)
+        c4 = check_asf2(flip, budget=b)
         assert c4.verdict is Verdict.FAIL
         assert c4.witnesses == [{"eps": 0.5, "delta": 1.0, "orbit": 0,
                                  "i": 0, "j": 1, "gap": 1.0,
                                  "best_uniform_nu": 1, "value_at_best_nu": 1.0}]
-        c5 = check_c5(flip, D, b)
+        c5 = check_c5(flip, budget=b)
         assert c5.verdict is Verdict.FAIL
         assert c5.witnesses[0] == {"orbit": 0, "i": 0, "j": 1, "gap": 1.0,
                                    "best_follow_up": 1.0}
@@ -125,15 +125,18 @@ class TestSequenceCheckers:
     def test_short_trace_guards(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 8)
         with pytest.raises(InputError, match="aligned gaps"):
-            check_asf1(tr, tr.companion_shift(), D, SMALL)
+            check_asf1(tr, tr.companion_shift(), budget=SMALL)
         with pytest.raises(InputError, match="at least 16 points"):
-            check_asf2(tr, D, SMALL)
+            check_asf2(tr, budget=SMALL)
 
     def test_space_mismatch_guard(self):
+        # a pair of traces on two spaces has no one premetric to measure it
         plane = Space(id="plane", dimension=2)
         tr = picard_trace(builtin_map("half", plane), plane.point(1.0, 1.0), 20)
-        with pytest.raises(InputError, match="does not match the premetric"):
-            check_asf1(tr, tr.companion_shift(), D, SMALL)
+        on_line = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+        with pytest.raises(InputError, match="metric on space 'plane' and metric on "
+                                             "space 'line'"):
+            check_asf1(tr, on_line, budget=SMALL)
 
 
 class TestGaugeFamilyCheckers:
@@ -144,23 +147,23 @@ class TestGaugeFamilyCheckers:
         # F = id and a halving family: F(gap(n+i)) equals member_n(F(gap(i)))
         # exactly, so the domination holds with zero margin
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        c6, c7, c8 = check_asmk(tr, tr.companion_shift(), D,
-                                builtin_gauge("id"), self.fam(), SMALL)
+        c6, c7, c8 = check_asmk(tr, tr.companion_shift(),
+                                builtin_gauge("id"), self.fam(), budget=SMALL)
         assert [r.condition_id for r in (c6, c7, c8)] == ["C6", "C7", "C8"]
         assert all(r.verdict is Verdict.PASS for r in (c6, c7, c8))
         assert c8.witnesses == [{"checked_shifts": 8, "checked_indices": 8}]
 
     def test_asmk2_cross_gap_variant(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        reps = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                          self.fam(), SMALL, variant="asmk2")
+        reps = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                          self.fam(), budget=SMALL, variant="asmk2")
         assert [r.condition_id for r in reps] == ["C6", "C7", "C9"]
         assert all(r.verdict is Verdict.PASS for r in reps)
 
     def test_constant_gaps_defeat_domination(self):
         tr = picard_trace(builtin_map("translation", LINE), LINE.point(0.0), 20)
-        c8 = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                        self.fam(), SMALL)[2]
+        c8 = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                        self.fam(), budget=SMALL)[2]
         assert c8.verdict is Verdict.FAIL
         assert c8.witnesses[0] == {"n": 1, "i": 0, "lhs": 1.0, "rhs": 0.5}
 
@@ -171,8 +174,8 @@ class TestGaugeFamilyCheckers:
                               zero_fixed=True)
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         for variant in ("asmk1", "asmk2"):
-            dom = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                             fam, SMALL, variant=variant)[2]
+            dom = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                             fam, budget=SMALL, variant=variant)[2]
             assert dom.verdict is Verdict.INCONCLUSIVE
             assert dom.witnesses == [{"checked_shifts": 2, "checked_indices": 8}]
             assert "shifts 3..8 were not checked" in dom.resolution_note
@@ -184,8 +187,8 @@ class TestGaugeFamilyCheckers:
         budget = SearchBudget(index_horizon=8, nu_horizon=3)
         with mock.patch("fplab.certificates.check_family_C6",
                         side_effect=AssertionError("C6 must not run")):
-            c6, c7, c8 = check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                                    self.fam(), budget)
+            c6, c7, c8 = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                                    self.fam(), budget=budget)
         assert c6.condition_id == "C6" and c6.verdict is Verdict.INCONCLUSIVE
         assert c6.witnesses == []
         assert "nu horizon 3 is below the 4 members" in c6.resolution_note
@@ -194,22 +197,22 @@ class TestGaugeFamilyCheckers:
     def test_unknown_variant(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(ConfigurationError, match="asmk1 or asmk2"):
-            check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                       self.fam(), SMALL, variant="asmk3")
+            check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                       self.fam(), budget=SMALL, variant="asmk3")
 
     def test_refuses_undeclared_f_profile(self):
         bare = Gauge(name="bare", fn=lambda t: t)
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(RefusalError, match="does not declare"):
-            check_asmk(tr, tr.companion_shift(), D, bare, self.fam(), SMALL)
+            check_asmk(tr, tr.companion_shift(), bare, self.fam(), budget=SMALL)
 
     def test_refuses_family_not_fixing_zero(self):
         # F(0) = 0 needs the family to declare members fixing zero
         fam = explicit_family([builtin_gauge("half")] * 10, zero_fixed=False)
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(RefusalError, match="fixing zero"):
-            check_asmk(tr, tr.companion_shift(), D, builtin_gauge("id"),
-                       fam, SMALL)
+            check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
+                       fam, budget=SMALL)
 
 
 class TestNoPairs:
@@ -223,8 +226,8 @@ class TestNoPairs:
     def test_pair_conditions_are_inconclusive(self):
         translation = builtin_map("translation", LINE)
         tr = picard_trace(translation, LINE.point(0.0), 20)
-        reports = [check_asf2(tr, D, self.BUDGET), check_c5(tr, D, self.BUDGET)]
-        reports += [r for r in check_acf_mapping(translation, LINE, self.BUDGET)
+        reports = [check_asf2(tr, budget=self.BUDGET), check_c5(tr, budget=self.BUDGET)]
+        reports += [r for r in check_acf_mapping(translation, budget=self.BUDGET)
                     if r.condition_id == "D4"]
         assert [r.condition_id for r in reports] == ["C4", "C5", "D4"]
         for rep in reports:
@@ -232,20 +235,20 @@ class TestNoPairs:
             assert rep.witnesses == []
             assert rep.budget == self.BUDGET
             assert rep.resolution_note.startswith(self.NOTE.format(rep.condition_id))
-        agree = acf_asf_agreement(translation, LINE, self.BUDGET)
+        agree = acf_asf_agreement(translation, budget=self.BUDGET)
         assert agree["C4"] is agree["D4"] is Verdict.INCONCLUSIVE
 
     def test_the_length_guard_still_comes_first(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 4)
         for check in (check_asf2, check_c5):
             with pytest.raises(InputError, match="at least 9 points"):
-                check(tr, D, self.BUDGET)
+                check(tr, budget=self.BUDGET)
 
     def test_two_indices_make_one_pair(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         budget = SearchBudget(index_horizon=2, nu_horizon=8)
-        assert check_c5(tr, D, budget).witnesses == [{"triggered": 1, "nu": 1}]
-        assert check_asf2(tr, D, budget).verdict is Verdict.PASS
+        assert check_c5(tr, budget=budget).witnesses == [{"triggered": 1, "nu": 1}]
+        assert check_asf2(tr, budget=budget).verdict is Verdict.PASS
 
 
 class TestMappingCheckers:
@@ -253,15 +256,15 @@ class TestMappingCheckers:
         return SearchBudget(index_horizon=8, nu_horizon=8, pair_samples=60)
 
     def test_contraction_passes_all(self):
-        reps = check_acf_mapping(builtin_map("half", LINE), LINE, self.budget())
+        reps = check_acf_mapping(builtin_map("half", LINE), budget=self.budget())
         assert [(r.condition_id, r.verdict) for r in reps] == [
             ("D1", Verdict.PASS), ("D2", Verdict.PASS),
             ("D3", Verdict.PASS), ("D4", Verdict.PASS),
         ]
 
     def test_isometry_fails_strict_decrease_only(self):
-        reps = check_acf_mapping(builtin_map("translation", LINE), LINE,
-                                 self.budget())
+        reps = check_acf_mapping(builtin_map("translation", LINE),
+                                 budget=self.budget())
         verdicts = {r.condition_id: r.verdict for r in reps}
         assert verdicts == {"D1": Verdict.PASS, "D2": Verdict.PASS,
                             "D3": Verdict.FAIL, "D4": Verdict.PASS}
@@ -270,7 +273,7 @@ class TestMappingCheckers:
 
     def test_escaping_pairs_downgrade_passes(self):
         square = expression_map(LINE, "x * x", name="square")
-        reps = check_acf_mapping(square, LINE, self.budget(),
+        reps = check_acf_mapping(square, budget=self.budget(),
                                  region=Box(lows=(-2.0,), highs=(2.0,)), seed=0)
         assert all(r.verdict is Verdict.INCONCLUSIVE for r in reps)
         assert all("escaped the working bound" in r.resolution_note for r in reps)
@@ -278,17 +281,17 @@ class TestMappingCheckers:
     def test_every_pair_escaping_is_an_error(self):
         square = expression_map(LINE, "x * x", name="square")
         with pytest.raises(InputError, match="every sampled pair escaped"):
-            check_acf_mapping(square, LINE, self.budget(),
+            check_acf_mapping(square, budget=self.budget(),
                               region=Box(lows=(5.0,), highs=(10.0,)), seed=0)
 
     def test_orbit_and_mapping_levels_agree(self):
         for name in ("half", "translation"):
-            out = acf_asf_agreement(builtin_map(name, LINE), LINE, self.budget())
+            out = acf_asf_agreement(builtin_map(name, LINE), budget=self.budget())
             for k in ("1", "2", "3", "4"):
                 assert out[f"D{k}"] == out[f"C{k}"], (name, k)
 
     def test_linear_rate_is_exact(self):
-        rep = check_banach_rate(builtin_map("half", LINE), LINE)
+        rep = check_banach_rate(builtin_map("half", LINE))
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses[0]["ratio"] == 0.5
 
@@ -296,7 +299,7 @@ class TestMappingCheckers:
         # d(Tx,Ty)/d(x,y) = 1/(1 + x + y + xy) on [0, 10]: the short-separation
         # ladder at the origin drives the ratio to 1 even though every sampled
         # far-apart pair contracts comfortably
-        rep = check_banach_rate(builtin_map("mk", LINE), LINE,
+        rep = check_banach_rate(builtin_map("mk", LINE),
                                 region=Box(lows=(0.0,), highs=(10.0,)))
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses[0]["ratio"] > 1.0 - 1e-3
@@ -404,7 +407,7 @@ class TestCyclicChecker:
 class TestPremetricControl:
     def test_settling_pair_activates_and_passes(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 60)
-        rep = check_p_controls_d(D, LINE, [(tr, tr.companion_shift())])
+        rep = check_p_controls_d([(tr, tr.companion_shift())])
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses == [{"activated": 1}]
 
@@ -419,13 +422,13 @@ class TestPremetricControl:
         p = shifted_premetric(setting)
         ta = trace_from_points([LINE.point(1.0)] * 8, "const-a", p)
         tb = trace_from_points([LINE.point(2.5)] * 8, "const-b", p)
-        rep = check_p_controls_d(p, LINE, [(ta, tb)])
+        rep = check_p_controls_d([(ta, tb)])
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses == [{"pair": 0, "tail_p": 0.0, "tail_d": 1.5}]
 
     def test_empty_input(self):
         with pytest.raises(InputError, match="at least one trace pair"):
-            check_p_controls_d(D, LINE, [])
+            check_p_controls_d([])
 
 
 class TestConsecutiveContraction:
@@ -498,31 +501,43 @@ class TestSearchBudget:
 
 
 class TestPremetricSpace:
-    """A checker given an explicit premetric refuses traces off its space."""
+    """A checker measures with its traces' own premetric: a premetric passed
+    beside a trace is a TypeError at the call, and a pair of traces under
+    two different premetrics is an InputError."""
 
     SPACE_B = Space(id="b", dimension=1)
+    COMPOSED = composed_premetric(builtin_gauge("mk"), D)
+    TWO = (r"measured under different premetrics: metric on space 'line' and "
+           r"composed\(mk, metric\) on space 'line'")
 
-    def trace(self):
-        return picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
+    def trace(self, premetric=None):
+        return picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20, premetric=premetric)
+
+    def pair(self):
+        return self.trace(), self.trace(self.COMPOSED).companion_shift()
 
     def test_check_asf2_and_c5(self):
-        on_b = metric_premetric(self.SPACE_B)
         for check in (check_asf2, check_c5):
-            with pytest.raises(InputError, match="does not match the premetric"):
-                check(self.trace(), on_b, SMALL)
+            with pytest.raises(TypeError):
+                check(self.trace(), metric_premetric(self.SPACE_B))
+
+    def test_check_asf1(self):
+        with pytest.raises(InputError, match=self.TWO):
+            check_asf1(*self.pair(), budget=SMALL)
+        tr = self.trace()
+        with pytest.raises(TypeError):
+            check_asf1(tr, tr.companion_shift(), D)
 
     def test_check_asmk_both_variants(self):
-        tr = self.trace()
         for variant in ASMK_VARIANTS:
-            with pytest.raises(InputError, match="does not match the premetric"):
-                check_asmk(tr, tr.companion_shift(), metric_premetric(self.SPACE_B),
-                           builtin_gauge("id"), iterated_family(builtin_gauge("half")),
-                           SMALL, variant)
+            with pytest.raises(InputError, match=self.TWO):
+                check_asmk(*self.pair(), builtin_gauge("id"),
+                           iterated_family(builtin_gauge("half")), budget=SMALL,
+                           variant=variant)
 
     def test_check_p_controls_d(self):
         tr = self.trace()
-        on_b = metric_premetric(self.SPACE_B)
-        with pytest.raises(InputError, match="does not match the premetric"):
-            check_p_controls_d(on_b, self.SPACE_B, [(tr, tr.companion_shift())])
-        with pytest.raises(InputError, match="does not measure space 'b'"):
-            check_p_controls_d(D, self.SPACE_B, [(tr, tr.companion_shift())])
+        with pytest.raises(InputError, match=self.TWO):
+            check_p_controls_d([(tr, tr.companion_shift()), self.pair()])
+        with pytest.raises(TypeError):
+            check_p_controls_d(D, LINE, [(tr, tr.companion_shift())])

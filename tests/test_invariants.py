@@ -1,27 +1,32 @@
 """Property tests for the structural invariants the rest of the suite
 leans on: premetric axioms, gauge family composition, verdict algebra,
-JSON sanitization, the one JSON writer, and the trace gap caches.
+JSON sanitization, the one JSON writer, the trace gap caches, and checkers
+that measure with their inputs' own premetric and space.
 """
 
 import ast
+import inspect
 import json
 import math
+import typing
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from fplab import certificates, solvers
 from fplab.gauges import GaugeFamily, builtin_gauge, iterate_gauge
-from fplab.maps import builtin_map, expression_map
+from fplab.maps import NamedMap, builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize, worst_verdict
 from fplab.spaces import (
     CyclicSetting,
     IntervalSet,
+    Premetric,
     Space,
     composed_premetric,
     metric_premetric,
     shifted_premetric,
 )
-from fplab.traces import AlternatingSchedule, alternating_trace, picard_trace
+from fplab.traces import AlternatingSchedule, IterationTrace, alternating_trace, picard_trace
 
 LINE = Space(id="line", dimension=1)
 PLANE = Space(id="plane", dimension=2)
@@ -283,3 +288,31 @@ def test_one_json_writer():
     assert methods == []
     assert imports == []
     assert calls == ["runner._Sink.write_json"]
+
+
+def _named_classes(hint) -> set:
+    """Every class an annotation names, through unions and generics."""
+    found = {hint} if typing.get_origin(hint) is None and isinstance(hint, type) else set()
+    for arg in typing.get_args(hint):
+        found |= _named_classes(arg)
+    return found
+
+
+def test_checkers_measure_with_their_inputs():
+    """A trace carries its premetric and a map its space, so no public
+    function of certificates or solvers takes a Premetric beside an
+    IterationTrace, or a Space beside a NamedMap: a second copy of either
+    could only disagree with the first."""
+    both = []
+    for module in (certificates, solvers):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn) \
+                    or fn.__module__ != module.__name__:
+                continue
+            hints = typing.get_type_hints(fn)
+            hints.pop("return", None)
+            named = set().union(*map(_named_classes, hints.values()))
+            both += [f"{module.__name__}.{name} takes a {beside.__name__}"
+                     for held, beside in ((IterationTrace, Premetric), (NamedMap, Space))
+                     if held in named and beside in named]
+    assert both == []

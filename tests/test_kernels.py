@@ -655,7 +655,7 @@ class TestBanachRate:
         m = builtin_map(name, space) if name in SCALAR_MAPS else expression_map(space, name)
         budget = SearchBudget(pair_samples=64)
         region = Box((0.5,) * dim, (9.0,) * dim)
-        got = check_banach_rate(m, space, budget, region, seed=3)
+        got = check_banach_rate(m, budget=budget, region=region, seed=3)
         want = banach_rate_reference(m, space, budget, region, seed=3)
         assert sanitize(got) == sanitize(want)
 
@@ -664,7 +664,7 @@ class TestBanachRate:
         line = Space(id="line", dimension=1)
         budget = SearchBudget(pair_samples=16)
         region = default_region(line)
-        rep = check_banach_rate(builtin_map("half", line), line, budget, region, seed=5)
+        rep = check_banach_rate(builtin_map("half", line), budget=budget, region=region, seed=5)
         rng = np.random.default_rng(5)
         first_a = region.sample_coords(rng, 16)[0]
         first_b = region.sample_coords(rng, 16)[0]
@@ -673,8 +673,8 @@ class TestBanachRate:
     def test_nonfinite_image_is_an_input_error(self):
         line = Space(id="line", dimension=1)
         with pytest.raises(InputError, match="non-finite"):
-            check_banach_rate(expression_map(line, "1 / x"), line, SearchBudget(pair_samples=8),
-                              Box((-1.0,), (1.0,)))
+            check_banach_rate(expression_map(line, "1 / x"), budget=SearchBudget(pair_samples=8),
+                              region=Box((-1.0,), (1.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -1962,7 +1962,7 @@ class TestGaugeProbes:
 # The family walk: C8/C9 and E1/E2 against the per-kind branch loops
 
 
-def check_asmk_reference(trace_x, trace_y, p, f_gauge, family, budget, variant="asmk1"):
+def check_asmk_reference(trace_x, trace_y, f_gauge, family, *, budget, variant="asmk1"):
     """check_asmk as it was: one branch per family kind, an explicit member
     re-applied to the front block at each shift, and np.nonzero on every
     shift."""
@@ -1990,7 +1990,7 @@ def check_asmk_reference(trace_x, trace_y, p, f_gauge, family, budget, variant="
                                nu_horizon=budget.nu_horizon, eta=budget.slack)
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     if variant == "asmk1":
-        gaps = _aligned_gaps(trace_x, trace_y, p)
+        gaps = _aligned_gaps(trace_x, trace_y)
         if gaps.shape[0] < ih + nh:
             raise InputError(f"need at least {ih + nh} aligned gaps, got {gaps.shape[0]}")
         fg = f_gauge.apply_array(gaps)
@@ -2000,7 +2000,7 @@ def check_asmk_reference(trace_x, trace_y, p, f_gauge, family, budget, variant="
         for t in (trace_x, trace_y):
             if len(t) < ih + nh:
                 raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
-        fg = f_gauge.apply_array(premetric_matrix(p, trace_x.coords[:ih + nh],
+        fg = f_gauge.apply_array(premetric_matrix(trace_x.premetric, trace_x.coords[:ih + nh],
                                                   trace_y.coords[:ih + nh]))
         base_block = fg[:ih, :ih]
         cid = "C9"
@@ -2149,11 +2149,11 @@ FAMILY_BUDGET = {"eps_grid": (0.05,), "delta_candidates": (0.05,)}
 
 @st.composite
 def asmk_cases(draw):
-    """check_asmk's arguments: two line orbits whose values shrink at a
-    drawn rate (rate 1 never does), so members dominate some shifts and not
-    others; families as in probe_families, some shorter than the horizon
-    and some leaving a 2.5 working range (a gap of 3.0 starts outside it);
-    F one of the regular builtins."""
+    """check_asmk's positional and keyword arguments: two line orbits whose
+    values shrink at a drawn rate (rate 1 never does), so members dominate
+    some shifts and not others; families as in probe_families, some shorter
+    than the horizon and some leaving a 2.5 working range (a gap of 3.0
+    starts outside it); F one of the regular builtins."""
     ih, nh = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     n = ih + nh + draw(st.integers(0, 2))
     values = st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.0))
@@ -2163,15 +2163,14 @@ def asmk_cases(draw):
           if draw(st.booleans()) else np.zeros(n))
     budget = SearchBudget(index_horizon=ih, nu_horizon=nh, slack=draw(PROBE_ETA),
                           **FAMILY_BUDGET)
-    return (_line_trace(xs), _line_trace(ys), metric_premetric(LINE),
-            builtin_gauge(draw(st.sampled_from(("id", "mk", "half")))),
-            draw(probe_families()), budget, draw(st.sampled_from(ASMK_VARIANTS)))
+    return ((_line_trace(xs), _line_trace(ys),
+             builtin_gauge(draw(st.sampled_from(("id", "mk", "half")))), draw(probe_families())),
+            {"budget": budget, "variant": draw(st.sampled_from(ASMK_VARIANTS))})
 
 
 def _asmk_case(family, xs, ys, ih, nh):
     budget = SearchBudget(index_horizon=ih, nu_horizon=nh, **FAMILY_BUDGET)
-    return (_line_trace(xs), _line_trace(ys), metric_premetric(LINE), builtin_gauge("id"),
-            family, budget)
+    return (_line_trace(xs), _line_trace(ys), builtin_gauge("id"), family), budget
 
 
 def _iterated(name, t_max=1e3):
@@ -2204,11 +2203,12 @@ def e_cases(draw):
 class TestFamilyWalk:
     @given(case=asmk_cases())
     def test_check_asmk_equals_the_branch_loop(self, case):
-        got = _probe_outcome(check_asmk, *case)
-        assert got == _probe_outcome(check_asmk_reference, *case)
+        args, kwargs = case
+        got = _probe_outcome(check_asmk, *args, **kwargs)
+        assert got == _probe_outcome(check_asmk_reference, *args, **kwargs)
 
-    # (check_asmk's arguments, the C8/C9 verdict, and its witnesses' last
-    # entry or the start of the error)
+    # (check_asmk's positional arguments and budget, the C8/C9 verdict, and
+    # its witnesses' last entry or the start of the error)
     ASMK_CASES = {
         # two members cover shifts 1..2 of the horizon's 6
         "explicit-short": (_asmk_case(_explicit(("half", 1e3), ("0.25 * t", 1e3)),
@@ -2233,9 +2233,9 @@ class TestFamilyWalk:
     @pytest.mark.parametrize("variant", ASMK_VARIANTS)
     @pytest.mark.parametrize("case", sorted(ASMK_CASES))
     def test_check_asmk_cases(self, case, variant):
-        args, verdict, last = self.ASMK_CASES[case]
-        got = _probe_outcome(check_asmk, *args, variant=variant)
-        assert got == _probe_outcome(check_asmk_reference, *args, variant=variant)
+        (args, budget), verdict, last = self.ASMK_CASES[case]
+        got = _probe_outcome(check_asmk, *args, budget=budget, variant=variant)
+        assert got == _probe_outcome(check_asmk_reference, *args, budget=budget, variant=variant)
         if verdict is None:
             assert got.startswith(last)
             return

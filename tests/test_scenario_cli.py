@@ -490,6 +490,20 @@ class TestCliRun:
             strict_json(artifact.read_text())
         assert strict_json((out / "solve_fixed_point.json").read_text())["residual"] == "inf"
 
+    def test_disks_in_twelve_dimensions(self, tmp_path, capsys):
+        # a sampler rejecting from the bounding box gave up here: about 1
+        # draw in 3000 lands in a 12-dimensional ball, so validate was clean
+        # and run exited 1
+        rest = [0.0] * 11
+        doc = _with(CYCLIC, "name", "disks-12", "space.dimension", 12, "maps.T", "neg",
+                    "cyclic_setting", {side: {"kind": "disk", "center": [c] + rest, "radius": 1.0}
+                                       for side, c in (("set_a", -2.0), ("set_b", 2.0))},
+                    "cyclic", {"x0": [-1.0] + rest})
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.startswith("ok")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_escaping_orbit_cannot_fill_the_budget(self, tmp_path, capsys):
         # x -> x*x from 10 blows past the escape bound after three points,
         # far short of the aligned gaps the band checkers need
@@ -621,6 +635,13 @@ MALFORMED = [
     ("cyclic-x0-outside-set-a", _with(CYCLIC, "cyclic.x0", [-3.0]), "cyclic.x0:"),
     ("set-a-past-the-clip", _with(CYCLIC, "cyclic_setting.set_a.lo", 200.0),
      "cyclic_setting.set_a:"),
+    # a cyclic run reads pairs + 1 even points and the settling diagnostic needs 4
+    ("cyclic-pairs-1", _with(CYCLIC, "cyclic.pairs", 1), "cyclic.pairs:"),
+    ("cyclic-pairs-2", _with(CYCLIC, "cyclic.pairs", 2), "cyclic.pairs:"),
+    # of the document premetrics only the metric claims the sup-tail property
+    ("route-tau-on-composed", _with(SMOKE, "premetric", {"kind": "composed", "G": "mk"}),
+     "premetric.kind:"),
+    ("route-tau-on-shifted-cyclic", _with(CYCLIC, "run", ["certify"]), "premetric.kind:"),
     ("falsify-source-unknown", _with(FALSIFY, "falsify", {"source": "weird"}),
      "falsify.source:"),
     ("falsify-alternating-without-s", _with(FALSIFY, "falsify", {"source": "alternating"}),

@@ -27,6 +27,7 @@ from fplab.spaces import (
     Space,
     composed_premetric,
     metric_premetric,
+    premetric_matrix,
 )
 from fplab.traces import (
     AlternatingSchedule,
@@ -431,15 +432,23 @@ class TestLimitCollapse:
 
 
 class TestPremetricSpace:
-    """An explicit premetric must live on the trace's space."""
+    """A diagnostic measures with the trace's own premetric: a premetric
+    passed beside the trace is a TypeError at the call."""
 
     ON_B = metric_premetric(Space(id="b", dimension=1))
 
     def test_cauchy_diagnostic(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        with pytest.raises(InputError, match="does not match the premetric"):
+        with pytest.raises(TypeError):
             cauchy_diagnostic(tr, self.ON_B)
+        comp = composed_premetric(builtin_gauge("mk"), D)
+        under = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20, premetric=comp)
+        coords = under.coords
+        # s(0) is the largest gap from x_0 under the trace's premetric
+        assert cauchy_diagnostic(under).witnesses[0]["sup_tail"] == float(
+            premetric_matrix(comp, coords[:1], coords[1:]).max())
+        assert cauchy_diagnostic(tr).witnesses[0]["sup_tail"] == 1.0 - 2.0 ** -20
 
     def test_extract_noncauchy_witness(self):
-        with pytest.raises(InputError, match="does not match the premetric"):
+        with pytest.raises(TypeError):
             extract_noncauchy_witness(sequence_trace("harmonic", LINE, 100), self.ON_B)

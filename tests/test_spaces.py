@@ -86,6 +86,29 @@ class TestRegionsAndSets:
         assert d.contains(PLANE.point(2.0, 2.0))
         assert not d.contains(PLANE.point(4.0, 1.0))
 
+    @pytest.mark.parametrize("dim", [1, 2, 12, 20])
+    @pytest.mark.parametrize("norm", ["euclidean", 1.0, 3.0])
+    def test_disk_samples_lie_in_the_disk(self, dim, norm):
+        # a ball fills a vanishing share of its bounding box as the
+        # dimension grows (about 1/3000 at 12 euclidean dimensions), so the
+        # sampler draws in the ball itself
+        space = Space(id="s", dimension=dim, norm=norm)
+        rng = np.random.default_rng(0)
+        for radius in (1.0, 5.0, 1000.0):
+            disk = DiskSet(space, (3.0,) + (-1.0,) * (dim - 1), radius)
+            assert all(disk.contains(disk.sample(rng)) for _ in range(200))
+
+    @pytest.mark.parametrize(("dim", "norm"), [(2, "euclidean"), (3, 1.0)])
+    def test_disk_samples_are_uniform(self, dim, norm):
+        # the ball of half the radius holds 2^-dim of a uniform law; 4000
+        # draws put the share within 0.03 of it (over 4 standard deviations)
+        space = Space(id="s", dimension=dim, norm=norm)
+        disk = DiskSet(space, (0.0,) * dim, 2.0)
+        rng = np.random.default_rng(1)
+        center = space.point(*disk.center)
+        near = [space.distance(disk.sample(rng), center) <= 1.0 for _ in range(4000)]
+        assert abs(np.mean(near) - 2.0 ** -dim) < 0.03
+
     def test_sampling_helpers(self):
         rng = np.random.default_rng(0)
         box = default_region(LINE)

@@ -19,7 +19,6 @@ from fplab.traces import (
     AlternatingSchedule,
     ESCAPE_NORM,
     IterationTrace,
-    _require_premetric_space,
     alternating_trace,
     cyclic_even_trace,
     picard_trace,
@@ -225,7 +224,6 @@ class TestTraceMechanics:
 SPACE_A = Space(id="a", dimension=1)
 SPACE_B = Space(id="b", dimension=1)
 ON_B = metric_premetric(SPACE_B)
-OFF_SPACE = "does not match the premetric's space"
 # a builder checks its seed against the premetric's space
 SEED_OFF_B = "tagged 'a' does not belong to space 'b'"
 
@@ -253,13 +251,10 @@ class TestPremetricSpace:
                               SPACE_A.point(3.0), 4, premetric=ON_B)
 
     def test_iteration_trace(self):
-        # a trace lives on its premetric's space, and a checker given a
-        # premetric on another space refuses it
+        # a trace lives on its premetric's space
         tr = IterationTrace(coords=[[0.0], [1.0]], generator="g", premetric=ON_B,
                             status="completed")
         assert tr.premetric.space is SPACE_B and not hasattr(tr, "space_id")
-        with pytest.raises(InputError, match=OFF_SPACE):
-            _require_premetric_space(tr, metric_premetric(SPACE_A))
 
     def test_trace_from_points(self):
         mixed = [SPACE_A.point(1.0), SPACE_B.point(2.0), SPACE_A.point(3.0)]
