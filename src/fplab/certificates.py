@@ -795,7 +795,11 @@ def check_cyclic(
     sample_count: int = 64,
     seed: int = 0,
 ) -> CertificateReport:
-    """Sampled points of each set must map into the other set (id CYC)."""
+    """Sampled points of each set must map into the other set (id CYC).
+
+    Each set's draws are one block, mapped in one call.  The witnesses are
+    the first 8 defeats in draw order; set_b is not drawn once set_a has 8,
+    and a non-finite image is an InputError only before the 8th defeat."""
     _require_count("sample_count", sample_count)
     rng = np.random.default_rng(seed)
     defeats: list[dict] = []
@@ -803,14 +807,20 @@ def check_cyclic(
         (setting.set_a, setting.set_b, "first->second"),
         (setting.set_b, setting.set_a, "second->first"),
     ):
-        for _ in range(sample_count):
-            x = source.sample(rng)
-            image = map_t(x)
-            if not target.contains(image):
-                defeats.append(witness(direction=label, point=list(x.coords),
-                                       image=list(image.coords)))
-                if len(defeats) >= 8:
-                    break
+        xs = source.sample_coords(rng, sample_count)
+        if map_t.space.id != source.space.id:
+            raise InputError(f"map {map_t.name!r} on space {map_t.space.id!r} applied to a "
+                             f"point from {source.space.id!r}")
+        with np.errstate(all="ignore"):
+            images = np.asarray(map_t.fn(xs), dtype=float)
+            if images.shape != xs.shape:
+                raise InputError(f"space {map_t.space.id!r} is {map_t.space.dimension}-"
+                                 f"dimensional, got {tuple(np.ravel(map_t.fn(xs[0])).tolist())}")
+            finite = np.isfinite(images).all(axis=1)  # a non-finite image defeats, then raises
+            first = np.flatnonzero(~finite | ~target.contains_coords(images))[:8 - len(defeats)]
+        for i in first[~finite[first]][:1]:
+            raise InputError(f"coordinates must be finite, got {tuple(images[i].tolist())}")
+        defeats.extend(witness(direction=label, point=xs[i], image=images[i]) for i in first)
         if len(defeats) >= 8:
             break
     note = (
@@ -878,22 +888,19 @@ def check_banach_rate(
     rng = np.random.default_rng(seed)
     coords_a = region.sample_coords(rng, budget.pair_samples)
     coords_b = region.sample_coords(rng, budget.pair_samples)
-    ladder_a, ladder_b = [], []
+    # each base point steps h = 10^-1 .. 10^-7 up the first axis, or down
+    # where the step up leaves the region; a step leaving it both ways is dropped
     lows, highs = np.asarray(region.lows), np.asarray(region.highs)
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        base = lows + frac * (highs - lows)
-        for h in (10.0 ** -k for k in range(1, 8)):
-            shifted = base.copy()
-            shifted[0] += h
-            if not region.contains_coords(shifted):
-                shifted = base.copy()
-                shifted[0] -= h
-                if not region.contains_coords(shifted):
-                    continue
-            ladder_a.append(base)
-            ladder_b.append(shifted)
-    a = np.concatenate([coords_a, np.reshape(ladder_a, (-1, space.dimension))])
-    b = np.concatenate([coords_b, np.reshape(ladder_b, (-1, space.dimension))])
+    bases = np.repeat([lows + frac * (highs - lows) for frac in (0.0, 0.25, 0.5, 0.75, 1.0)],
+                      7, axis=0)
+    h = np.tile([10.0 ** -k for k in range(1, 8)], 5)
+    up, down = bases.copy(), bases.copy()
+    up[:, 0] += h
+    down[:, 0] -= h
+    inside = region.contains_coords(up)
+    stepped = inside | region.contains_coords(down)
+    a = np.concatenate([coords_a, bases[stepped]])
+    b = np.concatenate([coords_b, np.where(inside[:, None], up, down)[stepped]])
     d0 = space.distances(a, b)
     keep = d0 > 1e-12
     a, b, d0 = a[keep], b[keep], d0[keep]

@@ -433,9 +433,9 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
         # check_cyclic draws from both sets, and the orbit starts in set_a
         rng = np.random.default_rng(seed)
         for side in ("set_a", "set_b"):
-            _make(f"cyclic_setting.{side}", diags, getattr(setting, side).sample, rng)
+            _make(f"cyclic_setting.{side}", diags, getattr(setting, side).sample_coords, rng, 1)
         x0 = params["cyclic"]["x0"] if "x0" in sections["cyclic"] else None
-        if x0 is not None and _make("cyclic.x0", diags, setting.set_a.contains, x0) is False:
+        if x0 is not None and not setting.set_a.contains_coords(x0.coords):
             diags.append("cyclic.x0: must lie in cyclic_setting.set_a")
 
     if diags:

@@ -107,10 +107,9 @@ class CauchyCertificate:
     overall: Verdict
 
 
-def _trace_triples(trace: IterationTrace) -> list[tuple[Point, Point, Point]]:
+def _trace_triples(trace: IterationTrace) -> np.ndarray:
     idx = sorted(set(np.linspace(0, len(trace) - 1, 10, dtype=int).tolist()))
-    pts = [Point(tuple(row), trace.premetric.space.id) for row in trace.coords[idx].tolist()]
-    return list(itertools.combinations(pts, 3))[:200]
+    return trace.coords[np.array(list(itertools.combinations(idx, 3))[:200], dtype=int)]
 
 
 def _decay_report(cid: str, gaps: np.ndarray, budget: SearchBudget, label: str) -> CertificateReport:
@@ -282,7 +281,7 @@ def solve_best_proximity(
     of the stopping rule.  An orbit that escapes at an even or odd point
     ends at its last even point with residual inf.  x0 outside the first
     set, or off the map's or setting's space, is an InputError."""
-    if not setting.set_a.contains(x0):
+    if not setting.set_a.contains_coords(x0.coords):
         raise InputError("starting point must lie in the first set")
     if max_pairs < 1:
         raise InputError("need at least one double step")
@@ -290,14 +289,9 @@ def solve_best_proximity(
     map_t.space.check_member(x0)
     space.check_member(x0)
 
-    def displacements(rows: np.ndarray) -> np.ndarray:
-        out = space.distances(rows[:-2:2], rows[2::2])
-        for i in 2 * np.flatnonzero(~np.isfinite(out))[:1]:  # the edge refuses inf
-            space.distance(space.point(rows[i]), space.point(rows[i + 2]))
-        return out
-
     row, n, _, stopped = _walk((map_t.fn,), np.asarray(x0.coords), max_pairs, 2,
-                               displacements, tol)
+                               lambda rows: space.finite_distances(rows[:-2:2], rows[2::2]),
+                               tol)
     z = map_t.space.point(row)
     residual = float("inf")
     if stopped or n == max_pairs:

@@ -6,10 +6,10 @@ composed with an inner premetric, or a custom expression.  Distances and
 premetrics each have one array kernel (Space.distances, premetric_values)
 over coordinate arrays with the coordinates on the last axis; the block
 functions, and the Point edges Space.distance and eval_premetric, are thin
-layers over it.  Samples are coordinate arrays too (sample_pairs).  Below 8
-coordinates the distance kernel works column by column and builds no
-(..., d) difference block, with the bits of the np.sum reduction it
-replaces.
+layers over it.  Samples and axiom triples are coordinate arrays too: every
+region draws with sample_coords and tests rows with contains_coords.  Below
+8 coordinates the distance kernel builds no (..., d) difference block: it
+works column by column, with the bits of the np.sum reduction it replaces.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -118,13 +118,18 @@ class Space:
             total = np.sum(term(a - b), axis=-1)
         return np.sqrt(total) if p is None else np.power(total, 1.0 / p)
 
+    def finite_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """distances(a, b) of equal-shape arrays; a non-finite one is an InputError."""
+        out = self.distances(a, b)
+        for i in np.flatnonzero(~np.isfinite(out))[:1]:
+            x, y = (tuple(np.reshape(c, (-1, self.dimension))[i].tolist()) for c in (a, b))
+            raise InputError(f"distance evaluated to {float(out.flat[i])!r} on {x}, {y}")
+        return out
+
     def distance(self, x: Point, y: Point) -> float:
         self.check_member(x)
         self.check_member(y)
-        value = float(self.distances(x.coords, y.coords))
-        if not math.isfinite(value):
-            raise InputError(f"distance evaluated to {value!r} on {x.coords}, {y.coords}")
-        return value
+        return float(self.finite_distances(x.coords, y.coords))
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,8 @@ class Box:
     def sample_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lows, self.highs, size=(n, self.dimension))
 
-    def contains_coords(self, coords: Iterable[float]) -> bool:
-        return all(lo <= c <= hi for c, lo, hi in zip(coords, self.lows, self.highs))
+    def contains_coords(self, coords: np.ndarray) -> np.ndarray:
+        return (np.less_equal(self.lows, coords) & np.less_equal(coords, self.highs)).all(axis=-1)
 
 
 def default_region(space: Space, half_width: float = 10.0) -> Box:
@@ -181,18 +186,21 @@ class IntervalSet:
     def __post_init__(self) -> None:
         if self.space.dimension != 1:
             raise ConfigurationError("interval sets require a 1-dimensional space")
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ConfigurationError(f"interval ends must be numbers, got [{self.lo}, {self.hi}]")
         if self.lo >= self.hi:
             raise ConfigurationError("interval needs lo < hi")
 
-    def contains(self, x: Point) -> bool:
-        return self.lo <= x.coords[0] <= self.hi
+    def contains_coords(self, coords: np.ndarray) -> np.ndarray:
+        x = np.asarray(coords, dtype=float)[..., 0]
+        return (self.lo <= x) & (x <= self.hi)
 
-    def sample(self, rng: np.random.Generator) -> Point:
+    def sample_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lo = max(self.lo, -SAMPLING_CLIP)
         hi = min(self.hi, SAMPLING_CLIP)
         if lo >= hi:
             raise ConfigurationError("interval lies outside the sampling clip region")
-        return self.space.point(rng.uniform(lo, hi))
+        return rng.uniform(lo, hi, size=(n, 1))
 
     def describe(self) -> str:
         return f"interval[{self.lo}, {self.hi}]"
@@ -211,20 +219,22 @@ class DiskSet:
             raise ConfigurationError("disk center dimension mismatch")
         if self.radius <= 0:
             raise ConfigurationError("disk radius must be positive")
+        if not all(map(math.isfinite, (*self.center, self.radius))):
+            raise ConfigurationError(f"disk center and radius must be finite, got "
+                                     f"{self.center} and {self.radius}")
 
-    def contains(self, x: Point) -> bool:
-        c = self.space.point(*self.center)
-        return self.space.distance(x, c) <= self.radius + 1e-12
+    def contains_coords(self, coords: np.ndarray) -> np.ndarray:
+        return self.space.distances(coords, self.center) <= self.radius + 1e-12
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        """A uniform draw from the ball, with no rejection: for the p-norm
+    def sample_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n uniform draws from the ball, with no rejection: for the p-norm
         (p = 2 if euclidean), Y_i = +-Gamma(1/p)^(1/p) and E ~ Exp(1) make
         Y / (sum |Y_i|^p + E)^(1/p) uniform in the unit ball (Barthe et al. 2005)."""
         p = 2.0 if self.space.norm == "euclidean" else float(self.space.norm)
-        d = self.space.dimension
-        y = rng.choice((-1.0, 1.0), d) * rng.gamma(1.0 / p, size=d) ** (1.0 / p)
-        u = y / (np.sum(np.abs(y) ** p) + rng.exponential()) ** (1.0 / p)
-        return self.space.point(np.asarray(self.center) + self.radius * u)
+        shape = (n, self.space.dimension)
+        y = rng.choice((-1.0, 1.0), shape) * rng.gamma(1.0 / p, size=shape) ** (1.0 / p)
+        u = y / ((np.sum(np.abs(y) ** p, axis=1) + rng.exponential(size=n)) ** (1.0 / p))[:, None]
+        return np.asarray(self.center, dtype=float) + self.radius * u
 
     def describe(self) -> str:
         return f"disk(center={self.center}, r={self.radius})"
@@ -253,7 +263,7 @@ def _exact_gap(space: Space, a: Any, b: Any) -> float | None:
     if ia is not None and ib is not None:
         return max(0.0, _one_sided(ia[0], ib[1]), _one_sided(ib[0], ia[1]))
     if isinstance(a, DiskSet) and isinstance(b, DiskSet):
-        centers = space.distance(space.point(*a.center), space.point(*b.center))
+        centers = float(space.finite_distances(a.center, b.center))
         return max(0.0, centers - a.radius - b.radius)
     return None
 
@@ -289,8 +299,7 @@ class CyclicSetting:
             return cls(space, set_a, set_b, exact, "exact")
         rng = np.random.default_rng(seed)
         k = max(2, int(math.isqrt(sample_budget)))
-        a = np.asarray([set_a.sample(rng).coords for _ in range(k)])
-        b = np.asarray([set_b.sample(rng).coords for _ in range(k)])
+        a, b = set_a.sample_coords(rng, k), set_b.sample_coords(rng, k)
         gap = float(space.distances(a[:, None], b[None]).min())
         return cls(space, set_a, set_b, gap, "estimated")
 
@@ -342,9 +351,6 @@ class Premetric:
                 f"{self.space.dimension}-dimensional space {self.space.id!r}"
             )
         object.__setattr__(self, "claims", frozenset(self.claims))
-
-    def __call__(self, x: Point, y: Point) -> float:
-        return eval_premetric(self, x, y)
 
     def describe(self) -> str:
         if self.kind == "composed":
@@ -452,10 +458,10 @@ _PERMS = tuple(itertools.permutations(range(3)))
 
 def verify_premetric_axioms(
     p: Premetric,
-    sample: list[tuple[Point, Point, Point]],
+    sample: np.ndarray,
     eta: float = 1e-9,
 ) -> list[CertificateReport]:
-    """Check every claimed property on the sampled triples.
+    """Check every claimed property on the sampled (m, 3, d) triple block.
 
     Returns one report per claim (mixed_triangle yields two, one per
     inequality).  A fail report carries the first 8 violations in (triple,
@@ -467,23 +473,29 @@ def verify_premetric_axioms(
     pairs evaluated one at a time in that loop's order.
 
     Raises:
-        InputError: empty sample, a point off the premetric's space, or a
-            premetric value that is negative or non-finite.
+        InputError: an empty sample or one that is no finite (m, 3, d) block,
+            or a premetric value that is negative or non-finite.
         ConfigurationError: mixed_triangle claimed without a companion.
     """
-    if not sample:
+    try:
+        sample = np.asarray(sample, dtype=float)
+    except (TypeError, ValueError):
+        sample = np.empty((1, 0))  # ragged: no block
+    if sample.shape[:1] == (0,):
         raise InputError("axiom verification needs a non-empty triple sample")
+    if sample.shape[1:] != (3, p.space.dimension) or not np.isfinite(sample).all():
+        raise InputError(f"need an (m, 3, {p.space.dimension}) block of finite triple coordinates")
     try:
         return _axiom_reports(p, sample, eta)
     except InputError:
         for q, a, b in _axiom_evaluations(p, sample):
-            eval_premetric(q, a, b)
+            premetric_values(q, a, b)
         raise
 
 
-def _axiom_evaluations(p: Premetric, sample: list[tuple[Point, Point, Point]]):
-    """(premetric, a, b) in the order a per-triple loop over the claims
-    evaluates them."""
+def _axiom_evaluations(p: Premetric, sample: np.ndarray):
+    """(premetric, a, b), coordinate rows, in the order a per-triple loop
+    over the claims evaluates them."""
     if "symmetric" in p.claims:
         for t in sample:
             for i, j in ((0, 1), (1, 2), (0, 2)):
@@ -503,20 +515,14 @@ def _axiom_evaluations(p: Premetric, sample: list[tuple[Point, Point, Point]]):
                 yield from ((p, a, c), (p, a, b), (r, b, c), (r, a, b), (p, b, c))
 
 
-def _pair_values(q: Premetric, sample: list[tuple[Point, Point, Point]]) -> dict:
+def _pair_values(q: Premetric, sample: np.ndarray) -> dict:
     """{(i, j): q(t[i], t[j]) over the triples t} for every ordered pair."""
-    for t in sample:
-        for x in t:
-            q.space.check_member(x)
-    coords = np.array([[x.coords for x in t] for t in sample])
     first, second = zip(*_PAIRS)
-    values = premetric_values(q, coords[:, first], coords[:, second])
+    values = premetric_values(q, sample[:, first], sample[:, second])
     return {pair: values[:, k] for k, pair in enumerate(_PAIRS)}
 
 
-def _axiom_reports(
-    p: Premetric, sample: list[tuple[Point, Point, Point]], eta: float
-) -> list[CertificateReport]:
+def _axiom_reports(p: Premetric, sample: np.ndarray, eta: float) -> list[CertificateReport]:
     note = f"checked {len(sample)} sampled triples with slack eta={eta}"
     reports: list[CertificateReport] = []
     gap = _pair_values(p, sample) if p.claims else {}
@@ -531,17 +537,15 @@ def _axiom_reports(
         for t, k in np.argwhere(lhs > rhs + eta)[:8].tolist():
             a, b, c = perms[k]
             value, bound = lhs[t, k], rhs[t, k]
-            bad.append(witness(x=sample[t][a].coords, via=sample[t][b].coords,
-                               y=sample[t][c].coords, lhs=value, rhs=bound,
-                               violation=value - bound))
+            bad.append(witness(x=sample[t, a], via=sample[t, b], y=sample[t, c],
+                               lhs=value, rhs=bound, violation=value - bound))
         return bad
 
     if "symmetric" in p.claims:
         sym = ((0, 1), (1, 2), (0, 2))
         diff = np.abs(np.stack([gap[i, j] - gap[j, i] for i, j in sym], axis=1))
         reports.append(report("AX-SYM", [
-            witness(x=sample[t][sym[k][0]].coords, y=sample[t][sym[k][1]].coords,
-                    asymmetry=diff[t, k])
+            witness(x=sample[t, sym[k][0]], y=sample[t, sym[k][1]], asymmetry=diff[t, k])
             for t, k in np.argwhere(diff > eta)[:8].tolist()]))
 
     if "triangle" in p.claims or "tau_distance" in p.claims:

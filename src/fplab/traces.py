@@ -272,7 +272,7 @@ def cyclic_even_trace(
         raise InputError("need at least one double step")
     if x0.space_id != map_t.space.id:
         raise InputError("seed does not live on the map's space")
-    if not setting.set_a.contains(x0):
+    if not setting.set_a.contains_coords(x0.coords):
         raise InputError("cyclic seed must start in the first set")
     p = premetric if premetric is not None else shifted_premetric(setting)
     p.space.check_member(x0)
@@ -306,7 +306,9 @@ def sequence_trace(
         raise ConfigurationError(f"unknown sequence {name!r}; have {list(SEQUENCE_NAMES)}")
     coords = np.cumsum(1.0 / np.arange(1, length + 1))[:, None]
     p = premetric if premetric is not None else metric_premetric(space)
-    p.space.check_member(space.point(coords[0]))
+    if (p.space.id, p.space.dimension) != (space.id, 1):
+        raise InputError(f"point {tuple(coords[0].tolist())} tagged {space.id!r} does not "
+                         f"belong to space {p.space.id!r} (dimension {p.space.dimension})")
     return IterationTrace(
         coords=coords,
         generator="harmonic",

@@ -1,7 +1,8 @@
 """Property tests for the structural invariants the rest of the suite
 leans on: premetric axioms, gauge family composition, verdict algebra,
-JSON sanitization, the one JSON writer, the trace gap caches, and checkers
-that measure with their inputs' own premetric and space.
+JSON sanitization, the one JSON writer, the few places a Point is built,
+the trace gap caches, and checkers that measure with their inputs' own
+premetric and space.
 """
 
 import ast
@@ -23,6 +24,7 @@ from fplab.spaces import (
     Premetric,
     Space,
     composed_premetric,
+    eval_premetric,
     metric_premetric,
     shifted_premetric,
 )
@@ -41,15 +43,16 @@ class TestPremetricAxioms:
     @given(ax=coord, ay=coord, bx=coord, by=coord)
     def test_metric_axioms_in_the_plane(self, ax, ay, bx, by):
         x, y = PLANE.point(ax, ay), PLANE.point(bx, by)
-        d = D2(x, y)
+        d = eval_premetric(D2, x, y)
         assert d >= 0.0
-        assert D2(y, x) == d
-        assert D2(x, x) == 0.0
+        assert eval_premetric(D2, y, x) == d
+        assert eval_premetric(D2, x, x) == 0.0
 
     @given(ax=coord, ay=coord, bx=coord, by=coord, cx=coord, cy=coord)
     def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
         x, y, z = PLANE.point(ax, ay), PLANE.point(bx, by), PLANE.point(cx, cy)
-        assert D2(x, z) <= D2(x, y) + D2(y, z) + 1e-9 * (1 + D2(x, z))
+        xz = eval_premetric(D2, x, z)
+        assert xz <= eval_premetric(D2, x, y) + eval_premetric(D2, y, z) + 1e-9 * (1 + xz)
 
     @given(a=st.floats(min_value=1.0, max_value=1e3, allow_nan=False),
            b=st.floats(min_value=-1e3, max_value=-1.0, allow_nan=False))
@@ -58,10 +61,10 @@ class TestPremetricAxioms:
                                        IntervalSet(LINE, 1.0, math.inf),
                                        IntervalSet(LINE, -math.inf, -1.0))
         p = shifted_premetric(setting)
-        got = p(LINE.point(a), LINE.point(b))
+        got = eval_premetric(p, LINE.point(a), LINE.point(b))
         assert got == max(0.0, abs(a - b) - setting.gap)
         assert got >= 0.0
-        assert p(LINE.point(b), LINE.point(a)) == got
+        assert eval_premetric(p, LINE.point(b), LINE.point(a)) == got
 
     @given(a=st.floats(min_value=-400.0, max_value=400.0, allow_nan=False),
            b=st.floats(min_value=-400.0, max_value=400.0, allow_nan=False))
@@ -71,9 +74,9 @@ class TestPremetricAxioms:
         g = builtin_gauge("mk")
         p = composed_premetric(g, D1)
         x, y = LINE.point(a), LINE.point(b)
-        inner = D1(x, y)
-        assert p(x, y) == g(inner)
-        assert p(x, y) < 1.0  # t/(1+t) stays below one
+        inner = eval_premetric(D1, x, y)
+        assert eval_premetric(p, x, y) == g(inner)
+        assert eval_premetric(p, x, y) < 1.0  # t/(1+t) stays below one
 
 
 class TestGaugeFamily:
@@ -193,7 +196,7 @@ class TestTraceCaches:
     def test_picard_gap_cache_matches_recomputation(self, c, x0, steps):
         tr = picard_trace(expression_map(LINE, f"{c!r} * x"), LINE.point(x0), steps)
         for gap, a, b in zip(tr.gaps.tolist(), tr.coords, tr.coords[1:]):
-            assert gap == D1(LINE.point(a), LINE.point(b))
+            assert gap == eval_premetric(D1, LINE.point(a), LINE.point(b))
 
     @given(seed=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
            steps=st.integers(min_value=1, max_value=9))
@@ -242,19 +245,37 @@ class TestExpressionsAgainstReference:
         assert builtin_gauge("mk")(t) == t / (1.0 + t)
 
 
-class _JsonWriters(ast.NodeVisitor):
-    """Collects the enclosing class.function of every json.dump(s) call,
-    every `from json import`, and every class that defines a JSON method."""
+class _Scoped(ast.NodeVisitor):
+    """Keeps the dotted class.function path of the node being visited."""
 
     def __init__(self):
-        self.scope, self.calls, self.imports, self.methods = [], [], [], []
+        self.scope = []
 
     def _enter(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_FunctionDef = visit_AsyncFunctionDef = _enter
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+
+def _scan(visitor_class) -> list:
+    """One visitor per module of src/fplab, in file order."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "fplab").glob("*.py")):
+        visitor = visitor_class()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.append((path.stem, visitor))
+    return found
+
+
+class _JsonWriters(_Scoped):
+    """Collects the enclosing class.function of every json.dump(s) call,
+    every `from json import`, and every class that defines a JSON method."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls, self.imports, self.methods = [], [], []
 
     def visit_ClassDef(self, node):
         self.methods += [f"{node.name}.{f.name}" for f in node.body
@@ -279,15 +300,46 @@ def test_one_json_writer():
     one place: no class hand-writes a JSON form, and only
     runner._Sink.write_json calls json.dump or json.dumps."""
     calls, imports, methods = [], [], []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "fplab").glob("*.py")):
-        found = _JsonWriters()
-        found.visit(ast.parse(path.read_text(encoding="utf-8")))
-        calls += [f"{path.stem}.{c}" for c in found.calls]
-        imports += [f"{path.stem}.{i}" for i in found.imports]
-        methods += [f"{path.stem}.{m}" for m in found.methods]
+    for module, found in _scan(_JsonWriters):
+        calls += [f"{module}.{c}" for c in found.calls]
+        imports += [f"{module}.{i}" for i in found.imports]
+        methods += [f"{module}.{m}" for m in found.methods]
     assert methods == []
     assert imports == []
     assert calls == ["runner._Sink.write_json"]
+
+
+class _PointBuilders(_Scoped):
+    """Collects the enclosing class.function of every Point(...) and
+    .point(...) call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "Point") or \
+                (isinstance(f, ast.Attribute) and f.attr in ("Point", "point")):
+            self.calls.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_points_are_built_only_at_the_public_edge():
+    """Orbits, samples and triples are coordinate arrays: a Point is built
+    only where a caller hands one in (a document's seed, Space.point) or
+    takes one out (a map applied to a Point, SolveResult.point)."""
+    calls = sorted({f"{module}.{c}" for module, found in _scan(_PointBuilders)
+                    for c in found.calls})
+    assert calls == [
+        "maps.NamedMap.__call__",
+        "scenario._param",
+        "scenario._walk.read",
+        "solvers.solve_best_proximity",
+        "solvers.solve_common_fixed_point",
+        "solvers.solve_fixed_point",
+        "spaces.Space.point",
+    ]
 
 
 def _named_classes(hint) -> set:

@@ -25,7 +25,7 @@ from hypothesis.extra import numpy as hnp
 import fplab
 import fplab.runner as runner_mod
 from fplab.certificates import _STRICT_NOTE, ASMK_VARIANTS, F_PROFILE, _aligned_gaps, _m_values, \
-    _strict_pairs, check_asmk, check_banach_rate, check_f_psi_contraction, \
+    _strict_pairs, check_asmk, check_banach_rate, check_cyclic, check_f_psi_contraction, \
     consecutive_contraction_report
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import compile_expression
@@ -650,11 +650,13 @@ class TestBanachRate:
     @pytest.mark.parametrize("name", ["half", "mk", "flip", "cyclic_reflect",
                                       "0.5 * x + 1.0", "min(1/x, 5)"])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_report_equals_the_pair_loop(self, name, dim):
+    # in the narrow region the longest ladder steps leave it both ways
+    @pytest.mark.parametrize("width", [8.5, 1e-5])
+    def test_report_equals_the_pair_loop(self, name, dim, width):
         space = Space(id="s", dimension=dim)
         m = builtin_map(name, space) if name in SCALAR_MAPS else expression_map(space, name)
         budget = SearchBudget(pair_samples=64)
-        region = Box((0.5,) * dim, (9.0,) * dim)
+        region = Box((0.5,) * dim, (0.5 + width,) * dim)
         got = check_banach_rate(m, budget=budget, region=region, seed=3)
         want = banach_rate_reference(m, space, budget, region, seed=3)
         assert sanitize(got) == sanitize(want)
@@ -861,7 +863,7 @@ def solve_best_proximity_reference(map_t, setting, x0, tol=1e-8, max_pairs=10_00
     """The per-Point loop of solve_best_proximity.  odd_escapes=False is the
     loop as it was, which checked only the even points against ESCAPE_NORM.
     Its last residual sits inside the try, which the loop once lacked."""
-    if not setting.set_a.contains(x0):
+    if not setting.set_a.contains_coords(x0.coords):
         raise InputError("starting point must lie in the first set")
     if max_pairs < 1:
         raise InputError("need at least one double step")
@@ -1273,6 +1275,145 @@ class TestFPsiContraction:
 
 
 # ---------------------------------------------------------------------------
+# CYC: one mapped block per set against the per-draw loop it replaced
+
+
+def contains_reference(s, x) -> bool:
+    """The scalar membership tests the sets had on Points, except that a
+    distance to the disk's center beyond the floats is outside the disk
+    (the Point edge distance raised on it)."""
+    if isinstance(s, IntervalSet):
+        return s.lo <= x.coords[0] <= s.hi
+    return float(s.space.distances(x.coords, s.center)) <= s.radius + 1e-12
+
+
+def cyclic_reference(map_t, setting, sample_count=64, seed=0):
+    """The draw loop of check_cyclic: each set's block one row at a time as
+    a Point, through the map's Point edge and a scalar membership test.
+    set_b's block is drawn only when set_a ends with fewer than 8 defeats."""
+    rng = np.random.default_rng(seed)
+    defeats = []
+    for source, target, label in ((setting.set_a, setting.set_b, "first->second"),
+                                  (setting.set_b, setting.set_a, "second->first")):
+        for row in source.sample_coords(rng, sample_count):
+            x = source.space.point(row)
+            image = map_t(x)
+            if not contains_reference(target, image):
+                defeats.append(witness(direction=label, point=list(x.coords),
+                                       image=list(image.coords)))
+                if len(defeats) >= 8:
+                    break
+        if len(defeats) >= 8:
+            break
+    note = (f"{sample_count} samples per set ({setting.set_a.describe()} / "
+            f"{setting.set_b.describe()}), seed {seed}")
+    if defeats:
+        return CertificateReport("CYC", Verdict.FAIL, defeats, None, note)
+    return CertificateReport("CYC", Verdict.PASS, [witness(samples=2 * sample_count)],
+                             None, note)
+
+
+def _outcome_text(check, *args, **kwargs):
+    """Report JSON text, or the class and message of the error raised."""
+    try:
+        return json.dumps(sanitize(check(*args, **kwargs)))
+    except (InputError, ConfigurationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+TAXI3 = Space(id="taxi3", dimension=3, norm=1.0)
+CYC_SETTINGS = {
+    "half-lines": CYCLIC_LINE,
+    "intervals": CyclicSetting.derive(LINE, IntervalSet(LINE, 0.0, 10.0),
+                                      IntervalSet(LINE, -10.0, 0.0)),
+    # the second set lies outside the sampling clip region: drawing it raises
+    "unclipped": CyclicSetting.derive(LINE, IntervalSet(LINE, 1.0, 50.0),
+                                      IntervalSet(LINE, 200.0, math.inf)),
+    "line-disks": CyclicSetting.derive(LINE, DiskSet(LINE, (3.0,), 2.0),
+                                       DiskSet(LINE, (-3.0,), 2.0)),
+    "plane-disks": CyclicSetting.derive(PLANE, DiskSet(PLANE, (2.0, 0.0), 1.5),
+                                        DiskSet(PLANE, (-2.0, 0.0), 1.5)),
+    "taxi-disks": CyclicSetting.derive(TAXI3, DiskSet(TAXI3, (1.0, 1.0, 0.0), 2.0),
+                                       DiskSet(TAXI3, (-1.0, -1.0, 0.0), 2.0)),
+}
+CYC_MAPS = ("cyclic_reflect", "half", "neg", "x / max(x - 5, 0)", "1e200 * x", "other-space",
+            "misshapen")
+
+
+def _cyc_map(name, space):
+    if name == "other-space":
+        return builtin_map("half", Space(id="other", dimension=space.dimension))
+    if name == "misshapen":  # one coordinate too many, whatever the input
+        return NamedMap(name, space, lambda x: np.zeros(space.dimension + 1))
+    return builtin_map(name, space) if name in MAP_BUILTINS else expression_map(space, name)
+
+
+def _cyc_both(setting_name, map_name, sample_count, seed):
+    setting = CYC_SETTINGS[setting_name]
+    args = (_cyc_map(map_name, setting.space), setting)
+    with np.errstate(all="ignore"):
+        return (_outcome_text(check_cyclic, *args, sample_count=sample_count, seed=seed),
+                _outcome_text(cyclic_reference, *args, sample_count=sample_count, seed=seed))
+
+
+class TestCyclicBlocks:
+    @given(setting_name=st.sampled_from(sorted(CYC_SETTINGS)), map_name=st.sampled_from(CYC_MAPS),
+           sample_count=st.one_of(st.sampled_from((1, 7, 8, 9, 64)), st.integers(1, 100)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_report_equals_the_draw_loop(self, setting_name, map_name, sample_count, seed):
+        got, want = _cyc_both(setting_name, map_name, sample_count, seed)
+        assert got == want
+
+    # (setting, map, sample count, seed, the start of the outcome)
+    PASS, FAIL = ('{"condition_id": "CYC", "verdict": "%s"' % v for v in ("pass", "fail"))
+    CASES = {
+        "reflect-passes": ("half-lines", "cyclic_reflect", 64, 0, PASS),
+        "half-fails": ("half-lines", "half", 64, 0, FAIL),
+        "neg-swaps-disks": ("plane-disks", "neg", 64, 0, PASS),
+        # x <= 5 has no finite image: at seed 0 such a draw comes before the
+        # 8th defeat, at seeds 1 and 2 only after it
+        "pole-before-8": ("half-lines", "x / max(x - 5, 0)", 64, 0,
+                          "InputError: coordinates must be finite, got (nan,)"),
+        "pole-after-8-seed-1": ("half-lines", "x / max(x - 5, 0)", 64, 1, FAIL),
+        "pole-after-8-seed-2": ("half-lines", "x / max(x - 5, 0)", 64, 2, FAIL),
+        # a distance to the center beyond the floats is outside the disk
+        "far-from-the-disk": ("plane-disks", "1e200 * x", 64, 0, FAIL),
+        "misshapen": ("plane-disks", "misshapen", 64, 0,
+                      "InputError: space 'plane' is 2-dimensional, got (0.0, 0.0, 0.0)"),
+        "other-space": ("half-lines", "other-space", 64, 0,
+                        "InputError: map 'half' on space 'other' applied to a point from 'line'"),
+        # set_a's 8 defeats end the check before set_b, outside the clip
+        # region, is drawn; with fewer draws than 8 it is drawn and refused
+        "second-set-never-drawn": ("unclipped", "half", 64, 0, FAIL),
+        "second-set-drawn": ("unclipped", "half", 7, 0,
+                             "ConfigurationError: interval lies outside the sampling clip"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case):
+        setting_name, map_name, sample_count, seed, start = self.CASES[case]
+        got, want = _cyc_both(setting_name, map_name, sample_count, seed)
+        assert got == want
+        assert got.startswith(start)
+        if start == self.FAIL:
+            assert len(json.loads(got)["witnesses"]) == 8
+        if case.startswith("pole-after-8"):
+            # a draw past the 8th defeat has no finite image
+            xs = CYCLIC_LINE.set_a.sample_coords(np.random.default_rng(seed), 64)
+            assert (xs <= 5.0).any()
+
+    def test_interval_draws_equal_one_draw_at_a_time(self):
+        # numpy's uniform gives the block the bits of the per-draw stream, so
+        # the interval settings draw what the per-draw sampler drew
+        for s in (CYCLIC_LINE.set_a, CYC_SETTINGS["intervals"].set_b):
+            rng = np.random.default_rng(5)
+            lo, hi = max(s.lo, -100.0), min(s.hi, 100.0)
+            one_at_a_time = [rng.uniform(lo, hi) for _ in range(64)]
+            block = s.sample_coords(np.random.default_rng(5), 64)
+            assert block.tobytes() == np.array(one_at_a_time)[:, None].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # CSV: the bit-period writer against the per-row comprehension it replaced
 
 
@@ -1513,14 +1654,6 @@ def axioms_reference(p, sample, eta=1e-9):
     return reports
 
 
-def _axiom_outcome(check, p, triples, eta):
-    """Report JSON text, or the class and message of the error raised."""
-    try:
-        return json.dumps(sanitize(check(p, triples, eta=eta)))
-    except (InputError, ConfigurationError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _plane_expression(source):
     return compile_expression(source, ("x", "y"))
 
@@ -1558,14 +1691,20 @@ def _triples(rows):
     return [tuple(PLANE.point(*xy) for xy in triple) for triple in rows]
 
 
+def _axiom_outcomes(p, rows, eta):
+    """verify_premetric_axioms on the (m, 3, 2) block of rows, and the loop
+    on the same triples as Points."""
+    return (_outcome_text(verify_premetric_axioms, p, np.array(rows, dtype=float), eta=eta),
+            _outcome_text(axioms_reference, p, _triples(rows), eta=eta))
+
+
 class TestAxiomVerification:
     @given(name=st.sampled_from(sorted(AXIOM_PREMETRICS)), eta=st.sampled_from(ETAS),
            rows=st.lists(st.tuples(*[st.tuples(AXIOM_COORDS, AXIOM_COORDS)] * 3),
                          min_size=1, max_size=12))
     def test_reports_equal_the_triple_loop(self, name, eta, rows):
-        p, triples = AXIOM_PREMETRICS[name], _triples(rows)
-        assert _axiom_outcome(verify_premetric_axioms, p, triples, eta) == \
-            _axiom_outcome(axioms_reference, p, triples, eta)
+        got, want = _axiom_outcomes(AXIOM_PREMETRICS[name], rows, eta)
+        assert got == want
 
     # (premetric, triples, the start of the outcome)
     CASES = {
@@ -1590,9 +1729,8 @@ class TestAxiomVerification:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cases(self, case):
         name, rows, start = self.CASES[case]
-        p, triples = AXIOM_PREMETRICS[name], _triples(rows)
-        got = _axiom_outcome(verify_premetric_axioms, p, triples, 1e-9)
-        assert got == _axiom_outcome(axioms_reference, p, triples, 1e-9)
+        got, want = _axiom_outcomes(AXIOM_PREMETRICS[name], rows, 1e-9)
+        assert got == want
         assert got.startswith(start)
         if case == "more-than-8":
             reports = json.loads(got)
@@ -1600,13 +1738,24 @@ class TestAxiomVerification:
         if case == "asymmetric":
             assert len(json.loads(got)[0]["witnesses"]) == 8
 
-    def test_a_point_off_the_space_is_refused_like_the_loop(self):
-        p = metric_premetric(PLANE)
-        triples = _triples([((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))]) + \
-            [(PLANE.point(0.0, 0.0), LINE.point(1.0), PLANE.point(2.0, 0.0))]
-        got = _axiom_outcome(verify_premetric_axioms, p, triples, 1e-9)
-        assert got == _axiom_outcome(axioms_reference, p, triples, 1e-9)
-        assert got.startswith("InputError: point (1.0,) tagged 'line'")
+    @pytest.mark.parametrize(("sample", "message"), [
+        ([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.0, 0.0), (1.0,), (2.0, 0.0)]], "(m, 3, 2)"),
+        ([[(0.0,), (1.0,), (2.0,)]], "(m, 3, 2)"),
+        ([[(0.0, 0.0), (1.0, 0.0)]], "(m, 3, 2)"),
+        ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], "(m, 3, 2)"),
+        ([[(0.0, 0.0), (1.0, math.inf), (2.0, 0.0)]], "(m, 3, 2)"),
+        (_triples([((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))]), "(m, 3, 2)"),
+        ([], "non-empty triple sample"),
+        (np.empty((0, 3, 2)), "non-empty triple sample"),
+    ], ids=["point-off-the-plane", "line-triples", "pairs", "one-triple-unblocked",
+            "non-finite", "point-triples", "empty-list", "empty-block"])
+    def test_a_sample_that_is_no_block_is_refused(self, sample, message):
+        # coordinate rows carry no space tag: a point off the plane shows as
+        # a ragged or wrong-width block, refused before any evaluation, and
+        # so is a list of Point triples
+        got = _outcome_text(verify_premetric_axioms, metric_premetric(PLANE), sample)
+        assert got.startswith("InputError: ")
+        assert message in got
 
 
 # ---------------------------------------------------------------------------

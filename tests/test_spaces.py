@@ -74,8 +74,9 @@ class TestRegionsAndSets:
 
     def test_interval_contains_and_guards(self):
         s = IntervalSet(LINE, 1.0, math.inf)
-        assert s.contains(LINE.point(1.0))
-        assert not s.contains(LINE.point(0.999))
+        assert s.contains_coords([1.0])
+        assert not s.contains_coords([0.999])
+        assert s.contains_coords([[1.0], [0.999], [1e300]]).tolist() == [True, False, True]
         with pytest.raises(ConfigurationError):
             IntervalSet(LINE, 2.0, 1.0)
         with pytest.raises(ConfigurationError):
@@ -83,8 +84,35 @@ class TestRegionsAndSets:
 
     def test_disk_contains(self):
         d = DiskSet(PLANE, (1.0, 1.0), 2.0)
-        assert d.contains(PLANE.point(2.0, 2.0))
-        assert not d.contains(PLANE.point(4.0, 1.0))
+        assert d.contains_coords([2.0, 2.0])
+        assert not d.contains_coords([4.0, 1.0])
+        assert d.contains_coords([[2.0, 2.0], [4.0, 1.0]]).tolist() == [True, False]
+
+    def test_box_contains_row_by_row(self):
+        box = Box((-2.0, 0.0), (3.0, 1.0))
+        assert box.contains_coords([3.0, 0.0])
+        assert not box.contains_coords([3.5, 0.0])
+        assert box.contains_coords([[0.0, 0.5], [0.0, 1.5], [-2.0, 1.0]]).tolist() == \
+            [True, False, True]
+
+    @pytest.mark.parametrize("build", [
+        lambda: IntervalSet(LINE, math.nan, 1.0),
+        lambda: IntervalSet(LINE, -1.0, math.nan),
+        lambda: IntervalSet(LINE, math.nan, math.nan),
+        lambda: DiskSet(PLANE, (0.0, 0.0), math.nan),
+        lambda: DiskSet(PLANE, (0.0, 0.0), math.inf),
+        lambda: DiskSet(PLANE, (math.inf, 0.0), 1.0),
+        lambda: DiskSet(PLANE, (0.0, math.nan), 1.0),
+    ])
+    def test_sets_refuse_non_numbers(self, build):
+        # an interval end may be infinite but not NaN; a disk is finite
+        with pytest.raises(ConfigurationError, match="must be"):
+            build()
+
+    def test_a_point_beyond_the_floats_is_outside_the_disk(self):
+        d = DiskSet(PLANE, (0.0, 0.0), 1.0)
+        with np.errstate(over="ignore"):
+            assert d.contains_coords([[0.0, 0.0], [1e200, 0.0]]).tolist() == [True, False]
 
     @pytest.mark.parametrize("dim", [1, 2, 12, 20])
     @pytest.mark.parametrize("norm", ["euclidean", 1.0, 3.0])
@@ -96,7 +124,9 @@ class TestRegionsAndSets:
         rng = np.random.default_rng(0)
         for radius in (1.0, 5.0, 1000.0):
             disk = DiskSet(space, (3.0,) + (-1.0,) * (dim - 1), radius)
-            assert all(disk.contains(disk.sample(rng)) for _ in range(200))
+            coords = disk.sample_coords(rng, 200)
+            assert coords.shape == (200, dim)
+            assert disk.contains_coords(coords).all()
 
     @pytest.mark.parametrize(("dim", "norm"), [(2, "euclidean"), (3, 1.0)])
     def test_disk_samples_are_uniform(self, dim, norm):
@@ -104,10 +134,8 @@ class TestRegionsAndSets:
         # draws put the share within 0.03 of it (over 4 standard deviations)
         space = Space(id="s", dimension=dim, norm=norm)
         disk = DiskSet(space, (0.0,) * dim, 2.0)
-        rng = np.random.default_rng(1)
-        center = space.point(*disk.center)
-        near = [space.distance(disk.sample(rng), center) <= 1.0 for _ in range(4000)]
-        assert abs(np.mean(near) - 2.0 ** -dim) < 0.03
+        near = space.distances(disk.sample_coords(np.random.default_rng(1), 4000), disk.center)
+        assert abs(np.mean(near <= 1.0) - 2.0 ** -dim) < 0.03
 
     def test_sampling_helpers(self):
         rng = np.random.default_rng(0)
@@ -142,11 +170,11 @@ class TestCyclicSetting:
         class Half:
             space = LINE
 
-            def contains(self, x):
-                return x.coords[0] >= 1.0
+            def contains_coords(self, coords):
+                return np.asarray(coords)[..., 0] >= 1.0
 
-            def sample(self, rng):
-                return LINE.point(1.0 + rng.uniform(0.0, 5.0))
+            def sample_coords(self, rng, n):
+                return 1.0 + rng.uniform(0.0, 5.0, size=(n, 1))
 
             def describe(self):
                 return "custom-half-line"
@@ -198,8 +226,7 @@ class TestAxiomVerification:
     def test_metric_axioms_pass(self):
         p = metric_premetric(PLANE)
         rng = np.random.default_rng(2)
-        triples = [tuple(map(PLANE.point, default_region(PLANE).sample_coords(rng, 3)))
-                   for _ in range(40)]
+        triples = np.array([default_region(PLANE).sample_coords(rng, 3) for _ in range(40)])
         reports = verify_premetric_axioms(p, triples)
         ids = {r.condition_id for r in reports}
         assert {"AX-SYM", "AX-TRI", "AX-TAU"} <= ids
@@ -209,8 +236,7 @@ class TestAxiomVerification:
         fn = compile_expression(
             "abs(x[0] - y[0]) * abs(x[0] - y[0])", ("x", "y"))
         p = custom_premetric(LINE, fn, claims=frozenset({"triangle"}))
-        pts = [LINE.point(v) for v in (0.0, 1.0, 2.0)]
-        reports = verify_premetric_axioms(p, [tuple(pts)])
+        reports = verify_premetric_axioms(p, [[[0.0], [1.0], [2.0]]])
         tri = next(r for r in reports if r.condition_id == "AX-TRI")
         # squared distance: 4 > 1 + 1 through the midpoint
         assert tri.verdict is Verdict.FAIL
@@ -219,6 +245,5 @@ class TestAxiomVerification:
     def test_mixed_axioms_need_companion(self):
         fn = compile_expression("abs(x[0] - y[0])", ("x", "y"))
         p = custom_premetric(LINE, fn, claims=frozenset({"mixed_triangle"}))
-        pts = [LINE.point(v) for v in (0.0, 1.0, 2.0)]
         with pytest.raises(ConfigurationError):
-            verify_premetric_axioms(p, [tuple(pts)])
+            verify_premetric_axioms(p, [[[0.0], [1.0], [2.0]]])
