@@ -20,6 +20,8 @@ records that the refutation is bounded by the nu horizon and the delta grid.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
@@ -171,6 +173,17 @@ def _pair_positions(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
     return ((rows * n + cols) + (np.arange(k) * (n * n))[:, None]).reshape(-1)
 
 
+# Pairs in a shift's first gather of the band sweep; each later gather of
+# the same shift is twice as long.
+_FIRST_CHUNK = 1024
+
+
+def _shifted(flat: np.ndarray, positions: np.ndarray, nu: int, n: int) -> np.ndarray:
+    """The gaps nu steps down the diagonal from the pairs at positions in
+    flat, the raveled (k, n, n) gap matrices (see _pair_positions)."""
+    return flat[nu * (n + 1):].take(positions)
+
+
 def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
     """Band condition with one shift index shared by every in-band pair
     (C4 and D4).  mats has shape (k, n, n), one gap matrix per orbit.
@@ -185,20 +198,30 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     contiguous run of pairs kept in memory order, and bincount gives every
     band's size.
 
-    Each shift nu costs one gather over the kept pairs' positions (see
-    _pair_positions): np.maximum.reduceat takes every segment's worst
-    value, and a running max from each eps's first segment turns those
-    into every band's worst value.  An eps retires once its widest band
-    passes, because that band wins before any narrower one is looked at,
-    and the sweep stops when no eps is live.  No (nu x in-band) array is
-    built.
+    The bands of one eps are nested id ranges from the same first id, so at
+    shift nu one position decides them all: stop, the first kept pair from
+    that id on whose shifted gap is not <= eps + slack (a NaN is not).  A
+    band passes at nu exactly when it ends at or before stop.  The live eps
+    are walked in increasing order: their first ids, widest ends and limits
+    all rise with eps, and a pair at or below one eps's limit is at or
+    below every larger eps's, so each walk starts at the later of its own
+    first id and the previous eps's stop, which it reads again.  A shift is
+    thus one forward cursor over the kept pairs' positions (see
+    _pair_positions) that gathers chunks of them, doubling from
+    _FIRST_CHUNK, and keeps only the current chunk, since nothing behind
+    the cursor is read again.  An eps retires once its widest band passes,
+    because that band wins before any narrower one is looked at, and the
+    sweep stops when no eps is live.
 
     Deltas are then decided in decreasing order: the first band that is
     vacuous or passes at some nu is the witness, with its first passing nu.
     When every band is defeated, the report carries only the last delta's
-    defeat, so that witness alone is rebuilt: at the first nu minimising
-    the band's worst value, the first worst pair in np.nonzero order.  This
-    breaks ties exactly as a separate search per (eps, delta) would.
+    defeat, so that witness alone is rebuilt.  The narrowest bands of the
+    failing eps are gathered again at every nu, with one gather per nu for
+    all of them, for their worst values; at the first nu giving a band's
+    strict minimum (0 if no value is below inf), the defeat is the first
+    worst pair in np.nonzero order.  This breaks ties exactly as a separate
+    search per (eps, delta) would.
     """
     nh, eta = budget.nu_horizon, budget.slack
     n = mats.shape[1]
@@ -230,28 +253,46 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     hi = np.maximum(2 * np.searchsorted(cuts, uppers) + 1, lo[:, None])  # (n_eps, n_deltas)
     sizes = offsets[hi] - offsets[lo][:, None]
 
-    filled = np.flatnonzero(np.diff(offsets))
-    starts = offsets[filled]
-    seg_ids = np.arange(n_seg)
-    eps_rows = np.arange(len(eps_grid))[:, None]
-    limits = np.array(eps_grid)[:, None] + eta
-    seg_max = np.full(n_seg, -np.inf)
+    # the live eps in increasing order; per eps its first position, its
+    # widest band's end, its band ends narrowest first and its limit
+    ends = offsets[hi]
+    first, widest, ascending = offsets[lo].tolist(), ends[:, 0].tolist(), \
+        ends[:, ::-1].tolist()
+    limits = [eps + eta for eps in eps_grid]
     first_pass = np.zeros(hi.shape, dtype=int)
-    narrowest = np.empty((len(eps_grid), nh))  # narrowest band's worst value at each nu
-    live = sizes[:, 0] > 0
+    passing = [len(deltas)] * len(eps_grid)  # widest band passed so far, or none
+    live = [t for t in np.argsort(eps_grid, kind="stable").tolist() if sizes[t, 0]]
     for nu in range(1, nh + 1):
-        if not live.any():
+        if not live:
             break
-        seg_max[filled] = np.maximum.reduceat(np.take(flat[nu * (n + 1):], pos), starts)
-        # each eps's running max starts at its own first band id
-        run = np.maximum.accumulate(np.where(seg_ids >= lo[:, None], seg_max, -np.inf), axis=1)
-        worst = run[eps_rows, hi - 1]
-        first_pass[(first_pass == 0) & (worst <= limits)] = nu
-        narrowest[:, nu - 1] = worst[:, -1]
-        live &= first_pass[:, 0] == 0
+        a = b = stop = 0  # the chunk holds the shifted gaps of pos[a:b]
+        size, last = _FIRST_CHUNK, widest[live[-1]]
+        still = []
+        for t in live:
+            q, end, limit = max(first[t], stop), widest[t], limits[t]
+            while q < end:
+                if q >= b:
+                    a, b = q, min(q + size, last)
+                    chunk = _shifted(flat, pos[a:b], nu, n)
+                    size *= 2
+                seen = chunk[q - a:min(end, b) - a]
+                if not seen.max() <= limit:  # a violator here; a NaN maximum too
+                    q += int((seen <= limit).argmin())
+                    break
+                q = min(end, b)
+            stop = q
+            # bands m and narrower end by stop, so they pass at nu
+            m = len(deltas) - bisect_right(ascending[t], stop)
+            if m < passing[t]:
+                first_pass[t, m:passing[t]] = nu
+                passing[t] = m
+            if m:
+                still.append(t)
+        live = still
 
-    wits: list[dict] = []
+    wits: list[dict | None] = []
     verdicts: list[Verdict] = []
+    failing: list[int] = []
     for t, eps in enumerate(eps_grid):
         outcome = None
         for m, delta in enumerate(deltas):
@@ -262,25 +303,29 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
                 outcome = witness(eps=eps, delta=delta, nu=int(first_pass[t, m]),
                                   in_band=int(sizes[t, m]))
                 break
-        if outcome is not None:
-            wits.append(outcome)
-            verdicts.append(Verdict.PASS)
-            continue
-        best_val, best_nu = np.inf, 0
-        for nu, value in enumerate(narrowest[t].tolist(), start=1):
-            if value < best_val:
-                best_val, best_nu = value, nu
-        delta = deltas[-1]
-        # the band's pairs are one run of ids; ascending positions are
-        # np.nonzero order
-        band = np.sort(pos[offsets[lo[t]]:offsets[hi[t, -1]]])
-        shifted = np.take(flat, band + best_nu * (n + 1))
-        w = int(np.argmax(shifted))
-        orbit, i, j = np.unravel_index(band[w], mats.shape)
-        wits.append(witness(eps=eps, delta=delta, orbit=int(orbit), i=int(i), j=int(j),
-                            gap=float(flat[band[w]]), best_uniform_nu=best_nu,
-                            value_at_best_nu=float(shifted[w])))
-        verdicts.append(Verdict.FAIL)
+        wits.append(outcome)
+        verdicts.append(Verdict.FAIL if outcome is None else Verdict.PASS)
+        if outcome is None:
+            failing.append(t)
+    if failing:
+        # each failing eps's narrowest band: its pairs are one run of ids,
+        # and ascending positions are np.nonzero order
+        bands = [np.sort(pos[offsets[lo[t]]:offsets[hi[t, -1]]]) for t in failing]
+        heads = np.cumsum([0] + [band.size for band in bands[:-1]])
+        joined = np.concatenate(bands)
+        worst = [np.maximum.reduceat(_shifted(flat, joined, nu, n), heads).tolist()
+                 for nu in range(1, nh + 1)]
+        for t, band, values in zip(failing, bands, zip(*worst)):
+            best_val, best_nu = np.inf, 0
+            for nu, value in enumerate(values, start=1):
+                if value < best_val:
+                    best_val, best_nu = value, nu
+            shifted = _shifted(flat, band, best_nu, n)
+            w = int(np.argmax(shifted))
+            orbit, i, j = np.unravel_index(band[w], mats.shape)
+            wits[t] = witness(eps=eps_grid[t], delta=deltas[-1], orbit=int(orbit), i=int(i),
+                              j=int(j), gap=float(flat[band[w]]), best_uniform_nu=best_nu,
+                              value_at_best_nu=float(shifted[w]))
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 

@@ -268,6 +268,15 @@ def _exact_gap(space: Space, a: Any, b: Any) -> float | None:
     return None
 
 
+def _require_sets_in(space: Space, set_a: Any, set_b: Any) -> None:
+    """ConfigurationError unless both sets lie in space, where the gap
+    between them is measured."""
+    for side, s in (("set_a", set_a), ("set_b", set_b)):
+        if s.space != space:
+            raise ConfigurationError(f"{side} lies in space {s.space.id!r}, not in the "
+                                     f"setting's space {space.id!r}")
+
+
 @dataclass(frozen=True)
 class CyclicSetting:
     """Two sets with the distance between them, remembering how the
@@ -280,6 +289,10 @@ class CyclicSetting:
     gap_provenance: str  # "exact" | "estimated"
 
     def __post_init__(self) -> None:
+        _require_sets_in(self.space, self.set_a, self.set_b)
+        # an infinite gap would make the shifted premetric 0 everywhere
+        if not math.isfinite(self.gap):
+            raise ConfigurationError(f"set gap must be finite, got {self.gap}")
         if self.gap < 0:
             raise ConfigurationError("set gap cannot be negative")
         if self.gap_provenance not in ("exact", "estimated"):
@@ -294,6 +307,7 @@ class CyclicSetting:
         sample_budget: int = 4096,
         seed: int = 0,
     ) -> "CyclicSetting":
+        _require_sets_in(space, set_a, set_b)
         exact = _exact_gap(space, set_a, set_b)
         if exact is not None:
             return cls(space, set_a, set_b, exact, "exact")

@@ -8,10 +8,16 @@ one depth-sorted index and one nu-sweep per eps.  All must give the same
 verdict, the same witnesses (tie-breaking included) and the same note, on
 small tie-heavy gap matrices whose eps/delta grids reach every outcome
 (a vacuous band, a pass at some shift, and every candidate defeated), on
-gap matrices of real orbits at the default grids, and on hand cases at
-the edges of the segment ids: a band that collapses to nothing, no pairs
-at all, a gap on a cut shared by two eps, an unsorted grid with repeated
-eps, and a defeat tie between pairs in two segments of one band.
+the same matrices with NaN and +inf shifted gaps, on gap matrices of real
+orbits at the default grids, and on hand cases at the edges of the segment
+ids: a band that collapses to nothing, no pairs at all, a gap on a cut
+shared by two eps, an unsorted grid with repeated eps, and a defeat tie
+between pairs in two segments of one band.  Hand cases at the edges of the
+sweep's walk cover a stop pair handed from one eps to the next, violators
+on either side of a chunk boundary, non-finite shifted gaps, and a failing
+band that is +inf at every shift.  On the seed-0 meir-keeler D4 matrices
+the sweep must gather far fewer shifted gaps than one per kept pair and
+shift.
 """
 
 import json
@@ -21,10 +27,13 @@ import pytest
 from hypothesis import find, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fplab.certificates import _BAND_NOTE, _band_uniform
+from fplab import certificates
+from fplab.certificates import _BAND_NOTE, _FIRST_CHUNK, _band_uniform, _shifted
+from fplab.gallery import get_entry
 from fplab.maps import builtin_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict, sanitize, witness, \
     worst_verdict
+from fplab.runner import run_scenario_doc
 from fplab.spaces import Space
 from fplab.traces import _extend_orbit
 
@@ -109,6 +118,20 @@ def _assert_same(fast, ref):
 
 @given(band_cases())
 def test_sweep_equals_reference(case):
+    _assert_same(*_both(case))
+
+
+@st.composite
+def nonfinite_band_cases(draw):
+    # NaN and +inf are never in a band, so they act only as shifted gaps,
+    # and a NaN must defeat every band whose pairs shift onto it
+    mats, budget = draw(band_cases())
+    holes = draw(arrays(np.int8, mats.shape, elements=st.sampled_from((0, 0, 0, 1, 2))))
+    return np.where(holes == 1, np.nan, np.where(holes == 2, np.inf, mats)), budget
+
+
+@given(nonfinite_band_cases())
+def test_sweep_equals_reference_on_nonfinite_gaps(case):
     _assert_same(*_both(case))
 
 
@@ -301,11 +324,105 @@ def _tie_across_segments_case():
                           for eps in (0.5, 0.6)]
 
 
+def _pair_per_orbit(gaps, shifted, eps_grid, deltas):
+    """One pair (0, 1) per orbit: orbit k's gap is gaps[k] and its gap at
+    shift nu is shifted[nu - 1][k]."""
+    nh = len(shifted)
+    mats = np.zeros((len(gaps), nh + 2, nh + 2))
+    mats[:, 0, 1] = gaps
+    for nu, row in enumerate(shifted, start=1):
+        mats[:, nu, nu + 1] = row
+    budget = SearchBudget(eps_grid=eps_grid, delta_candidates=deltas,
+                          index_horizon=2, nu_horizon=nh)
+    return mats, budget
+
+
+def _handoff_case(value):
+    # eps 0.5 stops at the pair with gap 0.7, which shifts to value: eps 0.6
+    # starts its walk on that same pair, which violates it only if value
+    # exceeds 0.6; the grid is unsorted and repeats both eps
+    mats, budget = _pair_per_orbit([0.55, 0.7, 0.8], [[0.4, value, 0.65]],
+                                   (0.6, 0.5, 0.6, 0.5), (1.0, 0.15))
+    low = {"eps": 0.5, "delta": 0.15, "nu": 1, "in_band": 1}
+    high = {"eps": 0.6, "delta": 0.15, "nu": 1, "in_band": 1} if value <= 0.6 else \
+        {"eps": 0.6, "delta": 0.15, "orbit": 1, "i": 0, "j": 1, "gap": 0.7,
+         "best_uniform_nu": 1, "value_at_best_nu": value}
+    return mats, budget, [high, low, high, low]
+
+
+def _chunk_edge_case(at):
+    # the kept pairs in id order are the orbits in order, and the only
+    # violator sits at walk position at: the band ending just before it
+    # passes and the one ending just after it is defeated
+    n_pairs = at + 50
+    step = 0.25 / n_pairs
+    gaps = 0.5 + step * np.arange(1, n_pairs + 1)
+    shifted = np.full(n_pairs, 0.25)
+    shifted[at] = 0.75
+    mats, budget = _pair_per_orbit(gaps, [shifted], (0.5,),
+                                   (1.0, (at + 1.5) * step, (at + 0.5) * step))
+    return mats, budget, [{"eps": 0.5, "delta": (at + 0.5) * step, "nu": 1, "in_band": at}]
+
+
+def _nonfinite_stop_case():
+    # NaN and +inf stop the walk like any violator: the NaN of the pair with
+    # gap 0.7 at nu = 1 defeats eps 0.65's narrow band there, which passes
+    # at nu = 2, when the +inf of the pair with gap 0.8 lies just past it
+    mats, budget = _pair_per_orbit([0.6, 0.7, 0.8], [[0.1, np.nan, 0.1], [0.1, 0.1, np.inf]],
+                                   (0.5, 0.65), (1.0, 0.15))
+    return mats, budget, [{"eps": 0.5, "delta": 0.15, "nu": 1, "in_band": 1},
+                          {"eps": 0.65, "delta": 0.15, "nu": 2, "in_band": 1}]
+
+
+def _never_finite_case():
+    # the narrowest band shifts to +inf or NaN at every nu, so no nu gives
+    # a value below inf: best_uniform_nu stays 0 and the defeat reports the
+    # unshifted gap
+    mats, budget = _pair_per_orbit([0.6, 0.7], [[np.inf, 0.1], [np.nan, 0.1], [np.inf, 0.1]],
+                                   (0.5,), (1.0, 0.15))
+    return mats, budget, [{"eps": 0.5, "delta": 0.15, "orbit": 0, "i": 0, "j": 1, "gap": 0.6,
+                           "best_uniform_nu": 0, "value_at_best_nu": 0.6}]
+
+
 @pytest.mark.parametrize("case", [_collapsed_band_case(), _no_pairs_case(),
                                   _shared_cut_case(), _unsorted_grid_case(),
-                                  _tie_across_segments_case()],
+                                  _tie_across_segments_case(),
+                                  _handoff_case(0.55), _handoff_case(0.65),
+                                  _chunk_edge_case(_FIRST_CHUNK - 1),
+                                  _chunk_edge_case(_FIRST_CHUNK),
+                                  _chunk_edge_case(3 * _FIRST_CHUNK - 1),
+                                  _chunk_edge_case(3 * _FIRST_CHUNK),
+                                  _nonfinite_stop_case(), _never_finite_case()],
                          ids=["collapsed-band", "no-pairs", "shared-cut", "unsorted-grid",
-                              "tie-across-segments"])
+                              "tie-across-segments",
+                              "handoff-passes-next", "handoff-violates-next",
+                              "last-of-first-chunk", "first-of-second-chunk",
+                              "last-of-second-chunk", "first-of-third-chunk",
+                              "nonfinite-stop", "never-finite"])
 def test_segment_edge_cases(case):
     mats, budget, expected = case
     assert _all_three(mats, budget).witnesses == expected
+
+
+def test_the_sweep_stops_early_on_meir_keeler(tmp_path, monkeypatch):
+    # one gather of every kept pair at every shift read 24.9M shifted gaps
+    # on this call; stopping each eps at its first violator reads ~5.6M
+    calls = []
+
+    def capture(mats, budget, cid):
+        calls.append((mats, budget, cid))
+        return _band_uniform(mats, budget, cid)
+
+    monkeypatch.setattr(certificates, "_band_uniform", capture)
+    run_scenario_doc(get_entry("meir-keeler").doc, str(tmp_path / "out"), seed=0)
+    [(mats, budget)] = [(mats, budget) for mats, budget, cid in calls if cid == "D4"]
+    gathered = 0
+
+    def counting(flat, positions, nu, n):
+        nonlocal gathered
+        gathered += positions.size
+        return _shifted(flat, positions, nu, n)
+
+    monkeypatch.setattr(certificates, "_shifted", counting)
+    _band_uniform(mats, budget, "D4")
+    assert 0 < gathered <= 10_000_000

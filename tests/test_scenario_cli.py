@@ -635,6 +635,11 @@ MALFORMED = [
     ("cyclic-x0-outside-set-a", _with(CYCLIC, "cyclic.x0", [-3.0]), "cyclic.x0:"),
     ("set-a-past-the-clip", _with(CYCLIC, "cyclic_setting.set_a.lo", 200.0),
      "cyclic_setting.set_a:"),
+    # finite disks whose distance overflows to inf
+    ("cyclic-gap-beyond-the-floats",
+     _with(CYCLIC, "cyclic_setting", {side: {"kind": "disk", "center": [c], "radius": 1.0}
+                                      for side, c in (("set_a", 1e308), ("set_b", -1e308))},
+           "cyclic.x0", [1e308]), "cyclic_setting:"),
     # a cyclic run reads pairs + 1 even points and the settling diagnostic needs 4
     ("cyclic-pairs-1", _with(CYCLIC, "cyclic.pairs", 1), "cyclic.pairs:"),
     ("cyclic-pairs-2", _with(CYCLIC, "cyclic.pairs", 2), "cyclic.pairs:"),

@@ -183,6 +183,23 @@ class TestCyclicSetting:
         assert setting.gap >= 2.0
         assert setting.gap_provenance == "estimated"
 
+    def test_refuses_a_gap_that_is_not_finite(self):
+        # the disks' ends are finite, but the distance between them is not
+        far = DiskSet(LINE, (1e308,), 1.0), DiskSet(LINE, (-1e308,), 1.0)
+        with pytest.raises(ConfigurationError, match="set gap must be finite, got inf"):
+            CyclicSetting.derive(LINE, *far)
+        with pytest.raises(ConfigurationError, match="set gap must be finite, got nan"):
+            CyclicSetting(LINE, *far, math.nan, "exact")
+
+    def test_refuses_sets_from_another_space(self):
+        disks = DiskSet(PLANE, (0.0, 0.0), 1.0), DiskSet(PLANE, (5.0, 0.0), 1.0)
+        with pytest.raises(ConfigurationError,
+                           match="set_a lies in space 'plane', not in the setting's space 'line'"):
+            CyclicSetting.derive(LINE, *disks)
+        with pytest.raises(ConfigurationError,
+                           match="set_b lies in space 'line', not in the setting's space 'plane'"):
+            CyclicSetting(PLANE, disks[0], IntervalSet(LINE, 0.0, 1.0), 3.0, "exact")
+
 
 class TestPremetrics:
     def test_metric_premetric_claims(self):
