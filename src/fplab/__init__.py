@@ -87,7 +87,6 @@ from .traces import (
     cyclic_even_trace,
     picard_trace,
     sequence_trace,
-    trace_from_points,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -316,21 +316,3 @@ def sequence_trace(
         status="completed",
     )
 
-
-def trace_from_points(
-    points: list[Point],
-    generator: str,
-    premetric: Premetric,
-    status: str = "completed",
-) -> IterationTrace:
-    if len(points) < 2:
-        raise InputError("trace length must be at least 2")
-    for x in points:
-        premetric.space.check_member(x)
-    coords = np.asarray([p.coords for p in points], dtype=float)
-    return IterationTrace(
-        coords=coords,
-        generator=generator,
-        premetric=premetric,
-        status=status,
-    )

@@ -1,23 +1,24 @@
 """The shared-shift band search (C4, D4) against two references.
 
 _band_uniform decides every (eps, delta) band of a call in a single sweep
-over nu.  The plain reference is the direct search: for each (eps, delta)
-it gathers the in-band pairs at every shift and stops at the first shift
-that pulls them all to eps.  The per-eps reference is the earlier sweep,
-one depth-sorted index and one nu-sweep per eps.  All must give the same
-verdict, the same witnesses (tie-breaking included) and the same note, on
-small tie-heavy gap matrices whose eps/delta grids reach every outcome
-(a vacuous band, a pass at some shift, and every candidate defeated), on
-the same matrices with NaN and +inf shifted gaps, on gap matrices of real
-orbits at the default grids, and on hand cases at the edges of the segment
-ids: a band that collapses to nothing, no pairs at all, a gap on a cut
-shared by two eps, an unsorted grid with repeated eps, and a defeat tie
-between pairs in two segments of one band.  Hand cases at the edges of the
-sweep's walk cover a stop pair handed from one eps to the next, violators
-on either side of a chunk boundary, non-finite shifted gaps, and a failing
-band that is +inf at every shift.  On the seed-0 meir-keeler D4 matrices
-the sweep must gather far fewer shifted gaps than one per kept pair and
-shift.
+over nu.  Both references live in reference.py.  The plain one,
+band_uniform_reference, is the direct search: for each (eps, delta) it
+gathers the in-band pairs at every shift and stops at the first shift that
+pulls them all to eps.  The per-eps one, band_uniform_per_eps, is the
+earlier sweep, one depth-sorted index and one nu-sweep per eps.  All must
+give the same verdict, the same witnesses (tie-breaking included) and the
+same note, on small tie-heavy gap matrices whose eps/delta grids reach
+every outcome (a vacuous band, a pass at some shift, and every candidate
+defeated), on the same matrices with NaN and +inf shifted gaps, on gap
+matrices of real orbits at the default grids, and on hand cases at the
+edges of the segment ids: a band that collapses to nothing, no pairs at
+all, a gap on a cut shared by two eps, an unsorted grid with repeated eps,
+and a defeat tie between pairs in two segments of one band.  Hand cases at
+the edges of the sweep's walk cover a stop pair handed from one eps to the
+next, violators on either side of a chunk boundary, non-finite shifted
+gaps, and a failing band that is +inf at every shift.  On the seed-0
+meir-keeler D4 matrices the sweep must gather far fewer shifted gaps than
+one per kept pair and shift.
 """
 
 import json
@@ -28,51 +29,15 @@ from hypothesis import find, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fplab import certificates
-from fplab.certificates import _BAND_NOTE, _FIRST_CHUNK, _band_uniform, _shifted
+from fplab.certificates import _FIRST_CHUNK, _band_uniform, _shifted
 from fplab.gallery import get_entry
 from fplab.maps import builtin_map
-from fplab.reports import CertificateReport, SearchBudget, Verdict, sanitize, witness, \
-    worst_verdict
+from fplab.reports import SearchBudget, sanitize
 from fplab.runner import run_scenario_doc
 from fplab.spaces import Space
 from fplab.traces import _extend_orbit
 
-
-def band_uniform_reference(mats, budget, cid, item):
-    """One search per (eps, delta): gather the band at every nu in turn."""
-    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
-    iu = np.triu_indices(ih, k=1)
-    base = mats[:, iu[0], iu[1]]
-    wits, verdicts = [], []
-    for eps in budget.eps_grid:
-        outcome = None
-        defeat = None
-        for delta in budget.delta_candidates:
-            k_idx, p_idx = np.nonzero((base > eps) & (base < eps + delta))
-            if k_idx.size == 0:
-                outcome = witness(eps=eps, delta=delta, in_band=0, vacuous=True)
-                break
-            rows, cols = iu[0][p_idx], iu[1][p_idx]
-            best_val, best_nu = np.inf, 0
-            for nu in range(1, nh + 1):
-                worst = float(mats[k_idx, rows + nu, cols + nu].max())
-                if worst <= eps + eta:
-                    outcome = witness(eps=eps, delta=delta, nu=nu,
-                                      in_band=int(k_idx.size))
-                    break
-                if worst < best_val:
-                    best_val, best_nu = worst, nu
-            if outcome is not None:
-                break
-            shifted = mats[k_idx, rows + best_nu, cols + best_nu]
-            w = int(np.argmax(shifted))
-            defeat = witness(eps=eps, delta=delta, **{item: int(k_idx[w])},
-                             i=int(rows[w]), j=int(cols[w]),
-                             gap=float(base[k_idx[w], p_idx[w]]),
-                             best_uniform_nu=best_nu, value_at_best_nu=float(shifted[w]))
-        wits.append(outcome if outcome is not None else defeat)
-        verdicts.append(Verdict.PASS if outcome is not None else Verdict.FAIL)
-    return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
+from reference import band_uniform_per_eps, band_uniform_reference
 
 
 VALUES = (0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5)
@@ -174,73 +139,6 @@ def test_hand_cases(case, expected):
     fast, ref = _both(case)
     _assert_same(fast, ref)
     assert fast.witnesses == [expected]
-
-
-def band_uniform_per_eps(mats, budget, cid, item):
-    """One depth-sorted index and one nu-sweep per eps: band m of the
-    widest band's pairs, sorted deepest first, is a prefix."""
-    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
-    n = mats.shape[1]
-    iu = np.triu_indices(ih, k=1)
-    base = mats[:, iu[0], iu[1]]
-    flat = mats.reshape(-1)
-    base_flat = np.arange(mats.shape[0])[:, None] * (n * n) + (iu[0] * n + iu[1])
-    deltas = budget.delta_candidates
-    n_bands = len(deltas)
-    wits, verdicts = [], []
-    for eps in budget.eps_grid:
-        limit = eps + eta
-        widest = (base > eps) & (base < eps + deltas[0])
-        if not widest.any():
-            wits.append(witness(eps=eps, delta=deltas[0], in_band=0, vacuous=True))
-            verdicts.append(Verdict.PASS)
-            continue
-        ascending = np.array([eps + d for d in reversed(deltas)])
-        rank = np.searchsorted(ascending, base[widest], side="right")
-        idx = base_flat[widest][np.argsort(rank, kind="stable")]
-        sizes = np.bincount(rank, minlength=n_bands)
-        bounds = np.cumsum(sizes)
-        ends = bounds[::-1]
-        filled = sizes > 0
-        starts = (bounds - sizes)[filled]
-        group = np.full(n_bands, -np.inf)
-        worst = np.empty((nh, n_bands))
-        first_pass = np.zeros(n_bands, dtype=int)
-        for nu in range(1, nh + 1):
-            vals = np.take(flat, idx + nu * (n + 1))
-            group[filled] = np.maximum.reduceat(vals, starts)
-            worst[nu - 1] = np.maximum.accumulate(group)[::-1]
-            first_pass[(first_pass == 0) & (worst[nu - 1] <= limit)] = nu
-            if first_pass[0]:
-                break
-        outcome = None
-        for m, delta in enumerate(deltas):
-            if ends[m] == 0:
-                outcome = witness(eps=eps, delta=delta, in_band=0, vacuous=True)
-                break
-            if first_pass[m]:
-                outcome = witness(eps=eps, delta=delta, nu=int(first_pass[m]),
-                                  in_band=int(ends[m]))
-                break
-        if outcome is not None:
-            wits.append(outcome)
-            verdicts.append(Verdict.PASS)
-            continue
-        best_val, best_nu = np.inf, 0
-        for nu, value in enumerate(worst[:, -1].tolist(), start=1):
-            if value < best_val:
-                best_val, best_nu = value, nu
-        delta = deltas[-1]
-        k_idx, p_idx = np.nonzero((base > eps) & (base < eps + delta))
-        rows, cols = iu[0][p_idx], iu[1][p_idx]
-        shifted = mats[k_idx, rows + best_nu, cols + best_nu]
-        w = int(np.argmax(shifted))
-        wits.append(witness(eps=eps, delta=delta, **{item: int(k_idx[w])},
-                            i=int(rows[w]), j=int(cols[w]),
-                            gap=float(base[k_idx[w], p_idx[w]]),
-                            best_uniform_nu=best_nu, value_at_best_nu=float(shifted[w])))
-        verdicts.append(Verdict.FAIL)
-    return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 
 def _all_three(mats, budget):

@@ -30,15 +30,11 @@ from fplab.maps import builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict
 from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, composed_premetric, \
     metric_premetric, shifted_premetric
-from fplab.traces import picard_trace, trace_from_points
+from fplab.traces import IterationTrace, picard_trace
 
 LINE = Space(id="line", dimension=1)
 D = metric_premetric(LINE)
 SMALL = SearchBudget(index_horizon=8, nu_horizon=8)
-
-
-def line_points(values) -> list:
-    return [LINE.point(float(v)) for v in values]
 
 
 class TestSequenceCheckers:
@@ -75,7 +71,8 @@ class TestSequenceCheckers:
         xs = [0.0]
         for n in range(24):
             xs.append(xs[-1] + 0.5 + 2.0 ** -n)
-        tr = trace_from_points(line_points(xs), "creep", D)
+        tr = IterationTrace(coords=np.array(xs)[:, None], generator="creep", premetric=D,
+                            status="completed")
         b = SearchBudget(eps_grid=(0.5,), delta_candidates=(1.0, 0.5),
                          index_horizon=8, nu_horizon=8)
         c1, c2, c3 = check_asf1(tr, tr.companion_shift(), budget=b)
@@ -91,7 +88,8 @@ class TestSequenceCheckers:
 
     def test_c1_fails_when_small_front_gaps_precede_large_tail(self):
         pts = [0.0] * 21 + [1.0, 0.0] * 10
-        tr = trace_from_points(line_points(pts), "lull-then-flip", D)
+        tr = IterationTrace(coords=np.array(pts)[:, None], generator="lull-then-flip",
+                            premetric=D, status="completed")
         b = SearchBudget(eps_grid=(0.5,), index_horizon=8, nu_horizon=8)
         c1 = check_asf1(tr, tr.companion_shift(), budget=b)[0]
         assert c1.verdict is Verdict.FAIL
@@ -420,8 +418,10 @@ class TestPremetricControl:
             IntervalSet(space=LINE, lo=-math.inf, hi=-1.0),
         )
         p = shifted_premetric(setting)
-        ta = trace_from_points([LINE.point(1.0)] * 8, "const-a", p)
-        tb = trace_from_points([LINE.point(2.5)] * 8, "const-b", p)
+        ta = IterationTrace(coords=[[1.0]] * 8, generator="const-a", premetric=p,
+                            status="completed")
+        tb = IterationTrace(coords=[[2.5]] * 8, generator="const-b", premetric=p,
+                            status="completed")
         rep = check_p_controls_d([(ta, tb)])
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses == [{"pair": 0, "tail_p": 0.0, "tail_d": 1.5}]
@@ -452,7 +452,8 @@ class TestConsecutiveContraction:
 
     def test_needs_two_gaps(self):
         psi = expression_gauge("0.6 * t", name="point-six")
-        tr = trace_from_points(line_points([0.0, 1.0]), "pair", D)
+        tr = IterationTrace(coords=[[0.0], [1.0]], generator="pair", premetric=D,
+                            status="completed")
         with pytest.raises(InputError, match="two consecutive gaps"):
             consecutive_contraction_report(tr, builtin_gauge("id"), psi)
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fplab.errors import ConfigurationError, InputError, RefusalError
-from fplab.expressions import Expression
 from fplab.gauges import (
     _BUILTINS,
     Gauge,
@@ -26,6 +25,8 @@ from fplab.gauges import (
     verify_gauge_regularity,
 )
 from fplab.reports import Verdict
+
+from reference import gauge_call_reference
 
 
 class TestGaugeBasics:
@@ -121,13 +122,6 @@ def _grow(children):
 
 # random grammar expressions in t: + - * /, abs, min, max, int and float constants
 GAUGE_SOURCES = st.recursive(_LEAVES, _grow, max_leaves=8)
-
-
-def gauge_call_reference(g, t):
-    """Gauge.__call__ as it was: the range check, then fn on a Python float."""
-    t = float(t)
-    g._check_range(t)
-    return float(g.fn(t=t)) if isinstance(g.fn, Expression) else float(g.fn(t))
 
 
 def _assert_same_bits(scalars, array):

@@ -1,24 +1,28 @@
 """Property tests for the structural invariants the rest of the suite
 leans on: premetric axioms, gauge family composition, verdict algebra,
 JSON sanitization, the one JSON writer, the few places a Point is built,
-the trace gap caches, and checkers that measure with their inputs' own
-premetric and space.
+the trace gap caches, checkers that measure with their inputs' own
+premetric and space, and references that evaluate without the kernels
+they check.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import math
 import typing
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from fplab import certificates, solvers
-from fplab.gauges import GaugeFamily, builtin_gauge, iterate_gauge
+from fplab.gauges import Gauge, GaugeFamily, builtin_gauge, iterate_gauge, iterated_family
 from fplab.maps import NamedMap, builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize, worst_verdict
 from fplab.spaces import (
+    Box,
     CyclicSetting,
     IntervalSet,
     Premetric,
@@ -29,6 +33,11 @@ from fplab.spaces import (
     shifted_premetric,
 )
 from fplab.traces import AlternatingSchedule, IterationTrace, alternating_trace, picard_trace
+
+from reference import axioms_reference, banach_rate_reference, check_asmk_reference, \
+    fpsi_reference, premetric_reference, regularity_reference, \
+    solve_best_proximity_reference, solve_common_fixed_point_reference, \
+    solve_fixed_point_reference
 
 LINE = Space(id="line", dimension=1)
 PLANE = Space(id="plane", dimension=2)
@@ -368,3 +377,103 @@ def test_checkers_measure_with_their_inputs():
                      for held, beside in ((IterationTrace, Premetric), (NamedMap, Space))
                      if held in named and beside in named]
     assert both == []
+
+
+TESTS = Path(__file__).resolve().parent
+#: The fplab helpers reference.py may import besides classes, exception
+#: types and constants: none of them computes a number.
+REFERENCE_HELPERS = frozenset({"witness", "worst_verdict", "compile_expression",
+                               "metric_premetric"})
+#: Methods that evaluate a distance or a gauge kernel; a reference measures
+#: with its own formulas and applies a gauge through the gauge's own fn.
+KERNEL_METHODS = frozenset({"distances", "finite_distances", "distance", "apply_array",
+                            "_check_range"})
+
+
+def test_the_references_import_no_kernel():
+    """reference.py takes from fplab only classes, exception types,
+    non-callable constants and the four helpers above, and calls no
+    distance or gauge kernel through an object, so no reference compares a
+    kernel's arithmetic with itself."""
+    tree = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
+    kernels = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            kernels += [a.name for a in node.names if a.name.split(".")[0] == "fplab"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fplab":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name)
+                plain = inspect.isclass(obj) or not (callable(obj) or inspect.ismodule(obj))
+                if not plain and alias.name not in REFERENCE_HELPERS:
+                    kernels.append(f"{node.module}.{alias.name}")
+    calls = sorted({node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in KERNEL_METHODS})
+    assert kernels == []
+    assert calls == []
+
+
+def test_references_live_in_reference_py():
+    """No test module defines a reference loop of its own (a test may be
+    named after one): every one is in reference.py, where the test above
+    pins what it may call."""
+    found = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}::{node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("test_")
+                  and (node.name.endswith("_reference") or node.name == "band_uniform_per_eps")]
+    assert found == []
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a reference evaluated through an fplab kernel")
+
+
+def _reference_runs():
+    """One small call of each reference that once evaluated through a
+    kernel, with every input built up front."""
+    half, quarter = builtin_map("half", LINE), builtin_map("quarter", LINE)
+    mk = builtin_gauge("mk")
+    composed = composed_premetric(mk, D1, claims=frozenset({"triangle"}))
+    setting = CyclicSetting.derive(LINE, IntervalSet(LINE, 1.0, math.inf),
+                                   IntervalSet(LINE, -math.inf, -1.0))
+    points = [LINE.point(v) for v in (0.0, 1.0, 3.0, -2.5)]
+    triples = [tuple(points[:3]), tuple(points[1:])]
+    orbit = picard_trace(half, LINE.point(1.0), 10)
+    shifted = orbit.companion_shift()
+    budget = SearchBudget(index_horizon=3, nu_horizon=4, eps_grid=(0.05,),
+                          delta_candidates=(0.05,), pair_samples=8)
+    return {
+        "premetric": lambda: premetric_reference(composed, (0.5,), (3.0,)),
+        "fixed-point": lambda: solve_fixed_point_reference(half, points[1], premetric=composed),
+        "best-proximity": lambda: solve_best_proximity_reference(
+            builtin_map("cyclic_reflect", LINE), setting, points[2], max_pairs=12),
+        "common-fixed-point": lambda: solve_common_fixed_point_reference(
+            AlternatingSchedule(half, quarter), points[1]),
+        "fpsi": lambda: fpsi_reference(half, quarter, D1, builtin_gauge("id"), mk,
+                                       [(points[0], points[2]), (points[1], points[3])]),
+        "axioms": lambda: axioms_reference(composed, triples)
+        + axioms_reference(shifted_premetric(setting), triples),
+        "rate": lambda: banach_rate_reference(builtin_map("mk", LINE), LINE, budget,
+                                              Box((0.5,), (9.0,)), seed=3),
+        "regularity": lambda: regularity_reference(mk),
+        "asmk": lambda: check_asmk_reference(orbit, shifted, builtin_gauge("id"),
+                                             iterated_family(mk, zero_fixed=True),
+                                             budget=budget, variant="asmk2"),
+    }
+
+
+def test_the_references_run_with_the_kernels_refusing():
+    """With the distance, premetric, gauge and orbit kernels made to raise,
+    every reference returns what it returns with them in place."""
+    runs = _reference_runs()
+    want = {name: json.dumps(sanitize(run()), sort_keys=True) for name, run in runs.items()}
+    with mock.patch.object(Space, "distances", _refuse), \
+            mock.patch("fplab.spaces.premetric_values", _refuse), \
+            mock.patch.object(Gauge, "apply_array", _refuse), \
+            mock.patch("fplab.traces._extend_orbit", _refuse):
+        got = {name: json.dumps(sanitize(run()), sort_keys=True) for name, run in runs.items()}
+    assert got == want

@@ -31,19 +31,15 @@ from fplab.spaces import (
 )
 from fplab.traces import (
     AlternatingSchedule,
+    IterationTrace,
     cyclic_even_trace,
     picard_trace,
     sequence_trace,
-    trace_from_points,
 )
 
 LINE = Space(id="line", dimension=1)
 D = metric_premetric(LINE)
 SMALL = SearchBudget(index_horizon=8, nu_horizon=8)
-
-
-def line_points(values) -> list:
-    return [LINE.point(float(v)) for v in values]
 
 
 def line_setting() -> CyclicSetting:
@@ -58,8 +54,8 @@ class TestCauchyDiagnostic:
     def test_telescoping_sequence_is_exact(self):
         # x_n = 2 - 2^-n: the sup over later points is always the distance
         # to the last stored point, 2^-n - 2^-23
-        tr = trace_from_points(line_points([2.0 - 2.0 ** -n for n in range(24)]),
-                               "geo", D)
+        tr = IterationTrace(coords=[[2.0 - 2.0 ** -n] for n in range(24)], generator="geo",
+                            premetric=D, status="completed")
         rep = cauchy_diagnostic(tr, tol=1e-4)
         assert rep.verdict is Verdict.PASS
         assert [w["n"] for w in rep.witnesses] == [0, 1, 2, 4, 8, 16, 22]
@@ -76,22 +72,23 @@ class TestCauchyDiagnostic:
 
     def test_non_monotone_settling_measure_fails(self):
         # a later spike makes s(1) exceed s(0) even though the tail is zero
-        tr = trace_from_points(line_points([1.0, 0.0, 3.0, 0.0, 0.0, 0.0]),
-                               "spike", D)
+        tr = IterationTrace(coords=[[1.0], [0.0], [3.0], [0.0], [0.0], [0.0]],
+                            generator="spike", premetric=D, status="completed")
         rep = cauchy_diagnostic(tr)
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses[-1] == {"n": 0, "sup_tail": 2.0,
                                      "later_n": 1, "later_sup_tail": 3.0}
 
     def test_truncated_orbit_cannot_cleanly_pass(self):
-        tr = trace_from_points(line_points([2.0 - 2.0 ** -n for n in range(24)]),
-                               "geo", D, status="escaped")
+        tr = IterationTrace(coords=[[2.0 - 2.0 ** -n] for n in range(24)], generator="geo",
+                            premetric=D, status="escaped")
         rep = cauchy_diagnostic(tr, tol=1e-4)
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert "escaped" in rep.resolution_note
 
     def test_needs_four_points(self):
-        tr = trace_from_points(line_points([0.0, 1.0, 2.0]), "short", D)
+        tr = IterationTrace(coords=[[0.0], [1.0], [2.0]], generator="short", premetric=D,
+                            status="completed")
         with pytest.raises(InputError, match="at least 4 points"):
             cauchy_diagnostic(tr)
 
@@ -293,8 +290,9 @@ class TestNonCauchyWitness:
         assert "never settle" in scan.note
 
     def test_settled_but_non_decaying_steps_not_applicable(self):
-        pts = line_points(np.cumsum([5e-3] * 40))
-        scan = extract_noncauchy_witness(trace_from_points(pts, "drift", D))
+        drift = IterationTrace(coords=np.cumsum([5e-3] * 40)[:, None], generator="drift",
+                               premetric=D, status="completed")
+        scan = extract_noncauchy_witness(drift)
         assert scan.status == "not_applicable"
         assert "never decay" in scan.note
 
@@ -303,7 +301,8 @@ class TestNonCauchyWitness:
         assert extract_noncauchy_witness(tr).status == "none"
 
     def test_needs_four_gaps(self):
-        tr = trace_from_points(line_points([0.0, 1.0, 2.0, 3.0]), "short", D)
+        tr = IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], generator="short",
+                            premetric=D, status="completed")
         with pytest.raises(InputError, match="at least 4 consecutive gaps"):
             extract_noncauchy_witness(tr)
 

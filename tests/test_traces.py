@@ -1,12 +1,15 @@
 """Orbit and sequence traces: construction, gap caching, serialization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fplab.errors import ConfigurationError, InputError
+from fplab.gallery import GALLERY
 from fplab.maps import builtin_map, expression_map
+from fplab.runner import run_scenario_doc
 from fplab.spaces import (
     CyclicSetting,
     IntervalSet,
@@ -19,12 +22,14 @@ from fplab.traces import (
     AlternatingSchedule,
     ESCAPE_NORM,
     IterationTrace,
+    _bit_period_start,
     alternating_trace,
     cyclic_even_trace,
     picard_trace,
     sequence_trace,
-    trace_from_points,
 )
+
+from reference import read_trace_csv
 
 LINE = Space(id="line", dimension=1)
 
@@ -164,8 +169,8 @@ class TestTraceMechanics:
         assert coords(sh) == coords(tr)[1:]
         assert sh.gaps.tolist() == tr.gaps[1:].tolist()
         assert sh.generator == "shift(picard(half))"
-        short = trace_from_points([LINE.point(0.0), LINE.point(1.0)],
-                                  "pair", metric_premetric(LINE))
+        short = IterationTrace(coords=[[0.0], [1.0]], generator="pair",
+                               premetric=metric_premetric(LINE), status="completed")
         with pytest.raises(InputError, match="at least 3 points"):
             short.companion_shift()
 
@@ -183,8 +188,6 @@ class TestTraceMechanics:
         with pytest.raises(TypeError, match="space_id"):
             IterationTrace(coords=pts, generator="g", premetric=p, status="completed",
                            space_id=LINE.id)
-        with pytest.raises(InputError, match="at least 2"):
-            trace_from_points([LINE.point(0.0)], "solo", p)
 
     def test_stored_arrays_are_read_only(self):
         src = np.array([[0.0], [1.0], [3.0]])
@@ -256,10 +259,51 @@ class TestPremetricSpace:
                             status="completed")
         assert tr.premetric.space is SPACE_B and not hasattr(tr, "space_id")
 
-    def test_trace_from_points(self):
-        mixed = [SPACE_A.point(1.0), SPACE_B.point(2.0), SPACE_A.point(3.0)]
-        with pytest.raises(InputError, match="tagged 'b' does not belong to space 'a'"):
-            trace_from_points(mixed, "mixed", metric_premetric(SPACE_A))
-        on_a = [SPACE_A.point(1.0), SPACE_A.point(3.0)]
-        with pytest.raises(InputError, match="tagged 'a' does not belong to space 'b'"):
-            trace_from_points(on_a, "on a", ON_B)
+
+def _assert_reads_back(trace, text):
+    coords, gaps = read_trace_csv(text)
+    assert coords.shape == trace.coords.shape and gaps.shape == trace.gaps.shape
+    assert coords.tobytes() == trace.coords.tobytes()
+    assert gaps.tobytes() == trace.gaps.tobytes()
+
+
+class TestCsvReadsBack:
+    """Every number in a trace CSV is a repr, and float() of a repr gives
+    back the float's bits: the CSV holds the trace's exact coordinates and
+    gaps."""
+
+    def test_every_gallery_trace(self, tmp_path):
+        traces = {}
+        to_csv = IterationTrace.to_csv
+
+        def spy(trace):
+            text = to_csv(trace)
+            traces[text] = trace
+            return text
+
+        with mock.patch.object(IterationTrace, "to_csv", spy):
+            for entry in GALLERY:
+                run_scenario_doc(entry.doc, str(tmp_path / entry.name), seed=0,
+                                 expectations=entry.expectations)
+        written = sorted(tmp_path.glob("*/trace_*.csv"))
+        assert len(written) == len(traces) > 0
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            _assert_reads_back(traces[text], text)
+
+    def test_signed_zero_subnormal_and_periodic_tail(self):
+        # from row 1 the rows repeat 5e-324, -0.0 to the bit, with subnormal
+        # gaps (under the 1-norm, which squares nothing to zero): to_csv
+        # writes that tail through its printf template
+        taxi = Space(id="taxi", dimension=1, norm=1.0)
+        tr = IterationTrace(coords=[[3.0]] + [[5e-324], [-0.0]] * 4, generator="direct",
+                            premetric=metric_premetric(taxi), status="completed")
+        assert _bit_period_start(tr.coords, tr.gaps) < len(tr) - 1
+        text = tr.to_csv()
+        assert "\n8,-0.0,\n" in text and ",5e-324,5e-324\n" in text
+        _assert_reads_back(tr, text)
+        assert np.signbit(read_trace_csv(text)[0][-1, 0])
+
+    def test_an_empty_gap_before_the_last_row_is_refused(self):
+        with pytest.raises(ValueError):
+            read_trace_csv("n,x0,p_gap\n0,1.0,\n1,2.0,\n")
