@@ -31,7 +31,7 @@ from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
     worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
-    premetric_diagonal, premetric_matrix, premetric_values
+    premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
 
 F_PROFILE = frozenset({"right_continuous", "nondecreasing", "positive_on_positive"})
@@ -76,6 +76,19 @@ def _aligned_gaps(trace_x: IterationTrace, trace_y: IterationTrace) -> np.ndarra
     n = min(len(trace_x), len(trace_y))
     return premetric_diagonal(_pair_premetric(trace_x, trace_y), trace_x.coords[:n],
                               trace_y.coords[:n])
+
+
+def _pair_matrix(trace_x: IterationTrace, trace_y: IterationTrace,
+                 budget: SearchBudget) -> np.ndarray:
+    """The cross gaps p(x_i, y_j) of the first index_horizon + nu_horizon
+    points of each trace; C4 and C5 pass one trace twice."""
+    need = budget.index_horizon + budget.nu_horizon
+    short = min(len(trace_x), len(trace_y))
+    if short < need:
+        raise InputError(f"need a trace of at least {need} points for this budget, "
+                         f"got {short}")
+    return premetric_matrix(_pair_premetric(trace_x, trace_y), trace_x.coords[:need],
+                            trace_y.coords[:need])
 
 
 _BAND_NOTE = (
@@ -392,7 +405,7 @@ def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
         )
     pos, limit = pos[triggered], gaps[triggered] - eta
     for nu in range(1, nh + 1):
-        cleared = np.take(flat[nu * (n + 1):], pos) < limit
+        cleared = _shifted(flat, pos, nu, n) < limit
         if not cleared.any():
             continue
         pos, limit = pos[~cleared], limit[~cleared]
@@ -402,7 +415,7 @@ def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     stuck = pos[:8]
     best = np.full(stuck.size, np.inf)
     for nu in range(1, nh + 1):
-        best = np.minimum(best, np.take(flat, stuck + nu * (n + 1)))
+        best = np.minimum(best, _shifted(flat, stuck, nu, n))
     wits = [
         witness(orbit=int(k), i=int(i), j=int(j), gap=float(flat[q]), best_follow_up=float(m))
         for q, k, i, j, m in zip(stuck, *np.unravel_index(stuck, mats.shape), best)
@@ -442,23 +455,17 @@ def check_asf1(
         InputError: traces shorter than index_horizon + nu_horizon, or
             under different premetrics.
     """
-    budget = budget or SearchBudget()
-    gaps = _aligned_gaps(trace_x, trace_y)
+    return _gap_reports(_aligned_gaps(trace_x, trace_y), budget or SearchBudget())
+
+
+def _gap_reports(gaps: np.ndarray, budget: SearchBudget) -> list[CertificateReport]:
+    """C1, C2 and C3 on one aligned gap run."""
     front, windows = _trace_gap_windows(gaps, budget)
     return [
         _check_c1(gaps, budget),
         _band_per_index(front, windows, budget, "C2", "index"),
         _strict_per_index(front, windows, budget, "C3", "index"),
     ]
-
-
-def _pair_matrix(trace: IterationTrace, budget: SearchBudget) -> np.ndarray:
-    need = budget.index_horizon + budget.nu_horizon
-    if len(trace) < need:
-        raise InputError(f"need a trace of at least {need} points for this budget, "
-                         f"got {len(trace)}")
-    coords = trace.coords[:need]
-    return premetric_matrix(trace.premetric, coords, coords)
 
 
 def check_asf2(
@@ -468,7 +475,7 @@ def check_asf2(
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C4")
+    return _pair_condition(_pair_matrix(trace, trace, budget)[None, ...], budget, "C4")
 
 
 def check_c5(
@@ -478,7 +485,7 @@ def check_c5(
 ) -> CertificateReport:
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C5")
+    return _pair_condition(_pair_matrix(trace, trace, budget)[None, ...], budget, "C5")
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +540,10 @@ def check_asmk(
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     if variant == "asmk1":
         gaps = _aligned_gaps(trace_x, trace_y)
-        if gaps.shape[0] < ih + nh:
-            raise InputError(f"need at least {ih + nh} aligned gaps, got {gaps.shape[0]}")
-        fg = f_gauge.apply_array(gaps)
-        cid = "C8"
+        _trace_gap_windows(gaps, budget)  # the length guard
+        fg, cid = f_gauge.apply_array(gaps), "C8"
     else:
-        for t in (trace_x, trace_y):
-            if len(t) < ih + nh:
-                raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
-        cross = premetric_matrix(_pair_premetric(trace_x, trace_y),
-                                 trace_x.coords[:ih + nh], trace_y.coords[:ih + nh])
-        fg = f_gauge.apply_array(cross)
-        cid = "C9"
+        fg, cid = f_gauge.apply_array(_pair_matrix(trace_x, trace_y, budget)), "C9"
 
     def block(n: int) -> np.ndarray:
         # F of the gaps n steps ahead: C8's diagonal run, C9's cross square
@@ -589,10 +588,9 @@ def _mapping_reports(
     with an escaped orbit is left out.  Returns the reports, the kept
     pairs' distance curves, D4's orbit matrices (of at most
     max(4, pair_samples // 16) kept x orbits) and the escaped pair count."""
-    rng = np.random.default_rng(seed)
     k = budget.pair_samples
     n_steps = budget.index_horizon + budget.nu_horizon
-    seeds = np.concatenate([region.sample_coords(rng, k), region.sample_coords(rng, k)])
+    seeds = np.concatenate(sample_pairs(map_t.space, region, k, np.random.default_rng(seed)))
     block, alive = _extend_orbit((map_t.fn,), seeds, n_steps)
     orbits = block.swapaxes(0, 1)
     valid = (alive[:k] == n_steps) & (alive[k:] == n_steps)
@@ -618,8 +616,10 @@ def _mapping_reports(
 
 def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
     """Delta ladder: sup of tail-limsup estimates over pairs starting below
-    delta must be nonincreasing and end at or below the smallest grid eps."""
-    eta = budget.slack
+    delta must end at or below the smallest grid eps, within the slack.
+    The deltas strictly decrease, so the buckets are nested and the ladder
+    never rises; a last value above the target thus has a non-empty bucket,
+    whose worst pair is the defeat."""
     d0 = dists[:, 0]
     tails = last_quarter(dists).max(axis=1)
     ladder = []
@@ -627,21 +627,13 @@ def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
         bucket = d0 < delta
         sup = float(tails[bucket].max()) if bucket.any() else 0.0
         ladder.append((delta, sup, int(bucket.sum())))
-    target = min(budget.eps_grid) + eta
-    nonincreasing = all(b[1] <= a[1] + eta for a, b in zip(ladder, ladder[1:]))
-    final = ladder[-1][1]
     wits = [witness(delta=d, sup_tail=s, bucket=c) for d, s, c in ladder]
-    if nonincreasing and final <= target:
+    if ladder[-1][1] <= min(budget.eps_grid) + budget.slack:
         verdict = Verdict.PASS
     else:
         verdict = Verdict.FAIL
-        bucket = d0 < ladder[-1][0]
-        if bucket.any():
-            worst = int(np.argmax(np.where(bucket, tails, -np.inf)))
-            wits.append(witness(pair=worst, start_gap=float(d0[worst]),
-                                tail=float(tails[worst])))
-        else:
-            wits.append(witness(note="ladder not nonincreasing within the slack"))
+        worst = int(np.argmax(np.where(bucket, tails, -np.inf)))  # the last delta's bucket
+        wits.append(witness(pair=worst, start_gap=float(d0[worst]), tail=float(tails[worst])))
     return CertificateReport(
         "D1", verdict, wits, budget,
         "tail-limsup per pair estimated over the last quarter of the orbit; the "
@@ -702,16 +694,9 @@ def acf_asf_agreement(
         map_t, budget, region or default_region(map_t.space), seed, "compare"
     )
     out = {rep.condition_id: rep.verdict for rep in reports}
-
-    c1, c2, c3 = [], [], []
-    for row in dists:
-        front, windows = _trace_gap_windows(row, budget)
-        c1.append(_check_c1(row, budget).verdict)
-        c2.append(_band_per_index(front, windows, budget, "C2", "index").verdict)
-        c3.append(_strict_per_index(front, windows, budget, "C3", "index").verdict)
-    out["C1"] = worst_verdict(c1)
-    out["C2"] = worst_verdict(c2)
-    out["C3"] = worst_verdict(c3)
+    # per condition, its reports on every sampled pair's distance curve
+    for same in zip(*(_gap_reports(row, budget) for row in dists)):
+        out[same[0].condition_id] = worst_verdict(rep.verdict for rep in same)
     out["C4"] = worst_verdict(
         _pair_condition(mats[k:k + 1], budget, "C4").verdict
         for k in range(mats.shape[0])
@@ -894,14 +879,13 @@ def check_p_controls_d(
     defeats: list[dict] = []
     activated = 0
     for idx, (tx, ty) in enumerate(trace_pairs):
-        p = _pair_premetric(tx, ty)
-        n = min(len(tx), len(ty))
-        cx, cy = tx.coords[:n], ty.coords[:n]
-        p_tail = float(last_quarter(premetric_diagonal(p, cx, cy)).max())
+        p_tail = float(last_quarter(_aligned_gaps(tx, ty)).max())
         if p_tail >= eta:
             continue
         activated += 1
-        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(p.space), cx, cy)).max())
+        n = min(len(tx), len(ty))
+        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(tx.premetric.space),
+                                                       tx.coords[:n], ty.coords[:n])).max())
         if d_tail >= d_tol:
             defeats.append(witness(pair=idx, tail_p=p_tail, tail_d=d_tail))
     note = (
@@ -930,9 +914,8 @@ def check_banach_rate(
     budget = budget or SearchBudget()
     space = map_t.space
     region = region or default_region(space)
-    rng = np.random.default_rng(seed)
-    coords_a = region.sample_coords(rng, budget.pair_samples)
-    coords_b = region.sample_coords(rng, budget.pair_samples)
+    coords_a, coords_b = sample_pairs(space, region, budget.pair_samples,
+                                      np.random.default_rng(seed))
     # each base point steps h = 10^-1 .. 10^-7 up the first axis, or down
     # where the step up leaves the region; a step leaving it both ways is dropped
     lows, highs = np.asarray(region.lows), np.asarray(region.highs)

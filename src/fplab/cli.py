@@ -82,10 +82,8 @@ def _cmd_gallery(args) -> int:
         if args.entry not in gallery_names():
             print(f"error: unknown gallery entry {args.entry!r}", file=sys.stderr)
             return 1
-        result = run_scenario(args.entry, args.out, seed=args.seed,
-                              budget_scale=args.budget_scale, strict=args.strict)
-        _print_result(result, sys.stdout)
-        return result.exit_code
+        args.source = args.entry
+        return _cmd_run(args)
 
     def one(entry) -> RunResult:
         return run_scenario(entry.name, f"{args.out}/{entry.name}", seed=args.seed,
@@ -105,12 +103,11 @@ def _cmd_gallery(args) -> int:
         for v in result.violations:
             print(f"  EXPECTATION VIOLATED {v['path']}: expected {v['expected']}, "
                   f"got {v['actual']}")
-        if result.exit_code != entry.expected_exit:
+        if result.exit_code != entry.expected_exit or result.exit_code == 2 \
+                or result.violations:
             worst = 2
-        elif result.exit_code == 2 or result.violations:
-            worst = max(worst, 2)
-        elif result.exit_code == 3:
-            worst = max(worst, 3)
+        elif result.exit_code == 3 and worst == 0:  # a fail wins, as in one run
+            worst = 3
     return worst
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, _as_float, _is_real, last_quarter, witness, \
-    worst_verdict
+from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_real, \
+    last_quarter, witness, worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -450,7 +450,7 @@ def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[Ce
     an error is the one the walk meets first."""
     _require_count("t_samples", t_samples)
     if deltas is None:
-        deltas = tuple(2.0 ** -k for k in range(21))
+        deltas = _default_delta_candidates()
     eps_col = np.asarray(eps_grid, dtype=float)[:, None]
     stops = eps_col + np.asarray(deltas, dtype=float)
     hits = None

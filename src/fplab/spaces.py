@@ -364,6 +364,11 @@ class Premetric:
                 f"custom premetric {self.fn.source!r} subscripts past the "
                 f"{self.space.dimension}-dimensional space {self.space.id!r}"
             )
+        for name in ("setting", "inner", "companion"):
+            part = getattr(self, name)
+            if part is not None and part.space != self.space:
+                raise ConfigurationError(f"premetric {name} lies in space {part.space.id!r}, "
+                                         f"not in the premetric's space {self.space.id!r}")
         object.__setattr__(self, "claims", frozenset(self.claims))
 
     def describe(self) -> str:

@@ -294,6 +294,42 @@ def strict_pairs_reference(mats: np.ndarray, budget: SearchBudget, cid: str):
                              budget, _STRICT_NOTE)
 
 
+def d1_reference(dists, budget: SearchBudget):
+    """D1 as a loop over the delta ladder and the pairs, with the ladder's
+    monotonicity test and its note witness for a fail with an empty last
+    bucket."""
+    eta = budget.slack
+    rows = [[float(v) for v in row] for row in dists]
+    quarter = max(1, len(rows[0]) // 4)
+    tails = [max(row[-quarter:]) for row in rows]
+    ladder = []
+    for delta in budget.delta_candidates:
+        bucket = [i for i, row in enumerate(rows) if row[0] < delta]
+        ladder.append((delta, max((tails[i] for i in bucket), default=0.0), len(bucket)))
+    target = min(budget.eps_grid) + eta
+    nonincreasing = all(b[1] <= a[1] + eta for a, b in zip(ladder, ladder[1:]))
+    wits = [witness(delta=d, sup_tail=s, bucket=c) for d, s, c in ladder]
+    if nonincreasing and ladder[-1][1] <= target:
+        verdict = Verdict.PASS
+    else:
+        verdict = Verdict.FAIL
+        bucket = [i for i, row in enumerate(rows) if row[0] < ladder[-1][0]]
+        if bucket:
+            worst = bucket[0]
+            for i in bucket:
+                if tails[i] > tails[worst]:
+                    worst = i
+            wits.append(witness(pair=worst, start_gap=rows[worst][0], tail=tails[worst]))
+        else:
+            wits.append(witness(note="ladder not nonincreasing within the slack"))
+    return CertificateReport(
+        "D1", verdict, wits, budget,
+        "tail-limsup per pair estimated over the last quarter of the orbit; the "
+        f"ladder must end at or below min(eps_grid)={min(budget.eps_grid)} within "
+        "the slack; empty buckets contribute 0",
+    )
+
+
 def band_uniform_reference(mats, budget, cid, item):
     """One search per (eps, delta): gather the band at every nu in turn."""
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack

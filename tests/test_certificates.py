@@ -204,6 +204,18 @@ class TestGaugeFamilyCheckers:
         with pytest.raises(RefusalError, match="does not declare"):
             check_asmk(tr, tr.companion_shift(), bare, self.fam(), budget=SMALL)
 
+    def test_short_trace_guards(self):
+        # asmk1 reads the aligned gap run, asmk2 the pair matrix
+        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 8)
+        for variant, match in (
+            ("asmk1", r"need at least 16 aligned gaps for this budget "
+                      r"\(index_horizon \+ nu_horizon\), got 8"),
+            ("asmk2", "need a trace of at least 16 points for this budget, got 8"),
+        ):
+            with pytest.raises(InputError, match=match):
+                check_asmk(tr, tr.companion_shift(), builtin_gauge("id"), self.fam(),
+                           budget=SMALL, variant=variant)
+
     def test_refuses_family_not_fixing_zero(self):
         # F(0) = 0 needs the family to declare members fixing zero
         fam = explicit_family([builtin_gauge("half")] * 10, zero_fixed=False)
@@ -288,6 +300,28 @@ class TestMappingCheckers:
             for k in ("1", "2", "3", "4"):
                 assert out[f"D{k}"] == out[f"C{k}"], (name, k)
 
+    def test_a_failing_ladder_names_its_worst_pair(self):
+        # the tent map spreads a 1e-8 wide region over [0, 1]: every start
+        # gap is below the last delta, yet the tails stay large
+        tent = expression_map(LINE, "1 - abs(1 - 2 * x)")
+        budget = SearchBudget(index_horizon=32, nu_horizon=16, pair_samples=20)
+        d1 = check_acf_mapping(tent, budget=budget, region=Box((0.3,), (0.3 + 1e-8,)),
+                               seed=0)[0]
+        assert d1.verdict is Verdict.FAIL
+        *ladder, worst = d1.witnesses
+        assert (worst["pair"], round(worst["tail"], 3)) == (15, 0.974)
+        assert worst["start_gap"] < budget.delta_candidates[-1]
+        assert ladder[-1]["sup_tail"] == worst["tail"]
+        assert ladder[-1]["bucket"] == 20
+
+    def test_a_region_of_another_dimension_is_refused(self):
+        half = builtin_map("half", LINE)
+        square = Box((0.0, 0.0), (1.0, 1.0))
+        for check in (check_acf_mapping, acf_asf_agreement, check_banach_rate):
+            with pytest.raises(InputError, match="region is 2-dimensional, space 'line' is "
+                                                 "1-dimensional"):
+                check(half, budget=self.budget(), region=square)
+
     def test_linear_rate_is_exact(self):
         rep = check_banach_rate(builtin_map("half", LINE))
         assert rep.verdict is Verdict.PASS
@@ -355,6 +389,21 @@ class TestTwoMapCheckers:
         with pytest.raises(ConfigurationError, match="unknown psi variant"):
             check_f_psi_contraction(self.T, self.S, D, builtin_gauge("id"),
                                     zh, xs, ys, psi_variant="loose")
+
+    def test_maps_off_the_premetric_space(self):
+        psi = expression_gauge("t / 2.0", profile=PSI_PROFILE_STANDARD)
+        on_plane = builtin_map("half", Space(id="plane", dimension=2))
+        with pytest.raises(InputError, match="maps must live on the premetric's space 'line'"):
+            check_f_psi_contraction(on_plane, self.S, D, builtin_gauge("id"), psi,
+                                    np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_a_non_finite_image_is_refused(self):
+        psi = expression_gauge("t / 2.0", profile=PSI_PROFILE_STANDARD)
+        recip = expression_map(LINE, "1 / x", name="recip")
+        with pytest.raises(InputError, match="map 'recip' sends a sampled point to a "
+                                             "non-finite or misshapen image"):
+            check_f_psi_contraction(recip, self.S, D, builtin_gauge("id"), psi,
+                                    np.zeros((2, 1)), np.ones((2, 1)))
 
     def test_empty_sample(self):
         psi = expression_gauge("t / 2.0", profile=PSI_PROFILE_STANDARD)

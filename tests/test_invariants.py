@@ -1,9 +1,9 @@
 """Property tests for the structural invariants the rest of the suite
 leans on: premetric axioms, gauge family composition, verdict algebra,
 JSON sanitization, the one JSON writer, the few places a Point is built,
-the trace gap caches, checkers that measure with their inputs' own
-premetric and space, and references that evaluate without the kernels
-they check.
+the trace gap caches, one builder per kind of checker input, checkers
+that measure with their inputs' own premetric and space, and references
+that evaluate without the kernels they check.
 """
 
 import ast
@@ -349,6 +349,38 @@ def test_points_are_built_only_at_the_public_edge():
         "solvers.solve_fixed_point",
         "spaces.Space.point",
     ]
+
+
+class _Calls(_Scoped):
+    """Maps each called name (a method by its attribute, a numpy function
+    as np.name) to the enclosing class.function of every call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "np":
+            name = f"np.{name}"
+        self.calls.setdefault(name, []).append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_each_kind_of_checker_input_has_one_builder():
+    """certificates builds every gap matrix in _pair_matrix, every aligned
+    gap run in _aligned_gaps (PCD's d-tail measures with the metric
+    instead), every shifted gather in _shifted and every seed-pair draw
+    through spaces.sample_pairs; only check_cyclic draws from its sets
+    itself."""
+    calls = dict(_scan(_Calls))["certificates"].calls
+    assert calls.get("premetric_matrix") == ["_pair_matrix"]
+    assert calls.get("premetric_diagonal") == ["_aligned_gaps", "check_p_controls_d"]
+    assert calls.get("take") == ["_shifted"]
+    assert "np.take" not in calls
+    assert calls.get("sample_pairs") == ["_mapping_reports", "check_banach_rate"]
+    assert calls.get("sample_coords") == ["check_cyclic"]
 
 
 def _named_classes(hint) -> set:

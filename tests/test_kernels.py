@@ -24,8 +24,9 @@ from hypothesis.extra import numpy as hnp
 
 import fplab
 import fplab.runner as runner_mod
-from fplab.certificates import ASMK_VARIANTS, _m_values, _strict_pairs, check_asmk, \
-    check_banach_rate, check_cyclic, check_f_psi_contraction, consecutive_contraction_report
+from fplab.certificates import ASMK_VARIANTS, _check_d1, _m_values, _strict_pairs, \
+    check_asmk, check_banach_rate, check_cyclic, check_f_psi_contraction, \
+    consecutive_contraction_report
 from fplab.errors import ConfigurationError, InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, builtin_gauge, \
@@ -59,8 +60,9 @@ from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_
 from reference import SCALAR_MAPS, axioms_reference, banach_rate_reference, \
     budget_json_reference, c6_reference, c7_multi_reference, c7_reference, \
     certificate_json_reference, check_asmk_reference, check_e_reference, cyclic_reference, \
-    distances_reference, euclidean_reference, eval_premetric_reference, extend_orbit_reference, \
-    fpsi_reference, iterate_gauge_reference, noncauchy_json_reference, orbit_block_reference, \
+    d1_reference, distances_reference, euclidean_reference, eval_premetric_reference, \
+    extend_orbit_reference, fpsi_reference, iterate_gauge_reference, noncauchy_json_reference, \
+    orbit_block_reference, \
     orbit_block_step_reference, pair_distance_curves_reference, premetric_reference, \
     regularity_reference, report_json_reference, scalar_step, scan_json_reference, \
     solve_best_proximity_reference, solve_common_fixed_point_reference, \
@@ -446,6 +448,37 @@ class TestStrictPairs:
         if case == "more-than-8-stuck":
             assert len(report["witnesses"]) == 8
             assert {w["orbit"] for w in report["witnesses"]} == {1}
+
+
+# ---------------------------------------------------------------------------
+# The delta ladder (D1)
+
+
+@st.composite
+def ladder_cases(draw):
+    """(dists, budget): k distance curves of n points, +inf and the grid
+    levels themselves drawn often, under a strictly decreasing delta grid."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    levels = (0.0, 1e-9, 0.25, 0.5, 1.0, 2.0)
+    values = st.one_of(st.sampled_from(levels + (math.inf,)), st.floats(0.0, 4.0))
+    dists = draw(hnp.arrays(float, (k, n), elements=values))
+    deltas = draw(st.lists(st.one_of(st.sampled_from(levels[1:]), st.floats(1e-6, 8.0)),
+                           min_size=1, max_size=6, unique=True))
+    eps = draw(st.lists(st.one_of(st.sampled_from(levels[1:]), st.floats(1e-6, 2.0)),
+                        min_size=1, max_size=3))
+    slack = draw(st.sampled_from((1e-9, 1e-3, 0.5)))
+    return dists, SearchBudget(eps_grid=tuple(eps), delta_candidates=tuple(sorted(deltas)[::-1]),
+                               slack=slack)
+
+
+class TestDeltaLadder:
+    @given(case=ladder_cases())
+    def test_report_equals_the_ladder_loop(self, case):
+        # the loop keeps the ladder's monotonicity test and its note
+        # witness; nested buckets never reach them, so the reports agree
+        got = _probe_outcome(_check_d1, *case)
+        assert got == _probe_outcome(d1_reference, *case)
+        assert '"note"' not in got
 
 
 # ---------------------------------------------------------------------------

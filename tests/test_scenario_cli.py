@@ -8,6 +8,7 @@ tmp_path so the exit codes are exercised end to end.
 
 import ast
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -22,10 +23,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import fplab
+from fplab import cli
 from fplab.cli import main
 from fplab.errors import ConfigurationError, FplabError, InputError
 from fplab.gallery import GALLERY, gallery_names, get_entry, list_gallery
-from fplab.runner import _exit_code, run_scenario, run_scenario_doc
+from fplab.runner import RunResult, _exit_code, run_scenario, run_scenario_doc
 from fplab.scenario import RUN_NAMES, RUN_PARAMS, build_scenario, load_scenario_file, validate_scenario
 
 
@@ -797,6 +799,38 @@ class TestCliGallery:
     def test_run_unknown_entry(self, capsys):
         assert main(["gallery", "--run", "nope"]) == 1
         assert "unknown gallery entry" in capsys.readouterr().err
+
+    def test_run_one_entry(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gallery", "--run", "banach-half", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"banach-half: exit 0  ({out})\n")
+        assert (out / "reports.json").is_file()
+
+    def test_whole_gallery_is_the_same_at_any_job_count(self, tmp_path, capsys):
+        # some entries expect a fail, so the whole gallery exits 2
+        want = [f"{e.name}: exit {e.expected_exit} (expected {e.expected_exit}) ok"
+                for e in GALLERY]
+        trees = []
+        for jobs in ("1", "3"):
+            out = tmp_path / jobs
+            assert main(["gallery", "--out", str(out), "--jobs", jobs]) == 2
+            assert capsys.readouterr().out.splitlines() == want
+            trees.append({path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()})
+        assert trees[0] == trees[1]
+        assert {path.parts[0] for path in trees[0]} == set(gallery_names())
+
+    @pytest.mark.parametrize("exits, want", [((2, 3), 2), ((3, 2), 2), ((3, 0), 3),
+                                             ((0, 0), 0)])
+    def test_a_fail_wins_over_an_inconclusive(self, monkeypatch, capsys, exits, want):
+        # each entry gets the exit it expects, so every line is ok
+        entries = [dataclasses.replace(e, expected_exit=code) for e, code in zip(GALLERY, exits)]
+        codes = {e.name: e.expected_exit for e in entries}
+        monkeypatch.setattr(cli, "GALLERY", entries)
+        monkeypatch.setattr(cli, "run_scenario", lambda name, out, **_: RunResult(
+            name=name, exit_code=codes[name], verdicts={}, violations=[], out_dir=out))
+        assert main(["gallery", "--out", "unused"]) == want
+        assert capsys.readouterr().out.count(" ok\n") == len(exits)
 
 
 class TestGalleryTable:

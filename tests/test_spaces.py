@@ -13,6 +13,7 @@ from fplab.spaces import (
     CyclicSetting,
     DiskSet,
     IntervalSet,
+    Premetric,
     Space,
     composed_premetric,
     custom_premetric,
@@ -226,6 +227,27 @@ class TestPremetrics:
         fn = compile_expression("abs(x[0] - y[0]) * abs(x[0] - y[0])", ("x", "y"))
         p = custom_premetric(LINE, fn, claims=frozenset({"symmetric"}))
         assert eval_premetric(p, LINE.point(1.0), LINE.point(3.0)) == 4.0
+
+    def test_refuses_a_setting_from_another_space(self):
+        # a line setting with gap 2 would shift plane distances by it
+        setting = CyclicSetting.derive(
+            LINE, IntervalSet(LINE, 1.0, math.inf), IntervalSet(LINE, -math.inf, -1.0))
+        with pytest.raises(ConfigurationError, match="premetric setting lies in space 'line', "
+                                                     "not in the premetric's space 'plane'"):
+            Premetric(kind="shifted_cyclic", space=PLANE, setting=setting)
+
+    def test_refuses_an_inner_premetric_from_another_space(self):
+        with pytest.raises(ConfigurationError, match="premetric inner lies in space 'line', "
+                                                     "not in the premetric's space 'plane'"):
+            Premetric(kind="composed", space=PLANE, gauge=builtin_gauge("half"),
+                      inner=metric_premetric(LINE))
+
+    def test_refuses_a_companion_from_another_space(self):
+        fn = compile_expression("abs(x[0] - y[0])", ("x", "y"))
+        with pytest.raises(ConfigurationError, match="premetric companion lies in space "
+                                                     "'plane', not in the premetric's space "
+                                                     "'line'"):
+            custom_premetric(LINE, fn, companion=metric_premetric(PLANE))
 
     def test_matrix_and_diagonal_match_scalar(self):
         p = composed_premetric(builtin_gauge("half"), metric_premetric(LINE))
