@@ -44,6 +44,12 @@ _PSI_PROFILES = {"standard": PSI_PROFILE_STANDARD, "zhang": PSI_PROFILE_ZHANG}
 PSI_VARIANTS = tuple(_PSI_PROFILES)
 #: The gauge-family domination variants check_asmk accepts.
 ASMK_VARIANTS = ("asmk1", "asmk2")
+#: check_p_controls_d: a pair whose tail p-gap is below PCD_ETA must have its
+#: tail d-gap below PCD_D_TOL.
+PCD_ETA = 1e-9
+PCD_D_TOL = 1e-6
+#: check_banach_rate passes a sup ratio of at most 1 - RATE_MARGIN.
+RATE_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +871,9 @@ def check_cyclic(
 
 def check_p_controls_d(
     trace_pairs: list[tuple[IterationTrace, IterationTrace]],
-    *,
-    eta: float = 1e-9,
-    d_tol: float = 1e-6,
 ) -> CertificateReport:
     """Refutation check (id PCD): any supplied pair whose tail p-gap is below
-    eta must also have its tail d-gap below d_tol, where p is the premetric
+    PCD_ETA must also have its tail d-gap below PCD_D_TOL, where p is the premetric
     both traces of the pair carry (InputError if they differ) and d the
     metric of its space.  Evidence-based only; it cannot prove the
     implication, just contradict it."""
@@ -880,17 +883,17 @@ def check_p_controls_d(
     activated = 0
     for idx, (tx, ty) in enumerate(trace_pairs):
         p_tail = float(last_quarter(_aligned_gaps(tx, ty)).max())
-        if p_tail >= eta:
+        if p_tail >= PCD_ETA:
             continue
         activated += 1
         n = min(len(tx), len(ty))
         d_tail = float(last_quarter(premetric_diagonal(metric_premetric(tx.premetric.space),
                                                        tx.coords[:n], ty.coords[:n])).max())
-        if d_tail >= d_tol:
+        if d_tail >= PCD_D_TOL:
             defeats.append(witness(pair=idx, tail_p=p_tail, tail_d=d_tail))
     note = (
-        f"{len(trace_pairs)} supplied pairs, {activated} with tail p-gap below {eta}; "
-        f"d tolerance {d_tol}; tails over the last quarter of each pair"
+        f"{len(trace_pairs)} supplied pairs, {activated} with tail p-gap below {PCD_ETA}; "
+        f"d tolerance {PCD_D_TOL}; tails over the last quarter of each pair"
     )
     if defeats:
         return CertificateReport("PCD", Verdict.FAIL, defeats, None, note)
@@ -903,7 +906,6 @@ def check_banach_rate(
     budget: SearchBudget | None = None,
     region: Box | None = None,
     seed: int = 0,
-    margin: float = 1e-3,
 ) -> CertificateReport:
     """Existence of a uniform contraction factor below 1 (id RATE).
 
@@ -947,9 +949,9 @@ def check_banach_rate(
         sup_at = {"x": a[i].tolist(), "y": b[i].tolist(), "ratio": sup_ratio}
     note = (
         f"{budget.pair_samples} sampled pairs plus a deterministic short-separation "
-        f"ladder; pass needs sup ratio <= {1 - margin}"
+        f"ladder; pass needs sup ratio <= {1 - RATE_MARGIN}"
     )
-    if sup_ratio <= 1.0 - margin:
+    if sup_ratio <= 1.0 - RATE_MARGIN:
         return CertificateReport("RATE", Verdict.PASS, [witness(**sup_at)], budget, note)
     return CertificateReport("RATE", Verdict.FAIL, [witness(**sup_at)], budget, note)
 

@@ -9,15 +9,15 @@ feed the tail conditions used by the sequence certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, RefusalError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_real, \
-    last_quarter, witness, worst_verdict
+from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_count, \
+    _is_real, last_quarter, witness, worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -207,7 +207,7 @@ def regularity_grid(t_max: float = DEFAULT_T_MAX) -> tuple[float, ...]:
 
 def _require_count(name: str, value: Any) -> None:
     """A probe count (refine, t_samples) is an int of at least 1, not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_count(value):
         raise InputError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -328,8 +328,6 @@ def verify_gauge_regularity(
 def require_profile(g: Gauge, entries: frozenset, eta: float = 1e-9) -> None:
     """Refuse (loudly) unless the gauge declares *and* numerically passes
     every requested profile entry.  Used as a checker precondition."""
-    from .errors import RefusalError
-
     missing = set(entries) - set(g.profile)
     if missing:
         raise RefusalError(

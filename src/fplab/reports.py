@@ -49,6 +49,11 @@ def _is_real(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_count(value: Any) -> bool:
+    """value is an int of at least 1, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _as_float(value: Any) -> float:
     """float(value), or NaN for an int too large for a float."""
     try:
@@ -134,6 +139,8 @@ def sanitize(value: Any) -> Any:
     schema; anything else is its str."""
     if isinstance(value, (bool, str)) or value is None:
         return value
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else repr(value)

@@ -20,7 +20,7 @@ from .errors import ConfigurationError, FplabError
 from .gauges import DEFAULT_T_MAX, Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, \
     builtin_gauge, expression_gauge, explicit_family, iterated_family
 from .maps import NamedMap, _BUILTINS as _MAP_BUILTINS, builtin_map, expression_map
-from .reports import SearchBudget, _as_float, _is_real
+from .reports import SearchBudget, _as_float, _is_count, _is_real
 from .solvers import CAUCHY_ROUTES
 from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, \
     IntervalSet, Premetric, Space, composed_premetric, default_region, metric_premetric, \
@@ -108,10 +108,6 @@ def _real(value, finite: bool = True) -> float | None:
     finite is false), else None."""
     value = _as_float(value) if _is_real(value) else math.nan
     return None if math.isnan(value) or (finite and math.isinf(value)) else value
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _make(where: str, diags: list[str], build, *args, **kwargs):
@@ -369,61 +365,54 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
         diags.append("run: duplicate run names")
 
     # every trace reads iterate's or alternate's section, so those two are
-    # always filled; the others when the document runs or configures them
-    sections = {run: doc[run] if isinstance(doc.get(run), dict) else {} for run in RUN_NAMES
-                if run in runs or run in doc or run in ("iterate", "alternate")}
-    params: dict[str, dict] = {run: {} for run in sections}
+    # always read; the others when the document runs or configures them.
+    # RUN_NAMES order reads certify before falsify, whose default source is
+    # certify's.
     has_t, has_s = "T" in maps, "S" in maps
-
-    def read(run: str, keys) -> dict:
-        section, filled = sections[run], params[run]
-        for key in (key for key in keys if key not in filled):
-            param_kind, value = RUN_PARAMS[run][key]
+    default_source = "sequence" if seq and not has_t else "picard"
+    sections: dict[str, dict] = {}
+    params: dict[str, dict] = {}
+    for run in RUN_NAMES:
+        if run not in runs and run not in doc and run not in ("iterate", "alternate"):
+            continue
+        section = doc.get(run, {})
+        if not isinstance(section, dict):
+            diags.append(f"{run}: expected a table of run parameters")
+            section = {}
+        diags.extend(f"{run}.{key}: unknown run parameter"
+                     for key in section if key not in RUN_PARAMS[run])
+        sections[run], params[run] = section, {}
+        for key, (param_kind, value) in RUN_PARAMS[run].items():
             if key in section:
                 value = _param(param_kind, section[key], f"{run}.{key}", space, diags)
             elif param_kind == "point":
                 value = space and space.point(*[1.0] * space.dimension)
-            elif key == "source":  # certify's default, which falsify inherits
-                value = params.get("certify", {}).get(
-                    "source", "sequence" if seq and not has_t else "picard")
-            filled[key] = value
-        return filled
+            elif key == "source":
+                value = params.get("certify", {}).get("source", default_source)
+            params[run][key] = value
 
-    if "iterate" in runs and not (has_t or seq):
-        diags.append("maps.T: run iterate needs a map T or a named sequence")
-    if "certify" in runs and not isinstance(doc.get("certify", {}), dict):
-        diags.append("certify: expected a table")
-    elif "certify" in runs:
-        cert = read("certify", ("source", "route"))
-        _needs_trace("certify", cert["source"], has_t, has_s, seq, diags)
-        if cert["route"] == "tau" and kind != "metric":
-            diags.append("premetric.kind: certify route tau needs a premetric claiming "
-                         "the sup-tail property (metric)")
-        if cert["route"] == "composed" and kind != "composed":
-            diags.append("premetric.kind: certify route composed needs a composed premetric")
-        if cert["route"] == "mixed" and kind != "shifted_cyclic":
-            diags.append("premetric.kind: certify route mixed needs a premetric "
-                         "with a mixed-triangle companion (shifted_cyclic)")
+    # run -> the trace it reads: a run with a source parameter reads that
+    # source; cyclic builds its own trace from maps.T
+    reads = {"iterate": default_source, "alternate": "alternating",
+             **{run: given["source"] for run, given in params.items() if "source" in given}}
+    for run in RUN_NAMES:
+        if run in runs and run in reads:
+            _needs_trace(run, reads[run], has_t, has_s, seq, diags)
+
+    route = params["certify"]["route"] if "certify" in runs else None
+    if route == "tau" and kind != "metric":
+        diags.append("premetric.kind: certify route tau needs a premetric claiming "
+                     "the sup-tail property (metric)")
+    if route == "composed" and kind != "composed":
+        diags.append("premetric.kind: certify route composed needs a composed premetric")
+    if route == "mixed" and kind != "shifted_cyclic":
+        diags.append("premetric.kind: certify route mixed needs a premetric "
+                     "with a mixed-triangle companion (shifted_cyclic)")
     if "cyclic" in runs:
         if cyc is None:
             diags.append("cyclic_setting: required by run cyclic")
         if not has_t:
             diags.append("maps.T: run cyclic needs a map T")
-    if "alternate" in runs and not has_s:
-        diags.append("maps.S: run alternate needs a second map")
-    if "alternate" in runs and not has_t:
-        diags.append("maps.T: run alternate needs a map T")
-    if "falsify" in runs and not (has_t or seq):
-        diags.append("maps.T: run falsify needs a trace source (map T or sequence)")
-    diags.extend(f"{run}: expected a table of run parameters"
-                 for run in RUN_NAMES if run in doc and not isinstance(doc[run], dict))
-
-    for run, section in sections.items():
-        diags.extend(f"{run}.{key}: unknown run parameter"
-                     for key in section if key not in RUN_PARAMS[run])
-        read(run, RUN_PARAMS[run])
-    if "falsify" in runs:
-        _needs_trace("falsify", params["falsify"]["source"], has_t, has_s, seq, diags)
     if "cyclic" in runs and "x0" not in sections["cyclic"]:
         diags.append("cyclic.x0: starting point required")
     if "cyclic" in runs and params["cyclic"]["pairs"] is not None \

@@ -24,9 +24,11 @@ from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, wit
     worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
-from .traces import AlternatingSchedule, IterationTrace, _orbit
+from .traces import AlternatingSchedule, IterationTrace, _orbit, _start
 
 CAUCHY_ROUTES = ("tau", "composed", "mixed")
+#: The most occurrences extract_noncauchy_witness collects.
+WITNESS_MAX_OCCURRENCES = 8
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def certify_cauchy(
         inner.resolution_note += "; evaluated under the inner gap measure"
         hyps.append(inner)
     else:
-        if "mixed_triangle" not in p.claims or p.companion is None:
+        if "mixed_triangle" not in p.claims:
             raise ConfigurationError(
                 "route mixed needs a premetric claiming the two-sided triangle "
                 "inequality with a companion"
@@ -255,12 +257,9 @@ def solve_fixed_point(
     only claims what that residual shows.  An escaping orbit ends at its
     last point with residual inf; x0 off the map's or premetric's space is
     an InputError."""
-    if max_steps < 1:
-        raise InputError("need at least one step")
     p = premetric if premetric is not None else metric_premetric(map_t.space)
-    map_t.space.check_member(x0)
-    p.space.check_member(x0)
-    row, n, gap, stopped = _walk((map_t.fn,), np.asarray(x0.coords), max_steps, 1,
+    row = _start(x0, max_steps, "step", map_t.space, p.space)
+    row, n, gap, stopped = _walk((map_t.fn,), row, max_steps, 1,
                                  lambda rows: premetric_values(p, rows[:-1], rows[1:]), tol)
     x = map_t.space.point(row)
     if stopped:
@@ -281,15 +280,12 @@ def solve_best_proximity(
     of the stopping rule.  An orbit that escapes at an even or odd point
     ends at its last even point with residual inf.  x0 outside the first
     set, or off the map's or setting's space, is an InputError."""
-    if not setting.set_a.contains_coords(x0.coords):
-        raise InputError("starting point must lie in the first set")
-    if max_pairs < 1:
-        raise InputError("need at least one double step")
     space = setting.space
-    map_t.space.check_member(x0)
-    space.check_member(x0)
+    row = _start(x0, max_pairs, "double step", map_t.space, space)
+    if not setting.set_a.contains_coords(row):
+        raise InputError("starting point must lie in the first set")
 
-    row, n, _, stopped = _walk((map_t.fn,), np.asarray(x0.coords), max_pairs, 2,
+    row, n, _, stopped = _walk((map_t.fn,), row, max_pairs, 2,
                                lambda rows: space.finite_distances(rows[:-2:2], rows[2::2]),
                                tol)
     z = map_t.space.point(row)
@@ -310,11 +306,9 @@ def solve_common_fixed_point(
     until the current point nearly fixes both, measured by max(p(x, Tx),
     p(x, Sx)).  A point with a non-finite image, or the last one before the
     orbit escapes, ends the walk with residual inf."""
-    if max_steps < 1:
-        raise InputError("need at least one step")
     p = premetric if premetric is not None else metric_premetric(schedule.space)
+    _start(seed, max_steps, "step", schedule.space, p.space)
     x0 = schedule.map_s(seed)
-    p.space.check_member(x0)
     fns = (schedule.map_t.fn, schedule.map_s.fn)
 
     def residuals(rows: np.ndarray) -> np.ndarray:
@@ -371,7 +365,6 @@ def extract_noncauchy_witness(
     *,
     eps: float = 0.5,
     gap_tol: float = 1e-2,
-    max_occurrences: int = 8,
 ) -> WitnessScan:
     """Scan a trace whose consecutive gaps have settled below gap_tol for
     pairs that stay separated by more than eps anyway, every gap under the
@@ -407,7 +400,7 @@ def extract_noncauchy_witness(
     occ_sigma, occ_rho, occ_k, occ_sep, occ_straddle = [], [], [], [], []
     kept, shifted = 0, 0
     sigma = n0
-    while len(occ_sigma) < max_occurrences and sigma < last:
+    while len(occ_sigma) < WITNESS_MAX_OCCURRENCES and sigma < last:
         row = premetric_matrix(p, coords[sigma:sigma + 1], coords[sigma + 1:])[0]
 
         def gap_at(m: int) -> float:

@@ -28,6 +28,10 @@ from .reports import CertificateReport, Verdict, witness
 
 #: Default half-width of the working box used when sampling unbounded sets.
 SAMPLING_CLIP = 100.0
+#: Half-width of the default sampling region, a box around the origin.
+REGION_HALF_WIDTH = 10.0
+#: Sampled point pairs behind an estimated cyclic set gap.
+GAP_SAMPLE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,8 @@ class Box:
         return (np.less_equal(self.lows, coords) & np.less_equal(coords, self.highs)).all(axis=-1)
 
 
-def default_region(space: Space, half_width: float = 10.0) -> Box:
-    return Box((-half_width,) * space.dimension, (half_width,) * space.dimension)
+def default_region(space: Space) -> Box:
+    return Box((-REGION_HALF_WIDTH,) * space.dimension, (REGION_HALF_WIDTH,) * space.dimension)
 
 
 def sample_pairs(
@@ -304,7 +308,6 @@ class CyclicSetting:
         space: Space,
         set_a: Any,
         set_b: Any,
-        sample_budget: int = 4096,
         seed: int = 0,
     ) -> "CyclicSetting":
         _require_sets_in(space, set_a, set_b)
@@ -312,7 +315,7 @@ class CyclicSetting:
         if exact is not None:
             return cls(space, set_a, set_b, exact, "exact")
         rng = np.random.default_rng(seed)
-        k = max(2, int(math.isqrt(sample_budget)))
+        k = max(2, int(math.isqrt(GAP_SAMPLE_BUDGET)))
         a, b = set_a.sample_coords(rng, k), set_b.sample_coords(rng, k)
         gap = float(space.distances(a[:, None], b[None]).min())
         return cls(space, set_a, set_b, gap, "estimated")
@@ -353,6 +356,8 @@ class Premetric:
         unknown = set(self.claims) - CLAIM_NAMES
         if unknown:
             raise ConfigurationError(f"unknown premetric claims {sorted(unknown)}")
+        if "mixed_triangle" in self.claims and self.companion is None:
+            raise ConfigurationError("mixed_triangle claimed but no companion premetric given")
         if self.kind == "shifted_cyclic" and self.setting is None:
             raise ConfigurationError("shifted_cyclic premetric needs a cyclic setting")
         if self.kind == "composed" and (self.gauge is None or self.inner is None):
@@ -494,7 +499,6 @@ def verify_premetric_axioms(
     Raises:
         InputError: an empty sample or one that is no finite (m, 3, d) block,
             or a premetric value that is negative or non-finite.
-        ConfigurationError: mixed_triangle claimed without a companion.
     """
     try:
         sample = np.asarray(sample, dtype=float)
@@ -527,8 +531,6 @@ def _axiom_evaluations(p: Premetric, sample: np.ndarray):
                     yield from ((p, a, c), (p, a, b), (p, b, c))
     if "mixed_triangle" in p.claims:
         r = p.companion
-        if r is None:
-            raise ConfigurationError("mixed_triangle claimed but no companion premetric given")
         for t in sample:
             for a, c, b in itertools.permutations(t):
                 yield from ((p, a, c), (p, a, b), (r, b, c), (r, a, b), (p, b, c))
@@ -582,8 +584,6 @@ def _axiom_reports(p: Premetric, sample: np.ndarray, eta: float) -> list[Certifi
             reports.append(rep)
 
     if "mixed_triangle" in p.claims:
-        if p.companion is None:
-            raise ConfigurationError("mixed_triangle claimed but no companion premetric given")
         r = _pair_values(p.companion, sample)
         # the permutations name their positions (a, c, b)
         perms = [(a, b, c) for a, c, b in _PERMS]

@@ -190,6 +190,16 @@ def _orbit(
     return rows[:alive], "completed" if alive == length else "escaped"
 
 
+def _start(x0: Point, count: int, unit: str, *spaces: Space) -> np.ndarray:
+    """The seed rule of every walk: at least one unit, and x0 a member of
+    each of spaces (the maps' and the measure's).  Returns x0's row."""
+    if count < 1:
+        raise InputError(f"need at least one {unit}")
+    for space in spaces:
+        space.check_member(x0)
+    return np.asarray(x0.coords)
+
+
 def picard_trace(
     map_t: NamedMap,
     x0: Point,
@@ -199,13 +209,9 @@ def picard_trace(
     """Plain iteration: coords[n] is the map applied n times to x0, so steps
     applications yield steps+1 points.  Escape truncates with status escaped;
     it is a status, never an error."""
-    if steps < 1:
-        raise InputError("need at least one iteration step")
-    if x0.space_id != map_t.space.id:
-        raise InputError("seed does not live on the map's space")
     p = premetric if premetric is not None else metric_premetric(map_t.space)
-    p.space.check_member(x0)
-    coords, status = _orbit((map_t.fn,), np.asarray(x0.coords), steps + 1)
+    row = _start(x0, steps, "iteration step", map_t.space, p.space)
+    coords, status = _orbit((map_t.fn,), row, steps + 1)
     return IterationTrace(
         coords=coords,
         generator=f"picard({map_t.name})",
@@ -240,12 +246,8 @@ def alternating_trace(
     S(x_n) for odd n, so T produces the odd-indexed points.  The companion
     sequence pairing each point with its predecessor is recovered by an
     index shift, not stored."""
-    if steps < 1:
-        raise InputError("need at least one iteration step")
-    if seed.space_id != schedule.space.id:
-        raise InputError("seed does not live on the maps' space")
     p = premetric if premetric is not None else metric_premetric(schedule.space)
-    p.space.check_member(seed)
+    _start(seed, steps, "iteration step", schedule.space, p.space)
     x0 = schedule.map_s(seed)
     coords, status = _orbit(
         (schedule.map_t.fn, schedule.map_s.fn), np.asarray(x0.coords), steps + 1
@@ -268,15 +270,11 @@ def cyclic_even_trace(
     """Even-indexed subsequence coords[n] = T^{2n} x0 for n = 0..pairs, gaps
     measured under the gap-shifted premetric.  The full orbit (odd points
     included) rides along in aux_coords for diagnostics."""
-    if pairs < 1:
-        raise InputError("need at least one double step")
-    if x0.space_id != map_t.space.id:
-        raise InputError("seed does not live on the map's space")
-    if not setting.set_a.contains_coords(x0.coords):
-        raise InputError("cyclic seed must start in the first set")
     p = premetric if premetric is not None else shifted_premetric(setting)
-    p.space.check_member(x0)
-    orbit, status = _orbit((map_t.fn,), np.asarray(x0.coords), 2 * pairs + 1)
+    row = _start(x0, pairs, "double step", map_t.space, p.space)
+    if not setting.set_a.contains_coords(row):
+        raise InputError("starting point must lie in the first set")
+    orbit, status = _orbit((map_t.fn,), row, 2 * pairs + 1)
     evens = orbit[::2]
     return IterationTrace(
         coords=evens,

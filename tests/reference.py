@@ -25,7 +25,7 @@ from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import Expression, compile_expression
 from fplab.gauges import Gauge, GaugeFamily
 from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
-from fplab.solvers import SolveResult
+from fplab.solvers import WITNESS_MAX_OCCURRENCES, NonCauchyWitness, SolveResult, WitnessScan
 from fplab.spaces import IntervalSet, Space, metric_premetric
 from fplab.traces import ESCAPE_NORM
 
@@ -618,6 +618,65 @@ def solve_common_fixed_point_reference(schedule, seed, tol=1e-9, max_steps=10_00
             return SolveResult(nxt, float("inf"), n + 1, False)
         x = nxt
     return SolveResult(x, float(residual), max_steps, False)
+
+
+# ---------------------------------------------------------------------------
+# The non-settling witness scan, one (sigma, m) gap at a time
+
+
+def noncauchy_witness_reference(trace, eps=0.5, gap_tol=1e-2,
+                                max_occurrences=WITNESS_MAX_OCCURRENCES):
+    """extract_noncauchy_witness with every gap, consecutive or from sigma,
+    one checked_premetric_reference call on the trace's coordinates."""
+    p, xs = trace.premetric, trace.coords.tolist()
+    last = len(xs) - 1
+    gaps = [checked_premetric_reference(p, xs[n], xs[n + 1]) for n in range(last)]
+    if len(gaps) < 4:
+        raise InputError("need at least 4 consecutive gaps to scan")
+    n0 = 0
+    for n, g in enumerate(gaps):
+        if g > gap_tol:
+            n0 = n + 1
+    if n0 >= len(gaps):
+        return WitnessScan("not_applicable", None,
+                           f"consecutive gaps never settle below gap_tol={gap_tol}")
+    quarter = max(1, len(gaps) // 4)
+    head_max, tail_max = max(gaps[:quarter]), max(gaps[-quarter:])
+    if not (tail_max < 0.5 * head_max or tail_max <= 1e-12):
+        return WitnessScan("not_applicable", None, f"consecutive gaps never decay "
+                           f"(head max {head_max:g}, tail max {tail_max:g})")
+
+    found, kept, shifted = [], 0, 0
+    sigma = n0
+    while len(found) < max_occurrences and sigma < last:
+        gap = {m: checked_premetric_reference(p, xs[sigma], xs[m])
+               for m in range(sigma + 1, last + 1)}
+        far = [m for m in gap if gap[m] > 2.0 * eps]
+        if not far:
+            break
+        rho = far[0]
+        if (rho - sigma) % 2 == 0:
+            end, kept = rho, kept + 1
+        elif rho < last and gap[rho + 1] > eps:
+            end, shifted = rho + 1, shifted + 1
+        elif rho - 1 > sigma and gap[rho - 1] > eps:
+            end, shifted = rho - 1, shifted + 1
+        else:
+            sigma = rho + 1
+            continue
+        k = sigma + 2
+        while gap[k] <= eps:
+            k += 2
+        found.append((sigma, end, k, gap[k], gap[k - 2] if k - 2 > sigma else 0.0))
+        sigma = end + 1
+    if not found:
+        return WitnessScan("none", None, f"no pair separated by more than 2*eps={2 * eps} "
+                           f"past the settling index {n0}")
+    sigmas, rhos, ks, seps, straddles = zip(*found)
+    return WitnessScan("found", NonCauchyWitness(
+        sigma=sigmas, rho=rhos, k=ks, separation_gaps=seps, straddle_gaps=straddles, eps=eps,
+        parity_note=f"parity kept {kept} time(s), corrected by one index {shifted} time(s)",
+    ), f"{len(found)} occurrence(s) from settling index {n0}")
 
 
 # ---------------------------------------------------------------------------

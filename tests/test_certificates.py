@@ -27,7 +27,7 @@ from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.gauges import Gauge, builtin_gauge, expression_gauge, explicit_family, \
     iterated_family
 from fplab.maps import builtin_map, expression_map
-from fplab.reports import SearchBudget, Verdict
+from fplab.reports import CertificateReport, SearchBudget, Verdict
 from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, composed_premetric, \
     metric_premetric, shifted_premetric
 from fplab.traces import IterationTrace, picard_trace
@@ -543,11 +543,37 @@ class TestSearchBudget:
         with pytest.raises(InputError, match="budget scale factor must be positive and finite"):
             SearchBudget().scaled(factor)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eps_grid": ()}, "eps_grid must be non-empty and positive"),
+        ({"eps_grid": (0.5, 0.0)}, "eps_grid must be non-empty and positive"),
+        ({"eps_grid": (-0.1,)}, "eps_grid must be non-empty and positive"),
+        ({"delta_candidates": ()}, "delta_candidates must be non-empty and positive"),
+        ({"delta_candidates": (0.5, -0.25)}, "delta_candidates must be non-empty and positive"),
+        ({"delta_candidates": (0.5, 0.5)}, "delta_candidates must be strictly decreasing"),
+        ({"delta_candidates": (0.25, 0.5)}, "delta_candidates must be strictly decreasing"),
+        ({"nu_horizon": 0}, "horizons and sample counts must be positive"),
+        ({"slack": 0.0}, "slack must be positive"),
+        ({"slack": -1e-9}, "slack must be positive"),
+    ])
+    def test_levels_and_slack_must_be_positive(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            SearchBudget(**kwargs)
+
     def test_integers_and_numpy_reals_are_accepted(self):
         b = SearchBudget(eps_grid=[np.float64(0.5), 1], delta_candidates=(1, 0.5),
                          nu_horizon=4, slack=1)
         assert b.eps_grid == (0.5, 1.0) and b.delta_candidates == (1.0, 0.5)
         assert type(b.eps_grid[1]) is float
+
+
+class TestCertificateReport:
+    def test_a_fail_needs_a_witness(self):
+        with pytest.raises(InputError, match="C1: fail verdict requires at least one witness"):
+            CertificateReport("C1", Verdict.FAIL, [])
+
+    def test_pass_and_inconclusive_may_carry_none(self):
+        for verdict in (Verdict.PASS, Verdict.INCONCLUSIVE):
+            assert CertificateReport("C1", verdict).witnesses == []
 
 
 class TestPremetricSpace:

@@ -1,9 +1,9 @@
 """Property tests for the structural invariants the rest of the suite
 leans on: premetric axioms, gauge family composition, verdict algebra,
 JSON sanitization, the one JSON writer, the few places a Point is built,
-the trace gap caches, one builder per kind of checker input, checkers
-that measure with their inputs' own premetric and space, and references
-that evaluate without the kernels they check.
+the trace gap caches, one builder per kind of checker input, one home per
+input rule, checkers that measure with their inputs' own premetric and
+space, and references that evaluate without the kernels they check.
 """
 
 import ast
@@ -178,6 +178,14 @@ class TestSanitize:
         assert clean == xs
         assert all(type(v) is float for v in clean)
 
+    def test_numpy_bools_become_plain_bools(self):
+        import numpy as np
+
+        assert sanitize(np.True_) is True
+        clean = sanitize(np.array([True, False]))
+        assert clean == [True, False]
+        assert all(type(v) is bool for v in clean)
+
 
 class TestSearchBudgetScaling:
     @given(factor=st.floats(min_value=0.01, max_value=10.0, allow_nan=False))
@@ -343,7 +351,7 @@ def test_points_are_built_only_at_the_public_edge():
     assert calls == [
         "maps.NamedMap.__call__",
         "scenario._param",
-        "scenario._walk.read",
+        "scenario._walk",
         "solvers.solve_best_proximity",
         "solvers.solve_common_fixed_point",
         "solvers.solve_fixed_point",
@@ -381,6 +389,55 @@ def test_each_kind_of_checker_input_has_one_builder():
     assert "np.take" not in calls
     assert calls.get("sample_pairs") == ["_mapping_reports", "check_banach_rate"]
     assert calls.get("sample_coords") == ["check_cyclic"]
+
+
+class _RuleHomes(_Scoped):
+    """Collects the enclosing class.function of every check_member call and
+    every function definition, and each raise of a named exception with the
+    string literals of its message."""
+
+    def __init__(self):
+        super().__init__()
+        self.members, self.defs, self.raises = [], [], []
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(".".join([*self.scope, node.name]))
+        self._enter(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", None) == "check_member":
+            self.members.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        exc = node.exc
+        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
+            text = "".join(n.value for arg in exc.args for n in ast.walk(arg)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            self.raises.append((".".join(self.scope), exc.func.id, text))
+        self.generic_visit(node)
+
+
+def test_each_input_rule_has_one_home():
+    """A walk's seed rule lives in traces._start, a premetric's companion
+    rule in Premetric.__post_init__ and the count rule in reports._is_count;
+    a copy elsewhere could drift from it.  The FPSI and PCD length messages
+    in certificates are rules of their own."""
+    members, defs, raises = [], [], []
+    for module, found in _scan(_RuleHomes):
+        members += [f"{module}.{c}" for c in found.members]
+        defs += [f"{module}.{d}" for d in found.defs]
+        raises += [(f"{module}.{where}", exc, text) for where, exc, text in found.raises]
+    assert sorted(set(members)) == ["spaces.Space.distance", "spaces.eval_premetric",
+                                    "traces._start"]
+    assert [where for where, _, text in raises if where.startswith(("traces.", "solvers."))
+            and text.startswith("need at least one")] == ["traces._start"]
+    assert [where for where, exc, text in raises
+            if exc == "ConfigurationError" and "mixed_triangle" in text] == \
+        ["spaces.Premetric.__post_init__"]
+    assert [d for d in defs if d.rpartition(".")[2] == "_is_count"] == ["reports._is_count"]
 
 
 def _named_classes(hint) -> set:

@@ -62,7 +62,7 @@ from reference import SCALAR_MAPS, axioms_reference, banach_rate_reference, \
     certificate_json_reference, check_asmk_reference, check_e_reference, cyclic_reference, \
     d1_reference, distances_reference, euclidean_reference, eval_premetric_reference, \
     extend_orbit_reference, fpsi_reference, iterate_gauge_reference, noncauchy_json_reference, \
-    orbit_block_reference, \
+    noncauchy_witness_reference, orbit_block_reference, \
     orbit_block_step_reference, pair_distance_curves_reference, premetric_reference, \
     regularity_reference, report_json_reference, scalar_step, scan_json_reference, \
     solve_best_proximity_reference, solve_common_fixed_point_reference, \
@@ -815,6 +815,16 @@ class TestSolvers:
         assert residual == 0.0
         assert math.copysign(1.0, residual) == (1.0 if seed + 1.0 > 0 else -1.0)
 
+    @pytest.mark.parametrize("seed, iterations", [(4.0, 0), (4.5, 2)])
+    def test_a_nan_common_residual_ends_the_walk(self, seed, iterations):
+        """T(2) = 1/0 is not finite, so the residual at x = 2 is NaN: the walk
+        ends there with residual inf, at x_0 = S(4) or at x_2 = S(T(S(4.5)))."""
+        sched = AlternatingSchedule(_line_map("1 / (x - 2)"), _line_map("half"))
+        got = _both_solves(solve_common_fixed_point, solve_common_fixed_point_reference,
+                           sched, LINE.point(seed))
+        assert json.loads(got) == {"point": [2.0], "residual": "inf",
+                                   "iterations": iterations, "converged": False}
+
     def test_best_proximity_p_norm_overflow_raises_like_the_loop(self):
         """Under a 400-norm, even points 10 apart overflow to an infinite
         distance, which Space.distance refuses."""
@@ -1247,6 +1257,65 @@ class TestDerivedGaps:
 
 
 # ---------------------------------------------------------------------------
+# The witness scan against its (sigma, m) loop
+
+WITNESS_STEPS = st.sampled_from((-0.7, -0.4, -0.25, 0.0, 0.1, 0.3, 0.5, 0.6, 0.8))
+# no gap of the drawn traces leaves a premetric's range: the scan evaluates
+# a sigma's whole gap row at once, so its range error is the row's, not the
+# first one a loop over m meets
+WITNESS_PREMETRICS = {"metric": metric_premetric(LINE),
+                      "half-abs": SOLVE_PREMETRICS[LINE]["half-abs"],
+                      "composed-mk": _composed(LINE, 1000.0)}
+
+
+def _settled_trace(xs, premetric):
+    """A hand-built 1-d trace through the points xs."""
+    return IterationTrace(coords=np.array(xs, dtype=float)[:, None], generator="hand-built",
+                          premetric=premetric, status="completed")
+
+
+class TestNoncauchyWitnessScan:
+    @given(head=st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=1, max_size=3),
+           steps=st.lists(WITNESS_STEPS, min_size=3, max_size=40),
+           p_name=st.sampled_from(sorted(WITNESS_PREMETRICS)),
+           eps=st.sampled_from((0.2, 0.5, 1.0)), gap_tol=st.sampled_from((0.3, 0.8, 1.0)))
+    def test_scan_equals_the_loop(self, head, steps, p_name, eps, gap_tol):
+        """A few free points, then a walk of small steps that may settle."""
+        xs = list(head)
+        for step in steps:
+            xs.append(xs[-1] + step)
+        tr = _settled_trace(xs, WITNESS_PREMETRICS[p_name])
+        got = _outcome_text(extract_noncauchy_witness, tr, eps=eps, gap_tol=gap_tol)
+        assert got == _outcome_text(noncauchy_witness_reference, tr, eps=eps, gap_tol=gap_tol)
+
+    # points after one large step, scanned with eps 0.5 and gap_tol 0.8, so
+    # the scan starts at sigma = 1 (x = 0); the witness and its parity counts
+    CASES = {
+        # rho - sigma = 4 is even; k = 5 straddles x_3 = 0.45
+        "kept": ([50.0, 0.0, 0.3, 0.45, 0.7, 1.1, 1.1], (1, 5, 5, 0.45), (1, 0)),
+        # rho = 4 is odd and x_5 = 1.6 is still far
+        "rho+1": ([50.0, 0.0, 0.4, 0.8, 1.2, 1.6, 1.6], (1, 5, 3, 0.0), (0, 1)),
+        # rho = 4 is odd, x_5 = 0.5 is not far, x_3 = 0.8 is
+        "rho-1": ([50.0, 0.0, 0.4, 0.8, 1.2, 0.5, 0.5], (1, 3, 3, 0.0), (0, 1)),
+        # from sigma = 1 neither neighbour of rho = 4 is far, so the scan
+        # skips to sigma = 5, where rho = 8 is the last point and x_7 is far
+        "skip": ([50.0, 0.0, 0.3, 0.5, 1.2, 0.5, 0.5, 1.1, 1.7], (5, 7, 7, 0.0), (0, 1)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parity_cases(self, case):
+        xs, (sigma, rho, k, straddle), (kept, shifted) = self.CASES[case]
+        tr = _settled_trace(xs, metric_premetric(LINE))
+        got = _outcome_text(extract_noncauchy_witness, tr, eps=0.5, gap_tol=0.8)
+        assert got == _outcome_text(noncauchy_witness_reference, tr, eps=0.5, gap_tol=0.8)
+        wit = json.loads(got)["witness"]
+        assert (wit["sigma"], wit["rho"], wit["k"], wit["straddle_gaps"]) == \
+            ([sigma], [rho], [k], [straddle])
+        assert wit["parity_note"] == \
+            f"parity kept {kept} time(s), corrected by one index {shifted} time(s)"
+
+
+# ---------------------------------------------------------------------------
 # Axioms: the batched block against the per-triple loop it replaced
 
 
@@ -1276,8 +1345,6 @@ AXIOM_PREMETRICS = {
         PLANE, _plane_expression("abs(x[0] - y[0])"),
         claims=frozenset({"symmetric", "mixed_triangle"}),
         companion=custom_premetric(PLANE, _plane_expression("x[0] - y[0] + 3"))),
-    "no-companion": custom_premetric(PLANE, _plane_expression("abs(x[0] - y[0])"),
-                                     claims=frozenset({"mixed_triangle"})),
 }
 ETAS = (1e-9, 1e-3, 0.5, 4.0)
 AXIOM_COORDS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5, 20.0, -20.0)), small)
@@ -1318,8 +1385,6 @@ class TestAxiomVerification:
                                [((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
                                 ((0.0, 0.0), (9.0, 0.0), (2.0, 0.0))],
                                "InputError: premetric custom(x[0] - y[0] + 3)"),
-        "no-companion": ("no-companion", [((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))],
-                         "ConfigurationError: mixed_triangle claimed"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1352,6 +1417,18 @@ class TestAxiomVerification:
         got = _outcome_text(verify_premetric_axioms, metric_premetric(PLANE), sample)
         assert got.startswith("InputError: ")
         assert message in got
+
+    def test_an_out_of_range_triangle_claim_raises_like_the_loop(self):
+        """A triangle claim alone, over an inner premetric that is not
+        symmetric: the block's first value out of the gauge's range is
+        p(x_2, x_0) = 9, but the per-triple loop meets p(x_2, x_1) = 6 first,
+        so the replay through the triangle's pairs picks the message."""
+        inner = custom_premetric(PLANE, _plane_expression("max(x[0] - y[0], 0)"))
+        p = composed_premetric(builtin_gauge("half", t_max=5.0), inner,
+                               claims=frozenset({"triangle"}))
+        got, want = _axiom_outcomes(p, [((0.0, 0.0), (3.0, 0.0), (9.0, 0.0))], 1e-9)
+        assert got == want
+        assert got.startswith("InputError: gauge 'half' evaluated at t=6.0")
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ import fplab
 from fplab import cli
 from fplab.cli import main
 from fplab.errors import ConfigurationError, FplabError, InputError
-from fplab.gallery import GALLERY, gallery_names, get_entry, list_gallery
-from fplab.runner import RunResult, _exit_code, run_scenario, run_scenario_doc
+from fplab.gallery import GALLERY, Expectation, gallery_names, get_entry, list_gallery
+from fplab.runner import RunResult, _Sink, _exit_code, run_scenario, run_scenario_doc
 from fplab.scenario import RUN_NAMES, RUN_PARAMS, build_scenario, load_scenario_file, validate_scenario
 
 
@@ -154,7 +154,7 @@ class TestValidateScenario:
             (lambda d: d.update(run=["iterate", "iterate"]),
              "run: duplicate run names"),
             (lambda d: d.pop("maps"),
-             "maps.T: run iterate needs a map T or a named sequence"),
+             "maps.T: run iterate on a picard trace needs a map T"),
             (lambda d: d.update(run=["certify"], certify="x"),
              "certify: expected a table"),
             (lambda d: d.update(run=["certify"], certify={"source": "weird"}),
@@ -177,9 +177,9 @@ class TestValidateScenario:
                                                  "set_b": {"lo": -2.0, "hi": -1.0}})),
              "maps.T: run cyclic needs a map T"),
             (lambda d: d.update(run=["alternate"]),
-             "maps.S: run alternate needs a second map"),
+             "maps.S: run alternate on an alternating trace needs S"),
             (lambda d: (d.pop("maps"), d.update(run=["falsify"])),
-             "maps.T: run falsify needs a trace source"),
+             "maps.T: run falsify on a picard trace needs a map T"),
             (lambda d: d.update(iterate=[1, 2]),
              "iterate: expected a table of run parameters"),
             (lambda d: d.update(seed=-1), "seed: must not be negative"),
@@ -832,6 +832,18 @@ class TestCliGallery:
         assert main(["gallery", "--out", "unused"]) == want
         assert capsys.readouterr().out.count(" ok\n") == len(exits)
 
+    def test_a_violated_expectation_is_printed(self, tmp_path, monkeypatch, capsys):
+        wrong = dataclasses.replace(get_entry("banach-half"), expectations=(
+            Expectation("iterate.solve", "not_converged", "pinned wrong on purpose"),))
+        monkeypatch.setattr("fplab.gallery.GALLERY", (wrong,))
+        monkeypatch.setattr(cli, "GALLERY", (wrong,))
+        line = "  EXPECTATION VIOLATED iterate.solve: expected not_converged, got converged"
+        assert main(["run", "banach-half", "--out", str(tmp_path / "run")]) == 2
+        assert line in capsys.readouterr().out.splitlines()
+        assert main(["gallery", "--out", str(tmp_path / "gallery")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "banach-half: exit 2 (expected 0) UNEXPECTED", line]
+
 
 class TestGalleryTable:
     def test_names(self):
@@ -908,6 +920,12 @@ class TestRunnerOverrides:
             assert result.exit_code == 2
             assert result.verdicts["certify.asmk1.C6"] == "inconclusive"
             assert result.verdicts["certify.asmk2.C6"] == "inconclusive"
+
+    def test_a_verdict_key_is_written_once(self, tmp_path):
+        sink = _Sink(str(tmp_path))
+        sink.value("iterate.solve", "converged")
+        with pytest.raises(ConfigurationError, match="duplicate verdict key iterate.solve"):
+            sink.value("iterate.solve", "not_converged")
 
     def test_run_result_mirrors_the_report(self, tmp_path):
         result = run_scenario_doc(SMOKE, str(tmp_path / "out"))

@@ -283,6 +283,5 @@ class TestAxiomVerification:
 
     def test_mixed_axioms_need_companion(self):
         fn = compile_expression("abs(x[0] - y[0])", ("x", "y"))
-        p = custom_premetric(LINE, fn, claims=frozenset({"mixed_triangle"}))
-        with pytest.raises(ConfigurationError):
-            verify_premetric_axioms(p, [[[0.0], [1.0], [2.0]]])
+        with pytest.raises(ConfigurationError, match="mixed_triangle claimed but no companion"):
+            custom_premetric(LINE, fn, claims=frozenset({"mixed_triangle"}))

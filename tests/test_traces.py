@@ -72,7 +72,7 @@ class TestPicard:
         with pytest.raises(InputError, match="at least one iteration step"):
             picard_trace(half, LINE.point(1.0), 0)
         other = Space(id="plane", dimension=2)
-        with pytest.raises(InputError, match="does not live on the map's space"):
+        with pytest.raises(InputError, match="does not belong to space"):
             picard_trace(half, other.point(1.0, 1.0), 3)
 
 
@@ -125,7 +125,7 @@ class TestCyclicEven:
         assert tr.gaps.tolist() == [0.0] * 4
 
     def test_seed_outside_first_set(self):
-        with pytest.raises(InputError, match="start in the first set"):
+        with pytest.raises(InputError, match="starting point must lie in the first set"):
             cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
                               self.setting(), LINE.point(0.5), 4)
 
