@@ -192,15 +192,51 @@ def _pair_positions(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
     return ((rows * n + cols) + (np.arange(k) * (n * n))[:, None]).reshape(-1)
 
 
-# Pairs in a shift's first gather of the band sweep; each later gather of
-# the same shift is twice as long.
+# Pairs in the first gather of a read of the band sweep; a gather that
+# carries on where the last one ended is twice as long as it.
 _FIRST_CHUNK = 1024
+# The band sweep sorts each pair by one integer key, its segment id above
+# its flat position; 2 ** 40 gap values would take 8 TB, so a position
+# always fits below the id.
+_POSITION_BITS = 40
 
 
 def _shifted(flat: np.ndarray, positions: np.ndarray, nu: int, n: int) -> np.ndarray:
     """The gaps nu steps down the diagonal from the pairs at positions in
     flat, the raveled (k, n, n) gap matrices (see _pair_positions)."""
     return flat[nu * (n + 1):].take(positions)
+
+
+class _Chunks:
+    """The shifted gaps of the kept pairs pos at one shift, gathered in
+    chunks through _shifted, of which only the current one, pos[a:b], is
+    kept.  A read that starts outside it gathers a new chunk from its
+    start: twice as long as the last if it carries on from that chunk's
+    end, _FIRST_CHUNK pairs if it starts anywhere else."""
+
+    __slots__ = ("flat", "pos", "nu", "n", "a", "b", "chunk", "size")
+
+    def __init__(self, flat: np.ndarray, pos: np.ndarray, nu: int, n: int):
+        self.flat, self.pos, self.nu, self.n = flat, pos, nu, n
+        self.a = self.b = 0
+        self.size = _FIRST_CHUNK
+
+    def first_violator(self, q: int, end: int, limit: float, last: int) -> int:
+        """The first position from q on, before end, whose shifted gap is
+        not <= limit (a NaN is not), or max(q, end) if there is none; no
+        chunk gathered here reaches past last, which is at least end."""
+        while q < end:
+            if not self.a <= q < self.b:
+                if q != self.b:
+                    self.size = _FIRST_CHUNK
+                self.a, self.b = q, min(q + self.size, last)
+                self.chunk = _shifted(self.flat, self.pos[self.a:self.b], self.nu, self.n)
+                self.size *= 2
+            seen = self.chunk[q - self.a:min(end, self.b) - self.a]
+            if not seen.max() <= limit:  # a violator here; a NaN maximum too
+                return q + int((seen <= limit).argmin())
+            q = min(end, self.b)
+        return q
 
 
 def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
@@ -210,12 +246,14 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     One classification of the pairs and one sweep over nu decide every
     (eps, delta) band of the call.  Every eps and every eps + delta is a
     cut; a gap strictly between two cuts gets an even segment id and a gap
-    equal to a cut an odd one (2 * cuts below it, plus 1 if on a cut).  The
-    open band (eps, eps + delta) is then exactly a range of ids, from just
-    above eps's id to just below eps + delta's.  Pairs outside every band
-    are dropped and the rest are stable-sorted by id, so each segment is a
-    contiguous run of pairs kept in memory order, and bincount gives every
-    band's size.
+    equal to a cut an odd one (2 * cuts below it, plus 1 if on a cut).
+    One right-sided search among the cuts, each followed by the next float
+    above it, gives every id.  The open band (eps, eps + delta) is then
+    exactly a range of ids, from just above eps's id to just below
+    eps + delta's.  Pairs outside every band are dropped, and the rest are
+    sorted by one integer key, the id above the position, so each segment
+    is a contiguous run of pairs kept in memory order and a search among
+    the sorted keys gives every band's size.
 
     The bands of one eps are nested id ranges from the same first id, so at
     shift nu one position decides them all: stop, the first kept pair from
@@ -224,13 +262,22 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     are walked in increasing order: their first ids, widest ends and limits
     all rise with eps, and a pair at or below one eps's limit is at or
     below every larger eps's, so each walk starts at the later of its own
-    first id and the previous eps's stop, which it reads again.  A shift is
-    thus one forward cursor over the kept pairs' positions (see
-    _pair_positions) that gathers chunks of them, doubling from
-    _FIRST_CHUNK, and keeps only the current chunk, since nothing behind
-    the cursor is read again.  An eps retires once its widest band passes,
-    because that band wins before any narrower one is looked at, and the
-    sweep stops when no eps is live.
+    first id and the previous eps's stop, which it reads again.
+
+    An eps whose widest passing band, p, passed no wider one at the last
+    shift reads the pairs that band p - 1 adds to band p (its increment)
+    before anything else.  A violator there settles the eps at nu: band
+    p - 1 and every wider band fail, the narrower ones already have their
+    first nu, and band p's pairs are not read.  The stop it hands on is
+    left as it was, which is still a valid start for the next eps.  Only a
+    clean increment sends the eps back over band p's pairs, whose shifted
+    gaps may have risen since, and then on past the increment.  Every other
+    eps, one with no passing band yet or one that passed a wider band at
+    the last shift, walks straight from its start.  Every read of a shift
+    goes through one _Chunks over the kept pairs' positions (see
+    _pair_positions), and a walk's chunks double from _FIRST_CHUNK.  An eps
+    retires once its widest band passes, because that band wins before any
+    narrower one is looked at, and the sweep stops when no eps is live.
 
     Deltas are then decided in decreasing order: the first band that is
     vacuous or passes at some nu is the witness, with its first passing nu.
@@ -255,59 +302,62 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     inside = (gaps > cuts[0]) & (gaps < cuts[-1])
     kept, gaps = kept[inside], gaps[inside]
     del inside
-    at = np.searchsorted(cuts, gaps)
-    n_seg = 2 * cuts.size
-    # the narrowest dtype that holds an id lets the stable sort run as a
-    # radix sort
-    seg = (2 * at + (gaps == cuts[at])).astype(np.min_scalar_type(n_seg))
-    del gaps, at
-    pos = kept[np.argsort(seg, kind="stable")]  # kept pairs in id order
+    # a gap in [cut, next float after cut) is on the cut: each cut and its
+    # successor bound one odd id, so a right search gives every id at once
+    edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
+    keys = np.searchsorted(edges, gaps, side="right")
+    del gaps
+    keys <<= _POSITION_BITS
+    keys |= kept
     del kept
-    offsets = np.zeros(n_seg + 1, dtype=np.intp)  # pairs with a smaller id
-    np.cumsum(np.bincount(seg, minlength=n_seg), out=offsets[1:])
-    del seg
+    keys.sort()  # by id, and by position within an id
+    n_seg = 2 * cuts.size
+    offsets = np.searchsorted(keys, np.arange(n_seg + 1) << _POSITION_BITS)  # pairs below id
+    pos = keys & ((1 << _POSITION_BITS) - 1)  # kept pairs in id order
+    del keys
     # band (eps, eps + delta) holds the ids lo <= id < hi; hi never falls
     # below lo, so a band with eps + delta == eps is empty
     lo = 2 * np.searchsorted(cuts, eps_grid) + 2  # (n_eps,)
     hi = np.maximum(2 * np.searchsorted(cuts, uppers) + 1, lo[:, None])  # (n_eps, n_deltas)
     sizes = offsets[hi] - offsets[lo][:, None]
 
-    # the live eps in increasing order; per eps its first position, its
-    # widest band's end, its band ends narrowest first and its limit
+    # per eps its first position, its band ends widest first and
+    # narrowest first, and its limit
     ends = offsets[hi]
-    first, widest, ascending = offsets[lo].tolist(), ends[:, 0].tolist(), \
+    first, widest_first, ascending = offsets[lo].tolist(), ends.tolist(), \
         ends[:, ::-1].tolist()
     limits = [eps + eta for eps in eps_grid]
+    n_d = len(deltas)
     first_pass = np.zeros(hi.shape, dtype=int)
-    passing = [len(deltas)] * len(eps_grid)  # widest band passed so far, or none
+    passing = [n_d] * len(eps_grid)  # widest band passed so far, or none
+    stuck = [False] * len(eps_grid)  # passed a band, but no wider one at the last nu
+    # the live eps in increasing order
     live = [t for t in np.argsort(eps_grid, kind="stable").tolist() if sizes[t, 0]]
     for nu in range(1, nh + 1):
         if not live:
             break
-        a = b = stop = 0  # the chunk holds the shifted gaps of pos[a:b]
-        size, last = _FIRST_CHUNK, widest[live[-1]]
-        still = []
+        chunks, last = _Chunks(flat, pos, nu, n), widest_first[live[-1]][0]
+        stop = 0
         for t in live:
-            q, end, limit = max(first[t], stop), widest[t], limits[t]
-            while q < end:
-                if q >= b:
-                    a, b = q, min(q + size, last)
-                    chunk = _shifted(flat, pos[a:b], nu, n)
-                    size *= 2
-                seen = chunk[q - a:min(end, b) - a]
-                if not seen.max() <= limit:  # a violator here; a NaN maximum too
-                    q += int((seen <= limit).argmin())
-                    break
-                q = min(end, b)
-            stop = q
+            e, p, limit = widest_first[t], passing[t], limits[t]
+            q = max(first[t], stop)
+            if stuck[t] and q < e[p - 1]:
+                # band p - 1's increment first, band p again only if it is clean
+                if chunks.first_violator(max(q, e[p]), e[p - 1], limit, e[p - 1]) < e[p - 1]:
+                    continue
+                q = chunks.first_violator(q, e[p], limit, e[p])
+                if q < e[p]:
+                    stop = q
+                    continue
+                q = max(q, e[p - 1])
+            stop = chunks.first_violator(q, e[0], limit, last)
             # bands m and narrower end by stop, so they pass at nu
-            m = len(deltas) - bisect_right(ascending[t], stop)
-            if m < passing[t]:
-                first_pass[t, m:passing[t]] = nu
+            m = n_d - bisect_right(ascending[t], stop)
+            stuck[t] = m >= p < n_d
+            if m < p:
+                first_pass[t, m:p] = nu
                 passing[t] = m
-            if m:
-                still.append(t)
-        live = still
+        live = [t for t in live if passing[t]]
 
     wits: list[dict | None] = []
     verdicts: list[Verdict] = []

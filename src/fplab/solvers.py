@@ -195,7 +195,8 @@ def certify_cauchy(
 # Solvers
 
 
-# Steps in a walk's first block; each later block is twice as long.
+# Steps in a walk's first block, and gaps in the first block of a witness
+# scan row; each later block is twice as long.
 _FIRST_BLOCK = 64
 
 
@@ -360,6 +361,32 @@ class WitnessScan:
     note: str
 
 
+def _row_to_far(p: Premetric, x: np.ndarray, ys: np.ndarray, bound: float) -> np.ndarray:
+    """The gaps p(x, ys[i]) for i = 0, 1, ... up to the first one above
+    bound, evaluated in blocks that double from _FIRST_BLOCK, so the
+    result may run on past that gap to its block's end.  A block that
+    raises is evaluated again one gap at a time up to that first one, so
+    an error comes only from a gap a loop over i would read, and it is the
+    error the loop would meet first."""
+    blocks, start, size = [], 0, _FIRST_BLOCK
+    while start < ys.shape[0]:
+        ys_block = ys[start:start + size]
+        try:
+            block = premetric_matrix(p, x[None], ys_block)[0]
+        except InputError:
+            block = []
+            for y in ys_block:
+                block.append(float(premetric_values(p, x, y)))
+                if block[-1] > bound:
+                    break
+            block = np.array(block)
+        blocks.append(block)
+        if (block > bound).any():
+            break
+        start, size = start + size, 2 * size
+    return np.concatenate(blocks)
+
+
 def extract_noncauchy_witness(
     trace: IterationTrace,
     *,
@@ -401,10 +428,13 @@ def extract_noncauchy_witness(
     kept, shifted = 0, 0
     sigma = n0
     while len(occ_sigma) < WITNESS_MAX_OCCURRENCES and sigma < last:
-        row = premetric_matrix(p, coords[sigma:sigma + 1], coords[sigma + 1:])[0]
+        # the scan reads the row up to rho, and rho + 1 only for parity
+        row = _row_to_far(p, coords[sigma], coords[sigma + 1:], 2.0 * eps)
 
         def gap_at(m: int) -> float:
-            return float(row[m - sigma - 1])
+            if m - sigma - 1 < row.shape[0]:
+                return float(row[m - sigma - 1])
+            return float(premetric_values(p, coords[sigma], coords[m]))
 
         far = np.nonzero(row > 2.0 * eps)[0]
         if far.size == 0:

@@ -627,7 +627,9 @@ def solve_common_fixed_point_reference(schedule, seed, tol=1e-9, max_steps=10_00
 def noncauchy_witness_reference(trace, eps=0.5, gap_tol=1e-2,
                                 max_occurrences=WITNESS_MAX_OCCURRENCES):
     """extract_noncauchy_witness with every gap, consecutive or from sigma,
-    one checked_premetric_reference call on the trace's coordinates."""
+    one checked_premetric_reference call on the trace's coordinates.  A gap
+    from sigma is evaluated only when the scan reads it: in order up to
+    rho, then rho + 1 if the parity step asks for it."""
     p, xs = trace.premetric, trace.coords.tolist()
     last = len(xs) - 1
     gaps = [checked_premetric_reference(p, xs[n], xs[n + 1]) for n in range(last)]
@@ -649,12 +651,16 @@ def noncauchy_witness_reference(trace, eps=0.5, gap_tol=1e-2,
     found, kept, shifted = [], 0, 0
     sigma = n0
     while len(found) < max_occurrences and sigma < last:
-        gap = {m: checked_premetric_reference(p, xs[sigma], xs[m])
-               for m in range(sigma + 1, last + 1)}
-        far = [m for m in gap if gap[m] > 2.0 * eps]
-        if not far:
+        gap = {}
+        for m in range(sigma + 1, last + 1):
+            gap[m] = checked_premetric_reference(p, xs[sigma], xs[m])
+            if gap[m] > 2.0 * eps:
+                break
+        else:
             break
-        rho = far[0]
+        rho = m
+        if (rho - sigma) % 2 and rho < last:
+            gap[rho + 1] = checked_premetric_reference(p, xs[sigma], xs[rho + 1])
         if (rho - sigma) % 2 == 0:
             end, kept = rho, kept + 1
         elif rho < last and gap[rho + 1] > eps:

@@ -16,9 +16,16 @@ all, a gap on a cut shared by two eps, an unsorted grid with repeated eps,
 and a defeat tie between pairs in two segments of one band.  Hand cases at
 the edges of the sweep's walk cover a stop pair handed from one eps to the
 next, violators on either side of a chunk boundary, non-finite shifted
-gaps, and a failing band that is +inf at every shift.  On the seed-0
-meir-keeler D4 matrices the sweep must gather far fewer shifted gaps than
-one per kept pair and shift.
+gaps, and a failing band that is +inf at every shift.  Hand cases at the
+edges of the increment-first order cover a prefix that is dirty again
+behind a clean increment, a violator on an increment's last pair, two
+deltas with equal band ends, NaN and +inf in an increment, a skipped eps
+followed by one that starts from the stop handed on, a skipped eps that
+must not hand on the pair it stopped on, and an increment that starts in
+the middle of a chunk; a property test draws shifted gaps that are not
+monotone in nu.  On the seed-0 gallery calls the sweep must gather far
+fewer shifted gaps than one per kept pair and shift (meir-keeler D4 and
+C4), and a passing walk (banach-half D4) no more than before.
 """
 
 import json
@@ -282,6 +289,117 @@ def _never_finite_case():
                            "best_uniform_nu": 0, "value_at_best_nu": 0.6}]
 
 
+@st.composite
+def nonmonotone_band_cases(draw):
+    # one pair per orbit, some in eps 0.5's narrow band (0.5, 0.7), some in
+    # what its wide band (0.5, 1.5) adds, and a few anywhere; each shifted
+    # gap is drawn afresh at every nu, so a band that passed at one shift
+    # can be dirty again at a later one
+    gaps = (draw(st.lists(st.sampled_from((0.55, 0.6, 0.65)), min_size=1, max_size=4))
+            + draw(st.lists(st.sampled_from((0.75, 0.9, 1.2)), min_size=1, max_size=4))
+            + draw(st.lists(st.sampled_from(VALUES), max_size=2)))
+    nh = draw(st.integers(3, 8))
+    drops = st.sampled_from((0.1, 0.1, 0.45, 0.55, 0.9))
+    shifted = draw(st.lists(st.lists(drops, min_size=len(gaps), max_size=len(gaps)),
+                            min_size=nh, max_size=nh))
+    eps_grid = draw(st.sampled_from(((0.5,), (0.4, 0.5), (0.5, 0.6), (0.6, 0.5, 0.4))))
+    return _pair_per_orbit(gaps, shifted, eps_grid, (1.0, 0.2))
+
+
+@given(nonmonotone_band_cases())
+def test_sweep_equals_both_references_on_nonmonotone_shifts(case):
+    _all_three(*case)
+
+
+# Cases at the edges of the increment-first order: an eps that passed a
+# band, but no wider one at the last shift, reads the pairs the next wider
+# band adds before anything else.  In the first four, the narrow band
+# (0.5, 0.7) of eps 0.5 holds the pair with gap 0.6 and passes at nu = 1,
+# and the pairs with larger gaps are its increment to the wide band
+# (0.5, 1.5); at nu = 2 the eps passes no wider band, so from nu = 3 on it
+# reads the increment first.
+
+
+def _prefix_dirty_case():
+    # at nu = 3 the increment is clean but the pair with gap 0.6, which
+    # passed at nu = 1 and 2, violates again, so the wide band waits for 4
+    mats, budget = _pair_per_orbit([0.6, 0.9], [[0.1, 0.9], [0.1, 0.9], [0.9, 0.1], [0.1, 0.1]],
+                                   (0.5,), (1.0, 0.2))
+    return mats, budget, [{"eps": 0.5, "delta": 1.0, "nu": 4, "in_band": 2}]
+
+
+def _last_of_increment_case():
+    # the increment's only violator at nu = 3 is its last pair
+    mats, budget = _pair_per_orbit([0.6, 0.8, 0.9, 1.0],
+                                   [[0.1, 0.1, 0.1, 0.9]] * 3 + [[0.1] * 4],
+                                   (0.5,), (1.0, 0.2))
+    return mats, budget, [{"eps": 0.5, "delta": 1.0, "nu": 4, "in_band": 4}]
+
+
+def _equal_ends_case():
+    # (0.5, 0.7) and (0.5, 0.95) hold the same pair, so the middle band adds
+    # nothing to the narrow one and passes with it; the increment read from
+    # nu = 3 on is the widest band's
+    mats, budget = _pair_per_orbit([0.6, 1.2], [[0.1, 0.9]] * 3 + [[0.1, 0.1]],
+                                   (0.5,), (1.0, 0.45, 0.2))
+    return mats, budget, [{"eps": 0.5, "delta": 1.0, "nu": 4, "in_band": 2}]
+
+
+def _nonfinite_increment_case():
+    # a NaN in the increment settles the eps at nu = 3 and a +inf at nu = 4
+    mats, budget = _pair_per_orbit([0.6, 0.8, 0.9],
+                                   [[0.1, 0.1, 0.9], [0.1, 0.1, 0.9], [0.1, np.nan, 0.1],
+                                    [0.1, 0.1, np.inf], [0.1, 0.1, 0.1]],
+                                   (0.5,), (1.0, 0.2))
+    return mats, budget, [{"eps": 0.5, "delta": 1.0, "nu": 5, "in_band": 3}]
+
+
+def _skip_then_handoff_case():
+    # gaps 0.45, 0.55, 0.62, 0.7, 0.9 under eps 0.4, 0.5 and 0.6 with deltas
+    # 1.0 and 0.15; at nu = 3 eps 0.4 walks to the 0.7 pair (shifted to
+    # 0.55), eps 0.5's increment check stops on that same pair, so eps 0.5
+    # is skipped and hands on 0.4's stop, and eps 0.6 starts its walk there
+    # and passes its wide band
+    mats, budget = _pair_per_orbit(
+        [0.45, 0.55, 0.62, 0.7, 0.9],
+        [[0.45, 0.1, 0.1, 0.55, 0.65], [0.1, 0.1, 0.1, 0.55, 0.65],
+         [0.1, 0.1, 0.1, 0.55, 0.1], [0.1] * 5],
+        (0.4, 0.5, 0.6), (1.0, 0.15))
+    return mats, budget, [{"eps": 0.4, "delta": 1.0, "nu": 4, "in_band": 5},
+                          {"eps": 0.5, "delta": 1.0, "nu": 4, "in_band": 4},
+                          {"eps": 0.6, "delta": 1.0, "nu": 3, "in_band": 3}]
+
+
+def _skip_keeps_stop_case():
+    # gaps 0.6, 0.65 and 0.9 under eps 0.5 and 0.6 with deltas 1.0 and 0.2;
+    # at nu = 3 eps 0.5 is skipped on the 0.9 pair (shifted to 0.55), which
+    # eps 0.6 allows, but the 0.65 pair, shifted to 0.8, lies before it and
+    # holds eps 0.6's wide band off: the skipped eps must not hand on the
+    # pair it stopped on
+    mats, budget = _pair_per_orbit([0.6, 0.65, 0.9],
+                                   [[0.1, 0.1, 0.62], [0.1, 0.1, 0.62], [0.1, 0.8, 0.55],
+                                    [0.1, 0.1, 0.1]],
+                                   (0.5, 0.6), (1.0, 0.2))
+    return mats, budget, [{"eps": 0.5, "delta": 1.0, "nu": 4, "in_band": 3},
+                          {"eps": 0.6, "delta": 1.0, "nu": 4, "in_band": 2}]
+
+
+def _mid_chunk_increment_case():
+    # 100 pairs in (0.4, 0.5), 200 in (0.5, 0.8) and 200 in (0.8, 1.4):
+    # eps 0.4, stopped at its first pair until nu = 4, gathers one chunk of
+    # all 500 at every shift, and eps 0.5's increment, the last 200, starts
+    # in the middle of it; a pair in the middle of that increment holds eps
+    # 0.5's wide band off until nu = 4
+    gaps = np.concatenate([np.linspace(0.41, 0.49, 100), np.linspace(0.51, 0.79, 200),
+                           np.linspace(0.81, 1.39, 200)])
+    held = np.full(500, 0.1)
+    held[0], held[400] = 0.45, 0.9
+    mats, budget = _pair_per_orbit(gaps, [held] * 3 + [np.full(500, 0.1)],
+                                   (0.4, 0.5), (1.0, 0.3))
+    return mats, budget, [{"eps": 0.4, "delta": 1.0, "nu": 4, "in_band": 500},
+                          {"eps": 0.5, "delta": 1.0, "nu": 4, "in_band": 400}]
+
+
 @pytest.mark.parametrize("case", [_collapsed_band_case(), _no_pairs_case(),
                                   _shared_cut_case(), _unsorted_grid_case(),
                                   _tie_across_segments_case(),
@@ -290,21 +408,29 @@ def _never_finite_case():
                                   _chunk_edge_case(_FIRST_CHUNK),
                                   _chunk_edge_case(3 * _FIRST_CHUNK - 1),
                                   _chunk_edge_case(3 * _FIRST_CHUNK),
-                                  _nonfinite_stop_case(), _never_finite_case()],
+                                  _nonfinite_stop_case(), _never_finite_case(),
+                                  _prefix_dirty_case(), _last_of_increment_case(),
+                                  _equal_ends_case(), _nonfinite_increment_case(),
+                                  _skip_then_handoff_case(), _skip_keeps_stop_case(),
+                                  _mid_chunk_increment_case()],
                          ids=["collapsed-band", "no-pairs", "shared-cut", "unsorted-grid",
                               "tie-across-segments",
                               "handoff-passes-next", "handoff-violates-next",
                               "last-of-first-chunk", "first-of-second-chunk",
                               "last-of-second-chunk", "first-of-third-chunk",
-                              "nonfinite-stop", "never-finite"])
+                              "nonfinite-stop", "never-finite",
+                              "prefix-dirty-again", "last-of-increment", "equal-band-ends",
+                              "nonfinite-increment", "skip-then-handoff", "skip-keeps-stop",
+                              "mid-chunk-increment"])
 def test_segment_edge_cases(case):
     mats, budget, expected = case
     assert _all_three(mats, budget).witnesses == expected
 
 
-def test_the_sweep_stops_early_on_meir_keeler(tmp_path, monkeypatch):
-    # one gather of every kept pair at every shift read 24.9M shifted gaps
-    # on this call; stopping each eps at its first violator reads ~5.6M
+def _gathered(tmp_path, monkeypatch, entry, cid):
+    """The shifted gaps _band_uniform gathers on the seed-0 call cid of
+    the gallery entry, counted through _shifted, which every gather of the
+    sweep and of the defeat rebuild goes through."""
     calls = []
 
     def capture(mats, budget, cid):
@@ -312,8 +438,8 @@ def test_the_sweep_stops_early_on_meir_keeler(tmp_path, monkeypatch):
         return _band_uniform(mats, budget, cid)
 
     monkeypatch.setattr(certificates, "_band_uniform", capture)
-    run_scenario_doc(get_entry("meir-keeler").doc, str(tmp_path / "out"), seed=0)
-    [(mats, budget)] = [(mats, budget) for mats, budget, cid in calls if cid == "D4"]
+    run_scenario_doc(get_entry(entry).doc, str(tmp_path / "out"), seed=0)
+    [(mats, budget)] = [(mats, budget) for mats, budget, c in calls if c == cid]
     gathered = 0
 
     def counting(flat, positions, nu, n):
@@ -322,5 +448,24 @@ def test_the_sweep_stops_early_on_meir_keeler(tmp_path, monkeypatch):
         return _shifted(flat, positions, nu, n)
 
     monkeypatch.setattr(certificates, "_shifted", counting)
-    _band_uniform(mats, budget, "D4")
-    assert 0 < gathered <= 10_000_000
+    _band_uniform(mats, budget, cid)
+    return gathered
+
+
+def test_the_sweep_stops_early_on_meir_keeler(tmp_path, monkeypatch):
+    # one gather of every kept pair at every shift read 24.9M shifted gaps
+    # on this call, stopping each eps at its first violator ~5.6M, and
+    # reading a stuck eps's increment first ~1.7M
+    assert 0 < _gathered(tmp_path, monkeypatch, "meir-keeler", "D4") <= 2_000_000
+
+
+def test_the_sweep_reads_increments_first_on_meir_keeler_c4(tmp_path, monkeypatch):
+    # ~0.84M before the increment-first order, ~0.24M with it
+    assert 0 < _gathered(tmp_path, monkeypatch, "meir-keeler", "C4") <= 400_000
+
+
+def test_a_passing_walk_gathers_no_more_than_before(tmp_path, monkeypatch):
+    # banach-half's D4 eps each pass a wider band at every shift until their
+    # widest, so none reads an increment first; the first-violator sweep
+    # before the increment-first order gathered 1 140 179 shifted gaps here
+    assert 0 < _gathered(tmp_path, monkeypatch, "banach-half", "D4") <= 1_140_179

@@ -1260,9 +1260,9 @@ class TestDerivedGaps:
 # The witness scan against its (sigma, m) loop
 
 WITNESS_STEPS = st.sampled_from((-0.7, -0.4, -0.25, 0.0, 0.1, 0.3, 0.5, 0.6, 0.8))
-# no gap of the drawn traces leaves a premetric's range: the scan evaluates
-# a sigma's whole gap row at once, so its range error is the row's, not the
-# first one a loop over m meets
+# the free head points lie far apart, so these premetrics have no working
+# range a drawn gap could leave; test_scan_raises_only_where_the_loop_reads
+# draws walks whose gaps leave one
 WITNESS_PREMETRICS = {"metric": metric_premetric(LINE),
                       "half-abs": SOLVE_PREMETRICS[LINE]["half-abs"],
                       "composed-mk": _composed(LINE, 1000.0)}
@@ -1288,6 +1288,20 @@ class TestNoncauchyWitnessScan:
         got = _outcome_text(extract_noncauchy_witness, tr, eps=eps, gap_tol=gap_tol)
         assert got == _outcome_text(noncauchy_witness_reference, tr, eps=eps, gap_tol=gap_tol)
 
+    @given(steps=st.lists(WITNESS_STEPS, min_size=3, max_size=30),
+           t_max=st.sampled_from((1.0, 1.5, 2.0)), eps=st.sampled_from((0.2, 0.3)),
+           gap_tol=st.sampled_from((0.3, 0.8)))
+    def test_scan_raises_only_where_the_loop_reads(self, steps, t_max, eps, gap_tol):
+        """A walk that comes to rest, its gaps under a gauge whose working
+        range the walk may leave; the consecutive gaps stay in range."""
+        xs = [0.0]
+        for step in steps:
+            xs.append(xs[-1] + step)
+        xs += [xs[-1]] * len(steps)  # at rest, so the consecutive gaps decay
+        tr = _settled_trace(xs, _composed(LINE, t_max))
+        got = _outcome_text(extract_noncauchy_witness, tr, eps=eps, gap_tol=gap_tol)
+        assert got == _outcome_text(noncauchy_witness_reference, tr, eps=eps, gap_tol=gap_tol)
+
     # points after one large step, scanned with eps 0.5 and gap_tol 0.8, so
     # the scan starts at sigma = 1 (x = 0); the witness and its parity counts
     CASES = {
@@ -1301,6 +1315,16 @@ class TestNoncauchyWitnessScan:
         # skips to sigma = 5, where rho = 8 is the last point and x_7 is far
         "skip": ([50.0, 0.0, 0.3, 0.5, 1.2, 0.5, 0.5, 1.1, 1.7], (5, 7, 7, 0.0), (0, 1)),
     }
+
+    def test_the_scan_reads_no_gap_past_rho(self):
+        # from sigma = 0, rho = 2 (gap mk(0.8) = 0.44 > 0.4) comes before the
+        # first gap outside the gauge's range [0, 1.5] (x_3 = 1.6), so the
+        # scan reports found instead of that gap's range error
+        tr = _settled_trace([0.0, 0.3, 0.8, 1.6, 1.7], _composed(LINE, 1.5))
+        got = _outcome_text(extract_noncauchy_witness, tr, eps=0.2, gap_tol=0.8)
+        assert got == _outcome_text(noncauchy_witness_reference, tr, eps=0.2, gap_tol=0.8)
+        wit = json.loads(got)["witness"]
+        assert (wit["sigma"], wit["rho"], wit["k"]) == ([0], [2], [2])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_parity_cases(self, case):
