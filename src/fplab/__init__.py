@@ -57,7 +57,6 @@ from .solvers import (
     WitnessScan,
     cauchy_diagnostic,
     certify_cauchy,
-    check_E_conditions,
     even_collapse_diagnostic,
     extract_noncauchy_witness,
     solve_best_proximity,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .certificates import check_asf1, check_asf2, check_c5
 from .errors import ConfigurationError, InputError
-from .gauges import Gauge, GaugeFamily, _members, require_profile, verify_gauge_regularity
+from .gauges import verify_gauge_regularity
 from .maps import NamedMap
 from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
     worst_verdict
@@ -195,8 +195,7 @@ def certify_cauchy(
 # Solvers
 
 
-# Steps in a walk's first block, and gaps in the first block of a witness
-# scan row; each later block is twice as long.
+# Steps in a walk's first block; each later block is twice as long.
 _FIRST_BLOCK = 64
 
 
@@ -362,29 +361,19 @@ class WitnessScan:
 
 
 def _row_to_far(p: Premetric, x: np.ndarray, ys: np.ndarray, bound: float) -> np.ndarray:
-    """The gaps p(x, ys[i]) for i = 0, 1, ... up to the first one above
-    bound, evaluated in blocks that double from _FIRST_BLOCK, so the
-    result may run on past that gap to its block's end.  A block that
-    raises is evaluated again one gap at a time up to that first one, so
-    an error comes only from a gap a loop over i would read, and it is the
-    error the loop would meet first."""
-    blocks, start, size = [], 0, _FIRST_BLOCK
-    while start < ys.shape[0]:
-        ys_block = ys[start:start + size]
-        try:
-            block = premetric_matrix(p, x[None], ys_block)[0]
-        except InputError:
-            block = []
-            for y in ys_block:
-                block.append(float(premetric_values(p, x, y)))
-                if block[-1] > bound:
-                    break
-            block = np.array(block)
-        blocks.append(block)
-        if (block > bound).any():
-            break
-        start, size = start + size, 2 * size
-    return np.concatenate(blocks)
+    """The gaps p(x, ys[i]), the whole row in one evaluation.  A row that
+    raises is evaluated again one gap at a time up to the first one above
+    bound, so an error comes only from a gap a loop over i would read, and
+    it is the error the loop would meet first."""
+    try:
+        return premetric_matrix(p, x[None], ys)[0]
+    except InputError:
+        row = []
+        for y in ys:
+            row.append(float(premetric_values(p, x, y)))
+            if row[-1] > bound:
+                break
+        return np.array(row)
 
 
 def extract_noncauchy_witness(
@@ -510,113 +499,3 @@ def even_collapse_diagnostic(
     )
     verdict = Verdict.PASS if (deviation <= tol and even_tail <= tol) else Verdict.FAIL
     return CertificateReport("EVEN-COLLAPSE", verdict, wits, None, note)
-
-
-# ---------------------------------------------------------------------------
-# Limit collapse for dominated sequence pairs
-
-
-def check_E_conditions(
-    f_gauge: Gauge,
-    psi: Gauge | GaugeFamily,
-    alpha_seq,
-    beta_seq,
-    gamma: float,
-    eta: float = 1e-9,
-    conv_tol: float = 1e-3,
-    nu_horizon: int = 64,
-) -> CertificateReport:
-    """Limit collapse for a dominated pair of sequences (id E1, or E2 when
-    psi is a family): two sequences converging to the same limit from a
-    domination relation force that limit to zero.
-
-    Hypotheses are verified numerically: both sequences settle toward gamma,
-    beta stays at or above gamma, psi sits strictly below the identity on the
-    relevant values (for a family: some member up to nu_horizon, or up to
-    the last of an explicit family's members, does, per step), and the
-    domination holds in the limit.  With a single gauge the domination is
-    checked at the limit value rather than stepwise, because a fixed-slack
-    stepwise check rejects valid slowly-converging data.  A violated
-    hypothesis is reported inconclusive (not applicable), never as a failure;
-    fail is reserved for data that meets the hypotheses yet has gamma > eta.
-
-    Raises:
-        RefusalError: f_gauge misses or fails {continuous, nondecreasing}.
-        InputError: malformed sequences or gamma outside f_gauge's domain.
-    """
-    alpha = np.asarray(alpha_seq, dtype=float)
-    beta = np.asarray(beta_seq, dtype=float)
-    if alpha.ndim != 1 or beta.ndim != 1 or alpha.shape != beta.shape or alpha.shape[0] < 2:
-        raise InputError("need two equal-length sequences of at least 2 terms")
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(gamma)):
-        raise InputError("sequences and gamma must be finite")
-    if gamma < 0 or gamma > f_gauge.t_max:
-        raise InputError(f"gamma must lie in [0, {f_gauge.t_max}]")
-    require_profile(f_gauge, frozenset({"continuous", "nondecreasing"}), eta=eta)
-    family = isinstance(psi, GaugeFamily)
-    cid = "E2" if family else "E1"
-
-    def settles(seq: np.ndarray) -> bool:
-        mid = abs(float(seq[seq.shape[0] // 2]) - gamma)
-        end = abs(float(seq[-1]) - gamma)
-        return end <= max(conv_tol, 0.75 * mid)
-
-    problems: list[dict] = []
-    if not settles(alpha):
-        problems.append(witness(hypothesis="alpha settles toward gamma",
-                                last=float(alpha[-1]), gamma=gamma))
-    if not settles(beta):
-        problems.append(witness(hypothesis="beta settles toward gamma",
-                                last=float(beta[-1]), gamma=gamma))
-    low = np.nonzero(beta < gamma - eta)[0]
-    if low.size:
-        i = int(low[0])
-        problems.append(witness(hypothesis="beta stays at or above gamma",
-                                n=i, beta=float(beta[i]), gamma=gamma))
-
-    probe = sorted({float(v) for v in np.append(f_gauge.apply_array(
-        np.clip(beta, 0.0, f_gauge.t_max)), [0.5, 1.0]) if eta < v <= 1e3})
-    if family:
-        for n in range(alpha.shape[0]):
-            lhs = f_gauge(min(alpha[n], f_gauge.t_max)) if alpha[n] >= 0 else None
-            if lhs is None:
-                problems.append(witness(hypothesis="alpha nonnegative", n=n,
-                                        alpha=float(alpha[n])))
-                break
-            rhs_base = f_gauge(min(max(beta[n], 0.0), f_gauge.t_max))
-            if not any(lhs <= v[0] + eta for v in _members(psi, [rhs_base], nu_horizon)):
-                problems.append(witness(
-                    hypothesis="some family member dominates the step", n=n,
-                    lhs=lhs, base=rhs_base))
-                break
-        for t in probe[:12]:
-            if not any(v[0] < t for v in _members(psi, [t], nu_horizon)):
-                problems.append(witness(
-                    hypothesis="some family member drops below the identity", t=t))
-                break
-    else:
-        fg = f_gauge(gamma)
-        lhs, rhs = fg, float(psi(min(fg, psi.t_max)))
-        if lhs > rhs + max(eta, conv_tol * abs(lhs)):
-            problems.append(witness(hypothesis="domination holds in the limit",
-                                    lhs=lhs, rhs=rhs))
-        for t in probe[:12]:
-            if t <= psi.t_max and not psi(t) < t:
-                problems.append(witness(hypothesis="psi sits below the identity", t=t))
-                break
-
-    if problems:
-        return CertificateReport(
-            cid, Verdict.INCONCLUSIVE, problems, None,
-            f"not applicable: {problems[0]['hypothesis']} fails on the supplied data",
-        )
-    if gamma <= eta:
-        return CertificateReport(
-            cid, Verdict.PASS, [witness(gamma=gamma)], None,
-            f"hypotheses corroborated and the shared limit is within {eta} of zero",
-        )
-    return CertificateReport(
-        cid, Verdict.FAIL, [witness(gamma=gamma)], None,
-        "hypotheses corroborated yet the shared limit stays away from zero; this "
-        "contradicts the expected collapse and flags the inputs or declared gauges",
-    )

@@ -12,11 +12,11 @@ consecutive gaps, so downstream certificates never guess the pairing convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
+from ._floatrepr import csv_rows
 from .errors import ConfigurationError, InputError
 from .maps import NamedMap
 from .spaces import (
@@ -91,24 +91,26 @@ class IterationTrace:
 
     def to_csv(self) -> str:
         """Rows "n,x0,..,x{d-1},p_gap" under a header; the last row's gap is
-        empty.  Every number is written with repr.
+        empty.  Every number is written as repr writes it.
+
+        The rows before the bit-periodic tail (below) go through one
+        vectorised kernel, _floatrepr.csv_rows: Schubfach's shortest
+        digits for whole columns, laid out as repr lays them out, with
+        subnormals, infinities and NaN passed to repr one at a time.
 
         repr depends only on a float's bits, so once each row's coordinates
         and gap have the bits of the row two earlier, every later row up to
         the last gap ends in one of two fixed suffixes: that tail is
-        formatted once, and only its row indices are written per row.  The
-        rest goes through map and join, with no Python frame per row.  Bits,
-        not ==, decide, so -0.0 and 0.0 stay distinct, and a row whose
-        coordinates repeat but whose gap does not is written in full."""
+        formatted once with repr, and only its row indices are written per
+        row.  Bits, not ==, decide, so -0.0 and 0.0 stay distinct, and a row
+        whose coordinates repeat but whose gap does not is written in full.
+        The last row is formatted with repr."""
         coords, n = self.coords, len(self)
-        lines = ["n," + ",".join(f"x{i}" for i in range(coords.shape[1])) + ",p_gap"]
+        parts = ["n," + ",".join(f"x{i}" for i in range(coords.shape[1])) + ",p_gap\n"]
         if n == 0:
-            return lines[0] + "\n"
+            return parts[0]
         k = _bit_period_start(coords, self.gaps)
-        if k:
-            cols = map(map, repeat(repr), coords[:k].T.tolist())
-            gaps = map(repr, self.gaps[:k].tolist())
-            lines.append("\n".join(map(",".join, zip(map(str, range(k)), *cols, gaps))))
+        parts.append(csv_rows(0, np.column_stack([coords[:k], self.gaps[:k]])))
         if k < n - 1:
             # rows k, k + 1, ... end like rows k - 2, k - 1; a float's repr
             # holds no %, so the pair of rows is one printf template
@@ -116,9 +118,9 @@ class IterationTrace:
                     for j in (k - 2, k - 1)]
             m = n - 1 - k
             template = "\n".join(pair * (m // 2) + pair[:m % 2])
-            lines.append(template % tuple(range(k, n - 1)))
-        lines.append(",".join([str(n - 1), *map(repr, coords[-1].tolist()), ""]))
-        return "\n".join(lines) + "\n"
+            parts.append(template % tuple(range(k, n - 1)) + "\n")
+        parts.append(",".join([str(n - 1), *map(repr, coords[-1].tolist()), ""]) + "\n")
+        return "".join(parts)
 
 
 def _bit_period_start(coords: np.ndarray, gaps: np.ndarray) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from fplab.certificates import _BAND_NOTE, _STRICT_NOTE, ASMK_VARIANTS, F_PROFILE
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import Expression, compile_expression
-from fplab.gauges import Gauge, GaugeFamily
+from fplab.gauges import Gauge
 from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
 from fplab.solvers import WITNESS_MAX_OCCURRENCES, NonCauchyWitness, SolveResult, WitnessScan
 from fplab.spaces import IntervalSet, Space, metric_premetric
@@ -700,6 +700,12 @@ def to_csv_reference(trace) -> str:
     return f"n,{cols},p_gap\n" + "".join(rows)
 
 
+def csv_rows_reference(start, table) -> str:
+    """The rows "i,v0,..\\n" from row index start, one f-string per row."""
+    return "".join(f"{start + i},{','.join(map(repr, row))}\n"
+                   for i, row in enumerate(table.tolist()))
+
+
 def read_trace_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The (n, d) coordinates and n - 1 gaps of a trace CSV "n,x0,..,p_gap",
     one float() per field.  The last row's gap is empty: it is absent, and
@@ -1110,91 +1116,6 @@ def iterate_gauge_reference(family, n, t):
     if n > len(family.members):
         raise InputError(f"explicit family has {len(family.members)} members, asked for {n}")
     return gauge_call_reference(family.members[n - 1], t)
-
-
-def check_e_reference(f_gauge, psi, alpha_seq, beta_seq, gamma, eta=1e-9, conv_tol=1e-3,
-                      nu_horizon=64):
-    """check_E_conditions as it was: every member rebuilt from the step's
-    value by iterate_gauge_reference, one nu at a time.  An explicit family
-    offers only its members, which the old loops asked past (an InputError)."""
-    alpha = np.asarray(alpha_seq, dtype=float)
-    beta = np.asarray(beta_seq, dtype=float)
-    if alpha.ndim != 1 or beta.ndim != 1 or alpha.shape != beta.shape or alpha.shape[0] < 2:
-        raise InputError("need two equal-length sequences of at least 2 terms")
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(gamma)):
-        raise InputError("sequences and gamma must be finite")
-    if gamma < 0 or gamma > f_gauge.t_max:
-        raise InputError(f"gamma must lie in [0, {f_gauge.t_max}]")
-    require_profile_reference(f_gauge, frozenset({"continuous", "nondecreasing"}), eta=eta)
-    family = isinstance(psi, GaugeFamily)
-    cid = "E2" if family else "E1"
-
-    def settles(seq):
-        mid = abs(float(seq[seq.shape[0] // 2]) - gamma)
-        end = abs(float(seq[-1]) - gamma)
-        return end <= max(conv_tol, 0.75 * mid)
-
-    problems = []
-    if not settles(alpha):
-        problems.append(witness(hypothesis="alpha settles toward gamma",
-                                last=float(alpha[-1]), gamma=gamma))
-    if not settles(beta):
-        problems.append(witness(hypothesis="beta settles toward gamma",
-                                last=float(beta[-1]), gamma=gamma))
-    low = np.nonzero(beta < gamma - eta)[0]
-    if low.size:
-        i = int(low[0])
-        problems.append(witness(hypothesis="beta stays at or above gamma",
-                                n=i, beta=float(beta[i]), gamma=gamma))
-    probe = sorted({float(v) for v in np.append(gauge_values_reference(
-        f_gauge, np.clip(beta, 0.0, f_gauge.t_max)), [0.5, 1.0]) if eta < v <= 1e3})
-    if family:
-        members = range(1, (nu_horizon if psi.kind == "iterated"
-                            else min(nu_horizon, len(psi.members))) + 1)
-        for n in range(alpha.shape[0]):
-            lhs = gauge_call_reference(f_gauge, min(alpha[n], f_gauge.t_max)) \
-                if alpha[n] >= 0 else None
-            if lhs is None:
-                problems.append(witness(hypothesis="alpha nonnegative", n=n,
-                                        alpha=float(alpha[n])))
-                break
-            rhs_base = gauge_call_reference(f_gauge, min(max(beta[n], 0.0), f_gauge.t_max))
-            if not any(lhs <= iterate_gauge_reference(psi, nu, rhs_base) + eta
-                       for nu in members):
-                problems.append(witness(
-                    hypothesis="some family member dominates the step", n=n,
-                    lhs=lhs, base=rhs_base))
-                break
-        for t in probe[:12]:
-            if not any(iterate_gauge_reference(psi, nu, t) < t for nu in members):
-                problems.append(witness(
-                    hypothesis="some family member drops below the identity", t=t))
-                break
-    else:
-        fg = gauge_call_reference(f_gauge, gamma)
-        lhs, rhs = fg, gauge_call_reference(psi, min(fg, psi.t_max))
-        if lhs > rhs + max(eta, conv_tol * abs(lhs)):
-            problems.append(witness(hypothesis="domination holds in the limit",
-                                    lhs=lhs, rhs=rhs))
-        for t in probe[:12]:
-            if t <= psi.t_max and not gauge_call_reference(psi, t) < t:
-                problems.append(witness(hypothesis="psi sits below the identity", t=t))
-                break
-    if problems:
-        return CertificateReport(
-            cid, Verdict.INCONCLUSIVE, problems, None,
-            f"not applicable: {problems[0]['hypothesis']} fails on the supplied data",
-        )
-    if gamma <= eta:
-        return CertificateReport(
-            cid, Verdict.PASS, [witness(gamma=gamma)], None,
-            f"hypotheses corroborated and the shared limit is within {eta} of zero",
-        )
-    return CertificateReport(
-        cid, Verdict.FAIL, [witness(gamma=gamma)], None,
-        "hypotheses corroborated yet the shared limit stays away from zero; this "
-        "contradicts the expected collapse and flags the inputs or declared gauges",
-    )
 
 
 # ---------------------------------------------------------------------------

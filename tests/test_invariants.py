@@ -37,7 +37,7 @@ from fplab.traces import AlternatingSchedule, IterationTrace, alternating_trace,
 from reference import axioms_reference, banach_rate_reference, check_asmk_reference, \
     fpsi_reference, premetric_reference, regularity_reference, \
     solve_best_proximity_reference, solve_common_fixed_point_reference, \
-    solve_fixed_point_reference
+    solve_fixed_point_reference, to_csv_reference
 
 LINE = Space(id="line", dimension=1)
 PLANE = Space(id="plane", dimension=2)
@@ -440,6 +440,40 @@ def test_each_input_rule_has_one_home():
     assert [d for d in defs if d.rpartition(".")[2] == "_is_count"] == ["reports._is_count"]
 
 
+class _FloatText(_Scoped):
+    """Collects every module imported, and the enclosing class.function of
+    every use of repr and of csv_rows."""
+
+    def __init__(self):
+        super().__init__()
+        self.imports, self.reprs, self.kernel = [], [], []
+
+    def visit_Import(self, node):
+        self.imports += [alias.name for alias in node.names]
+
+    def visit_ImportFrom(self, node):
+        self.imports.append("." * node.level + (node.module or ""))
+
+    def visit_Name(self, node):
+        if node.id == "repr":
+            self.reprs.append(".".join(self.scope))
+        elif node.id == "csv_rows":
+            self.kernel.append(".".join(self.scope))
+
+
+def test_one_home_for_the_float_text_of_trace_csvs():
+    """_floatrepr is a leaf that imports numpy and the standard library
+    only; only traces imports it, and IterationTrace.to_csv writes its head
+    rows only through its csv_rows.  The two uses of repr left there are
+    the bit-periodic tail's template rows and the last row."""
+    found = dict(_scan(_FloatText))
+    assert sorted(found["_floatrepr"].imports) == ["__future__", "numpy"]
+    assert [module for module, visitor in found.items()
+            if any(name.endswith("_floatrepr") for name in visitor.imports)] == ["traces"]
+    assert found["traces"].kernel == ["IterationTrace.to_csv"]
+    assert found["traces"].reprs == ["IterationTrace.to_csv"] * 2
+
+
 def _named_classes(hint) -> set:
     """Every class an annotation names, through unions and generics."""
     found = {hint} if typing.get_origin(hint) is None and isinstance(hint, type) else set()
@@ -549,6 +583,7 @@ def _reference_runs():
         "rate": lambda: banach_rate_reference(builtin_map("mk", LINE), LINE, budget,
                                               Box((0.5,), (9.0,)), seed=3),
         "regularity": lambda: regularity_reference(mk),
+        "csv": lambda: to_csv_reference(orbit),
         "asmk": lambda: check_asmk_reference(orbit, shifted, builtin_gauge("id"),
                                              iterated_family(mk, zero_fixed=True),
                                              budget=budget, variant="asmk2"),
@@ -556,13 +591,14 @@ def _reference_runs():
 
 
 def test_the_references_run_with_the_kernels_refusing():
-    """With the distance, premetric, gauge and orbit kernels made to raise,
-    every reference returns what it returns with them in place."""
+    """With the distance, premetric, gauge, orbit and float-text kernels made
+    to raise, every reference returns what it returns with them in place."""
     runs = _reference_runs()
     want = {name: json.dumps(sanitize(run()), sort_keys=True) for name, run in runs.items()}
     with mock.patch.object(Space, "distances", _refuse), \
             mock.patch("fplab.spaces.premetric_values", _refuse), \
             mock.patch.object(Gauge, "apply_array", _refuse), \
-            mock.patch("fplab.traces._extend_orbit", _refuse):
+            mock.patch("fplab.traces._extend_orbit", _refuse), \
+            mock.patch("fplab.traces.csv_rows", _refuse):
         got = {name: json.dumps(sanitize(run()), sort_keys=True) for name, run in runs.items()}
     assert got == want

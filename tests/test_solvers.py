@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fplab.errors import ConfigurationError, InputError, RefusalError
-from fplab.gauges import builtin_gauge, explicit_family, expression_gauge, iterated_family
+from fplab.errors import ConfigurationError, InputError
+from fplab.gauges import builtin_gauge
 from fplab.maps import builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize
 from fplab.solvers import (
     CAUCHY_ROUTES,
     cauchy_diagnostic,
     certify_cauchy,
-    check_E_conditions,
     even_collapse_diagnostic,
     extract_noncauchy_witness,
     solve_best_proximity,
@@ -352,82 +351,6 @@ class TestEvenCollapse:
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses == [{"step_gap_tail": 14.0, "target_gap": 6.0,
                                   "even_displacement_tail": 0.0}]
-
-
-class TestLimitCollapse:
-    def test_single_gauge_collapse_passes(self):
-        n = np.arange(1, 201, dtype=float)
-        rep = check_E_conditions(builtin_gauge("id"), builtin_gauge("half"),
-                                 1.0 / n, 1.0 / n, 0.0)
-        assert rep.condition_id == "E1"
-        assert rep.verdict is Verdict.PASS
-        assert rep.witnesses == [{"gamma": 0.0}]
-
-    def test_family_collapse_passes(self):
-        n = np.arange(1, 201, dtype=float)
-        rep = check_E_conditions(builtin_gauge("id"),
-                                 iterated_family(builtin_gauge("half")),
-                                 0.25 / n, 1.0 / n, 0.0)
-        assert rep.condition_id == "E2"
-        assert rep.verdict is Verdict.PASS
-
-    def test_violated_hypothesis_is_inconclusive(self):
-        n = np.arange(1, 201, dtype=float)
-        rep = check_E_conditions(builtin_gauge("id"), builtin_gauge("half"),
-                                 1.0 + 1.0 / n, 1.0 - 1.0 / n, 1.0)
-        assert rep.verdict is Verdict.INCONCLUSIVE
-        assert rep.resolution_note.startswith("not applicable")
-        assert rep.witnesses[0]["hypothesis"] == "beta stays at or above gamma"
-
-    def test_corroborated_hypotheses_with_nonzero_limit_fail(self):
-        # a gauge a hair below the identity admits a shared limit of 1,
-        # which the collapse says should have been forced to zero
-        near_id = expression_gauge(
-            "t - t * 1e-7", name="near-id",
-            profile=frozenset({"nondecreasing", "upper_semicontinuous",
-                               "strictly_below_identity", "zero_at_zero"}))
-        n = np.arange(1, 201, dtype=float)
-        rep = check_E_conditions(builtin_gauge("id"), near_id,
-                                 1.0 + 1.0 / n, 1.0 + 1.0 / n, 1.0)
-        assert rep.verdict is Verdict.FAIL
-        assert rep.witnesses == [{"gamma": 1.0}]
-        assert "contradicts" in rep.resolution_note
-
-    @pytest.mark.parametrize("members, alpha_scale, hypothesis, expected", [
-        # no member dominates the first step: 2 > 0.5 * 1 and 2 > 0.25 * 1
-        ((builtin_gauge("half"), expression_gauge("0.25 * t")), 2.0, "some family member dominates the step",
-         {"hypothesis": "some family member dominates the step", "n": 0, "lhs": 2.0,
-          "base": 1.0}),
-        # the identity dominates every step yet never drops below itself
-        ((builtin_gauge("id"),), 1.0, "some family member drops below the identity",
-         {"hypothesis": "some family member drops below the identity", "t": 0.005}),
-    ])
-    def test_short_explicit_family_is_inconclusive(self, members, alpha_scale, hypothesis,
-                                                   expected):
-        # the family has fewer members than nu_horizon (64); the search asks
-        # only the members there are, as C8 and C9 do, instead of raising
-        n = np.arange(1, 201, dtype=float)
-        psi = explicit_family(list(members), zero_fixed=True)
-        rep = check_E_conditions(builtin_gauge("id"), psi, alpha_scale / n, 1.0 / n, 0.0)
-        assert rep.condition_id == "E2"
-        assert rep.verdict is Verdict.INCONCLUSIVE
-        assert rep.resolution_note == f"not applicable: {hypothesis} fails on the supplied data"
-        assert rep.witnesses == [expected]
-
-    def test_guards(self):
-        n = np.arange(1, 51, dtype=float)
-        with pytest.raises(InputError, match="equal-length"):
-            check_E_conditions(builtin_gauge("id"), builtin_gauge("half"),
-                               1.0 / n, 1.0 / n[:-1], 0.0)
-        with pytest.raises(InputError, match="finite"):
-            check_E_conditions(builtin_gauge("id"), builtin_gauge("half"),
-                               1.0 / n, 1.0 / n, math.nan)
-        with pytest.raises(InputError, match="gamma must lie"):
-            check_E_conditions(builtin_gauge("id"), builtin_gauge("half"),
-                               1.0 / n, 1.0 / n, -1.0)
-        with pytest.raises(RefusalError, match="does not declare"):
-            check_E_conditions(builtin_gauge("step01"), builtin_gauge("half"),
-                               1.0 / n, 1.0 / n, 0.0)
 
 
 class TestPremetricSpace:
