@@ -175,30 +175,91 @@ def _band_per_index(
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 
-def _pair_positions(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
-    """Where each pair i < j of the index horizon sits in mats.reshape(-1):
-    orbit k's pair (i, j) at k * n * n + i * n + j, orbit by orbit and in
-    np.triu_indices order, which is ascending.  Shift nu moves every
-    position by nu * (n + 1), so C4, C5 and D4 read a shift as one flat
-    gather, and np.unravel_index(position, mats.shape) gives (orbit, i, j)."""
+def _triangle(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
+    """Where each pair i < j of the index horizon sits in one raveled
+    (n, n) gap matrix of mats: at i * n + j, in np.triu_indices order,
+    which is ascending, so row i's pairs start at i * (2 * ih - i - 1) / 2."""
     ih, nh = budget.index_horizon, budget.nu_horizon
-    k, n = mats.shape[:2]
+    n = mats.shape[1]
     if n < ih + nh:
         raise InputError(
             f"need gap matrices of side at least {ih + nh} for this budget, "
             f"got {n}"
         )
-    rows, cols = np.triu_indices(ih, k=1)
-    return ((rows * n + cols) + (np.arange(k) * (n * n))[:, None]).reshape(-1)
+    upper = np.less.outer(np.arange(ih), np.arange(n))  # j > i, in rows of side n
+    upper[:, ih:] = False
+    return np.flatnonzero(upper)
+
+
+def _pair_positions(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
+    """Where each pair i < j of the index horizon sits in mats.reshape(-1):
+    orbit k's pair (i, j) at k * n * n + i * n + j, orbit by orbit and in
+    _triangle order.  Shift nu moves every position by nu * (n + 1), so
+    C4, C5 and D4 read a shift as one flat gather, and
+    np.unravel_index(position, mats.shape) gives (orbit, i, j)."""
+    k, n = mats.shape[:2]
+    return (_triangle(mats, budget) + (np.arange(k) * (n * n))[:, None]).reshape(-1)
 
 
 # Pairs in the first gather of a read of the band sweep; a gather that
 # carries on where the last one ended is twice as long as it.
 _FIRST_CHUNK = 1024
-# The band sweep sorts each pair by one integer key, its segment id above
-# its flat position; 2 ** 40 gap values would take 8 TB, so a position
-# always fits below the id.
+# The band sweep sorts each kept pair by one integer key, its segment id
+# above its flat position; 2 ** 40 gap values would take 8 TB, so a
+# position always fits below the id.  The keys are the one array of the
+# call as long as the pairs: they are built from blocks of as many whole
+# rows as fit in _BLOCK_PAIRS pairs (one row at least), so that every
+# temporary of a block stays below 128 KiB, the size from which a freed
+# array is fetched from the system again on its next use.
 _POSITION_BITS = 40
+_BLOCK_PAIRS = 16000
+# A segment id table has at most 2 ** _TABLE_BITS + 1 buckets.
+_TABLE_BITS = 13
+
+
+class _SegmentIds:
+    """The segment id of a gap among sorted cuts (see _band_uniform), read
+    from its float64 bits: the number of edges at or below it, the edges
+    being each cut followed by the next float above it, as
+    np.searchsorted(edges, gaps, side="right") gives it.
+
+    Nonnegative floats order like their uint64 bits, subnormals included,
+    and every cut is positive.  So a gap strictly between the first and the
+    last cut is exactly one whose bits lie strictly between theirs: NaN,
+    +inf, -0.0 and negative gaps all have bits at or above the last cut's.
+    The bits between are cut into at most 2 ** _TABLE_BITS + 1 buckets of
+    equal width, one per value of their top bits, and a bucket that holds
+    no edge lies wholly inside one segment, whose id the table holds.  The
+    table holds -1 for a bucket that holds an edge, and only a gap there is
+    searched for among the edges' bits.  The width only decides how many
+    gaps are searched, never an id."""
+
+    __slots__ = ("lo", "hi", "shift", "base", "table", "edge_bits")
+
+    def __init__(self, cuts: np.ndarray):
+        edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
+        self.edge_bits = edges.view(np.uint64)
+        self.lo, self.hi = (int(b) for b in cuts[[0, -1]].view(np.uint64))
+        self.shift = max(0, (self.hi - self.lo).bit_length() - _TABLE_BITS)
+        self.base = self.lo >> self.shift
+        # edges per bucket, from the first cut's to the one past the last
+        # cut's, which only the next float above the last cut can reach
+        held = np.bincount((self.edge_bits >> self.shift) - self.base)
+        below = np.cumsum(held) - held
+        self.table = np.where(held == 0, below, -1)[:(self.hi >> self.shift) - self.base + 1]
+
+    def inside(self, bits: np.ndarray) -> np.ndarray:
+        """Which gaps, given by their bits, lie strictly between the first
+        and the last cut."""
+        return (bits > self.lo) & (bits < self.hi)
+
+    def __call__(self, bits: np.ndarray) -> np.ndarray:
+        """The int64 segment ids of gaps that lie inside (by their bits)."""
+        ids = self.table[(bits >> self.shift) - self.base]
+        searched = np.flatnonzero(ids < 0)
+        if searched.size:
+            ids[searched] = np.searchsorted(self.edge_bits, bits[searched], side="right")
+        return ids
 
 
 def _shifted(flat: np.ndarray, positions: np.ndarray, nu: int, n: int) -> np.ndarray:
@@ -246,14 +307,17 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     One classification of the pairs and one sweep over nu decide every
     (eps, delta) band of the call.  Every eps and every eps + delta is a
     cut; a gap strictly between two cuts gets an even segment id and a gap
-    equal to a cut an odd one (2 * cuts below it, plus 1 if on a cut).
-    One right-sided search among the cuts, each followed by the next float
-    above it, gives every id.  The open band (eps, eps + delta) is then
-    exactly a range of ids, from just above eps's id to just below
-    eps + delta's.  Pairs outside every band are dropped, and the rest are
-    sorted by one integer key, the id above the position, so each segment
-    is a contiguous run of pairs kept in memory order and a search among
-    the sorted keys gives every band's size.
+    equal to a cut an odd one (2 * cuts below it, plus 1 if on a cut): the
+    number of edges at or below it, each cut and the next float above it
+    being the edges.  _SegmentIds reads every id from a gap's bits.  The
+    open band (eps, eps + delta) is then exactly a range of ids, from just
+    above eps's id to just below eps + delta's.  The pairs are classified
+    orbit by orbit, in blocks of as many whole rows of the upper triangle
+    (see _triangle) as _BLOCK_PAIRS pairs hold: pairs outside every band are
+    dropped, and each kept pair's key, the id above its position, goes
+    straight into one array, which is sorted in place.  So each segment is
+    a contiguous run of pairs kept in memory order, and a search among the
+    sorted keys gives every band's size.
 
     The bands of one eps are nested id ranges from the same first id, so at
     shift nu one position decides them all: stop, the first kept pair from
@@ -289,32 +353,37 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     worst pair in np.nonzero order.  This breaks ties exactly as a separate
     search per (eps, delta) would.
     """
-    nh, eta = budget.nu_horizon, budget.slack
-    n = mats.shape[1]
+    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
+    k, n = mats.shape[:2]
     flat = mats.reshape(-1)
     eps_grid, deltas = budget.eps_grid, budget.delta_candidates
     uppers = [[eps + d for d in deltas] for eps in eps_grid]
     cuts = np.unique(np.concatenate([eps_grid, np.ravel(uppers)]))
-    # each temporary below is as long as the pairs; it is freed once used,
-    # so the index never holds more than a few of them at a time
-    kept = _pair_positions(mats, budget)
-    gaps = flat[kept]
-    inside = (gaps > cuts[0]) & (gaps < cuts[-1])
-    kept, gaps = kept[inside], gaps[inside]
-    del inside
-    # a gap in [cut, next float after cut) is on the cut: each cut and its
-    # successor bound one odd id, so a right search gives every id at once
-    edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
-    keys = np.searchsorted(edges, gaps, side="right")
-    del gaps
-    keys <<= _POSITION_BITS
-    keys |= kept
-    del kept
+    segment_ids = _SegmentIds(cuts)
+    tri = _triangle(mats, budget)
+    starts = [i * (2 * ih - i - 1) // 2 for i in range(0, ih, max(1, _BLOCK_PAIRS // ih))]
+    blocks = list(zip(starts, starts[1:] + [tri.size]))  # whole rows of the triangle
+    keys = np.empty(k * tri.size, dtype=np.int64)
+    count = 0
+    for orbit in range(k):
+        offset = orbit * n * n
+        matrix = flat[offset:offset + n * n]
+        for a, b in blocks:
+            at = tri[a:b]
+            bits = matrix[at].view(np.uint64)
+            inside = segment_ids.inside(bits)
+            at, bits = at[inside], bits[inside]
+            out = keys[count:count + at.size]
+            np.left_shift(segment_ids(bits), _POSITION_BITS, out=out)
+            out |= at
+            out += offset
+            count += at.size
+    keys = keys[:count]
     keys.sort()  # by id, and by position within an id
     n_seg = 2 * cuts.size
     offsets = np.searchsorted(keys, np.arange(n_seg + 1) << _POSITION_BITS)  # pairs below id
-    pos = keys & ((1 << _POSITION_BITS) - 1)  # kept pairs in id order
-    del keys
+    keys &= (1 << _POSITION_BITS) - 1
+    pos = keys  # kept pairs in id order
     # band (eps, eps + delta) holds the ids lo <= id < hi; hi never falls
     # below lo, so a band with eps + delta == eps is empty
     lo = 2 * np.searchsorted(cuts, eps_grid) + 2  # (n_eps,)

@@ -112,15 +112,40 @@ class IterationTrace:
         k = _bit_period_start(coords, self.gaps)
         parts.append(csv_rows(0, np.column_stack([coords[:k], self.gaps[:k]])))
         if k < n - 1:
-            # rows k, k + 1, ... end like rows k - 2, k - 1; a float's repr
-            # holds no %, so the pair of rows is one printf template
-            pair = ["%d," + ",".join(map(repr, [*coords[j].tolist(), float(self.gaps[j])]))
+            # rows k, k + 1, ... end like rows k - 2, k - 1
+            pair = ["," + ",".join(map(repr, [*coords[j].tolist(), float(self.gaps[j])]))
                     for j in (k - 2, k - 1)]
-            m = n - 1 - k
-            template = "\n".join(pair * (m // 2) + pair[:m % 2])
-            parts.append(template % tuple(range(k, n - 1)) + "\n")
+            parts.append(_tail_rows(k, n - 1, pair))
         parts.append(",".join([str(n - 1), *map(repr, coords[-1].tolist()), ""]) + "\n")
         return "".join(parts)
+
+
+def _tail_rows(start: int, stop: int, suffixes: list[str]) -> str:
+    """The rows "i" + suffixes[(i - start) % 2] + "\\n" for start <= i < stop.
+
+    The rows whose indices have one digit count are written as fixed-width
+    byte records, one record per pair of rows, with the index digits
+    written one column at a time; an odd row left over is an f-string."""
+    parts = []
+    lo = start
+    while lo < stop:
+        digits = len(str(lo))
+        hi = min(stop, 10 ** digits)
+        first, second = suffixes[(lo - start) % 2], suffixes[(lo - start + 1) % 2]
+        pairs = (hi - lo) // 2
+        if pairs:
+            record = f"{'0' * digits}{first}\n{'0' * digits}{second}\n".encode("ascii")
+            block = np.tile(np.frombuffer(record, dtype=np.uint8), (pairs, 1))
+            width = digits + len(first) + 1  # the second row's offset in a record
+            index = np.arange(lo, lo + 2 * pairs).reshape(pairs, 2)
+            for col in range(digits - 1, -1, -1):
+                index, digit = np.divmod(index, 10)
+                block[:, col:col + width + 1:width] = digit + ord("0")
+            parts.append(block.tobytes().decode("ascii"))
+        if (hi - lo) % 2:
+            parts.append(f"{hi - 1}{suffixes[(hi - 1 - start) % 2]}\n")
+        lo = hi
+    return "".join(parts)
 
 
 def _bit_period_start(coords: np.ndarray, gaps: np.ndarray) -> int:

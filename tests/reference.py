@@ -367,6 +367,14 @@ def band_uniform_reference(mats, budget, cid, item):
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 
+def segment_ids_reference(cuts, gaps):
+    """The band sweep's segment id of each gap among the sorted cuts: one
+    right-sided search among the cuts, each followed by the next float
+    above it, as the sweep searched every gap before its bit table."""
+    edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
+    return np.searchsorted(edges, gaps, side="right")
+
+
 def band_uniform_per_eps(mats, budget, cid, item):
     """One depth-sorted index and one nu-sweep per eps: band m of the
     widest band's pairs, sorted deepest first, is a prefix."""
@@ -704,6 +712,11 @@ def csv_rows_reference(start, table) -> str:
     """The rows "i,v0,..\\n" from row index start, one f-string per row."""
     return "".join(f"{start + i},{','.join(map(repr, row))}\n"
                    for i, row in enumerate(table.tolist()))
+
+
+def tail_rows_reference(start, stop, suffixes) -> str:
+    """The rows "i" + suffixes[(i - start) % 2] + "\\n", one f-string per row."""
+    return "".join(f"{i}{suffixes[(i - start) % 2]}\n" for i in range(start, stop))
 
 
 def read_trace_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -25,10 +25,17 @@ must not hand on the pair it stopped on, and an increment that starts in
 the middle of a chunk; a property test draws shifted gaps that are not
 monotone in nu.  On the seed-0 gallery calls the sweep must gather far
 fewer shifted gaps than one per kept pair and shift (meir-keeler D4 and
-C4), and a passing walk (banach-half D4) no more than before.
+C4), and a passing walk (banach-half D4) no more than before.  The segment
+ids read from the gaps' float bits must equal one search among the edges,
+on budgets and gaps at the edges of the bits; the block-wise
+classification must equal the reference on blocks of a few rows and at
+index horizons that are no multiple of a block's rows; and one
+meir-keeler-sized D4 call must hold little memory.
 """
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +43,8 @@ from hypothesis import find, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fplab import certificates
-from fplab.certificates import _FIRST_CHUNK, _band_uniform, _shifted
+from fplab.certificates import _FIRST_CHUNK, _TABLE_BITS, _SegmentIds, _band_uniform, \
+    _shifted
 from fplab.gallery import get_entry
 from fplab.maps import builtin_map
 from fplab.reports import SearchBudget, sanitize
@@ -44,7 +52,7 @@ from fplab.runner import run_scenario_doc
 from fplab.spaces import Space
 from fplab.traces import _extend_orbit
 
-from reference import band_uniform_per_eps, band_uniform_reference
+from reference import band_uniform_per_eps, band_uniform_reference, segment_ids_reference
 
 
 VALUES = (0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5)
@@ -162,14 +170,18 @@ ORBIT_BUDGET = SearchBudget(index_horizon=64, nu_horizon=16)
 @given(st.sampled_from(("mk", "half", "neg", "translation")), st.integers(1, 4),
        st.integers(0, 2 ** 32 - 1))
 def test_real_orbits_match_both_references(name, k, seed):
-    # the gap matrices D4 builds: all pairs of points of k sampled orbits,
     # searched with the default 7 x 21 eps/delta grids
-    seeds = np.random.default_rng(seed).uniform(0.0, 10.0, size=(k, 1))
     n = ORBIT_BUDGET.index_horizon + ORBIT_BUDGET.nu_horizon
+    _all_three(_orbit_gaps(name, k, n, seed), ORBIT_BUDGET)
+
+
+def _orbit_gaps(name, k, n, seed=0):
+    """The gap matrices D4 builds: all pairs of points of k sampled orbits
+    of n points of the map name on the line."""
+    seeds = np.random.default_rng(seed).uniform(0.0, 10.0, size=(k, 1))
     block, _ = _extend_orbit((builtin_map(name, LINE).fn,), seeds, n)
     orbits = np.ascontiguousarray(block.swapaxes(0, 1))
-    mats = LINE.distances(orbits[:, :, None], orbits[:, None])
-    _all_three(mats, ORBIT_BUDGET)
+    return LINE.distances(orbits[:, :, None], orbits[:, None])
 
 
 def _collapsed_band_case():
@@ -425,6 +437,131 @@ def _mid_chunk_increment_case():
 def test_segment_edge_cases(case):
     mats, budget, expected = case
     assert _all_three(mats, budget).witnesses == expected
+
+
+# Segment ids from a gap's bits: a table bucket that holds no edge gives
+# the id, and a gap in one that does is searched among the edges' bits.
+
+TINY = 5e-324
+# levels at the edges of the bits: the smallest subnormal and a subnormal
+# mid-range, the smallest normal, powers of two (the first bits of a bucket
+# whenever the bucket width is at most 2 ** 52) and the floats just below
+# them (the last bits of one), and the largest finite float
+EDGE_LEVELS = (TINY, 2.5e-310, 2.2250738585072014e-308, 0.25, 0.5, 1.0, 2.0, 1024.0,
+               float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.0, 0.0)),
+               float(np.nextafter(1024.0, 0.0)), 1e-300, 1e300, 1.7976931348623157e308)
+
+
+@st.composite
+def levels(draw, anchor):
+    """A positive finite level: an edge level, a float anywhere from the
+    subnormals to the largest finite one, or one at most three floats below
+    anchor, so that cuts crowd into one bucket."""
+    kind = draw(st.sampled_from(("edge", "any", "crowded")))
+    if kind == "edge":
+        return draw(st.sampled_from(EDGE_LEVELS))
+    if kind == "any":
+        return draw(st.floats(min_value=TINY, max_value=1.7976931348623157e308))
+    x = anchor
+    for _ in range(draw(st.integers(0, 3))):
+        x = max(float(np.nextafter(x, 0.0)), TINY)
+    return x
+
+
+@st.composite
+def id_cases(draw):
+    """Cuts of a budget SearchBudget accepts, as _band_uniform makes them,
+    and gaps on and beside every cut, at the first and last bits of every
+    table bucket, and everywhere else: 0.0, -0.0, subnormals, negative
+    gaps, +-inf and NaN.  A level plus a delta may overflow to a cut at
+    +inf."""
+    anchor = draw(st.floats(min_value=TINY, max_value=1.7976931348623157e308))
+    eps_grid = draw(st.lists(levels(anchor), min_size=1, max_size=6))
+    deltas = sorted(set(draw(st.lists(levels(anchor), min_size=1, max_size=6))), reverse=True)
+    budget = SearchBudget(eps_grid=tuple(eps_grid), delta_candidates=tuple(deltas))
+    drawn = draw(st.lists(st.one_of(levels(anchor), st.sampled_from((0.0, -0.0, np.inf, -np.inf,
+                                                                       np.nan, -TINY))),
+                          max_size=20))
+    with np.errstate(over="ignore"):  # the next float above the largest finite one
+        cuts = np.unique(np.concatenate([budget.eps_grid, np.ravel(
+            [[eps + d for d in budget.delta_candidates] for eps in budget.eps_grid])]))
+        ids = _SegmentIds(cuts)
+        buckets = (np.arange(ids.table.size, dtype=np.uint64) + np.uint64(ids.base)) << ids.shift
+        bucket_ends = np.concatenate([buckets, buckets + np.uint64((1 << ids.shift) - 1)])
+        gaps = np.concatenate([cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
+                               bucket_ends.view(float), drawn, np.negative(drawn)])
+    return cuts, gaps
+
+
+@given(id_cases())
+def test_segment_ids_equal_one_search_among_the_edges(case):
+    with np.errstate(over="ignore"):
+        _assert_ids_equal_the_search(*case)
+
+
+def _assert_ids_equal_the_search(cuts, gaps):
+    ids = _SegmentIds(cuts)
+    assert ids.table.size <= 2 ** _TABLE_BITS + 1
+    bits = gaps.view(np.uint64)
+    inside = ids.inside(bits)
+    np.testing.assert_array_equal(inside, (gaps > cuts[0]) & (gaps < cuts[-1]))
+    assert ids(bits[inside]).tolist() == segment_ids_reference(cuts, gaps[inside]).tolist()
+
+
+def test_id_cases_reach_every_kind_of_bucket():
+    # the cases above must reach a bucket that holds two or more edges, an
+    # edge on the first and on the last bits of a bucket, and cuts over 600
+    # binades, or the property test would leave those ids unchecked
+    def holds(case, kind):
+        cuts, _ = case
+        ids = _SegmentIds(cuts)
+        edges = ids.edge_bits
+        first = edges & np.uint64((1 << ids.shift) - 1)
+        if kind == "two-edges":  # two distinct edges in one bucket
+            return np.unique(edges).size > np.unique(edges >> ids.shift).size
+        if kind == "first-bits":
+            return ids.shift > 0 and bool((first == 0).any())
+        if kind == "last-bits":
+            return ids.shift > 0 and bool((first == (1 << ids.shift) - 1).any())
+        return np.log2(cuts[-1]) - np.log2(cuts[0]) > 600
+    for kind in ("two-edges", "first-bits", "last-bits", "binades"):
+        with np.errstate(over="ignore"):
+            cuts, gaps = find(id_cases(), lambda c, kind=kind: holds(c, kind))
+            _assert_ids_equal_the_search(cuts, gaps)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 5, 12])
+@given(band_cases())
+def test_blocks_of_rows_equal_the_reference(block_pairs, case):
+    # blocks of rows of an index horizon from 2 to 7 (1 pair holds one row,
+    # 5 pairs one or two, 12 pairs one to six), over one to three orbits:
+    # an index horizon is often not a multiple of a block's rows
+    with mock.patch.object(certificates, "_BLOCK_PAIRS", block_pairs):
+        _assert_same(*_both(case))
+
+
+@pytest.mark.parametrize("k, ih", [(1, 130), (2, 2), (1, 2)])
+def test_default_blocks_equal_the_reference(k, ih):
+    # a block holds 123 rows of index horizon 130, which is no multiple of
+    # them, and one block holds index horizon 2's only row
+    budget = SearchBudget(index_horizon=ih, nu_horizon=8)
+    mats = _orbit_gaps("mk", k, ih + 8)
+    _assert_same(_band_uniform(mats, budget, "D4"),
+                 band_uniform_reference(mats, budget, "D4", "orbit"))
+
+
+def test_one_call_holds_little_memory():
+    # meir-keeler's D4 call: 12 orbits of 320 points, ~389k pairs inside
+    # the bands; the pair keys are the one array as long as them (3.1 MB),
+    # where sorting every pair array at once held 12.3 MB
+    mats = _orbit_gaps("mk", 12, 320)
+    tracemalloc.start()
+    try:
+        _band_uniform(mats, SearchBudget(), "D4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def _gathered(tmp_path, monkeypatch, entry, cid):

@@ -57,7 +57,8 @@ from fplab.solvers import _FIRST_BLOCK as SOLVER_FIRST_BLOCK, CauchyCertificate,
     NonCauchyWitness, SolveResult, WitnessScan, extract_noncauchy_witness, \
     solve_best_proximity, solve_common_fixed_point, solve_fixed_point
 from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_period_start, \
-    _extend_orbit, _orbit, alternating_trace, cyclic_even_trace, picard_trace, sequence_trace
+    _extend_orbit, _orbit, _tail_rows, alternating_trace, cyclic_even_trace, picard_trace, \
+    sequence_trace
 
 from reference import SCALAR_MAPS, axioms_reference, banach_rate_reference, \
     budget_json_reference, c6_reference, c7_multi_reference, c7_reference, \
@@ -68,7 +69,8 @@ from reference import SCALAR_MAPS, axioms_reference, banach_rate_reference, \
     orbit_block_step_reference, pair_distance_curves_reference, premetric_reference, \
     regularity_reference, report_json_reference, scalar_step, scan_json_reference, \
     solve_best_proximity_reference, solve_common_fixed_point_reference, \
-    solve_fixed_point_reference, solve_json_reference, strict_pairs_reference, to_csv_reference
+    solve_fixed_point_reference, solve_json_reference, strict_pairs_reference, \
+    tail_rows_reference, to_csv_reference
 
 EXPRESSIONS = ("min(1/x, 5)", "x * x", "0.5 * x + 1.0")
 
@@ -1211,6 +1213,17 @@ class TestToCsv:
         with mock.patch.object(_floatrepr, "BLOCK_VALUES", 6):
             _csv_pinned(line)
             _csv_pinned(plane)
+
+    @given(start=st.sampled_from((2, 3, 8, 9, 10, 11, 97, 98, 99, 100, 9997, 9998, 99_999)),
+           length=st.one_of(st.integers(0, 30), st.just(20_003)),
+           suffixes=st.lists(st.sampled_from((",0.5,0.25", ",-0.0,", ",5e-324,1e+22", ",1.0,0.0")),
+                             min_size=2, max_size=2))
+    def test_tail_rows_equal_the_row_loop(self, start, length, suffixes):
+        """Tails that start on either parity just below, on and past a
+        change of digit count, or run across several, of odd and even
+        lengths, with suffixes of different widths."""
+        assert _tail_rows(start, start + length, suffixes) == \
+            tail_rows_reference(start, start + length, suffixes)
 
 
 # ---------------------------------------------------------------------------

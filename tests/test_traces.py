@@ -294,7 +294,7 @@ class TestCsvReadsBack:
     def test_signed_zero_subnormal_and_periodic_tail(self):
         # from row 1 the rows repeat 5e-324, -0.0 to the bit, with subnormal
         # gaps (under the 1-norm, which squares nothing to zero): to_csv
-        # writes that tail through its printf template
+        # writes that tail through its fixed-width records
         taxi = Space(id="taxi", dimension=1, norm=1.0)
         tr = IterationTrace(coords=[[3.0]] + [[5e-324], [-0.0]] * 4, generator="direct",
                             premetric=metric_premetric(taxi), status="completed")
