@@ -28,8 +28,8 @@ from .errors import ConfigurationError, InputError, RefusalError
 from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, _require_count, \
     check_family_C6, check_family_C7_multi, require_profile
 from .maps import NamedMap
-from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
-    worst_verdict
+from .reports import ASMK_VARIANTS, PSI_VARIANTS, CertificateReport, SearchBudget, Verdict, \
+    last_quarter, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
@@ -39,11 +39,7 @@ PSI_PROFILE_STANDARD = frozenset(
     {"nondecreasing", "upper_semicontinuous", "strictly_below_identity", "zero_at_zero"}
 )
 PSI_PROFILE_ZHANG = frozenset({"nondecreasing", "right_upper_semicontinuous"})
-_PSI_PROFILES = {"standard": PSI_PROFILE_STANDARD, "zhang": PSI_PROFILE_ZHANG}
-#: The psi regularity variants check_f_psi_contraction accepts.
-PSI_VARIANTS = tuple(_PSI_PROFILES)
-#: The gauge-family domination variants check_asmk accepts.
-ASMK_VARIANTS = ("asmk1", "asmk2")
+_PSI_PROFILES = dict(zip(PSI_VARIANTS, (PSI_PROFILE_STANDARD, PSI_PROFILE_ZHANG)))
 #: check_p_controls_d: a pair whose tail p-gap is below PCD_ETA must have its
 #: tail d-gap below PCD_D_TOL.
 PCD_ETA = 1e-9
@@ -237,7 +233,8 @@ class _SegmentIds:
     __slots__ = ("lo", "hi", "shift", "base", "table", "edge_bits")
 
     def __init__(self, cuts: np.ndarray):
-        edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
+        with np.errstate(over="ignore"):  # the next float above the largest finite one is +inf
+            edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
         self.edge_bits = edges.view(np.uint64)
         self.lo, self.hi = (int(b) for b in cuts[[0, -1]].view(np.uint64))
         self.shift = max(0, (self.hi - self.lo).bit_length() - _TABLE_BITS)

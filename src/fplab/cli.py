@@ -58,13 +58,17 @@ def _common_flags(cmd: argparse.ArgumentParser) -> None:
                      help="treat inconclusive degradations as failures")
 
 
+def _print_violations(result: RunResult, stream) -> None:
+    for v in result.violations:
+        print(f"  EXPECTATION VIOLATED {v['path']}: expected {v['expected']}, "
+              f"got {v['actual']}", file=stream)
+
+
 def _print_result(result: RunResult, stream) -> None:
     print(f"{result.name}: exit {result.exit_code}  ({result.out_dir})", file=stream)
     for key in sorted(result.verdicts):
         print(f"  {key}: {result.verdicts[key]}", file=stream)
-    for v in result.violations:
-        print(f"  EXPECTATION VIOLATED {v['path']}: expected {v['expected']}, "
-              f"got {v['actual']}", file=stream)
+    _print_violations(result, stream)
 
 
 def _cmd_run(args) -> int:
@@ -100,9 +104,7 @@ def _cmd_gallery(args) -> int:
         marker = "ok" if result.exit_code == entry.expected_exit else "UNEXPECTED"
         print(f"{entry.name}: exit {result.exit_code} "
               f"(expected {entry.expected_exit}) {marker}")
-        for v in result.violations:
-            print(f"  EXPECTATION VIOLATED {v['path']}: expected {v['expected']}, "
-                  f"got {v['actual']}")
+        _print_violations(result, sys.stdout)
         if result.exit_code != entry.expected_exit or result.exit_code == 2 \
                 or result.violations:
             worst = 2

@@ -1,5 +1,6 @@
 """Verdicts, search budgets, the certificate report, and sanitize, the one
-JSON form of every result."""
+JSON form of every result; also the route, variant and sequence names a
+scenario document chooses among, so the schema walk imports no checker."""
 
 from __future__ import annotations
 
@@ -14,6 +15,15 @@ from typing import Any
 import numpy as np
 
 from .errors import InputError
+
+#: The Cauchy routes solvers.certify_cauchy accepts.
+CAUCHY_ROUTES = ("tau", "composed", "mixed")
+#: The gauge-family domination variants certificates.check_asmk accepts.
+ASMK_VARIANTS = ("asmk1", "asmk2")
+#: The psi regularity variants certificates.check_f_psi_contraction accepts.
+PSI_VARIANTS = ("standard", "zhang")
+#: The named sequences traces.sequence_trace builds.
+SEQUENCE_NAMES = ("harmonic",)
 
 
 class Verdict(str, enum.Enum):

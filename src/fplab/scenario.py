@@ -15,17 +15,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .certificates import ASMK_VARIANTS, PSI_VARIANTS
 from .errors import ConfigurationError, FplabError
 from .gauges import DEFAULT_T_MAX, Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILTINS, \
     builtin_gauge, expression_gauge, explicit_family, iterated_family
 from .maps import NamedMap, _BUILTINS as _MAP_BUILTINS, builtin_map, expression_map
-from .reports import SearchBudget, _as_float, _is_count, _is_real
-from .solvers import CAUCHY_ROUTES
+from .reports import ASMK_VARIANTS, CAUCHY_ROUTES, PSI_VARIANTS, SEQUENCE_NAMES, SearchBudget, \
+    _as_float, _is_count, _is_real
 from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, \
     IntervalSet, Premetric, Space, composed_premetric, default_region, metric_premetric, \
     shifted_premetric
-from .traces import SEQUENCE_NAMES
 
 #: The runs a document may request, in the order the runner executes them.
 RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")

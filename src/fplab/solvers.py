@@ -20,13 +20,12 @@ from .certificates import check_asf1, check_asf2, check_c5
 from .errors import ConfigurationError, InputError
 from .gauges import verify_gauge_regularity
 from .maps import NamedMap
-from .reports import CertificateReport, SearchBudget, Verdict, last_quarter, witness, \
-    worst_verdict
+from .reports import CAUCHY_ROUTES, CertificateReport, SearchBudget, Verdict, last_quarter, \
+    witness, worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
 from .traces import AlternatingSchedule, IterationTrace, _orbit, _start
 
-CAUCHY_ROUTES = ("tau", "composed", "mixed")
 #: The most occurrences extract_noncauchy_witness collects.
 WITNESS_MAX_OCCURRENCES = 8
 

@@ -19,6 +19,7 @@ import numpy as np
 from ._floatrepr import csv_rows
 from .errors import ConfigurationError, InputError
 from .maps import NamedMap
+from .reports import SEQUENCE_NAMES
 from .spaces import (
     CyclicSetting,
     Point,
@@ -32,8 +33,6 @@ from .spaces import (
 ESCAPE_NORM = 1e9
 
 TRACE_STATUSES = ("completed", "escaped")
-#: The named sequences sequence_trace builds.
-SEQUENCE_NAMES = ("harmonic",)
 
 
 def _frozen(values, ndim: int, what: str) -> np.ndarray:

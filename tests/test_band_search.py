@@ -27,7 +27,8 @@ monotone in nu.  On the seed-0 gallery calls the sweep must gather far
 fewer shifted gaps than one per kept pair and shift (meir-keeler D4 and
 C4), and a passing walk (banach-half D4) no more than before.  The segment
 ids read from the gaps' float bits must equal one search among the edges,
-on budgets and gaps at the edges of the bits; the block-wise
+on budgets and gaps at the edges of the bits, and a cut at the largest
+finite float must raise no warning; the block-wise
 classification must equal the reference on blocks of a few rows and at
 index horizons that are no multiple of a block's rows; and one
 meir-keeler-sized D4 call must hold little memory.
@@ -35,6 +36,7 @@ meir-keeler-sized D4 call must hold little memory.
 
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -44,13 +46,13 @@ from hypothesis.extra.numpy import arrays
 
 from fplab import certificates
 from fplab.certificates import _FIRST_CHUNK, _TABLE_BITS, _SegmentIds, _band_uniform, \
-    _shifted
+    _shifted, check_asf2
 from fplab.gallery import get_entry
 from fplab.maps import builtin_map
 from fplab.reports import SearchBudget, sanitize
 from fplab.runner import run_scenario_doc
 from fplab.spaces import Space
-from fplab.traces import _extend_orbit
+from fplab.traces import _extend_orbit, picard_trace
 
 from reference import band_uniform_per_eps, band_uniform_reference, segment_ids_reference
 
@@ -482,21 +484,21 @@ def id_cases(draw):
     drawn = draw(st.lists(st.one_of(levels(anchor), st.sampled_from((0.0, -0.0, np.inf, -np.inf,
                                                                        np.nan, -TINY))),
                           max_size=20))
+    cuts = np.unique(np.concatenate([budget.eps_grid, np.ravel(
+        [[eps + d for d in budget.delta_candidates] for eps in budget.eps_grid])]))
+    ids = _SegmentIds(cuts)
+    buckets = (np.arange(ids.table.size, dtype=np.uint64) + np.uint64(ids.base)) << ids.shift
+    bucket_ends = np.concatenate([buckets, buckets + np.uint64((1 << ids.shift) - 1)])
     with np.errstate(over="ignore"):  # the next float above the largest finite one
-        cuts = np.unique(np.concatenate([budget.eps_grid, np.ravel(
-            [[eps + d for d in budget.delta_candidates] for eps in budget.eps_grid])]))
-        ids = _SegmentIds(cuts)
-        buckets = (np.arange(ids.table.size, dtype=np.uint64) + np.uint64(ids.base)) << ids.shift
-        bucket_ends = np.concatenate([buckets, buckets + np.uint64((1 << ids.shift) - 1)])
-        gaps = np.concatenate([cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
-                               bucket_ends.view(float), drawn, np.negative(drawn)])
+        above = np.nextafter(cuts, np.inf)
+    gaps = np.concatenate([cuts, above, np.nextafter(cuts, -np.inf),
+                           bucket_ends.view(float), drawn, np.negative(drawn)])
     return cuts, gaps
 
 
 @given(id_cases())
 def test_segment_ids_equal_one_search_among_the_edges(case):
-    with np.errstate(over="ignore"):
-        _assert_ids_equal_the_search(*case)
+    _assert_ids_equal_the_search(*case)
 
 
 def _assert_ids_equal_the_search(cuts, gaps):
@@ -505,7 +507,9 @@ def _assert_ids_equal_the_search(cuts, gaps):
     bits = gaps.view(np.uint64)
     inside = ids.inside(bits)
     np.testing.assert_array_equal(inside, (gaps > cuts[0]) & (gaps < cuts[-1]))
-    assert ids(bits[inside]).tolist() == segment_ids_reference(cuts, gaps[inside]).tolist()
+    with np.errstate(over="ignore"):  # the reference's next float above each cut
+        expected = segment_ids_reference(cuts, gaps[inside])
+    assert ids(bits[inside]).tolist() == expected.tolist()
 
 
 def test_id_cases_reach_every_kind_of_bucket():
@@ -525,9 +529,21 @@ def test_id_cases_reach_every_kind_of_bucket():
             return ids.shift > 0 and bool((first == (1 << ids.shift) - 1).any())
         return np.log2(cuts[-1]) - np.log2(cuts[0]) > 600
     for kind in ("two-edges", "first-bits", "last-bits", "binades"):
-        with np.errstate(over="ignore"):
-            cuts, gaps = find(id_cases(), lambda c, kind=kind: holds(c, kind))
-            _assert_ids_equal_the_search(cuts, gaps)
+        _assert_ids_equal_the_search(*find(id_cases(), lambda c, kind=kind: holds(c, kind)))
+
+
+def test_a_cut_at_the_largest_float_warns_nothing():
+    # eps + delta rounds to the largest finite float, whose next float
+    # above is +inf: a legal budget, so C4 returns its report warning-free
+    line = Space(id="line", dimension=1)
+    budget = SearchBudget(eps_grid=(1e308,), delta_candidates=(7.976931348623157e307,),
+                          index_horizon=8, nu_horizon=8)
+    assert 1e308 + 7.976931348623157e307 == 1.7976931348623157e308
+    trace = picard_trace(builtin_map("half", line), line.point(1.0), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_asf2(trace, budget=budget)
+    assert report.condition_id == "C4"
 
 
 @pytest.mark.parametrize("block_pairs", [1, 5, 12])

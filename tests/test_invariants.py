@@ -3,7 +3,9 @@ leans on: premetric axioms, gauge family composition, verdict algebra,
 JSON sanitization, the one JSON writer, the few places a Point is built,
 the trace gap caches, one builder per kind of checker input, one home per
 input rule, checkers that measure with their inputs' own premetric and
-space, and references that evaluate without the kernels they check.
+space, a schema walk that loads no checker and one home for the names a
+document chooses among, and references that evaluate without the kernels
+they check.
 """
 
 import ast
@@ -17,7 +19,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from fplab import certificates, solvers
+from fplab import certificates, reports, scenario, solvers, traces
 from fplab.gauges import Gauge, GaugeFamily, builtin_gauge, iterate_gauge, iterated_family
 from fplab.maps import NamedMap, builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize, worst_verdict
@@ -472,6 +474,37 @@ def test_one_home_for_the_float_text_of_trace_csvs():
             if any(name.endswith("_floatrepr") for name in visitor.imports)] == ["traces"]
     assert found["traces"].kernel == ["IterationTrace.to_csv"]
     assert found["traces"].reprs == ["IterationTrace.to_csv"] * 2
+
+
+def test_the_schema_walk_imports_no_checker():
+    """scenario reads the route, variant and sequence names a document
+    chooses among from reports, so its relative imports, followed
+    transitively and into function bodies, reach no checker, no trace
+    writer and nothing that runs a document."""
+    imports = {module: {name[1:] for name in visitor.imports if name.startswith(".")}
+               for module, visitor in _scan(_FloatText)}
+    closure, todo = set(), ["scenario"]
+    while todo:
+        module = todo.pop()
+        if module not in closure:
+            closure.add(module)
+            todo += imports[module]
+    assert sorted(closure & {"certificates", "solvers", "traces", "_floatrepr", "runner",
+                             "gallery", "cli"}) == []
+    assert closure == {"errors", "expressions", "reports", "gauges", "spaces", "maps",
+                       "scenario"}
+
+
+def test_document_names_have_one_home():
+    """Each name list a document chooses among is one object, defined in
+    reports; the checkers and the walk hold that object, not a copy."""
+    assert scenario.RUN_PARAMS["certify"]["route"][0] is reports.CAUCHY_ROUTES \
+        is solvers.CAUCHY_ROUTES
+    assert scenario.RUN_PARAMS["alternate"]["psi_variant"][0] is reports.PSI_VARIANTS \
+        is certificates.PSI_VARIANTS
+    assert tuple(certificates._PSI_PROFILES) == reports.PSI_VARIANTS
+    assert scenario.ASMK_VARIANTS is certificates.ASMK_VARIANTS is reports.ASMK_VARIANTS
+    assert scenario.SEQUENCE_NAMES is traces.SEQUENCE_NAMES is reports.SEQUENCE_NAMES
 
 
 def _named_classes(hint) -> set:
