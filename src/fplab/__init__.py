@@ -36,11 +36,9 @@ from .gauges import (
     GaugeFamily,
     builtin_gauge,
     check_family_C6,
-    check_family_C7,
     check_family_C7_multi,
     explicit_family,
     expression_gauge,
-    iterate_gauge,
     iterated_family,
     require_profile,
     verify_gauge_regularity,
@@ -72,7 +70,6 @@ from .spaces import (
     Premetric,
     Space,
     composed_premetric,
-    custom_premetric,
     default_region,
     metric_premetric,
     sample_pairs,

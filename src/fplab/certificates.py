@@ -25,11 +25,11 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
-from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, _require_count, \
-    check_family_C6, check_family_C7_multi, require_profile
+from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C6, \
+    check_family_C7_multi, require_profile
 from .maps import NamedMap
 from .reports import ASMK_VARIANTS, PSI_VARIANTS, CertificateReport, SearchBudget, Verdict, \
-    last_quarter, witness, worst_verdict
+    _is_count, last_quarter, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
@@ -46,6 +46,10 @@ PCD_ETA = 1e-9
 PCD_D_TOL = 1e-6
 #: check_banach_rate passes a sup ratio of at most 1 - RATE_MARGIN.
 RATE_MARGIN = 1e-3
+#: The slack of FPSI's inequality and of its gauges' regularity probes.
+FPSI_ETA = 1e-9
+#: The slack of INEQFP's stepwise inequality.
+INEQFP_ETA = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -872,10 +876,9 @@ def check_f_psi_contraction(
     psi: Gauge,
     xs: np.ndarray,
     ys: np.ndarray,
-    eta: float = 1e-9,
     psi_variant: str = "standard",
 ) -> CertificateReport:
-    """F(p(Tx, Sy)) <= psi(F(M(x, y))) + eta on every sampled pair (id FPSI).
+    """F(p(Tx, Sy)) <= psi(F(M(x, y))) + FPSI_ETA on every sampled pair (id FPSI).
     The sample is two (n, d) coordinate arrays: pair i is (xs[i], ys[i]).
 
     psi_variant picks the regularity demanded of psi: "standard" wants a
@@ -898,7 +901,7 @@ def check_f_psi_contraction(
         raise InputError("need at least one sampled pair")
     if psi_variant not in PSI_VARIANTS:
         raise ConfigurationError(f"unknown psi variant {psi_variant!r}")
-    psi_profile = _PSI_PROFILES[psi_variant]
+    psi_profile, eta = _PSI_PROFILES[psi_variant], FPSI_ETA
     require_profile(f_gauge, F_PROFILE, eta=eta)
     require_profile(psi, psi_profile, eta=eta)
     space = p.space
@@ -952,7 +955,8 @@ def check_cyclic(
     Each set's draws are one block, mapped in one call.  The witnesses are
     the first 8 defeats in draw order; set_b is not drawn once set_a has 8,
     and a non-finite image is an InputError only before the 8th defeat."""
-    _require_count("sample_count", sample_count)
+    if not _is_count(sample_count):
+        raise InputError(f"sample_count must be a positive integer, got {sample_count!r}")
     rng = np.random.default_rng(seed)
     defeats: list[dict] = []
     for source, target, label in (
@@ -1076,10 +1080,9 @@ def consecutive_contraction_report(
     trace: IterationTrace,
     f_gauge: Gauge,
     psi: Gauge,
-    eta: float = 1e-12,
 ) -> CertificateReport:
-    """Stepwise domination F(gap_n) <= psi(F(gap_{n-1})) + eta (id INEQFP)."""
-    gaps = trace.gaps
+    """Stepwise domination F(gap_n) <= psi(F(gap_{n-1})) + INEQFP_ETA (id INEQFP)."""
+    gaps, eta = trace.gaps, INEQFP_ETA
     if gaps.shape[0] < 2:
         raise InputError("need at least two consecutive gaps")
     fg = f_gauge.apply_array(gaps)

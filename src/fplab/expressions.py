@@ -1,9 +1,9 @@
 """Small arithmetic expression grammar for user-declared evaluables.
 
-Maps, custom premetrics and gauges may be given as text expressions using
-+, -, *, /, abs, min, max, numeric constants and coordinate references
-like ``x[0]`` or ``y[1]``.  Parsing is done with the stdlib ``ast`` module
-and a strict node whitelist, so nothing outside the grammar can run.
+Maps and gauges may be given as text expressions using +, -, *, /, abs,
+min, max, numeric constants and coordinate references like ``x[0]``.
+Parsing is done with the stdlib ``ast`` module and a strict node
+whitelist, so nothing outside the grammar can run.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_count, \
-    _is_real, last_quarter, witness, worst_verdict
+from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_real, \
+    last_quarter, witness, worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -168,64 +168,49 @@ class GaugeFamily:
         return f"explicit[{len(self.members)}]"
 
 
-def iterated_family(base: Gauge, zero_fixed: bool | None = None) -> GaugeFamily:
-    if zero_fixed is None:
-        zero_fixed = base(0.0) == 0.0
-    return GaugeFamily(kind="iterated", zero_fixed=zero_fixed, base=base)
+def iterated_family(base: Gauge) -> GaugeFamily:
+    """The iterates of base; they fix zero exactly when base does."""
+    return GaugeFamily(kind="iterated", zero_fixed=base(0.0) == 0.0, base=base)
 
 
 def explicit_family(members: list[Gauge], zero_fixed: bool) -> GaugeFamily:
     return GaugeFamily(kind="explicit", zero_fixed=zero_fixed, members=tuple(members))
 
 
-def iterate_gauge(family: GaugeFamily, n: int, t: float) -> float:
-    """Member n evaluated at t.  Members are 1-indexed; member 1 of an
-    iterated family is the base itself and member n is the n-th step of
-    _members' walk from t, n base evaluations."""
-    if n < 1:
-        raise InputError("family members are indexed from 1")
-    if family.kind == "iterated":
-        *_, v = _members(family, float(t), n)
-        return float(v)
-    if n > len(family.members):
-        raise InputError(f"explicit family has {len(family.members)} members, asked for {n}")
-    return family.members[n - 1](t)
-
-
 # ---------------------------------------------------------------------------
 # Regularity verification
 
 
+#: Halvings of the grid spacing behind each one-sided regularity probe.
+REGULARITY_REFINE = 20
+
+
 def regularity_grid(t_max: float = DEFAULT_T_MAX) -> tuple[float, ...]:
-    """Default verification grid: log-spaced down to 1e-6 plus a linear
-    band through the unit scale (contains 0 and 1 exactly)."""
+    """The verification grid: log-spaced down to 1e-6 plus a linear band
+    through the unit scale (contains 0 and 1 exactly), strictly increasing
+    inside [0, t_max]."""
     log_part = np.logspace(-6, math.log10(t_max), 40)
     lin_part = np.linspace(0.0, min(10.0, t_max), 41)
     grid = np.unique(np.concatenate([log_part, lin_part, [0.0]]))
     return tuple(float(t) for t in grid if 0.0 <= t <= t_max)
 
 
-def _require_count(name: str, value: Any) -> None:
-    """A probe count (refine, t_samples) is an int of at least 1, not a bool."""
-    if not _is_count(value):
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int, refine: int,
+def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int,
                eta: float) -> tuple[list[bool], list[float], np.ndarray]:
-    """Probe g(t + sign*h*2^-k), k = 1..refine, at every grid point in one
-    apply_array call; h is the spacing to that side's neighbour (the other
-    side's at the ends), and a probe outside [0, t_max] deviates 0.0.  Per
-    point: whether the side is probed and its final deviation misses both the
-    tolerance and a quarter of the middle one (a jump), that deviation, h."""
+    """Probe g(t + sign*h*2^-k), k = 1..REGULARITY_REFINE, at every grid
+    point in one apply_array call; h is the spacing to that side's neighbour
+    (the other side's at the ends), and a probe outside [0, t_max] deviates
+    0.0.  Per point: whether the side is probed and its final deviation
+    misses both the tolerance and a quarter of the middle one (a jump), that
+    deviation, h."""
     gaps = np.diff(grid)
     h = np.append(gaps, gaps[-1]) if sign > 0 else np.insert(gaps, 0, gaps[0])
-    probes = grid[:, None] + (sign * h)[:, None] * 2.0 ** -np.arange(1, refine + 1)
+    probes = grid[:, None] + (sign * h)[:, None] * 2.0 ** -np.arange(1, REGULARITY_REFINE + 1)
     inside = (probes >= 0) & (probes <= g.t_max)
     # an out-of-range probe reads t itself: g(t) - g(t) is exactly 0.0, as
     # vals are finite whenever a side is probed
     devs = g.apply_array(np.where(inside, probes, grid[:, None])) - vals[:, None]
-    final, mid = devs[:, -1], devs[:, refine // 2]
+    final, mid = devs[:, -1], devs[:, REGULARITY_REFINE // 2]
     scaled = eta * np.abs(vals)
     tol = np.where(scaled > eta, scaled, eta)  # max(eta, eta * |g(t)|)
     ok = (np.abs(final) <= tol) | (np.abs(final) <= 0.25 * np.abs(mid))
@@ -233,33 +218,17 @@ def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int, refine: 
     return (probed & ~ok).tolist(), final.tolist(), h
 
 
-def verify_gauge_regularity(
-    g: Gauge,
-    grid: tuple[float, ...] | None = None,
-    eta: float = 1e-9,
-    refine: int = 20,
-) -> list[CertificateReport]:
-    """One report per profile entry (ids REG-<entry>).  The grid values and
-    each side's one-sided probes are one apply_array call each.
-
-    Raises:
-        InputError: refine below 1, or an empty or non-increasing grid.
-    """
-    _require_count("refine", refine)
-    if grid is None:
-        grid = regularity_grid(g.t_max)
-    grid = tuple(float(t) for t in grid)
-    if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InputError("verification grid must be strictly increasing with >= 3 points")
-    if grid[0] < 0 or grid[-1] > g.t_max:
-        raise InputError("verification grid must lie inside the gauge working range")
-
+def verify_gauge_regularity(g: Gauge, eta: float = 1e-9) -> list[CertificateReport]:
+    """One report per profile entry (ids REG-<entry>), probed on
+    regularity_grid(g.t_max) at resolution h*2^-REGULARITY_REFINE.  The grid
+    values and each side's one-sided probes are one apply_array call each."""
+    grid = regularity_grid(g.t_max)
     ts = np.array(grid)
     values = g.apply_array(ts)
     vals = values.tolist()
     note = (
         f"grid of {len(grid)} points in [{grid[0]}, {grid[-1]}], one-sided sampling "
-        f"resolution h*2^-{refine}, slack eta={eta}"
+        f"resolution h*2^-{REGULARITY_REFINE}, slack eta={eta}"
     )
     bad_values = [
         witness(t=t, value=v) for t, v in zip(grid, vals) if not math.isfinite(v) or v < 0
@@ -270,7 +239,7 @@ def verify_gauge_regularity(
     def side(name: str) -> tuple:
         # each side is probed once, for the first entry that reads it
         if name not in sides:
-            sides[name] = _one_sided(g, ts, values, 1 if name == "right" else -1, refine, eta)
+            sides[name] = _one_sided(g, ts, values, 1 if name == "right" else -1, eta)
         return sides[name]
 
     for entry in sorted(g.profile):
@@ -289,7 +258,8 @@ def verify_gauge_regularity(
                                        drop=vals[i] - vals[i + 1]))
         elif entry == "right_continuous":
             fails, final, h = side("right")
-            bad = [witness(t=t, right_deviation=final[i], resolution=h[i] * 2.0 ** -refine)
+            bad = [witness(t=t, right_deviation=final[i],
+                           resolution=h[i] * 2.0 ** -REGULARITY_REFINE)
                    for i, t in enumerate(grid) if fails[i]]
         elif entry == "continuous":
             (right_fails, right_dev, _), (left_fails, left_dev, _) = side("right"), side("left")
@@ -427,11 +397,15 @@ def _first_hits(family: GaugeFamily, ts, below, horizon: int) -> np.ndarray:
     return hits
 
 
-def _walk_bands(family, eps, deltas, t_samples, nu_horizon, eta):
+#: Evenly spaced t per C7 band [eps, eps + delta], both ends included.
+C7_T_SAMPLES = 17
+
+
+def _walk_bands(family, eps, deltas, nu_horizon, eta):
     """Per delta band, its ts and first hits t by t up to the first t that
     no member pulls below eps: the walk's own order and evaluations."""
     for delta in deltas:
-        ts = np.linspace(eps, eps + delta, t_samples)
+        ts = np.linspace(eps, eps + delta, C7_T_SAMPLES)
         hits = []
         for t in ts:
             hits.append(int(_first_hits(family, t, eps - eta, nu_horizon)))
@@ -440,21 +414,20 @@ def _walk_bands(family, eps, deltas, t_samples, nu_horizon, eta):
         yield ts, np.array(hits, dtype=int)
 
 
-def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[CertificateReport]:
+def _c7_reports(family, eps_grid, deltas, nu_horizon, eta) -> list[CertificateReport]:
     """One C7 report per eps.  Every (eps, delta, t) cell is searched in one
     block, nu_horizon apply_array calls in all.  The walk (eps, delta, t)
     takes over when some eps <= 0, when a zero step sends linspace down
     another branch for the whole block, or when the block raises, so that
     an error is the one the walk meets first."""
-    _require_count("t_samples", t_samples)
     if deltas is None:
         deltas = _default_delta_candidates()
     eps_col = np.asarray(eps_grid, dtype=float)[:, None]
     stops = eps_col + np.asarray(deltas, dtype=float)
     hits = None
-    if (eps_col > 0).all() and not ((stops - eps_col) / max(t_samples - 1, 1) == 0).any():
+    if (eps_col > 0).all() and not ((stops - eps_col) / (C7_T_SAMPLES - 1) == 0).any():
         try:
-            ts = np.linspace(eps_col, stops, t_samples, axis=-1)
+            ts = np.linspace(eps_col, stops, C7_T_SAMPLES, axis=-1)
             hits = _first_hits(family, ts, eps_col[..., None] - eta, nu_horizon)
         except InputError:
             pass
@@ -463,7 +436,7 @@ def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[Ce
         if eps <= 0:
             raise InputError("C7 needs eps > 0")
         bands = (zip(ts[i], hits[i]) if hits is not None
-                 else _walk_bands(family, eps, deltas, t_samples, nu_horizon, eta))
+                 else _walk_bands(family, eps, deltas, nu_horizon, eta))
         defeats: list[dict] = []
         for delta, (band_ts, band_hits) in zip(deltas, bands):
             miss = np.flatnonzero(band_hits == 0)
@@ -471,7 +444,7 @@ def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[Ce
                 reports.append(CertificateReport(
                     "C7", Verdict.PASS,
                     [witness(eps=eps, delta=delta, max_nu=int(band_hits.max(initial=0)))],
-                    resolution_note=f"{t_samples} samples per band, nu horizon {nu_horizon}"))
+                    resolution_note=f"{C7_T_SAMPLES} samples per band, nu horizon {nu_horizon}"))
                 break
             defeats.append(witness(eps=eps, delta=delta, defeating_t=float(band_ts[miss[0]])))
         else:
@@ -483,37 +456,26 @@ def _c7_reports(family, eps_grid, deltas, t_samples, nu_horizon, eta) -> list[Ce
     return reports
 
 
-def check_family_C7(
-    family: GaugeFamily,
-    eps: float,
-    delta_candidates: tuple[float, ...] | None = None,
-    t_samples: int = 17,
-    nu_horizon: int = 64,
-    eta: float = 1e-9,
-) -> CertificateReport:
-    """Search (delta, per-t nu) so every t in [eps, eps+delta] is pulled
-    strictly below eps by some member with index <= nu_horizon.
-
-    A defeat for every candidate delta is reported as inconclusive with the
-    defeating t recorded: a finite search cannot refute the existential.
-
-    Raises:
-        InputError: t_samples below 1, eps <= 0, or a member probed outside
-            its gauge's working range.
-    """
-    return _c7_reports(family, (eps,), delta_candidates, t_samples, nu_horizon, eta)[0]
-
-
 def check_family_C7_multi(
     family: GaugeFamily,
     eps_grid: tuple[float, ...],
     delta_candidates: tuple[float, ...] | None = None,
-    t_samples: int = 17,
     nu_horizon: int = 64,
     eta: float = 1e-9,
 ) -> CertificateReport:
-    """check_family_C7 across a grid of eps levels, merged into one report."""
-    reports = _c7_reports(family, eps_grid, delta_candidates, t_samples, nu_horizon, eta)
+    """C7 at each eps of the grid, merged into one report: search (delta,
+    per-t nu) so every t in [eps, eps+delta] is pulled strictly below eps by
+    some member with index <= nu_horizon.
+
+    At one eps, a defeat for every candidate delta is inconclusive with the
+    defeating t recorded: a finite search cannot refute the existential.
+    The merged verdict is the worst, with each eps's first two witnesses.
+
+    Raises:
+        InputError: some eps <= 0, or a member probed outside its gauge's
+            working range.
+    """
+    reports = _c7_reports(family, eps_grid, delta_candidates, nu_horizon, eta)
     wits: list[dict] = []
     for rep in reports:
         wits.extend(rep.witnesses[:2])

@@ -38,9 +38,6 @@ class NamedMap:
             image = self.fn(np.asarray(x.coords))
         return self.space.point(image.tolist())
 
-    def describe(self) -> str:
-        return f"{self.name} on {self.space.id}"
-
 
 _BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "half": lambda x: 0.5 * x,

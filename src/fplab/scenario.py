@@ -21,14 +21,11 @@ from .gauges import DEFAULT_T_MAX, Gauge, GaugeFamily, _BUILTINS as _GAUGE_BUILT
 from .maps import NamedMap, _BUILTINS as _MAP_BUILTINS, builtin_map, expression_map
 from .reports import ASMK_VARIANTS, CAUCHY_ROUTES, PSI_VARIANTS, SEQUENCE_NAMES, SearchBudget, \
     _as_float, _is_count, _is_real
-from .spaces import PREMETRIC_KINDS as _ALL_PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, \
-    IntervalSet, Premetric, Space, composed_premetric, default_region, metric_premetric, \
-    shifted_premetric
+from .spaces import PREMETRIC_KINDS, Box, CyclicSetting, DiskSet, IntervalSet, Premetric, \
+    Space, composed_premetric, default_region, metric_premetric, shifted_premetric
 
 #: The runs a document may request, in the order the runner executes them.
 RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")
-#: Custom premetrics are expressions built through the API, not documents.
-PREMETRIC_KINDS = tuple(k for k in _ALL_PREMETRIC_KINDS if k != "custom")
 #: The traces a certify or falsify run can read.
 TRACE_SOURCES = ("picard", "alternating", "sequence")
 #: Bounds what the walk allocates for default regions and start points.
@@ -235,6 +232,20 @@ def _needs_trace(run: str, source, has_t: bool, has_s: bool, seq, diags: list[st
         diags.append(f"sequence: run {run} on a sequence trace needs one")
 
 
+def _min_trace_points(run: str, route, asmk: bool, fpsi: bool, budget: SearchBudget) -> int:
+    """The fewest trace points that run's checks accept, from their length
+    guards: the settling diagnostic CAUCHY reads 4 points; C1-C3, C4, C8 and
+    C9 read index_horizon + nu_horizon gaps against the trace's forward
+    shift, one point shorter; the falsify scan reads 4 consecutive gaps and
+    INEQFP, alternate's check when F and psi are given, 2."""
+    if run == "certify":
+        bands = budget.index_horizon + budget.nu_horizon + 1 if route != "mixed" or asmk else 0
+        return max(4, bands)
+    if run == "falsify":
+        return 5
+    return 3 if run == "alternate" and fpsi else 1
+
+
 def seed_problem(seed) -> str | None:
     """Why seed is no scenario seed (a non-negative int, not a bool), or None."""
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -338,10 +349,8 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
     elif cyc is not None:
         sets = [_set(cyc.get(side), f"cyclic_setting.{side}", space, diags)
                 for side in ("set_a", "set_b")]
-        if None not in sets and seed is not None:
-            # seeded from the document: a --seed override does not re-derive it
-            setting = _make("cyclic_setting", diags, CyclicSetting.derive, space, *sets,
-                            seed=seed)
+        if None not in sets:
+            setting = _make("cyclic_setting", diags, CyclicSetting.derive, space, *sets)
 
     budget = {} if doc.get("budget") is None else doc["budget"]
     if not isinstance(budget, dict):
@@ -396,6 +405,16 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
     for run in RUN_NAMES:
         if run in runs and run in reads:
             _needs_trace(run, reads[run], has_t, has_s, seq, diags)
+            # a declared steps gives the trace at most steps + 1 points
+            owner = "alternate" if reads[run] == "alternating" else "iterate"
+            steps = params[owner]["steps"]
+            if steps is None or budget is None:
+                continue
+            need = _min_trace_points(run, params[run].get("route"), bool(variants),
+                                     f_gauge is not None and psi is not None, budget)
+            if steps + 1 < need:
+                diags.append(f"{owner}.steps: run {run} needs a trace of at least {need} "
+                             f"points, so at least {need - 1} steps, got {steps}")
 
     route = params["certify"]["route"] if "certify" in runs else None
     if route == "tau" and kind != "metric":

@@ -1,15 +1,15 @@
 """Concrete spaces, premetrics and cyclic set pairs.
 
 Everything downstream (traces, certificates, solvers) measures gaps through
-a Premetric: a plain metric, a clamped cyclic shift of one, a gauge
-composed with an inner premetric, or a custom expression.  Distances and
-premetrics each have one array kernel (Space.distances, premetric_values)
-over coordinate arrays with the coordinates on the last axis; the block
-functions, and the Point edges Space.distance and eval_premetric, are thin
-layers over it.  Samples and axiom triples are coordinate arrays too: every
-region draws with sample_coords and tests rows with contains_coords.  Below
-8 coordinates the distance kernel builds no (..., d) difference block: it
-works column by column, with the bits of the np.sum reduction it replaces.
+a Premetric: a plain metric, a clamped cyclic shift of one, or a gauge
+composed with an inner premetric.  Distances and premetrics each have one
+array kernel (Space.distances, premetric_values) over coordinate arrays with
+the coordinates on the last axis; the block functions, and the Point edges
+Space.distance and eval_premetric, are thin layers over it.  Samples and
+axiom triples are coordinate arrays too: every region draws with
+sample_coords and tests rows with contains_coords.  Below 8 coordinates the
+distance kernel builds no (..., d) difference block: it works column by
+column, with the bits of the np.sum reduction it replaces.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .expressions import CoordView, Expression
 from .gauges import Gauge
 from .reports import CertificateReport, Verdict, witness
 
@@ -308,13 +307,12 @@ class CyclicSetting:
         space: Space,
         set_a: Any,
         set_b: Any,
-        seed: int = 0,
     ) -> "CyclicSetting":
         _require_sets_in(space, set_a, set_b)
         exact = _exact_gap(space, set_a, set_b)
         if exact is not None:
             return cls(space, set_a, set_b, exact, "exact")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         k = max(2, int(math.isqrt(GAP_SAMPLE_BUDGET)))
         a, b = set_a.sample_coords(rng, k), set_b.sample_coords(rng, k)
         gap = float(space.distances(a[:, None], b[None]).min())
@@ -325,7 +323,7 @@ class CyclicSetting:
 # Premetrics
 
 CLAIM_NAMES = frozenset({"symmetric", "triangle", "mixed_triangle", "tau_distance"})
-PREMETRIC_KINDS = ("metric", "shifted_cyclic", "composed", "custom")
+PREMETRIC_KINDS = ("metric", "shifted_cyclic", "composed")
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,6 @@ class Premetric:
       metric          -- the space distance itself
       shifted_cyclic  -- max(0, d(x, y) - gap) for a cyclic setting
       composed        -- gauge(inner(x, y))
-      custom          -- an expression in the coordinates x[i], y[i]
     claims is the set of properties the caller asserts; they are verified
     (never trusted) by verify_premetric_axioms.
     """
@@ -348,7 +345,6 @@ class Premetric:
     gauge: Gauge | None = None
     inner: "Premetric | None" = None
     companion: "Premetric | None" = None
-    fn: Expression | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PREMETRIC_KINDS:
@@ -362,13 +358,6 @@ class Premetric:
             raise ConfigurationError("shifted_cyclic premetric needs a cyclic setting")
         if self.kind == "composed" and (self.gauge is None or self.inner is None):
             raise ConfigurationError("composed premetric needs both a gauge and an inner premetric")
-        if self.kind == "custom" and not isinstance(self.fn, Expression):
-            raise ConfigurationError("custom premetric needs an expression in x and y")
-        if self.kind == "custom" and max(self.fn.subscripts, default=-1) >= self.space.dimension:
-            raise ConfigurationError(
-                f"custom premetric {self.fn.source!r} subscripts past the "
-                f"{self.space.dimension}-dimensional space {self.space.id!r}"
-            )
         for name in ("setting", "inner", "companion"):
             part = getattr(self, name)
             if part is not None and part.space != self.space:
@@ -381,8 +370,6 @@ class Premetric:
             return f"composed({self.gauge.name}, {self.inner.describe()})"
         if self.kind == "shifted_cyclic":
             return f"shifted(d - {self.setting.gap})"
-        if self.kind == "custom":
-            return f"custom({self.fn.source})"
         return "metric"
 
 
@@ -417,24 +404,12 @@ def composed_premetric(gauge: Gauge, inner: Premetric, claims: frozenset = froze
     )
 
 
-def custom_premetric(
-    space: Space,
-    fn: Expression,
-    claims: frozenset = frozenset(),
-    companion: Premetric | None = None,
-) -> Premetric:
-    return Premetric(kind="custom", space=space, claims=frozenset(claims), fn=fn, companion=companion)
-
-
 def _premetric_rule(p: Premetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if p.kind == "metric":
         return p.space.distances(a, b)
     if p.kind == "shifted_cyclic":
         return np.maximum(0.0, p.space.distances(a, b) - p.setting.gap)
-    if p.kind == "composed":
-        return p.gauge.apply_array(_premetric_rule(p.inner, a, b))
-    out = np.asarray(p.fn(x=CoordView(a), y=CoordView(b)), dtype=float)
-    return np.broadcast_to(out, np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    return p.gauge.apply_array(_premetric_rule(p.inner, a, b))
 
 
 def premetric_values(p: Premetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -291,13 +291,11 @@ def cyclic_even_trace(
     setting: CyclicSetting,
     x0: Point,
     pairs: int,
-    premetric: Premetric | None = None,
 ) -> IterationTrace:
     """Even-indexed subsequence coords[n] = T^{2n} x0 for n = 0..pairs, gaps
     measured under the gap-shifted premetric.  The full orbit (odd points
     included) rides along in aux_coords for diagnostics."""
-    p = premetric if premetric is not None else shifted_premetric(setting)
-    row = _start(x0, pairs, "double step", map_t.space, p.space)
+    row = _start(x0, pairs, "double step", map_t.space, setting.space)
     if not setting.set_a.contains_coords(row):
         raise InputError("starting point must lie in the first set")
     orbit, status = _orbit((map_t.fn,), row, 2 * pairs + 1)
@@ -305,7 +303,7 @@ def cyclic_even_trace(
     return IterationTrace(
         coords=evens,
         generator=f"cyclic_even({map_t.name})",
-        premetric=p,
+        premetric=shifted_premetric(setting),
         status=status,
         aux_coords=orbit,
     )

@@ -151,8 +151,7 @@ def test_alternating_pair_under_comparison_gauge():
     assert sol.residual <= 1e-9
 
     orbit = alternating_trace(sched, LINE.point(1.0), 40)
-    ineq = consecutive_contraction_report(orbit, builtin_gauge("id"), psi,
-                                          eta=1e-12)
+    ineq = consecutive_contraction_report(orbit, builtin_gauge("id"), psi)
     assert ineq.condition_id == "INEQFP"
     assert ineq.verdict is PASS
     assert ineq.witnesses[0]["steps"] == 39

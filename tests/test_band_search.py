@@ -41,7 +41,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import find, given, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fplab import certificates
@@ -122,11 +122,17 @@ def _outcomes(case):
             for w in _both(case)[1].witnesses}
 
 
+# find() keeps its first example instead of shrinking it: the example is
+# only checked against the references, and shrinking is most of find's time
+FIRST_EXAMPLE = settings(phases=[Phase.generate])
+
+
 def test_cases_reach_every_outcome():
     # the strategy above must reach each kind of band outcome, or the
     # property test would leave that branch of the sweep unchecked
     for kind in ("vacuous", "nu", "defeat"):
-        case = find(band_cases(), lambda c, kind=kind: kind in _outcomes(c))
+        case = find(band_cases(), lambda c, kind=kind: kind in _outcomes(c),
+                    settings=FIRST_EXAMPLE)
         _assert_same(*_both(case))
 
 
@@ -529,7 +535,8 @@ def test_id_cases_reach_every_kind_of_bucket():
             return ids.shift > 0 and bool((first == (1 << ids.shift) - 1).any())
         return np.log2(cuts[-1]) - np.log2(cuts[0]) > 600
     for kind in ("two-edges", "first-bits", "last-bits", "binades"):
-        _assert_ids_equal_the_search(*find(id_cases(), lambda c, kind=kind: holds(c, kind)))
+        _assert_ids_equal_the_search(*find(id_cases(), lambda c, kind=kind: holds(c, kind),
+                                           settings=FIRST_EXAMPLE))
 
 
 def test_a_cut_at_the_largest_float_warns_nothing():

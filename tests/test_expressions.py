@@ -9,7 +9,7 @@ from fplab.errors import ConfigurationError, ExpressionError, InputError
 from fplab.expressions import compile_expression
 from fplab.gauges import expression_gauge
 from fplab.maps import expression_map
-from fplab.spaces import Space, custom_premetric
+from fplab.spaces import Space
 
 
 def test_arithmetic_and_precedence():
@@ -85,12 +85,6 @@ def test_map_subscript_past_the_dimension_is_refused(sources):
     space = Space(id="s", dimension=len(sources))
     with pytest.raises(ConfigurationError, match=r"subscript x\[\d\] is out of range"):
         expression_map(space, sources)
-
-
-def test_custom_premetric_subscript_past_the_dimension_is_refused():
-    line = Space(id="line", dimension=1)
-    with pytest.raises(ConfigurationError, match="subscripts past the 1-dimensional"):
-        custom_premetric(line, compile_expression("abs(x[0] - y[1])", ("x", "y")))
 
 
 def test_map_subscripts_inside_the_dimension_apply():

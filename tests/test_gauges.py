@@ -12,13 +12,13 @@ from fplab.gauges import (
     _BUILTINS,
     Gauge,
     GaugeFamily,
+    _c7_reports,
+    _members,
     builtin_gauge,
     check_family_C6,
-    check_family_C7,
     check_family_C7_multi,
     explicit_family,
     expression_gauge,
-    iterate_gauge,
     iterated_family,
     regularity_grid,
     require_profile,
@@ -166,7 +166,7 @@ class TestArrayContract:
         g = Gauge(name="sq", fn=lambda t: math.sqrt(t) / 2)
         assert g(1.0) == 0.5
         with pytest.raises(InputError, match="gauge 'sq' .* must map a float array"):
-            check_family_C6(iterated_family(g, zero_fixed=True), (0.5, 1.0))
+            check_family_C6(iterated_family(g), (0.5, 1.0))
 
     def test_branching_gauge_is_an_input_error(self):
         g = Gauge(name="kink", fn=lambda t: t / 2 if t < 1 else t)
@@ -235,15 +235,6 @@ class TestRegularity:
             assert rep.verdict is Verdict.FAIL
             assert "invalid values" in rep.resolution_note
 
-    def test_grid_guards(self):
-        g = builtin_gauge("half")
-        with pytest.raises(InputError, match="strictly increasing"):
-            verify_gauge_regularity(g, grid=(0.0, 1.0))
-        with pytest.raises(InputError, match="strictly increasing"):
-            verify_gauge_regularity(g, grid=(0.0, 1.0, 1.0, 2.0))
-        with pytest.raises(InputError, match="inside the gauge working range"):
-            verify_gauge_regularity(g, grid=(0.0, 1.0, 2e3))
-
     def test_default_grid_shape(self):
         grid = regularity_grid()
         assert grid[0] == 0.0
@@ -271,27 +262,24 @@ class TestRequireProfile:
 class TestFamilies:
     def test_iterated_half_values(self):
         fam = iterated_family(builtin_gauge("half"))
-        assert iterate_gauge(fam, 1, 1.0) == 0.5
-        assert iterate_gauge(fam, 3, 1.0) == 0.125
+        assert [float(v) for v in _members(fam, 1.0, 3)] == [0.5, 0.25, 0.125]
 
     def test_iterated_mk_closed_form(self):
         # iterating t/(1+t) gives t/(1+n t)
         fam = iterated_family(builtin_gauge("mk"))
-        for n in (1, 2, 5, 10):
-            for t in (0.25, 1.0, 3.0):
-                assert iterate_gauge(fam, n, t) == pytest.approx(
-                    t / (1.0 + n * t), rel=1e-12
-                )
+        ts = (0.25, 1.0, 3.0)
+        for n, values in enumerate(_members(fam, ts, 10), start=1):
+            for t, v in zip(ts, values.tolist()):
+                assert v == pytest.approx(t / (1.0 + n * t), rel=1e-12)
 
     def test_member_index_guards(self):
+        # members are 1-indexed: horizon 0 yields none, and an explicit
+        # family stops at its last member
         fam = iterated_family(builtin_gauge("half"))
-        with pytest.raises(InputError, match="indexed from 1"):
-            iterate_gauge(fam, 0, 1.0)
+        assert list(_members(fam, 1.0, 0)) == []
         two = explicit_family([builtin_gauge("half"), builtin_gauge("mk")],
                               zero_fixed=True)
-        assert iterate_gauge(two, 2, 1.0) == 0.5
-        with pytest.raises(InputError, match="has 2 members"):
-            iterate_gauge(two, 3, 1.0)
+        assert [float(v) for v in _members(two, 1.0, 3)] == [0.5, 0.5]
 
     def test_family_validation(self):
         with pytest.raises(ConfigurationError, match="needs a base gauge"):
@@ -361,31 +349,32 @@ class TestFamilyC7:
     def test_halving_family_band_pull(self):
         # t=2 needs two halvings to get strictly below 1, t=1 needs one
         fam = iterated_family(builtin_gauge("half"))
-        rep = check_family_C7(fam, 1.0)
+        rep = check_family_C7_multi(fam, (1.0,))
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses == [{"eps": 1.0, "delta": 1.0, "max_nu": 2}]
 
     def test_mk_family_band_pull(self):
         fam = iterated_family(builtin_gauge("mk"))
-        rep = check_family_C7(fam, 1.0)
+        rep = check_family_C7_multi(fam, (1.0,))
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses[0]["max_nu"] == 1
 
     def test_mk_family_small_eps_index(self):
         fam = iterated_family(builtin_gauge("mk"))
-        rep = check_family_C7(fam, 0.125)
+        rep = check_family_C7_multi(fam, (0.125,))
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses[0] == {"eps": 0.125, "delta": 1.0, "max_nu": 8}
         # closed form at the band endpoint: member 7 is still at or above
         # 1/8 there, member 8 is below it
-        assert iterate_gauge(fam, 7, 1.125) >= 0.125
-        assert iterate_gauge(fam, 8, 1.125) < 0.125
+        *_, seventh, eighth = _members(fam, 1.125, 8)
+        assert seventh >= 0.125
+        assert eighth < 0.125
 
     def test_identity_family_is_inconclusive_not_fail(self):
         """A finite delta search cannot refute the existential, so exhausting
         every candidate reports inconclusive with the defeating points."""
         fam = iterated_family(builtin_gauge("id"))
-        rep = check_family_C7(fam, 1.0)
+        (rep,) = _c7_reports(fam, (1.0,), None, 64, 1e-9)
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert len(rep.witnesses) == 8
         assert rep.witnesses[0] == {"eps": 1.0, "delta": 1.0, "defeating_t": 1.0}
@@ -394,7 +383,7 @@ class TestFamilyC7:
     def test_eps_guard(self):
         fam = iterated_family(builtin_gauge("half"))
         with pytest.raises(InputError, match="eps > 0"):
-            check_family_C7(fam, 0.0)
+            check_family_C7_multi(fam, (0.0,))
 
     def test_multi_merges_worst_verdict(self):
         mk = iterated_family(builtin_gauge("mk"))
@@ -403,33 +392,3 @@ class TestFamilyC7:
         assert [w["max_nu"] for w in rep.witnesses] == [1, 2]
         ident = iterated_family(builtin_gauge("id"))
         assert check_family_C7_multi(ident, (1.0,)).verdict is Verdict.INCONCLUSIVE
-
-
-class TestProbeArguments:
-    """refine and t_samples count probes: an int of at least 1, never a bool.
-    refine=0 was a raw IndexError, t_samples=-1 numpy's ValueError, and
-    t_samples=0 a pass that had sampled no t."""
-
-    BAD = (-1, 0, True, False, 2.0)
-
-    @pytest.mark.parametrize("refine", BAD)
-    def test_refine(self, refine):
-        with pytest.raises(InputError, match=f"refine must be a positive integer, got {refine!r}"):
-            verify_gauge_regularity(builtin_gauge("mk"), refine=refine)
-
-    @pytest.mark.parametrize("t_samples", BAD)
-    def test_t_samples(self, t_samples):
-        fam = iterated_family(builtin_gauge("half"))
-        message = f"t_samples must be a positive integer, got {t_samples!r}"
-        with pytest.raises(InputError, match=message):
-            check_family_C7(fam, 1.0, t_samples=t_samples)
-        with pytest.raises(InputError, match=message):
-            check_family_C7_multi(fam, (1.0, 0.5), t_samples=t_samples)
-
-    def test_one_is_enough(self):
-        fam = iterated_family(builtin_gauge("half"))
-        assert check_family_C7(fam, 1.0, t_samples=1).witnesses == [
-            {"eps": 1.0, "delta": 1.0, "max_nu": 1}]
-        g = builtin_gauge("mk")
-        reports = verify_gauge_regularity(g, refine=1)
-        assert [r.condition_id for r in reports] == [f"REG-{e}" for e in sorted(g.profile)]

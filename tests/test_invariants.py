@@ -20,7 +20,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from fplab import certificates, reports, scenario, solvers, traces
-from fplab.gauges import Gauge, GaugeFamily, builtin_gauge, iterate_gauge, iterated_family
+from fplab.gauges import Gauge, GaugeFamily, _members, builtin_gauge, iterated_family
 from fplab.maps import NamedMap, builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize, worst_verdict
 from fplab.spaces import (
@@ -90,14 +90,20 @@ class TestPremetricAxioms:
         assert eval_premetric(p, x, y) < 1.0  # t/(1+t) stays below one
 
 
+def _member(fam: GaugeFamily, n: int, t: float) -> float:
+    """Member n (from 1) at t: the n-th step of the family walk."""
+    *_, v = _members(fam, t, n)
+    return float(v)
+
+
 class TestGaugeFamily:
     @given(m=st.integers(min_value=1, max_value=20),
            n=st.integers(min_value=1, max_value=20), t=small_t)
     def test_iterated_family_composes(self, m, n, t):
         fam = GaugeFamily(kind="iterated", zero_fixed=True,
                           base=builtin_gauge("mk"))
-        whole = iterate_gauge(fam, m + n, t)
-        stacked = iterate_gauge(fam, m, iterate_gauge(fam, n, t))
+        whole = _member(fam, m + n, t)
+        stacked = _member(fam, m, _member(fam, n, t))
         assert whole == stacked or abs(whole - stacked) <= 1e-12 * (1.0 + whole)
 
     @given(n=st.integers(min_value=1, max_value=30), t=small_t)
@@ -105,13 +111,13 @@ class TestGaugeFamily:
         fam = GaugeFamily(kind="iterated", zero_fixed=True,
                           base=builtin_gauge("mk"))
         expected = t / (1.0 + n * t) if t else 0.0
-        assert abs(iterate_gauge(fam, n, t) - expected) <= 1e-12 * (1.0 + expected)
+        assert abs(_member(fam, n, t) - expected) <= 1e-12 * (1.0 + expected)
 
     @given(n=st.integers(min_value=1, max_value=40))
     def test_zero_stays_fixed(self, n):
         fam = GaugeFamily(kind="iterated", zero_fixed=True,
                           base=builtin_gauge("half"))
-        assert iterate_gauge(fam, n, 0.0) == 0.0
+        assert _member(fam, n, 0.0) == 0.0
 
 
 verdicts = st.sampled_from([Verdict.PASS, Verdict.FAIL, Verdict.INCONCLUSIVE])
@@ -594,6 +600,7 @@ def _reference_runs():
     half, quarter = builtin_map("half", LINE), builtin_map("quarter", LINE)
     mk = builtin_gauge("mk")
     composed = composed_premetric(mk, D1, claims=frozenset({"triangle"}))
+    family = iterated_family(mk)
     setting = CyclicSetting.derive(LINE, IntervalSet(LINE, 1.0, math.inf),
                                    IntervalSet(LINE, -math.inf, -1.0))
     points = [LINE.point(v) for v in (0.0, 1.0, 3.0, -2.5)]
@@ -617,8 +624,7 @@ def _reference_runs():
                                               Box((0.5,), (9.0,)), seed=3),
         "regularity": lambda: regularity_reference(mk),
         "csv": lambda: to_csv_reference(orbit),
-        "asmk": lambda: check_asmk_reference(orbit, shifted, builtin_gauge("id"),
-                                             iterated_family(mk, zero_fixed=True),
+        "asmk": lambda: check_asmk_reference(orbit, shifted, builtin_gauge("id"), family,
                                              budget=budget, variant="asmk2"),
     }
 

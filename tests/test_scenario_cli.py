@@ -686,6 +686,43 @@ class TestMalformedDocuments:
             assert (tmp_path / doc["name"] / "reports.json").is_file()
 
 
+# (run, document, the section whose steps sets the trace's length, the
+# fewest steps its checks accept): certify reads index_horizon + nu_horizon
+# gaps against the trace's forward shift, the falsify scan 4 consecutive
+# gaps and INEQFP 2
+SMALL_BUDGET = {"index_horizon": 8, "nu_horizon": 8, "pair_samples": 20}
+SHORT_TRACES = [
+    ("certify", {"name": "short-certify", "space": {"dimension": 1}, "maps": {"T": "half"},
+                 "budget": SMALL_BUDGET, "run": ["certify"]}, "iterate", 16),
+    ("falsify", {"name": "short-falsify", "space": {"dimension": 1}, "sequence": "harmonic",
+                 "run": ["falsify"]}, "iterate", 4),
+    ("alternate", {"name": "short-alternate", "space": {"dimension": 1},
+                   "maps": {"T": "half", "S": "half"}, "gauges": {"F": "id", "psi": "half"},
+                   "budget": SMALL_BUDGET, "run": ["alternate"]}, "alternate", 2),
+]
+
+
+class TestDeclaredTraceLength:
+    @pytest.mark.parametrize(("doc", "owner", "steps"), [case[1:] for case in SHORT_TRACES],
+                             ids=[case[0] for case in SHORT_TRACES])
+    def test_the_fewest_steps_run_and_one_less_is_a_finding(self, tmp_path, capsys, doc,
+                                                             owner, steps):
+        enough = _with(doc, f"{owner}.steps", steps)
+        assert validate_scenario(enough) == []
+        run_scenario_doc(enough, str(tmp_path / "enough"))
+        assert (tmp_path / "enough" / "reports.json").is_file()
+
+        short = write_doc(tmp_path, _with(doc, f"{owner}.steps", steps - 1))
+        out = tmp_path / "short"
+        assert main(["run", short, "--out", str(out)]) == 1
+        assert not out.exists()
+        capsys.readouterr()
+        assert main(["validate", short]) == 0
+        findings = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"{owner}.steps: ") and f"at least {steps} steps" in line
+                   for line in findings), findings
+
+
 def _paths(node, prefix=()):
     """The path of every table entry and list item below node."""
     items = node.items() if isinstance(node, dict) else \

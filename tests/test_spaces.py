@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fplab.errors import ConfigurationError, InputError
-from fplab.expressions import compile_expression
 from fplab.reports import Verdict
 from fplab.spaces import (
     Box,
@@ -16,7 +15,6 @@ from fplab.spaces import (
     Premetric,
     Space,
     composed_premetric,
-    custom_premetric,
     default_region,
     eval_premetric,
     metric_premetric,
@@ -26,7 +24,7 @@ from fplab.spaces import (
     shifted_premetric,
     verify_premetric_axioms,
 )
-from fplab.gauges import builtin_gauge
+from fplab.gauges import builtin_gauge, expression_gauge
 
 LINE = Space(id="line", dimension=1)
 PLANE = Space(id="plane", dimension=2)
@@ -223,9 +221,8 @@ class TestPremetrics:
         assert eval_premetric(p, x, y) == pytest.approx(3.0 / 4.0)
         assert "symmetric" in p.claims
 
-    def test_custom_premetric_from_expression(self):
-        fn = compile_expression("abs(x[0] - y[0]) * abs(x[0] - y[0])", ("x", "y"))
-        p = custom_premetric(LINE, fn, claims=frozenset({"symmetric"}))
+    def test_composed_premetric_with_an_expression_gauge(self):
+        p = composed_premetric(expression_gauge("t * t"), metric_premetric(LINE))
         assert eval_premetric(p, LINE.point(1.0), LINE.point(3.0)) == 4.0
 
     def test_refuses_a_setting_from_another_space(self):
@@ -243,11 +240,10 @@ class TestPremetrics:
                       inner=metric_premetric(LINE))
 
     def test_refuses_a_companion_from_another_space(self):
-        fn = compile_expression("abs(x[0] - y[0])", ("x", "y"))
         with pytest.raises(ConfigurationError, match="premetric companion lies in space "
                                                      "'plane', not in the premetric's space "
                                                      "'line'"):
-            custom_premetric(LINE, fn, companion=metric_premetric(PLANE))
+            Premetric(kind="metric", space=LINE, companion=metric_premetric(PLANE))
 
     def test_matrix_and_diagonal_match_scalar(self):
         p = composed_premetric(builtin_gauge("half"), metric_premetric(LINE))
@@ -272,9 +268,8 @@ class TestAxiomVerification:
         assert all(r.verdict is Verdict.PASS for r in reports)
 
     def test_broken_triangle_is_caught(self):
-        fn = compile_expression(
-            "abs(x[0] - y[0]) * abs(x[0] - y[0])", ("x", "y"))
-        p = custom_premetric(LINE, fn, claims=frozenset({"triangle"}))
+        p = composed_premetric(expression_gauge("t * t"), metric_premetric(LINE),
+                               claims=frozenset({"triangle"}))
         reports = verify_premetric_axioms(p, [[[0.0], [1.0], [2.0]]])
         tri = next(r for r in reports if r.condition_id == "AX-TRI")
         # squared distance: 4 > 1 + 1 through the midpoint
@@ -282,6 +277,5 @@ class TestAxiomVerification:
         assert tri.witnesses
 
     def test_mixed_axioms_need_companion(self):
-        fn = compile_expression("abs(x[0] - y[0])", ("x", "y"))
         with pytest.raises(ConfigurationError, match="mixed_triangle claimed but no companion"):
-            custom_premetric(LINE, fn, claims=frozenset({"mixed_triangle"}))
+            Premetric(kind="metric", space=LINE, claims=frozenset({"mixed_triangle"}))

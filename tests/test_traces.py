@@ -247,11 +247,12 @@ class TestPremetricSpace:
             sequence_trace("harmonic", SPACE_A, 5, premetric=ON_B)
 
     def test_cyclic_even_trace(self):
-        setting = CyclicSetting.derive(SPACE_A, IntervalSet(SPACE_A, 0.0, 10.0),
-                                       IntervalSet(SPACE_A, -10.0, 0.0))
+        # the trace is measured under the setting's shifted premetric
+        setting = CyclicSetting.derive(SPACE_B, IntervalSet(SPACE_B, 0.0, 10.0),
+                                       IntervalSet(SPACE_B, -10.0, 0.0))
         with pytest.raises(InputError, match=SEED_OFF_B):
             cyclic_even_trace(builtin_map("cyclic_reflect", SPACE_A), setting,
-                              SPACE_A.point(3.0), 4, premetric=ON_B)
+                              SPACE_A.point(3.0), 4)
 
     def test_iteration_trace(self):
         # a trace lives on its premetric's space
