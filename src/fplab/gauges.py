@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_real, \
-    last_quarter, witness, worst_verdict
+from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_count, \
+    _is_real, last_quarter, witness, worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -221,8 +221,15 @@ def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int,
 def verify_gauge_regularity(g: Gauge, eta: float = 1e-9) -> list[CertificateReport]:
     """One report per profile entry (ids REG-<entry>), probed on
     regularity_grid(g.t_max) at resolution h*2^-REGULARITY_REFINE.  The grid
-    values and each side's one-sided probes are one apply_array call each."""
+    values and each side's one-sided probes are one apply_array call each.
+
+    Raises:
+        InputError: a t_max so small that the grid has fewer than 3 points.
+    """
     grid = regularity_grid(g.t_max)
+    if len(grid) < 3:
+        raise InputError(f"gauge t_max {g.t_max} leaves {len(grid)} verification grid "
+                         f"points, fewer than 3")
     ts = np.array(grid)
     values = g.apply_array(ts)
     vals = values.tolist()
@@ -350,8 +357,9 @@ def check_family_C6(
     family shorter than the horizon never reaches it, so it can fail but
     never pass.  Each member is evaluated at every eps at once.
     """
-    if n_horizon < C6_MIN_HORIZON:
-        raise InputError(f"C6 horizon must be at least {C6_MIN_HORIZON}")
+    if not _is_count(n_horizon) or n_horizon < C6_MIN_HORIZON:
+        raise InputError(f"C6 horizon must be an integer of at least {C6_MIN_HORIZON}, "
+                         f"got {n_horizon!r}")
     try:
         block = np.array(list(_members(family, eps_grid, n_horizon)))
     except InputError:
@@ -472,9 +480,11 @@ def check_family_C7_multi(
     The merged verdict is the worst, with each eps's first two witnesses.
 
     Raises:
-        InputError: some eps <= 0, or a member probed outside its gauge's
-            working range.
+        InputError: nu_horizon not an integer of at least 1, some eps <= 0,
+            or a member probed outside its gauge's working range.
     """
+    if not _is_count(nu_horizon):
+        raise InputError(f"nu_horizon must be a positive integer, got {nu_horizon!r}")
     reports = _c7_reports(family, eps_grid, delta_candidates, nu_horizon, eta)
     wits: list[dict] = []
     for rep in reports:

@@ -837,6 +837,9 @@ def limit_deviation_reference(g, t, h, sign, refine, eta):
 def regularity_reference(g, eta=1e-9):
     """verify_gauge_regularity as a loop over the grid, entry by entry."""
     grid, refine = _default_grid(g.t_max), 20
+    if len(grid) < 3:
+        raise InputError(f"gauge t_max {g.t_max} leaves {len(grid)} verification grid "
+                         f"points, fewer than 3")
     vals = [gauge_call_reference(g, t) for t in grid]
     note = (
         f"grid of {len(grid)} points in [{grid[0]}, {grid[-1]}], one-sided sampling "
@@ -945,8 +948,8 @@ def family_values_reference(family, t, horizon):
 
 def c6_reference(family, eps_grid, n_horizon=64, eta=1e-9):
     """check_family_C6 as a loop over the eps levels."""
-    if n_horizon < 4:
-        raise InputError("C6 horizon must be at least 4")
+    if isinstance(n_horizon, bool) or not isinstance(n_horizon, int) or n_horizon < 4:
+        raise InputError(f"C6 horizon must be an integer of at least 4, got {n_horizon!r}")
     per_eps, wits, checked = [], [], n_horizon
     for eps in eps_grid:
         values = family_values_reference(family, eps, n_horizon)
@@ -1014,6 +1017,8 @@ def c7_reference(family, eps, delta_candidates=None, nu_horizon=64, eta=1e-9):
 
 
 def c7_multi_reference(family, eps_grid, delta_candidates=None, nu_horizon=64, eta=1e-9):
+    if isinstance(nu_horizon, bool) or not isinstance(nu_horizon, int) or nu_horizon < 1:
+        raise InputError(f"nu_horizon must be a positive integer, got {nu_horizon!r}")
     reports = [c7_reference(family, eps, delta_candidates, nu_horizon, eta)
                for eps in eps_grid]
     wits = []

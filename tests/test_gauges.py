@@ -235,6 +235,19 @@ class TestRegularity:
             assert rep.verdict is Verdict.FAIL
             assert "invalid values" in rep.resolution_note
 
+    def test_grid_guards(self):
+        # the grid is always regularity_grid(t_max): strictly increasing
+        # inside [0, t_max] with at least 3 points, down to a t_max of
+        # 1e-320; below that too few points are left, an input error
+        for t_max in (1e-320, 1e-12, 2.5, 1e3, 1e300):
+            grid = regularity_grid(t_max)
+            assert len(grid) >= 3
+            assert all(b > a for a, b in zip(grid, grid[1:]))
+            assert grid[0] == 0.0 and grid[-1] <= t_max
+        assert regularity_grid(5e-324) == (0.0, 5e-324)
+        with pytest.raises(InputError, match="leaves 2 verification grid points"):
+            verify_gauge_regularity(builtin_gauge("half", t_max=5e-324))
+
     def test_default_grid_shape(self):
         grid = regularity_grid()
         assert grid[0] == 0.0
@@ -331,6 +344,9 @@ class TestFamilyC6:
         fam = iterated_family(builtin_gauge("half"))
         with pytest.raises(InputError, match="at least 4"):
             check_family_C6(fam, (1.0,), n_horizon=3)
+        # a float horizon was a raw TypeError from range
+        with pytest.raises(InputError, match="an integer of at least 4, got 4.0"):
+            check_family_C6(fam, (1.0,), n_horizon=4.0)
 
     def test_short_explicit_family_claims_no_pass(self):
         # one member never reaches horizon 64, so its stabilized tail is no pass
@@ -392,3 +408,32 @@ class TestFamilyC7:
         assert [w["max_nu"] for w in rep.witnesses] == [1, 2]
         ident = iterated_family(builtin_gauge("id"))
         assert check_family_C7_multi(ident, (1.0,)).verdict is Verdict.INCONCLUSIVE
+
+
+class TestProbeArguments:
+    """The family checks' member horizons are counts: an int, never a bool.
+    nu_horizon=0 was an inconclusive that had probed no member, True passed
+    as 1, and a float horizon was a raw TypeError from range."""
+
+    BAD = (-1, 0, True, False, 2.0)
+
+    @pytest.mark.parametrize("n_horizon", BAD)
+    def test_n_horizon(self, n_horizon):
+        fam = iterated_family(builtin_gauge("half"))
+        with pytest.raises(InputError, match=f"at least 4, got {n_horizon!r}"):
+            check_family_C6(fam, (1.0,), n_horizon=n_horizon)
+
+    @pytest.mark.parametrize("nu_horizon", BAD)
+    def test_nu_horizon(self, nu_horizon):
+        fam = iterated_family(builtin_gauge("half"))
+        message = f"nu_horizon must be a positive integer, got {nu_horizon!r}"
+        with pytest.raises(InputError, match=message):
+            check_family_C7_multi(fam, (1.0, 0.5), nu_horizon=nu_horizon)
+
+    def test_one_is_enough(self):
+        # one member pulls [1, 1.5] below 1; C6 reads its least horizon
+        fam = iterated_family(builtin_gauge("half"))
+        assert check_family_C7_multi(fam, (1.0,), nu_horizon=1).witnesses == [
+            {"eps": 1.0, "delta": 0.5, "max_nu": 1}]
+        assert check_family_C6(fam, (1.0,), n_horizon=4).witnesses == [
+            {"eps": 1.0, "limsup_estimate": 0.0625, "tail": "stabilized"}]
