@@ -9,80 +9,69 @@ diagnostics (`solvers`), and a declarative scenario front end
 Every checker returns a three-valued CertificateReport (pass / fail /
 inconclusive) carrying machine-checkable witnesses and the search budget
 that produced it.
+
+The package loads its modules on first use (PEP 562): `import fplab` imports
+none of them.  Reading a public name, such as `fplab.build_scenario` or
+`fplab.spaces`, imports that name's home module (and what the home module
+imports) and binds the name here, so later reads are plain attribute reads.
+`fplab.build_scenario` thus loads only the schema layer, and the checkers
+load when a run first needs them.
 """
 
-from .certificates import (
-    acf_asf_agreement,
-    check_acf_mapping,
-    check_asf1,
-    check_asf2,
-    check_asmk,
-    check_banach_rate,
-    check_c5,
-    check_cyclic,
-    check_f_psi_contraction,
-    check_p_controls_d,
-    consecutive_contraction_report,
-)
-from .errors import (
-    ConfigurationError,
-    ExpressionError,
-    FplabError,
-    InputError,
-    RefusalError,
-)
-from .gauges import (
-    Gauge,
-    GaugeFamily,
-    builtin_gauge,
-    check_family_C6,
-    check_family_C7_multi,
-    explicit_family,
-    expression_gauge,
-    iterated_family,
-    require_profile,
-    verify_gauge_regularity,
-)
-from .gallery import GALLERY, Expectation, GalleryEntry, gallery_names, get_entry, list_gallery
-from .maps import NamedMap, builtin_map, expression_map
-from .reports import CertificateReport, SearchBudget, Verdict, worst_verdict
-from .runner import RunResult, run_scenario, run_scenario_doc
-from .scenario import Scenario, build_scenario, load_scenario_file, validate_scenario
-from .solvers import (
-    CauchyCertificate,
-    NonCauchyWitness,
-    SolveResult,
-    WitnessScan,
-    cauchy_diagnostic,
-    certify_cauchy,
-    even_collapse_diagnostic,
-    extract_noncauchy_witness,
-    solve_best_proximity,
-    solve_common_fixed_point,
-    solve_fixed_point,
-)
-from .spaces import (
-    Box,
-    CyclicSetting,
-    DiskSet,
-    IntervalSet,
-    Point,
-    Premetric,
-    Space,
-    composed_premetric,
-    default_region,
-    metric_premetric,
-    sample_pairs,
-    shifted_premetric,
-    verify_premetric_axioms,
-)
-from .traces import (
-    AlternatingSchedule,
-    IterationTrace,
-    alternating_trace,
-    cyclic_even_trace,
-    picard_trace,
-    sequence_trace,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# home module -> the names re-exported from it; each home module is public too
+_EXPORTS = {
+    "certificates": (
+        "acf_asf_agreement", "check_acf_mapping", "check_asf1", "check_asf2", "check_asmk",
+        "check_banach_rate", "check_c5", "check_cyclic", "check_f_psi_contraction",
+        "check_p_controls_d", "consecutive_contraction_report",
+    ),
+    "errors": ("ConfigurationError", "ExpressionError", "FplabError", "InputError",
+               "RefusalError"),
+    "expressions": (),
+    "gallery": ("GALLERY", "Expectation", "GalleryEntry", "gallery_names", "get_entry",
+                "list_gallery"),
+    "gauges": (
+        "Gauge", "GaugeFamily", "builtin_gauge", "check_family_C6", "check_family_C7_multi",
+        "explicit_family", "expression_gauge", "iterated_family", "require_profile",
+        "verify_gauge_regularity",
+    ),
+    "maps": ("NamedMap", "builtin_map", "expression_map"),
+    "reports": ("CertificateReport", "SearchBudget", "Verdict", "worst_verdict"),
+    "runner": ("RunResult", "run_scenario", "run_scenario_doc"),
+    "scenario": ("Scenario", "build_scenario", "load_scenario_file", "validate_scenario"),
+    "solvers": (
+        "CauchyCertificate", "NonCauchyWitness", "SolveResult", "WitnessScan",
+        "cauchy_diagnostic", "certify_cauchy", "even_collapse_diagnostic",
+        "extract_noncauchy_witness", "solve_best_proximity", "solve_common_fixed_point",
+        "solve_fixed_point",
+    ),
+    "spaces": (
+        "Box", "CyclicSetting", "DiskSet", "IntervalSet", "Point", "Premetric", "Space",
+        "composed_premetric", "default_region", "metric_premetric", "sample_pairs",
+        "shifted_premetric", "verify_premetric_axioms",
+    ),
+    "traces": ("AlternatingSchedule", "IterationTrace", "alternating_trace",
+               "cyclic_even_trace", "picard_trace", "sequence_trace"),
+}
+
+# public name -> its home module
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Imports the home module of a public name and binds the name here."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

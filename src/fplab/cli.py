@@ -10,18 +10,22 @@ Subcommands:
 Exit codes for run/gallery: 0 all verdicts pass, 2 any fail verdict or
 violated expectation, 3 only inconclusive degradations (--strict turns 3
 into 2), 1 configuration or input error.
+
+Each command imports the layer it runs when it runs: `validate` the schema
+layer, `gallery --list` only the gallery table, and `run` or a gallery run
+the runner, which loads the checkers.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 from .errors import FplabError
-from .gallery import GALLERY, gallery_names, list_gallery
-from .runner import RunResult, run_scenario
-from .scenario import load_scenario_file, validate_scenario
+
+if TYPE_CHECKING:
+    from .runner import RunResult
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,6 +76,8 @@ def _print_result(result: RunResult, stream) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .runner import run_scenario
+
     result = run_scenario(args.source, args.out, seed=args.seed,
                           budget_scale=args.budget_scale, strict=args.strict)
     _print_result(result, sys.stdout)
@@ -80,20 +86,27 @@ def _cmd_run(args) -> int:
 
 def _cmd_gallery(args) -> int:
     if args.list:
+        from .gallery import list_gallery
+
         print(list_gallery())
         return 0
+    from .gallery import GALLERY, gallery_names
+
     if args.entry is not None:
         if args.entry not in gallery_names():
             print(f"error: unknown gallery entry {args.entry!r}", file=sys.stderr)
             return 1
         args.source = args.entry
         return _cmd_run(args)
+    from .runner import run_scenario
 
     def one(entry) -> RunResult:
         return run_scenario(entry.name, f"{args.out}/{entry.name}", seed=args.seed,
                             budget_scale=args.budget_scale, strict=args.strict)
 
     if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(one, GALLERY))
     else:
@@ -114,6 +127,8 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .scenario import load_scenario_file, validate_scenario
+
     try:
         doc = load_scenario_file(args.file)
     except FplabError as exc:

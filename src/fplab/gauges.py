@@ -189,7 +189,10 @@ def regularity_grid(t_max: float = DEFAULT_T_MAX) -> tuple[float, ...]:
     """The verification grid: log-spaced down to 1e-6 plus a linear band
     through the unit scale (contains 0 and 1 exactly), strictly increasing
     inside [0, t_max]."""
-    log_part = np.logspace(-6, math.log10(t_max), 40)
+    # near the largest float, 10**log10(t_max) can round past it to inf,
+    # which the range filter below drops
+    with np.errstate(over="ignore"):
+        log_part = np.logspace(-6, math.log10(t_max), 40)
     lin_part = np.linspace(0.0, min(10.0, t_max), 41)
     grid = np.unique(np.concatenate([log_part, lin_part, [0.0]]))
     return tuple(float(t) for t in grid if 0.0 <= t <= t_max)

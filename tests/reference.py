@@ -855,6 +855,16 @@ def regularity_reference(g, eta=1e-9):
             return grid[i + 1] - grid[i] if i + 1 < len(grid) else grid[i] - grid[i - 1]
         return grid[i] - grid[i - 1] if i > 0 else grid[i + 1] - grid[i]
 
+    walks = {}
+
+    def walk(i, sign):
+        """Grid point i's one-sided probes on one side, walked the first time
+        a profile entry reads them and shared by every later entry."""
+        if (i, sign) not in walks:
+            h = spacing(i, "right" if sign > 0 else "left")
+            walks[i, sign] = limit_deviation_reference(g, grid[i], h, sign, refine, eta)
+        return walks[i, sign]
+
     for entry in sorted(g.profile):
         cid = f"REG-{entry}"
         if bad_values:
@@ -871,19 +881,19 @@ def regularity_reference(g, eta=1e-9):
             for i, t in enumerate(grid):
                 if t + spacing(i, "right") * 0.5 > g.t_max:
                     continue
-                ok, dev = limit_deviation_reference(g, t, spacing(i, "right"), +1, refine, eta)
+                ok, dev = walk(i, +1)
                 if not ok:
                     bad.append(witness(t=t, right_deviation=dev,
                                        resolution=spacing(i, "right") * 2.0 ** -refine))
         elif entry == "continuous":
             for i, t in enumerate(grid):
                 if t + spacing(i, "right") * 0.5 <= g.t_max:
-                    ok, dev = limit_deviation_reference(g, t, spacing(i, "right"), +1, refine, eta)
+                    ok, dev = walk(i, +1)
                     if not ok:
                         bad.append(witness(t=t, side="right", deviation=dev))
                         continue
                 if t > 0:
-                    ok, dev = limit_deviation_reference(g, t, spacing(i, "left"), -1, refine, eta)
+                    ok, dev = walk(i, -1)
                     if not ok:
                         bad.append(witness(t=t, side="left", deviation=dev))
         elif entry == "positive_on_positive":
@@ -906,8 +916,7 @@ def regularity_reference(g, eta=1e-9):
                         continue
                     if sign < 0 and t <= 0:
                         continue
-                    h = spacing(i, "right" if sign > 0 else "left")
-                    ok, dev = limit_deviation_reference(g, t, h, sign, refine, eta)
+                    ok, dev = walk(i, sign)
                     if not ok and dev > eta:
                         bad.append(witness(t=t, side="right" if sign > 0 else "left",
                                            approach_excess=dev))

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -238,8 +239,9 @@ class TestRegularity:
     def test_grid_guards(self):
         # the grid is always regularity_grid(t_max): strictly increasing
         # inside [0, t_max] with at least 3 points, down to a t_max of
-        # 1e-320; below that too few points are left, an input error
-        for t_max in (1e-320, 1e-12, 2.5, 1e3, 1e300):
+        # 1e-320, and up to the largest float; below 1e-320 too few points
+        # are left, an input error
+        for t_max in (1e-320, 1e-12, 2.5, 1e3, 1e300, sys.float_info.max):
             grid = regularity_grid(t_max)
             assert len(grid) >= 3
             assert all(b > a for a, b in zip(grid, grid[1:]))
@@ -247,6 +249,8 @@ class TestRegularity:
         assert regularity_grid(5e-324) == (0.0, 5e-324)
         with pytest.raises(InputError, match="leaves 2 verification grid points"):
             verify_gauge_regularity(builtin_gauge("half", t_max=5e-324))
+        reports = verify_gauge_regularity(builtin_gauge("half", t_max=sys.float_info.max))
+        assert [rep.verdict for rep in reports] == [Verdict.PASS] * len(reports)
 
     def test_default_grid_shape(self):
         grid = regularity_grid()

@@ -3,9 +3,9 @@ leans on: premetric axioms, gauge family composition, verdict algebra,
 JSON sanitization, the one JSON writer, the few places a Point is built,
 the trace gap caches, one builder per kind of checker input, one home per
 input rule, checkers that measure with their inputs' own premetric and
-space, a schema walk that loads no checker and one home for the names a
-document chooses among, and references that evaluate without the kernels
-they check.
+space, a schema walk that loads no checker, entry points that load only
+the layer they run, one home for the names a document chooses among, and
+references that evaluate without the kernels they check.
 """
 
 import ast
@@ -13,6 +13,9 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 from unittest import mock
@@ -20,6 +23,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from fplab import certificates, reports, scenario, solvers, traces
+from fplab.gallery import get_entry, list_gallery
 from fplab.gauges import Gauge, GaugeFamily, _members, builtin_gauge, iterated_family
 from fplab.maps import NamedMap, builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize, worst_verdict
@@ -482,6 +486,10 @@ def test_one_home_for_the_float_text_of_trace_csvs():
     assert found["traces"].reprs == ["IterationTrace.to_csv"] * 2
 
 
+# the modules a document's schema walk imports: scenario's import closure
+SCHEMA_LAYER = {"errors", "expressions", "reports", "gauges", "spaces", "maps", "scenario"}
+
+
 def test_the_schema_walk_imports_no_checker():
     """scenario reads the route, variant and sequence names a document
     chooses among from reports, so its relative imports, followed
@@ -497,8 +505,77 @@ def test_the_schema_walk_imports_no_checker():
             todo += imports[module]
     assert sorted(closure & {"certificates", "solvers", "traces", "_floatrepr", "runner",
                              "gallery", "cli"}) == []
-    assert closure == {"errors", "expressions", "reports", "gauges", "spaces", "maps",
-                       "scenario"}
+    assert closure == SCHEMA_LAYER
+
+
+def _loaded_after(code: str, *args: str, stdin: str = "") -> tuple[list[str], set[str]]:
+    """Runs code in a fresh interpreter, with fplab importable and args as
+    sys.argv[1:]; returns the lines it printed and every module then loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
+                         capture_output=True, text=True, check=True)
+    *lines, modules = out.stdout.splitlines()
+    return lines, set(json.loads(modules))
+
+
+def _fplab(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "fplab"}
+
+
+class TestWhatEachEntryPointLoads:
+    """The package loads a module on first use, so each entry point loads
+    only the layer it runs; each case is a fresh process."""
+
+    def test_import(self):
+        _, modules = _loaded_after("import fplab")
+        assert _fplab(modules) == {"fplab"}
+        assert "numpy" not in modules
+
+    def test_import_then_build(self):
+        code = "import fplab, json, sys\nfplab.build_scenario(json.load(sys.stdin))"
+        _, modules = _loaded_after(code, stdin=json.dumps(get_entry("meir-keeler").doc))
+        assert _fplab(modules) == {"fplab", *(f"fplab.{name}" for name in SCHEMA_LAYER)}
+
+    def test_validate(self, tmp_path):
+        path = tmp_path / "doc.yaml"
+        path.write_text(json.dumps(get_entry("meir-keeler").doc), encoding="utf-8")
+        code = "import sys\nfrom fplab.cli import main\nmain(['validate', sys.argv[1]])"
+        lines, modules = _loaded_after(code, str(path))
+        assert lines == ["ok"]
+        assert sorted(modules & {"fplab.certificates", "fplab.solvers", "fplab.traces",
+                                 "fplab._floatrepr", "fplab.runner", "fplab.gallery",
+                                 "concurrent.futures"}) == []
+
+    def test_gallery_list(self):
+        lines, modules = _loaded_after("from fplab.cli import main\nmain(['gallery', '--list'])")
+        assert lines == list_gallery().splitlines()
+        assert _fplab(modules) == {"fplab", "fplab.cli", "fplab.errors", "fplab.gallery"}
+        assert "numpy" not in modules
+
+    def test_every_public_name_is_its_homes_object(self):
+        lines, _ = _loaded_after("""
+import json, sys, types
+import fplab
+star = {}
+exec("from fplab import *", star)
+del star["__builtins__"]
+wrong, modules = [], []
+for name in fplab.__all__:
+    home = sys.modules[f"fplab.{fplab._HOME[name]}"]
+    value = home if home.__name__ == f"fplab.{name}" else getattr(home, name)
+    if not star[name] is getattr(fplab, name) is value:
+        wrong.append(name)
+    if isinstance(value, types.ModuleType):
+        modules.append(name)
+print(json.dumps([fplab.__all__, dir(fplab), sorted(star), wrong, modules]))
+""")
+        names, listed, starred, wrong, modules = json.loads(lines[-1])
+        assert len(names) == 88
+        assert names == listed == starred
+        assert wrong == []
+        assert modules == ["certificates", "errors", "expressions", "gallery", "gauges", "maps",
+                           "reports", "runner", "scenario", "solvers", "spaces", "traces"]
 
 
 def test_document_names_have_one_home():

@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fplab
@@ -1566,7 +1566,20 @@ PROBE_DELTAS = st.one_of(st.none(), st.lists(st.sampled_from((1.0, 0.5, 0.25, 2.
 PROBE_ETA = st.sampled_from((1e-9, 1e-12, 1e-3, 0.1))
 
 
+def _each_probe_gauge(test):
+    """Every probe gauge once with its whole profile, at both t_max in
+    turn, whatever the drawn examples pick."""
+    for i, name in enumerate(PROBE_GAUGES):
+        test = example(name=name, t_max=(1e3, 2.5)[i % 2], profile=PROFILE_NAMES,
+                       eta=1e-9)(test)
+    return test
+
+
 class TestGaugeProbes:
+    # each example walks the reference's scalar probes (~10 ms), so fewer are
+    # drawn; the explicit ones keep every probe gauge in
+    @settings(max_examples=40)
+    @_each_probe_gauge
     @given(name=st.sampled_from(PROBE_GAUGES), t_max=PROBE_T_MAX,
            profile=st.frozensets(st.sampled_from(sorted(PROFILE_NAMES)), min_size=1),
            eta=PROBE_ETA)

@@ -1,13 +1,15 @@
 """Every function under src/fplab is reached by a pinned run, or says why not.
 
 A fresh process sets a sys.setprofile hook before it imports fplab, then
-runs what the byte-identity gates pin: the gallery at seed 0, `gallery
---list`, one `validate`, one `fplab run <entry>` and perfbench's five
-long-orbit documents at workload seed 0, the only pinned runs with an
-expression map.  Each function defined in src/fplab must have run there,
-or sit in UNREACHED with a one-line reason.  New code is then reached by a
-document, or its entry says why not; and an entry whose function a pinned
-run starts to reach, or that names no function, fails the test too.
+runs what the byte-identity gates pin: perfbench's set-up probe (`import
+fplab`, then `fplab.build_scenario` on pinned documents), the gallery at
+seed 0, `gallery --list`, one `validate`, one `fplab run <entry>` and
+perfbench's five long-orbit documents at workload seed 0, the only pinned
+runs with an expression map.  Each function defined in src/fplab must have
+run there, or sit in UNREACHED with a one-line reason.  New code is then
+reached by a document, or its entry says why not; and an entry whose
+function a pinned run starts to reach, or that names no function, fails the
+test too.
 """
 
 import ast
@@ -41,6 +43,7 @@ UNREACHED = {
     "runner._Sink.discard": "an error path: it runs only when a run raises",
     "spaces.Premetric.describe": "an error path: it names a premetric in an error message",
     "certificates.acf_asf_agreement": "the acceptance gate's cross-check, not a document run",
+    "__init__.__dir__": "dir(fplab): no pinned run lists the package's names",
 }
 
 # runs in a fresh process, so that functions which run at import count too
@@ -58,10 +61,15 @@ def hook(frame, event, arg):
 
 sys.setprofile(hook)
 import fplab
-from fplab.cli import main
 from fplab.gallery import get_entry
-from fplab.runner import run_scenario_doc
 from perfbench.workloads import long_orbit_documents
+
+# perfbench's setup probe: import fplab, then build every pinned document
+for doc in [get_entry("meir-keeler").doc, *long_orbit_documents(0)]:
+    fplab.build_scenario(doc)
+
+from fplab.cli import main
+from fplab.runner import run_scenario_doc
 
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     main(["gallery", "--out", os.path.join(tmp, "gallery")])

@@ -23,7 +23,6 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import fplab
-from fplab import cli
 from fplab.cli import main
 from fplab.errors import ConfigurationError, FplabError, InputError
 from fplab.gallery import GALLERY, Expectation, gallery_names, get_entry, list_gallery
@@ -863,8 +862,8 @@ class TestCliGallery:
         # each entry gets the exit it expects, so every line is ok
         entries = [dataclasses.replace(e, expected_exit=code) for e, code in zip(GALLERY, exits)]
         codes = {e.name: e.expected_exit for e in entries}
-        monkeypatch.setattr(cli, "GALLERY", entries)
-        monkeypatch.setattr(cli, "run_scenario", lambda name, out, **_: RunResult(
+        monkeypatch.setattr("fplab.gallery.GALLERY", entries)
+        monkeypatch.setattr("fplab.runner.run_scenario", lambda name, out, **_: RunResult(
             name=name, exit_code=codes[name], verdicts={}, violations=[], out_dir=out))
         assert main(["gallery", "--out", "unused"]) == want
         assert capsys.readouterr().out.count(" ok\n") == len(exits)
@@ -873,7 +872,6 @@ class TestCliGallery:
         wrong = dataclasses.replace(get_entry("banach-half"), expectations=(
             Expectation("iterate.solve", "not_converged", "pinned wrong on purpose"),))
         monkeypatch.setattr("fplab.gallery.GALLERY", (wrong,))
-        monkeypatch.setattr(cli, "GALLERY", (wrong,))
         line = "  EXPECTATION VIOLATED iterate.solve: expected not_converged, got converged"
         assert main(["run", "banach-half", "--out", str(tmp_path / "run")]) == 2
         assert line in capsys.readouterr().out.splitlines()
