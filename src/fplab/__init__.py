@@ -12,10 +12,15 @@ that produced it.
 
 The package loads its modules on first use (PEP 562): `import fplab` imports
 none of them.  Reading a public name, such as `fplab.build_scenario` or
-`fplab.spaces`, imports that name's home module (and what the home module
-imports) and binds the name here, so later reads are plain attribute reads.
-`fplab.build_scenario` thus loads only the schema layer, and the checkers
-load when a run first needs them.
+`fplab.spaces`, imports that name's home module and what the home module
+imports, so `fplab.build_scenario` loads only the schema layer.  A name of the
+run layer (`certificates`, `solvers`, `traces`, `runner`) loads the whole
+layer, as `runner` imports all of it: once one checker is reachable, every
+module that binds a checker by `from .x import f` is loaded too, so a tool
+that rebinds a function in each module holding it (perfbench's tracer) finds
+every binding.  Only submodules end up bound here; a re-exported name such as
+`fplab.check_asf2` is read from its home module on each access, so it always
+follows that module's current binding.
 """
 
 import importlib
@@ -61,16 +66,20 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in (module,
 
 __all__ = sorted(_HOME)
 
+# homes that load as one layer: runner imports the other three
+_RUN_LAYER = frozenset({"certificates", "solvers", "traces", "runner"})
+
 
 def __getattr__(name: str):
-    """Imports the home module of a public name and binds the name here."""
+    """Imports the home module of a public name (for a name of the run layer,
+    the whole layer first) and returns the name's current value there."""
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if home in _RUN_LAYER:
+        importlib.import_module(f"{__name__}.runner")
     module = importlib.import_module(f"{__name__}.{home}")
-    value = module if name == home else getattr(module, name)
-    globals()[name] = value
-    return value
+    return module if name == home else getattr(module, name)
 
 
 def __dir__() -> list[str]:

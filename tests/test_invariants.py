@@ -20,6 +20,7 @@ import typing
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fplab import certificates, reports, scenario, solvers, traces
@@ -552,6 +553,40 @@ class TestWhatEachEntryPointLoads:
         assert lines == list_gallery().splitlines()
         assert _fplab(modules) == {"fplab", "fplab.cli", "fplab.errors", "fplab.gallery"}
         assert "numpy" not in modules
+
+    @pytest.mark.parametrize("name", ["certificates", "traces", "check_asf2", "RunResult"])
+    def test_a_run_layer_name_loads_the_whole_layer(self, name):
+        _, modules = _loaded_after(f"import fplab\nfplab.{name}")
+        src = Path(__file__).resolve().parents[1] / "src" / "fplab"
+        every = {f"fplab.{path.stem}" for path in src.glob("*.py")} - {"fplab.__init__"}
+        assert _fplab(modules) == {"fplab", *every} - {"fplab.cli"}
+
+    def test_the_tracer_leaves_no_wrapper(self):
+        """perfbench's tracer rebinds a checker in every loaded module that
+        holds it.  After reading one run-layer module, it finds all of them,
+        and a package name first read while it is installed is not kept."""
+        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        lines, _ = _loaded_after("""
+import importlib.util, json, sys
+import fplab
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+fplab.certificates
+original = fplab.certificates.check_asf2
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    read = (fplab.check_asf2, fplab.solvers.check_asf2, fplab.runner.run_scenario_doc)
+    wrapped = [getattr(fn, "__perfbench_wrapped__", False) for fn in read]
+finally:
+    tracer.uninstall()
+print(json.dumps([wrapped, tracing.leftover_wrappers(), fplab.check_asf2 is original]))
+""", str(tracing))
+        wrapped, left, restored = json.loads(lines[-1])
+        assert wrapped == [True, True, True]
+        assert left == []
+        assert restored
 
     def test_every_public_name_is_its_homes_object(self):
         lines, _ = _loaded_after("""
