@@ -1,11 +1,12 @@
 """Empirical checkers for the contraction conditions the laboratory studies.
 
-Sequence-level conditions (ids C1..C5) look at the gap sequence of a pair of
-traces; family conditions (C6..C9) add a comparison gauge and a gauge family;
-mapping-level conditions (D1..D4) sample point pairs and iterate the map
-on all of them in one traces._extend_orbit block, the engine and escape
-rule the traces and solvers walk too.  A checker measures a trace with the
-premetric the trace carries, and a map with the metric of the map's space.
+Sequence-level conditions (ids C1..C5) look at the gaps of one trace, C1..C3
+on the trace paired with its forward shift (x_n, x_{n+1}); family conditions
+(C6..C9) add a comparison gauge and a gauge family; mapping-level conditions
+(D1..D4) sample point pairs and iterate the map on all of them in one
+traces._extend_orbit block, the engine and escape rule the traces and
+solvers walk too.  A checker measures a trace with the premetric the trace
+carries, and a map with the metric of the map's space.
 Each checker returns three-valued CertificateReports with explicit witnesses
 and a resolution note spelling out what the verdict means at the budget used.
 
@@ -28,8 +29,8 @@ from .errors import ConfigurationError, InputError, RefusalError
 from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C6, \
     check_family_C7_multi, require_profile
 from .maps import NamedMap
-from .reports import ASMK_VARIANTS, PSI_VARIANTS, CertificateReport, SearchBudget, Verdict, \
-    _is_count, last_quarter, witness, worst_verdict
+from .reports import ASMK_VARIANTS, MAX_WITNESSES, PSI_VARIANTS, CertificateReport, \
+    SearchBudget, Verdict, _is_count, last_quarter, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
@@ -68,33 +69,17 @@ def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarr
     return win[:ih, 0], win[:ih, 1:]
 
 
-def _pair_premetric(trace_x: IterationTrace, trace_y: IterationTrace) -> Premetric:
-    """The one premetric a pair of traces is measured under: InputError
-    unless both traces carry it."""
-    p, q = trace_x.premetric, trace_y.premetric
-    if p != q:
-        raise InputError(f"the traces are measured under different premetrics: {p.describe()} "
-                         f"on space {p.space.id!r} and {q.describe()} on space {q.space.id!r}")
-    return p
-
-
-def _aligned_gaps(trace_x: IterationTrace, trace_y: IterationTrace) -> np.ndarray:
-    n = min(len(trace_x), len(trace_y))
-    return premetric_diagonal(_pair_premetric(trace_x, trace_y), trace_x.coords[:n],
-                              trace_y.coords[:n])
-
-
-def _pair_matrix(trace_x: IterationTrace, trace_y: IterationTrace,
-                 budget: SearchBudget) -> np.ndarray:
-    """The cross gaps p(x_i, y_j) of the first index_horizon + nu_horizon
-    points of each trace; C4 and C5 pass one trace twice."""
+def _pair_matrix(trace: IterationTrace, budget: SearchBudget, shift: int = 0) -> np.ndarray:
+    """The cross gaps p(x_i, x_{j+shift}) of the first index_horizon +
+    nu_horizon indices of the trace: C4 and C5 read shift 0, C9 the
+    forward shift 1."""
     need = budget.index_horizon + budget.nu_horizon
-    short = min(len(trace_x), len(trace_y))
+    short = len(trace) - shift
     if short < need:
         raise InputError(f"need a trace of at least {need} points for this budget, "
                          f"got {short}")
-    return premetric_matrix(_pair_premetric(trace_x, trace_y), trace_x.coords[:need],
-                            trace_y.coords[:need])
+    return premetric_matrix(trace.premetric, trace.coords[:need],
+                            trace.coords[shift:shift + need])
 
 
 _BAND_NOTE = (
@@ -496,7 +481,7 @@ def _strict_per_index(
         wits = [
             witness(**{item: int(b)}, gap=float(trigger[b]),
                     best_follow_up=float(windows[b].min()))
-            for b in bad[:8]
+            for b in bad[:MAX_WITNESSES]
         ]
         return CertificateReport(cid, Verdict.FAIL, wits, budget, _STRICT_NOTE)
     first_nu = np.argmax(windows[active] < (trigger[active] - eta)[:, None], axis=1) + 1
@@ -513,7 +498,7 @@ def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     One sweep over nu reads each shift through the triggered pairs'
     positions (see _pair_positions), drops the pairs that shift decreases
     and passes at the first nu that leaves none; the pairs still left after
-    the horizon are the stuck ones, and only the first 8 of them
+    the horizon are the stuck ones, and only the first MAX_WITNESSES of them
     (np.nonzero order) get their best follow-up, the minimum over every
     shift."""
     nh, eta = budget.nu_horizon, budget.slack
@@ -538,7 +523,7 @@ def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
         if not pos.size:
             return CertificateReport(
                 cid, Verdict.PASS, [witness(triggered=count, nu=nu)], budget, _STRICT_NOTE)
-    stuck = pos[:8]
+    stuck = pos[:MAX_WITNESSES]
     best = np.full(stuck.size, np.inf)
     for nu in range(1, nh + 1):
         best = np.minimum(best, _shifted(flat, stuck, nu, n))
@@ -564,24 +549,22 @@ def _pair_condition(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifi
 
 
 # ---------------------------------------------------------------------------
-# Sequence-pair checkers
+# Sequence checkers
 
 
 def check_asf1(
-    trace_x: IterationTrace,
-    trace_y: IterationTrace,
+    trace: IterationTrace,
     *,
     budget: SearchBudget | None = None,
 ) -> list[CertificateReport]:
     """C1 (small gaps force small tails), C2 (band escape, per-index shift),
-    C3 (strict decrease somewhere ahead) on the aligned gap sequence
-    p(x_n, y_n), p the premetric both traces carry.
+    C3 (strict decrease somewhere ahead) on the gaps p(x_n, x_{n+1}) of the
+    trace against its forward shift, trace.gaps.
 
     Raises:
-        InputError: traces shorter than index_horizon + nu_horizon, or
-            under different premetrics.
+        InputError: fewer than index_horizon + nu_horizon gaps.
     """
-    return _gap_reports(_aligned_gaps(trace_x, trace_y), budget or SearchBudget())
+    return _gap_reports(trace.gaps, budget or SearchBudget())
 
 
 def _gap_reports(gaps: np.ndarray, budget: SearchBudget) -> list[CertificateReport]:
@@ -601,7 +584,7 @@ def check_asf2(
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, trace, budget)[None, ...], budget, "C4")
+    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C4")
 
 
 def check_c5(
@@ -611,7 +594,7 @@ def check_c5(
 ) -> CertificateReport:
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, trace, budget)[None, ...], budget, "C5")
+    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C5")
 
 
 # ---------------------------------------------------------------------------
@@ -619,25 +602,26 @@ def check_c5(
 
 
 def check_asmk(
-    trace_x: IterationTrace,
-    trace_y: IterationTrace,
+    trace: IterationTrace,
     f_gauge: Gauge,
     family: GaugeFamily,
     *,
     budget: SearchBudget | None = None,
     variant: str = "asmk1",
 ) -> list[CertificateReport]:
-    """Gauge-family domination of the gap sequence.
+    """Gauge-family domination of the gap sequence of the trace against
+    its forward shift.
 
     asmk1 returns (C6, C7, C8): family tails below eps, band pulled below eps
     by some member, and the diagonal domination
-    F(gap(n+i)) <= member_n(F(gap(i))).  asmk2 returns (C6, C7, C9) where the
-    domination runs over cross gaps p(x_{n+i}, y_{n+j}).
+    F(gap(n+i)) <= member_n(F(gap(i))) on gap(i) = p(x_i, x_{i+1}).  asmk2
+    returns (C6, C7, C9) where the domination runs over cross gaps
+    p(x_{n+i}, x_{n+j+1}).
 
     Raises:
         RefusalError: F misses or fails its required regularity profile, or
             F(0) <= 0 while the family does not declare members fixing zero.
-        InputError: traces too short for the budget or under two premetrics.
+        InputError: a trace too short for the budget.
     """
     budget = budget or SearchBudget()
     if variant not in ASMK_VARIANTS:
@@ -665,11 +649,10 @@ def check_asmk(
 
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     if variant == "asmk1":
-        gaps = _aligned_gaps(trace_x, trace_y)
-        _trace_gap_windows(gaps, budget)  # the length guard
-        fg, cid = f_gauge.apply_array(gaps), "C8"
+        _trace_gap_windows(trace.gaps, budget)  # the length guard
+        fg, cid = f_gauge.apply_array(trace.gaps), "C8"
     else:
-        fg, cid = f_gauge.apply_array(_pair_matrix(trace_x, trace_y, budget)), "C9"
+        fg, cid = f_gauge.apply_array(_pair_matrix(trace, budget, shift=1)), "C9"
 
     def block(n: int) -> np.ndarray:
         # F of the gaps n steps ahead: C8's diagonal run, C9's cross square
@@ -685,7 +668,7 @@ def check_asmk(
             for at in map(tuple, np.argwhere(over)[:2]):
                 defeats.append(witness(n=checked, **dict(zip(("i", "j"), map(int, at))),
                                        lhs=float(lhs[at]), rhs=float(dominated[at])))
-        if len(defeats) >= 8:
+        if len(defeats) >= MAX_WITNESSES:
             break
     if defeats:
         verdict, wits = Verdict.FAIL, defeats
@@ -885,10 +868,11 @@ def check_f_psi_contraction(
     nondecreasing upper-semicontinuous gauge strictly below the identity and
     fixing zero, "zhang" only nondecreasing right-upper-semicontinuity.
 
-    Pairs are taken in sample order and the check stops at the 8th defeat:
-    the witnesses are the first 8 defeats, the worst margin (NaN margins
-    skipped) runs up to the last pair checked, and a pair past the 8th
-    defeat is never evaluated, so it cannot raise.
+    Pairs are taken in sample order and the check stops at the
+    MAX_WITNESSES-th defeat: the witnesses are the first MAX_WITNESSES
+    defeats, the worst margin (NaN margins skipped) runs up to the last pair
+    checked, and a pair past that defeat is never evaluated, so it cannot
+    raise.
 
     Raises:
         RefusalError: a gauge misses or fails its required profile.
@@ -916,17 +900,17 @@ def check_f_psi_contraction(
     try:
         lhs, rhs = _fpsi_sides(map_t, map_s, p, f_gauge, psi, xs, ys)
     except InputError:
-        # some pair is out of range, yet only one before the 8th defeat may
-        # raise: check the pairs one at a time until then
+        # some pair is out of range, yet only one up to the MAX_WITNESSES-th
+        # defeat may raise: check the pairs one at a time until then
         sides, defeated = [], 0
         for i in range(n):
             sides.append(_fpsi_sides(map_t, map_s, p, f_gauge, psi, xs[i:i + 1], ys[i:i + 1]))
             defeated += bool(sides[-1][0][0] > sides[-1][1][0] + eta)
-            if defeated >= 8:
+            if defeated >= MAX_WITNESSES:
                 break
         lhs, rhs = (np.concatenate(side) for side in zip(*sides))
-    defeat_at = np.nonzero(lhs > rhs + eta)[0][:8].tolist()
-    checked = defeat_at[-1] + 1 if len(defeat_at) == 8 else n
+    defeat_at = np.nonzero(lhs > rhs + eta)[0][:MAX_WITNESSES].tolist()
+    checked = defeat_at[-1] + 1 if len(defeat_at) == MAX_WITNESSES else n
     margins = (lhs - rhs)[:checked]
     margins = margins[~np.isnan(margins)]
     # argmax keeps the first of tied maxima, as a running max(worst, m) does
@@ -953,8 +937,9 @@ def check_cyclic(
     """Sampled points of each set must map into the other set (id CYC).
 
     Each set's draws are one block, mapped in one call.  The witnesses are
-    the first 8 defeats in draw order; set_b is not drawn once set_a has 8,
-    and a non-finite image is an InputError only before the 8th defeat."""
+    the first MAX_WITNESSES defeats in draw order; set_b is not drawn once
+    set_a has that many, and a non-finite image is an InputError only before
+    the last defeat kept."""
     if not _is_count(sample_count):
         raise InputError(f"sample_count must be a positive integer, got {sample_count!r}")
     rng = np.random.default_rng(seed)
@@ -973,11 +958,12 @@ def check_cyclic(
                 raise InputError(f"space {map_t.space.id!r} is {map_t.space.dimension}-"
                                  f"dimensional, got {tuple(np.ravel(map_t.fn(xs[0])).tolist())}")
             finite = np.isfinite(images).all(axis=1)  # a non-finite image defeats, then raises
-            first = np.flatnonzero(~finite | ~target.contains_coords(images))[:8 - len(defeats)]
+            first = np.flatnonzero(~finite | ~target.contains_coords(images))
+            first = first[:MAX_WITNESSES - len(defeats)]
         for i in first[~finite[first]][:1]:
             raise InputError(f"coordinates must be finite, got {tuple(images[i].tolist())}")
         defeats.extend(witness(direction=label, point=xs[i], image=images[i]) for i in first)
-        if len(defeats) >= 8:
+        if len(defeats) >= MAX_WITNESSES:
             break
     note = (
         f"{sample_count} samples per set ({setting.set_a.describe()} / "
@@ -989,30 +975,29 @@ def check_cyclic(
                              None, note)
 
 
-def check_p_controls_d(
-    trace_pairs: list[tuple[IterationTrace, IterationTrace]],
-) -> CertificateReport:
-    """Refutation check (id PCD): any supplied pair whose tail p-gap is below
-    PCD_ETA must also have its tail d-gap below PCD_D_TOL, where p is the premetric
-    both traces of the pair carry (InputError if they differ) and d the
+def check_p_controls_d(traces: list[IterationTrace]) -> CertificateReport:
+    """Refutation check (id PCD): a supplied trace, paired with its forward
+    shift, whose tail p-gap is below PCD_ETA must also have its tail d-gap
+    below PCD_D_TOL, where p is the premetric the trace carries and d the
     metric of its space.  Evidence-based only; it cannot prove the
     implication, just contradict it."""
-    if not trace_pairs:
-        raise InputError("need at least one trace pair")
+    if not traces:
+        raise InputError("need at least one trace")
     defeats: list[dict] = []
     activated = 0
-    for idx, (tx, ty) in enumerate(trace_pairs):
-        p_tail = float(last_quarter(_aligned_gaps(tx, ty)).max())
+    for idx, tr in enumerate(traces):
+        if len(tr) < 2:
+            raise InputError(f"trace {idx} has {len(tr)} point(s); a tail gap needs 2")
+        p_tail = float(last_quarter(tr.gaps).max())
         if p_tail >= PCD_ETA:
             continue
         activated += 1
-        n = min(len(tx), len(ty))
-        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(tx.premetric.space),
-                                                       tx.coords[:n], ty.coords[:n])).max())
+        d_tail = float(last_quarter(premetric_diagonal(metric_premetric(tr.premetric.space),
+                                                       tr.coords[:-1], tr.coords[1:])).max())
         if d_tail >= PCD_D_TOL:
             defeats.append(witness(pair=idx, tail_p=p_tail, tail_d=d_tail))
     note = (
-        f"{len(trace_pairs)} supplied pairs, {activated} with tail p-gap below {PCD_ETA}; "
+        f"{len(traces)} supplied pairs, {activated} with tail p-gap below {PCD_ETA}; "
         f"d tolerance {PCD_D_TOL}; tails over the last quarter of each pair"
     )
     if defeats:
@@ -1092,7 +1077,7 @@ def consecutive_contraction_report(
     note = f"{gaps.shape[0] - 1} consecutive steps, slack {eta}"
     if bad.size:
         wits = [witness(n=int(i) + 1, lhs=float(lhs[i]), rhs=float(rhs[i]))
-                for i in bad[:8]]
+                for i in bad[:MAX_WITNESSES]]
         return CertificateReport("INEQFP", Verdict.FAIL, wits, None, note)
     worst = float((lhs - rhs).max())
     return CertificateReport("INEQFP", Verdict.PASS,

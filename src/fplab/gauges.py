@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
 from .expressions import Expression, compile_expression
-from .reports import CertificateReport, Verdict, _as_float, _default_delta_candidates, _is_count, \
-    _is_real, last_quarter, witness, worst_verdict
+from .reports import MAX_WITNESSES, CertificateReport, Verdict, _as_float, \
+    _default_delta_candidates, _is_count, _is_real, last_quarter, witness, worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -299,7 +299,7 @@ def verify_gauge_regularity(g: Gauge, eta: float = 1e-9) -> list[CertificateRepo
                    for i, t in enumerate(grid) for name in names
                    if side(name)[0][i] and side(name)[1][i] > eta]
         reports.append(
-            CertificateReport(cid, Verdict.FAIL if bad else Verdict.PASS, bad[:8],
+            CertificateReport(cid, Verdict.FAIL if bad else Verdict.PASS, bad[:MAX_WITNESSES],
                               resolution_note=note)
         )
     return reports
@@ -460,7 +460,7 @@ def _c7_reports(family, eps_grid, deltas, nu_horizon, eta) -> list[CertificateRe
             defeats.append(witness(eps=eps, delta=delta, defeating_t=float(band_ts[miss[0]])))
         else:
             reports.append(CertificateReport(
-                "C7", Verdict.INCONCLUSIVE, defeats[:8],
+                "C7", Verdict.INCONCLUSIVE, defeats[:MAX_WITNESSES],
                 resolution_note=("fail-evidence at this budget: every candidate delta has a "
                                  "sampled t no member pulls below eps; a finite search cannot "
                                  "refute the existential delta")))

@@ -24,6 +24,9 @@ ASMK_VARIANTS = ("asmk1", "asmk2")
 PSI_VARIANTS = ("standard", "zhang")
 #: The named sequences traces.sequence_trace builds.
 SEQUENCE_NAMES = ("harmonic",)
+#: The most witnesses a failing report carries, and the most occurrences
+#: solvers.extract_noncauchy_witness collects.
+MAX_WITNESSES = 8
 
 
 class Verdict(str, enum.Enum):

@@ -169,13 +169,10 @@ def _run_certify(scn: Scenario, cache: dict, sink: _Sink) -> None:
         extra(check_banach_rate(scn.map_t, budget=scn.budget, region=scn.region,
                                 seed=scn.seed))
     if scn.premetric.kind != "metric":
-        extra(check_p_controls_d([(tr, tr.companion_shift())]))
-    if scn.asmk_variants:
-        shift = tr.companion_shift()
-        for variant in scn.asmk_variants:
-            for rep in check_asmk(tr, shift, scn.f_gauge, scn.family,
-                                  budget=scn.budget, variant=variant):
-                extra(rep, prefix=f"{variant}.")
+        extra(check_p_controls_d([tr]))
+    for variant in scn.asmk_variants:
+        for rep in check_asmk(tr, scn.f_gauge, scn.family, budget=scn.budget, variant=variant):
+            extra(rep, prefix=f"{variant}.")
     sink.runs["certify"] = payload
 
 
@@ -270,9 +267,10 @@ def run_scenario_doc(
     strict: bool = False,
 ) -> RunResult:
     """Execute one scenario document.  Configuration problems raise
-    ConfigurationError, a bad seed or budget scale InputError; everything
-    else lands in the artifacts.  A run that raises leaves no artifact
-    behind, nor the directory if it made it."""
+    ConfigurationError, a bad seed or budget scale InputError, as does a
+    run that runs out of memory; everything else lands in the artifacts.
+    A run that raises leaves no artifact behind, nor the directory if it
+    made it."""
     scn = build_scenario(doc)
     if seed is not None:
         if problem := seed_problem(seed):
@@ -314,6 +312,10 @@ def run_scenario_doc(
             "violations": violations,
             "exit_code": exit_code,
         })
+    except MemoryError as exc:
+        # a document can ask for more points than fit in memory
+        sink.discard(created_dir)
+        raise InputError(f"the run needs more memory than is available: {exc}") from exc
     except BaseException:
         sink.discard(created_dir)
         raise

@@ -20,14 +20,11 @@ from .certificates import check_asf1, check_asf2, check_c5
 from .errors import ConfigurationError, InputError
 from .gauges import verify_gauge_regularity
 from .maps import NamedMap
-from .reports import CAUCHY_ROUTES, CertificateReport, SearchBudget, Verdict, last_quarter, \
-    witness, worst_verdict
+from .reports import CAUCHY_ROUTES, MAX_WITNESSES, CertificateReport, SearchBudget, Verdict, \
+    last_quarter, witness, worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
 from .traces import AlternatingSchedule, IterationTrace, _orbit, _start
-
-#: The most occurrences extract_noncauchy_witness collects.
-WITNESS_MAX_OCCURRENCES = 8
 
 
 @dataclass(frozen=True)
@@ -159,12 +156,12 @@ def certify_cauchy(
             raise ConfigurationError(
                 "route tau needs a premetric claiming the sup-tail property"
             )
-        hyps.extend(check_asf1(trace, trace.companion_shift(), budget=budget))
+        hyps.extend(check_asf1(trace, budget=budget))
         hyps.append(check_asf2(trace, budget=budget))
     elif route == "composed":
         if p.kind != "composed":
             raise ConfigurationError("route composed needs a gauge-over-inner premetric")
-        hyps.extend(check_asf1(trace, trace.companion_shift(), budget=budget))
+        hyps.extend(check_asf1(trace, budget=budget))
         hyps.append(check_asf2(trace, budget=budget))
         hyps.append(check_c5(trace, budget=budget))
         hyps.extend(verify_gauge_regularity(p.gauge))
@@ -415,7 +412,7 @@ def extract_noncauchy_witness(
     occ_sigma, occ_rho, occ_k, occ_sep, occ_straddle = [], [], [], [], []
     kept, shifted = 0, 0
     sigma = n0
-    while len(occ_sigma) < WITNESS_MAX_OCCURRENCES and sigma < last:
+    while len(occ_sigma) < MAX_WITNESSES and sigma < last:
         # the scan reads the row up to rho, and rho + 1 only for parity
         row = _row_to_far(p, coords[sigma], coords[sigma + 1:], 2.0 * eps)
 

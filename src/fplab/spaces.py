@@ -23,14 +23,12 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .gauges import Gauge
-from .reports import CertificateReport, Verdict, witness
+from .reports import MAX_WITNESSES, CertificateReport, Verdict, witness
 
 #: Default half-width of the working box used when sampling unbounded sets.
 SAMPLING_CLIP = 100.0
 #: Half-width of the default sampling region, a box around the origin.
 REGION_HALF_WIDTH = 10.0
-#: Sampled point pairs behind an estimated cyclic set gap.
-GAP_SAMPLE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -282,14 +280,12 @@ def _require_sets_in(space: Space, set_a: Any, set_b: Any) -> None:
 
 @dataclass(frozen=True)
 class CyclicSetting:
-    """Two sets with the distance between them, remembering how the
-    gap was obtained (exact formula or sampled estimate)."""
+    """Two sets with the distance between them."""
 
     space: Space
     set_a: Any
     set_b: Any
     gap: float
-    gap_provenance: str  # "exact" | "estimated"
 
     def __post_init__(self) -> None:
         _require_sets_in(self.space, self.set_a, self.set_b)
@@ -298,8 +294,6 @@ class CyclicSetting:
             raise ConfigurationError(f"set gap must be finite, got {self.gap}")
         if self.gap < 0:
             raise ConfigurationError("set gap cannot be negative")
-        if self.gap_provenance not in ("exact", "estimated"):
-            raise ConfigurationError(f"unknown gap provenance {self.gap_provenance!r}")
 
     @classmethod
     def derive(
@@ -308,15 +302,14 @@ class CyclicSetting:
         set_a: Any,
         set_b: Any,
     ) -> "CyclicSetting":
+        """The setting with the closed-form gap between set_a and set_b;
+        ConfigurationError for a pair of sets that has none."""
         _require_sets_in(space, set_a, set_b)
-        exact = _exact_gap(space, set_a, set_b)
-        if exact is not None:
-            return cls(space, set_a, set_b, exact, "exact")
-        rng = np.random.default_rng(0)
-        k = max(2, int(math.isqrt(GAP_SAMPLE_BUDGET)))
-        a, b = set_a.sample_coords(rng, k), set_b.sample_coords(rng, k)
-        gap = float(space.distances(a[:, None], b[None]).min())
-        return cls(space, set_a, set_b, gap, "estimated")
+        gap = _exact_gap(space, set_a, set_b)
+        if gap is None:
+            raise ConfigurationError(f"no closed-form gap between sets of type "
+                                     f"{type(set_a).__name__} and {type(set_b).__name__}")
+        return cls(space, set_a, set_b, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +456,9 @@ def verify_premetric_axioms(
     """Check every claimed property on the sampled (m, 3, d) triple block.
 
     Returns one report per claim (mixed_triangle yields two, one per
-    inequality).  A fail report carries the first 8 violations in (triple,
-    permutation) order, each with its triple and the violation magnitude.
+    inequality).  A fail report carries the first MAX_WITNESSES violations in
+    (triple, permutation) order, each with its triple and the violation
+    magnitude.
 
     Each premetric is evaluated once on the whole (triple, ordered pair)
     block.  A per-triple loop evaluates every ordered pair too, so the block
@@ -528,9 +522,9 @@ def _axiom_reports(p: Premetric, sample: np.ndarray, eta: float) -> list[Certifi
                                  resolution_note=note)
 
     def triangle_witnesses(lhs: np.ndarray, rhs: np.ndarray, perms) -> list[dict]:
-        # argwhere is row-major: the first 8 in (triple, permutation) order
+        # argwhere is row-major: the first ones in (triple, permutation) order
         bad = []
-        for t, k in np.argwhere(lhs > rhs + eta)[:8].tolist():
+        for t, k in np.argwhere(lhs > rhs + eta)[:MAX_WITNESSES].tolist():
             a, b, c = perms[k]
             value, bound = lhs[t, k], rhs[t, k]
             bad.append(witness(x=sample[t, a], via=sample[t, b], y=sample[t, c],
@@ -542,7 +536,7 @@ def _axiom_reports(p: Premetric, sample: np.ndarray, eta: float) -> list[Certifi
         diff = np.abs(np.stack([gap[i, j] - gap[j, i] for i, j in sym], axis=1))
         reports.append(report("AX-SYM", [
             witness(x=sample[t, sym[k][0]], y=sample[t, sym[k][1]], asymmetry=diff[t, k])
-            for t, k in np.argwhere(diff > eta)[:8].tolist()]))
+            for t, k in np.argwhere(diff > eta)[:MAX_WITNESSES].tolist()]))
 
     if "triangle" in p.claims or "tau_distance" in p.claims:
         lhs = np.stack([gap[a, c] for a, b, c in _PERMS], axis=1)

@@ -53,7 +53,6 @@ class IterationTrace:
     one where a caller needs it."""
 
     coords: np.ndarray
-    generator: str
     premetric: Premetric
     status: str
     aux_coords: np.ndarray | None = None
@@ -76,17 +75,6 @@ class IterationTrace:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def companion_shift(self) -> "IterationTrace":
-        """The forward-shifted trace y_n = x_{n+1}."""
-        if len(self) < 3:
-            raise InputError("need at least 3 points to form a shifted companion")
-        return IterationTrace(
-            coords=self.coords[1:],
-            generator=f"shift({self.generator})",
-            premetric=self.premetric,
-            status=self.status,
-        )
 
     def to_csv(self) -> str:
         """Rows "n,x0,..,x{d-1},p_gap" under a header; the last row's gap is
@@ -238,12 +226,7 @@ def picard_trace(
     p = premetric if premetric is not None else metric_premetric(map_t.space)
     row = _start(x0, steps, "iteration step", map_t.space, p.space)
     coords, status = _orbit((map_t.fn,), row, steps + 1)
-    return IterationTrace(
-        coords=coords,
-        generator=f"picard({map_t.name})",
-        premetric=p,
-        status=status,
-    )
+    return IterationTrace(coords=coords, premetric=p, status=status)
 
 
 @dataclass(frozen=True)
@@ -278,12 +261,7 @@ def alternating_trace(
     coords, status = _orbit(
         (schedule.map_t.fn, schedule.map_s.fn), np.asarray(x0.coords), steps + 1
     )
-    return IterationTrace(
-        coords=coords,
-        generator=f"alternating({schedule.map_t.name},{schedule.map_s.name})",
-        premetric=p,
-        status=status,
-    )
+    return IterationTrace(coords=coords, premetric=p, status=status)
 
 
 def cyclic_even_trace(
@@ -302,7 +280,6 @@ def cyclic_even_trace(
     evens = orbit[::2]
     return IterationTrace(
         coords=evens,
-        generator=f"cyclic_even({map_t.name})",
         premetric=shifted_premetric(setting),
         status=status,
         aux_coords=orbit,
@@ -331,10 +308,5 @@ def sequence_trace(
     if (p.space.id, p.space.dimension) != (space.id, 1):
         raise InputError(f"point {tuple(coords[0].tolist())} tagged {space.id!r} does not "
                          f"belong to space {p.space.id!r} (dimension {p.space.dimension})")
-    return IterationTrace(
-        coords=coords,
-        generator="harmonic",
-        premetric=p,
-        status="completed",
-    )
+    return IterationTrace(coords=coords, premetric=p, status="completed")
 

@@ -24,8 +24,9 @@ from fplab.certificates import _BAND_NOTE, _STRICT_NOTE, ASMK_VARIANTS, F_PROFIL
 from fplab.errors import ConfigurationError, InputError, RefusalError
 from fplab.expressions import Expression, compile_expression
 from fplab.gauges import Gauge
-from fplab.reports import CertificateReport, SearchBudget, Verdict, witness, worst_verdict
-from fplab.solvers import WITNESS_MAX_OCCURRENCES, NonCauchyWitness, SolveResult, WitnessScan
+from fplab.reports import MAX_WITNESSES, CertificateReport, SearchBudget, Verdict, witness, \
+    worst_verdict
+from fplab.solvers import NonCauchyWitness, SolveResult, WitnessScan
 from fplab.spaces import IntervalSet, Space, metric_premetric
 from fplab.traces import ESCAPE_NORM
 
@@ -631,7 +632,7 @@ def solve_common_fixed_point_reference(schedule, seed, tol=1e-9, max_steps=10_00
 
 
 def noncauchy_witness_reference(trace, eps=0.5, gap_tol=1e-2,
-                                max_occurrences=WITNESS_MAX_OCCURRENCES):
+                                max_occurrences=MAX_WITNESSES):
     """extract_noncauchy_witness with every gap, consecutive or from sigma,
     one checked_premetric_reference call on the trace's coordinates.  A gap
     from sigma is evaluated only when the scan reads it: in order up to
@@ -1038,6 +1039,116 @@ def c7_multi_reference(family, eps_grid, delta_candidates=None, nu_horizon=64, e
 
 
 # ---------------------------------------------------------------------------
+# The trace checkers in the paper's two-sequence form: the conditions read
+# the pairs (x_n, y_n) of two traces under the first one's premetric; fplab
+# reads one trace against its forward shift, y_n = x_{n+1}
+
+
+def aligned_gaps_reference(trace_x, trace_y) -> list[float]:
+    """p(x_n, y_n) for n below the shorter length, one pair at a time."""
+    p, n = trace_x.premetric, min(len(trace_x), len(trace_y))
+    return [checked_premetric_reference(p, a, b)
+            for a, b in zip(trace_x.coords[:n], trace_y.coords[:n])]
+
+
+def check_asf1_reference(trace_x, trace_y, *, budget):
+    """C1, C2 and C3 on the aligned gaps, one index and one shift at a time."""
+    gaps = aligned_gaps_reference(trace_x, trace_y)
+    ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
+    if len(gaps) < ih + nh:
+        raise InputError(f"need at least {ih + nh} aligned gaps for this budget "
+                         f"(index_horizon + nu_horizon), got {len(gaps)}")
+    front = gaps[:ih]
+    ahead = [gaps[i + 1:i + nh + 1] for i in range(ih)]
+    tail = max(gaps[-max(1, len(gaps) // 4):])
+
+    c1_wits, c1_verdicts = [], []
+    for eps in budget.eps_grid:
+        if tail <= eps + eta:
+            c1_wits.append(witness(eps=eps, delta=budget.delta_candidates[0],
+                                   tail_limsup_estimate=tail))
+            c1_verdicts.append(Verdict.PASS)
+            continue
+        smallest = min(front)
+        delta = next((d for d in budget.delta_candidates if d <= smallest), None)
+        if delta is not None:
+            c1_wits.append(witness(eps=eps, delta=delta, tail_limsup_estimate=tail,
+                                   smallest_front_gap=smallest, vacuous=True))
+            c1_verdicts.append(Verdict.PASS)
+        else:
+            i = front.index(smallest)
+            c1_wits.append(witness(eps=eps, index=i, gap=front[i], tail_limsup_estimate=tail))
+            c1_verdicts.append(Verdict.FAIL)
+    c1 = CertificateReport(
+        "C1", worst_verdict(c1_verdicts), c1_wits, budget,
+        "tail-limsup estimated as the max over the last quarter of the stored gaps; "
+        "vacuous pass means no front gap sits below the witnessing delta")
+
+    c2_wits, c2_verdicts = [], []
+    for eps in budget.eps_grid:
+        outcome = defeat = None
+        for delta in budget.delta_candidates:
+            band = [i for i in range(ih) if eps < front[i] < eps + delta]
+            if not band:
+                outcome = witness(eps=eps, delta=delta, in_band=0, vacuous=True)
+                break
+            bad = [i for i in band if min(ahead[i]) > eps + eta]
+            if not bad:
+                nu = max(next(k for k, g in enumerate(ahead[i], start=1) if g <= eps + eta)
+                         for i in band)
+                outcome = witness(eps=eps, delta=delta, nu=nu, in_band=len(band))
+                break
+            defeat = witness(eps=eps, delta=delta, index=bad[0], gap=front[bad[0]],
+                             best_follow_up=min(ahead[bad[0]]))
+        c2_wits.append(defeat if outcome is None else outcome)
+        c2_verdicts.append(Verdict.FAIL if outcome is None else Verdict.PASS)
+    c2 = CertificateReport("C2", worst_verdict(c2_verdicts), c2_wits, budget, _BAND_NOTE)
+
+    active = [i for i in range(ih) if front[i] > eta]
+    stuck = [i for i in active if min(ahead[i]) >= front[i] - eta]
+    if not active:
+        c3 = CertificateReport("C3", Verdict.PASS, [witness(
+            triggered=0, note="every value is already within the slack of zero")],
+            budget, _STRICT_NOTE)
+    elif stuck:
+        c3 = CertificateReport("C3", Verdict.FAIL, [
+            witness(index=i, gap=front[i], best_follow_up=min(ahead[i])) for i in stuck[:8]],
+            budget, _STRICT_NOTE)
+    else:
+        nu = max(next(k for k, g in enumerate(ahead[i], start=1) if g < front[i] - eta)
+                 for i in active)
+        c3 = CertificateReport("C3", Verdict.PASS, [witness(triggered=len(active), nu=nu)],
+                               budget, _STRICT_NOTE)
+    return [c1, c2, c3]
+
+
+def check_p_controls_d_reference(trace_pairs, eta=1e-9, d_tol=1e-6):
+    """PCD on pairs of traces: the tail of the aligned p-gaps, and where it
+    is below eta the tail of the aligned distances, one pair at a time."""
+    if not trace_pairs:
+        raise InputError("need at least one trace")
+    defeats, activated = [], 0
+    for idx, (tx, ty) in enumerate(trace_pairs):
+        n = min(len(tx), len(ty))
+        if n < 1:
+            raise InputError(f"trace {idx} has {len(tx)} point(s); a tail gap needs 2")
+        start = n - max(1, n // 4)
+        p_tail = max(aligned_gaps_reference(tx, ty)[start:])
+        if p_tail >= eta:
+            continue
+        activated += 1
+        d_tail = max(metric_reference(tx.premetric.space, tx.coords[k], ty.coords[k])
+                     for k in range(start, n))
+        if d_tail >= d_tol:
+            defeats.append(witness(pair=idx, tail_p=p_tail, tail_d=d_tail))
+    note = (f"{len(trace_pairs)} supplied pairs, {activated} with tail p-gap below {eta}; "
+            f"d tolerance {d_tol}; tails over the last quarter of each pair")
+    if defeats:
+        return CertificateReport("PCD", Verdict.FAIL, defeats, None, note)
+    return CertificateReport("PCD", Verdict.PASS, [witness(activated=activated)], None, note)
+
+
+# ---------------------------------------------------------------------------
 # The family walk: the per-kind branch loops C8/C9 and E1/E2 replaced
 
 
@@ -1070,18 +1181,18 @@ def check_asmk_reference(trace_x, trace_y, f_gauge, family, *, budget, variant="
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     p = trace_x.premetric
     if variant == "asmk1":
-        n = min(len(trace_x), len(trace_y))
-        gaps = np.array([checked_premetric_reference(p, a, b)
-                         for a, b in zip(trace_x.coords[:n], trace_y.coords[:n])], dtype=float)
+        gaps = np.array(aligned_gaps_reference(trace_x, trace_y), dtype=float)
         if gaps.shape[0] < ih + nh:
-            raise InputError(f"need at least {ih + nh} aligned gaps, got {gaps.shape[0]}")
+            raise InputError(f"need at least {ih + nh} aligned gaps for this budget "
+                             f"(index_horizon + nu_horizon), got {gaps.shape[0]}")
         fg = gauge_values_reference(f_gauge, gaps)
         base_block = fg[:ih]
         cid = "C8"
     else:
-        for t in (trace_x, trace_y):
-            if len(t) < ih + nh:
-                raise InputError(f"need traces of at least {ih + nh} points, got {len(t)}")
+        short = min(len(trace_x), len(trace_y))
+        if short < ih + nh:
+            raise InputError(f"need a trace of at least {ih + nh} points for this budget, "
+                             f"got {short}")
         fg = gauge_values_reference(f_gauge, [[checked_premetric_reference(p, a, b)
                                                for b in trace_y.coords[:ih + nh]]
                                               for a in trace_x.coords[:ih + nh]])

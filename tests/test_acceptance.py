@@ -77,7 +77,7 @@ def test_contracting_map_certifies_everywhere():
     assert abs(res.point.coords[0]) <= 1e-9
 
     tr = picard_trace(half, LINE.point(1.0), 352)
-    seq = list(check_asf1(tr, tr.companion_shift())) + [
+    seq = list(check_asf1(tr)) + [
         check_asf2(tr), check_c5(tr)]
     assert [r.condition_id for r in seq] == ["C1", "C2", "C3", "C4", "C5"]
     assert all(r.verdict is PASS for r in seq)
@@ -169,7 +169,7 @@ def test_falsification_produces_concrete_witnesses():
     assert d3.witnesses[0]["gap"] == pytest.approx(
         d3.witnesses[0]["best_follow_up"], rel=1e-12)
     tr = picard_trace(shift, LINE.point(0.0), 352)
-    c3 = check_asf1(tr, tr.companion_shift())[2]
+    c3 = check_asf1(tr)[2]
     assert c3.verdict is FAIL
     assert c3.witnesses[0] == {"index": 0, "gap": 1.0, "best_follow_up": 1.0}
 
@@ -217,9 +217,8 @@ def test_checker_families_agree():
     hypotheses_held = 0
     for name, base in cases:
         tr = picard_trace(builtin_map(name, LINE), LINE.point(1.0), 448)
-        dom = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                         iterated_family(base), budget=budget)
-        seq = list(check_asf1(tr, tr.companion_shift(), budget=budget)) + [
+        dom = check_asmk(tr, builtin_gauge("id"), iterated_family(base), budget=budget)
+        seq = list(check_asf1(tr, budget=budget)) + [
             check_asf2(tr, budget=budget)]
         if all(r.verdict is PASS for r in dom):
             hypotheses_held += 1

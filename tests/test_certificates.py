@@ -28,8 +28,8 @@ from fplab.gauges import Gauge, builtin_gauge, expression_gauge, explicit_family
     iterated_family
 from fplab.maps import builtin_map, expression_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict
-from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, composed_premetric, \
-    metric_premetric, shifted_premetric
+from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, metric_premetric, \
+    shifted_premetric
 from fplab.traces import IterationTrace, picard_trace
 
 LINE = Space(id="line", dimension=1)
@@ -42,7 +42,7 @@ class TestSequenceCheckers:
         """Halving orbit against its shift at the default budget; the
         witnesses are exact because every gap is a power of two."""
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 352)
-        c1, c2, c3 = check_asf1(tr, tr.companion_shift())
+        c1, c2, c3 = check_asf1(tr)
         assert (c1.verdict, c2.verdict, c3.verdict) == (Verdict.PASS,) * 3
         # no gap exceeds 1.0, so the first eps level passes vacuously
         assert c2.witnesses[0] == {"eps": 1.0, "delta": 1.0, "in_band": 0,
@@ -71,11 +71,10 @@ class TestSequenceCheckers:
         xs = [0.0]
         for n in range(24):
             xs.append(xs[-1] + 0.5 + 2.0 ** -n)
-        tr = IterationTrace(coords=np.array(xs)[:, None], generator="creep", premetric=D,
-                            status="completed")
+        tr = IterationTrace(coords=np.array(xs)[:, None], premetric=D, status="completed")
         b = SearchBudget(eps_grid=(0.5,), delta_candidates=(1.0, 0.5),
                          index_horizon=8, nu_horizon=8)
-        c1, c2, c3 = check_asf1(tr, tr.companion_shift(), budget=b)
+        c1, c2, c3 = check_asf1(tr, budget=b)
         assert c2.verdict is Verdict.FAIL
         assert c2.witnesses == [{"eps": 0.5, "delta": 0.5, "index": 2,
                                  "gap": 0.75, "best_follow_up": 0.5 + 2.0 ** -10}]
@@ -88,10 +87,9 @@ class TestSequenceCheckers:
 
     def test_c1_fails_when_small_front_gaps_precede_large_tail(self):
         pts = [0.0] * 21 + [1.0, 0.0] * 10
-        tr = IterationTrace(coords=np.array(pts)[:, None], generator="lull-then-flip",
-                            premetric=D, status="completed")
+        tr = IterationTrace(coords=np.array(pts)[:, None], premetric=D, status="completed")
         b = SearchBudget(eps_grid=(0.5,), index_horizon=8, nu_horizon=8)
-        c1 = check_asf1(tr, tr.companion_shift(), budget=b)[0]
+        c1 = check_asf1(tr, budget=b)[0]
         assert c1.verdict is Verdict.FAIL
         assert c1.witnesses == [{"eps": 0.5, "index": 0, "gap": 0.0,
                                  "tail_limsup_estimate": 1.0}]
@@ -99,7 +97,7 @@ class TestSequenceCheckers:
     def test_settled_orbit_passes_without_triggering(self):
         zero = picard_trace(builtin_map("half", LINE), LINE.point(0.0), 20)
         b = SearchBudget(eps_grid=(0.5,), index_horizon=8, nu_horizon=8)
-        c1, c2, c3 = check_asf1(zero, zero.companion_shift(), budget=b)
+        c1, c2, c3 = check_asf1(zero, budget=b)
         assert c1.witnesses == [{"eps": 0.5, "delta": 1.0,
                                  "tail_limsup_estimate": 0.0}]
         assert c2.witnesses[0]["vacuous"] is True
@@ -123,18 +121,9 @@ class TestSequenceCheckers:
     def test_short_trace_guards(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 8)
         with pytest.raises(InputError, match="aligned gaps"):
-            check_asf1(tr, tr.companion_shift(), budget=SMALL)
+            check_asf1(tr, budget=SMALL)
         with pytest.raises(InputError, match="at least 16 points"):
             check_asf2(tr, budget=SMALL)
-
-    def test_space_mismatch_guard(self):
-        # a pair of traces on two spaces has no one premetric to measure it
-        plane = Space(id="plane", dimension=2)
-        tr = picard_trace(builtin_map("half", plane), plane.point(1.0, 1.0), 20)
-        on_line = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        with pytest.raises(InputError, match="metric on space 'plane' and metric on "
-                                             "space 'line'"):
-            check_asf1(tr, on_line, budget=SMALL)
 
 
 class TestGaugeFamilyCheckers:
@@ -145,23 +134,20 @@ class TestGaugeFamilyCheckers:
         # F = id and a halving family: F(gap(n+i)) equals member_n(F(gap(i)))
         # exactly, so the domination holds with zero margin
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        c6, c7, c8 = check_asmk(tr, tr.companion_shift(),
-                                builtin_gauge("id"), self.fam(), budget=SMALL)
+        c6, c7, c8 = check_asmk(tr, builtin_gauge("id"), self.fam(), budget=SMALL)
         assert [r.condition_id for r in (c6, c7, c8)] == ["C6", "C7", "C8"]
         assert all(r.verdict is Verdict.PASS for r in (c6, c7, c8))
         assert c8.witnesses == [{"checked_shifts": 8, "checked_indices": 8}]
 
     def test_asmk2_cross_gap_variant(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
-        reps = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                          self.fam(), budget=SMALL, variant="asmk2")
+        reps = check_asmk(tr, builtin_gauge("id"), self.fam(), budget=SMALL, variant="asmk2")
         assert [r.condition_id for r in reps] == ["C6", "C7", "C9"]
         assert all(r.verdict is Verdict.PASS for r in reps)
 
     def test_constant_gaps_defeat_domination(self):
         tr = picard_trace(builtin_map("translation", LINE), LINE.point(0.0), 20)
-        c8 = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                        self.fam(), budget=SMALL)[2]
+        c8 = check_asmk(tr, builtin_gauge("id"), self.fam(), budget=SMALL)[2]
         assert c8.verdict is Verdict.FAIL
         assert c8.witnesses[0] == {"n": 1, "i": 0, "lhs": 1.0, "rhs": 0.5}
 
@@ -172,8 +158,7 @@ class TestGaugeFamilyCheckers:
                               zero_fixed=True)
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         for variant in ("asmk1", "asmk2"):
-            dom = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                             fam, budget=SMALL, variant=variant)[2]
+            dom = check_asmk(tr, builtin_gauge("id"), fam, budget=SMALL, variant=variant)[2]
             assert dom.verdict is Verdict.INCONCLUSIVE
             assert dom.witnesses == [{"checked_shifts": 2, "checked_indices": 8}]
             assert "shifts 3..8 were not checked" in dom.resolution_note
@@ -185,8 +170,7 @@ class TestGaugeFamilyCheckers:
         budget = SearchBudget(index_horizon=8, nu_horizon=3)
         with mock.patch("fplab.certificates.check_family_C6",
                         side_effect=AssertionError("C6 must not run")):
-            c6, c7, c8 = check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                                    self.fam(), budget=budget)
+            c6, c7, c8 = check_asmk(tr, builtin_gauge("id"), self.fam(), budget=budget)
         assert c6.condition_id == "C6" and c6.verdict is Verdict.INCONCLUSIVE
         assert c6.witnesses == []
         assert "nu horizon 3 is below the 4 members" in c6.resolution_note
@@ -195,14 +179,13 @@ class TestGaugeFamilyCheckers:
     def test_unknown_variant(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(ConfigurationError, match="asmk1 or asmk2"):
-            check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                       self.fam(), budget=SMALL, variant="asmk3")
+            check_asmk(tr, builtin_gauge("id"), self.fam(), budget=SMALL, variant="asmk3")
 
     def test_refuses_undeclared_f_profile(self):
         bare = Gauge(name="bare", fn=lambda t: t)
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(RefusalError, match="does not declare"):
-            check_asmk(tr, tr.companion_shift(), bare, self.fam(), budget=SMALL)
+            check_asmk(tr, bare, self.fam(), budget=SMALL)
 
     def test_short_trace_guards(self):
         # asmk1 reads the aligned gap run, asmk2 the pair matrix
@@ -213,16 +196,14 @@ class TestGaugeFamilyCheckers:
             ("asmk2", "need a trace of at least 16 points for this budget, got 8"),
         ):
             with pytest.raises(InputError, match=match):
-                check_asmk(tr, tr.companion_shift(), builtin_gauge("id"), self.fam(),
-                           budget=SMALL, variant=variant)
+                check_asmk(tr, builtin_gauge("id"), self.fam(), budget=SMALL, variant=variant)
 
     def test_refuses_family_not_fixing_zero(self):
         # F(0) = 0 needs the family to declare members fixing zero
         fam = explicit_family([builtin_gauge("half")] * 10, zero_fixed=False)
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(RefusalError, match="fixing zero"):
-            check_asmk(tr, tr.companion_shift(), builtin_gauge("id"),
-                       fam, budget=SMALL)
+            check_asmk(tr, builtin_gauge("id"), fam, budget=SMALL)
 
 
 class TestNoPairs:
@@ -454,30 +435,33 @@ class TestCyclicChecker:
 class TestPremetricControl:
     def test_settling_pair_activates_and_passes(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 60)
-        rep = check_p_controls_d([(tr, tr.companion_shift())])
+        rep = check_p_controls_d([tr])
         assert rep.verdict is Verdict.PASS
         assert rep.witnesses == [{"activated": 1}]
 
     def test_clamped_gap_that_hides_distance_is_defeated(self):
-        # two parallel constant orbits: the clamped shift reports zero while
-        # the underlying distance stays at 1.5
+        # an orbit hopping between the two sets: the clamped shift reports
+        # zero while the underlying distance stays at 2
         setting = CyclicSetting.derive(
             LINE,
             IntervalSet(space=LINE, lo=1.0, hi=math.inf),
             IntervalSet(space=LINE, lo=-math.inf, hi=-1.0),
         )
-        p = shifted_premetric(setting)
-        ta = IterationTrace(coords=[[1.0]] * 8, generator="const-a", premetric=p,
+        tr = IterationTrace(coords=[[1.0], [-1.0]] * 4, premetric=shifted_premetric(setting),
                             status="completed")
-        tb = IterationTrace(coords=[[2.5]] * 8, generator="const-b", premetric=p,
-                            status="completed")
-        rep = check_p_controls_d([(ta, tb)])
+        rep = check_p_controls_d([tr])
         assert rep.verdict is Verdict.FAIL
-        assert rep.witnesses == [{"pair": 0, "tail_p": 0.0, "tail_d": 1.5}]
+        assert rep.witnesses == [{"pair": 0, "tail_p": 0.0, "tail_d": 2.0}]
+        assert rep.resolution_note.startswith("1 supplied pairs, 1 with tail p-gap below")
 
     def test_empty_input(self):
-        with pytest.raises(InputError, match="at least one trace pair"):
+        with pytest.raises(InputError, match="at least one trace"):
             check_p_controls_d([])
+
+    def test_a_trace_without_a_gap(self):
+        tr = IterationTrace(coords=[[1.0]], premetric=D, status="completed")
+        with pytest.raises(InputError, match="trace 0 has 1 point"):
+            check_p_controls_d([tr])
 
 
 class TestConsecutiveContraction:
@@ -501,8 +485,7 @@ class TestConsecutiveContraction:
 
     def test_needs_two_gaps(self):
         psi = expression_gauge("0.6 * t", name="point-six")
-        tr = IterationTrace(coords=[[0.0], [1.0]], generator="pair", premetric=D,
-                            status="completed")
+        tr = IterationTrace(coords=[[0.0], [1.0]], premetric=D, status="completed")
         with pytest.raises(InputError, match="two consecutive gaps"):
             consecutive_contraction_report(tr, builtin_gauge("id"), psi)
 
@@ -577,20 +560,14 @@ class TestCertificateReport:
 
 
 class TestPremetricSpace:
-    """A checker measures with its traces' own premetric: a premetric passed
-    beside a trace is a TypeError at the call, and a pair of traces under
-    two different premetrics is an InputError."""
+    """A checker measures with its trace's own premetric, on the trace paired
+    with its own forward shift: a premetric or a second trace passed beside
+    the trace is a TypeError at the call."""
 
     SPACE_B = Space(id="b", dimension=1)
-    COMPOSED = composed_premetric(builtin_gauge("mk"), D)
-    TWO = (r"measured under different premetrics: metric on space 'line' and "
-           r"composed\(mk, metric\) on space 'line'")
 
-    def trace(self, premetric=None):
-        return picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20, premetric=premetric)
-
-    def pair(self):
-        return self.trace(), self.trace(self.COMPOSED).companion_shift()
+    def trace(self):
+        return picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
 
     def test_check_asf2_and_c5(self):
         for check in (check_asf2, check_c5):
@@ -598,22 +575,17 @@ class TestPremetricSpace:
                 check(self.trace(), metric_premetric(self.SPACE_B))
 
     def test_check_asf1(self):
-        with pytest.raises(InputError, match=self.TWO):
-            check_asf1(*self.pair(), budget=SMALL)
-        tr = self.trace()
-        with pytest.raises(TypeError):
-            check_asf1(tr, tr.companion_shift(), D)
+        for extra in (D, self.trace()):
+            with pytest.raises(TypeError):
+                check_asf1(self.trace(), extra)
 
     def test_check_asmk_both_variants(self):
         for variant in ASMK_VARIANTS:
-            with pytest.raises(InputError, match=self.TWO):
-                check_asmk(*self.pair(), builtin_gauge("id"),
+            with pytest.raises(TypeError):
+                check_asmk(self.trace(), self.trace(), builtin_gauge("id"),
                            iterated_family(builtin_gauge("half")), budget=SMALL,
                            variant=variant)
 
     def test_check_p_controls_d(self):
-        tr = self.trace()
-        with pytest.raises(InputError, match=self.TWO):
-            check_p_controls_d([(tr, tr.companion_shift()), self.pair()])
         with pytest.raises(TypeError):
-            check_p_controls_d(D, LINE, [(tr, tr.companion_shift())])
+            check_p_controls_d(D, LINE, [self.trace()])

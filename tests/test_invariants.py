@@ -41,9 +41,9 @@ from fplab.spaces import (
 )
 from fplab.traces import AlternatingSchedule, IterationTrace, alternating_trace, picard_trace
 
-from reference import axioms_reference, banach_rate_reference, check_asmk_reference, \
-    fpsi_reference, premetric_reference, regularity_reference, \
-    solve_best_proximity_reference, solve_common_fixed_point_reference, \
+from reference import axioms_reference, banach_rate_reference, check_asf1_reference, \
+    check_asmk_reference, check_p_controls_d_reference, fpsi_reference, premetric_reference, \
+    regularity_reference, solve_best_proximity_reference, solve_common_fixed_point_reference, \
     solve_fixed_point_reference, to_csv_reference
 
 LINE = Space(id="line", dimension=1)
@@ -390,14 +390,14 @@ class _Calls(_Scoped):
 
 
 def test_each_kind_of_checker_input_has_one_builder():
-    """certificates builds every gap matrix in _pair_matrix, every aligned
-    gap run in _aligned_gaps (PCD's d-tail measures with the metric
-    instead), every shifted gather in _shifted and every seed-pair draw
-    through spaces.sample_pairs; only check_cyclic draws from its sets
-    itself."""
+    """certificates builds every gap matrix in _pair_matrix, reads every
+    gap run against the forward shift from trace.gaps, so it measures a
+    diagonal itself only for PCD's d-tail, under the metric; it gathers
+    every shift in _shifted and draws every seed pair through
+    spaces.sample_pairs; only check_cyclic draws from its sets itself."""
     calls = dict(_scan(_Calls))["certificates"].calls
     assert calls.get("premetric_matrix") == ["_pair_matrix"]
-    assert calls.get("premetric_diagonal") == ["_aligned_gaps", "check_p_controls_d"]
+    assert calls.get("premetric_diagonal") == ["check_p_controls_d"]
     assert calls.get("take") == ["_shifted"]
     assert "np.take" not in calls
     assert calls.get("sample_pairs") == ["_mapping_reports", "check_banach_rate"]
@@ -637,7 +637,8 @@ def test_checkers_measure_with_their_inputs():
     """A trace carries its premetric and a map its space, so no public
     function of certificates or solvers takes a Premetric beside an
     IterationTrace, or a Space beside a NamedMap: a second copy of either
-    could only disagree with the first."""
+    could only disagree with the first.  A trace checker reads the trace
+    against its own forward shift, so none takes a second trace either."""
     both = []
     for module in (certificates, solvers):
         for name, fn in vars(module).items():
@@ -650,6 +651,10 @@ def test_checkers_measure_with_their_inputs():
             both += [f"{module.__name__}.{name} takes a {beside.__name__}"
                      for held, beside in ((IterationTrace, Premetric), (NamedMap, Space))
                      if held in named and beside in named]
+            traces = [arg for arg, hint in hints.items()
+                      if IterationTrace in _named_classes(hint)]
+            if len(traces) > 1:
+                both.append(f"{module.__name__}.{name} takes the traces {traces}")
     assert both == []
 
 
@@ -718,7 +723,8 @@ def _reference_runs():
     points = [LINE.point(v) for v in (0.0, 1.0, 3.0, -2.5)]
     triples = [tuple(points[:3]), tuple(points[1:])]
     orbit = picard_trace(half, LINE.point(1.0), 10)
-    shifted = orbit.companion_shift()
+    shifted = IterationTrace(coords=orbit.coords[1:], premetric=orbit.premetric,
+                             status=orbit.status)
     budget = SearchBudget(index_horizon=3, nu_horizon=4, eps_grid=(0.05,),
                           delta_candidates=(0.05,), pair_samples=8)
     return {
@@ -738,6 +744,8 @@ def _reference_runs():
         "csv": lambda: to_csv_reference(orbit),
         "asmk": lambda: check_asmk_reference(orbit, shifted, builtin_gauge("id"), family,
                                              budget=budget, variant="asmk2"),
+        "asf1": lambda: check_asf1_reference(orbit, shifted, budget=budget),
+        "pcd": lambda: check_p_controls_d_reference([(orbit, shifted)]),
     }
 
 

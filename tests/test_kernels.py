@@ -29,8 +29,8 @@ import fplab.spaces as spaces_mod
 from fplab import _floatrepr
 from fplab._floatrepr import BLOCK_VALUES
 from fplab.certificates import ASMK_VARIANTS, _check_d1, _m_values, _strict_pairs, \
-    check_asmk, check_banach_rate, check_cyclic, check_f_psi_contraction, \
-    consecutive_contraction_report
+    check_asf1, check_asmk, check_banach_rate, check_cyclic, check_f_psi_contraction, \
+    check_p_controls_d, consecutive_contraction_report
 from fplab.errors import ConfigurationError, InputError
 from fplab.gauges import _BUILTINS as GAUGE_BUILTINS, PROFILE_NAMES, Gauge, GaugeFamily, \
     _c7_reports, _members, builtin_gauge, check_family_C6, check_family_C7_multi, \
@@ -64,7 +64,8 @@ from fplab.traces import ESCAPE_NORM, AlternatingSchedule, IterationTrace, _bit_
 import reference
 from reference import SCALAR_MAPS, axioms_reference, banach_rate_reference, \
     budget_json_reference, c6_reference, c7_multi_reference, c7_reference, \
-    certificate_json_reference, check_asmk_reference, cyclic_reference, \
+    certificate_json_reference, check_asf1_reference, check_asmk_reference, \
+    check_p_controls_d_reference, cyclic_reference, \
     d1_reference, distances_reference, euclidean_reference, eval_premetric_reference, \
     extend_orbit_reference, fpsi_reference, iterate_gauge_reference, noncauchy_json_reference, \
     noncauchy_witness_reference, orbit_block_reference, \
@@ -1110,14 +1111,18 @@ INTERVALS = CyclicSetting.derive(LINE, IntervalSet(LINE, 0.0, 10.0), IntervalSet
 
 def _orbit_trace(space, maps, start, length: int) -> IterationTrace:
     coords, status = _orbit(tuple(m.fn for m in maps), np.asarray(start, float), length)
-    return IterationTrace(coords=coords, generator="orbit", premetric=metric_premetric(space),
-                          status=status)
+    return IterationTrace(coords=coords, premetric=metric_premetric(space), status=status)
+
+
+def _forward_shift(trace) -> IterationTrace:
+    """The trace y_n = x_{n+1} under the trace's premetric."""
+    return IterationTrace(coords=trace.coords[1:], premetric=trace.premetric, status=trace.status)
 
 
 def _csv_pinned(trace) -> None:
     assert trace.to_csv() == to_csv_reference(trace)
     if len(trace) >= 3:
-        shifted = trace.companion_shift()
+        shifted = _forward_shift(trace)
         assert shifted.to_csv() == to_csv_reference(shifted)
 
 
@@ -1185,15 +1190,14 @@ class TestToCsv:
     ])
     def test_directly_built_traces(self, coords, gaps):
         space = PLANE if np.shape(coords)[1] == 2 else LINE
-        tr = IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(space),
-                            status="completed")
+        tr = IterationTrace(coords=coords, premetric=metric_premetric(space), status="completed")
         assert tr.gaps.tobytes() == np.array(gaps, dtype=float).tobytes()
         assert tr.to_csv() == to_csv_reference(tr)
 
     def test_signed_zero_gaps(self):
         # 0 * (d - 1) gives -0.0 where d < 1: the gaps alternate in sign bit
         tr = IterationTrace(coords=[[5.0], [-0.0], [0.5], [2.0], [2.5], [4.0]],
-                            generator="direct", premetric=SIGNED_ZERO, status="completed")
+                            premetric=SIGNED_ZERO, status="completed")
         assert list(map(repr, tr.gaps.tolist())) == ["0.0", "-0.0", "0.0", "-0.0", "0.0"]
         assert tr.to_csv() == to_csv_reference(tr)
 
@@ -1206,10 +1210,10 @@ class TestToCsv:
         taxi = Space(id="taxi", dimension=1, norm=1.0)
         line = IterationTrace(coords=[[-0.0], [5e-324], [0.0], [-2.5e-310], [1e-5], [-0.0],
                                       [3e22], [1e-300]] * 3,
-                              generator="direct", premetric=metric_premetric(taxi),
+                              premetric=metric_premetric(taxi),
                               status="completed")
         plane = IterationTrace(coords=[[-0.0, 1e-7], [0.0, -0.0], [2.5e-310, 1e16]] * 3,
-                               generator="direct", premetric=metric_premetric(PLANE),
+                               premetric=metric_premetric(PLANE),
                                status="completed")
         with mock.patch.object(_floatrepr, "BLOCK_VALUES", 6):
             _csv_pinned(line)
@@ -1267,7 +1271,7 @@ def built_traces(draw):
     if builder == "sequence":
         return sequence_trace("harmonic", space, steps + 1, premetric=p)
     rows = [draw(coords) for _ in range(steps + 1)]
-    return IterationTrace(coords=rows, generator="points", premetric=p, status="completed")
+    return IterationTrace(coords=rows, premetric=p, status="completed")
 
 
 class TestDerivedGaps:
@@ -1277,14 +1281,12 @@ class TestDerivedGaps:
         assert tr.gaps.tobytes() == want.tobytes()
         assert tr.gaps.shape == (max(0, len(tr) - 1),)
         if len(tr) >= 3:
-            shifted = tr.companion_shift()
-            assert shifted.gaps.tobytes() == tr.gaps[1:].tobytes()
-            assert shifted.premetric is tr.premetric
+            assert _forward_shift(tr).gaps.tobytes() == tr.gaps[1:].tobytes()
 
     def test_gaps_follow_the_coordinates(self):
         # unit steps: INEQFP with F = id and psi = half fails at every step
-        tr = IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], generator="unit steps",
-                            premetric=metric_premetric(LINE), status="completed")
+        tr = IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], premetric=metric_premetric(LINE),
+                            status="completed")
         assert tr.gaps.tolist() == [1.0, 1.0, 1.0]
         rep = consecutive_contraction_report(tr, builtin_gauge("id"), builtin_gauge("half"))
         assert rep.verdict is Verdict.FAIL
@@ -1305,8 +1307,8 @@ WITNESS_PREMETRICS = {"metric": metric_premetric(LINE),
 
 def _settled_trace(xs, premetric):
     """A hand-built 1-d trace through the points xs."""
-    return IterationTrace(coords=np.array(xs, dtype=float)[:, None], generator="hand-built",
-                          premetric=premetric, status="completed")
+    return IterationTrace(coords=np.array(xs, dtype=float)[:, None], premetric=premetric,
+                          status="completed")
 
 
 class TestNoncauchyWitnessScan:
@@ -1673,8 +1675,7 @@ class TestGaugeProbes:
 
 def _line_trace(values) -> IterationTrace:
     coords = np.asarray(values, dtype=float)[:, None]
-    return IterationTrace(coords=coords, generator="direct", premetric=metric_premetric(LINE),
-                          status="completed")
+    return IterationTrace(coords=coords, premetric=metric_premetric(LINE), status="completed")
 
 
 # small grids, so that C6 and C7 stay in a 2.5 working range for a few
@@ -1684,28 +1685,31 @@ FAMILY_BUDGET = {"eps_grid": (0.05,), "delta_candidates": (0.05,)}
 
 @st.composite
 def asmk_cases(draw):
-    """check_asmk's positional and keyword arguments: two line orbits whose
+    """check_asmk's positional and keyword arguments: a line orbit whose
     values shrink at a drawn rate (rate 1 never does), so members dominate
     some shifts and not others; families as in probe_families, some shorter
     than the horizon and some leaving a 2.5 working range (a gap of 3.0
     starts outside it); F one of the regular builtins."""
     ih, nh = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    n = ih + nh + draw(st.integers(0, 2))
+    n = ih + nh + 1 + draw(st.integers(0, 2))
     values = st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.0))
     decay = draw(st.sampled_from((1.0, 0.75, 0.5))) ** np.arange(n)
     xs = np.array(draw(st.lists(values, min_size=n, max_size=n))) * decay
-    ys = (np.array(draw(st.lists(values, min_size=n, max_size=n))) * decay
-          if draw(st.booleans()) else np.zeros(n))
     budget = SearchBudget(index_horizon=ih, nu_horizon=nh, slack=draw(PROBE_ETA),
                           **FAMILY_BUDGET)
-    return ((_line_trace(xs), _line_trace(ys),
-             builtin_gauge(draw(st.sampled_from(("id", "mk", "half")))), draw(probe_families())),
+    return ((_line_trace(xs), builtin_gauge(draw(st.sampled_from(("id", "mk", "half")))),
+             draw(probe_families())),
             {"budget": budget, "variant": draw(st.sampled_from(ASMK_VARIANTS))})
 
 
-def _asmk_case(family, xs, ys, ih, nh):
+def _asmk_case(family, xs, ih, nh):
     budget = SearchBudget(index_horizon=ih, nu_horizon=nh, **FAMILY_BUDGET)
-    return (_line_trace(xs), _line_trace(ys), builtin_gauge("id"), family), budget
+    return (_line_trace(xs), builtin_gauge("id"), family), budget
+
+
+def _asmk_on_the_shift(trace, *args, **kwargs):
+    """check_asmk_reference on the trace and its forward shift."""
+    return check_asmk_reference(trace, _forward_shift(trace), *args, **kwargs)
 
 
 def _explicit(*members):
@@ -1718,28 +1722,27 @@ class TestFamilyWalk:
     def test_check_asmk_equals_the_branch_loop(self, case):
         args, kwargs = case
         got = _probe_outcome(check_asmk, *args, **kwargs)
-        assert got == _probe_outcome(check_asmk_reference, *args, **kwargs)
+        assert got == _probe_outcome(_asmk_on_the_shift, *args, **kwargs)
 
     # (check_asmk's positional arguments and budget, the C8/C9 verdict, and
     # its witnesses' last entry or the start of the error)
     ASMK_CASES = {
-        # two members cover shifts 1..2 of the horizon's 6
+        # the halving orbit: two members dominate it exactly, but cover only
+        # shifts 1..2 of the horizon's 6
         "explicit-short": (_asmk_case(_explicit(("half", 1e3), ("0.25 * t", 1e3)),
-                                      0.5 ** np.arange(10), np.zeros(10), 4, 6),
+                                      0.5 ** np.arange(11), 4, 6),
                            "inconclusive", {"checked_shifts": 2, "checked_indices": 4}),
         # constant gaps defeat each halving member at every index: 2 witnesses
         # per shift, and the walk stops at 8, after shift 4 of 6
-        "eight-defeats": (_asmk_case(_iterated("half"), np.arange(12.0), np.arange(12.0) + 1,
-                                     5, 6),
+        "eight-defeats": (_asmk_case(_iterated("half"), np.arange(13.0), 5, 6),
                           "fail", {"n": 4, "i": 1, "lhs": 1.0, "rhs": 0.0625}),
-        # member 3 of 2t reads member 2's 4.0, past the 2.5 range; C6 (below 4
-        # members) is not run and C7 (near eps 0.05) stays inside the range
-        "iterated-out-of-range": (_asmk_case(_iterated("2 * t", 2.5), np.ones(8), np.zeros(8),
-                                             3, 3),
+        # gaps of 1: member 3 of 2t reads member 2's 4.0, past the 2.5 range;
+        # C6 (below 4 members) is not run and C7 (near eps 0.05) stays inside it
+        "iterated-out-of-range": (_asmk_case(_iterated("2 * t", 2.5), np.arange(9.0) % 2, 3, 3),
                                   None, "InputError: gauge '2 * t' evaluated at t=4.0 "),
-        # member 2 reads the gap 2.0 past its 1.5 range, after member 1's defeats
+        # gaps of 2: member 2 reads 2.0 past its 1.5 range, after member 1's defeats
         "explicit-out-of-range": (_asmk_case(_explicit(("half", 1e3), ("t + 1", 1.5)),
-                                             2.0 * np.ones(8), np.zeros(8), 3, 3),
+                                             2.0 * (np.arange(9.0) % 2), 3, 3),
                                   None, "InputError: gauge 't + 1' evaluated at t=2.0 "),
     }
 
@@ -1748,7 +1751,7 @@ class TestFamilyWalk:
     def test_check_asmk_cases(self, case, variant):
         (args, budget), verdict, last = self.ASMK_CASES[case]
         got = _probe_outcome(check_asmk, *args, budget=budget, variant=variant)
-        assert got == _probe_outcome(check_asmk_reference, *args, budget=budget, variant=variant)
+        assert got == _probe_outcome(_asmk_on_the_shift, *args, budget=budget, variant=variant)
         if verdict is None:
             assert got.startswith(last)
             return
@@ -1772,6 +1775,63 @@ class TestFamilyWalk:
         count = n if family.kind == "iterated" else min(n, len(family.members))
         assert bits(lambda: list(_members(family, t, n))) == \
             bits(lambda: [iterate_gauge_reference(family, k, t) for k in range(1, count + 1)])
+
+
+# ---------------------------------------------------------------------------
+# The trace checkers against their two-sequence references, run on the trace
+# and its forward shift
+
+
+@st.composite
+def checker_traces(draw):
+    """A trace of built_traces, or a picard trace of a map that leaves
+    ESCAPE_NORM within a few steps from most seeds, cut short there."""
+    if draw(st.booleans()):
+        return draw(built_traces())
+    space = draw(st.sampled_from((LINE, PLANE)))
+    fn = expression_map(space, draw(st.sampled_from(("x * x", "1 / x", "1000 * x"))))
+    starts = st.sampled_from((0.0, 0.5, 3.0, -7.0))
+    seed = space.point(*draw(st.lists(starts, min_size=space.dimension,
+                                      max_size=space.dimension)))
+    return picard_trace(fn, seed, draw(st.integers(1, 30)))
+
+
+# one eps and two deltas: a gap run that approaches 0.5 from above keeps
+# both bands occupied, so C2 is defeated
+COARSE_GRIDS = {"eps_grid": (0.5,), "delta_candidates": (1.0, 0.5)}
+# steps of 0.5 + 2^-n (C2 defeated), and small gaps before a large tail (C1 defeated)
+CREEP = _line_trace(np.cumsum([0.0] + [0.5 + 2.0 ** -n for n in range(24)]))
+LULL_THEN_FLIP = _line_trace([0.0] * 21 + [1.0, 0.0] * 10)
+
+
+class TestForwardShiftCheckers:
+    """check_asf1, check_asmk and check_p_controls_d read one trace against
+    its forward shift; each gives what its two-sequence reference gives on
+    the trace and the shift, or raises what it raises."""
+
+    @given(tr=checker_traces(), ih=st.integers(1, 6), nh=st.integers(1, 6),
+           grids=st.sampled_from(({}, FAMILY_BUDGET, COARSE_GRIDS)))
+    @example(tr=CREEP, ih=8, nh=8, grids=COARSE_GRIDS)
+    @example(tr=LULL_THEN_FLIP, ih=8, nh=8, grids=COARSE_GRIDS)
+    def test_check_asf1(self, tr, ih, nh, grids):
+        budget = SearchBudget(index_horizon=ih, nu_horizon=nh, **grids)
+        got = _probe_outcome(check_asf1, tr, budget=budget)
+        assert got == _probe_outcome(check_asf1_reference, tr, _forward_shift(tr), budget=budget)
+
+    @pytest.mark.parametrize("variant", ASMK_VARIANTS)
+    @given(tr=checker_traces(), ih=st.integers(1, 6), nh=st.integers(1, 6),
+           f=st.sampled_from(("id", "mk", "half")), family=probe_families())
+    def test_check_asmk(self, variant, tr, ih, nh, f, family):
+        budget = SearchBudget(index_horizon=ih, nu_horizon=nh, **FAMILY_BUDGET)
+        args = (builtin_gauge(f), family)
+        got = _probe_outcome(check_asmk, tr, *args, budget=budget, variant=variant)
+        assert got == _probe_outcome(_asmk_on_the_shift, tr, *args, budget=budget, variant=variant)
+
+    @given(traces=st.lists(checker_traces(), min_size=1, max_size=3))
+    def test_check_p_controls_d(self, traces):
+        got = _probe_outcome(check_p_controls_d, traces)
+        assert got == _probe_outcome(check_p_controls_d_reference,
+                                     [(tr, _forward_shift(tr)) for tr in traces])
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,26 @@ class TestCliRun:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_allocation_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # "steps": 10**12 passes validate, and numpy's MemoryError for the
+        # orbit ended the run in a traceback; the failure is injected here,
+        # so the run asks for nothing large
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("fplab.traces._extend_orbit", out_of_memory)
+        doc = {"name": "huge", "space": {"dimension": 1}, "maps": {"T": "half"},
+               "run": ["iterate"], "iterate": {"x0": [1.0], "steps": 10}}
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="needs more memory than is available") as info:
+            run_scenario_doc(doc, str(out))
+        assert isinstance(info.value.__cause__, MemoryError)
+        assert not out.exists()
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+        assert ("error: the run needs more memory than is available: Unable to allocate "
+                "7.28 TiB") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [{"eps_grid": [float("nan")]},
                                         {"delta_candidates": [float("inf"), 0.5]},
                                         {"slack": float("nan")}])

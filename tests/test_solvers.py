@@ -53,8 +53,8 @@ class TestCauchyDiagnostic:
     def test_telescoping_sequence_is_exact(self):
         # x_n = 2 - 2^-n: the sup over later points is always the distance
         # to the last stored point, 2^-n - 2^-23
-        tr = IterationTrace(coords=[[2.0 - 2.0 ** -n] for n in range(24)], generator="geo",
-                            premetric=D, status="completed")
+        tr = IterationTrace(coords=[[2.0 - 2.0 ** -n] for n in range(24)], premetric=D,
+                            status="completed")
         rep = cauchy_diagnostic(tr, tol=1e-4)
         assert rep.verdict is Verdict.PASS
         assert [w["n"] for w in rep.witnesses] == [0, 1, 2, 4, 8, 16, 22]
@@ -72,22 +72,21 @@ class TestCauchyDiagnostic:
     def test_non_monotone_settling_measure_fails(self):
         # a later spike makes s(1) exceed s(0) even though the tail is zero
         tr = IterationTrace(coords=[[1.0], [0.0], [3.0], [0.0], [0.0], [0.0]],
-                            generator="spike", premetric=D, status="completed")
+                            premetric=D, status="completed")
         rep = cauchy_diagnostic(tr)
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses[-1] == {"n": 0, "sup_tail": 2.0,
                                      "later_n": 1, "later_sup_tail": 3.0}
 
     def test_truncated_orbit_cannot_cleanly_pass(self):
-        tr = IterationTrace(coords=[[2.0 - 2.0 ** -n] for n in range(24)], generator="geo",
-                            premetric=D, status="escaped")
+        tr = IterationTrace(coords=[[2.0 - 2.0 ** -n] for n in range(24)], premetric=D,
+                            status="escaped")
         rep = cauchy_diagnostic(tr, tol=1e-4)
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert "escaped" in rep.resolution_note
 
     def test_needs_four_points(self):
-        tr = IterationTrace(coords=[[0.0], [1.0], [2.0]], generator="short", premetric=D,
-                            status="completed")
+        tr = IterationTrace(coords=[[0.0], [1.0], [2.0]], premetric=D, status="completed")
         with pytest.raises(InputError, match="at least 4 points"):
             cauchy_diagnostic(tr)
 
@@ -289,8 +288,8 @@ class TestNonCauchyWitness:
         assert "never settle" in scan.note
 
     def test_settled_but_non_decaying_steps_not_applicable(self):
-        drift = IterationTrace(coords=np.cumsum([5e-3] * 40)[:, None], generator="drift",
-                               premetric=D, status="completed")
+        drift = IterationTrace(coords=np.cumsum([5e-3] * 40)[:, None], premetric=D,
+                               status="completed")
         scan = extract_noncauchy_witness(drift)
         assert scan.status == "not_applicable"
         assert "never decay" in scan.note
@@ -300,8 +299,7 @@ class TestNonCauchyWitness:
         assert extract_noncauchy_witness(tr).status == "none"
 
     def test_needs_four_gaps(self):
-        tr = IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], generator="short",
-                            premetric=D, status="completed")
+        tr = IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], premetric=D, status="completed")
         with pytest.raises(InputError, match="at least 4 consecutive gaps"):
             extract_noncauchy_witness(tr)
 

@@ -156,31 +156,21 @@ class TestCyclicSetting:
             IntervalSet(LINE, -math.inf, -1.0),
         )
         assert setting.gap == 2.0
-        assert setting.gap_provenance == "exact"
 
     def test_exact_gap_for_disks(self):
         setting = CyclicSetting.derive(
             PLANE, DiskSet(PLANE, (0.0, 0.0), 1.0), DiskSet(PLANE, (5.0, 0.0), 1.0))
         assert setting.gap == 3.0
-        assert setting.gap_provenance == "exact"
 
-    def test_estimated_gap_is_conservative(self):
-        # sampled estimate can only overshoot the true infimum
+    def test_refuses_a_set_pair_with_no_closed_form_gap(self):
+        # every interval or disk pair has a closed-form gap; a set of any
+        # other type is refused rather than estimated from samples
         class Half:
             space = LINE
 
-            def contains_coords(self, coords):
-                return np.asarray(coords)[..., 0] >= 1.0
-
-            def sample_coords(self, rng, n):
-                return 1.0 + rng.uniform(0.0, 5.0, size=(n, 1))
-
-            def describe(self):
-                return "custom-half-line"
-
-        setting = CyclicSetting.derive(LINE, Half(), IntervalSet(LINE, -math.inf, -1.0))
-        assert setting.gap >= 2.0
-        assert setting.gap_provenance == "estimated"
+        with pytest.raises(ConfigurationError, match="no closed-form gap between sets of type "
+                                                     "Half and IntervalSet"):
+            CyclicSetting.derive(LINE, Half(), IntervalSet(LINE, -math.inf, -1.0))
 
     def test_refuses_a_gap_that_is_not_finite(self):
         # the disks' ends are finite, but the distance between them is not
@@ -188,7 +178,7 @@ class TestCyclicSetting:
         with pytest.raises(ConfigurationError, match="set gap must be finite, got inf"):
             CyclicSetting.derive(LINE, *far)
         with pytest.raises(ConfigurationError, match="set gap must be finite, got nan"):
-            CyclicSetting(LINE, *far, math.nan, "exact")
+            CyclicSetting(LINE, *far, math.nan)
 
     def test_refuses_sets_from_another_space(self):
         disks = DiskSet(PLANE, (0.0, 0.0), 1.0), DiskSet(PLANE, (5.0, 0.0), 1.0)
@@ -197,7 +187,7 @@ class TestCyclicSetting:
             CyclicSetting.derive(LINE, *disks)
         with pytest.raises(ConfigurationError,
                            match="set_b lies in space 'line', not in the setting's space 'plane'"):
-            CyclicSetting(PLANE, disks[0], IntervalSet(LINE, 0.0, 1.0), 3.0, "exact")
+            CyclicSetting(PLANE, disks[0], IntervalSet(LINE, 0.0, 1.0), 3.0)
 
 
 class TestPremetrics:

@@ -44,7 +44,6 @@ class TestPicard:
         assert coords(tr) == [1.0, 0.5, 0.25, 0.125]
         assert tr.gaps.tolist() == [0.5, 0.25, 0.125]
         assert tr.status == "completed"
-        assert tr.generator == "picard(half)"
         assert len(tr) == 4
 
     def test_mk_orbit_closed_form(self):
@@ -90,7 +89,6 @@ class TestAlternating:
         tr = alternating_trace(sched, LINE.point(1.0), 3)
         assert coords(tr) == [0.2, 0.2 * 0.25, 0.2 * 0.25 * 0.2,
                               0.2 * 0.25 * 0.2 * 0.25]
-        assert tr.generator == "alternating(quarter,fifth)"
 
 
 class TestCyclicEven:
@@ -106,7 +104,6 @@ class TestCyclicEven:
         tr = cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
                                self.setting(), LINE.point(3.0), 4)
         assert coords(tr) == [1.0 + 2.0 * 4.0 ** -n for n in range(5)]
-        assert tr.generator == "cyclic_even(cyclic_reflect)"
 
     def test_full_orbit_rides_along(self):
         tr = cyclic_even_trace(builtin_map("cyclic_reflect", LINE),
@@ -163,36 +160,24 @@ class TestTraceMechanics:
                 tr.premetric, LINE.point(tr.coords[i]), LINE.point(tr.coords[i + 1])
             )
 
-    def test_companion_shift_alignment(self):
-        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 5)
-        sh = tr.companion_shift()
-        assert coords(sh) == coords(tr)[1:]
-        assert sh.gaps.tolist() == tr.gaps[1:].tolist()
-        assert sh.generator == "shift(picard(half))"
-        short = IterationTrace(coords=[[0.0], [1.0]], generator="pair",
-                               premetric=metric_premetric(LINE), status="completed")
-        with pytest.raises(InputError, match="at least 3 points"):
-            short.companion_shift()
-
     def test_validation(self):
         pts = np.array([[0.0], [1.0]])
         p = metric_premetric(LINE)
         with pytest.raises(ConfigurationError, match="unknown trace status"):
-            IterationTrace(coords=pts, generator="g", premetric=p, status="running")
+            IterationTrace(coords=pts, premetric=p, status="running")
         with pytest.raises(InputError, match="do not fit the 1-dimensional space 'line'"):
-            IterationTrace(coords=[[0.0, 1.0], [1.0, 2.0]], generator="g", premetric=p,
-                           status="completed")
+            IterationTrace(coords=[[0.0, 1.0], [1.0, 2.0]], premetric=p, status="completed")
         with pytest.raises(TypeError, match="gaps"):
             IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], gaps=[9.0, 0.5, 0.25],
-                           generator="g", premetric=p, status="completed")
+                           premetric=p, status="completed")
         with pytest.raises(TypeError, match="space_id"):
-            IterationTrace(coords=pts, generator="g", premetric=p, status="completed",
-                           space_id=LINE.id)
+            IterationTrace(coords=pts, premetric=p, status="completed", space_id=LINE.id)
+        with pytest.raises(TypeError, match="generator"):
+            IterationTrace(coords=pts, generator="g", premetric=p, status="completed")
 
     def test_stored_arrays_are_read_only(self):
         src = np.array([[0.0], [1.0], [3.0]])
-        tr = IterationTrace(coords=src, generator="g", premetric=metric_premetric(LINE),
-                            status="completed")
+        tr = IterationTrace(coords=src, premetric=metric_premetric(LINE), status="completed")
         src[0, 0] = 9.0  # the trace keeps its own copy
         assert coords(tr) == [0.0, 1.0, 3.0]
         with pytest.raises(ValueError, match="read-only"):
@@ -204,8 +189,6 @@ class TestTraceMechanics:
                                 TestCyclicEven().setting(), LINE.point(3.0), 4)
         with pytest.raises(ValueError, match="read-only"):
             cyc.aux_coords[1] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            tr.companion_shift().coords[0, 0] = 5.0
 
     def test_arrays(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 3)
@@ -256,8 +239,7 @@ class TestPremetricSpace:
 
     def test_iteration_trace(self):
         # a trace lives on its premetric's space
-        tr = IterationTrace(coords=[[0.0], [1.0]], generator="g", premetric=ON_B,
-                            status="completed")
+        tr = IterationTrace(coords=[[0.0], [1.0]], premetric=ON_B, status="completed")
         assert tr.premetric.space is SPACE_B and not hasattr(tr, "space_id")
 
 
@@ -297,7 +279,7 @@ class TestCsvReadsBack:
         # gaps (under the 1-norm, which squares nothing to zero): to_csv
         # writes that tail through its fixed-width records
         taxi = Space(id="taxi", dimension=1, norm=1.0)
-        tr = IterationTrace(coords=[[3.0]] + [[5e-324], [-0.0]] * 4, generator="direct",
+        tr = IterationTrace(coords=[[3.0]] + [[5e-324], [-0.0]] * 4,
                             premetric=metric_premetric(taxi), status="completed")
         assert _bit_period_start(tr.coords, tr.gaps) < len(tr) - 1
         text = tr.to_csv()
