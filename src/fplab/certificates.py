@@ -31,7 +31,7 @@ from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C
 from .maps import NamedMap
 from .reports import ASMK_VARIANTS, MAX_WITNESSES, PSI_VARIANTS, CertificateReport, \
     SearchBudget, Verdict, _is_count, last_quarter, witness, worst_verdict
-from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
+from .spaces import Box, CyclicSetting, Premetric, Space, default_region, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
 
@@ -162,8 +162,9 @@ def _band_per_index(
 
 def _triangle(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
     """Where each pair i < j of the index horizon sits in one raveled
-    (n, n) gap matrix of mats: at i * n + j, in np.triu_indices order,
-    which is ascending, so row i's pairs start at i * (2 * ih - i - 1) / 2."""
+    (n, n) matrix of mats, gap matrices or an id block: at i * n + j, in
+    np.triu_indices order, which is ascending, so row i's pairs start at
+    i * (2 * ih - i - 1) / 2."""
     ih, nh = budget.index_horizon, budget.nu_horizon
     n = mats.shape[1]
     if n < ih + nh:
@@ -190,72 +191,160 @@ def _pair_positions(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
 # carries on where the last one ended is twice as long as it.
 _FIRST_CHUNK = 1024
 # The band sweep sorts each kept pair by one integer key, its segment id
-# above its flat position; 2 ** 40 gap values would take 8 TB, so a
-# position always fits below the id.  The keys are the one array of the
-# call as long as the pairs: they are built from blocks of as many whole
-# rows as fit in _BLOCK_PAIRS pairs (one row at least), so that every
+# above its flat position, an int32 where both fit in 31 bits, as they do
+# on every default budget, else an int64.  The keys are the one array of
+# the call as long as the pairs: they are built from blocks of as many
+# whole rows as fit in _BLOCK_PAIRS pairs (one row at least), so that every
 # temporary of a block stays below 128 KiB, the size from which a freed
-# array is fetched from the system again on its next use.
-_POSITION_BITS = 40
+# array is fetched from the system again on its next use.  The id block
+# is classified in blocks of rows of the same size.
 _BLOCK_PAIRS = 16000
-# A segment id table has at most 2 ** _TABLE_BITS + 1 buckets.
-_TABLE_BITS = 13
+# A segment id table has at most 2 ** _TABLE_BITS + 3 slots.
+_TABLE_BITS = 15
+
+
+def _cuts(budget: SearchBudget) -> np.ndarray:
+    """The sorted cuts of a band search (see _band_uniform): every eps,
+    every eps + delta and every limit eps + slack."""
+    eps_grid, eta = budget.eps_grid, budget.slack
+    return np.unique([*eps_grid, *(eps + d for eps in eps_grid for d in budget.delta_candidates),
+                      *(eps + eta for eps in eps_grid)])
 
 
 class _SegmentIds:
-    """The segment id of a gap among sorted cuts (see _band_uniform), read
-    from its float64 bits: the number of edges at or below it, the edges
-    being each cut followed by the next float above it, as
-    np.searchsorted(edges, gaps, side="right") gives it.
+    """The segment id of any float64 gap among sorted cuts: the number of
+    edges at or below it, the edges being each cut followed by the next
+    float above it, as np.searchsorted(edges, gaps, side="right") gives
+    it.  A NaN's id is one more than the last edge's, above every other.
+    The ids are int16, or int32 when the cuts are too many for int16.
 
-    Nonnegative floats order like their uint64 bits, subnormals included,
-    and every cut is positive.  So a gap strictly between the first and the
-    last cut is exactly one whose bits lie strictly between theirs: NaN,
-    +inf, -0.0 and negative gaps all have bits at or above the last cut's.
-    The bits between are cut into at most 2 ** _TABLE_BITS + 1 buckets of
-    equal width, one per value of their top bits, and a bucket that holds
-    no edge lies wholly inside one segment, whose id the table holds.  The
-    table holds -1 for a bucket that holds an edge, and only a gap there is
-    searched for among the edges' bits.  The width only decides how many
-    gaps are searched, never an id."""
+    Every cut is positive, and nonnegative floats order like their bits,
+    subnormals included, read as int64.  The bits from the first cut's to
+    the last cut's are cut into at most 2 ** _TABLE_BITS + 1 buckets of
+    equal width, one per value of their top bits, and the table holds one
+    slot per bucket; a slot 0 before them for every gap below the first
+    cut's bucket, whose id is 0, negative floats, -0.0 and -inf among them,
+    since their bits are negative; and a last slot after them for every gap
+    above the last cut's bucket, up to +inf, whose id is the last edge's.
+    A bucket that holds no edge lies wholly inside one segment, whose id
+    its slot holds.  The slot of a bucket that holds an edge holds -1, and
+    only a gap there is searched for among the edges.  A NaN lands in one
+    of the end slots, or in the last cut's bucket, and its id is set last.
+    The width only decides how many gaps are searched, never an id."""
 
-    __slots__ = ("lo", "hi", "shift", "base", "table", "edge_bits")
+    __slots__ = ("dtype", "shift", "base", "table", "edges", "nan_id")
 
     def __init__(self, cuts: np.ndarray):
         with np.errstate(over="ignore"):  # the next float above the largest finite one is +inf
-            edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
-        self.edge_bits = edges.view(np.uint64)
-        self.lo, self.hi = (int(b) for b in cuts[[0, -1]].view(np.uint64))
-        self.shift = max(0, (self.hi - self.lo).bit_length() - _TABLE_BITS)
-        self.base = self.lo >> self.shift
-        # edges per bucket, from the first cut's to the one past the last
-        # cut's, which only the next float above the last cut can reach
-        held = np.bincount((self.edge_bits >> self.shift) - self.base)
+            self.edges = np.column_stack([cuts, np.nextafter(cuts, np.inf)]).reshape(-1)
+        self.nan_id = self.edges.size + 1
+        self.dtype = np.int16 if self.nan_id <= np.iinfo(np.int16).max else np.int32
+        lo, hi = (int(b) for b in cuts[[0, -1]].view(np.int64))
+        # a shift of at least 1 keeps a negative float's slot from overflowing
+        self.shift = max(1, (hi - lo).bit_length() - _TABLE_BITS)
+        self.base = (lo >> self.shift) - 1  # the first cut's bucket is slot 1
+        # edges per slot, up to the last cut's bucket and past it
+        held = np.bincount((self.edges.view(np.int64) >> self.shift) - self.base)
         below = np.cumsum(held) - held
-        self.table = np.where(held == 0, below, -1)[:(self.hi >> self.shift) - self.base + 1]
+        table = np.where(held == 0, below, -1)[:(hi >> self.shift) - self.base + 1]
+        self.table = np.append(table, self.edges.size).astype(self.dtype)
 
-    def inside(self, bits: np.ndarray) -> np.ndarray:
-        """Which gaps, given by their bits, lie strictly between the first
-        and the last cut."""
-        return (bits > self.lo) & (bits < self.hi)
-
-    def __call__(self, bits: np.ndarray) -> np.ndarray:
-        """The int64 segment ids of gaps that lie inside (by their bits)."""
-        ids = self.table[(bits >> self.shift) - self.base]
+    def __call__(self, gaps: np.ndarray) -> np.ndarray:
+        """The segment ids of gaps, an array of any shape."""
+        flat = gaps.reshape(-1)
+        slots = flat.view(np.int64) >> self.shift
+        slots -= self.base
+        ids = self.table.take(slots, mode="clip")  # a slot off the table is an end slot
         searched = np.flatnonzero(ids < 0)
         if searched.size:
-            ids[searched] = np.searchsorted(self.edge_bits, bits[searched], side="right")
-        return ids
+            ids[searched] = np.searchsorted(self.edges, flat[searched], side="right")
+        nan = np.isnan(flat)
+        if nan.any():
+            ids[nan] = self.nan_id
+        return ids.reshape(gaps.shape)
+
+
+class _MatrixGaps:
+    """C4's float gaps: the (k, n, n) gap matrices themselves.  rows(orbit,
+    a, b) gives orbit's rows a to b - 1 from column a + 1 on, for the id
+    block (see _id_block), and at(positions, nu) the gaps nu steps down
+    the diagonal from flat positions (see _pair_positions), for the defeat
+    rebuild of _band_uniform."""
+
+    __slots__ = ("mats",)
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = mats
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.mats.shape
+
+    def rows(self, orbit: int, a: int, b: int) -> np.ndarray:
+        return self.mats[orbit, a:b, a + 1:]
+
+    def at(self, positions: np.ndarray, nu: int) -> np.ndarray:
+        return _shifted(self.mats.reshape(-1), positions, nu, self.mats.shape[1])
+
+
+class _OrbitGaps:
+    """D4's float gaps, measured from k orbits of n points, a (k, n, d)
+    block, with space.distances, as _MatrixGaps reads them from matrices.
+    No (k, n, n) float block is built: rows measures one block of rows for
+    the id block, and at measures the gathered orbit points of the
+    positions it reads.  Space.distances is elementwise over its leading
+    axes, so both give the bits of space.distances(orbit[:, None],
+    orbit[None])."""
+
+    __slots__ = ("space", "orbits")
+
+    def __init__(self, space: Space, orbits: np.ndarray):
+        self.space, self.orbits = space, orbits
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        k, n = self.orbits.shape[:2]
+        return k, n, n
+
+    def rows(self, orbit: int, a: int, b: int) -> np.ndarray:
+        points = self.orbits[orbit]
+        return self.space.distances(points[a:b, None], points[None, a + 1:])
+
+    def at(self, positions: np.ndarray, nu: int) -> np.ndarray:
+        orbit, i, j = np.unravel_index(positions, self.shape)
+        return self.space.distances(self.orbits[orbit, i + nu], self.orbits[orbit, j + nu])
+
+
+def _id_block(gaps: _MatrixGaps | _OrbitGaps, budget: SearchBudget) -> np.ndarray:
+    """The (k, n, n) segment ids (see _SegmentIds) of gaps among the cuts
+    of budget.  Only the strictly upper entries are written, the only ones
+    the band sweep reads (the pairs of _triangle and their shifts): each
+    orbit's rows are classified in blocks of as many whole rows, from the
+    column after the block's first row on, as _BLOCK_PAIRS gaps hold (one
+    row at least), so that every temporary stays below 128 KiB, but for
+    the (rows, columns, d) difference block Space.distances builds on a
+    space of 8 or more coordinates."""
+    segment_ids = _SegmentIds(_cuts(budget))
+    k, n = gaps.shape[:2]
+    ids = np.empty((k, n, n), dtype=segment_ids.dtype)
+    starts = [0]
+    while starts[-1] < n - 1:
+        starts.append(min(n - 1, starts[-1] + max(1, _BLOCK_PAIRS // (n - 1 - starts[-1]))))
+    for orbit in range(k):
+        for a, b in zip(starts, starts[1:]):
+            ids[orbit, a:b, a + 1:] = segment_ids(gaps.rows(orbit, a, b))
+    return ids
 
 
 def _shifted(flat: np.ndarray, positions: np.ndarray, nu: int, n: int) -> np.ndarray:
-    """The gaps nu steps down the diagonal from the pairs at positions in
-    flat, the raveled (k, n, n) gap matrices (see _pair_positions)."""
+    """The entries nu steps down the diagonal from the pairs at positions
+    in flat, a raveled (k, n, n) id block or gap matrices (see
+    _pair_positions)."""
     return flat[nu * (n + 1):].take(positions)
 
 
 class _Chunks:
-    """The shifted gaps of the kept pairs pos at one shift, gathered in
+    """The shifted ids of the kept pairs pos at one shift, gathered in
     chunks through _shifted, of which only the current one, pos[a:b], is
     kept.  A read that starts outside it gathers a new chunk from its
     start: twice as long as the last if it carries on from that chunk's
@@ -268,10 +357,10 @@ class _Chunks:
         self.a = self.b = 0
         self.size = _FIRST_CHUNK
 
-    def first_violator(self, q: int, end: int, limit: float, last: int) -> int:
-        """The first position from q on, before end, whose shifted gap is
-        not <= limit (a NaN is not), or max(q, end) if there is none; no
-        chunk gathered here reaches past last, which is at least end."""
+    def first_violator(self, q: int, end: int, limit: int, last: int) -> int:
+        """The first position from q on, before end, whose shifted id is
+        above limit, or max(q, end) if there is none; no chunk gathered
+        here reaches past last, which is at least end."""
         while q < end:
             if not self.a <= q < self.b:
                 if q != self.b:
@@ -280,39 +369,44 @@ class _Chunks:
                 self.chunk = _shifted(self.flat, self.pos[self.a:self.b], self.nu, self.n)
                 self.size *= 2
             seen = self.chunk[q - self.a:min(end, self.b) - self.a]
-            if not seen.max() <= limit:  # a violator here; a NaN maximum too
+            if seen.max() > limit:
                 return q + int((seen <= limit).argmin())
             q = min(end, self.b)
         return q
 
 
-def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
+def _band_uniform(ids: np.ndarray, gaps: _MatrixGaps | _OrbitGaps, budget: SearchBudget,
+                  cid: str) -> CertificateReport:
     """Band condition with one shift index shared by every in-band pair
-    (C4 and D4).  mats has shape (k, n, n), one gap matrix per orbit.
+    (C4 and D4).  ids is the (k, n, n) id block of the gaps, one matrix per
+    orbit (see _id_block), and gaps reads the float gaps again for a
+    defeat.
 
     One classification of the pairs and one sweep over nu decide every
-    (eps, delta) band of the call.  Every eps and every eps + delta is a
-    cut; a gap strictly between two cuts gets an even segment id and a gap
-    equal to a cut an odd one (2 * cuts below it, plus 1 if on a cut): the
-    number of edges at or below it, each cut and the next float above it
-    being the edges.  _SegmentIds reads every id from a gap's bits.  The
-    open band (eps, eps + delta) is then exactly a range of ids, from just
-    above eps's id to just below eps + delta's.  The pairs are classified
-    orbit by orbit, in blocks of as many whole rows of the upper triangle
-    (see _triangle) as _BLOCK_PAIRS pairs hold: pairs outside every band are
-    dropped, and each kept pair's key, the id above its position, goes
-    straight into one array, which is sorted in place.  So each segment is
-    a contiguous run of pairs kept in memory order, and a search among the
-    sorted keys gives every band's size.
+    (eps, delta) band of the call.  Every eps, every eps + delta and every
+    limit eps + slack is a cut; a gap strictly between two cuts has an even
+    segment id and a gap equal to a cut an odd one (2 * cuts below it, plus
+    1 if on a cut): the number of edges at or below it, each cut and the
+    next float above it being the edges (see _SegmentIds).  The open band
+    (eps, eps + delta) is then exactly a range of ids, from just above
+    eps's id to just below eps + delta's, and a gap is at most eps + slack
+    exactly when its id is at most that limit's, a NaN's id being above
+    every other.  The pairs are read orbit by orbit, in blocks of as many
+    whole rows of the upper triangle (see _triangle) as _BLOCK_PAIRS pairs
+    hold: a block's pairs outside every band are dropped, a block that
+    keeps none is skipped, and each kept pair's key, the id above its
+    position, goes straight into one array, which is sorted in place.  So
+    each segment is a contiguous run of pairs kept in memory order, and a
+    search among the sorted keys gives every band's size.
 
     The bands of one eps are nested id ranges from the same first id, so at
     shift nu one position decides them all: stop, the first kept pair from
-    that id on whose shifted gap is not <= eps + slack (a NaN is not).  A
-    band passes at nu exactly when it ends at or before stop.  The live eps
-    are walked in increasing order: their first ids, widest ends and limits
-    all rise with eps, and a pair at or below one eps's limit is at or
-    below every larger eps's, so each walk starts at the later of its own
-    first id and the previous eps's stop, which it reads again.
+    that id on whose shifted id is above the limit's.  A band passes at nu
+    exactly when it ends at or before stop.  The live eps are walked in
+    increasing order: their first ids, widest ends and limits all rise with
+    eps, and a pair at or below one eps's limit is at or below every larger
+    eps's, so each walk starts at the later of its own first id and the
+    previous eps's stop, which it reads again.
 
     An eps whose widest passing band, p, passed no wider one at the last
     shift reads the pairs that band p - 1 adds to band p (its increment)
@@ -321,7 +415,7 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     first nu, and band p's pairs are not read.  The stop it hands on is
     left as it was, which is still a valid start for the next eps.  Only a
     clean increment sends the eps back over band p's pairs, whose shifted
-    gaps may have risen since, and then on past the increment.  Every other
+    ids may have risen since, and then on past the increment.  Every other
     eps, one with no passing band yet or one that passed a wider band at
     the last shift, walks straight from its start.  Every read of a shift
     goes through one _Chunks over the kept pairs' positions (see
@@ -332,56 +426,63 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     Deltas are then decided in decreasing order: the first band that is
     vacuous or passes at some nu is the witness, with its first passing nu.
     When every band is defeated, the report carries only the last delta's
-    defeat, so that witness alone is rebuilt.  The narrowest bands of the
-    failing eps are gathered again at every nu, with one gather per nu for
-    all of them, for their worst values; at the first nu giving a band's
-    strict minimum (0 if no value is below inf), the defeat is the first
-    worst pair in np.nonzero order.  This breaks ties exactly as a separate
-    search per (eps, delta) would.
+    defeat, so that witness alone is rebuilt, from float gaps read through
+    gaps.at alone.  The narrowest bands of the failing eps are read again
+    at every nu, with one read per nu for all of them, for their worst
+    values; at the first nu giving a band's strict minimum (0 if no value
+    is below inf), the defeat is the first worst pair in np.nonzero order.
+    This breaks ties exactly as a separate search per (eps, delta) would.
     """
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
-    k, n = mats.shape[:2]
-    flat = mats.reshape(-1)
+    k, n = ids.shape[:2]
+    flat = ids.reshape(-1)
     eps_grid, deltas = budget.eps_grid, budget.delta_candidates
-    uppers = [[eps + d for d in deltas] for eps in eps_grid]
-    cuts = np.unique(np.concatenate([eps_grid, np.ravel(uppers)]))
-    segment_ids = _SegmentIds(cuts)
-    tri = _triangle(mats, budget)
+    cuts = _cuts(budget)
+    # band (eps, eps + delta) holds the ids lo <= id < hi; hi never falls
+    # below lo, so a band with eps + delta == eps is empty
+    lo = 2 * np.searchsorted(cuts, eps_grid) + 2  # (n_eps,)
+    hi = np.maximum(2 * np.searchsorted(cuts, [[eps + d for d in deltas] for eps in eps_grid])
+                    + 1, lo[:, None])  # (n_eps, n_deltas)
+    # a gap is at most eps + slack exactly when its id is at most this
+    limits = (2 * np.searchsorted(cuts, [eps + eta for eps in eps_grid]) + 1).tolist()
+    kept_lo, kept_hi = int(lo.min()), int(hi.max())  # the ids of every band
+    tri = _triangle(ids, budget)
     starts = [i * (2 * ih - i - 1) // 2 for i in range(0, ih, max(1, _BLOCK_PAIRS // ih))]
     blocks = list(zip(starts, starts[1:] + [tri.size]))  # whole rows of the triangle
-    keys = np.empty(k * tri.size, dtype=np.int64)
+    position_bits = max(1, (flat.size - 1).bit_length())
+    key_type = np.int32 if position_bits + (2 * cuts.size).bit_length() <= 31 else np.int64
+    keys = np.empty(k * tri.size, dtype=key_type)
     count = 0
     for orbit in range(k):
         offset = orbit * n * n
         matrix = flat[offset:offset + n * n]
         for a, b in blocks:
             at = tri[a:b]
-            bits = matrix[at].view(np.uint64)
-            inside = segment_ids.inside(bits)
-            at, bits = at[inside], bits[inside]
-            out = keys[count:count + at.size]
-            np.left_shift(segment_ids(bits), _POSITION_BITS, out=out)
-            out |= at
+            block = matrix[at]
+            kept = (block >= kept_lo) & (block < kept_hi)
+            size = int(np.count_nonzero(kept))
+            if not size:
+                continue
+            out = keys[count:count + size]
+            out[...] = block[kept]
+            out <<= position_bits
+            out |= at[kept]
             out += offset
-            count += at.size
+            count += size
     keys = keys[:count]
     keys.sort()  # by id, and by position within an id
     n_seg = 2 * cuts.size
-    offsets = np.searchsorted(keys, np.arange(n_seg + 1) << _POSITION_BITS)  # pairs below id
-    keys &= (1 << _POSITION_BITS) - 1
+    # pairs below each id
+    offsets = np.searchsorted(keys, np.arange(n_seg + 1, dtype=key_type) << position_bits)
+    keys &= (1 << position_bits) - 1
     pos = keys  # kept pairs in id order
-    # band (eps, eps + delta) holds the ids lo <= id < hi; hi never falls
-    # below lo, so a band with eps + delta == eps is empty
-    lo = 2 * np.searchsorted(cuts, eps_grid) + 2  # (n_eps,)
-    hi = np.maximum(2 * np.searchsorted(cuts, uppers) + 1, lo[:, None])  # (n_eps, n_deltas)
     sizes = offsets[hi] - offsets[lo][:, None]
 
     # per eps its first position, its band ends widest first and
-    # narrowest first, and its limit
+    # narrowest first
     ends = offsets[hi]
     first, widest_first, ascending = offsets[lo].tolist(), ends.tolist(), \
         ends[:, ::-1].tolist()
-    limits = [eps + eta for eps in eps_grid]
     n_d = len(deltas)
     first_pass = np.zeros(hi.shape, dtype=int)
     passing = [n_d] * len(eps_grid)  # widest band passed so far, or none
@@ -437,19 +538,19 @@ def _band_uniform(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
         bands = [np.sort(pos[offsets[lo[t]]:offsets[hi[t, -1]]]) for t in failing]
         heads = np.cumsum([0] + [band.size for band in bands[:-1]])
         joined = np.concatenate(bands)
-        worst = [np.maximum.reduceat(_shifted(flat, joined, nu, n), heads).tolist()
+        worst = [np.maximum.reduceat(gaps.at(joined, nu), heads).tolist()
                  for nu in range(1, nh + 1)]
         for t, band, values in zip(failing, bands, zip(*worst)):
             best_val, best_nu = np.inf, 0
             for nu, value in enumerate(values, start=1):
                 if value < best_val:
                     best_val, best_nu = value, nu
-            shifted = _shifted(flat, band, best_nu, n)
+            shifted = gaps.at(band, best_nu)
             w = int(np.argmax(shifted))
-            orbit, i, j = np.unravel_index(band[w], mats.shape)
+            orbit, i, j = np.unravel_index(band[w], ids.shape)
             wits[t] = witness(eps=eps_grid[t], delta=deltas[-1], orbit=int(orbit), i=int(i),
-                              j=int(j), gap=float(flat[band[w]]), best_uniform_nu=best_nu,
-                              value_at_best_nu=float(shifted[w]))
+                              j=int(j), gap=float(gaps.at(band[w:w + 1], 0)[0]),
+                              best_uniform_nu=best_nu, value_at_best_nu=float(shifted[w]))
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
 
@@ -534,18 +635,18 @@ def _strict_pairs(mats: np.ndarray, budget: SearchBudget, cid: str) -> Certifica
     return CertificateReport(cid, Verdict.FAIL, wits, budget, _STRICT_NOTE)
 
 
-def _pair_condition(mats: np.ndarray, budget: SearchBudget, cid: str) -> CertificateReport:
-    """C4 or D4 (the shared-shift band) or C5 (strict decrease) on one gap
-    matrix per orbit.  An index horizon below 2 holds no pair i < j:
-    nothing is examined, so the report is inconclusive and claims nothing."""
+def _pair_condition(budget: SearchBudget, cid: str, search, *inputs) -> CertificateReport:
+    """C4 or D4 (the shared-shift band, search=_band_uniform) or C5 (strict
+    decrease, search=_strict_pairs): search(*inputs, budget, cid).  An index
+    horizon below 2 holds no pair i < j: nothing is examined, so the report
+    is inconclusive and claims nothing."""
     if budget.index_horizon < 2:
         return CertificateReport(
             cid, Verdict.INCONCLUSIVE, [], budget,
             f"index horizon {budget.index_horizon} is below the 2 indices a pair i < j "
             f"needs; {cid} was not checked",
         )
-    search = _strict_pairs if cid == "C5" else _band_uniform
-    return search(mats, budget, cid)
+    return search(*inputs, budget, cid)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +685,8 @@ def check_asf2(
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C4")
+    gaps = _MatrixGaps(_pair_matrix(trace, budget)[None, ...])
+    return _pair_condition(budget, "C4", _band_uniform, _id_block(gaps, budget), gaps)
 
 
 def check_c5(
@@ -594,7 +696,7 @@ def check_c5(
 ) -> CertificateReport:
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
-    return _pair_condition(_pair_matrix(trace, budget)[None, ...], budget, "C5")
+    return _pair_condition(budget, "C5", _strict_pairs, _pair_matrix(trace, budget)[None, ...])
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +793,15 @@ def _mapping_reports(
     region: Box,
     seed: int,
     purpose: str,
-) -> tuple[list[CertificateReport], np.ndarray, np.ndarray, int]:
+) -> tuple[list[CertificateReport], np.ndarray, np.ndarray, _OrbitGaps, int]:
     """D1-D4 on budget.pair_samples seed pairs drawn from region and walked
     index_horizon + nu_horizon steps in one _extend_orbit block.  A pair
     with an escaped orbit is left out.  Returns the reports, the kept
-    pairs' distance curves, D4's orbit matrices (of at most
-    max(4, pair_samples // 16) kept x orbits) and the escaped pair count."""
+    pairs' distance curves, D4's (k, n, n) id block and float gaps, both
+    of at most max(4, pair_samples // 16) kept x orbits, and the escaped
+    pair count.  D4 holds no float (k, n, n) block: its gaps are measured
+    and classified in blocks of rows (see _id_block), and a defeat measures
+    its gaps again from the orbits (see _OrbitGaps)."""
     k = budget.pair_samples
     n_steps = budget.index_horizon + budget.nu_horizon
     seeds = np.concatenate(sample_pairs(map_t.space, region, k, np.random.default_rng(seed)))
@@ -706,21 +811,16 @@ def _mapping_reports(
     dists = map_t.space.distances(orbits[:k], orbits[k:])[valid]
     if dists.shape[0] == 0:
         raise InputError(f"every sampled pair escaped; nothing to {purpose}")
-    chosen = orbits[np.flatnonzero(valid)[:max(4, k // 16)]]
-    # one orbit matrix at a time, written straight into the block, for peak
-    # memory: a (k, n, n) call would hold every orbit's temporaries at once,
-    # and stacking a list would hold every matrix twice
-    mats = np.empty((chosen.shape[0], n_steps, n_steps))
-    for mat, orbit in zip(mats, chosen):
-        mat[...] = map_t.space.distances(orbit[:, None], orbit[None])
+    gaps = _OrbitGaps(map_t.space, orbits[np.flatnonzero(valid)[:max(4, k // 16)]])
+    ids = _id_block(gaps, budget)
     trigger, windows = dists[:, 0], dists[:, 1:budget.nu_horizon + 1]
     reports = [
         _check_d1(dists, budget),
         _band_per_index(trigger, windows, budget, "D2", "pair"),
         _strict_per_index(trigger, windows, budget, "D3", "pair"),
-        _pair_condition(mats, budget, "D4"),
+        _pair_condition(budget, "D4", _band_uniform, ids, gaps),
     ]
-    return reports, dists, mats, int(k - valid.sum())
+    return reports, dists, ids, gaps, int(k - valid.sum())
 
 
 def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
@@ -767,11 +867,11 @@ def check_acf_mapping(
     """
     budget = budget or SearchBudget()
     region = region or default_region(map_t.space)
-    reports, dists, mats, escaped = _mapping_reports(map_t, budget, region, seed, "certify")
+    reports, dists, ids, _, escaped = _mapping_reports(map_t, budget, region, seed, "certify")
     suffix = (
         f"; {dists.shape[0]} sampled pairs in region {region.lows}..{region.highs}, seed {seed}"
     )
-    d4_suffix = f"; D4 evaluated on the first {mats.shape[0]} sampled orbits"
+    d4_suffix = f"; D4 evaluated on the first {ids.shape[0]} sampled orbits"
     escape_suffix = (
         f"; {escaped} sampled pair(s) escaped the working bound {ESCAPE_NORM:g} "
         "and were excluded, so a clean pass is not claimed"
@@ -799,16 +899,18 @@ def acf_asf_agreement(
     can be compared like for like.
     """
     budget = budget or SearchBudget()
-    reports, dists, mats, _ = _mapping_reports(
+    reports, dists, ids, gaps, _ = _mapping_reports(
         map_t, budget, region or default_region(map_t.space), seed, "compare"
     )
     out = {rep.condition_id: rep.verdict for rep in reports}
     # per condition, its reports on every sampled pair's distance curve
     for same in zip(*(_gap_reports(row, budget) for row in dists)):
         out[same[0].condition_id] = worst_verdict(rep.verdict for rep in same)
+    # per orbit, C4 on its slice of D4's id block
     out["C4"] = worst_verdict(
-        _pair_condition(mats[k:k + 1], budget, "C4").verdict
-        for k in range(mats.shape[0])
+        _pair_condition(budget, "C4", _band_uniform, ids[k:k + 1],
+                        _OrbitGaps(gaps.space, gaps.orbits[k:k + 1])).verdict
+        for k in range(ids.shape[0])
     )
     return out
 

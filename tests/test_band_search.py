@@ -1,20 +1,26 @@
 """The shared-shift band search (C4, D4) against two references.
 
 _band_uniform decides every (eps, delta) band of a call in a single sweep
-over nu.  Both references live in reference.py.  The plain one,
-band_uniform_reference, is the direct search: for each (eps, delta) it
-gathers the in-band pairs at every shift and stops at the first shift that
-pulls them all to eps.  The per-eps one, band_uniform_per_eps, is the
-earlier sweep, one depth-sorted index and one nu-sweep per eps.  All must
-give the same verdict, the same witnesses (tie-breaking included) and the
-same note, on small tie-heavy gap matrices whose eps/delta grids reach
-every outcome (a vacuous band, a pass at some shift, and every candidate
-defeated), on the same matrices with NaN and +inf shifted gaps, on gap
-matrices of real orbits at the default grids, and on hand cases at the
-edges of the segment ids: a band that collapses to nothing, no pairs at
-all, a gap on a cut shared by two eps, an unsorted grid with repeated eps,
-and a defeat tie between pairs in two segments of one band.  Hand cases at
-the edges of the sweep's walk cover a stop pair handed from one eps to the
+over nu.  It sweeps a (k, n, n) block of int16 segment ids, one per gap,
+and reads float gaps again, through a float reader, only to rebuild a
+defeat.  Every sweep test here classifies its drawn float gap matrices into
+ids (_id_block) and hands the sweep those matrices as its float reader
+(_MatrixGaps); the references read the floats.  Both references live in
+reference.py.  The plain one, band_uniform_reference, is the direct
+search: for each (eps, delta) it gathers the in-band pairs at every shift
+and stops at the first shift that pulls them all to eps.  The per-eps one,
+band_uniform_per_eps, is the earlier sweep, one depth-sorted index and one
+nu-sweep per eps.  All must give the same verdict, the same witnesses
+(tie-breaking included) and the same note, on small tie-heavy gap matrices
+whose eps/delta grids reach every outcome (a vacuous band, a pass at some
+shift, and every candidate defeated), at the default slack and at one
+above many a delta, on the same matrices with NaN and +inf shifted gaps,
+on gap matrices of real orbits at the default grids, on a grid with too
+many cuts for int16 ids and int32 keys, and on hand cases at the edges of
+the segment ids: a band that collapses to nothing, no pairs at all, a gap
+on a cut shared by two eps, an unsorted grid with repeated eps, and a
+defeat tie between pairs in two segments of one band.  Hand cases at the
+edges of the sweep's walk cover a stop pair handed from one eps to the
 next, violators on either side of a chunk boundary, non-finite shifted
 gaps, and a failing band that is +inf at every shift.  Hand cases at the
 edges of the increment-first order cover a prefix that is dirty again
@@ -24,14 +30,24 @@ followed by one that starts from the stop handed on, a skipped eps that
 must not hand on the pair it stopped on, and an increment that starts in
 the middle of a chunk; a property test draws shifted gaps that are not
 monotone in nu.  On the seed-0 gallery calls the sweep must gather far
-fewer shifted gaps than one per kept pair and shift (meir-keeler D4 and
-C4), and a passing walk (banach-half D4) no more than before.  The segment
-ids read from the gaps' float bits must equal one search among the edges,
-on budgets and gaps at the edges of the bits, and a cut at the largest
-finite float must raise no warning; the block-wise
-classification must equal the reference on blocks of a few rows and at
-index horizons that are no multiple of a block's rows; and one
-meir-keeler-sized D4 call must hold little memory.
+fewer shifted ids than one per kept pair and shift (meir-keeler D4 and
+C4), and a passing walk (banach-half D4) no more than before.
+
+The segment ids read from the gaps' float bits must equal one search among
+the edges for every gap, 0.0, -0.0, subnormals, negatives and +-inf
+included, with NaN above every other id, on budgets and gaps at the edges
+of the bits.  The cuts hold every limit eps + slack, so that a gap is at
+most a limit exactly when its id is at most the limit's, also where the
+slack is above every delta and where the limit rounds to the largest
+finite float or overflows to +inf; and a cut at the largest finite float
+must raise no warning.  The block-wise classification and sweep must
+equal the reference on blocks of a few rows and at index horizons that are
+no multiple of a block's rows.  D4 measures its gaps from the orbits, in
+blocks of rows and for a defeat on gathered points, with the bits of the
+whole matrices, and check_acf_mapping's D4 report (two failing maps, two
+passing ones) and acf_asf_agreement's C4 and D4 must equal the reference
+on those matrices.  One meir-keeler-sized D4 sweep, and one whole
+meir-keeler check_acf_mapping call, must hold little memory.
 """
 
 import json
@@ -45,13 +61,15 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fplab import certificates
-from fplab.certificates import _FIRST_CHUNK, _TABLE_BITS, _SegmentIds, _band_uniform, \
-    _shifted, check_asf2
+from fplab.certificates import _FIRST_CHUNK, _TABLE_BITS, _MatrixGaps, _OrbitGaps, _SegmentIds, \
+    _band_uniform, _cuts, _id_block, _mapping_reports, _shifted, acf_asf_agreement, \
+    check_acf_mapping, check_asf2
 from fplab.gallery import get_entry
 from fplab.maps import builtin_map
-from fplab.reports import SearchBudget, sanitize
+from fplab.reports import SearchBudget, sanitize, worst_verdict
 from fplab.runner import run_scenario_doc
-from fplab.spaces import Space
+from fplab.scenario import build_scenario
+from fplab.spaces import Box, Space
 from fplab.traces import _extend_orbit, picard_trace
 
 from reference import band_uniform_per_eps, band_uniform_reference, segment_ids_reference
@@ -79,15 +97,23 @@ def band_cases(draw):
     eps_grid = draw(st.lists(st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5)), min_size=1, max_size=3))
     deltas = draw(st.lists(st.sampled_from((1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.01)),
                            min_size=1, max_size=5, unique=True))
+    # mostly the default slack; 0.3 is above many a delta grid
+    slack = draw(st.sampled_from((1e-9, 1e-9, 1e-9, 0.3)))
     budget = SearchBudget(eps_grid=tuple(eps_grid), delta_candidates=tuple(sorted(deltas)[::-1]),
-                          index_horizon=ih, nu_horizon=nh)
+                          index_horizon=ih, nu_horizon=nh, slack=slack)
     return mats, budget
+
+
+def _sweep(mats, budget):
+    """_band_uniform on the ids classified from the float gap matrices
+    mats, which are its float reader too."""
+    gaps = _MatrixGaps(mats)
+    return _band_uniform(_id_block(gaps, budget), gaps, budget, "D4")
 
 
 def _both(case):
     mats, budget = case
-    return (_band_uniform(mats, budget, "D4"),
-            band_uniform_reference(mats, budget, "D4", "orbit"))
+    return _sweep(mats, budget), band_uniform_reference(mats, budget, "D4", "orbit")
 
 
 def _assert_same(fast, ref):
@@ -165,7 +191,7 @@ def test_hand_cases(case, expected):
 
 
 def _all_three(mats, budget):
-    fast = _band_uniform(mats, budget, "D4")
+    fast = _sweep(mats, budget)
     for reference in (band_uniform_reference, band_uniform_per_eps):
         _assert_same(fast, reference(mats, budget, "D4", "orbit"))
     return fast
@@ -447,17 +473,20 @@ def test_segment_edge_cases(case):
     assert _all_three(mats, budget).witnesses == expected
 
 
-# Segment ids from a gap's bits: a table bucket that holds no edge gives
-# the id, and a gap in one that does is searched among the edges' bits.
+# Segment ids from a gap's bits: a table slot of a bucket that holds no
+# edge gives the id, and a gap in one that does is searched among the
+# edges; a NaN's id is set above every other.
 
 TINY = 5e-324
+LARGEST = 1.7976931348623157e308
 # levels at the edges of the bits: the smallest subnormal and a subnormal
 # mid-range, the smallest normal, powers of two (the first bits of a bucket
 # whenever the bucket width is at most 2 ** 52) and the floats just below
 # them (the last bits of one), and the largest finite float
 EDGE_LEVELS = (TINY, 2.5e-310, 2.2250738585072014e-308, 0.25, 0.5, 1.0, 2.0, 1024.0,
                float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.0, 0.0)),
-               float(np.nextafter(1024.0, 0.0)), 1e-300, 1e300, 1.7976931348623157e308)
+               float(np.nextafter(1024.0, 0.0)), 1e-300, 1e300, LARGEST)
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, TINY, -TINY)
 
 
 @st.composite
@@ -469,37 +498,39 @@ def levels(draw, anchor):
     if kind == "edge":
         return draw(st.sampled_from(EDGE_LEVELS))
     if kind == "any":
-        return draw(st.floats(min_value=TINY, max_value=1.7976931348623157e308))
+        return draw(st.floats(min_value=TINY, max_value=LARGEST))
     x = anchor
     for _ in range(draw(st.integers(0, 3))):
         x = max(float(np.nextafter(x, 0.0)), TINY)
     return x
 
 
-@st.composite
-def id_cases(draw):
-    """Cuts of a budget SearchBudget accepts, as _band_uniform makes them,
-    and gaps on and beside every cut, at the first and last bits of every
-    table bucket, and everywhere else: 0.0, -0.0, subnormals, negative
-    gaps, +-inf and NaN.  A level plus a delta may overflow to a cut at
-    +inf."""
-    anchor = draw(st.floats(min_value=TINY, max_value=1.7976931348623157e308))
-    eps_grid = draw(st.lists(levels(anchor), min_size=1, max_size=6))
-    deltas = sorted(set(draw(st.lists(levels(anchor), min_size=1, max_size=6))), reverse=True)
-    budget = SearchBudget(eps_grid=tuple(eps_grid), delta_candidates=tuple(deltas))
-    drawn = draw(st.lists(st.one_of(levels(anchor), st.sampled_from((0.0, -0.0, np.inf, -np.inf,
-                                                                       np.nan, -TINY))),
-                          max_size=20))
-    cuts = np.unique(np.concatenate([budget.eps_grid, np.ravel(
-        [[eps + d for d in budget.delta_candidates] for eps in budget.eps_grid])]))
+def _gaps_around(budget, drawn=()):
+    """Gaps on and beside every cut of budget, at the first and last bits
+    of every bucket of its id table, the drawn ones and their negations,
+    and 0.0, -0.0, +-inf and NaN of either sign."""
+    cuts = _cuts(budget)
     ids = _SegmentIds(cuts)
-    buckets = (np.arange(ids.table.size, dtype=np.uint64) + np.uint64(ids.base)) << ids.shift
-    bucket_ends = np.concatenate([buckets, buckets + np.uint64((1 << ids.shift) - 1)])
+    buckets = (np.arange(1, ids.table.size - 1) + ids.base) << ids.shift  # int64 bits
+    bucket_ends = np.concatenate([buckets, buckets + ((1 << ids.shift) - 1)])
+    drawn = np.array(drawn, dtype=float)
     with np.errstate(over="ignore"):  # the next float above the largest finite one
         above = np.nextafter(cuts, np.inf)
-    gaps = np.concatenate([cuts, above, np.nextafter(cuts, -np.inf),
-                           bucket_ends.view(float), drawn, np.negative(drawn)])
-    return cuts, gaps
+    return np.concatenate([cuts, above, np.nextafter(cuts, -np.inf), bucket_ends.view(float),
+                           drawn, np.negative(drawn), SPECIALS])
+
+
+@st.composite
+def id_cases(draw):
+    """A budget SearchBudget accepts, its slack drawn too, and gaps around
+    its cuts (see _gaps_around), where a level plus a delta or the slack may
+    overflow to a cut at +inf."""
+    anchor = draw(st.floats(min_value=TINY, max_value=LARGEST))
+    eps_grid = draw(st.lists(levels(anchor), min_size=1, max_size=6))
+    deltas = sorted(set(draw(st.lists(levels(anchor), min_size=1, max_size=6))), reverse=True)
+    budget = SearchBudget(eps_grid=tuple(eps_grid), delta_candidates=tuple(deltas),
+                          slack=draw(levels(anchor)))
+    return budget, _gaps_around(budget, draw(st.lists(levels(anchor), max_size=20)))
 
 
 @given(id_cases())
@@ -507,36 +538,80 @@ def test_segment_ids_equal_one_search_among_the_edges(case):
     _assert_ids_equal_the_search(*case)
 
 
-def _assert_ids_equal_the_search(cuts, gaps):
-    ids = _SegmentIds(cuts)
-    assert ids.table.size <= 2 ** _TABLE_BITS + 1
-    bits = gaps.view(np.uint64)
-    inside = ids.inside(bits)
-    np.testing.assert_array_equal(inside, (gaps > cuts[0]) & (gaps < cuts[-1]))
+def _assert_ids_equal_the_search(budget, gaps):
+    cuts = _cuts(budget)
+    limits = [eps + budget.slack for eps in budget.eps_grid]
+    assert set(limits) <= set(cuts.tolist())
+    segment_ids = _SegmentIds(cuts)
+    assert segment_ids.table.size <= 2 ** _TABLE_BITS + 3
+    ids = segment_ids(gaps)
+    assert ids.dtype == np.int16
+    nan = np.isnan(gaps)
     with np.errstate(over="ignore"):  # the reference's next float above each cut
-        expected = segment_ids_reference(cuts, gaps[inside])
-    assert ids(bits[inside]).tolist() == expected.tolist()
+        expected = segment_ids_reference(cuts, gaps[~nan])
+    assert ids[~nan].tolist() == expected.tolist()
+    # every other id is at most the number of edges, 2 * cuts.size
+    assert (ids[nan] == 2 * cuts.size + 1).all()
+    # so a gap is at most a limit exactly when its id is at most the limit's
+    for limit in limits:
+        np.testing.assert_array_equal(ids <= segment_ids(np.array([limit]))[0], gaps <= limit)
 
 
 def test_id_cases_reach_every_kind_of_bucket():
     # the cases above must reach a bucket that holds two or more edges, an
-    # edge on the first and on the last bits of a bucket, and cuts over 600
-    # binades, or the property test would leave those ids unchecked
+    # edge on the first and on the last bits of a bucket, cuts over 600
+    # binades, a slack above every delta and a limit that overflows to
+    # +inf, or the property test would leave those ids unchecked
     def holds(case, kind):
-        cuts, _ = case
+        budget, _ = case
+        cuts = _cuts(budget)
         ids = _SegmentIds(cuts)
-        edges = ids.edge_bits
-        first = edges & np.uint64((1 << ids.shift) - 1)
+        edges = ids.edges.view(np.int64)
+        first = edges & ((1 << ids.shift) - 1)
         if kind == "two-edges":  # two distinct edges in one bucket
             return np.unique(edges).size > np.unique(edges >> ids.shift).size
         if kind == "first-bits":
             return ids.shift > 0 and bool((first == 0).any())
         if kind == "last-bits":
             return ids.shift > 0 and bool((first == (1 << ids.shift) - 1).any())
+        if kind == "slack-above-deltas":
+            return budget.slack > budget.delta_candidates[0]
+        if kind == "limit-at-inf":
+            return max(budget.eps_grid) + budget.slack == np.inf
         return np.log2(cuts[-1]) - np.log2(cuts[0]) > 600
-    for kind in ("two-edges", "first-bits", "last-bits", "binades"):
-        _assert_ids_equal_the_search(*find(id_cases(), lambda c, kind=kind: holds(c, kind),
-                                           settings=FIRST_EXAMPLE))
+    for kind in ("two-edges", "first-bits", "last-bits", "binades", "slack-above-deltas",
+                 "limit-at-inf"):
+        with np.errstate(divide="ignore"):  # log2 of a cut at +inf
+            case = find(id_cases(), lambda c, kind=kind: holds(c, kind), settings=FIRST_EXAMPLE)
+        _assert_ids_equal_the_search(*case)
+
+
+@pytest.mark.parametrize("budget", [
+    SearchBudget(eps_grid=(0.5, 0.1), delta_candidates=(1e-3, 1e-4), slack=0.25),
+    SearchBudget(eps_grid=(1e308, 0.5), delta_candidates=(1.0,), slack=7.976931348623157e307),
+    SearchBudget(eps_grid=(1e308, 0.5), delta_candidates=(1.0,), slack=1e308),
+], ids=["slack-above-every-delta", "limit-at-the-largest-float", "limit-at-inf"])
+def test_the_cuts_hold_every_limit(budget):
+    # a limit eps + slack is a cut of its own, also where it lies above
+    # every eps + delta, rounds to the largest finite float or overflows
+    _assert_ids_equal_the_search(budget, _gaps_around(budget))
+
+
+@pytest.mark.parametrize("name", ["mk", "translation"])
+def test_a_grid_with_many_cuts_takes_wider_ids_and_keys(name):
+    # 60 eps and 300 deltas make over 16 383 cuts, too many for int16 ids;
+    # with 3 orbits of 110 points a flat position takes 16 bits, so an id
+    # above a position no longer fits an int32 key either; mk's bands pass
+    # and translation's are defeated
+    budget = SearchBudget(eps_grid=tuple(np.linspace(0.05, 3.0, 60).tolist()),
+                          delta_candidates=tuple(np.linspace(2.0, 1.004, 300).tolist()),
+                          index_horizon=8, nu_horizon=8)
+    cuts = _cuts(budget)
+    assert 2 * cuts.size + 1 > np.iinfo(np.int16).max
+    assert (3 * 110 * 110 - 1).bit_length() + (2 * cuts.size).bit_length() > 31
+    mats = _orbit_gaps(name, 3, 110)
+    assert _id_block(_MatrixGaps(mats), budget).dtype == np.int32
+    _assert_same(*_both((mats, budget)))
 
 
 def test_a_cut_at_the_largest_float_warns_nothing():
@@ -569,37 +644,131 @@ def test_default_blocks_equal_the_reference(k, ih):
     # them, and one block holds index horizon 2's only row
     budget = SearchBudget(index_horizon=ih, nu_horizon=8)
     mats = _orbit_gaps("mk", k, ih + 8)
-    _assert_same(_band_uniform(mats, budget, "D4"),
-                 band_uniform_reference(mats, budget, "D4", "orbit"))
+    _assert_same(_sweep(mats, budget), band_uniform_reference(mats, budget, "D4", "orbit"))
+
+
+@given(st.sampled_from((1, 2, 9)), st.sampled_from(("euclidean", 1.5)),
+       st.integers(0, 2 ** 32 - 1))
+def test_orbit_gaps_keep_the_bits_of_the_gap_matrices(dim, norm, seed):
+    # D4 measures its gaps in blocks of rows and, for a defeat, on gathered
+    # orbit points, never as whole matrices: both must keep the bits of
+    # space.distances(orbit[:, None], orbit[None]), also from 8 coordinates
+    # on, where the kernel sums with np.sum
+    rng = np.random.default_rng(seed)
+    space = Space(id="r", dimension=dim, norm=norm)
+    orbits = rng.normal(size=(2, 11, dim)) * 10.0 ** rng.integers(-3, 4)
+    mats = np.stack([space.distances(orbit[:, None], orbit[None]) for orbit in orbits])
+    gaps = _OrbitGaps(space, orbits)
+    budget = SearchBudget(index_horizon=6, nu_horizon=5)
+    upper = np.triu(np.ones((11, 11), dtype=bool), 1)
+    with mock.patch.object(certificates, "_BLOCK_PAIRS", 12):  # blocks of a few rows
+        np.testing.assert_array_equal(_id_block(gaps, budget)[:, upper],
+                                      _id_block(_MatrixGaps(mats), budget)[:, upper])
+    positions = certificates._pair_positions(mats, budget)  # the pairs i < j < 6
+    for nu in range(6):
+        assert gaps.at(positions, nu).tobytes() == _MatrixGaps(mats).at(positions, nu).tobytes()
+
+
+# D4 end to end: check_acf_mapping measures its id block and a defeat's
+# float gaps from the sampled orbits; the reference reads float matrices
+# of the same orbits, built as D4 once built them.  neg in the plane fails
+# at eps 0.5 and flip on the line at eps 0.1; meir-keeler's and
+# banach-half's maps pass.
+
+PIN_BUDGET = SearchBudget(eps_grid=(0.5, 0.1), delta_candidates=(1.0, 0.25), index_horizon=32,
+                          nu_horizon=8, pair_samples=64)
+PLANE = Space(id="plane", dimension=2)
+# name -> map, space, region and the eps at which D4 fails
+MAPPING_CASES = {
+    "neg-plane": ("neg", PLANE, Box((-0.5, -0.5), (0.5, 0.5)), [0.5]),
+    "flip-line": ("flip", LINE, Box((0.0,), (1.0,)), [0.1]),
+    "meir-keeler": ("mk", LINE, Box((0.0,), (10.0,)), []),
+    "banach-half": ("half", LINE, Box((-10.0,), (10.0,)), []),
+}
+
+
+def _float_mats(name):
+    """The map of a mapping case, its region, and the float gap matrices
+    of the orbits D4 samples, one space.distances(orbit[:, None],
+    orbit[None]) per orbit."""
+    map_name, space, region, _ = MAPPING_CASES[name]
+    map_t = builtin_map(map_name, space)
+    orbits = _mapping_reports(map_t, PIN_BUDGET, region, 0, "certify")[3].orbits
+    return map_t, region, np.stack([space.distances(orbit[:, None], orbit[None])
+                                    for orbit in orbits])
+
+
+@pytest.mark.parametrize("name", MAPPING_CASES)
+def test_d4_matches_the_reference_end_to_end(name):
+    map_t, region, mats = _float_mats(name)
+    [d4] = [rep for rep in check_acf_mapping(map_t, budget=PIN_BUDGET, region=region, seed=0)
+            if rep.condition_id == "D4"]
+    ref = band_uniform_reference(mats, PIN_BUDGET, "D4", "orbit")
+    assert d4.verdict is ref.verdict
+    assert [w["eps"] for w in d4.witnesses if "best_uniform_nu" in w] == MAPPING_CASES[name][3]
+    assert d4.witnesses == ref.witnesses
+    assert d4.resolution_note.startswith(ref.resolution_note + "; ")
+    assert d4.resolution_note.endswith(f"; D4 evaluated on the first {mats.shape[0]} "
+                                       "sampled orbits")
+
+
+@pytest.mark.parametrize("name", MAPPING_CASES)
+def test_agreement_reads_c4_and_d4_like_the_reference(name):
+    # C4 per orbit on its slice of D4's id block, D4 on them all
+    map_t, region, mats = _float_mats(name)
+    out = acf_asf_agreement(map_t, budget=PIN_BUDGET, region=region, seed=0)
+    assert out["D4"] is band_uniform_reference(mats, PIN_BUDGET, "D4", "orbit").verdict
+    assert out["C4"] is worst_verdict(band_uniform_reference(mats[k:k + 1], PIN_BUDGET, "C4",
+                                                             "orbit").verdict
+                                      for k in range(mats.shape[0]))
 
 
 def test_one_call_holds_little_memory():
-    # meir-keeler's D4 call: 12 orbits of 320 points, ~389k pairs inside
-    # the bands; the pair keys are the one array as long as them (3.1 MB),
-    # where sorting every pair array at once held 12.3 MB
-    mats = _orbit_gaps("mk", 12, 320)
+    # meir-keeler's D4 sweep: 12 orbits of 320 points, ~389k pairs inside
+    # the bands, read from an int16 id block (2.5 MB) built before tracing;
+    # the pair keys, int32 here, are the one array as long as them (1.6 MB),
+    # where int64 keys took 3.1 MB and sorting every pair array at once
+    # held 12.3 MB
+    budget = SearchBudget()
+    gaps = _MatrixGaps(_orbit_gaps("mk", 12, 320))
+    ids = _id_block(gaps, budget)
     tracemalloc.start()
     try:
-        _band_uniform(mats, SearchBudget(), "D4")
+        _band_uniform(ids, gaps, budget, "D4")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000
+    assert peak < 3_500_000
+
+
+def test_one_mapping_call_holds_little_memory():
+    # meir-keeler's whole check_acf_mapping call at seed 0: the orbit block
+    # of 400 seeds walked 320 steps (1 MB), and D4's int16 id block of 12
+    # orbits of 320 points (2.5 MB) with its pair keys (1.6 MB), ~6.6 MB in
+    # all; a float64 (12, 320, 320) gap block (9.8 MB) held it at 15.7 MB
+    scn = build_scenario(get_entry("meir-keeler").doc)
+    tracemalloc.start()
+    try:
+        check_acf_mapping(scn.map_t, budget=scn.budget, region=scn.region, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_000_000
 
 
 def _gathered(tmp_path, monkeypatch, entry, cid):
-    """The shifted gaps _band_uniform gathers on the seed-0 call cid of
-    the gallery entry, counted through _shifted, which every gather of the
-    sweep and of the defeat rebuild goes through."""
+    """The shifted ids _band_uniform gathers on the seed-0 call cid of the
+    gallery entry, counted through _shifted, which every gather of the
+    sweep goes through."""
     calls = []
 
-    def capture(mats, budget, cid):
-        calls.append((mats, budget, cid))
-        return _band_uniform(mats, budget, cid)
+    def capture(ids, gaps, budget, cid):
+        calls.append((ids, gaps, budget, cid))
+        return _band_uniform(ids, gaps, budget, cid)
 
     monkeypatch.setattr(certificates, "_band_uniform", capture)
     run_scenario_doc(get_entry(entry).doc, str(tmp_path / "out"), seed=0)
-    [(mats, budget)] = [(mats, budget) for mats, budget, c in calls if c == cid]
+    [(ids, gaps, budget)] = [(ids, gaps, budget) for ids, gaps, budget, c in calls if c == cid]
     gathered = 0
 
     def counting(flat, positions, nu, n):
@@ -608,7 +777,7 @@ def _gathered(tmp_path, monkeypatch, entry, cid):
         return _shifted(flat, positions, nu, n)
 
     monkeypatch.setattr(certificates, "_shifted", counting)
-    _band_uniform(mats, budget, cid)
+    _band_uniform(ids, gaps, budget, cid)
     return gathered
 
 

@@ -393,12 +393,16 @@ def test_each_kind_of_checker_input_has_one_builder():
     """certificates builds every gap matrix in _pair_matrix, reads every
     gap run against the forward shift from trace.gaps, so it measures a
     diagonal itself only for PCD's d-tail, under the metric; it gathers
-    every shift in _shifted and draws every seed pair through
+    every shift in _shifted, builds every id block in _id_block, reads C4's
+    and D4's float gaps again only in the defeat rebuild of _band_uniform,
+    through their one reader, at, and draws every seed pair through
     spaces.sample_pairs; only check_cyclic draws from its sets itself."""
     calls = dict(_scan(_Calls))["certificates"].calls
     assert calls.get("premetric_matrix") == ["_pair_matrix"]
     assert calls.get("premetric_diagonal") == ["check_p_controls_d"]
-    assert calls.get("take") == ["_shifted"]
+    assert calls.get("take") == ["_SegmentIds.__call__", "_shifted"]
+    assert set(calls.get("_id_block")) == {"check_asf2", "_mapping_reports"}
+    assert set(calls.get("at")) == {"_band_uniform"}
     assert "np.take" not in calls
     assert calls.get("sample_pairs") == ["_mapping_reports", "check_banach_rate"]
     assert calls.get("sample_coords") == ["check_cyclic"]
