@@ -6,7 +6,8 @@ on the trace paired with its forward shift (x_n, x_{n+1}); family conditions
 (D1..D4) sample point pairs and iterate the map on all of them in one
 traces._extend_orbit block, the engine and escape rule the traces and
 solvers walk too.  A checker measures a trace with the premetric the trace
-carries, and a map with the metric of the map's space.
+carries, and a map with the metric of the map's space; C4 and D4 measure
+both through one reader of orbits, _OrbitGaps, and build no pair matrix.
 Each checker returns three-valued CertificateReports with explicit witnesses
 and a resolution note spelling out what the verdict means at the budget used.
 
@@ -22,6 +23,8 @@ records that the refutation is bounded by the nu horizon and the delta grid.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C
 from .maps import NamedMap
 from .reports import ASMK_VARIANTS, MAX_WITNESSES, PSI_VARIANTS, CertificateReport, \
     SearchBudget, Verdict, _is_count, last_quarter, witness, worst_verdict
-from .spaces import Box, CyclicSetting, Premetric, Space, default_region, metric_premetric, \
+from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
 
@@ -69,15 +72,21 @@ def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarr
     return win[:ih, 0], win[:ih, 1:]
 
 
-def _pair_matrix(trace: IterationTrace, budget: SearchBudget, shift: int = 0) -> np.ndarray:
-    """The cross gaps p(x_i, x_{j+shift}) of the first index_horizon +
-    nu_horizon indices of the trace: C4 and C5 read shift 0, C9 the
-    forward shift 1."""
+def _horizon(trace: IterationTrace, budget: SearchBudget, shift: int = 0) -> int:
+    """The index_horizon + nu_horizon points that C4, C5 and C9 read of the
+    trace from index shift on, once the trace is checked to hold them."""
     need = budget.index_horizon + budget.nu_horizon
     short = len(trace) - shift
     if short < need:
-        raise InputError(f"need a trace of at least {need} points for this budget, "
-                         f"got {short}")
+        raise InputError(f"need a trace of at least {need} points for this budget, got {short}")
+    return need
+
+
+def _pair_matrix(trace: IterationTrace, budget: SearchBudget, shift: int = 0) -> np.ndarray:
+    """The cross gaps p(x_i, x_{j+shift}) of the first index_horizon +
+    nu_horizon indices of the trace: C5 reads shift 0, C9 the forward
+    shift 1."""
+    need = _horizon(trace, budget, shift)
     return premetric_matrix(trace.premetric, trace.coords[:need],
                             trace.coords[shift:shift + need])
 
@@ -264,42 +273,19 @@ class _SegmentIds:
         return ids.reshape(gaps.shape)
 
 
-class _MatrixGaps:
-    """C4's float gaps: the (k, n, n) gap matrices themselves.  rows(orbit,
-    a, b) gives orbit's rows a to b - 1 from column a + 1 on, for the id
-    block (see _id_block), and at(positions, nu) the gaps nu steps down
-    the diagonal from flat positions (see _pair_positions), for the defeat
-    rebuild of _band_uniform."""
-
-    __slots__ = ("mats",)
-
-    def __init__(self, mats: np.ndarray):
-        self.mats = mats
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.mats.shape
-
-    def rows(self, orbit: int, a: int, b: int) -> np.ndarray:
-        return self.mats[orbit, a:b, a + 1:]
-
-    def at(self, positions: np.ndarray, nu: int) -> np.ndarray:
-        return _shifted(self.mats.reshape(-1), positions, nu, self.mats.shape[1])
-
-
 class _OrbitGaps:
-    """D4's float gaps, measured from k orbits of n points, a (k, n, d)
-    block, with space.distances, as _MatrixGaps reads them from matrices.
-    No (k, n, n) float block is built: rows measures one block of rows for
-    the id block, and at measures the gathered orbit points of the
-    positions it reads.  Space.distances is elementwise over its leading
-    axes, so both give the bits of space.distances(orbit[:, None],
-    orbit[None])."""
+    """The float gaps of k orbits of n points, a (k, n, d) block, under
+    measure, elementwise over the leading axes: C4's trace's premetric
+    (premetric_values), D4's Space.distances.  rows(orbit, a, b) measures
+    rows a to b - 1 from column a + 1 on (see _id_block); pairs splits flat
+    positions (see _pair_positions) once into the rows of their two points
+    in the raveled orbits, and at(pairs, nu) measures the points nu steps
+    on.  Both give the bits of measure(orbit[:, None], orbit[None])."""
 
-    __slots__ = ("space", "orbits")
+    __slots__ = ("measure", "orbits")
 
-    def __init__(self, space: Space, orbits: np.ndarray):
-        self.space, self.orbits = space, orbits
+    def __init__(self, measure: Callable[..., np.ndarray], orbits: np.ndarray):
+        self.measure, self.orbits = measure, orbits
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -308,14 +294,19 @@ class _OrbitGaps:
 
     def rows(self, orbit: int, a: int, b: int) -> np.ndarray:
         points = self.orbits[orbit]
-        return self.space.distances(points[a:b, None], points[None, a + 1:])
+        return self.measure(points[a:b, None], points[None, a + 1:])
 
-    def at(self, positions: np.ndarray, nu: int) -> np.ndarray:
-        orbit, i, j = np.unravel_index(positions, self.shape)
-        return self.space.distances(self.orbits[orbit, i + nu], self.orbits[orbit, j + nu])
+    def pairs(self, positions: np.ndarray) -> np.ndarray:
+        n = self.orbits.shape[1]
+        first, j = np.divmod(positions, n)  # first = orbit * n + i
+        return np.stack([first, first - first % n + j])
+
+    def at(self, pairs: np.ndarray, nu: int) -> np.ndarray:
+        points = self.orbits.reshape(-1, self.orbits.shape[2])[nu:]  # row r + nu at r
+        return self.measure(*points.take(pairs, axis=0))
 
 
-def _id_block(gaps: _MatrixGaps | _OrbitGaps, budget: SearchBudget) -> np.ndarray:
+def _id_block(gaps: _OrbitGaps, budget: SearchBudget) -> np.ndarray:
     """The (k, n, n) segment ids (see _SegmentIds) of gaps among the cuts
     of budget.  Only the strictly upper entries are written, the only ones
     the band sweep reads (the pairs of _triangle and their shifts): each
@@ -323,7 +314,8 @@ def _id_block(gaps: _MatrixGaps | _OrbitGaps, budget: SearchBudget) -> np.ndarra
     column after the block's first row on, as _BLOCK_PAIRS gaps hold (one
     row at least), so that every temporary stays below 128 KiB, but for
     the (rows, columns, d) difference block Space.distances builds on a
-    space of 8 or more coordinates."""
+    space of 8 or more coordinates.  A premetric's checks see the whole
+    rectangle, p(x_i, x_i) of every row after a block's first included."""
     segment_ids = _SegmentIds(_cuts(budget))
     k, n = gaps.shape[:2]
     ids = np.empty((k, n, n), dtype=segment_ids.dtype)
@@ -375,7 +367,7 @@ class _Chunks:
         return q
 
 
-def _band_uniform(ids: np.ndarray, gaps: _MatrixGaps | _OrbitGaps, budget: SearchBudget,
+def _band_uniform(ids: np.ndarray, gaps: _OrbitGaps, budget: SearchBudget,
                   cid: str) -> CertificateReport:
     """Band condition with one shift index shared by every in-band pair
     (C4 and D4).  ids is the (k, n, n) id block of the gaps, one matrix per
@@ -426,10 +418,12 @@ def _band_uniform(ids: np.ndarray, gaps: _MatrixGaps | _OrbitGaps, budget: Searc
     Deltas are then decided in decreasing order: the first band that is
     vacuous or passes at some nu is the witness, with its first passing nu.
     When every band is defeated, the report carries only the last delta's
-    defeat, so that witness alone is rebuilt, from float gaps read through
-    gaps.at alone.  The narrowest bands of the failing eps are read again
-    at every nu, with one read per nu for all of them, for their worst
-    values; at the first nu giving a band's strict minimum (0 if no value
+    defeat, so that witness alone is rebuilt.  The narrowest bands of the
+    failing eps are read again at every nu, one id read per nu for all of
+    them, for their worst ids; their float gaps are measured, through gaps
+    (gaps.pairs splits the positions once), only at the shifts of a band's
+    least worst id, and at the first of them alone if that id is a cut's or
+    NaN's.  At the first nu giving a band's strict minimum (0 if no value
     is below inf), the defeat is the first worst pair in np.nonzero order.
     This breaks ties exactly as a separate search per (eps, delta) would.
     """
@@ -538,18 +532,22 @@ def _band_uniform(ids: np.ndarray, gaps: _MatrixGaps | _OrbitGaps, budget: Searc
         bands = [np.sort(pos[offsets[lo[t]]:offsets[hi[t, -1]]]) for t in failing]
         heads = np.cumsum([0] + [band.size for band in bands[:-1]])
         joined = np.concatenate(bands)
-        worst = [np.maximum.reduceat(gaps.at(joined, nu), heads).tolist()
-                 for nu in range(1, nh + 1)]
-        for t, band, values in zip(failing, bands, zip(*worst)):
+        worst = np.array([np.maximum.reduceat(_shifted(flat, joined, nu, n), heads)
+                          for nu in range(1, nh + 1)]).T  # each band's worst id per nu
+        pairs = gaps.pairs(joined)
+        for t, band, head, ids_at in zip(failing, bands, heads.tolist(), worst):
+            band_pairs = pairs[:, head:head + band.size]
+            shifts = np.flatnonzero(ids_at == ids_at.min()) + 1  # ids order like gaps
             best_val, best_nu = np.inf, 0
-            for nu, value in enumerate(values, start=1):
+            for nu in shifts[:1 if ids_at.min() % 2 else None].tolist():
+                value = gaps.at(band_pairs, nu).max()
                 if value < best_val:
                     best_val, best_nu = value, nu
-            shifted = gaps.at(band, best_nu)
+            shifted = gaps.at(band_pairs, best_nu)
             w = int(np.argmax(shifted))
             orbit, i, j = np.unravel_index(band[w], ids.shape)
             wits[t] = witness(eps=eps_grid[t], delta=deltas[-1], orbit=int(orbit), i=int(i),
-                              j=int(j), gap=float(gaps.at(band[w:w + 1], 0)[0]),
+                              j=int(j), gap=float(gaps.at(band_pairs[:, w:w + 1], 0)[0]),
                               best_uniform_nu=best_nu, value_at_best_nu=float(shifted[w]))
     return CertificateReport(cid, worst_verdict(verdicts), wits, budget, _BAND_NOTE)
 
@@ -685,7 +683,8 @@ def check_asf2(
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
-    gaps = _MatrixGaps(_pair_matrix(trace, budget)[None, ...])
+    gaps = _OrbitGaps(partial(premetric_values, trace.premetric),
+                      trace.coords[None, :_horizon(trace, budget)])
     return _pair_condition(budget, "C4", _band_uniform, _id_block(gaps, budget), gaps)
 
 
@@ -793,13 +792,13 @@ def _mapping_reports(
     region: Box,
     seed: int,
     purpose: str,
-) -> tuple[list[CertificateReport], np.ndarray, np.ndarray, _OrbitGaps, int]:
+) -> tuple[list[CertificateReport], np.ndarray, _OrbitGaps, int]:
     """D1-D4 on budget.pair_samples seed pairs drawn from region and walked
     index_horizon + nu_horizon steps in one _extend_orbit block.  A pair
     with an escaped orbit is left out.  Returns the reports, the kept
-    pairs' distance curves, D4's (k, n, n) id block and float gaps, both
-    of at most max(4, pair_samples // 16) kept x orbits, and the escaped
-    pair count.  D4 holds no float (k, n, n) block: its gaps are measured
+    pairs' distance curves, D4's float gaps, of at most max(4,
+    pair_samples // 16) kept orbits, and the escaped pair count.  D4 holds
+    no float (k, n, n) block: its gaps are measured with Space.distances
     and classified in blocks of rows (see _id_block), and a defeat measures
     its gaps again from the orbits (see _OrbitGaps)."""
     k = budget.pair_samples
@@ -811,16 +810,15 @@ def _mapping_reports(
     dists = map_t.space.distances(orbits[:k], orbits[k:])[valid]
     if dists.shape[0] == 0:
         raise InputError(f"every sampled pair escaped; nothing to {purpose}")
-    gaps = _OrbitGaps(map_t.space, orbits[np.flatnonzero(valid)[:max(4, k // 16)]])
-    ids = _id_block(gaps, budget)
+    gaps = _OrbitGaps(map_t.space.distances, orbits[np.flatnonzero(valid)[:max(4, k // 16)]])
     trigger, windows = dists[:, 0], dists[:, 1:budget.nu_horizon + 1]
     reports = [
         _check_d1(dists, budget),
         _band_per_index(trigger, windows, budget, "D2", "pair"),
         _strict_per_index(trigger, windows, budget, "D3", "pair"),
-        _pair_condition(budget, "D4", _band_uniform, ids, gaps),
+        _pair_condition(budget, "D4", _band_uniform, _id_block(gaps, budget), gaps),
     ]
-    return reports, dists, ids, gaps, int(k - valid.sum())
+    return reports, dists, gaps, int(k - valid.sum())
 
 
 def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
@@ -867,11 +865,11 @@ def check_acf_mapping(
     """
     budget = budget or SearchBudget()
     region = region or default_region(map_t.space)
-    reports, dists, ids, _, escaped = _mapping_reports(map_t, budget, region, seed, "certify")
+    reports, dists, gaps, escaped = _mapping_reports(map_t, budget, region, seed, "certify")
     suffix = (
         f"; {dists.shape[0]} sampled pairs in region {region.lows}..{region.highs}, seed {seed}"
     )
-    d4_suffix = f"; D4 evaluated on the first {ids.shape[0]} sampled orbits"
+    d4_suffix = f"; D4 evaluated on the first {gaps.shape[0]} sampled orbits"
     escape_suffix = (
         f"; {escaped} sampled pair(s) escaped the working bound {ESCAPE_NORM:g} "
         "and were excluded, so a clean pass is not claimed"
@@ -899,18 +897,18 @@ def acf_asf_agreement(
     can be compared like for like.
     """
     budget = budget or SearchBudget()
-    reports, dists, ids, gaps, _ = _mapping_reports(
+    reports, dists, gaps, _ = _mapping_reports(
         map_t, budget, region or default_region(map_t.space), seed, "compare"
     )
     out = {rep.condition_id: rep.verdict for rep in reports}
     # per condition, its reports on every sampled pair's distance curve
     for same in zip(*(_gap_reports(row, budget) for row in dists)):
         out[same[0].condition_id] = worst_verdict(rep.verdict for rep in same)
-    # per orbit, C4 on its slice of D4's id block
+    # per orbit, C4 on a trace of it under the metric D4 measures with
+    metric = metric_premetric(map_t.space)
     out["C4"] = worst_verdict(
-        _pair_condition(budget, "C4", _band_uniform, ids[k:k + 1],
-                        _OrbitGaps(gaps.space, gaps.orbits[k:k + 1])).verdict
-        for k in range(ids.shape[0])
+        check_asf2(IterationTrace(orbit, metric, "completed"), budget=budget).verdict
+        for orbit in gaps.orbits
     )
     return out
 

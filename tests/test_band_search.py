@@ -3,9 +3,11 @@
 _band_uniform decides every (eps, delta) band of a call in a single sweep
 over nu.  It sweeps a (k, n, n) block of int16 segment ids, one per gap,
 and reads float gaps again, through a float reader, only to rebuild a
-defeat.  Every sweep test here classifies its drawn float gap matrices into
-ids (_id_block) and hands the sweep those matrices as its float reader
-(_MatrixGaps); the references read the floats.  Both references live in
+defeat.  C4 and D4 measure their gaps from orbits (_OrbitGaps); every sweep
+test here draws float gap matrices instead, asymmetric ones and ones with
+NaN and +-inf among them, classifies them into ids (_id_block) and hands
+the sweep a small reader over those matrices (_Matrices, in this file) as
+its float reader; the references read the floats.  Both references live in
 reference.py.  The plain one, band_uniform_reference, is the direct
 search: for each (eps, delta) it gathers the in-band pairs at every shift
 and stops at the first shift that pulls them all to eps.  The per-eps one,
@@ -42,16 +44,18 @@ slack is above every delta and where the limit rounds to the largest
 finite float or overflows to +inf; and a cut at the largest finite float
 must raise no warning.  The block-wise classification and sweep must
 equal the reference on blocks of a few rows and at index horizons that are
-no multiple of a block's rows.  D4 measures its gaps from the orbits, in
-blocks of rows and for a defeat on gathered points, with the bits of the
-whole matrices, and check_acf_mapping's D4 report (two failing maps, two
-passing ones) and acf_asf_agreement's C4 and D4 must equal the reference
-on those matrices.  One meir-keeler-sized D4 sweep, and one whole
-meir-keeler check_acf_mapping call, must hold little memory.
+no multiple of a block's rows.  C4 and D4 measure their gaps from orbits,
+in blocks of rows and for a defeat on gathered points, with the bits of
+the whole matrices, under Space.distances and under every kind of
+premetric a trace can carry, and check_acf_mapping's D4 report (two
+failing maps, two passing ones) and acf_asf_agreement's C4 and D4 must
+equal the reference on those matrices.  One meir-keeler-sized D4 sweep,
+and one whole meir-keeler check_acf_mapping call, must hold little memory.
 """
 
 import json
 import tracemalloc
+from functools import partial
 import warnings
 from unittest import mock
 
@@ -61,15 +65,17 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fplab import certificates
-from fplab.certificates import _FIRST_CHUNK, _TABLE_BITS, _MatrixGaps, _OrbitGaps, _SegmentIds, \
+from fplab.certificates import _FIRST_CHUNK, _TABLE_BITS, _OrbitGaps, _SegmentIds, \
     _band_uniform, _cuts, _id_block, _mapping_reports, _shifted, acf_asf_agreement, \
     check_acf_mapping, check_asf2
+from fplab.gauges import builtin_gauge, expression_gauge
 from fplab.gallery import get_entry
 from fplab.maps import builtin_map
 from fplab.reports import SearchBudget, sanitize, worst_verdict
 from fplab.runner import run_scenario_doc
 from fplab.scenario import build_scenario
-from fplab.spaces import Box, Space
+from fplab.spaces import Box, CyclicSetting, DiskSet, Space, composed_premetric, \
+    metric_premetric, premetric_matrix, premetric_values, shifted_premetric
 from fplab.traces import _extend_orbit, picard_trace
 
 from reference import band_uniform_per_eps, band_uniform_reference, segment_ids_reference
@@ -104,10 +110,29 @@ def band_cases(draw):
     return mats, budget
 
 
+class _Matrices:
+    """A float reader over drawn (k, n, n) gap matrices, which may be
+    asymmetric or hold NaN and +-inf, where C4 and D4 measure theirs from
+    orbits (_OrbitGaps): rows, pairs and at read the entries that
+    _OrbitGaps would measure."""
+
+    def __init__(self, mats):
+        self.mats, self.shape = mats, mats.shape
+
+    def rows(self, orbit, a, b):
+        return self.mats[orbit, a:b, a + 1:]
+
+    def pairs(self, positions):
+        return positions[None]
+
+    def at(self, pairs, nu):
+        return _shifted(self.mats.reshape(-1), pairs[0], nu, self.shape[1])
+
+
 def _sweep(mats, budget):
     """_band_uniform on the ids classified from the float gap matrices
     mats, which are its float reader too."""
-    gaps = _MatrixGaps(mats)
+    gaps = _Matrices(mats)
     return _band_uniform(_id_block(gaps, budget), gaps, budget, "D4")
 
 
@@ -610,7 +635,7 @@ def test_a_grid_with_many_cuts_takes_wider_ids_and_keys(name):
     assert 2 * cuts.size + 1 > np.iinfo(np.int16).max
     assert (3 * 110 * 110 - 1).bit_length() + (2 * cuts.size).bit_length() > 31
     mats = _orbit_gaps(name, 3, 110)
-    assert _id_block(_MatrixGaps(mats), budget).dtype == np.int32
+    assert _id_block(_Matrices(mats), budget).dtype == np.int32
     _assert_same(*_both((mats, budget)))
 
 
@@ -647,26 +672,53 @@ def test_default_blocks_equal_the_reference(k, ih):
     _assert_same(_sweep(mats, budget), band_uniform_reference(mats, budget, "D4", "orbit"))
 
 
+def _measures(space, scale):
+    """name -> (the measure an _OrbitGaps reads with, the premetric whose
+    premetric_matrix it must equal): D4's Space.distances, and C4's
+    premetric_values under each kind of premetric a trace can carry, with
+    a builtin gauge and an expression gauge, whose range the gaps keep."""
+    disk = DiskSet(space, (0.0,) * space.dimension, 1.0)
+    metric = metric_premetric(space)
+    premetrics = {
+        "metric": metric,
+        "shifted_cyclic": shifted_premetric(CyclicSetting(space, disk, disk, scale)),
+        "composed-mk": composed_premetric(builtin_gauge("mk", t_max=1e9), metric),
+        "composed-expression": composed_premetric(expression_gauge(
+            "t / (1 + t) + min(t, 2 / (1 + t)) + abs(t - 1) / 3", t_max=1e9), metric),
+    }
+    return {"distances": (space.distances, metric),
+            **{name: (partial(premetric_values, p), p) for name, p in premetrics.items()}}
+
+
 @given(st.sampled_from((1, 2, 9)), st.sampled_from(("euclidean", 1.5)),
-       st.integers(0, 2 ** 32 - 1))
-def test_orbit_gaps_keep_the_bits_of_the_gap_matrices(dim, norm, seed):
-    # D4 measures its gaps in blocks of rows and, for a defeat, on gathered
-    # orbit points, never as whole matrices: both must keep the bits of
-    # space.distances(orbit[:, None], orbit[None]), also from 8 coordinates
-    # on, where the kernel sums with np.sum
+       st.sampled_from(("distances", "metric", "shifted_cyclic", "composed-mk",
+                        "composed-expression")), st.integers(0, 2 ** 32 - 1))
+def test_orbit_gaps_keep_the_bits_of_the_gap_matrices(dim, norm, name, seed):
+    # C4 and D4 measure their gaps in blocks of rows and, for a defeat, on
+    # gathered orbit points, never as whole matrices: both must keep the
+    # bits of premetric_matrix(p, orbit, orbit), also from 8 coordinates on,
+    # where the distance kernel sums with np.sum, and through a gauge
     rng = np.random.default_rng(seed)
     space = Space(id="r", dimension=dim, norm=norm)
-    orbits = rng.normal(size=(2, 11, dim)) * 10.0 ** rng.integers(-3, 4)
-    mats = np.stack([space.distances(orbit[:, None], orbit[None]) for orbit in orbits])
-    gaps = _OrbitGaps(space, orbits)
+    scale = 10.0 ** int(rng.integers(-3, 4))
+    orbits = rng.normal(size=(2, 11, dim)) * scale
+    measure, p = _measures(space, scale)[name]
+    mats = np.stack([premetric_matrix(p, orbit, orbit) for orbit in orbits])
+    gaps = _OrbitGaps(measure, orbits)
+    for orbit in range(2):
+        for a in range(10):
+            for b in range(a + 1, 11):
+                assert gaps.rows(orbit, a, b).tobytes() == mats[orbit, a:b, a + 1:].tobytes()
     budget = SearchBudget(index_horizon=6, nu_horizon=5)
     upper = np.triu(np.ones((11, 11), dtype=bool), 1)
     with mock.patch.object(certificates, "_BLOCK_PAIRS", 12):  # blocks of a few rows
         np.testing.assert_array_equal(_id_block(gaps, budget)[:, upper],
-                                      _id_block(_MatrixGaps(mats), budget)[:, upper])
+                                      _id_block(_Matrices(mats), budget)[:, upper])
     positions = certificates._pair_positions(mats, budget)  # the pairs i < j < 6
+    pairs = gaps.pairs(positions)
     for nu in range(6):
-        assert gaps.at(positions, nu).tobytes() == _MatrixGaps(mats).at(positions, nu).tobytes()
+        assert gaps.at(pairs, nu).tobytes() == _shifted(mats.reshape(-1), positions, nu,
+                                                        11).tobytes()
 
 
 # D4 end to end: check_acf_mapping measures its id block and a defeat's
@@ -693,7 +745,7 @@ def _float_mats(name):
     orbit[None]) per orbit."""
     map_name, space, region, _ = MAPPING_CASES[name]
     map_t = builtin_map(map_name, space)
-    orbits = _mapping_reports(map_t, PIN_BUDGET, region, 0, "certify")[3].orbits
+    orbits = _mapping_reports(map_t, PIN_BUDGET, region, 0, "certify")[2].orbits
     return map_t, region, np.stack([space.distances(orbit[:, None], orbit[None])
                                     for orbit in orbits])
 
@@ -714,7 +766,7 @@ def test_d4_matches_the_reference_end_to_end(name):
 
 @pytest.mark.parametrize("name", MAPPING_CASES)
 def test_agreement_reads_c4_and_d4_like_the_reference(name):
-    # C4 per orbit on its slice of D4's id block, D4 on them all
+    # C4 on a trace of each orbit, D4 on them all
     map_t, region, mats = _float_mats(name)
     out = acf_asf_agreement(map_t, budget=PIN_BUDGET, region=region, seed=0)
     assert out["D4"] is band_uniform_reference(mats, PIN_BUDGET, "D4", "orbit").verdict
@@ -730,7 +782,7 @@ def test_one_call_holds_little_memory():
     # where int64 keys took 3.1 MB and sorting every pair array at once
     # held 12.3 MB
     budget = SearchBudget()
-    gaps = _MatrixGaps(_orbit_gaps("mk", 12, 320))
+    gaps = _Matrices(_orbit_gaps("mk", 12, 320))
     ids = _id_block(gaps, budget)
     tracemalloc.start()
     try:

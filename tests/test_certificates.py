@@ -28,8 +28,8 @@ from fplab.gauges import Gauge, builtin_gauge, expression_gauge, explicit_family
     iterated_family
 from fplab.maps import builtin_map, expression_map
 from fplab.reports import CertificateReport, SearchBudget, Verdict
-from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, metric_premetric, \
-    shifted_premetric
+from fplab.spaces import Box, CyclicSetting, IntervalSet, Space, composed_premetric, \
+    metric_premetric, shifted_premetric
 from fplab.traces import IterationTrace, picard_trace
 
 LINE = Space(id="line", dimension=1)
@@ -204,6 +204,37 @@ class TestGaugeFamilyCheckers:
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         with pytest.raises(RefusalError, match="fixing zero"):
             check_asmk(tr, builtin_gauge("id"), fam, budget=SMALL)
+
+
+class TestPremetricErrorsInC4:
+    """C4 measures its trace in blocks of rows, never as one whole matrix,
+    and still checks every gap it measures to be finite, nonnegative and in
+    a gauge's working range.  Each block is a rectangle, its rows from the
+    column after the block's first row on, so it measures p(x_i, x_i) for
+    every row after the first."""
+
+    def test_a_gauge_out_of_range_names_the_first_offending_block(self):
+        # up from 0 to 100 and down to -99.5 in steps of 0.5: the first block
+        # of rows (0..25, 26 rows of 599 columns) reaches t = 12.5 + 99.5;
+        # C5's whole matrix reaches 100 + 99.5, as C4's did
+        xs = np.concatenate([np.arange(0.0, 100.5, 0.5), np.arange(99.5, -100.0, -0.5)])
+        g = expression_gauge("t / (1 + t)", name="G", t_max=50.0)
+        tr = IterationTrace(xs[:, None], composed_premetric(g, D), "completed")
+        budget = SearchBudget(index_horizon=592, nu_horizon=8)
+        with pytest.raises(InputError, match=r"gauge 'G' evaluated at t=112\.0 outside"):
+            check_asf2(tr, budget=budget)
+        with pytest.raises(InputError, match=r"gauge 'G' evaluated at t=199\.5 outside"):
+            check_c5(tr, budget=budget)
+
+    def test_a_gauge_negative_at_zero_still_raises(self):
+        # every gap of the translation's trace is at least 1, where t - 0.001
+        # is positive; p(x_i, x_i) = -0.001 is measured inside a block of rows
+        neg = composed_premetric(expression_gauge("t - 0.001"), D)
+        tr = IterationTrace(np.arange(20.0)[:, None], neg, "completed")
+        for check in (check_asf2, check_c5):
+            with pytest.raises(InputError, match=r"premetric composed\(t - 0\.001, metric\) "
+                                                 "evaluated to a negative or non-finite value"):
+                check(tr, budget=SMALL)
 
 
 class TestNoPairs:

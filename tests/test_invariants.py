@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -390,22 +391,56 @@ class _Calls(_Scoped):
 
 
 def test_each_kind_of_checker_input_has_one_builder():
-    """certificates builds every gap matrix in _pair_matrix, reads every
-    gap run against the forward shift from trace.gaps, so it measures a
-    diagonal itself only for PCD's d-tail, under the metric; it gathers
-    every shift in _shifted, builds every id block in _id_block, reads C4's
-    and D4's float gaps again only in the defeat rebuild of _band_uniform,
-    through their one reader, at, and draws every seed pair through
-    spaces.sample_pairs; only check_cyclic draws from its sets itself."""
+    """certificates builds every gap matrix in _pair_matrix, for C5 and C9
+    only, reads every gap run against the forward shift from trace.gaps,
+    so it measures a diagonal itself only for PCD's d-tail, under the
+    metric; it gathers every shift in _shifted, builds every id block in
+    _id_block, measures C4's and D4's float gaps through their one reader,
+    _OrbitGaps, which gathers the rows of a defeat's points in at and is
+    read at only in the defeat rebuild of _band_uniform, and draws every
+    seed pair through spaces.sample_pairs; only check_cyclic draws from its
+    sets itself."""
     calls = dict(_scan(_Calls))["certificates"].calls
     assert calls.get("premetric_matrix") == ["_pair_matrix"]
+    assert set(calls.get("_pair_matrix")) == {"check_c5", "check_asmk"}
     assert calls.get("premetric_diagonal") == ["check_p_controls_d"]
-    assert calls.get("take") == ["_SegmentIds.__call__", "_shifted"]
+    assert calls.get("take") == ["_SegmentIds.__call__", "_OrbitGaps.at", "_shifted"]
+    assert set(calls.get("_OrbitGaps")) == {"check_asf2", "_mapping_reports"}
     assert set(calls.get("_id_block")) == {"check_asf2", "_mapping_reports"}
     assert set(calls.get("at")) == {"_band_uniform"}
     assert "np.take" not in calls
     assert calls.get("sample_pairs") == ["_mapping_reports", "check_banach_rate"]
     assert calls.get("sample_coords") == ["check_cyclic"]
+
+
+class _Definitions(ast.NodeVisitor):
+    """Collects every name a module defines: its functions and classes at
+    any depth and the names its assignments bind."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_FunctionDef(self, node):
+        self.names.add(node.name)
+        self.generic_visit(node)
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Store):
+            self.names.add(node.id)
+
+
+def test_the_readme_cites_only_private_names_that_exist():
+    """Every underscore-prefixed name that README.md cites in backticks, a
+    helper, class, constant or module of src/fplab, is defined there, so a
+    helper that is renamed or deleted cannot stay in the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = {name for span in re.findall(r"`([^`\n]+)`", readme)
+             for name in re.findall(r"(?<![\w.])(?:\w+\.)*(_\w+)", span)}
+    defined = {name for stem, found in _scan(_Definitions) for name in {stem, *found.names}}
+    assert cited
+    assert sorted(cited - defined) == []
 
 
 class _RuleHomes(_Scoped):

@@ -43,7 +43,6 @@ UNREACHED = {
     "runner._Sink.discard": "an error path: it runs only when a run raises",
     "spaces.Premetric.describe": "an error path: it names a premetric in an error message",
     "certificates.acf_asf_agreement": "the acceptance gate's cross-check, not a document run",
-    "certificates._OrbitGaps.at": "D4's defeat rebuild: every pinned D4 report passes",
     "__init__.__dir__": "dir(fplab): no pinned run lists the package's names",
 }
 

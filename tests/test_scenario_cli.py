@@ -991,6 +991,23 @@ class TestRunnerOverrides:
         assert "trace_picard.csv" in result.artifacts
         assert result.verdicts["certify.overall"] == "pass"
 
+    @pytest.mark.parametrize("gauge, message", [
+        # the translation's pairs reach t = 319 at the default horizons
+        ({"expression": "t / (1 + t)", "t_max": 100.0},
+         "gauge 'premetric.G' evaluated at t=319.0 outside its working range [0, 100.0]"),
+        # every pair gap is at least 1, but p(x, x) = -0.001
+        ("t - 0.001", "premetric composed(premetric.G, metric) evaluated to a negative or "
+                      "non-finite value"),
+    ], ids=["out-of-range", "negative-at-zero"])
+    def test_a_bad_composed_gap_in_c4_exits_one(self, tmp_path, capsys, gauge, message):
+        doc = {"name": "bad-gap", "space": {"dimension": 1}, "maps": {"T": "translation"},
+               "premetric": {"kind": "composed", "G": gauge}, "run": ["certify"],
+               "iterate": {"x0": [0.0], "steps": 400}, "certify": {"route": "composed"}}
+        out = tmp_path / "out"
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_raising_run_leaves_nothing_behind(self, tmp_path):
         # the composed gap from x_0 outgrows mk's working range [0, 1000]
         # after the fixed-point solve has already written its artifact
