@@ -90,6 +90,13 @@ class Gauge:
             out = np.full(arr.shape, out)
         return out
 
+    def masked(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """apply_array without its range check: the images, and the mask of
+        the t outside [0, t_max] (NaN included), whose images are g(0.0)."""
+        arr = np.asarray(arr, dtype=float)
+        ok = (arr >= 0) & (arr <= self.t_max)
+        return self.apply_array(np.where(ok, arr, 0.0)), ~ok
+
 
 _FULLY_REGULAR = frozenset(
     {
@@ -209,10 +216,8 @@ def _one_sided(g: Gauge, grid: np.ndarray, vals: np.ndarray, sign: int,
     gaps = np.diff(grid)
     h = np.append(gaps, gaps[-1]) if sign > 0 else np.insert(gaps, 0, gaps[0])
     probes = grid[:, None] + (sign * h)[:, None] * 2.0 ** -np.arange(1, REGULARITY_REFINE + 1)
-    inside = (probes >= 0) & (probes <= g.t_max)
-    # an out-of-range probe reads t itself: g(t) - g(t) is exactly 0.0, as
-    # vals are finite whenever a side is probed
-    devs = g.apply_array(np.where(inside, probes, grid[:, None])) - vals[:, None]
+    images, outside = g.masked(probes)
+    devs = np.where(outside, 0.0, images - vals[:, None])
     final, mid = devs[:, -1], devs[:, REGULARITY_REFINE // 2]
     scaled = eta * np.abs(vals)
     tol = np.where(scaled > eta, scaled, eta)  # max(eta, eta * |g(t)|)
@@ -399,65 +404,57 @@ def check_family_C6(
     return CertificateReport("C6", verdict, wits, resolution_note=note)
 
 
-def _first_hits(family: GaugeFamily, ts, below, horizon: int) -> np.ndarray:
-    """Per t, the least nu <= horizon with member_nu(t) < below, or 0.  Every
-    member is evaluated at every t, so one out of range raises past a hit."""
-    hits = np.zeros(np.shape(ts), dtype=int)
-    for nu, v in enumerate(_members(family, ts, horizon), start=1):
+def _first_hits(family: GaugeFamily, ts: np.ndarray, below, horizon: int):
+    """Per t, the least nu <= horizon with member_nu(t) < below, or 0, and
+    whether a member up to the horizon meets a t off its range there."""
+    hits, off, v = np.zeros(ts.shape, dtype=int), np.zeros(ts.shape, dtype=bool), ts
+    iterated = family.kind == "iterated"
+    for nu, g in enumerate([family.base] * horizon if iterated else family.members[:horizon],
+                           start=1):
+        v, bad = g.masked(v if iterated else ts)
+        off |= bad
         hits[(hits == 0) & (v < below)] = nu
-    return hits
+    return hits, off
 
 
 #: Evenly spaced t per C7 band [eps, eps + delta], both ends included.
 C7_T_SAMPLES = 17
 
 
-def _walk_bands(family, eps, deltas, nu_horizon, eta):
-    """Per delta band, its ts and first hits t by t up to the first t that
-    no member pulls below eps: the walk's own order and evaluations."""
-    for delta in deltas:
-        ts = np.linspace(eps, eps + delta, C7_T_SAMPLES)
-        hits = []
-        for t in ts:
-            hits.append(int(_first_hits(family, t, eps - eta, nu_horizon)))
-            if not hits[-1]:
-                break
-        yield ts, np.array(hits, dtype=int)
-
-
 def _c7_reports(family, eps_grid, deltas, nu_horizon, eta) -> list[CertificateReport]:
     """One C7 report per eps.  Every (eps, delta, t) cell is searched in one
-    block, nu_horizon apply_array calls in all.  The walk (eps, delta, t)
-    takes over when some eps <= 0, when a zero step sends linspace down
-    another branch for the whole block, or when the block raises, so that
-    an error is the one the walk meets first."""
+    masked block, nu_horizon apply_array calls in all.  Each band stops at
+    its first t that a member up to the horizon meets off its range or that
+    no member pulls below eps; an off-range stop raises, from the members
+    at that t alone, the error a walk over (eps, delta, t) meets first."""
     if deltas is None:
         deltas = _default_delta_candidates()
-    eps_col = np.asarray(eps_grid, dtype=float)[:, None]
-    stops = eps_col + np.asarray(deltas, dtype=float)
-    hits = None
-    if (eps_col > 0).all() and not ((stops - eps_col) / (C7_T_SAMPLES - 1) == 0).any():
-        try:
-            ts = np.linspace(eps_col, stops, C7_T_SAMPLES, axis=-1)
-            hits = _first_hits(family, ts, eps_col[..., None] - eta, nu_horizon)
-        except InputError:
-            pass
+    eps_col = np.asarray(eps_grid, dtype=float)[:, None, None]
+    stops = eps_col + np.asarray(deltas, dtype=float)[:, None]
+    # each band's np.linspace(eps, stop, C7_T_SAMPLES), bit for bit: linspace
+    # scales a zero step as k / 16 * (stop - eps), in that band only here
+    k, span = np.arange(C7_T_SAMPLES, dtype=float), stops - eps_col
+    step = span / (C7_T_SAMPLES - 1)
+    ts = np.where(step == 0, k / (C7_T_SAMPLES - 1) * span, k * step) + eps_col
+    ts[..., -1:] = stops
+    hits, off = _first_hits(family, ts, eps_col - eta, nu_horizon)
     reports = []
     for i, eps in enumerate(eps_grid):
         if eps <= 0:
             raise InputError("C7 needs eps > 0")
-        bands = (zip(ts[i], hits[i]) if hits is not None
-                 else _walk_bands(family, eps, deltas, nu_horizon, eta))
         defeats: list[dict] = []
-        for delta, (band_ts, band_hits) in zip(deltas, bands):
-            miss = np.flatnonzero(band_hits == 0)
-            if not miss.size:
+        for delta, band_ts, band_hits, band_off in zip(deltas, ts[i], hits[i], off[i]):
+            stop = np.flatnonzero(band_off | (band_hits == 0))
+            if not stop.size:
                 reports.append(CertificateReport(
                     "C7", Verdict.PASS,
                     [witness(eps=eps, delta=delta, max_nu=int(band_hits.max(initial=0)))],
                     resolution_note=f"{C7_T_SAMPLES} samples per band, nu horizon {nu_horizon}"))
                 break
-            defeats.append(witness(eps=eps, delta=delta, defeating_t=float(band_ts[miss[0]])))
+            t = band_ts[stop[0]]
+            if band_off[stop[0]]:
+                list(_members(family, t, nu_horizon))  # raises the walk's error at t
+            defeats.append(witness(eps=eps, delta=delta, defeating_t=float(t)))
         else:
             reports.append(CertificateReport(
                 "C7", Verdict.INCONCLUSIVE, defeats[:MAX_WITNESSES],

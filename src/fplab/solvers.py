@@ -23,7 +23,8 @@ from .maps import NamedMap
 from .reports import CAUCHY_ROUTES, MAX_WITNESSES, CertificateReport, SearchBudget, Verdict, \
     last_quarter, witness, worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
-    premetric_diagonal, premetric_matrix, premetric_values, verify_premetric_axioms
+    premetric_diagonal, premetric_masked, premetric_matrix, premetric_values, \
+    verify_premetric_axioms
 from .traces import AlternatingSchedule, IterationTrace, _orbit, _start
 
 
@@ -356,22 +357,6 @@ class WitnessScan:
     note: str
 
 
-def _row_to_far(p: Premetric, x: np.ndarray, ys: np.ndarray, bound: float) -> np.ndarray:
-    """The gaps p(x, ys[i]), the whole row in one evaluation.  A row that
-    raises is evaluated again one gap at a time up to the first one above
-    bound, so an error comes only from a gap a loop over i would read, and
-    it is the error the loop would meet first."""
-    try:
-        return premetric_matrix(p, x[None], ys)[0]
-    except InputError:
-        row = []
-        for y in ys:
-            row.append(float(premetric_values(p, x, y)))
-            if row[-1] > bound:
-                break
-        return np.array(row)
-
-
 def extract_noncauchy_witness(
     trace: IterationTrace,
     *,
@@ -413,18 +398,19 @@ def extract_noncauchy_witness(
     kept, shifted = 0, 0
     sigma = n0
     while len(occ_sigma) < MAX_WITNESSES and sigma < last:
-        # the scan reads the row up to rho, and rho + 1 only for parity
-        row = _row_to_far(p, coords[sigma], coords[sigma + 1:], 2.0 * eps)
+        # the scan reads the row up to rho, and rho + 1 only for parity; a
+        # bad gap it reads is evaluated alone, which raises that gap's error
+        row, bad = premetric_masked(p, coords[sigma], coords[sigma + 1:])
 
         def gap_at(m: int) -> float:
-            if m - sigma - 1 < row.shape[0]:
-                return float(row[m - sigma - 1])
-            return float(premetric_values(p, coords[sigma], coords[m]))
+            i = m - sigma - 1
+            return float(premetric_values(p, coords[sigma], coords[m]) if bad[i] else row[i])
 
-        far = np.nonzero(row > 2.0 * eps)[0]
+        far = np.flatnonzero(bad | (row > 2.0 * eps))
         if far.size == 0:
             break
         rho = sigma + 1 + int(far[0])
+        gap_at(rho)  # a bad gap stops the scan too, and raises
         if (rho - sigma) % 2 == 0:
             rho_adj = rho
             kept += 1

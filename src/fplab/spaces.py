@@ -415,6 +415,17 @@ def premetric_values(p: Premetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def premetric_masked(p: Premetric, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """premetric_values without its raise: the values, and the mask of the
+    pairs on which it would raise, whose values mean nothing."""
+    if p.kind != "composed":
+        out = _premetric_rule(p, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        return out, ~np.isfinite(out) | (out < 0)
+    inner, bad = premetric_masked(p.inner, a, b)
+    out, off = p.gauge.masked(inner)
+    return out, bad | off | ~np.isfinite(out) | (out < 0)
+
+
 def eval_premetric(p: Premetric, x: Point, y: Point) -> float:
     """p(x, y) for two points of the premetric's space."""
     p.space.check_member(x)

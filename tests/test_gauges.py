@@ -166,8 +166,9 @@ class TestArrayContract:
     def test_scalar_only_gauge_is_an_input_error(self):
         g = Gauge(name="sq", fn=lambda t: math.sqrt(t) / 2)
         assert g(1.0) == 0.5
-        with pytest.raises(InputError, match="gauge 'sq' .* must map a float array"):
-            check_family_C6(iterated_family(g), (0.5, 1.0))
+        for check in (check_family_C6, check_family_C7_multi):
+            with pytest.raises(InputError, match="gauge 'sq' .* must map a float array"):
+                check(iterated_family(g), (0.5, 1.0))
 
     def test_branching_gauge_is_an_input_error(self):
         g = Gauge(name="kink", fn=lambda t: t / 2 if t < 1 else t)

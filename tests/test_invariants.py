@@ -373,6 +373,37 @@ def test_points_are_built_only_at_the_public_edge():
     ]
 
 
+class _InputErrorHandlers(_Scoped):
+    """Collects the enclosing class.function of every except clause that
+    names InputError."""
+
+    def __init__(self):
+        super().__init__()
+        self.sites = []
+
+    def visit_ExceptHandler(self, node):
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(isinstance(c, ast.Name) and c.id == "InputError" for c in caught):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_the_listed_sites_catch_an_input_error():
+    """A kernel that raises has one masked form (Gauge.masked,
+    spaces.premetric_masked) for a caller that must find its first bad
+    element in loop order; a block evaluation retried element by element
+    after an InputError stays only where README says why."""
+    sites = sorted({f"{module}.{s}" for module, found in _scan(_InputErrorHandlers)
+                    for s in found.sites})
+    assert sites == [
+        "certificates.check_f_psi_contraction",
+        "gauges.check_family_C6",
+        "solvers._edge_residual",
+        "solvers._walk",
+        "spaces.verify_premetric_axioms",
+    ]
+
+
 class _Calls(_Scoped):
     """Maps each called name (a method by its attribute, a numpy function
     as np.name) to the enclosing class.function of every call."""

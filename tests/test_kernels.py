@@ -49,6 +49,7 @@ from fplab.spaces import (
     eval_premetric,
     metric_premetric,
     premetric_diagonal,
+    premetric_masked,
     premetric_matrix,
     shifted_premetric,
     verify_premetric_axioms,
@@ -65,10 +66,10 @@ import reference
 from reference import SCALAR_MAPS, axioms_reference, banach_rate_reference, \
     budget_json_reference, c6_reference, c7_multi_reference, c7_reference, \
     certificate_json_reference, check_asf1_reference, check_asmk_reference, \
-    check_p_controls_d_reference, cyclic_reference, \
+    check_p_controls_d_reference, checked_premetric_reference, cyclic_reference, \
     d1_reference, distances_reference, euclidean_reference, eval_premetric_reference, \
-    extend_orbit_reference, fpsi_reference, iterate_gauge_reference, noncauchy_json_reference, \
-    noncauchy_witness_reference, orbit_block_reference, \
+    extend_orbit_reference, fpsi_reference, gauge_call_reference, iterate_gauge_reference, \
+    noncauchy_json_reference, noncauchy_witness_reference, orbit_block_reference, \
     orbit_block_step_reference, pair_distance_curves_reference, premetric_reference, \
     regularity_reference, report_json_reference, scalar_step, scan_json_reference, \
     solve_best_proximity_reference, solve_common_fixed_point_reference, \
@@ -892,11 +893,11 @@ class TestOneEscapeRule:
 
 
 def _outcome(check, *args):
-    """Report JSON bytes, or the class of the error raised."""
+    """Report JSON bytes, or the class and message of the error raised."""
     try:
         return json.dumps(sanitize(check(*args)), sort_keys=True)
     except InputError as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
 
 
 FPSI_MAPS = ("half", "translation", "neg", "flip", "0.5 * x + 1.0")
@@ -972,7 +973,8 @@ class TestFPsiContraction:
         t_name, p_name, f_name, psi_name, pairs, expected = self.CASES[case]
         got, want = _fpsi_both(t_name, t_name, p_name, f_name, psi_name, pairs)
         assert got == want
-        assert (got if got == "InputError" else json.loads(got)["verdict"]) == expected
+        verdict = "InputError" if got.startswith("InputError: ") else json.loads(got)["verdict"]
+        assert verdict == expected
         if case == "more-than-8":
             assert len(json.loads(got)["witnesses"]) == 8
         if case == "signed-zero-ties":
@@ -1640,6 +1642,16 @@ class TestGaugeProbes:
             got = json.loads(got)[0]["verdict"].upper()
         assert got.startswith(expected)
 
+    def test_zero_step_bands_are_the_per_delta_linspace(self):
+        # at eps 1e-310 the band of delta 1e-310 has a zero step, which
+        # linspace scales as k / 16 * delta in that band only: a plain block
+        # linspace would do so in every band and read defeating_t 1.125e-310
+        args = (iterated_family(expression_gauge("2 * t - 1.15e-310")), (1.0, 1e-310),
+                (0.5, 1e-310), 1, 1e-323)
+        got = _probe_outcome(check_family_C7_multi, *args)
+        assert got == _probe_outcome(c7_multi_reference, *args)
+        assert json.loads(got)[0]["witnesses"][-1]["defeating_t"] == 1.12500000000003e-310
+
     def test_default_bands_are_the_per_delta_linspace(self):
         budget = SearchBudget()
         eps = np.array(budget.eps_grid)[:, None]
@@ -1667,6 +1679,59 @@ class TestGaugeProbes:
             check_family_C7_multi(fam, budget.eps_grid, budget.delta_candidates)
         # zero_at_zero reads g(0.0) itself
         assert calls == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# The masked kernels: each marks exactly the elements on which its scalar
+# reference raises, which is what a single-element replay of a masked block
+# rests on, and gives the reference's bits everywhere else
+
+
+def _same_bits_or_masked(reference, args, values, masked):
+    for arg, value, bad in zip(args, values.tolist(), masked.tolist()):
+        try:
+            want = reference(*arg)
+        except InputError:
+            assert bad, arg
+        else:
+            assert not bad and struct.pack("<d", value) == struct.pack("<d", want), arg
+
+
+MASK_T = st.one_of(st.sampled_from((math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, 2.5, 1e3,
+                                    -5e-324, 5e-324, 2.5000000000000004)),
+                   st.floats(min_value=-1.0, max_value=1e3 + 1.0))
+# PREMETRICS and composed ones whose gauges leave a small working range, go
+# negative, or divide by zero inside it
+MASK_PREMETRICS = {
+    **PREMETRICS,
+    "composed-over-composed": composed_premetric(
+        builtin_gauge("mk", t_max=2.5),
+        composed_premetric(expression_gauge("t / (t - 1)", t_max=30.0), metric_premetric(PLANE))),
+    "negative": composed_premetric(expression_gauge("t - 3"), shifted_premetric(SETTING)),
+    "pole": composed_premetric(expression_gauge("1 / (t - 5)", t_max=50.0),
+                               metric_premetric(PLANE)),
+}
+
+
+class TestMaskedKernels:
+    @given(name=st.sampled_from(PROBE_GAUGES), t_max=PROBE_T_MAX,
+           ts=st.lists(MASK_T, min_size=1, max_size=8))
+    def test_gauge_masks_what_the_call_refuses(self, name, t_max, ts):
+        # t / (t - 1) is NaN at t = 1, inside its range: not masked
+        g = _probe_gauge(name, t_max)
+        images, off = g.masked(np.array(ts))
+        _same_bits_or_masked(lambda t: gauge_call_reference(g, t), [(t,) for t in ts],
+                             images, off)
+
+    @given(name=st.sampled_from(sorted(MASK_PREMETRICS)), n=st.integers(1, 6), data=st.data())
+    def test_premetric_masks_what_the_pair_refuses(self, name, n, data):
+        p = MASK_PREMETRICS[name]
+        elements = st.one_of(small, st.sampled_from((0.0, -0.0, 1.0, 5.0, 1e200, -1e200)))
+        xs, ys = (data.draw(hnp.arrays(float, (n, 2), elements=elements)) for _ in range(2))
+        with np.errstate(all="ignore"):  # 1e200 squared overflows
+            values, bad = premetric_masked(p, xs, ys)
+        _same_bits_or_masked(lambda a, b: checked_premetric_reference(p, a, b),
+                             list(zip(xs.tolist(), ys.tolist())), values, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ UNREACHED = {
     "maps.expression_map.<locals>.apply_list": "a list-form expression map: none is pinned",
     "expressions._reduce_min": "the expression function min: no pinned expression uses it",
     "expressions._reduce_max": "the expression function max: no pinned expression uses it",
-    "gauges._walk_bands": "C7's walk fallback: every pinned C7 block search succeeds",
     "reports.SearchBudget.scaled": "--budget-scale: no pinned run scales its budget",
     "runner._default_steps": "a run without steps: every pinned document sets steps",
     "spaces._axiom_evaluations": "the axiom replay: it runs only when an axiom block raises",
