@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .expressions import CoordView, compile_expression
+from .expressions import compile_expression
 from .spaces import Point, Space
 
 
@@ -58,18 +58,14 @@ def builtin_map(name: str, space: Space) -> NamedMap:
 
 
 def expression_map(space: Space, sources: list[str] | str, name: str | None = None) -> NamedMap:
-    """Coordinate-wise expressions in x (the input coordinate vector).
+    """Coordinate-wise expressions in x.
 
     A single source is applied to every coordinate with x bound to that
-    coordinate; a list gives one expression per output coordinate with x
-    subscriptable.
+    coordinate, one number; a list gives one expression per output
+    coordinate with x the input's space.dimension coordinates, read as x[i].
+    compile_expression refuses any other reading of x.
     """
     if isinstance(sources, str):
-        if "[" in sources:
-            raise ConfigurationError(
-                f"map {sources!r}: a single expression reads each coordinate as x; "
-                "give one expression per coordinate to use x[i]"
-            )
         expr = compile_expression(sources, variables=("x",))
 
         def apply_each(x: np.ndarray) -> np.ndarray:
@@ -81,16 +77,9 @@ def expression_map(space: Space, sources: list[str] | str, name: str | None = No
         raise ConfigurationError(
             f"need {space.dimension} coordinate expressions, got {len(sources)}"
         )
-    exprs = [compile_expression(src, variables=("x",)) for src in sources]
-    for e in exprs:
-        if max(e.subscripts, default=-1) >= space.dimension:
-            raise ConfigurationError(
-                f"map {e.source!r}: subscript x[{max(e.subscripts)}] is out of range on "
-                f"the {space.dimension}-dimensional space {space.id!r}"
-            )
+    exprs = [compile_expression(src, variables=("x",), width=space.dimension) for src in sources]
 
     def apply_list(x: np.ndarray) -> np.ndarray:
-        view = CoordView(x)
-        return np.stack([np.broadcast_to(e(x=view), x.shape[:-1]) for e in exprs], axis=-1)
+        return np.stack([np.broadcast_to(e(x=x), x.shape[:-1]) for e in exprs], axis=-1)
 
     return NamedMap(name=name or "; ".join(sources), space=space, fn=apply_list)

@@ -30,6 +30,8 @@ RUN_NAMES = ("iterate", "certify", "cyclic", "alternate", "falsify")
 TRACE_SOURCES = ("picard", "alternating", "sequence")
 #: Bounds what the walk allocates for default regions and start points.
 MAX_DIMENSION = 10_000
+#: Bounds a declared count times space.dimension: the floats of an 80 MB orbit.
+MAX_RUN_COORDINATES = 10_000_000
 
 #: run -> parameter -> (kind, default).  Kinds: "count" a positive int, "real"
 #: a finite real stored as a float, "point" space.dimension finite reals stored
@@ -207,9 +209,11 @@ def _param(kind, value, where: str, space: Space | None, diags: list[str]):
             return space and space.point(*coords)
         diags.append(f"{where}: expected {space.dimension} finite coordinate(s), got {value!r}")
     elif kind == "count":
-        if _is_count(value):
+        dim = space.dimension if space else 1
+        if _is_count(value) and value * dim <= MAX_RUN_COORDINATES:
             return value
-        diags.append(f"{where}: must be a positive integer")
+        diags.append(f"{where}: at most {MAX_RUN_COORDINATES // dim} on a {dim}-dimensional "
+                     "space" if _is_count(value) else f"{where}: must be a positive integer")
     elif kind == "real":
         if _real(value) is not None:
             return float(value)

@@ -111,13 +111,14 @@ class Space:
         def term(c):
             return np.multiply(c, c) if p is None else np.power(np.abs(c), p)
 
-        if self.dimension < 8:
-            total = term(a[..., 0] - b[..., 0])
-            for i in range(1, self.dimension):
-                total = total + term(a[..., i] - b[..., i])
-        else:
-            total = np.sum(term(a - b), axis=-1)
-        return np.sqrt(total) if p is None else np.power(total, 1.0 / p)
+        with np.errstate(over="ignore"):  # a distance past the float range is inf
+            if self.dimension < 8:
+                total = term(a[..., 0] - b[..., 0])
+                for i in range(1, self.dimension):
+                    total = total + term(a[..., i] - b[..., i])
+            else:
+                total = np.sum(term(a - b), axis=-1)
+            return np.sqrt(total) if p is None else np.power(total, 1.0 / p)
 
     def finite_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """distances(a, b) of equal-shape arrays; a non-finite one is an InputError."""
@@ -143,8 +144,9 @@ class Box:
     def __post_init__(self) -> None:
         if len(self.lows) != len(self.highs) or not self.lows:
             raise ConfigurationError("region bounds must be two equal-length tuples")
-        if any(lo >= hi for lo, hi in zip(self.lows, self.highs)):
-            raise ConfigurationError("region bounds must satisfy lo < hi in every axis")
+        if not all(0 < hi - lo < math.inf for lo, hi in zip(self.lows, self.highs)):
+            raise ConfigurationError("region bounds must satisfy lo < hi, with a finite "
+                                     "width hi - lo, in every axis")
 
     @property
     def dimension(self) -> int:

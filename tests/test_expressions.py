@@ -28,8 +28,10 @@ def test_unary_minus_and_calls():
 
 
 def test_subscripts_bind_coordinates():
-    e = compile_expression("x[0] - 2.0 * x[1]", variables=("x",))
+    e = compile_expression("x[0] - 2.0 * x[1]", variables=("x",), width=2)
     assert e(x=np.array([5.0, 1.0])) == 3.0
+    # x[i] reads the last axis, so a block of points evaluates at once
+    assert e(x=np.array([[5.0, 1.0], [0.0, 0.5]])).tolist() == [3.0, -1.0]
 
 
 def test_array_broadcast():
@@ -71,13 +73,38 @@ def test_both_map_forms_escape_on_division_by_zero(sources):
 
 
 def test_single_map_expression_refuses_subscripts():
-    with pytest.raises(ConfigurationError, match="one expression per coordinate"):
+    with pytest.raises(ConfigurationError, match=r"x is one number in 'x\[0\] \+ 1'"):
         expression_map(Space(id="plane", dimension=2), "x[0] + 1")
 
 
-def test_subscripts_are_recorded():
-    assert compile_expression("x[0] - 2.0 * x[3] + y[1]", ("x", "y")).subscripts == {0, 1, 3}
-    assert compile_expression("t * t", ("t",)).subscripts == frozenset()
+@pytest.mark.parametrize("build", [
+    lambda: compile_expression("t[0]", variables=("t",)),
+    lambda: expression_gauge("t[0] * 0.5"),
+], ids=["expression", "gauge"])
+def test_a_number_takes_no_subscript(build):
+    with pytest.raises(ExpressionError, match="is one number in .* and takes no subscript"):
+        build()
+
+
+@pytest.mark.parametrize(("dimension", "sources"), [
+    (2, ["x * 0.5", "x[0] * 0.5"]), (1, ["x"]), (2, ["x[1]", "max(x[0], abs(x))"])])
+def test_a_list_form_map_reads_x_only_by_subscript(dimension, sources):
+    with pytest.raises(ExpressionError, match=f"x is a vector of {dimension} coordinate"):
+        expression_map(Space(id="s", dimension=dimension), sources)
+
+
+@pytest.mark.parametrize("source", ["x[True]", "x[-1]", "x[0.0]", "x[x[0]]", "x[2]"])
+def test_a_subscript_is_a_literal_index_inside_the_width(source):
+    with pytest.raises(ExpressionError, match=r"is out of range, read x\[i\] with a literal int "
+                                              r"0 <= i < 2"):
+        compile_expression(source, variables=("x",), width=2)
+
+
+def test_an_integer_constant_past_the_float_range_is_rejected():
+    # it compiled, and a float array times it raised a raw OverflowError
+    with pytest.raises(ExpressionError, match="past the float range"):
+        compile_expression(f"x * {10 ** 400}", variables=("x",))
+    assert compile_expression("x * 1e400", variables=("x",))(x=1.0) == math.inf
 
 
 @pytest.mark.parametrize("sources", [["x[1]"], ["x[0] + min(x[2], 1)", "x[0]"]])

@@ -31,8 +31,7 @@ UNREACHED = {
     "spaces.DiskSet.describe": "a disk cyclic set: no pinned document declares one",
     "spaces.DiskSet.__post_init__": "a disk cyclic set: no pinned document declares one",
     "gauges.explicit_family": "an explicit gauge family: no pinned document declares one",
-    "expressions.CoordView.__init__": "a list-form expression map: none is pinned",
-    "expressions.CoordView.__getitem__": "a list-form expression map: none is pinned",
+    "expressions._Rewrite.visit_Subscript": "a list-form expression map: none is pinned",
     "maps.expression_map.<locals>.apply_list": "a list-form expression map: none is pinned",
     "expressions._reduce_min": "the expression function min: no pinned expression uses it",
     "expressions._reduce_max": "the expression function max: no pinned expression uses it",

@@ -27,7 +27,8 @@ from fplab.cli import main
 from fplab.errors import ConfigurationError, FplabError, InputError
 from fplab.gallery import GALLERY, Expectation, gallery_names, get_entry, list_gallery
 from fplab.runner import RunResult, _Sink, _exit_code, run_scenario, run_scenario_doc
-from fplab.scenario import RUN_NAMES, RUN_PARAMS, build_scenario, load_scenario_file, validate_scenario
+from fplab.scenario import MAX_RUN_COORDINATES, RUN_NAMES, RUN_PARAMS, build_scenario, \
+    load_scenario_file, validate_scenario
 
 
 def base_doc() -> dict:
@@ -382,9 +383,8 @@ class TestCliRun:
         assert not out.exists()
 
     def test_an_allocation_failure_exits_one(self, tmp_path, capsys, monkeypatch):
-        # "steps": 10**12 passes validate, and numpy's MemoryError for the
-        # orbit ended the run in a traceback; the failure is injected here,
-        # so the run asks for nothing large
+        # numpy's MemoryError for an orbit ended the run in a traceback; the
+        # failure is injected here, so the run asks for nothing large
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
@@ -682,6 +682,15 @@ MALFORMED = [
                                      "certify.route", "composed"), "premetric.G:"),
     ("profile-entry-unknown", _with(ALTERNATE, "gauges.psi.profile", ["smooth"]),
      "gauges.psi:"),
+    # each validated and then ended the run in a raw TypeError, ValueError,
+    # IndexError or OverflowError
+    ("list-map-bare-x", _with(SMOKE, "space.dimension", 2, "iterate.x0", [1.0, 1.0],
+                              "maps.T", ["x * 0.5", "x[0] * 0.5"]), "maps.T:"),
+    ("list-map-bare-x-on-the-line", _with(SMOKE, "maps.T", ["x"]), "maps.T:"),
+    ("gauge-subscript", _with(SMOKE, "premetric", {"kind": "composed", "G": "t[0] * 0.5"},
+                              "certify.route", "composed"), "premetric.G:"),
+    ("region-width-overflows", _with(SMOKE, "region", {"lows": [-1e308], "highs": [1e308]}),
+     "region:"),
 ]
 
 
@@ -742,6 +751,23 @@ class TestDeclaredTraceLength:
                    for line in findings), findings
 
 
+def test_declared_counts_are_bounded():
+    # "steps": 10**12 validated and asked numpy for an 8 TB orbit; every count
+    # parameter, times space.dimension, is bounded (validated only, so nothing
+    # is allocated)
+    plane = _with(base_doc(), "space.dimension", 2)
+    half = MAX_RUN_COORDINATES // 2
+    for run, spec in RUN_PARAMS.items():
+        for key in (key for key, (kind, _) in spec.items() if kind == "count"):
+            where = f"{run}.{key}"
+            assert not any(line.startswith(where)
+                           for line in validate_scenario(_with(plane, where, half)))
+            finding = f"{where}: at most {half} on a 2-dimensional space"
+            assert finding in validate_scenario(_with(plane, where, half + 1))
+    assert validate_scenario(_with(base_doc(), "iterate", {"x0": [1.0], "steps": 10 ** 12})) == [
+        f"iterate.steps: at most {MAX_RUN_COORDINATES} on a 1-dimensional space"]
+
+
 def _paths(node, prefix=()):
     """The path of every table entry and list item below node."""
     items = node.items() if isinstance(node, dict) else \
@@ -766,13 +792,43 @@ def _wrong_values(huge: bool):
     return st.one_of(values)
 
 
+def _sources(var: str):
+    """Grammar-valid sources in var: bare and subscripted reads of it, inside
+    and past a 1-d width, under + - * /, abs, min and max."""
+    atoms = st.sampled_from([var, f"{var}[0]", f"{var}[1]", "0.5", "3", "1e308", str(10 ** 400)])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda a: "({} {} {})".format(*a)),
+        st.tuples(st.sampled_from(("min", "max")), inner, inner)
+        .map(lambda a: "{}({}, {})".format(*a)),
+        inner.map("abs({})".format)), max_leaves=4)
+
+
 @st.composite
 def mutated_documents(draw, huge: bool):
     """A gallery document with one drawn mutation: a field dropped or given
     a wrong value, a run parameter given a wrong value, an unknown key added
-    to a table, or a run name added."""
+    to a table, a run name added, an expression put into a map or gauge
+    slot, or region bounds drawn out to +-1e308."""
     doc = copy.deepcopy(get_entry(draw(st.sampled_from(gallery_names()))).doc)
-    mutation = draw(st.sampled_from(("drop", "replace", "param", "unknown-key", "add-run")))
+    mutation = draw(st.sampled_from(("drop", "replace", "param", "unknown-key", "add-run",
+                                     "expression", "region")))
+    if mutation == "expression":
+        gauges = [slot for slot in doc.get("gauges", {}) if slot in ("F", "psi")]
+        slot = draw(st.sampled_from(["T", "G", *gauges]))
+        if slot == "T":
+            dim = doc["space"]["dimension"]
+            doc.setdefault("maps", {})["T"] = draw(
+                _sources("x") | st.lists(_sources("x"), min_size=dim, max_size=dim))
+        elif slot == "G":
+            doc["premetric"] = {"kind": "composed", "G": draw(_sources("t"))}
+        else:
+            doc["gauges"][slot] = draw(_sources("t"))
+        return doc
+    if mutation == "region":
+        bounds = st.lists(st.sampled_from([-1e308, -1.0, 0.0, 1.0, 1e308]),
+                          min_size=doc["space"]["dimension"], max_size=doc["space"]["dimension"])
+        doc["region"] = {"lows": draw(bounds), "highs": draw(bounds)}
+        return doc
     if mutation == "param":
         run = draw(st.sampled_from(doc["run"]))
         key = draw(st.sampled_from(sorted(RUN_PARAMS[run])))
