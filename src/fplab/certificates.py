@@ -29,11 +29,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, InputError, RefusalError
-from .gauges import C6_MIN_HORIZON, Gauge, GaugeFamily, _members, check_family_C6, \
-    check_family_C7_multi, require_profile
+from .gauges import Gauge, GaugeFamily, _members, check_family_C6, check_family_C7_multi, \
+    require_profile
 from .maps import NamedMap
 from .reports import ASMK_VARIANTS, MAX_WITNESSES, PSI_VARIANTS, CertificateReport, \
-    SearchBudget, Verdict, _is_count, last_quarter, witness, worst_verdict
+    SearchBudget, Verdict, _is_count, last_quarter, unchecked, witness, worst_verdict
 from .spaces import Box, CyclicSetting, Premetric, default_region, metric_premetric, \
     premetric_diagonal, premetric_matrix, premetric_values, sample_pairs
 from .traces import ESCAPE_NORM, IterationTrace, _extend_orbit
@@ -61,32 +61,30 @@ INEQFP_ETA = 1e-12
 
 
 def _trace_gap_windows(gaps: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
-    """Front gap values and, per front index, the nu_horizon follow-up values."""
-    ih, nh = budget.index_horizon, budget.nu_horizon
-    if gaps.shape[0] < ih + nh:
-        raise InputError(
-            f"need at least {ih + nh} aligned gaps for this budget "
-            f"(index_horizon + nu_horizon), got {gaps.shape[0]}"
-        )
-    win = np.lib.stride_tricks.sliding_window_view(gaps, nh + 1)
-    return win[:ih, 0], win[:ih, 1:]
+    """Front gap values and, per front index, the nu_horizon follow-up
+    values, of a run of at least index_horizon + nu_horizon gaps."""
+    win = np.lib.stride_tricks.sliding_window_view(gaps, budget.nu_horizon + 1)
+    return win[:budget.index_horizon, 0], win[:budget.index_horizon, 1:]
 
 
-def _horizon(trace: IterationTrace, budget: SearchBudget, shift: int = 0) -> int:
-    """The index_horizon + nu_horizon points that C4, C5 and C9 read of the
-    trace from index shift on, once the trace is checked to hold them."""
-    need = budget.index_horizon + budget.nu_horizon
-    short = len(trace) - shift
-    if short < need:
-        raise InputError(f"need a trace of at least {need} points for this budget, got {short}")
-    return need
+def _too_short(trace: IterationTrace, budget: SearchBudget, shift: int,
+               *cids: str) -> list[CertificateReport]:
+    """The unchecked reports of cids if the trace holds fewer than the
+    index_horizon + nu_horizon points the budget reads of it from index
+    shift on, else [].  C4 and C5 read from index 0; C1-C3, C8 and C9 read
+    the trace against its forward shift, so from index 1 too."""
+    need = budget.index_horizon + budget.nu_horizon + shift
+    if len(trace) >= need:
+        return []
+    why = f"the trace holds {len(trace)} points, fewer than the {need} this budget reads"
+    return [unchecked(cid, why, budget) for cid in cids]
 
 
 def _pair_matrix(trace: IterationTrace, budget: SearchBudget, shift: int = 0) -> np.ndarray:
     """The cross gaps p(x_i, x_{j+shift}) of the first index_horizon +
     nu_horizon indices of the trace: C5 reads shift 0, C9 the forward
     shift 1."""
-    need = _horizon(trace, budget, shift)
+    need = budget.index_horizon + budget.nu_horizon
     return premetric_matrix(trace.premetric, trace.coords[:need],
                             trace.coords[shift:shift + need])
 
@@ -174,13 +172,7 @@ def _triangle(mats: np.ndarray, budget: SearchBudget) -> np.ndarray:
     (n, n) matrix of mats, gap matrices or an id block: at i * n + j, in
     np.triu_indices order, which is ascending, so row i's pairs start at
     i * (2 * ih - i - 1) / 2."""
-    ih, nh = budget.index_horizon, budget.nu_horizon
-    n = mats.shape[1]
-    if n < ih + nh:
-        raise InputError(
-            f"need gap matrices of side at least {ih + nh} for this budget, "
-            f"got {n}"
-        )
+    ih, n = budget.index_horizon, mats.shape[1]
     upper = np.less.outer(np.arange(ih), np.arange(n))  # j > i, in rows of side n
     upper[:, ih:] = False
     return np.flatnonzero(upper)
@@ -639,11 +631,8 @@ def _pair_condition(budget: SearchBudget, cid: str, search, *inputs) -> Certific
     horizon below 2 holds no pair i < j: nothing is examined, so the report
     is inconclusive and claims nothing."""
     if budget.index_horizon < 2:
-        return CertificateReport(
-            cid, Verdict.INCONCLUSIVE, [], budget,
-            f"index horizon {budget.index_horizon} is below the 2 indices a pair i < j "
-            f"needs; {cid} was not checked",
-        )
+        return unchecked(cid, f"index horizon {budget.index_horizon} is below the 2 indices "
+                              "a pair i < j needs", budget)
     return search(*inputs, budget, cid)
 
 
@@ -658,12 +647,10 @@ def check_asf1(
 ) -> list[CertificateReport]:
     """C1 (small gaps force small tails), C2 (band escape, per-index shift),
     C3 (strict decrease somewhere ahead) on the gaps p(x_n, x_{n+1}) of the
-    trace against its forward shift, trace.gaps.
-
-    Raises:
-        InputError: fewer than index_horizon + nu_horizon gaps.
-    """
-    return _gap_reports(trace.gaps, budget or SearchBudget())
+    trace against its forward shift, trace.gaps; unchecked on a trace of
+    fewer than index_horizon + nu_horizon gaps."""
+    budget = budget or SearchBudget()
+    return _too_short(trace, budget, 1, "C1", "C2", "C3") or _gap_reports(trace.gaps, budget)
 
 
 def _gap_reports(gaps: np.ndarray, budget: SearchBudget) -> list[CertificateReport]:
@@ -683,8 +670,10 @@ def check_asf2(
 ) -> CertificateReport:
     """C4: one shift index, shared by every in-band pair (i, j)."""
     budget = budget or SearchBudget()
+    if short := _too_short(trace, budget, 0, "C4"):
+        return short[0]
     gaps = _OrbitGaps(partial(premetric_values, trace.premetric),
-                      trace.coords[None, :_horizon(trace, budget)])
+                      trace.coords[None, :budget.index_horizon + budget.nu_horizon])
     return _pair_condition(budget, "C4", _band_uniform, _id_block(gaps, budget), gaps)
 
 
@@ -695,6 +684,8 @@ def check_c5(
 ) -> CertificateReport:
     """C5: every pair gap above the slack strictly decreases under some shift."""
     budget = budget or SearchBudget()
+    if short := _too_short(trace, budget, 0, "C5"):
+        return short[0]
     return _pair_condition(budget, "C5", _strict_pairs, _pair_matrix(trace, budget)[None, ...])
 
 
@@ -722,7 +713,6 @@ def check_asmk(
     Raises:
         RefusalError: F misses or fails its required regularity profile, or
             F(0) <= 0 while the family does not declare members fixing zero.
-        InputError: a trace too short for the budget.
     """
     budget = budget or SearchBudget()
     if variant not in ASMK_VARIANTS:
@@ -738,22 +728,16 @@ def check_asmk(
         f"F(0)={f_zero} measured, family {family.describe()}; domination tested with "
         f"slack {budget.slack} for shifts 1..{budget.nu_horizon}"
     )
-    if budget.nu_horizon < C6_MIN_HORIZON:
-        c6 = CertificateReport("C6", Verdict.INCONCLUSIVE, resolution_note=(
-            f"nu horizon {budget.nu_horizon} is below the {C6_MIN_HORIZON} members C6 reads "
-            f"a tail from; C6 was not checked"))
-    else:
-        c6 = check_family_C6(family, budget.eps_grid, n_horizon=budget.nu_horizon,
-                             eta=budget.slack)
+    c6 = check_family_C6(family, budget.eps_grid, n_horizon=budget.nu_horizon,
+                         eta=budget.slack)
     c7 = check_family_C7_multi(family, budget.eps_grid, budget.delta_candidates,
                                nu_horizon=budget.nu_horizon, eta=budget.slack)
 
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
-    if variant == "asmk1":
-        _trace_gap_windows(trace.gaps, budget)  # the length guard
-        fg, cid = f_gauge.apply_array(trace.gaps), "C8"
-    else:
-        fg, cid = f_gauge.apply_array(_pair_matrix(trace, budget, shift=1)), "C9"
+    cid = "C8" if variant == "asmk1" else "C9"
+    if short := _too_short(trace, budget, 1, cid):
+        return [c6, c7, *short]
+    fg = f_gauge.apply_array(trace.gaps if cid == "C8" else _pair_matrix(trace, budget, shift=1))
 
     def block(n: int) -> np.ndarray:
         # F of the gaps n steps ahead: C8's diagonal run, C9's cross square
@@ -791,16 +775,16 @@ def _mapping_reports(
     budget: SearchBudget,
     region: Box,
     seed: int,
-    purpose: str,
 ) -> tuple[list[CertificateReport], np.ndarray, _OrbitGaps, int]:
     """D1-D4 on budget.pair_samples seed pairs drawn from region and walked
     index_horizon + nu_horizon steps in one _extend_orbit block.  A pair
-    with an escaped orbit is left out.  Returns the reports, the kept
-    pairs' distance curves, D4's float gaps, of at most max(4,
-    pair_samples // 16) kept orbits, and the escaped pair count.  D4 holds
-    no float (k, n, n) block: its gaps are measured with Space.distances
-    and classified in blocks of rows (see _id_block), and a defeat measures
-    its gaps again from the orbits (see _OrbitGaps)."""
+    with an escaped orbit is left out, and D1-D4 are unchecked if every
+    pair escaped.  Returns the reports, the kept pairs' distance curves,
+    D4's float gaps, of at most max(4, pair_samples // 16) kept orbits,
+    and the escaped pair count.  D4 holds no float (k, n, n) block: its
+    gaps are measured with Space.distances and classified in blocks of
+    rows (see _id_block), and a defeat measures its gaps again from the
+    orbits (see _OrbitGaps)."""
     k = budget.pair_samples
     n_steps = budget.index_horizon + budget.nu_horizon
     seeds = np.concatenate(sample_pairs(map_t.space, region, k, np.random.default_rng(seed)))
@@ -808,9 +792,11 @@ def _mapping_reports(
     orbits = block.swapaxes(0, 1)
     valid = (alive[:k] == n_steps) & (alive[k:] == n_steps)
     dists = map_t.space.distances(orbits[:k], orbits[k:])[valid]
-    if dists.shape[0] == 0:
-        raise InputError(f"every sampled pair escaped; nothing to {purpose}")
     gaps = _OrbitGaps(map_t.space.distances, orbits[np.flatnonzero(valid)[:max(4, k // 16)]])
+    escaped = int(k - valid.sum())
+    if escaped == k:
+        return [unchecked(cid, "every sampled pair escaped", budget)
+                for cid in ("D1", "D2", "D3", "D4")], dists, gaps, escaped
     trigger, windows = dists[:, 0], dists[:, 1:budget.nu_horizon + 1]
     reports = [
         _check_d1(dists, budget),
@@ -818,7 +804,7 @@ def _mapping_reports(
         _strict_per_index(trigger, windows, budget, "D3", "pair"),
         _pair_condition(budget, "D4", _band_uniform, _id_block(gaps, budget), gaps),
     ]
-    return reports, dists, gaps, int(k - valid.sum())
+    return reports, dists, gaps, escaped
 
 
 def _check_d1(dists: np.ndarray, budget: SearchBudget) -> CertificateReport:
@@ -865,7 +851,7 @@ def check_acf_mapping(
     """
     budget = budget or SearchBudget()
     region = region or default_region(map_t.space)
-    reports, dists, gaps, escaped = _mapping_reports(map_t, budget, region, seed, "certify")
+    reports, dists, gaps, escaped = _mapping_reports(map_t, budget, region, seed)
     suffix = (
         f"; {dists.shape[0]} sampled pairs in region {region.lows}..{region.highs}, seed {seed}"
     )
@@ -895,11 +881,16 @@ def acf_asf_agreement(
     worst verdict of the sequence-level checker across the same sampled pairs
     (C4 across the same orbit subset) at the same budget, so the two levels
     can be compared like for like.
+
+    Raises:
+        InputError: every sampled pair escaped, so there is nothing to compare.
     """
     budget = budget or SearchBudget()
     reports, dists, gaps, _ = _mapping_reports(
-        map_t, budget, region or default_region(map_t.space), seed, "compare"
+        map_t, budget, region or default_region(map_t.space), seed
     )
+    if dists.shape[0] == 0:
+        raise InputError("every sampled pair escaped; nothing to compare")
     out = {rep.condition_id: rep.verdict for rep in reports}
     # per condition, its reports on every sampled pair's distance curve
     for same in zip(*(_gap_reports(row, budget) for row in dists)):
@@ -1079,15 +1070,16 @@ def check_p_controls_d(traces: list[IterationTrace]) -> CertificateReport:
     """Refutation check (id PCD): a supplied trace, paired with its forward
     shift, whose tail p-gap is below PCD_ETA must also have its tail d-gap
     below PCD_D_TOL, where p is the premetric the trace carries and d the
-    metric of its space.  Evidence-based only; it cannot prove the
-    implication, just contradict it."""
+    metric of its space.  A one-point trace has no gap and does not
+    activate.  Evidence-based only; it cannot prove the implication, just
+    contradict it."""
     if not traces:
         raise InputError("need at least one trace")
     defeats: list[dict] = []
     activated = 0
     for idx, tr in enumerate(traces):
         if len(tr) < 2:
-            raise InputError(f"trace {idx} has {len(tr)} point(s); a tail gap needs 2")
+            continue
         p_tail = float(last_quarter(tr.gaps).max())
         if p_tail >= PCD_ETA:
             continue
@@ -1166,10 +1158,12 @@ def consecutive_contraction_report(
     f_gauge: Gauge,
     psi: Gauge,
 ) -> CertificateReport:
-    """Stepwise domination F(gap_n) <= psi(F(gap_{n-1})) + INEQFP_ETA (id INEQFP)."""
+    """Stepwise domination F(gap_n) <= psi(F(gap_{n-1})) + INEQFP_ETA (id
+    INEQFP); unchecked on a trace of fewer than the 3 points of two gaps."""
     gaps, eta = trace.gaps, INEQFP_ETA
     if gaps.shape[0] < 2:
-        raise InputError("need at least two consecutive gaps")
+        return unchecked("INEQFP", f"the trace holds {len(trace)} points, fewer than the 3 "
+                                   "two consecutive gaps need")
     fg = f_gauge.apply_array(gaps)
     rhs = psi.apply_array(fg[:-1])
     lhs = fg[1:]

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConfigurationError, InputError, RefusalError
 from .expressions import Expression, compile_expression
 from .reports import MAX_WITNESSES, CertificateReport, Verdict, _as_float, \
-    _default_delta_candidates, _is_count, _is_real, last_quarter, witness, worst_verdict
+    _default_delta_candidates, _is_count, _is_real, last_quarter, unchecked, witness, \
+    worst_verdict
 
 PROFILE_NAMES = frozenset(
     {
@@ -363,11 +364,17 @@ def check_family_C6(
     (variation <= eta) or nonincreasing-within-eta tail; a stabilized tail at
     or above eps - eta fails; anything else is inconclusive.  An explicit
     family shorter than the horizon never reaches it, so it can fail but
-    never pass.  Each member is evaluated at every eps at once.
+    never pass.  Each member is evaluated at every eps at once.  A horizon
+    below C6_MIN_HORIZON holds no tail: C6 is then unchecked.
+
+    Raises:
+        InputError: n_horizon is not a positive integer.
     """
-    if not _is_count(n_horizon) or n_horizon < C6_MIN_HORIZON:
-        raise InputError(f"C6 horizon must be an integer of at least {C6_MIN_HORIZON}, "
-                         f"got {n_horizon!r}")
+    if not _is_count(n_horizon):
+        raise InputError(f"C6 horizon must be a positive integer, got {n_horizon!r}")
+    if n_horizon < C6_MIN_HORIZON:
+        return unchecked("C6", f"nu horizon {n_horizon} is below the {C6_MIN_HORIZON} members "
+                               "C6 reads a tail from")
     try:
         block = np.array(list(_members(family, eps_grid, n_horizon)))
     except InputError:

@@ -195,3 +195,10 @@ class CertificateReport:
         if self.verdict is Verdict.FAIL and not self.witnesses:
             raise InputError(f"{self.condition_id}: fail verdict requires at least one witness")
 
+
+def unchecked(cid: str, why: str, budget: SearchBudget | None = None) -> CertificateReport:
+    """The report of a condition the data could not decide: inconclusive,
+    with no witness, and a note saying why it was not checked."""
+    return CertificateReport(cid, Verdict.INCONCLUSIVE, [], budget,
+                             f"{why}; {cid} was not checked")
+

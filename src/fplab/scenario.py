@@ -236,20 +236,6 @@ def _needs_trace(run: str, source, has_t: bool, has_s: bool, seq, diags: list[st
         diags.append(f"sequence: run {run} on a sequence trace needs one")
 
 
-def _min_trace_points(run: str, route, asmk: bool, fpsi: bool, budget: SearchBudget) -> int:
-    """The fewest trace points that run's checks accept, from their length
-    guards: the settling diagnostic CAUCHY reads 4 points; C1-C3, C4, C8 and
-    C9 read index_horizon + nu_horizon gaps against the trace's forward
-    shift, one point shorter; the falsify scan reads 4 consecutive gaps and
-    INEQFP, alternate's check when F and psi are given, 2."""
-    if run == "certify":
-        bands = budget.index_horizon + budget.nu_horizon + 1 if route != "mixed" or asmk else 0
-        return max(4, bands)
-    if run == "falsify":
-        return 5
-    return 3 if run == "alternate" and fpsi else 1
-
-
 def seed_problem(seed) -> str | None:
     """Why seed is no scenario seed (a non-negative int, not a bool), or None."""
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -409,16 +395,6 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
     for run in RUN_NAMES:
         if run in runs and run in reads:
             _needs_trace(run, reads[run], has_t, has_s, seq, diags)
-            # a declared steps gives the trace at most steps + 1 points
-            owner = "alternate" if reads[run] == "alternating" else "iterate"
-            steps = params[owner]["steps"]
-            if steps is None or budget is None:
-                continue
-            need = _min_trace_points(run, params[run].get("route"), bool(variants),
-                                     f_gauge is not None and psi is not None, budget)
-            if steps + 1 < need:
-                diags.append(f"{owner}.steps: run {run} needs a trace of at least {need} "
-                             f"points, so at least {need - 1} steps, got {steps}")
 
     route = params["certify"]["route"] if "certify" in runs else None
     if route == "tau" and kind != "metric":
@@ -436,9 +412,6 @@ def _walk(doc) -> tuple[list[str], Scenario | None]:
             diags.append("maps.T: run cyclic needs a map T")
     if "cyclic" in runs and "x0" not in sections["cyclic"]:
         diags.append("cyclic.x0: starting point required")
-    if "cyclic" in runs and params["cyclic"]["pairs"] is not None \
-            and params["cyclic"]["pairs"] < 3:
-        diags.append("cyclic.pairs: at least 3, for the 4 points the settling diagnostic needs")
     if "cyclic" in runs and setting is not None:
         # check_cyclic draws from both sets, and the orbit starts in set_a
         rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, InputError
 from .gauges import verify_gauge_regularity
 from .maps import NamedMap
 from .reports import CAUCHY_ROUTES, MAX_WITNESSES, CertificateReport, SearchBudget, Verdict, \
-    last_quarter, witness, worst_verdict
+    last_quarter, unchecked, witness, worst_verdict
 from .spaces import CyclicSetting, Point, Premetric, eval_premetric, metric_premetric, \
     premetric_diagonal, premetric_masked, premetric_matrix, premetric_values, \
     verify_premetric_axioms
@@ -60,13 +60,12 @@ def cauchy_diagnostic(
     s(n) = max over stored m > n of p(x_n, x_m), p the trace's premetric,
     evaluated on a logarithmic ladder of n.  Pass needs s nonincreasing
     within eta along the ladder and the last ladder value at or below tol.
-    A truncated (escaped) orbit can fail but never cleanly pass.
-
-    Raises:
-        InputError: fewer than 4 points.
+    A truncated (escaped) orbit can fail but never cleanly pass, and one of
+    fewer than 4 points is unchecked.
     """
     if len(trace) < 4:
-        raise InputError("the settling diagnostic needs at least 4 points")
+        return unchecked("CAUCHY", f"the trace holds {len(trace)} points, fewer than the 4 "
+                                   "the settling diagnostic reads")
     p, coords = trace.premetric, trace.coords
     last = len(trace) - 2
     entries = []
@@ -108,10 +107,13 @@ class CauchyCertificate:
 
 def _trace_triples(trace: IterationTrace) -> np.ndarray:
     idx = sorted(set(np.linspace(0, len(trace) - 1, 10, dtype=int).tolist()))
-    return trace.coords[np.array(list(itertools.combinations(idx, 3))[:200], dtype=int)]
+    triples = np.array(list(itertools.combinations(idx, 3))[:200], dtype=int).reshape(-1, 3)
+    return trace.coords[triples]
 
 
 def _decay_report(cid: str, gaps: np.ndarray, budget: SearchBudget, label: str) -> CertificateReport:
+    if not gaps.size:
+        return unchecked(cid, "the trace holds 1 point, fewer than the 2 a gap needs", budget)
     tail = float(last_quarter(gaps).max())
     target = min(budget.eps_grid) + budget.slack
     note = (
@@ -373,11 +375,13 @@ def extract_noncauchy_witness(
     above eps; minimality hands back the straddle gap(x_sigma, x_{k-2}) <= eps.
     Applicable only when the consecutive gaps actually decay; a trace whose
     step sizes never shrink is reported not_applicable, and a settled trace
-    with no separated pairs reports none.
+    with no separated pairs reports none.  A trace of fewer than 4
+    consecutive gaps is not_applicable too.
     """
     p, coords, gaps = trace.premetric, trace.coords, trace.gaps
     if gaps.shape[0] < 4:
-        raise InputError("need at least 4 consecutive gaps to scan")
+        return WitnessScan("not_applicable", None, f"the trace holds {len(trace)} points, "
+                           "fewer than the 5 of the 4 consecutive gaps the scan reads")
     over = np.nonzero(gaps > gap_tol)[0]
     n0 = 0 if over.size == 0 else int(over[-1]) + 1
     if n0 >= gaps.shape[0]:
@@ -459,14 +463,13 @@ def even_collapse_diagnostic(
     """For a back-and-forth orbit: the step distances must settle at the set
     gap and, when they do, the even-index displacements must collapse below
     tol (id EVEN-COLLAPSE).  Accepts the even-subsequence trace (using its
-    cached full orbit) or a plain full orbit.
-
-    Raises:
-        InputError: the orbit is shorter than 5 points.
+    cached full orbit) or a plain full orbit; unchecked on a full orbit of
+    fewer than 5 points.
     """
     coords = full_orbit.aux_coords if full_orbit.aux_coords is not None else full_orbit.coords
     if coords.shape[0] < 5:
-        raise InputError("need a full orbit of at least 5 points")
+        return unchecked("EVEN-COLLAPSE", f"the full orbit holds {coords.shape[0]} points, "
+                                          "fewer than the 5 the collapse reads")
     evens = coords[::2]
     step = setting.space.distances(coords[:-1], coords[1:])
     even = setting.space.distances(evens[:-1], evens[1:])

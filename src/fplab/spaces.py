@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .gauges import Gauge
-from .reports import MAX_WITNESSES, CertificateReport, Verdict, witness
+from .reports import MAX_WITNESSES, CertificateReport, Verdict, unchecked, witness
 
 #: Default half-width of the working box used when sampling unbounded sets.
 SAMPLING_CLIP = 100.0
@@ -471,7 +471,8 @@ def verify_premetric_axioms(
     Returns one report per claim (mixed_triangle yields two, one per
     inequality).  A fail report carries the first MAX_WITNESSES violations in
     (triple, permutation) order, each with its triple and the violation
-    magnitude.
+    magnitude.  An empty (0, 3, d) sample decides nothing: every report is
+    then unchecked.
 
     Each premetric is evaluated once on the whole (triple, ordered pair)
     block.  A per-triple loop evaluates every ordered pair too, so the block
@@ -479,23 +480,24 @@ def verify_premetric_axioms(
     pairs evaluated one at a time in that loop's order.
 
     Raises:
-        InputError: an empty sample or one that is no finite (m, 3, d) block,
-            or a premetric value that is negative or non-finite.
+        InputError: a sample that is no finite (m, 3, d) block, or a
+            premetric value that is negative or non-finite.
     """
     try:
         sample = np.asarray(sample, dtype=float)
     except (TypeError, ValueError):
         sample = np.empty((1, 0))  # ragged: no block
-    if sample.shape[:1] == (0,):
-        raise InputError("axiom verification needs a non-empty triple sample")
     if sample.shape[1:] != (3, p.space.dimension) or not np.isfinite(sample).all():
         raise InputError(f"need an (m, 3, {p.space.dimension}) block of finite triple coordinates")
     try:
-        return _axiom_reports(p, sample, eta)
+        reports = _axiom_reports(p, sample, eta)
     except InputError:
         for q, a, b in _axiom_evaluations(p, sample):
             premetric_values(q, a, b)
         raise
+    if not len(sample):
+        return [unchecked(rep.condition_id, "the triple sample is empty") for rep in reports]
+    return reports
 
 
 def _axiom_evaluations(p: Premetric, sample: np.ndarray):

@@ -252,11 +252,6 @@ def strict_pairs_reference(mats: np.ndarray, budget: SearchBudget, cid: str):
     """C5 as the minimum over every shift of the whole front block, then a
     second walk over nu for the witnessing shift."""
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
-    if mats.shape[1] < ih + nh:
-        raise InputError(
-            f"need gap matrices of side at least {ih + nh} for this budget, "
-            f"got {mats.shape[1]}"
-        )
     base = mats[:, :ih, :ih]
     best = np.full_like(base, np.inf)
     for nu in range(1, nh + 1):
@@ -641,7 +636,8 @@ def noncauchy_witness_reference(trace, eps=0.5, gap_tol=1e-2,
     last = len(xs) - 1
     gaps = [checked_premetric_reference(p, xs[n], xs[n + 1]) for n in range(last)]
     if len(gaps) < 4:
-        raise InputError("need at least 4 consecutive gaps to scan")
+        return WitnessScan("not_applicable", None, f"the trace holds {len(xs)} points, fewer "
+                           "than the 5 of the 4 consecutive gaps the scan reads")
     n0 = 0
     for n, g in enumerate(gaps):
         if g > gap_tol:
@@ -737,9 +733,8 @@ def read_trace_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def axioms_reference(p, sample, eta=1e-9):
-    """verify_premetric_axioms one triple and one ordered pair at a time."""
-    if not sample:
-        raise InputError("axiom verification needs a non-empty triple sample")
+    """verify_premetric_axioms one triple and one ordered pair at a time;
+    on an empty sample, every claim's report unchecked."""
     note = f"checked {len(sample)} sampled triples with slack eta={eta}"
     reports = []
 
@@ -797,6 +792,9 @@ def axioms_reference(p, sample, eta=1e-9):
                                          bad_r[:8], resolution_note=note))
         reports.append(CertificateReport("AX-MIX-L", Verdict.FAIL if bad_l else Verdict.PASS,
                                          bad_l[:8], resolution_note=note))
+    if not sample:
+        return [unchecked_reference(rep.condition_id, "the triple sample is empty")
+                for rep in reports]
     return reports
 
 
@@ -958,8 +956,11 @@ def family_values_reference(family, t, horizon):
 
 def c6_reference(family, eps_grid, n_horizon=64, eta=1e-9):
     """check_family_C6 as a loop over the eps levels."""
-    if isinstance(n_horizon, bool) or not isinstance(n_horizon, int) or n_horizon < 4:
-        raise InputError(f"C6 horizon must be an integer of at least 4, got {n_horizon!r}")
+    if isinstance(n_horizon, bool) or not isinstance(n_horizon, int) or n_horizon < 1:
+        raise InputError(f"C6 horizon must be a positive integer, got {n_horizon!r}")
+    if n_horizon < 4:
+        return unchecked_reference("C6", f"nu horizon {n_horizon} is below the 4 members C6 "
+                                         "reads a tail from")
     per_eps, wits, checked = [], [], n_horizon
     for eps in eps_grid:
         values = family_values_reference(family, eps, n_horizon)
@@ -1039,6 +1040,23 @@ def c7_multi_reference(family, eps_grid, delta_candidates=None, nu_horizon=64, e
 
 
 # ---------------------------------------------------------------------------
+# Reports of conditions the data could not decide
+
+
+def unchecked_reference(cid, why, budget=None):
+    """An inconclusive report with no witness, saying why cid was not checked."""
+    return CertificateReport(cid, Verdict.INCONCLUSIVE, [], budget,
+                             f"{why}; {cid} was not checked")
+
+
+def short_trace_reference(cid, points, need, budget):
+    """cid unchecked on a trace of points points, fewer than the need the
+    budget reads."""
+    return unchecked_reference(
+        cid, f"the trace holds {points} points, fewer than the {need} this budget reads", budget)
+
+
+# ---------------------------------------------------------------------------
 # The trace checkers in the paper's two-sequence form: the conditions read
 # the pairs (x_n, y_n) of two traces under the first one's premetric; fplab
 # reads one trace against its forward shift, y_n = x_{n+1}
@@ -1056,8 +1074,8 @@ def check_asf1_reference(trace_x, trace_y, *, budget):
     gaps = aligned_gaps_reference(trace_x, trace_y)
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     if len(gaps) < ih + nh:
-        raise InputError(f"need at least {ih + nh} aligned gaps for this budget "
-                         f"(index_horizon + nu_horizon), got {len(gaps)}")
+        return [short_trace_reference(cid, len(gaps) + 1, ih + nh + 1, budget)
+                for cid in ("C1", "C2", "C3")]
     front = gaps[:ih]
     ahead = [gaps[i + 1:i + nh + 1] for i in range(ih)]
     tail = max(gaps[-max(1, len(gaps) // 4):])
@@ -1131,7 +1149,7 @@ def check_p_controls_d_reference(trace_pairs, eta=1e-9, d_tol=1e-6):
     for idx, (tx, ty) in enumerate(trace_pairs):
         n = min(len(tx), len(ty))
         if n < 1:
-            raise InputError(f"trace {idx} has {len(tx)} point(s); a tail gap needs 2")
+            continue
         start = n - max(1, n // 4)
         p_tail = max(aligned_gaps_reference(tx, ty)[start:])
         if p_tail >= eta:
@@ -1169,30 +1187,23 @@ def check_asmk_reference(trace_x, trace_y, f_gauge, family, *, budget, variant="
         f"F(0)={f_zero} measured, family {family.describe()}; domination tested with "
         f"slack {budget.slack} for shifts 1..{budget.nu_horizon}"
     )
-    if budget.nu_horizon < 4:
-        c6 = CertificateReport("C6", Verdict.INCONCLUSIVE, resolution_note=(
-            f"nu horizon {budget.nu_horizon} is below the 4 members C6 reads "
-            f"a tail from; C6 was not checked"))
-    else:
-        c6 = c6_reference(family, budget.eps_grid, n_horizon=budget.nu_horizon,
-                          eta=budget.slack)
+    c6 = c6_reference(family, budget.eps_grid, n_horizon=budget.nu_horizon, eta=budget.slack)
     c7 = c7_multi_reference(family, budget.eps_grid, budget.delta_candidates,
                             nu_horizon=budget.nu_horizon, eta=budget.slack)
     ih, nh, eta = budget.index_horizon, budget.nu_horizon, budget.slack
     p = trace_x.premetric
+    # x_n against y_n = x_{n+1}: the pairs reach as far as the shorter trace
+    pairs = min(len(trace_x), len(trace_y))
     if variant == "asmk1":
         gaps = np.array(aligned_gaps_reference(trace_x, trace_y), dtype=float)
         if gaps.shape[0] < ih + nh:
-            raise InputError(f"need at least {ih + nh} aligned gaps for this budget "
-                             f"(index_horizon + nu_horizon), got {gaps.shape[0]}")
+            return [c6, c7, short_trace_reference("C8", pairs + 1, ih + nh + 1, budget)]
         fg = gauge_values_reference(f_gauge, gaps)
         base_block = fg[:ih]
         cid = "C8"
     else:
-        short = min(len(trace_x), len(trace_y))
-        if short < ih + nh:
-            raise InputError(f"need a trace of at least {ih + nh} points for this budget, "
-                             f"got {short}")
+        if pairs < ih + nh:
+            return [c6, c7, short_trace_reference("C9", pairs + 1, ih + nh + 1, budget)]
         fg = gauge_values_reference(f_gauge, [[checked_premetric_reference(p, a, b)
                                                for b in trace_y.coords[:ih + nh]]
                                               for a in trace_x.coords[:ih + nh]])

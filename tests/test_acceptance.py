@@ -57,7 +57,7 @@ from fplab.traces import (
     picard_trace,
     sequence_trace,
 )
-from fplab.gallery import GALLERY
+from fplab.gallery import GALLERY, get_entry
 
 LINE = Space(id="line", dimension=1)
 D = metric_premetric(LINE)
@@ -323,3 +323,24 @@ def test_gallery_artifacts_match_the_recorded_digests(tmp_path):
     for label, digests in sorted(got.items()):
         assert sorted(digests) == sorted(want[label]), label
         assert digests == want[label], label
+
+
+# SHA-256 of every artifact of `fplab run banach-half --budget-scale 1.2` at
+# seed 0.  The scale takes the horizons to 307 + 77, past the 353 points the
+# entry's steps give, so C1-C5, C8 and C9 are reported unchecked.
+SCALED_BANACH_HALF = {
+    "reports.json": "5f97fb9122e1befe68cdf7840ab0e0037abf74eb2caf7624c0b7a1210ba06ef5",
+    "solve_fixed_point.json": "5a6334961a35e25d4f5b6fad3239f7c9bc8d6409608e57e6d98798f22ce0dbf7",
+    "trace_picard.csv": "550baf9fb0a6721cdfc47ad1f96dad46a3299db557e2301af2b66290c229e38a",
+    "witness_scan.json": "f83e1678313a81a4e5351f338340e5ebd69aed0641c2d4618245d639deaf27e1",
+}
+
+
+def test_a_scaled_run_matches_its_recorded_digests(tmp_path):
+    entry = get_entry("banach-half")
+    out = tmp_path / "out"
+    result = run_scenario_doc(entry.doc, str(out), seed=0, budget_scale=1.2,
+                              expectations=entry.expectations)
+    assert result.exit_code == 2
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())} == SCALED_BANACH_HALF

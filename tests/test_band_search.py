@@ -745,7 +745,7 @@ def _float_mats(name):
     orbit[None]) per orbit."""
     map_name, space, region, _ = MAPPING_CASES[name]
     map_t = builtin_map(map_name, space)
-    orbits = _mapping_reports(map_t, PIN_BUDGET, region, 0, "certify")[2].orbits
+    orbits = _mapping_reports(map_t, PIN_BUDGET, region, 0)[2].orbits
     return map_t, region, np.stack([space.distances(orbit[:, None], orbit[None])
                                     for orbit in orbits])
 

@@ -1,7 +1,6 @@
 """Condition checkers: sequence-level, gauge-family, mapping-level, two-map."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,12 +117,27 @@ class TestSequenceCheckers:
         assert c5.witnesses[0] == {"orbit": 0, "i": 0, "j": 1, "gap": 1.0,
                                    "best_follow_up": 1.0}
 
-    def test_short_trace_guards(self):
-        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 8)
-        with pytest.raises(InputError, match="aligned gaps"):
-            check_asf1(tr, budget=SMALL)
-        with pytest.raises(InputError, match="at least 16 points"):
-            check_asf2(tr, budget=SMALL)
+    def test_a_short_trace_is_unchecked(self):
+        # C1-C3 read 16 gaps against the forward shift, so 17 points; C4 and
+        # C5 read 16 points
+        def checks(tr):
+            return [*check_asf1(tr, budget=SMALL), check_asf2(tr, budget=SMALL),
+                    check_c5(tr, budget=SMALL)]
+
+        half = builtin_map("half", LINE)
+        for tr in (picard_trace(half, LINE.point(1.0), 8),
+                   IterationTrace(np.zeros((1, 1)), D, "completed")):
+            for rep in checks(tr):
+                need = 16 if rep.condition_id in ("C4", "C5") else 17
+                assert rep.verdict is Verdict.INCONCLUSIVE and rep.witnesses == []
+                assert rep.budget == SMALL
+                assert rep.resolution_note == (
+                    f"the trace holds {len(tr)} points, fewer than the {need} this budget "
+                    f"reads; {rep.condition_id} was not checked")
+        at_16 = [rep.verdict for rep in checks(picard_trace(half, LINE.point(1.0), 15))]
+        assert at_16 == [Verdict.INCONCLUSIVE] * 3 + [Verdict.PASS] * 2
+        assert all(rep.verdict is Verdict.PASS
+                   for rep in checks(picard_trace(half, LINE.point(1.0), 16)))
 
 
 class TestGaugeFamilyCheckers:
@@ -165,15 +179,14 @@ class TestGaugeFamilyCheckers:
 
     def test_horizon_below_c6_minimum_is_inconclusive(self):
         # a budget scale of 0.05 takes nu_horizon 64 to 3; C6 reads its tail
-        # from at least 4 members, so it is not run and claims nothing
+        # from at least 4 members, so it is not checked and claims nothing
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
         budget = SearchBudget(index_horizon=8, nu_horizon=3)
-        with mock.patch("fplab.certificates.check_family_C6",
-                        side_effect=AssertionError("C6 must not run")):
-            c6, c7, c8 = check_asmk(tr, builtin_gauge("id"), self.fam(), budget=budget)
+        c6, c7, c8 = check_asmk(tr, builtin_gauge("id"), self.fam(), budget=budget)
         assert c6.condition_id == "C6" and c6.verdict is Verdict.INCONCLUSIVE
-        assert c6.witnesses == []
-        assert "nu horizon 3 is below the 4 members" in c6.resolution_note
+        assert c6.witnesses == [] and c6.budget is None
+        assert c6.resolution_note == ("nu horizon 3 is below the 4 members C6 reads a tail "
+                                      "from; C6 was not checked")
         assert c7.verdict is Verdict.PASS and c8.verdict is Verdict.PASS
 
     def test_unknown_variant(self):
@@ -187,16 +200,22 @@ class TestGaugeFamilyCheckers:
         with pytest.raises(RefusalError, match="does not declare"):
             check_asmk(tr, bare, self.fam(), budget=SMALL)
 
-    def test_short_trace_guards(self):
-        # asmk1 reads the aligned gap run, asmk2 the pair matrix
-        tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 8)
-        for variant, match in (
-            ("asmk1", r"need at least 16 aligned gaps for this budget "
-                      r"\(index_horizon \+ nu_horizon\), got 8"),
-            ("asmk2", "need a trace of at least 16 points for this budget, got 8"),
-        ):
-            with pytest.raises(InputError, match=match):
-                check_asmk(tr, builtin_gauge("id"), self.fam(), budget=SMALL, variant=variant)
+    def test_a_short_trace_leaves_the_domination_unchecked(self):
+        # asmk1 reads 16 gaps against the forward shift, asmk2 the 16 x 16
+        # cross gaps p(x_i, x_{j+1}): both read 17 points
+        half = builtin_map("half", LINE)
+        for variant, cid in (("asmk1", "C8"), ("asmk2", "C9")):
+            c6, c7, dom = check_asmk(picard_trace(half, LINE.point(1.0), 15),
+                                     builtin_gauge("id"), self.fam(), budget=SMALL,
+                                     variant=variant)
+            assert c6.verdict is c7.verdict is Verdict.PASS
+            assert dom.condition_id == cid and dom.verdict is Verdict.INCONCLUSIVE
+            assert dom.witnesses == [] and dom.budget == SMALL
+            assert dom.resolution_note == ("the trace holds 16 points, fewer than the 17 this "
+                                           f"budget reads; {cid} was not checked")
+            dom = check_asmk(picard_trace(half, LINE.point(1.0), 16), builtin_gauge("id"),
+                             self.fam(), budget=SMALL, variant=variant)[2]
+            assert dom.verdict is Verdict.PASS
 
     def test_refuses_family_not_fixing_zero(self):
         # F(0) = 0 needs the family to declare members fixing zero
@@ -263,8 +282,8 @@ class TestNoPairs:
     def test_the_length_guard_still_comes_first(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 4)
         for check in (check_asf2, check_c5):
-            with pytest.raises(InputError, match="at least 9 points"):
-                check(tr, budget=self.BUDGET)
+            assert check(tr, budget=self.BUDGET).resolution_note.startswith(
+                "the trace holds 5 points, fewer than the 9 this budget reads")
 
     def test_two_indices_make_one_pair(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
@@ -300,11 +319,20 @@ class TestMappingCheckers:
         assert all(r.verdict is Verdict.INCONCLUSIVE for r in reps)
         assert all("escaped the working bound" in r.resolution_note for r in reps)
 
-    def test_every_pair_escaping_is_an_error(self):
+    def test_every_pair_escaping_is_unchecked(self):
         square = expression_map(LINE, "x * x", name="square")
-        with pytest.raises(InputError, match="every sampled pair escaped"):
-            check_acf_mapping(square, budget=self.budget(),
-                              region=Box(lows=(5.0,), highs=(10.0,)), seed=0)
+        region = Box(lows=(5.0,), highs=(10.0,))
+        reps = check_acf_mapping(square, budget=self.budget(), region=region, seed=0)
+        assert [r.condition_id for r in reps] == ["D1", "D2", "D3", "D4"]
+        for rep in reps:
+            assert rep.verdict is Verdict.INCONCLUSIVE and rep.witnesses == []
+            assert rep.resolution_note.startswith(
+                f"every sampled pair escaped; {rep.condition_id} was not checked; 0 sampled "
+                "pairs in region")
+            assert "60 sampled pair(s) escaped" in rep.resolution_note
+        # the orbit level has nothing to be compared with
+        with pytest.raises(InputError, match="every sampled pair escaped; nothing to compare"):
+            acf_asf_agreement(square, budget=self.budget(), region=region, seed=0)
 
     def test_orbit_and_mapping_levels_agree(self):
         for name in ("half", "translation"):
@@ -489,10 +517,11 @@ class TestPremetricControl:
         with pytest.raises(InputError, match="at least one trace"):
             check_p_controls_d([])
 
-    def test_a_trace_without_a_gap(self):
+    def test_a_trace_without_a_gap_does_not_activate(self):
         tr = IterationTrace(coords=[[1.0]], premetric=D, status="completed")
-        with pytest.raises(InputError, match="trace 0 has 1 point"):
-            check_p_controls_d([tr])
+        rep = check_p_controls_d([tr])
+        assert rep.verdict is Verdict.PASS
+        assert rep.witnesses == [{"activated": 0}]
 
 
 class TestConsecutiveContraction:
@@ -514,11 +543,13 @@ class TestConsecutiveContraction:
         assert rep.verdict is Verdict.FAIL
         assert rep.witnesses[0] == {"n": 1, "lhs": 1.0, "rhs": 0.6}
 
-    def test_needs_two_gaps(self):
+    def test_one_gap_is_unchecked(self):
         psi = expression_gauge("0.6 * t", name="point-six")
         tr = IterationTrace(coords=[[0.0], [1.0]], premetric=D, status="completed")
-        with pytest.raises(InputError, match="two consecutive gaps"):
-            consecutive_contraction_report(tr, builtin_gauge("id"), psi)
+        rep = consecutive_contraction_report(tr, builtin_gauge("id"), psi)
+        assert (rep.verdict, rep.witnesses) == (Verdict.INCONCLUSIVE, [])
+        assert rep.resolution_note == ("the trace holds 2 points, fewer than the 3 two "
+                                       "consecutive gaps need; INEQFP was not checked")
 
 
 class TestSearchBudget:

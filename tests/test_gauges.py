@@ -345,13 +345,19 @@ class TestFamilyC6:
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.witnesses[0]["tail"] == "unstable"
 
+    @pytest.mark.parametrize("n_horizon", [1, 2, 3])
+    def test_a_horizon_below_four_is_unchecked(self, n_horizon):
+        # the last quarter of fewer than 4 members is no tail
+        rep = check_family_C6(iterated_family(builtin_gauge("half")), (1.0,),
+                              n_horizon=n_horizon)
+        assert (rep.verdict, rep.witnesses, rep.budget) == (Verdict.INCONCLUSIVE, [], None)
+        assert rep.resolution_note == (f"nu horizon {n_horizon} is below the 4 members C6 "
+                                       "reads a tail from; C6 was not checked")
+
     def test_horizon_guard(self):
-        fam = iterated_family(builtin_gauge("half"))
-        with pytest.raises(InputError, match="at least 4"):
-            check_family_C6(fam, (1.0,), n_horizon=3)
         # a float horizon was a raw TypeError from range
-        with pytest.raises(InputError, match="an integer of at least 4, got 4.0"):
-            check_family_C6(fam, (1.0,), n_horizon=4.0)
+        with pytest.raises(InputError, match="a positive integer, got 4.0"):
+            check_family_C6(iterated_family(builtin_gauge("half")), (1.0,), n_horizon=4.0)
 
     def test_short_explicit_family_claims_no_pass(self):
         # one member never reaches horizon 64, so its stabilized tail is no pass
@@ -425,7 +431,8 @@ class TestProbeArguments:
     @pytest.mark.parametrize("n_horizon", BAD)
     def test_n_horizon(self, n_horizon):
         fam = iterated_family(builtin_gauge("half"))
-        with pytest.raises(InputError, match=f"at least 4, got {n_horizon!r}"):
+        message = f"C6 horizon must be a positive integer, got {n_horizon!r}"
+        with pytest.raises(InputError, match=message):
             check_family_C6(fam, (1.0,), n_horizon=n_horizon)
 
     @pytest.mark.parametrize("nu_horizon", BAD)

@@ -387,12 +387,12 @@ class TestPremetricKernel:
 
 @st.composite
 def strict_cases(draw):
-    """(mats, budget): k gap matrices of side index_horizon + nu_horizon
-    (one short of it now and then), tie-heavy and shrinking along the
-    diagonal at a rate per orbit, so that pairs pass at every shift or stick."""
+    """(mats, budget): k gap matrices of side index_horizon + nu_horizon,
+    tie-heavy and shrinking along the diagonal at a rate per orbit, so that
+    pairs pass at every shift or stick."""
     k = draw(st.integers(1, 3))
     ih, nh = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    n = ih + nh - draw(st.sampled_from((0, 0, 0, 1)))
+    n = ih + nh
     values = st.sampled_from((0.0, -0.0, 1e-9, 2e-9, 0.25, 0.5, 1.0))
     mats = draw(hnp.arrays(float, (k, n, n), elements=values))
     rates = np.array(draw(st.lists(st.sampled_from((1.0, 0.75, 0.5)), min_size=k, max_size=k)))
@@ -436,8 +436,6 @@ class TestStrictPairs:
                               "pass", {"triggered": 0,
                                        "note": "every pair gap is already within the slack "
                                                "of zero"}),
-        "too-small": ((np.ones((1, 5, 5)), SearchBudget(index_horizon=4, nu_horizon=2)),
-                      None, None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -445,9 +443,6 @@ class TestStrictPairs:
         (mats, budget), verdict, first = self.CASES[case]
         got = _probe_outcome(_strict_pairs, mats, budget, "C5")
         assert got == _probe_outcome(strict_pairs_reference, mats, budget, "C5")
-        if verdict is None:
-            assert got == "InputError: need gap matrices of side at least 6 for this budget, got 5"
-            return
         report = json.loads(got)[0]
         assert report["verdict"] == verdict
         assert report["witnesses"][0] == first
@@ -1355,6 +1350,14 @@ class TestNoncauchyWitnessScan:
         "skip": ([50.0, 0.0, 0.3, 0.5, 1.2, 0.5, 0.5, 1.1, 1.7], (5, 7, 7, 0.0), (0, 1)),
     }
 
+    @pytest.mark.parametrize("points", [4, 5, 6])
+    def test_one_point_either_side_of_the_bound(self, points):
+        # the scan reads 4 consecutive gaps: a harmonic walk of 3, 4 and 5
+        tr = _settled_trace(np.cumsum(1.0 / np.arange(1, points + 1)), metric_premetric(LINE))
+        got = _outcome_text(extract_noncauchy_witness, tr, eps=0.5, gap_tol=0.8)
+        assert got == _outcome_text(noncauchy_witness_reference, tr, eps=0.5, gap_tol=0.8)
+        assert ("fewer than the 5" in got) == (points < 5)
+
     def test_the_scan_reads_no_gap_past_rho(self):
         # from sigma = 0, rho = 2 (gap mk(0.8) = 0.44 > 0.4) comes before the
         # first gap outside the gauge's range [0, 1.5] (x_3 = 1.6), so the
@@ -1440,18 +1443,33 @@ def _axiom_outcomes(p, rows, eta):
     """verify_premetric_axioms on the (m, 3, 2) block of rows, and the loop
     on the same triples as Points."""
     with _asymmetric_rule():
-        return (_outcome_text(verify_premetric_axioms, p, np.array(rows, dtype=float),
-                              eta=eta),
+        return (_outcome_text(verify_premetric_axioms, p,
+                              np.array(rows, dtype=float).reshape(-1, 3, 2), eta=eta),
                 _outcome_text(axioms_reference, p, _triples(rows), eta=eta))
 
 
 class TestAxiomVerification:
     @given(name=st.sampled_from(sorted(AXIOM_PREMETRICS)), eta=st.sampled_from(ETAS),
            rows=st.lists(st.tuples(*[st.tuples(AXIOM_COORDS, AXIOM_COORDS)] * 3),
-                         min_size=1, max_size=12))
+                         max_size=12))
     def test_reports_equal_the_triple_loop(self, name, eta, rows):
         got, want = _axiom_outcomes(AXIOM_PREMETRICS[name], rows, eta)
         assert got == want
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(AXIOM_PREMETRICS))
+    def test_an_empty_sample_is_unchecked(self, name, count):
+        # no triple, one short of the bound, then at and one past it
+        rows = [((0.0, 0.0), (1.0, 0.0), (2.0, 0.5))] * count
+        got, want = _axiom_outcomes(AXIOM_PREMETRICS[name], rows, 1e-9)
+        assert got == want
+        if count:  # decided, or the premetric's own error
+            assert "inconclusive" not in got
+            return
+        reports = json.loads(got)
+        assert reports and all(r["verdict"] == "inconclusive" and r["resolution_note"] ==
+                               f"the triple sample is empty; {r['condition_id']} was not checked"
+                               for r in reports)
 
     # (premetric, triples, the start of the outcome)
     CASES = {
@@ -1490,10 +1508,9 @@ class TestAxiomVerification:
         ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], "(m, 3, 2)"),
         ([[(0.0, 0.0), (1.0, math.inf), (2.0, 0.0)]], "(m, 3, 2)"),
         (_triples([((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))]), "(m, 3, 2)"),
-        ([], "non-empty triple sample"),
-        (np.empty((0, 3, 2)), "non-empty triple sample"),
+        ([], "(m, 3, 2)"),
     ], ids=["point-off-the-plane", "line-triples", "pairs", "one-triple-unblocked",
-            "non-finite", "point-triples", "empty-list", "empty-block"])
+            "non-finite", "point-triples", "empty-list"])
     def test_a_sample_that_is_no_block_is_refused(self, sample, message):
         # coordinate rows carry no space tag: a point off the plane shows as
         # a ragged or wrong-width block, refused before any evaluation, and
@@ -1802,7 +1819,7 @@ class TestFamilyWalk:
         "eight-defeats": (_asmk_case(_iterated("half"), np.arange(13.0), 5, 6),
                           "fail", {"n": 4, "i": 1, "lhs": 1.0, "rhs": 0.0625}),
         # gaps of 1: member 3 of 2t reads member 2's 4.0, past the 2.5 range;
-        # C6 (below 4 members) is not run and C7 (near eps 0.05) stays inside it
+        # C6 (below 4 members) is unchecked and C7 (near eps 0.05) stays inside it
         "iterated-out-of-range": (_asmk_case(_iterated("2 * t", 2.5), np.arange(9.0) % 2, 3, 3),
                                   None, "InputError: gauge '2 * t' evaluated at t=4.0 "),
         # gaps of 2: member 2 reads 2.0 past its 1.5 range, after member 1's defeats
@@ -1897,6 +1914,27 @@ class TestForwardShiftCheckers:
         got = _probe_outcome(check_p_controls_d, traces)
         assert got == _probe_outcome(check_p_controls_d_reference,
                                      [(tr, _forward_shift(tr)) for tr in traces])
+
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_one_point_either_side_of_the_bound(self, past):
+        """C1-C3, C8 and C9 read index_horizon + nu_horizon + 1 points, and
+        PCD a gap: traces one point short of, at and one past each bound."""
+        budget = SearchBudget(index_horizon=3, nu_horizon=4, **FAMILY_BUDGET)
+        tr = _line_trace(0.5 ** np.arange(8 + past))
+        got = _probe_outcome(check_asf1, tr, budget=budget)
+        assert got == _probe_outcome(check_asf1_reference, tr, _forward_shift(tr), budget=budget)
+        assert ("not checked" in got) == (past < 0)
+        args = (builtin_gauge("id"), _iterated("half"))
+        for variant in ASMK_VARIANTS:
+            got = _probe_outcome(check_asmk, tr, *args, budget=budget, variant=variant)
+            assert got == _probe_outcome(_asmk_on_the_shift, tr, *args, budget=budget,
+                                         variant=variant)
+            assert json.loads(got)[2]["verdict"] == ("inconclusive" if past < 0 else "pass")
+        pcd = [_line_trace([1.0] * (2 + past))]
+        got = _probe_outcome(check_p_controls_d, pcd)
+        assert got == _probe_outcome(check_p_controls_d_reference,
+                                     [(t, _forward_shift(t)) for t in pcd])
+        assert json.loads(got)[0]["witnesses"] == [{"activated": int(past >= 0)}]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A fresh process sets a sys.setprofile hook before it imports fplab, then
 runs what the byte-identity gates pin: perfbench's set-up probe (`import
 fplab`, then `fplab.build_scenario` on pinned documents), the gallery at
-seed 0, `gallery --list`, one `validate`, one `fplab run <entry>` and
-perfbench's five long-orbit documents at workload seed 0, the only pinned
-runs with an expression map.  Each function defined in src/fplab must have
-run there, or sit in UNREACHED with a one-line reason.  New code is then
+seed 0, `gallery --list`, one `validate`, one `fplab run <entry>`, the
+same entry at `--budget-scale 1.2` and perfbench's five long-orbit
+documents at workload seed 0, the only pinned runs with an expression map.
+Each function defined in src/fplab must have run there, or sit in
+UNREACHED with a one-line reason.  New code is then
 reached by a document, or its entry says why not; and an entry whose
 function a pinned run starts to reach, or that names no function, fails the
 test too.
@@ -35,7 +36,6 @@ UNREACHED = {
     "maps.expression_map.<locals>.apply_list": "a list-form expression map: none is pinned",
     "expressions._reduce_min": "the expression function min: no pinned expression uses it",
     "expressions._reduce_max": "the expression function max: no pinned expression uses it",
-    "reports.SearchBudget.scaled": "--budget-scale: no pinned run scales its budget",
     "runner._default_steps": "a run without steps: every pinned document sets steps",
     "spaces._axiom_evaluations": "the axiom replay: it runs only when an axiom block raises",
     "runner._Sink.discard": "an error path: it runs only when a run raises",
@@ -77,6 +77,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         json.dump(get_entry("banach-half").doc, fh)  # JSON is YAML
     main(["validate", doc])
     main(["run", "banach-half", "--out", os.path.join(tmp, "run")])
+    main(["run", "banach-half", "--out", os.path.join(tmp, "scaled"), "--budget-scale", "1.2"])
     for doc in long_orbit_documents(0):
         run_scenario_doc(doc, os.path.join(tmp, doc["name"]))
 sys.setprofile(None)

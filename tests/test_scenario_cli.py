@@ -527,12 +527,18 @@ class TestCliRun:
 
     def test_escaping_orbit_cannot_fill_the_budget(self, tmp_path, capsys):
         # x -> x*x from 10 blows past the escape bound after three points,
-        # far short of the aligned gaps the band checkers need
+        # far short of the 17 points the band checkers read: they, and D1-D4,
+        # whose every sampled pair escapes, are reported unchecked
         doc = dict(SMOKE, name="escape", maps={"T": "x * x"},
                    iterate={"x0": [10.0], "steps": 40})
         path = write_doc(tmp_path, doc)
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
-        assert "aligned gaps" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        report = json.loads((tmp_path / "out" / "reports.json").read_text())
+        for cid in ("C1", "C2", "C3", "C4", "C5", "D1", "D2", "D3", "D4"):
+            assert report["verdicts"][f"certify.{cid}"] == "inconclusive", cid
+        c1 = report["runs"]["certify"]["certificate"]["hypotheses"][0]
+        assert c1["resolution_note"] == ("the trace holds 4 points, fewer than the 17 this "
+                                         "budget reads; C1 was not checked")
 
 
 class TestCliValidate:
@@ -661,9 +667,6 @@ MALFORMED = [
      _with(CYCLIC, "cyclic_setting", {side: {"kind": "disk", "center": [c], "radius": 1.0}
                                       for side, c in (("set_a", 1e308), ("set_b", -1e308))},
            "cyclic.x0", [1e308]), "cyclic_setting:"),
-    # a cyclic run reads pairs + 1 even points and the settling diagnostic needs 4
-    ("cyclic-pairs-1", _with(CYCLIC, "cyclic.pairs", 1), "cyclic.pairs:"),
-    ("cyclic-pairs-2", _with(CYCLIC, "cyclic.pairs", 2), "cyclic.pairs:"),
     # of the document premetrics only the metric claims the sup-tail property
     ("route-tau-on-composed", _with(SMOKE, "premetric", {"kind": "composed", "G": "mk"}),
      "premetric.kind:"),
@@ -714,41 +717,47 @@ class TestMalformedDocuments:
             assert (tmp_path / doc["name"] / "reports.json").is_file()
 
 
-# (run, document, the section whose steps sets the trace's length, the
-# fewest steps its checks accept): certify reads index_horizon + nu_horizon
-# gaps against the trace's forward shift, the falsify scan 4 consecutive
-# gaps and INEQFP 2
+# (run, document, the parameter that sets the trace's length, the fewest
+# its checks read, and the verdict keys left unchecked one below it):
+# certify reads index_horizon + nu_horizon gaps against the trace's forward
+# shift, the falsify scan 4 consecutive gaps, INEQFP 2, and a cyclic run's
+# settling diagnostic pairs + 1 = 4 even points
 SMALL_BUDGET = {"index_horizon": 8, "nu_horizon": 8, "pair_samples": 20}
 SHORT_TRACES = [
     ("certify", {"name": "short-certify", "space": {"dimension": 1}, "maps": {"T": "half"},
-                 "budget": SMALL_BUDGET, "run": ["certify"]}, "iterate", 16),
+                 "budget": SMALL_BUDGET, "run": ["certify"]}, "iterate.steps", 16,
+     ["certify.C1", "certify.C2", "certify.C3"]),
     ("falsify", {"name": "short-falsify", "space": {"dimension": 1}, "sequence": "harmonic",
-                 "run": ["falsify"]}, "iterate", 4),
+                 "run": ["falsify"]}, "iterate.steps", 4, []),
     ("alternate", {"name": "short-alternate", "space": {"dimension": 1},
                    "maps": {"T": "half", "S": "half"}, "gauges": {"F": "id", "psi": "half"},
-                   "budget": SMALL_BUDGET, "run": ["alternate"]}, "alternate", 2),
+                   "budget": SMALL_BUDGET, "run": ["alternate"]}, "alternate.steps", 2,
+     ["alternate.INEQFP"]),
+    ("cyclic", CYCLIC, "cyclic.pairs", 3, ["cyclic.CAUCHY"]),
 ]
 
 
 class TestDeclaredTraceLength:
-    @pytest.mark.parametrize(("doc", "owner", "steps"), [case[1:] for case in SHORT_TRACES],
-                             ids=[case[0] for case in SHORT_TRACES])
-    def test_the_fewest_steps_run_and_one_less_is_a_finding(self, tmp_path, capsys, doc,
-                                                             owner, steps):
-        enough = _with(doc, f"{owner}.steps", steps)
-        assert validate_scenario(enough) == []
-        run_scenario_doc(enough, str(tmp_path / "enough"))
-        assert (tmp_path / "enough" / "reports.json").is_file()
+    """A declared length shorter than the checks read is no finding: the
+    run reports the checks it cannot feed unchecked, as it does a trace cut
+    short by an escape or a budget scale."""
 
-        short = write_doc(tmp_path, _with(doc, f"{owner}.steps", steps - 1))
-        out = tmp_path / "short"
-        assert main(["run", short, "--out", str(out)]) == 1
-        assert not out.exists()
-        capsys.readouterr()
+    @pytest.mark.parametrize(("doc", "where", "count", "unchecked"),
+                             [case[1:] for case in SHORT_TRACES],
+                             ids=[case[0] for case in SHORT_TRACES])
+    def test_one_below_the_fewest_is_reported_unchecked(self, tmp_path, capsys, doc, where,
+                                                        count, unchecked):
+        enough = run_scenario_doc(_with(doc, where, count), str(tmp_path / "enough"))
+        assert "inconclusive" not in enough.verdicts.values()
+        short = write_doc(tmp_path, _with(doc, where, count - 1))
         assert main(["validate", short]) == 0
-        findings = capsys.readouterr().out.splitlines()
-        assert any(line.startswith(f"{owner}.steps: ") and f"at least {steps} steps" in line
-                   for line in findings), findings
+        assert capsys.readouterr().out.startswith("ok")
+        assert main(["run", short, "--out", str(tmp_path / "short")]) != 1
+        report = json.loads((tmp_path / "short" / "reports.json").read_text())
+        assert [key for key, verdict in report["verdicts"].items()
+                if verdict == "inconclusive"] == unchecked
+        if "falsify" in doc["run"]:
+            assert report["verdicts"]["falsify.scan"] == "not_applicable"
 
 
 def test_declared_counts_are_bounded():
@@ -808,10 +817,16 @@ def mutated_documents(draw, huge: bool):
     """A gallery document with one drawn mutation: a field dropped or given
     a wrong value, a run parameter given a wrong value, an unknown key added
     to a table, a run name added, an expression put into a map or gauge
-    slot, or region bounds drawn out to +-1e308."""
+    slot, region bounds drawn out to +-1e308, or a short trace length."""
     doc = copy.deepcopy(get_entry(draw(st.sampled_from(gallery_names()))).doc)
     mutation = draw(st.sampled_from(("drop", "replace", "param", "unknown-key", "add-run",
-                                     "expression", "region")))
+                                     "expression", "region", "short")))
+    if mutation == "short":
+        # fewer points than the checks read: the run reports them unchecked
+        where = draw(st.sampled_from((("iterate", "steps"), ("alternate", "steps"),
+                                      ("cyclic", "pairs"))))
+        doc.setdefault(where[0], {})[where[1]] = draw(st.integers(1, 20))
+        return doc
     if mutation == "expression":
         gauges = [slot for slot in doc.get("gauges", {}) if slot in ("F", "psi")]
         slot = draw(st.sampled_from(["T", "G", *gauges]))
@@ -866,12 +881,12 @@ class TestSchemaFuzz:
         assert str(err.value).startswith(diags[0])
 
     @settings(max_examples=40)
-    @given(mutated_documents(huge=False))
-    def test_run_completes_or_leaves_nothing(self, doc):
+    @given(mutated_documents(huge=False), st.sampled_from((0.05, 1.2, 2)))
+    def test_run_completes_or_leaves_nothing(self, doc, scale):
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             try:
-                run_scenario_doc(doc, out, budget_scale=0.05)
+                run_scenario_doc(doc, out, budget_scale=scale)
             except FplabError:
                 assert not os.path.exists(out)
             else:
@@ -1031,6 +1046,26 @@ class TestRunnerOverrides:
             assert result.exit_code == 2
             assert result.verdicts["certify.asmk1.C6"] == "inconclusive"
             assert result.verdicts["certify.asmk2.C6"] == "inconclusive"
+
+    @pytest.mark.parametrize("scale", [1.2, 2])
+    @pytest.mark.parametrize("name", gallery_names())
+    def test_large_budget_scales_end_with_verdicts(self, tmp_path, name, scale):
+        # a scale above 1 grows the horizons past the steps most entries pin:
+        # the checks that read more points than the trace holds are
+        # unchecked, where banach-half, translation, periodic and composed-G,
+        # and at 2 alternating-45 too, used to end in an InputError
+        result = run_scenario(name, str(tmp_path / name), budget_scale=scale)
+        assert isinstance(result, RunResult)
+        assert (tmp_path / name / "reports.json").is_file()
+
+    def test_a_cyclic_orbit_that_escapes_early_is_reported(self, tmp_path):
+        # -300 x leaves the escape bound within a few points, far short of the
+        # 5 of the collapse and the 4 even points of the settling diagnostic
+        doc = _with(get_entry("cyclic-line").doc, "maps.T", "-300.0 * x")
+        result = run_scenario_doc(doc, str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert result.verdicts["cyclic.EVEN-COLLAPSE"] == "inconclusive"
+        assert result.verdicts["cyclic.CAUCHY"] == "inconclusive"
 
     def test_a_verdict_key_is_written_once(self, tmp_path):
         sink = _Sink(str(tmp_path))

@@ -11,6 +11,7 @@ from fplab.maps import builtin_map, expression_map
 from fplab.reports import SearchBudget, Verdict, sanitize
 from fplab.solvers import (
     CAUCHY_ROUTES,
+    WitnessScan,
     cauchy_diagnostic,
     certify_cauchy,
     even_collapse_diagnostic,
@@ -27,6 +28,7 @@ from fplab.spaces import (
     composed_premetric,
     metric_premetric,
     premetric_matrix,
+    shifted_premetric,
 )
 from fplab.traces import (
     AlternatingSchedule,
@@ -85,10 +87,12 @@ class TestCauchyDiagnostic:
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert "escaped" in rep.resolution_note
 
-    def test_needs_four_points(self):
+    def test_three_points_are_unchecked(self):
         tr = IterationTrace(coords=[[0.0], [1.0], [2.0]], premetric=D, status="completed")
-        with pytest.raises(InputError, match="at least 4 points"):
-            cauchy_diagnostic(tr)
+        rep = cauchy_diagnostic(tr)
+        assert (rep.verdict, rep.witnesses) == (Verdict.INCONCLUSIVE, [])
+        assert rep.resolution_note == ("the trace holds 3 points, fewer than the 4 the "
+                                       "settling diagnostic reads; CAUCHY was not checked")
 
 
 class TestCertifyCauchy:
@@ -119,6 +123,22 @@ class TestCertifyCauchy:
             "AX-SYM", "AX-MIX-R", "AX-MIX-L", "GAP-DECAY", "GAP-DECAY-COMPANION",
         ]
         assert cert.overall is Verdict.PASS
+
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    def test_a_short_mixed_trace_is_unchecked(self, points):
+        # two points hold no triple and one point no gap either
+        tr = IterationTrace(coords=[[3.0], [-3.0], [3.0]][:points],
+                            premetric=shifted_premetric(line_setting()), status="completed")
+        cert = certify_cauchy(tr, "mixed", SMALL)
+        verdicts = {h.condition_id: h.verdict for h in cert.hypotheses}
+        unchecked = ["AX-SYM", "AX-MIX-R", "AX-MIX-L"] if points < 3 else []
+        unchecked += ["GAP-DECAY", "GAP-DECAY-COMPANION"] if points < 2 else []
+        assert [cid for cid, v in verdicts.items() if v is Verdict.INCONCLUSIVE] == unchecked
+        for h in cert.hypotheses:
+            if h.condition_id.startswith("AX-") and points < 3:
+                assert h.resolution_note == (
+                    f"the triple sample is empty; {h.condition_id} was not checked")
+        assert cert.diagnostic.verdict is Verdict.INCONCLUSIVE
 
     def test_route_mismatches(self):
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 20)
@@ -298,10 +318,11 @@ class TestNonCauchyWitness:
         tr = picard_trace(builtin_map("half", LINE), LINE.point(1.0), 40)
         assert extract_noncauchy_witness(tr).status == "none"
 
-    def test_needs_four_gaps(self):
+    def test_three_gaps_are_not_applicable(self):
         tr = IterationTrace(coords=[[0.0], [1.0], [2.0], [3.0]], premetric=D, status="completed")
-        with pytest.raises(InputError, match="at least 4 consecutive gaps"):
-            extract_noncauchy_witness(tr)
+        assert extract_noncauchy_witness(tr) == WitnessScan(
+            "not_applicable", None,
+            "the trace holds 4 points, fewer than the 5 of the 4 consecutive gaps the scan reads")
 
     def test_json_shape(self):
         scan = extract_noncauchy_witness(sequence_trace("harmonic", LINE, 1000))
@@ -335,8 +356,10 @@ class TestEvenCollapse:
     def test_guards(self):
         orbit = picard_trace(builtin_map("cyclic_reflect", LINE),
                              LINE.point(3.0), 3)
-        with pytest.raises(InputError, match="at least 5 points"):
-            even_collapse_diagnostic(orbit, line_setting())
+        rep = even_collapse_diagnostic(orbit, line_setting())
+        assert (rep.verdict, rep.witnesses) == (Verdict.INCONCLUSIVE, [])
+        assert rep.resolution_note == ("the full orbit holds 4 points, fewer than the 5 the "
+                                       "collapse reads; EVEN-COLLAPSE was not checked")
         # p-norms are measured, not refused.  In the taxi plane the disks
         # around (2, 2) and (-2, -2) of radius 1 are 8 - 1 - 1 = 6 apart, and
         # neg bounces (3, 4) <-> (-3, -4): each step is 6 + 8 = 14 long (the
